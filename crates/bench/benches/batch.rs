@@ -5,22 +5,12 @@
 //! must not grow on second-and-later routines).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pgvn::batch::{run_batch, BatchInput, BatchOptions};
+use pgvn::batch::{generated_corpus, run_batch, BatchInput, BatchOptions};
 use pgvn::core::{run_in_context, GvnConfig, GvnContext};
 use pgvn::prelude::*;
 
 fn corpus(n: u64, seed: u64) -> Vec<BatchInput> {
-    (0..n)
-        .map(|i| {
-            let gen_seed = pgvn::oracle::mix64(seed ^ pgvn::oracle::mix64(i));
-            let gcfg = pgvn::workload::GenConfig { seed: gen_seed, ..Default::default() };
-            let routine = pgvn::workload::generate_routine(&format!("batch_{i}"), &gcfg);
-            BatchInput {
-                name: format!("batch_{i}"),
-                source: Ok(pgvn::lang::print_routine(&routine)),
-            }
-        })
-        .collect()
+    generated_corpus("batch_", seed, n)
 }
 
 fn available_jobs() -> usize {

@@ -24,6 +24,18 @@ pub enum Mode {
     Pessimistic,
 }
 
+impl Mode {
+    /// The mode named `optimistic`, `balanced` or `pessimistic`.
+    fn from_name(name: &str) -> Option<Mode> {
+        match name {
+            "optimistic" => Some(Mode::Optimistic),
+            "balanced" => Some(Mode::Balanced),
+            "pessimistic" => Some(Mode::Pessimistic),
+            _ => None,
+        }
+    }
+}
+
 /// Which of the paper's two algorithm variants to run (§2.7).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Variant {
@@ -34,6 +46,17 @@ pub enum Variant {
     /// Reachable dominator tree (incrementally maintained); touching by
     /// dominance/postdominance.
     Complete,
+}
+
+impl Variant {
+    /// The variant named `practical` or `complete`.
+    fn from_name(name: &str) -> Option<Variant> {
+        match name {
+            "practical" => Some(Variant::Practical),
+            "complete" => Some(Variant::Complete),
+            _ => None,
+        }
+    }
 }
 
 /// Feature toggles for the unified analyses.
@@ -137,6 +160,46 @@ impl GvnConfig {
             budget: GvnBudget::unlimited(),
             fault_plan: None,
         }
+    }
+
+    /// The preset named `full`, `extended`, `click`, `sccp`, `awz` or
+    /// `basic`.
+    fn preset(name: &str) -> Option<GvnConfig> {
+        match name {
+            "full" => Some(Self::full()),
+            "extended" => Some(Self::extended()),
+            "click" => Some(Self::click()),
+            "sccp" => Some(Self::sccp()),
+            "awz" => Some(Self::awz()),
+            "basic" => Some(Self::basic()),
+            _ => None,
+        }
+    }
+
+    /// Applies the named settings a command line or a serve request
+    /// selects: the preset replaces `self` wholesale, then the mode and
+    /// variant override it. `None` keeps the current setting. An unknown
+    /// name is an error naming it.
+    pub fn with_names(
+        self,
+        preset: Option<&str>,
+        mode: Option<&str>,
+        variant: Option<&str>,
+    ) -> Result<GvnConfig, String> {
+        let mut cfg = match preset {
+            None => self,
+            Some(name) => {
+                Self::preset(name).ok_or_else(|| format!("unknown config preset {name:?}"))?
+            }
+        };
+        if let Some(name) = mode {
+            cfg.mode = Mode::from_name(name).ok_or_else(|| format!("unknown mode {name:?}"))?;
+        }
+        if let Some(name) = variant {
+            cfg.variant =
+                Variant::from_name(name).ok_or_else(|| format!("unknown variant {name:?}"))?;
+        }
+        Ok(cfg)
     }
 
     /// Sets the per-routine resource ceilings (see [`GvnBudget`]).
@@ -306,6 +369,53 @@ mod tests {
         assert_eq!(c.mode, Mode::Balanced);
         assert_eq!(c.variant, Variant::Complete);
         assert!(!c.sparse);
+    }
+
+    #[test]
+    fn names_select_the_documented_settings() {
+        let presets = [
+            ("full", GvnConfig::full()),
+            ("extended", GvnConfig::extended()),
+            ("click", GvnConfig::click()),
+            ("sccp", GvnConfig::sccp()),
+            ("awz", GvnConfig::awz()),
+            ("basic", GvnConfig::basic()),
+        ];
+        let modes = [
+            ("optimistic", Mode::Optimistic),
+            ("balanced", Mode::Balanced),
+            ("pessimistic", Mode::Pessimistic),
+        ];
+        let variants = [("practical", Variant::Practical), ("complete", Variant::Complete)];
+        // Start from a base no preset equals, so a preset that failed to
+        // replace it would show.
+        let base = GvnConfig::awz().mode(Mode::Balanced).variant(Variant::Complete).sparse(false);
+        for (p, preset) in &presets {
+            assert_eq!(GvnConfig::preset(p).as_ref(), Some(preset), "{p}");
+            assert_eq!(base.clone().with_names(Some(p), None, None).as_ref(), Ok(preset));
+            for (m, mode) in &modes {
+                assert_eq!(Mode::from_name(m), Some(*mode));
+                for (v, variant) in &variants {
+                    assert_eq!(Variant::from_name(v), Some(*variant));
+                    let named = base.clone().with_names(Some(p), Some(m), Some(v));
+                    assert_eq!(named, Ok(preset.clone().mode(*mode).variant(*variant)));
+                }
+            }
+        }
+        assert_eq!(base.clone().with_names(None, None, None), Ok(base.clone()));
+        assert_eq!(
+            base.clone().with_names(None, Some("optimistic"), None),
+            Ok(base.clone().mode(Mode::Optimistic))
+        );
+        for bad in ["", "Full", "optimistic", "sccp ", "dense"] {
+            assert_eq!(GvnConfig::preset(bad), None, "{bad:?}");
+        }
+        assert_eq!(Mode::from_name("full"), None);
+        assert_eq!(Variant::from_name("Complete"), None);
+        let err = |p, m, v| base.clone().with_names(p, m, v).unwrap_err();
+        assert_eq!(err(Some("x"), None, None), "unknown config preset \"x\"");
+        assert_eq!(err(None, Some("x"), None), "unknown mode \"x\"");
+        assert_eq!(err(None, None, Some("x")), "unknown variant \"x\"");
     }
 
     #[test]

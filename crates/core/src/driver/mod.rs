@@ -27,7 +27,7 @@ use pgvn_analysis::{DomTree, PostDomTree, Ranks, ReachableDomTree, Rpo};
 use pgvn_ir::{
     BinOp, Block, CmpOp, DefUse, Edge, EntityRef, EntitySet, Function, Inst, InstKind, UnOp, Value,
 };
-use pgvn_telemetry::{Metric, Phase, Telemetry, TextSink, TraceEvent};
+use pgvn_telemetry::{Metric, Phase, Telemetry, TraceEvent};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -72,15 +72,6 @@ pub fn run(func: &Function, cfg: &GvnConfig) -> GvnResults {
 /// routines is allocation-amortized. Results never depend on what the
 /// context previously ran — see the `context` module docs.
 pub fn run_in_context(ctx: &mut GvnContext, func: &Function, cfg: &GvnConfig) -> GvnResults {
-    // Back-compat: `PGVN_DEBUG_OSC` predates the telemetry layer and used
-    // to switch on an ad-hoc stderr dump of late-pass class movement. It
-    // now enables the text trace sink, whose `oscillation` events carry
-    // the same information.
-    if std::env::var_os("PGVN_DEBUG_OSC").is_some() {
-        let mut sink = TextSink::stderr();
-        let mut tel = Telemetry::with_sink(&mut sink);
-        return run_traced_in_context(ctx, func, cfg, &mut tel);
-    }
     run_traced_in_context(ctx, func, cfg, &mut Telemetry::off())
 }
 

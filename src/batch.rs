@@ -54,6 +54,24 @@ pub struct BatchInput {
     pub source: Result<String, String>,
 }
 
+/// The seeded generated corpus: `n` routines named `{prefix}{i}`, the
+/// `i`-th drawn from the workload generator with seed
+/// `mix64(seed ^ mix64(i))`. `pgvn batch --gen n --seed seed` runs this
+/// corpus (prefix `batch_`), `pgvn check --gen` lints it (`check_`), and
+/// `pgvn perf` times it (`perf_`); the prefix only changes the names.
+pub fn generated_corpus(prefix: &str, seed: u64, n: u64) -> Vec<BatchInput> {
+    use crate::oracle::mix64;
+    use crate::workload::{generate_routine, GenConfig};
+    (0..n)
+        .map(|i| {
+            let name = format!("{prefix}{i}");
+            let gcfg = GenConfig { seed: mix64(seed ^ mix64(i)), ..Default::default() };
+            let source = crate::lang::print_routine(&generate_routine(&name, &gcfg));
+            BatchInput { name, source: Ok(source) }
+        })
+        .collect()
+}
+
 /// Tuning for one [`run_batch`] call.
 #[derive(Clone, Debug)]
 pub struct BatchOptions {
@@ -499,17 +517,7 @@ mod tests {
     use super::*;
 
     fn gen_inputs(n: u64, seed: u64) -> Vec<BatchInput> {
-        (0..n)
-            .map(|i| {
-                let gen_seed = crate::oracle::mix64(seed ^ crate::oracle::mix64(i));
-                let gcfg = crate::workload::GenConfig { seed: gen_seed, ..Default::default() };
-                let routine = crate::workload::generate_routine(&format!("batch_{i}"), &gcfg);
-                BatchInput {
-                    name: format!("batch_{i}"),
-                    source: Ok(crate::lang::print_routine(&routine)),
-                }
-            })
-            .collect()
+        generated_corpus("batch_", seed, n)
     }
 
     #[test]

@@ -106,65 +106,108 @@
 //! See `docs/SERVE.md` for the framing spec and failure taxonomy.
 //! ```
 
+use pgvn::batch::{generated_corpus, BatchInput};
 use pgvn::core::{try_run_traced, FaultPlan, GvnBudget};
 use pgvn::prelude::*;
 use pgvn::telemetry::{JsonlSink, Phase, TeeSink, Telemetry, TextSink};
+use std::fmt::Display;
 use std::io::Read;
+use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-/// Usage and I/O errors: one-line diagnostic, never a panic backtrace.
-const EXIT_USAGE: u8 = 2;
+/// A subcommand's exit code, or the one-line I/O diagnostic that ends
+/// it with exit code 2.
+type CliResult = Result<ExitCode, String>;
 
-/// Prints a one-line diagnostic and returns the usage/I/O exit code.
-fn fail_io(msg: impl std::fmt::Display) -> ExitCode {
+/// Prints a one-line diagnostic and exits with the usage/I/O code 2 —
+/// never a panic backtrace.
+fn die(msg: impl Display) -> ! {
     eprintln!("pgvn: {msg}");
-    ExitCode::from(EXIT_USAGE)
+    std::process::exit(2)
 }
 
-/// Parses a `--passes` argument, exiting 2 with a one-line diagnostic
-/// on a missing or malformed spec (shared by every subcommand).
-fn parse_passes_arg(spec: Option<String>) -> PassSpec {
-    let Some(spec) = spec else {
-        eprintln!("pgvn: --passes requires a pass list (e.g. gvn,pre,gvn)");
-        std::process::exit(2);
-    };
-    match PassSpec::parse(&spec) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("pgvn: --passes: {msg}");
-            std::process::exit(2);
-        }
+/// One subcommand's arguments, read flag by flag. A flag's missing or
+/// malformed value is a one-line diagnostic naming the flag; an unknown
+/// flag or name prints the subcommand's usage. Both exit 2.
+struct Args {
+    rest: std::iter::Peekable<std::iter::Skip<std::env::Args>>,
+    usage: &'static str,
+}
+
+impl Args {
+    fn next(&mut self) -> Option<String> {
+        self.rest.next()
+    }
+
+    fn usage(&self) -> ! {
+        eprintln!("{}", self.usage);
+        std::process::exit(2)
+    }
+
+    /// The value after `flag`.
+    fn value(&mut self, flag: &str) -> String {
+        self.next().unwrap_or_else(|| die(format_args!("{flag} requires a value")))
+    }
+
+    /// The value after `flag` as a `T`. Numbers outside `T`'s range are
+    /// rejected, never truncated.
+    fn parse<T: FromStr>(&mut self, flag: &str) -> T
+    where
+        T::Err: Display,
+    {
+        let v = self.value(flag);
+        v.parse().unwrap_or_else(|e| die(format_args!("{flag} {v:?}: {e}")))
+    }
+
+    /// The comma-separated list after `flag`, empty items skipped.
+    fn list<T: FromStr>(&mut self, flag: &str) -> Vec<T>
+    where
+        T::Err: Display,
+    {
+        let v = self.value(flag);
+        let item = |s: &str| s.parse().unwrap_or_else(|e| die(format_args!("{flag} {v:?}: {e}")));
+        v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(item).collect()
+    }
+
+    /// The value after `flag` as one of the names `lookup` knows.
+    fn name<T>(&mut self, flag: &str, lookup: impl FnOnce(&str) -> Option<T>) -> T {
+        let v = self.value(flag);
+        lookup(&v).unwrap_or_else(|| self.usage())
     }
 }
 
-struct Options {
-    path: String,
-    config: GvnConfig,
+/// `--config/--mode/--variant/--passes/--check`: the configuration
+/// group shared by single-routine mode, `batch` and `serve`.
+#[derive(Default)]
+struct ConfigFlags {
+    preset: Option<String>,
+    mode: Option<String>,
+    variant: Option<String>,
     passes: Option<PassSpec>,
-    style: SsaStyle,
-    emit: Vec<String>,
-    run_args: Option<Vec<i64>>,
-    stats: bool,
-    trace: bool,
-    trace_json: Option<String>,
-    profile: bool,
-    stats_json: bool,
     check: bool,
-    res: ResilienceFlags,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pgvn <file|-> [--config full|extended|click|sccp|awz|basic]\n\
-         \x20           [--mode optimistic|balanced|pessimistic] [--variant practical|complete]\n\
-         \x20           [--ssa minimal|semi-pruned|pruned] [--dense] [--passes gvn,pre,gvn]\n\
-         \x20           [--emit ir|analysis|optimized|all] [--run a,b,c] [--stats]\n\
-         \x20           [--trace] [--trace-json <path>] [--profile] [--stats-json]\n\
-         \x20           [--budget-passes N] [--budget-ms N] [--budget-touches N]\n\
-         \x20           [--inject kind@site] [--inject-seed N] [--inject-sticky] [--check]\n\
-         \x20      pgvn check --help | pgvn fuzz --help | pgvn batch --help"
-    );
-    std::process::exit(2);
+impl ConfigFlags {
+    /// Consumes `flag` and its value if the flag is in the group.
+    fn consume(&mut self, flag: &str, args: &mut Args) -> bool {
+        match flag {
+            "--config" => self.preset = Some(args.value(flag)),
+            "--mode" => self.mode = Some(args.value(flag)),
+            "--variant" => self.variant = Some(args.value(flag)),
+            "--passes" => self.passes = Some(args.parse(flag)),
+            "--check" => self.check = true,
+            _ => return false,
+        }
+        true
+    }
+
+    /// The named configuration; an unknown name is a usage error.
+    fn config(&self, args: &Args) -> GvnConfig {
+        GvnConfig::full()
+            .with_names(self.preset.as_deref(), self.mode.as_deref(), self.variant.as_deref())
+            .unwrap_or_else(|_| args.usage())
+    }
 }
 
 /// The budget/fault flags shared by the single-routine and batch modes.
@@ -177,39 +220,29 @@ struct ResilienceFlags {
 }
 
 impl ResilienceFlags {
-    /// Consumes the flag if it matches, pulling its value from `args`.
-    /// `Ok(true)` means handled; `Err` carries the one-line diagnostic.
-    fn consume(
-        &mut self,
-        flag: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        let mut num = |what: &str| -> Result<u64, String> {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("{flag} requires a numeric {what}"))
-        };
+    /// Consumes `flag` and its value if the flag is in the group.
+    fn consume(&mut self, flag: &str, args: &mut Args) -> bool {
         match flag {
-            "--budget-passes" => self.budget.max_passes = Some(num("pass count")? as u32),
+            "--budget-passes" => self.budget.max_passes = Some(args.parse(flag)),
             "--budget-ms" => {
-                self.budget.time_limit = Some(std::time::Duration::from_millis(num("deadline")?));
+                self.budget.time_limit = Some(std::time::Duration::from_millis(args.parse(flag)));
             }
-            "--budget-touches" => self.budget.max_touches = Some(num("quota")?),
+            "--budget-touches" => self.budget.max_touches = Some(args.parse(flag)),
             "--inject" => {
-                let spec = args.next().ok_or("--inject requires kind@site")?;
-                self.inject = Some(FaultPlan::parse(&spec).ok_or_else(|| {
-                    format!(
+                let spec = args.value(flag);
+                self.inject = Some(FaultPlan::parse(&spec).unwrap_or_else(|| {
+                    die(format_args!(
                         "--inject {spec}: expected kind@site with kind one of \
                          panic|invariant|budget|verifier-reject and site one of \
                          eval|edges|phipred|rewrite"
-                    )
-                })?);
+                    ))
+                }));
             }
-            "--inject-seed" => self.inject_seed = num("seed")?,
+            "--inject-seed" => self.inject_seed = args.parse(flag),
             "--inject-sticky" => self.inject_sticky = true,
-            _ => return Ok(false),
+            _ => return false,
         }
-        Ok(true)
+        true
     }
 
     /// The assembled fault plan, seed and stickiness applied.
@@ -230,129 +263,96 @@ impl ResilienceFlags {
     }
 }
 
-fn parse_options() -> Options {
-    let mut args = std::env::args().skip(1);
-    let mut path: Option<String> = None;
-    let mut config = GvnConfig::full();
-    let mut mode = Mode::Optimistic;
-    let mut variant = Variant::Practical;
-    let mut dense = false;
-    let mut style = SsaStyle::Pruned;
-    let mut emit = Vec::new();
-    let mut run_args = None;
-    let mut stats = false;
-    let mut trace = false;
-    let mut trace_json = None;
-    let mut profile = false;
-    let mut stats_json = false;
-    let mut check = false;
-    let mut passes = None;
-    let mut res = ResilienceFlags::default();
-    while let Some(a) = args.next() {
-        match res.consume(a.as_str(), &mut args) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(msg) => {
-                eprintln!("pgvn: {msg}");
-                std::process::exit(2);
-            }
-        }
-        match a.as_str() {
-            "--passes" => passes = Some(parse_passes_arg(args.next())),
-            "--config" => {
-                config = match args.next().as_deref() {
-                    Some("full") => GvnConfig::full(),
-                    Some("extended") => GvnConfig::extended(),
-                    Some("click") => GvnConfig::click(),
-                    Some("sccp") => GvnConfig::sccp(),
-                    Some("awz") => GvnConfig::awz(),
-                    Some("basic") => GvnConfig::basic(),
-                    _ => usage(),
-                };
-            }
-            "--mode" => {
-                mode = match args.next().as_deref() {
-                    Some("optimistic") => Mode::Optimistic,
-                    Some("balanced") => Mode::Balanced,
-                    Some("pessimistic") => Mode::Pessimistic,
-                    _ => usage(),
-                };
-            }
-            "--variant" => {
-                variant = match args.next().as_deref() {
-                    Some("practical") => Variant::Practical,
-                    Some("complete") => Variant::Complete,
-                    _ => usage(),
-                };
-            }
-            "--ssa" => {
-                style = match args.next().as_deref() {
-                    Some("minimal") => SsaStyle::Minimal,
-                    Some("semi-pruned") => SsaStyle::SemiPruned,
-                    Some("pruned") => SsaStyle::Pruned,
-                    _ => usage(),
-                };
-            }
-            "--dense" => dense = true,
-            "--emit" => match args.next() {
-                Some(e) => emit.push(e),
-                None => usage(),
-            },
-            "--run" => {
-                let list = args.next().unwrap_or_else(|| usage());
-                let parsed: Result<Vec<i64>, _> =
-                    list.split(',').filter(|s| !s.is_empty()).map(str::parse).collect();
-                match parsed {
-                    Ok(v) => run_args = Some(v),
-                    Err(_) => usage(),
-                }
-            }
-            "--stats" => stats = true,
-            "--trace" => trace = true,
-            "--trace-json" => match args.next() {
-                Some(p) => trace_json = Some(p),
-                None => usage(),
-            },
-            "--profile" => profile = true,
-            "--stats-json" => stats_json = true,
-            "--check" => check = true,
-            _ if path.is_none() && !a.starts_with("--") => path = Some(a),
-            _ => usage(),
-        }
-    }
-    let Some(path) = path else { usage() };
-    if emit.is_empty() {
-        emit.push("optimized".to_string());
-    }
-    let config = config.mode(mode).variant(variant).sparse(!dense);
-    Options {
-        path,
-        config,
-        passes,
-        style,
-        emit,
-        run_args,
-        stats,
-        trace,
-        trace_json,
-        profile,
-        stats_json,
-        check,
-        res,
+/// `--dir/--gen/--seed`: the corpus group shared by `check` and `batch`.
+struct CorpusFlags {
+    dir: Option<String>,
+    gen: Option<u64>,
+    seed: u64,
+}
+
+impl Default for CorpusFlags {
+    fn default() -> Self {
+        CorpusFlags { dir: None, gen: None, seed: 2002 }
     }
 }
 
-fn wants_source(emit: &[String]) -> bool {
-    emit.iter().any(|e| e == "source" || e == "all")
+impl CorpusFlags {
+    /// Consumes `flag` and its value if the flag is in the group.
+    fn consume(&mut self, flag: &str, args: &mut Args) -> bool {
+        match flag {
+            "--dir" => self.dir = Some(args.value(flag)),
+            "--gen" => self.gen = Some(args.parse(flag)),
+            "--seed" => self.seed = args.parse(flag),
+            _ => return false,
+        }
+        true
+    }
+
+    fn is_empty(&self) -> bool {
+        self.dir.is_none() && self.gen.is_none()
+    }
+
+    /// Appends the `--dir` sources in path order, then the `--gen`
+    /// routines named `{prefix}{i}`. Unreadable or unparseable inputs
+    /// become classified records later, not early exits; only an
+    /// unreadable directory fails.
+    fn gather(&self, sub: &str, prefix: &str, inputs: &mut Vec<BatchInput>) -> Result<(), String> {
+        if let Some(dir) = &self.dir {
+            let entries =
+                std::fs::read_dir(dir).map_err(|e| format!("{sub}: cannot read {dir}: {e}"))?;
+            let mut paths: Vec<std::path::PathBuf> = entries
+                .filter_map(|e| e.ok().map(|e| e.path()))
+                .filter(|p| p.extension().is_some_and(|x| x == "pgvn"))
+                .collect();
+            paths.sort();
+            inputs.extend(paths.iter().map(|p| read_input(p)));
+        }
+        if let Some(n) = self.gen {
+            inputs.extend(generated_corpus(prefix, self.seed, n));
+        }
+        Ok(())
+    }
 }
 
-fn check_usage() -> ! {
-    eprintln!(
-        "usage: pgvn check [<file>...] [--dir <dir>] [--gen N] [--seed N]\n\
-         \x20                [--json] [--no-gvn] [--timings]"
-    );
-    std::process::exit(2);
+/// A source file as a batch input named by its path; a read error
+/// travels with the input.
+fn read_input(path: &Path) -> BatchInput {
+    let source = std::fs::read_to_string(path).map_err(|e| e.to_string());
+    BatchInput { name: path.display().to_string(), source }
 }
+
+/// Writes a report to `path`, or to stdout when there is none.
+fn write_report(sub: &str, path: Option<&str>, text: &str) -> Result<(), String> {
+    match path {
+        Some(path) => {
+            std::fs::write(path, text).map_err(|e| format!("{sub}: cannot write {path}: {e}"))
+        }
+        None => {
+            print!("{text}");
+            Ok(())
+        }
+    }
+}
+
+fn exit_code(success: bool) -> ExitCode {
+    if success {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+const USAGE: &str = "usage: pgvn <file|-> [--config full|extended|click|sccp|awz|basic]\n\
+    \x20           [--mode optimistic|balanced|pessimistic] [--variant practical|complete]\n\
+    \x20           [--ssa minimal|semi-pruned|pruned] [--dense] [--passes gvn,pre,gvn]\n\
+    \x20           [--emit ir|analysis|optimized|all] [--run a,b,c] [--stats]\n\
+    \x20           [--trace] [--trace-json <path>] [--profile] [--stats-json]\n\
+    \x20           [--budget-passes N] [--budget-ms N] [--budget-touches N]\n\
+    \x20           [--inject kind@site] [--inject-seed N] [--inject-sticky] [--check]\n\
+    \x20      pgvn check --help | pgvn fuzz --help | pgvn batch --help";
+
+const CHECK_USAGE: &str = "usage: pgvn check [<file>...] [--dir <dir>] [--gen N] [--seed N]\n\
+    \x20                [--json] [--no-gvn] [--timings]";
 
 /// `pgvn check`: the static-analysis lint suite over explicit files, a
 /// directory of `.pgvn` sources, or a generated corpus. Prints one line
@@ -360,80 +360,34 @@ fn check_usage() -> ! {
 /// error-severity diagnostic was found, 1 otherwise, 2 on usage or I/O
 /// errors — warnings and advisories report without failing the run. The
 /// lint catalog and JSON schema are documented in `docs/CHECK.md`.
-fn check_main(mut args: std::env::Args) -> ExitCode {
-    use pgvn::batch::BatchInput;
+fn check_main(mut args: Args) -> CliResult {
     use pgvn::check::run_check_inputs;
     use pgvn::transform::CheckOptions;
 
     let mut files: Vec<String> = Vec::new();
-    let mut dir: Option<String> = None;
-    let mut gen_count: Option<u64> = None;
-    let mut seed: u64 = 2002;
+    let mut corpus = CorpusFlags::default();
     let mut json = false;
     let mut timings = false;
     let mut copts = CheckOptions::default();
     while let Some(a) = args.next() {
+        if corpus.consume(&a, &mut args) {
+            continue;
+        }
         match a.as_str() {
-            "--dir" => match args.next() {
-                Some(d) => dir = Some(d),
-                None => check_usage(),
-            },
-            "--gen" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => gen_count = Some(n),
-                None => check_usage(),
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => check_usage(),
-            },
             "--json" => json = true,
             "--no-gvn" => copts = CheckOptions::without_gvn(),
             "--timings" => timings = true,
             _ if !a.starts_with("--") => files.push(a),
-            _ => check_usage(),
+            _ => args.usage(),
         }
     }
-    if files.is_empty() && dir.is_none() && gen_count.is_none() {
-        check_usage();
+    if files.is_empty() && corpus.is_empty() {
+        args.usage();
     }
 
-    // Gather the corpus exactly as `pgvn batch` does: unreadable or
-    // unparseable inputs classify as parse_error diagnostics, never
-    // early exits.
-    let mut inputs: Vec<BatchInput> = files
-        .iter()
-        .map(|p| BatchInput {
-            name: p.clone(),
-            source: std::fs::read_to_string(p).map_err(|e| e.to_string()),
-        })
-        .collect();
-    if let Some(dir) = &dir {
-        let entries = match std::fs::read_dir(dir) {
-            Ok(e) => e,
-            Err(e) => return fail_io(format_args!("check: cannot read {dir}: {e}")),
-        };
-        let mut paths: Vec<std::path::PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "pgvn"))
-            .collect();
-        paths.sort();
-        for p in paths {
-            let name = p.display().to_string();
-            let source = std::fs::read_to_string(&p).map_err(|e| e.to_string());
-            inputs.push(BatchInput { name, source });
-        }
-    }
-    if let Some(n) = gen_count {
-        for i in 0..n {
-            let gen_seed = pgvn::oracle::mix64(seed ^ pgvn::oracle::mix64(i));
-            let gcfg = pgvn::workload::GenConfig { seed: gen_seed, ..Default::default() };
-            let routine = pgvn::workload::generate_routine(&format!("check_{i}"), &gcfg);
-            inputs.push(BatchInput {
-                name: format!("check_{i}"),
-                source: Ok(pgvn::lang::print_routine(&routine)),
-            });
-        }
-    }
+    // Gather the corpus exactly as `pgvn batch` does.
+    let mut inputs: Vec<BatchInput> = files.iter().map(|p| read_input(Path::new(p))).collect();
+    corpus.gather("check", "check_", &mut inputs)?;
 
     let report = run_check_inputs(&inputs, &copts);
     if json {
@@ -454,22 +408,13 @@ fn check_main(mut args: std::env::Args) -> ExitCode {
         }
         eprintln!("{}", report.summary_text());
     }
-    if report.has_errors() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(exit_code(!report.has_errors()))
 }
 
-fn fuzz_usage() -> ! {
-    eprintln!(
-        "usage: pgvn fuzz [--seed N] [--iters N] [--mode validate|lattice|both]\n\
-         \x20               [--max-failures N] [--report <path>] [--fixture-dir <dir>]\n\
-         \x20               [--no-shrink] [--no-resilient] [--no-diagnostics] [--inject-bug]\n\
-         \x20               [--jobs N] [--max-iters-per-shard N] [--timings]"
-    );
-    std::process::exit(2);
-}
+const FUZZ_USAGE: &str = "usage: pgvn fuzz [--seed N] [--iters N] [--mode validate|lattice|both]\n\
+    \x20               [--max-failures N] [--report <path>] [--fixture-dir <dir>]\n\
+    \x20               [--no-shrink] [--no-resilient] [--no-diagnostics] [--inject-bug]\n\
+    \x20               [--jobs N] [--max-iters-per-shard N] [--timings]";
 
 /// `pgvn fuzz`: the differential oracle, sharded over
 /// [`pgvn::oracle::run_campaign_with`]. The report (failure lines, the
@@ -477,9 +422,8 @@ fn fuzz_usage() -> ! {
 /// fixtures and the exit code are byte-identical at any `--jobs`; only
 /// the optional `fuzz_timing` record (behind `--timings`) and the
 /// stderr ticker depend on scheduling.
-fn fuzz_main(mut args: std::env::Args) -> ExitCode {
+fn fuzz_main(mut args: Args) -> CliResult {
     use pgvn::oracle::{run_campaign_with, CampaignOptions, FuzzMode};
-    use std::io::Write;
 
     let mut copts = CampaignOptions::default();
     let mut timings = false;
@@ -487,48 +431,27 @@ fn fuzz_main(mut args: std::env::Args) -> ExitCode {
     let mut fixture_dir: Option<String> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => copts.fuzz.seed = v,
-                None => fuzz_usage(),
-            },
-            "--iters" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => copts.fuzz.iterations = v,
-                None => fuzz_usage(),
-            },
+            "--seed" => copts.fuzz.seed = args.parse(&a),
+            "--iters" => copts.fuzz.iterations = args.parse(&a),
             "--mode" => {
-                copts.fuzz.mode = match args.next().as_deref() {
-                    Some("validate") => FuzzMode::Validate,
-                    Some("lattice") => FuzzMode::Lattice,
-                    Some("both") => FuzzMode::Both,
-                    _ => fuzz_usage(),
-                };
+                copts.fuzz.mode = args.name(&a, |s| match s {
+                    "validate" => Some(FuzzMode::Validate),
+                    "lattice" => Some(FuzzMode::Lattice),
+                    "both" => Some(FuzzMode::Both),
+                    _ => None,
+                });
             }
-            "--max-failures" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => copts.fuzz.max_failures = v,
-                None => fuzz_usage(),
-            },
-            "--report" => match args.next() {
-                Some(p) => report_path = Some(p),
-                None => fuzz_usage(),
-            },
-            "--fixture-dir" => match args.next() {
-                Some(p) => fixture_dir = Some(p),
-                None => fuzz_usage(),
-            },
+            "--max-failures" => copts.fuzz.max_failures = args.parse(&a),
+            "--report" => report_path = Some(args.value(&a)),
+            "--fixture-dir" => fixture_dir = Some(args.value(&a)),
             "--no-shrink" => copts.fuzz.shrink = None,
             "--no-resilient" => copts.fuzz.check_resilient = false,
             "--no-diagnostics" => copts.fuzz.check_diagnostics = false,
             "--inject-bug" => copts.fuzz.inject_miscompile = true,
-            "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => copts.jobs = v,
-                None => fuzz_usage(),
-            },
-            "--max-iters-per-shard" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => copts.max_iters_per_shard = v,
-                None => fuzz_usage(),
-            },
+            "--jobs" => copts.jobs = args.parse(&a),
+            "--max-iters-per-shard" => copts.max_iters_per_shard = args.parse(&a),
             "--timings" => timings = true,
-            _ => fuzz_usage(),
+            _ => args.usage(),
         }
     }
 
@@ -567,20 +490,13 @@ fn fuzz_main(mut args: std::env::Args) -> ExitCode {
             .field_u64("failures", result.failures.len() as u64);
         lines.push_str(&w.finish());
         lines.push('\n');
-        let written = std::fs::File::create(path).and_then(|mut f| f.write_all(lines.as_bytes()));
-        if let Err(e) = written {
-            return fail_io(format_args!("fuzz: cannot write {path}: {e}"));
-        }
+        write_report("fuzz", Some(path), &lines)?;
     }
     if let Some(dir) = &fixture_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return fail_io(format_args!("fuzz: cannot create {dir}: {e}"));
-        }
+        std::fs::create_dir_all(dir).map_err(|e| format!("fuzz: cannot create {dir}: {e}"))?;
         for f in &result.failures {
             let path = format!("{dir}/fuzz-{}-{}.pgvn", f.kind, f.iteration);
-            if let Err(e) = std::fs::write(&path, f.fixture()) {
-                return fail_io(format_args!("fuzz: cannot write {path}: {e}"));
-            }
+            write_report("fuzz", Some(&path), &f.fixture())?;
             eprintln!("pgvn fuzz: wrote {path}");
         }
     }
@@ -599,26 +515,17 @@ fn fuzz_main(mut args: std::env::Args) -> ExitCode {
         result.total_insts,
         result.failures.len()
     );
-    if result.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit_code(result.is_clean()))
 }
 
-fn batch_usage() -> ! {
-    eprintln!(
-        "usage: pgvn batch (--dir <dir> | --gen N) [--seed N] [--limit N]\n\
-         \x20                [--config full|extended|click|sccp|awz|basic]\n\
-         \x20                [--mode optimistic|balanced|pessimistic]\n\
-         \x20                [--variant practical|complete] [--rounds N]\n\
-         \x20                [--budget-passes N] [--budget-ms N] [--budget-touches N]\n\
-         \x20                [--inject kind@site] [--inject-seed N] [--inject-sticky]\n\
-         \x20                [--report <path>] [--jobs N] [--stats-json <path>] [--timings]\n\
-         \x20                [--no-warm] [--passes gvn,pre,gvn] [--check]"
-    );
-    std::process::exit(2);
-}
+const BATCH_USAGE: &str = "usage: pgvn batch (--dir <dir> | --gen N) [--seed N] [--limit N]\n\
+    \x20                [--config full|extended|click|sccp|awz|basic]\n\
+    \x20                [--mode optimistic|balanced|pessimistic]\n\
+    \x20                [--variant practical|complete] [--rounds N]\n\
+    \x20                [--budget-passes N] [--budget-ms N] [--budget-touches N]\n\
+    \x20                [--inject kind@site] [--inject-seed N] [--inject-sticky]\n\
+    \x20                [--report <path>] [--jobs N] [--stats-json <path>] [--timings]\n\
+    \x20                [--no-warm] [--passes gvn,pre,gvn] [--check]";
 
 /// `pgvn batch`: resilient optimization over a suite of routines, one
 /// `catch_unwind`-isolated `optimize_resilient` call per routine, with a
@@ -626,136 +533,45 @@ fn batch_usage() -> ! {
 /// the batch — every routine ends in a classified record. Processing is
 /// delegated to [`pgvn::batch::run_batch`], whose report is
 /// byte-identical at any `--jobs` count.
-fn batch_main(mut args: std::env::Args) -> ExitCode {
-    use pgvn::batch::{run_batch, BatchInput, BatchOptions};
-    use std::io::Write;
+fn batch_main(mut args: Args) -> CliResult {
+    use pgvn::batch::{run_batch, BatchOptions};
 
-    let mut dir: Option<String> = None;
-    let mut gen_count: Option<u64> = None;
-    let mut seed: u64 = 2002;
+    let mut corpus = CorpusFlags::default();
+    let mut group = ConfigFlags::default();
+    let mut res = ResilienceFlags::default();
     let mut limit: Option<usize> = None;
-    let mut config = GvnConfig::full();
-    let mut mode = Mode::Optimistic;
-    let mut variant = Variant::Practical;
     let mut rounds: usize = 2;
     let mut jobs: usize = 1;
     let mut timings = false;
     let mut warm_start = true;
-    let mut check = false;
-    let mut passes: Option<PassSpec> = None;
-    let mut res = ResilienceFlags::default();
     let mut report_path: Option<String> = None;
     let mut stats_path: Option<String> = None;
     while let Some(a) = args.next() {
-        match res.consume(a.as_str(), &mut args) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(msg) => {
-                eprintln!("pgvn: {msg}");
-                std::process::exit(2);
-            }
+        if corpus.consume(&a, &mut args)
+            || group.consume(&a, &mut args)
+            || res.consume(&a, &mut args)
+        {
+            continue;
         }
         match a.as_str() {
-            "--dir" => match args.next() {
-                Some(d) => dir = Some(d),
-                None => batch_usage(),
-            },
-            "--gen" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => gen_count = Some(n),
-                None => batch_usage(),
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => batch_usage(),
-            },
-            "--limit" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => limit = Some(v),
-                None => batch_usage(),
-            },
-            "--config" => {
-                config = match args.next().as_deref() {
-                    Some("full") => GvnConfig::full(),
-                    Some("extended") => GvnConfig::extended(),
-                    Some("click") => GvnConfig::click(),
-                    Some("sccp") => GvnConfig::sccp(),
-                    Some("awz") => GvnConfig::awz(),
-                    Some("basic") => GvnConfig::basic(),
-                    _ => batch_usage(),
-                };
-            }
-            "--mode" => {
-                mode = match args.next().as_deref() {
-                    Some("optimistic") => Mode::Optimistic,
-                    Some("balanced") => Mode::Balanced,
-                    Some("pessimistic") => Mode::Pessimistic,
-                    _ => batch_usage(),
-                };
-            }
-            "--variant" => {
-                variant = match args.next().as_deref() {
-                    Some("practical") => Variant::Practical,
-                    Some("complete") => Variant::Complete,
-                    _ => batch_usage(),
-                };
-            }
-            "--rounds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => rounds = v,
-                None => batch_usage(),
-            },
-            "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => jobs = v,
-                None => batch_usage(),
-            },
-            "--report" => match args.next() {
-                Some(p) => report_path = Some(p),
-                None => batch_usage(),
-            },
-            "--stats-json" => match args.next() {
-                Some(p) => stats_path = Some(p),
-                None => batch_usage(),
-            },
+            "--limit" => limit = Some(args.parse(&a)),
+            "--rounds" => rounds = args.parse(&a),
+            "--jobs" => jobs = args.parse(&a),
+            "--report" => report_path = Some(args.value(&a)),
+            "--stats-json" => stats_path = Some(args.value(&a)),
             "--timings" => timings = true,
             "--no-warm" => warm_start = false,
-            "--check" => check = true,
-            "--passes" => passes = Some(parse_passes_arg(args.next())),
-            _ => batch_usage(),
+            _ => args.usage(),
         }
     }
-    if dir.is_none() && gen_count.is_none() {
-        batch_usage();
+    if corpus.is_empty() {
+        args.usage();
     }
-    let cfg = res.apply(config.mode(mode).variant(variant));
+    let cfg = res.apply(group.config(&args));
+    let (passes, check) = (group.passes, group.check);
 
-    // Gather the suite. Unreadable or unparseable inputs become
-    // classified records, not early exits.
     let mut inputs: Vec<BatchInput> = Vec::new();
-    if let Some(dir) = &dir {
-        let entries = match std::fs::read_dir(dir) {
-            Ok(e) => e,
-            Err(e) => return fail_io(format_args!("batch: cannot read {dir}: {e}")),
-        };
-        let mut paths: Vec<std::path::PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "pgvn"))
-            .collect();
-        paths.sort();
-        for p in paths {
-            let name = p.display().to_string();
-            let source = std::fs::read_to_string(&p).map_err(|e| e.to_string());
-            inputs.push(BatchInput { name, source });
-        }
-    }
-    if let Some(n) = gen_count {
-        for i in 0..n {
-            let gen_seed = pgvn::oracle::mix64(seed ^ pgvn::oracle::mix64(i));
-            let gcfg = pgvn::workload::GenConfig { seed: gen_seed, ..Default::default() };
-            let routine = pgvn::workload::generate_routine(&format!("batch_{i}"), &gcfg);
-            inputs.push(BatchInput {
-                name: format!("batch_{i}"),
-                source: Ok(pgvn::lang::print_routine(&routine)),
-            });
-        }
-    }
+    corpus.gather("batch", "batch_", &mut inputs)?;
     if let Some(n) = limit {
         inputs.truncate(n);
     }
@@ -783,23 +599,11 @@ fn batch_main(mut args: std::env::Args) -> ExitCode {
         lines.push_str(&batch.timing_json());
         lines.push('\n');
     }
-    lines.push_str(&batch.summary_json(seed));
+    lines.push_str(&batch.summary_json(corpus.seed));
     lines.push('\n');
-    if let Some(path) = &report_path {
-        let written = std::fs::File::create(path).and_then(|mut f| f.write_all(lines.as_bytes()));
-        if let Err(e) = written {
-            return fail_io(format_args!("batch: cannot write {path}: {e}"));
-        }
-    } else {
-        print!("{lines}");
-    }
+    write_report("batch", report_path.as_deref(), &lines)?;
     if let Some(path) = &stats_path {
-        let mut stats = batch.stats_json(seed);
-        stats.push('\n');
-        let written = std::fs::File::create(path).and_then(|mut f| f.write_all(stats.as_bytes()));
-        if let Err(e) = written {
-            return fail_io(format_args!("batch: cannot write {path}: {e}"));
-        }
+        write_report("batch", Some(path), &format!("{}\n", batch.stats_json(corpus.seed)))?;
     }
     eprintln!(
         "pgvn batch: {} routine(s): {} optimized, {} identity, \
@@ -814,108 +618,60 @@ fn batch_main(mut args: std::env::Args) -> ExitCode {
     if check {
         eprintln!("pgvn batch: check gate: {} error diagnostic(s)", batch.check_errors);
     }
-    if batch.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit_code(batch.is_clean()))
 }
 
-fn serve_usage() -> ! {
-    eprintln!(
-        "usage: pgvn serve [--socket <path>] [--workers N] [--queue N]\n\
-         \x20                [--max-frame-bytes N] [--max-budget-passes N]\n\
-         \x20                [--max-budget-ms N] [--max-budget-touches N] [--max-rounds N]\n\
-         \x20                [--config full|extended|click|sccp|awz|basic]\n\
-         \x20                [--mode optimistic|balanced|pessimistic]\n\
-         \x20                [--variant practical|complete] [--rounds N]\n\
-         \x20                [--passes gvn,pre,gvn] [--no-warm] [--timings] [--check]"
-    );
-    std::process::exit(2);
-}
+const SERVE_USAGE: &str = "usage: pgvn serve [--socket <path>] [--workers N] [--queue N]\n\
+    \x20                [--max-frame-bytes N] [--max-budget-passes N]\n\
+    \x20                [--max-budget-ms N] [--max-budget-touches N] [--max-rounds N]\n\
+    \x20                [--config full|extended|click|sccp|awz|basic]\n\
+    \x20                [--mode optimistic|balanced|pessimistic]\n\
+    \x20                [--variant practical|complete] [--rounds N]\n\
+    \x20                [--passes gvn,pre,gvn] [--no-warm] [--timings] [--check]";
 
 /// `pgvn serve`: the long-lived optimization service. Speaks the
 /// length-prefixed JSON protocol of `docs/SERVE.md` over stdin/stdout,
 /// or over a Unix socket with `--socket`. Drains on stdin EOF or a
 /// `shutdown` request; exits 1 only if the isolation contract was
 /// violated (a panic escaped the per-request boundary).
-fn serve_main(mut args: std::env::Args) -> ExitCode {
+fn serve_main(mut args: Args) -> CliResult {
     use pgvn::serve::{serve_duplex, serve_socket, ServeOptions};
 
     let mut opts = ServeOptions::default();
     let mut socket: Option<String> = None;
-    let mut config = GvnConfig::full();
-    let mut mode = Mode::Optimistic;
-    let mut variant = Variant::Practical;
+    let mut group = ConfigFlags::default();
     while let Some(a) = args.next() {
-        let mut num = |flag: &str| -> u64 {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("pgvn: {flag} requires a numeric value");
-                std::process::exit(2);
-            })
-        };
+        if group.consume(&a, &mut args) {
+            continue;
+        }
         match a.as_str() {
-            "--socket" => match args.next() {
-                Some(p) => socket = Some(p),
-                None => serve_usage(),
-            },
-            "--workers" => opts.workers = num("--workers") as usize,
-            "--queue" => opts.queue_capacity = num("--queue") as usize,
-            "--max-frame-bytes" => opts.limits.max_frame_bytes = num("--max-frame-bytes") as u32,
-            "--max-budget-passes" => opts.limits.max_passes = num("--max-budget-passes") as u32,
-            "--max-budget-ms" => opts.limits.max_millis = num("--max-budget-ms"),
-            "--max-budget-touches" => opts.limits.max_touches = num("--max-budget-touches"),
-            "--max-rounds" => opts.limits.max_rounds = num("--max-rounds") as usize,
-            "--rounds" => opts.rounds = num("--rounds") as usize,
-            "--config" => {
-                config = match args.next().as_deref() {
-                    Some("full") => GvnConfig::full(),
-                    Some("extended") => GvnConfig::extended(),
-                    Some("click") => GvnConfig::click(),
-                    Some("sccp") => GvnConfig::sccp(),
-                    Some("awz") => GvnConfig::awz(),
-                    Some("basic") => GvnConfig::basic(),
-                    _ => serve_usage(),
-                };
-            }
-            "--mode" => {
-                mode = match args.next().as_deref() {
-                    Some("optimistic") => Mode::Optimistic,
-                    Some("balanced") => Mode::Balanced,
-                    Some("pessimistic") => Mode::Pessimistic,
-                    _ => serve_usage(),
-                };
-            }
-            "--variant" => {
-                variant = match args.next().as_deref() {
-                    Some("practical") => Variant::Practical,
-                    Some("complete") => Variant::Complete,
-                    _ => serve_usage(),
-                };
-            }
+            "--socket" => socket = Some(args.value(&a)),
+            "--workers" => opts.workers = args.parse(&a),
+            "--queue" => opts.queue_capacity = args.parse(&a),
+            "--max-frame-bytes" => opts.limits.max_frame_bytes = args.parse(&a),
+            "--max-budget-passes" => opts.limits.max_passes = args.parse(&a),
+            "--max-budget-ms" => opts.limits.max_millis = args.parse(&a),
+            "--max-budget-touches" => opts.limits.max_touches = args.parse(&a),
+            "--max-rounds" => opts.limits.max_rounds = args.parse(&a),
+            "--rounds" => opts.rounds = args.parse(&a),
             "--no-warm" => opts.warm_start = false,
             "--timings" => opts.timings = true,
-            "--check" => opts.check = true,
-            "--passes" => opts.passes = Some(parse_passes_arg(args.next())),
-            _ => serve_usage(),
+            _ => args.usage(),
         }
     }
-    opts.cfg = config.mode(mode).variant(variant);
+    opts.cfg = group.config(&args);
+    opts.passes = group.passes;
+    opts.check = group.check;
 
     let summary = match &socket {
         Some(path) => {
             let _ = std::fs::remove_file(path);
-            let listener = match std::os::unix::net::UnixListener::bind(path) {
-                Ok(l) => l,
-                Err(e) => return fail_io(format_args!("serve: cannot bind {path}: {e}")),
-            };
+            let listener = std::os::unix::net::UnixListener::bind(path)
+                .map_err(|e| format!("serve: cannot bind {path}: {e}"))?;
             eprintln!("pgvn serve: listening on {path} ({} worker(s))", opts.workers.max(1));
             let result = serve_socket(listener, &opts);
             let _ = std::fs::remove_file(path);
-            match result {
-                Ok(s) => s,
-                Err(e) => return fail_io(format_args!("serve: {e}")),
-            }
+            result.map_err(|e| format!("serve: {e}"))?
         }
         None => {
             let stdin = std::io::stdin();
@@ -935,76 +691,50 @@ fn serve_main(mut args: std::env::Args) -> ExitCode {
         summary.escaped_panics
     );
     eprintln!("{}", summary.summary_json());
-    if summary.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit_code(summary.is_clean()))
 }
 
-fn serve_load_usage() -> ! {
-    eprintln!(
-        "usage: pgvn serve-load [--clients N] [--routines N] [--workers-curve 1,4]\n\
-         \x20                     [--queue N] [--seed N] [--fault clean|every:N|matrix]\n\
-         \x20                     [--check-batch] [--report <path>] [--no-warm]\n\
-         \x20                     [--passes gvn,pre,gvn]"
-    );
-    std::process::exit(2);
-}
+const SERVE_LOAD_USAGE: &str =
+    "usage: pgvn serve-load [--clients N] [--routines N] [--workers-curve 1,4]\n\
+    \x20                     [--queue N] [--seed N] [--fault clean|every:N|matrix]\n\
+    \x20                     [--check-batch] [--report <path>] [--no-warm]\n\
+    \x20                     [--passes gvn,pre,gvn]";
 
 /// `pgvn serve-load`: spins up an in-process socket server per worker
 /// count in the curve and hammers it with concurrent clients, printing
 /// p50/p99 latency and routines/sec. Exits 1 when any response was
 /// dropped, any record mismatched `batch --jobs 1` (with
 /// `--check-batch`), or the server's isolation contract was violated.
-fn serve_load_main(mut args: std::env::Args) -> ExitCode {
+fn serve_load_main(mut args: Args) -> CliResult {
     use pgvn::serve::load::{run_load, FaultMix, LoadOptions};
-    use std::io::Write;
 
     let mut opts = LoadOptions::default();
     let mut curve: Vec<usize> = vec![1, 4];
     let mut report_path: Option<String> = None;
     while let Some(a) = args.next() {
-        let mut num = |flag: &str| -> u64 {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("pgvn: {flag} requires a numeric value");
-                std::process::exit(2);
-            })
-        };
         match a.as_str() {
-            "--clients" => opts.clients = num("--clients") as usize,
-            "--routines" => opts.routines = num("--routines") as usize,
-            "--queue" => opts.serve.queue_capacity = num("--queue") as usize,
-            "--seed" => opts.seed = num("--seed"),
+            "--clients" => opts.clients = args.parse(&a),
+            "--routines" => opts.routines = args.parse(&a),
+            "--queue" => opts.serve.queue_capacity = args.parse(&a),
+            "--seed" => opts.seed = args.parse(&a),
             "--workers-curve" => {
-                let parsed: Option<Vec<usize>> = args
-                    .next()
-                    .map(|v| v.split(',').map(|s| s.trim().parse().ok()).collect())
-                    .unwrap_or(None);
-                match parsed {
-                    Some(c) if !c.is_empty() => curve = c,
-                    _ => serve_load_usage(),
+                curve = args.list(&a);
+                if curve.is_empty() {
+                    args.usage();
                 }
             }
             "--fault" => {
-                opts.fault = match args.next().as_deref() {
-                    Some("clean") => FaultMix::Clean,
-                    Some("matrix") => FaultMix::Matrix,
-                    Some(s) => match s.strip_prefix("every:").and_then(|n| n.parse().ok()) {
-                        Some(n) => FaultMix::Every(n),
-                        None => serve_load_usage(),
-                    },
-                    None => serve_load_usage(),
-                };
+                opts.fault = args.name(&a, |s| match s {
+                    "clean" => Some(FaultMix::Clean),
+                    "matrix" => Some(FaultMix::Matrix),
+                    _ => s.strip_prefix("every:").and_then(|n| n.parse().ok()).map(FaultMix::Every),
+                });
             }
             "--check-batch" => opts.check_batch = true,
             "--no-warm" => opts.serve.warm_start = false,
-            "--passes" => opts.serve.passes = Some(parse_passes_arg(args.next())),
-            "--report" => match args.next() {
-                Some(p) => report_path = Some(p),
-                None => serve_load_usage(),
-            },
-            _ => serve_load_usage(),
+            "--passes" => opts.serve.passes = Some(args.parse(&a)),
+            "--report" => report_path = Some(args.value(&a)),
+            _ => args.usage(),
         }
     }
 
@@ -1012,10 +742,7 @@ fn serve_load_main(mut args: std::env::Args) -> ExitCode {
     let mut all_clean = true;
     for workers in curve {
         opts.serve.workers = workers.max(1);
-        let report = match run_load(&opts) {
-            Ok(r) => r,
-            Err(e) => return fail_io(format_args!("serve-load: {e}")),
-        };
+        let report = run_load(&opts).map_err(|e| format!("serve-load: {e}"))?;
         eprintln!("pgvn serve-load: {}", report.human_line());
         if report.dropped > 0 {
             eprintln!("pgvn serve-load: ERROR: {} response(s) dropped", report.dropped);
@@ -1030,40 +757,21 @@ fn serve_load_main(mut args: std::env::Args) -> ExitCode {
         lines.push_str(&report.to_json());
         lines.push('\n');
     }
-    match &report_path {
-        Some(path) => {
-            let written =
-                std::fs::File::create(path).and_then(|mut f| f.write_all(lines.as_bytes()));
-            if let Err(e) = written {
-                return fail_io(format_args!("serve-load: cannot write {path}: {e}"));
-            }
-        }
-        None => print!("{lines}"),
-    }
-    if all_clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    write_report("serve-load", report_path.as_deref(), &lines)?;
+    Ok(exit_code(all_clean))
 }
 
-fn perf_usage() -> ! {
-    eprintln!(
-        "usage: pgvn perf [--seed N] [--routines N] [--repeats N]\n\
-         \x20               [--jobs-curve 1,2,4] [--out <path>] [--quick]\n\
-         \x20      pgvn perf --compare <old.json> <new.json>\n\
-         \x20               [--threshold PCT] [--max-overhead PCT]"
-    );
-    std::process::exit(2);
-}
+const PERF_USAGE: &str = "usage: pgvn perf [--seed N] [--routines N] [--repeats N]\n\
+    \x20               [--jobs-curve 1,2,4] [--out <path>] [--quick]\n\
+    \x20      pgvn perf --compare <old.json> <new.json>\n\
+    \x20               [--threshold PCT] [--max-overhead PCT]";
 
 /// `pgvn perf`: runs the pinned benchmark suite and emits the
 /// schema-versioned `BENCH_*.json` artifact, or — with `--compare` —
 /// diffs two artifacts and exits nonzero on regression. See
 /// `docs/OBSERVABILITY.md` for the artifact schema and thresholds.
-fn perf_main(mut args: std::env::Args) -> ExitCode {
+fn perf_main(mut args: Args) -> CliResult {
     use pgvn::perf::{compare, run_suite, BenchArtifact, CompareThresholds, PerfOptions};
-    use std::io::Write;
 
     let mut opts = PerfOptions::default();
     let mut out_path: Option<String> = None;
@@ -1071,26 +779,13 @@ fn perf_main(mut args: std::env::Args) -> ExitCode {
     let mut thresholds = CompareThresholds::default();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.seed = v,
-                None => perf_usage(),
-            },
-            "--routines" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.routines = v,
-                None => perf_usage(),
-            },
-            "--repeats" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.repeats = v,
-                None => perf_usage(),
-            },
+            "--seed" => opts.seed = args.parse(&a),
+            "--routines" => opts.routines = args.parse(&a),
+            "--repeats" => opts.repeats = args.parse(&a),
             "--jobs-curve" => {
-                let curve: Option<Vec<usize>> = args
-                    .next()
-                    .map(|v| v.split(',').map(|s| s.trim().parse().ok()).collect())
-                    .unwrap_or(None);
-                match curve {
-                    Some(c) if !c.is_empty() => opts.jobs_curve = c,
-                    _ => perf_usage(),
+                opts.jobs_curve = args.list(&a);
+                if opts.jobs_curve.is_empty() {
+                    args.usage();
                 }
             }
             "--quick" => {
@@ -1098,36 +793,21 @@ fn perf_main(mut args: std::env::Args) -> ExitCode {
                 opts.routines = q.routines;
                 opts.repeats = q.repeats;
             }
-            "--out" => match args.next() {
-                Some(p) => out_path = Some(p),
-                None => perf_usage(),
-            },
-            "--compare" => match (args.next(), args.next()) {
-                (Some(old), Some(new)) => compare_paths = Some((old, new)),
-                _ => perf_usage(),
-            },
-            "--threshold" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => thresholds.regress_pct = v,
-                None => perf_usage(),
-            },
-            "--max-overhead" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => thresholds.max_overhead_pct = v,
-                None => perf_usage(),
-            },
-            _ => perf_usage(),
+            "--out" => out_path = Some(args.value(&a)),
+            "--compare" => compare_paths = Some((args.value(&a), args.value(&a))),
+            "--threshold" => thresholds.regress_pct = args.parse(&a),
+            "--max-overhead" => thresholds.max_overhead_pct = args.parse(&a),
+            _ => args.usage(),
         }
     }
 
     if let Some((old_path, new_path)) = compare_paths {
         let load = |path: &str| -> Result<BenchArtifact, String> {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            BenchArtifact::from_json(&text).map_err(|e| format!("{path}: {e}"))
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("perf: cannot read {path}: {e}"))?;
+            BenchArtifact::from_json(&text).map_err(|e| format!("perf: {path}: {e}"))
         };
-        let (old, new) = match (load(&old_path), load(&new_path)) {
-            (Ok(o), Ok(n)) => (o, n),
-            (Err(e), _) | (_, Err(e)) => return fail_io(format_args!("perf: {e}")),
-        };
+        let (old, new) = (load(&old_path)?, load(&new_path)?);
         let regressions = compare(&old, &new, &thresholds);
         if regressions.is_empty() {
             eprintln!(
@@ -1135,77 +815,94 @@ fn perf_main(mut args: std::env::Args) -> ExitCode {
                  (threshold {:.0}%, overhead ceiling {:.0}%)",
                 thresholds.regress_pct, thresholds.max_overhead_pct
             );
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
         for r in &regressions {
             eprintln!("pgvn perf: REGRESSION: {r}");
         }
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
     let artifact = run_suite(&opts);
     eprint!("{}", artifact.summary());
-    let mut json = artifact.to_json();
-    json.push('\n');
-    match &out_path {
-        Some(path) => {
-            let written =
-                std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes()));
-            if let Err(e) = written {
-                return fail_io(format_args!("perf: cannot write {path}: {e}"));
-            }
-            eprintln!("pgvn perf: artifact written to {path}");
-        }
-        None => print!("{json}"),
+    write_report("perf", out_path.as_deref(), &format!("{}\n", artifact.to_json()))?;
+    if let Some(path) = &out_path {
+        eprintln!("pgvn perf: artifact written to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn main() -> ExitCode {
-    {
-        let mut args = std::env::args();
-        let _argv0 = args.next();
-        match args.next().as_deref() {
-            Some("check") => return check_main(args),
-            Some("fuzz") => return fuzz_main(args),
-            Some("batch") => return batch_main(args),
-            Some("perf") => return perf_main(args),
-            Some("serve") => return serve_main(args),
-            Some("serve-load") => return serve_load_main(args),
-            _ => {}
+/// Single-routine mode: compile one routine, show the requested
+/// analysis views, and optimize it through the degradation ladder.
+fn routine_main(mut args: Args) -> CliResult {
+    let mut path: Option<String> = None;
+    let mut group = ConfigFlags::default();
+    let mut res = ResilienceFlags::default();
+    let mut dense = false;
+    let mut style = SsaStyle::Pruned;
+    let mut emit = Vec::new();
+    let mut run_args: Option<Vec<i64>> = None;
+    let mut stats = false;
+    let mut trace = false;
+    let mut trace_json: Option<String> = None;
+    let mut profile = false;
+    let mut stats_json = false;
+    while let Some(a) = args.next() {
+        if group.consume(&a, &mut args) || res.consume(&a, &mut args) {
+            continue;
+        }
+        match a.as_str() {
+            "--ssa" => {
+                style = args.name(&a, |s| match s {
+                    "minimal" => Some(SsaStyle::Minimal),
+                    "semi-pruned" => Some(SsaStyle::SemiPruned),
+                    "pruned" => Some(SsaStyle::Pruned),
+                    _ => None,
+                });
+            }
+            "--dense" => dense = true,
+            "--emit" => emit.push(args.value(&a)),
+            "--run" => run_args = Some(args.list(&a)),
+            "--stats" => stats = true,
+            "--trace" => trace = true,
+            "--trace-json" => trace_json = Some(args.value(&a)),
+            "--profile" => profile = true,
+            "--stats-json" => stats_json = true,
+            _ if path.is_none() && !a.starts_with("--") => path = Some(a),
+            _ => args.usage(),
         }
     }
-    let opts = parse_options();
-    let source = if opts.path == "-" {
+    let Some(path) = path else { args.usage() };
+    if emit.is_empty() {
+        emit.push("optimized".to_string());
+    }
+    let config = group.config(&args).sparse(!dense);
+
+    let source = if path == "-" {
         let mut s = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut s) {
-            return fail_io(format_args!("failed to read stdin: {e}"));
-        }
+        std::io::stdin()
+            .read_to_string(&mut s)
+            .map_err(|e| format!("failed to read stdin: {e}"))?;
         s
     } else {
-        match std::fs::read_to_string(&opts.path) {
-            Ok(s) => s,
-            Err(e) => return fail_io(format_args!("cannot read {}: {e}", opts.path)),
-        }
+        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?
     };
 
-    if wants_source(&opts.emit) {
-        match pgvn::lang::parse(&source) {
-            Ok(r) => println!("== source (pretty-printed) ==\n{}", pgvn::lang::print_routine(&r)),
-            Err(e) => return fail_io(e),
-        }
+    let wants = |w: &str| emit.iter().any(|e| e == w || e == "all");
+    if wants("source") {
+        let r = pgvn::lang::parse(&source).map_err(|e| e.to_string())?;
+        println!("== source (pretty-printed) ==\n{}", pgvn::lang::print_routine(&r));
     }
 
     // Telemetry: tee the optional text and JSONL sinks, and start the
     // phase timers early enough to cover SSA construction.
-    // PGVN_DEBUG_OSC is the back-compat alias for --trace.
-    let trace = opts.trace || std::env::var_os("PGVN_DEBUG_OSC").is_some_and(|v| v != "0");
     let mut text_sink = trace.then(TextSink::stderr);
-    let mut json_sink = match &opts.trace_json {
-        Some(path) => match std::fs::File::create(path) {
-            Ok(f) => Some(JsonlSink::new(std::io::BufWriter::new(f))),
-            Err(e) => return fail_io(format_args!("cannot create {path}: {e}")),
-        },
+    let mut json_sink = match &trace_json {
+        Some(path) => {
+            let f =
+                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            Some(JsonlSink::new(std::io::BufWriter::new(f)))
+        }
         None => None,
     };
     let mut tee = TeeSink::new();
@@ -1216,18 +913,13 @@ fn main() -> ExitCode {
         tee.push(s);
     }
     let mut tel = if tee.is_empty() { Telemetry::off() } else { Telemetry::with_sink(&mut tee) };
-    if opts.profile {
+    if profile {
         tel.enable_profiling();
     }
 
     let t0 = tel.clock();
-    let func = match compile(&source, opts.style) {
-        Ok(f) => f,
-        Err(e) => return fail_io(e),
-    };
+    let func = compile(&source, style).map_err(|e| e.to_string())?;
     tel.record_phase(Phase::SsaBuild, t0);
-
-    let wants = |w: &str| opts.emit.iter().any(|e| e == w || e == "all");
 
     if wants("ir") {
         println!("== ssa ==\n{func}");
@@ -1235,7 +927,7 @@ fn main() -> ExitCode {
 
     // The display analysis run carries the budget but not the fault
     // plan — injected faults exercise the degradation ladder below.
-    let analysis_cfg = opts.config.clone().budget(opts.res.budget);
+    let analysis_cfg = config.clone().budget(res.budget);
     let results = match try_run_traced(&func, &analysis_cfg, &mut tel) {
         Ok(r) => Some(r),
         Err(e) => {
@@ -1264,21 +956,21 @@ fn main() -> ExitCode {
     // Every optimization goes through the degradation ladder: budgets,
     // panic isolation, verifier gating, identity fallback.
     let mut optimized = func.clone();
-    let mut pipeline = Pipeline::new(opts.res.apply(opts.config.clone())).rounds(2);
-    if let Some(spec) = &opts.passes {
-        pipeline = pipeline.passes(spec.clone());
+    let mut pipeline = Pipeline::new(res.apply(config)).rounds(2);
+    if let Some(spec) = group.passes {
+        pipeline = pipeline.passes(spec);
     }
     let resilience = pipeline.optimize_resilient_traced(&mut optimized, &mut tel);
     tel.flush();
     let report = &resilience.report;
     if !resilience.is_usable() {
         eprintln!("pgvn: optimization rejected the input: {}", resilience.outcome.kind());
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if wants("optimized") {
         println!("== optimized ==\n{optimized}");
     }
-    if opts.stats {
+    if stats {
         println!("== stats ==");
         println!("gvn passes:            {}", report.gvn_stats.passes);
         println!("branches folded:       {}", report.uce.branches_folded);
@@ -1289,12 +981,12 @@ fn main() -> ExitCode {
         println!("ladder rung:           {}", report.gvn_stats.ladder_rung);
         println!("ladder failures:       {}", report.gvn_stats.ladder_failures);
     }
-    if opts.profile {
+    if profile {
         if let Some(p) = tel.profiler() {
             print!("== profile ==\n{p}");
         }
     }
-    if opts.stats_json {
+    if stats_json {
         // One machine-readable object: the analysis run's expanded
         // counters, the strength triple (Figures 10–12 measures), and
         // the degradation-ladder record (rung, failures, stats).
@@ -1308,7 +1000,7 @@ fn main() -> ExitCode {
         println!("{}", w.finish());
     }
 
-    if opts.check {
+    if group.check {
         // The post-pass gate: the committed output must carry no
         // error-severity lint diagnostic. Warnings and advisories print
         // without failing — same contract as `pgvn check`.
@@ -1322,26 +1014,51 @@ fn main() -> ExitCode {
                 "pgvn: check: {} error diagnostic(s) on optimized output",
                 engine.error_count()
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
 
-    if let Some(args) = opts.run_args {
+    if let Some(argv) = run_args {
         let mut o1 = HashedOpaques::new(0);
         let mut o2 = HashedOpaques::new(0);
-        let original = Interpreter::new(&func).run(&args, &mut o1);
-        let opt = Interpreter::new(&optimized).run(&args, &mut o2);
+        let original = Interpreter::new(&func).run(&argv, &mut o1);
+        let opt = Interpreter::new(&optimized).run(&argv, &mut o2);
         match (original, opt) {
             (Ok(a), Ok(b)) if a == b => println!("result: {a}"),
             (Ok(a), Ok(b)) => {
                 eprintln!("pgvn: INTERNAL ERROR: optimization changed result ({a} vs {b})");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             (Err(e), _) | (_, Err(e)) => {
                 eprintln!("pgvn: execution failed: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+type Subcommand = (&'static str, fn(Args) -> CliResult, &'static str);
+
+const SUBCOMMANDS: [Subcommand; 6] = [
+    ("check", check_main, CHECK_USAGE),
+    ("fuzz", fuzz_main, FUZZ_USAGE),
+    ("batch", batch_main, BATCH_USAGE),
+    ("perf", perf_main, PERF_USAGE),
+    ("serve", serve_main, SERVE_USAGE),
+    ("serve-load", serve_load_main, SERVE_LOAD_USAGE),
+];
+
+fn main() -> ExitCode {
+    let mut rest = std::env::args().skip(1).peekable();
+    let mut sub: Subcommand = ("", routine_main, USAGE);
+    if let Some(&named) = SUBCOMMANDS.iter().find(|s| rest.peek().is_some_and(|a| a == s.0)) {
+        rest.next();
+        sub = named;
+    }
+    let (_, run, usage) = sub;
+    run(Args { rest, usage }).unwrap_or_else(|msg| {
+        eprintln!("pgvn: {msg}");
+        ExitCode::from(2)
+    })
 }

@@ -28,7 +28,7 @@
 //! baseline produced by a full run stays comparable to a `--quick` CI
 //! run. See `docs/OBSERVABILITY.md` for the schema.
 
-use crate::batch::{run_batch, BatchInput, BatchOptions};
+use crate::batch::{generated_corpus, run_batch, BatchOptions};
 use crate::prelude::*;
 use pgvn_core::run_in_context;
 use pgvn_telemetry::json::{parse, JsonValue, JsonWriter};
@@ -211,39 +211,19 @@ fn routines_per_sec(routines: u64, nanos: u64) -> f64 {
     routines as f64 * 1.0e9 / nanos as f64
 }
 
-/// Generates and compiles the pinned suite. Seed derivation matches
-/// `pgvn batch --gen` so the two harnesses exercise the same programs.
-fn pinned_suite(opts: &PerfOptions) -> Vec<Function> {
-    (0..opts.routines)
-        .map(|i| {
-            let gen_seed = crate::oracle::mix64(opts.seed ^ crate::oracle::mix64(i));
-            let gcfg = crate::workload::GenConfig { seed: gen_seed, ..Default::default() };
-            let routine = crate::workload::generate_routine(&format!("perf_{i}"), &gcfg);
-            let src = crate::lang::print_routine(&routine);
-            compile(&src, SsaStyle::Pruned).expect("pinned workload always compiles")
-        })
-        .collect()
-}
-
-/// The corresponding [`BatchInput`] list for the scaling measurements.
-fn pinned_inputs(opts: &PerfOptions) -> Vec<BatchInput> {
-    (0..opts.routines)
-        .map(|i| {
-            let gen_seed = crate::oracle::mix64(opts.seed ^ crate::oracle::mix64(i));
-            let gcfg = crate::workload::GenConfig { seed: gen_seed, ..Default::default() };
-            let routine = crate::workload::generate_routine(&format!("perf_{i}"), &gcfg);
-            BatchInput {
-                name: format!("perf_{i}"),
-                source: Ok(crate::lang::print_routine(&routine)),
-            }
-        })
-        .collect()
-}
-
 /// Runs the full measurement suite and returns the artifact.
 pub fn run_suite(opts: &PerfOptions) -> BenchArtifact {
     let cfg = GvnConfig::full();
-    let funcs = pinned_suite(opts);
+    // The pinned suite is the `pgvn batch --gen` corpus, so the two
+    // harnesses exercise the same programs.
+    let inputs = generated_corpus("perf_", opts.seed, opts.routines);
+    let funcs: Vec<Function> = inputs
+        .iter()
+        .map(|input| {
+            let src = input.source.as_deref().expect("generated source");
+            compile(src, SsaStyle::Pruned).expect("pinned workload always compiles")
+        })
+        .collect();
     let total_insts: u64 = funcs.iter().map(|f| f.num_insts() as u64).sum();
     let repeats = opts.repeats.max(1);
 
@@ -302,7 +282,6 @@ pub fn run_suite(opts: &PerfOptions) -> BenchArtifact {
     // Pass E: batch scaling across the jobs curve, once with the
     // warm-start pilot (the default) and once with cold contexts so
     // the artifact carries the before/after of the warm-start change.
-    let inputs = pinned_inputs(opts);
     let curve = |warm_start: bool| -> Vec<JobsPoint> {
         opts.jobs_curve
             .iter()

@@ -41,7 +41,7 @@ pub mod proto;
 
 use crate::batch::{BatchInput, BatchOptions};
 use engine::{ConnOut, Engine, Job};
-use pgvn_core::{ContextCapacities, GvnBudget, GvnConfig, Mode, Variant};
+use pgvn_core::{ContextCapacities, GvnBudget, GvnConfig};
 use pgvn_telemetry::json::JsonWriter;
 use pgvn_telemetry::{Metric, MetricsSnapshot};
 use pgvn_transform::PassSpec;
@@ -231,35 +231,17 @@ impl ServeSummary {
 /// and the load harness can reproduce a server's effective options
 /// when cross-checking against `run_batch`.
 pub fn resolve_request_options(req: &Request, opts: &ServeOptions) -> Result<BatchOptions, String> {
-    let mut cfg = match req.config.as_deref() {
-        None => opts.cfg.clone(),
-        Some("full") => GvnConfig::full(),
-        Some("extended") => GvnConfig::extended(),
-        Some("click") => GvnConfig::click(),
-        Some("sccp") => GvnConfig::sccp(),
-        Some("awz") => GvnConfig::awz(),
-        Some("basic") => GvnConfig::basic(),
-        Some(other) => return Err(format!("unknown config preset {other:?}")),
-    };
-    cfg = match req.mode.as_deref() {
-        None => cfg,
-        Some("optimistic") => cfg.mode(Mode::Optimistic),
-        Some("balanced") => cfg.mode(Mode::Balanced),
-        Some("pessimistic") => cfg.mode(Mode::Pessimistic),
-        Some(other) => return Err(format!("unknown mode {other:?}")),
-    };
-    cfg = match req.variant.as_deref() {
-        None => cfg,
-        Some("practical") => cfg.variant(Variant::Practical),
-        Some("complete") => cfg.variant(Variant::Complete),
-        Some(other) => return Err(format!("unknown variant {other:?}")),
-    };
+    let cfg = opts.cfg.clone().with_names(
+        req.config.as_deref(),
+        req.mode.as_deref(),
+        req.variant.as_deref(),
+    )?;
     let requested = GvnBudget {
         max_passes: req.budget_passes,
         time_limit: req.budget_ms.map(Duration::from_millis),
         max_touches: req.budget_touches,
     };
-    cfg = cfg.budget(opts.limits.clamp(&requested)).fault_plan(req.inject);
+    let cfg = cfg.budget(opts.limits.clamp(&requested)).fault_plan(req.inject);
     let rounds = req.rounds.unwrap_or(opts.rounds).clamp(1, opts.limits.max_rounds.max(1));
     let passes = match req.passes.as_deref() {
         None => opts.passes.clone(),

@@ -207,11 +207,16 @@ pub struct Request {
     pub inject: Option<FaultPlan>,
 }
 
-/// Reads an optional `u64` field, rejecting wrong types.
-fn opt_u64(obj: &JsonValue, key: &str) -> Result<Option<u64>, String> {
+/// Reads an optional unsigned field, rejecting wrong types and values
+/// out of `T`'s range (never truncating them).
+fn opt_num<T: TryFrom<u64>>(obj: &JsonValue, key: &str) -> Result<Option<T>, String> {
     match obj.get(key) {
         None => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| format!("field {key:?} must be a number")),
+        Some(v) => v
+            .as_u64()
+            .and_then(|n| T::try_from(n).ok())
+            .map(Some)
+            .ok_or_else(|| format!("field {key:?} must be a number in range")),
     }
 }
 
@@ -235,7 +240,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
     if !matches!(obj, JsonValue::Obj(_)) {
         return Err("payload must be a JSON object".to_string());
     }
-    let id = opt_u64(&obj, "id")?.unwrap_or(0);
+    let id = opt_num(&obj, "id")?.unwrap_or(0);
     let op = match opt_str(&obj, "op")?.as_deref() {
         None | Some("optimize") => RequestOp::Optimize,
         Some("ping") => RequestOp::Ping,
@@ -246,7 +251,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
         }
     };
     let source = opt_str(&obj, "routine")?;
-    let gen_seed = opt_u64(&obj, "gen_seed")?;
+    let gen_seed = opt_num(&obj, "gen_seed")?;
     if op == RequestOp::Optimize {
         match (&source, gen_seed) {
             (Some(_), Some(_)) => {
@@ -269,7 +274,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
                      eval|edges|phipred|rewrite"
                 )
             })?;
-            let plan = plan.seeded(opt_u64(&obj, "inject_seed")?.unwrap_or(0));
+            let plan = plan.seeded(opt_num(&obj, "inject_seed")?.unwrap_or(0));
             let sticky = matches!(obj.get("inject_sticky"), Some(v) if v.as_bool() == Some(true));
             Some(if sticky { plan.sticky() } else { plan })
         }
@@ -283,11 +288,11 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
         config: opt_str(&obj, "config")?,
         mode: opt_str(&obj, "mode")?,
         variant: opt_str(&obj, "variant")?,
-        rounds: opt_u64(&obj, "rounds")?.map(|v| v as usize),
+        rounds: opt_num(&obj, "rounds")?,
         passes: opt_str(&obj, "passes")?,
-        budget_passes: opt_u64(&obj, "budget_passes")?.map(|v| v as u32),
-        budget_ms: opt_u64(&obj, "budget_ms")?,
-        budget_touches: opt_u64(&obj, "budget_touches")?,
+        budget_passes: opt_num(&obj, "budget_passes")?,
+        budget_ms: opt_num(&obj, "budget_ms")?,
+        budget_touches: opt_num(&obj, "budget_touches")?,
         inject,
     })
 }
@@ -425,6 +430,21 @@ mod tests {
             .inject
             .unwrap();
         assert!(plan.sticky);
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_protocol_errors() {
+        let req = |field: &str, n: u64| {
+            parse_request(format!(r#"{{"gen_seed":3,"{field}":{n}}}"#).as_bytes())
+        };
+        assert_eq!(
+            req("budget_passes", u64::from(u32::MAX)).unwrap().budget_passes,
+            Some(u32::MAX)
+        );
+        let err = req("budget_passes", 1 << 32).unwrap_err();
+        assert!(err.contains("\"budget_passes\" must be a number"), "{err}");
+        assert_eq!(req("budget_ms", u64::MAX).unwrap().budget_ms, Some(u64::MAX));
+        assert!(parse_request(br#"{"gen_seed":3,"budget_passes":"5"}"#).is_err());
     }
 
     #[test]

@@ -745,3 +745,170 @@ fn serve_socket_mode_serves_and_shuts_down_over_the_wire() {
     );
     assert!(responses.iter().any(|r| r.contains("\"reply\":\"shutting_down\"")), "{responses:?}");
 }
+
+/// Every `--flag` token in a subcommand's usage text, minus the
+/// `--help` pointers to other subcommands.
+fn usage_flags(sub: &[&str]) -> Vec<String> {
+    let out = pgvn().args(sub).arg("--no-such-flag").output().expect("spawns");
+    assert_eq!(out.status.code(), Some(2), "{sub:?} --no-such-flag");
+    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+    let mut flags: Vec<String> = usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|t| t.starts_with("--") && *t != "--help")
+        .map(str::to_owned)
+        .collect();
+    flags.sort();
+    flags.dedup();
+    assert!(!flags.is_empty(), "usage text lists flags: {usage}");
+    flags
+}
+
+#[test]
+fn flag_matrix_pins_each_subcommand_surface() {
+    // Each row is one invocation passing every flag the subcommand's
+    // usage text lists, with a valid value. Options are parsed before
+    // any I/O, so each row ends on a deliberately unreadable,
+    // unbindable or unwritable path: the run stops with an I/O error
+    // (not a usage error) only after every flag was accepted.
+    let tmp = std::env::temp_dir().join("pgvn-cli-tests");
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    let tmp = tmp.to_str().unwrap();
+    let file = write_temp("matrix.pg", "routine f(a) { return a + 0; }");
+    let file = file.to_str().unwrap();
+    let missing = "/nonexistent/pgvn-flag-matrix";
+    let rows: [(&[&str], String, &str); 7] = [
+        // `--stats-json` is a switch here: the path after it is the
+        // positional input.
+        (
+            &[],
+            format!(
+                "--config click --mode balanced --variant complete --ssa minimal --dense \
+                 --passes gvn,pre,gvn --emit all --run 1 --stats --trace \
+                 --trace-json {tmp}/matrix-trace.jsonl --profile --budget-passes 50 \
+                 --budget-ms 1000 --budget-touches 100000 --inject panic@eval --inject-seed 3 \
+                 --inject-sticky --check --stats-json {missing}"
+            ),
+            "cannot read",
+        ),
+        (
+            &["check"],
+            format!("{file} --gen 1 --seed 3 --json --no-gvn --timings --dir {missing}"),
+            "cannot read",
+        ),
+        (
+            &["fuzz"],
+            format!(
+                "--seed 3 --iters 1 --mode validate --max-failures 1 \
+                 --fixture-dir {tmp}/matrix-fixtures --no-shrink --no-resilient \
+                 --no-diagnostics --inject-bug --jobs 1 --max-iters-per-shard 4 --timings \
+                 --report {missing}"
+            ),
+            "cannot write",
+        ),
+        // `--stats-json` takes a path on batch.
+        (
+            &["batch"],
+            format!(
+                "--gen 1 --seed 3 --limit 1 --config awz --mode pessimistic \
+                 --variant practical --rounds 1 --budget-passes 50 --budget-ms 1000 \
+                 --budget-touches 100000 --inject budget@edges --inject-seed 3 --inject-sticky \
+                 --report {tmp}/matrix-report.jsonl --jobs 2 \
+                 --stats-json {tmp}/matrix-stats.jsonl --timings --no-warm --passes gvn --check \
+                 --dir {missing}"
+            ),
+            "cannot read",
+        ),
+        (
+            &["serve"],
+            format!(
+                "--workers 1 --queue 4 --max-frame-bytes 4096 --max-budget-passes 50 \
+                 --max-budget-ms 1000 --max-budget-touches 100000 --max-rounds 3 --config sccp \
+                 --mode optimistic --variant complete --rounds 2 --passes gvn,cleanup \
+                 --no-warm --timings --check --socket {missing}/s.sock"
+            ),
+            "cannot bind",
+        ),
+        (
+            &["serve-load"],
+            format!(
+                "--clients 1 --routines 1 --workers-curve 1 --queue 4 --seed 3 \
+                 --fault every:2 --check-batch --no-warm --passes gvn --report {missing}"
+            ),
+            "cannot write",
+        ),
+        (
+            &["perf"],
+            format!(
+                "--seed 3 --routines 1 --repeats 1 --jobs-curve 1,2 \
+                 --out {tmp}/matrix-bench.json --quick --threshold 50 --max-overhead 50 \
+                 --compare {missing} {missing}"
+            ),
+            "cannot read",
+        ),
+    ];
+    for (sub, line, io_error) in &rows {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let out = pgvn().args(*sub).args(&args).stdin(Stdio::null()).output().expect("spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{sub:?} {line}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{sub:?} rejected a listed flag: {stderr}");
+        assert!(stderr.contains(io_error), "{sub:?} stopped at the I/O step: {stderr}");
+        for flag in usage_flags(sub) {
+            assert!(args.contains(&flag.as_str()), "{sub:?}: usage lists {flag}, row omits it");
+        }
+    }
+
+    // Foreign flags: each belongs to another subcommand (or to none)
+    // and is a usage error here.
+    let foreign: [(&[&str], &str, &str); 13] = [
+        (&[file], "--rounds 2", "usage: pgvn"),
+        (&[file], "--jobs 2", "usage: pgvn"),
+        (&["batch", "--gen", "1"], "--ssa pruned", "usage: pgvn batch"),
+        (&["batch", "--gen", "1"], "--dense", "usage: pgvn batch"),
+        (&["batch", "--gen", "1"], "--emit ir", "usage: pgvn batch"),
+        (&["serve"], "--ssa pruned", "usage: pgvn serve"),
+        (&["serve"], "--dense", "usage: pgvn serve"),
+        (&["serve"], "--emit ir", "usage: pgvn serve"),
+        (&["serve"], "--budget-passes 3", "usage: pgvn serve"),
+        (&["serve"], "--inject panic@eval", "usage: pgvn serve"),
+        (&["check", "--gen", "1"], "--config full", "usage: pgvn check"),
+        (&["fuzz", "--iters", "1"], "--config full", "usage: pgvn fuzz"),
+        // `fuzz --mode` picks the oracle, not the value-numbering mode.
+        (&["fuzz", "--iters", "1"], "--mode optimistic", "usage: pgvn fuzz"),
+    ];
+    for (head, flag, usage) in foreign {
+        let out = pgvn()
+            .args(head)
+            .args(flag.split_whitespace())
+            .stdin(Stdio::null())
+            .output()
+            .expect("spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{head:?} {flag}: {stderr}");
+        assert!(stderr.contains(usage), "{head:?} {flag}: {stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_numbers_are_rejected_not_truncated() {
+    // 2^32 used to wrap to 0 in the u32 budget and frame limits.
+    for args in [
+        "batch --gen 3 --seed 1 --budget-passes 4294967296",
+        "serve --max-budget-passes 4294967296",
+        "serve --max-frame-bytes 4294967296",
+    ] {
+        let out =
+            pgvn().args(args.split_whitespace()).stdin(Stdio::null()).output().expect("spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert_eq!(stderr.trim().lines().count(), 1, "one-line diagnostic: {stderr}");
+        let flag = args.split_whitespace().rev().nth(1).unwrap();
+        assert!(stderr.contains(flag), "names the flag: {stderr}");
+    }
+    let out = pgvn()
+        .args(["batch", "--gen", "3", "--seed", "1", "--budget-passes", "4294967295"])
+        .output()
+        .expect("spawns");
+    assert!(out.status.success(), "u32::MAX is in range");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("3 optimized"));
+}

@@ -4,7 +4,7 @@
 //! equivalence behind the "<2% disabled overhead" guard, and the
 //! proptest that [`GvnStats::merge`] is associative and commutative.
 
-use pgvn::batch::{run_batch, BatchInput, BatchOptions};
+use pgvn::batch::{generated_corpus, run_batch, BatchInput, BatchOptions};
 use pgvn::core::{run, run_traced, GvnConfig, GvnStats, RunOutcome};
 use pgvn::oracle::mix64;
 use pgvn::prelude::*;
@@ -13,14 +13,7 @@ use pgvn::telemetry::{Metric, MetricsRegistry, MetricsSnapshot, Telemetry, METRI
 use proptest::prelude::*;
 
 fn gen_inputs(n: u64, seed: u64) -> Vec<BatchInput> {
-    (0..n)
-        .map(|i| {
-            let gen_seed = mix64(seed ^ mix64(i));
-            let gcfg = pgvn::workload::GenConfig { seed: gen_seed, ..Default::default() };
-            let routine = pgvn::workload::generate_routine(&format!("m_{i}"), &gcfg);
-            BatchInput { name: format!("m_{i}"), source: Ok(pgvn::lang::print_routine(&routine)) }
-        })
-        .collect()
+    generated_corpus("m_", seed, n)
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! differential validation of every PRE-containing sequence against
 //! the reference interpreter.
 
-use pgvn::batch::{run_batch, BatchInput, BatchOptions};
+use pgvn::batch::{generated_corpus, run_batch, BatchInput, BatchOptions};
 use pgvn::prelude::*;
 use pgvn::serve::proto::{read_frame, write_frame, FrameEvent};
 use pgvn::serve::{serve_duplex, ServeOptions, ServeSummary};
@@ -17,20 +17,10 @@ fn pgvn_cmd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pgvn"))
 }
 
-/// The pinned corpus both determinism tests share: same seed
-/// derivation as `pgvn batch --gen N --seed 2002`.
+/// The pinned corpus both determinism tests share: the
+/// `pgvn batch --gen N --seed 2002` corpus.
 fn gen_inputs(n: u64) -> Vec<BatchInput> {
-    (0..n)
-        .map(|i| {
-            let seed = pgvn::oracle::mix64(2002 ^ pgvn::oracle::mix64(i));
-            let gcfg = pgvn::workload::GenConfig { seed, ..Default::default() };
-            let routine = pgvn::workload::generate_routine(&format!("passes_{i}"), &gcfg);
-            BatchInput {
-                name: format!("passes_{i}"),
-                source: Ok(pgvn::lang::print_routine(&routine)),
-            }
-        })
-        .collect()
+    generated_corpus("passes_", 2002, n)
 }
 
 // ---------------------------------------------------------------------
@@ -213,12 +203,10 @@ fn pre_pipelines_match_the_reference_interpreter_on_the_fuzz_corpus() {
     // reference interpreter, multiple argument vectors per routine.
     let specs: Vec<PassSpec> =
         ["gvn,pre,gvn", "gvn,pre,cleanup", "pre,gvn"].iter().map(|s| s.parse().unwrap()).collect();
-    for i in 0..40u64 {
+    for (i, input) in (0u64..).zip(generated_corpus("diff_", 2002, 40)) {
+        // The routine's generator seed doubles as the argument seed.
         let seed = pgvn::oracle::mix64(2002 ^ pgvn::oracle::mix64(i));
-        let gcfg = pgvn::workload::GenConfig { seed, ..Default::default() };
-        let routine = pgvn::workload::generate_routine(&format!("diff_{i}"), &gcfg);
-        let src = pgvn::lang::print_routine(&routine);
-        let original = compile(&src, SsaStyle::Pruned).unwrap();
+        let original = compile(input.source.as_ref().unwrap(), SsaStyle::Pruned).unwrap();
         let nparams = original.params().len();
         for spec in &specs {
             let mut opt = original.clone();

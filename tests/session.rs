@@ -12,14 +12,8 @@ fn compile_src(src: &str) -> Function {
 }
 
 fn corpus(n: u64, seed: u64) -> Vec<Function> {
-    (0..n)
-        .map(|i| {
-            let gen_seed = pgvn::oracle::mix64(seed ^ pgvn::oracle::mix64(i));
-            let gcfg = pgvn::workload::GenConfig { seed: gen_seed, ..Default::default() };
-            let routine = pgvn::workload::generate_routine(&format!("s_{i}"), &gcfg);
-            compile_src(&pgvn::lang::print_routine(&routine))
-        })
-        .collect()
+    let inputs = pgvn::batch::generated_corpus("s_", seed, n);
+    inputs.iter().map(|input| compile_src(input.source.as_ref().unwrap())).collect()
 }
 
 /// The configurations a session is expected to interleave freely.
