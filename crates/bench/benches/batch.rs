@@ -6,8 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pgvn::batch::{generated_corpus, run_batch, BatchInput, BatchOptions};
-use pgvn::core::{run_in_context, GvnConfig, GvnContext};
+use pgvn::core::{try_run_traced_in_context, GvnConfig, GvnContext};
 use pgvn::prelude::*;
+use pgvn::telemetry::Telemetry;
 
 fn corpus(n: u64, seed: u64) -> Vec<BatchInput> {
     generated_corpus("batch_", seed, n)
@@ -28,12 +29,12 @@ fn assert_warm_context_stops_growing(inputs: &[BatchInput]) {
         .collect();
     let mut ctx = GvnContext::new();
     for f in &funcs {
-        run_in_context(&mut ctx, f, &cfg);
+        try_run_traced_in_context(&mut ctx, f, &cfg, &mut Telemetry::off()).unwrap();
     }
     let warm = ctx.capacities();
     let runs = ctx.runs();
     for f in &funcs {
-        run_in_context(&mut ctx, f, &cfg);
+        try_run_traced_in_context(&mut ctx, f, &cfg, &mut Telemetry::off()).unwrap();
         assert_eq!(ctx.capacities(), warm, "a warm context must not grow per routine");
     }
     assert_eq!(ctx.runs(), runs + funcs.len() as u64);

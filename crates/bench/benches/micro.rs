@@ -1,13 +1,13 @@
 //! Microbenchmarks of the substrates: RPO + dominators, postdominators,
 //! SSA construction, the front end, and the telemetry guardrail (an
-//! untraced `run` vs `run_traced` with a disabled handle must be within
-//! noise of each other — the `gvn_untraced`/`gvn_telemetry_off` pair
-//! below is the check behind the "<2% overhead" claim in
-//! `docs/OBSERVABILITY.md`).
+//! untraced `run` vs `try_run_traced_in_context` with a disabled handle
+//! must be within noise of each other — the
+//! `gvn_untraced`/`gvn_telemetry_off` pair below is the check behind the
+//! "<2% overhead" claim in `docs/OBSERVABILITY.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgvn_analysis::{DomTree, PostDomTree, Rpo};
-use pgvn_core::{run, run_traced, GvnConfig};
+use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
 use pgvn_lang::{lower, parse};
 use pgvn_ssa::{build_ssa, SsaStyle};
 use pgvn_telemetry::{MetricsRegistry, Telemetry};
@@ -46,6 +46,11 @@ fn bench_frontend(c: &mut Criterion) {
     });
 }
 
+/// One traced analysis run from a fresh context, like [`run`].
+fn traced(f: &pgvn_ir::Function, cfg: &GvnConfig, tel: &mut Telemetry<'_>) -> u32 {
+    try_run_traced_in_context(&mut GvnContext::new(), f, cfg, tel).expect("converges").stats.passes
+}
+
 fn bench_telemetry_off(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead");
     for stmts in [200usize, 800] {
@@ -57,7 +62,7 @@ fn bench_telemetry_off(c: &mut Criterion) {
             bencher.iter(|| run(f, &cfg).stats.passes);
         });
         group.bench_with_input(BenchmarkId::new("gvn_telemetry_off", stmts), &f, |bencher, f| {
-            bencher.iter(|| run_traced(f, &cfg, &mut Telemetry::off()).stats.passes);
+            bencher.iter(|| traced(f, &cfg, &mut Telemetry::off()));
         });
         // The metrics mirror of the same guard: a handle with no
         // registry attached must also sit within noise of `gvn_untraced`
@@ -66,7 +71,7 @@ fn bench_telemetry_off(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gvn_metrics_off", stmts), &f, |bencher, f| {
             bencher.iter(|| {
                 let mut tel = Telemetry::off();
-                run_traced(f, &cfg, &mut tel).stats.passes
+                traced(f, &cfg, &mut tel)
             });
         });
         group.bench_with_input(BenchmarkId::new("gvn_metrics_on", stmts), &f, |bencher, f| {
@@ -74,7 +79,7 @@ fn bench_telemetry_off(c: &mut Criterion) {
             bencher.iter(|| {
                 let mut tel = Telemetry::off();
                 tel.attach_metrics(&reg);
-                run_traced(f, &cfg, &mut tel).stats.passes
+                traced(f, &cfg, &mut tel)
             });
         });
     }

@@ -100,11 +100,9 @@ pub struct ContextCapacities {
 /// A reusable analysis session: all scratch state of the GVN driver,
 /// reset-without-free between runs.
 ///
-/// Construct once, then pass to [`crate::run_in_context`] /
-/// [`crate::try_run_traced_in_context`] (or
-/// `Pipeline::optimize_with` in `pgvn-transform`) for every routine in
-/// a stream. The free-function entry points ([`crate::run`],
-/// [`crate::try_run`], …) remain as thin wrappers that construct a
+/// Construct once, then pass to [`crate::try_run_traced_in_context`]
+/// (or `Pipeline::optimize_traced_with` in `pgvn-transform`) for every
+/// routine in a stream. The zero-setup [`crate::run`] constructs a
 /// throwaway context per call.
 ///
 /// A context is deliberately `Send` but not shared: parallel batch
@@ -269,7 +267,8 @@ mod tests {
         let one = f.iconst(b, 1);
         let a = f.binary(b, pgvn_ir::BinOp::Add, x, one);
         f.set_return(b, a);
-        crate::run_in_context(&mut ctx, &f, &crate::GvnConfig::full());
+        let tel = &mut pgvn_telemetry::Telemetry::off();
+        crate::try_run_traced_in_context(&mut ctx, &f, &crate::GvnConfig::full(), tel).unwrap();
         let caps = ctx.capacities();
         assert!(caps.interner_exprs > 0);
         ctx.clear();

@@ -40,7 +40,16 @@ const MAX_PASSES: u32 = 10_000;
 /// passes; see `GvnStats::passes`).
 const OSC_PASS_THRESHOLD: u32 = 64;
 
-/// Entry point for the analysis.
+/// Zero-setup entry point for the analysis: a fresh [`GvnContext`], no
+/// telemetry, and the results returned however the run ended. A run
+/// truncated by a [`crate::GvnBudget`] ceiling (or the hard pass cap)
+/// comes back with its partial partition and [`GvnStats::outcome`]
+/// saying so; it is for inspecting the analysis, never for rewriting
+/// with. Anything that rewrites uses [`try_run_traced_in_context`].
+///
+/// # Panics
+///
+/// Panics on an internal invariant violation or an injected fault.
 ///
 /// # Examples
 ///
@@ -63,74 +72,29 @@ const OSC_PASS_THRESHOLD: u32 = 64;
 /// assert!(results.congruent(a, c));
 /// ```
 pub fn run(func: &Function, cfg: &GvnConfig) -> GvnResults {
-    run_in_context(&mut GvnContext::new(), func, cfg)
+    Run::new(&mut GvnContext::new(), func, cfg.clone(), &mut Telemetry::off())
+        .execute()
+        .unwrap_or_else(|err| panic!("pgvn analysis failed: {err}"))
 }
 
-/// [`run`] against a reusable [`GvnContext`]: all scratch state (interner,
-/// partition, worklists, predicate tables, inference caches) lives in the
-/// context and is reset-without-free at run start, so a stream of
-/// routines is allocation-amortized. Results never depend on what the
-/// context previously ran — see the `context` module docs.
-pub fn run_in_context(ctx: &mut GvnContext, func: &Function, cfg: &GvnConfig) -> GvnResults {
-    run_traced_in_context(ctx, func, cfg, &mut Telemetry::off())
-}
-
-/// Entry point with observability: per-pass [`TraceEvent`]s go to the
-/// handle's sink and phase timings accumulate in its profiler. With
-/// [`Telemetry::off`] this is exactly [`run`].
+/// The analysis entry point: every failure mode is a classified
+/// [`GvnError`] instead of a panic or a silently partial fixed point.
 ///
-/// # Panics
+/// All scratch state (interner, partition, worklists, predicate tables,
+/// inference caches) lives in `ctx` and is reset-without-free at run
+/// start, so a stream of routines sharing one context is
+/// allocation-amortized; results never depend on what the context ran
+/// before (see the `context` module docs). Per-pass [`TraceEvent`]s go
+/// to `tel`'s sink and phase timings accumulate in its profiler; pass
+/// [`Telemetry::off`] for none.
 ///
-/// Like [`run`], panics on an internal invariant violation (or an
-/// injected fault). Use [`try_run_traced`] where failures must be
-/// contained and classified.
-pub fn run_traced(func: &Function, cfg: &GvnConfig, tel: &mut Telemetry<'_>) -> GvnResults {
-    run_traced_in_context(&mut GvnContext::new(), func, cfg, tel)
-}
-
-/// [`run_traced`] against a reusable [`GvnContext`].
-pub fn run_traced_in_context(
-    ctx: &mut GvnContext,
-    func: &Function,
-    cfg: &GvnConfig,
-    tel: &mut Telemetry<'_>,
-) -> GvnResults {
-    match Run::new(ctx, func, cfg.clone(), tel).execute() {
-        Ok(results) => results,
-        Err(err) => panic!("pgvn analysis failed: {err} (use try_run/try_run_traced to recover)"),
-    }
-}
-
-/// Fallible entry point for the analysis: every failure mode is a
-/// classified [`GvnError`] instead of a panic or a silently partial
-/// fixed point. `Err` covers non-convergence (the hard pass cap),
-/// exhaustion of any [`crate::GvnBudget`] ceiling, internal invariant
-/// violations, and injected faults; injected *panics* still unwind and
-/// must be caught at an isolation boundary (see
-/// `Pipeline::optimize_resilient` in `pgvn-transform`).
-pub fn try_run(func: &Function, cfg: &GvnConfig) -> Result<GvnResults, GvnError> {
-    try_run_traced(func, cfg, &mut Telemetry::off())
-}
-
-/// [`try_run`] against a reusable [`GvnContext`].
-pub fn try_run_in_context(
-    ctx: &mut GvnContext,
-    func: &Function,
-    cfg: &GvnConfig,
-) -> Result<GvnResults, GvnError> {
-    try_run_traced_in_context(ctx, func, cfg, &mut Telemetry::off())
-}
-
-/// [`try_run`] with observability (see [`run_traced`]).
-pub fn try_run_traced(
-    func: &Function,
-    cfg: &GvnConfig,
-    tel: &mut Telemetry<'_>,
-) -> Result<GvnResults, GvnError> {
-    try_run_traced_in_context(&mut GvnContext::new(), func, cfg, tel)
-}
-
-/// [`try_run_traced`] against a reusable [`GvnContext`]. A failed run
+/// # Errors
+///
+/// Only a converged run is `Ok`. `Err` covers non-convergence (the hard
+/// pass cap), exhaustion of any [`crate::GvnBudget`] ceiling, internal
+/// invariant violations, and injected faults. Injected *panics* still
+/// unwind and must be caught at an isolation boundary (see
+/// `Pipeline::optimize_resilient` in `pgvn-transform`). A failed run
 /// leaves the context reusable: the next run re-prepares all scratch
 /// state, so no partial results can leak out of an error.
 pub fn try_run_traced_in_context(

@@ -44,7 +44,7 @@ impl fmt::Display for BudgetKind {
 /// A recoverable failure of the analysis or rewrite pipeline.
 ///
 /// Replaces the panics and silent truncation on the driver hot paths:
-/// [`crate::driver::try_run`] returns these instead of accepting a
+/// [`crate::try_run_traced_in_context`] returns these instead of accepting a
 /// partial fixed point, and `Pipeline::optimize_resilient` (in
 /// `pgvn-transform`) classifies every rung failure with one.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -50,10 +50,7 @@ pub use annotate::{annotated, class_report};
 pub use classes::{ClassId, Classes, Leader};
 pub use config::{GvnConfig, Mode, Variant};
 pub use context::{ContextCapacities, GvnContext, ViCache};
-pub use driver::{
-    run, run_in_context, run_traced, run_traced_in_context, try_run, try_run_in_context,
-    try_run_traced, try_run_traced_in_context,
-};
+pub use driver::{run, try_run_traced_in_context};
 pub use error::{BudgetKind, FaultKind, FaultPlan, FaultSite, GvnBudget, GvnError};
 pub use expr::{ExprId, ExprKind, Interner, PhiKey};
 pub use linear::{LinearExpr, Term};

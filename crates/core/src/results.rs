@@ -10,7 +10,7 @@ use pgvn_telemetry::json::{self, JsonWriter};
 /// mark runs cut short by a [`crate::GvnBudget`] ceiling, and
 /// `NonConverged` marks the hard pass cap — both leave the partial (still
 /// conservative-to-use-with-care) results attached so callers can inspect
-/// them, but [`crate::driver::try_run`] refuses to return them as `Ok`.
+/// them, but [`crate::try_run_traced_in_context`] refuses to return them as `Ok`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RunOutcome {
     /// The analysis has not run (the default of an empty stats block).
@@ -132,10 +132,10 @@ pub struct GvnStats {
     pub outcome: RunOutcome,
     /// The degradation-ladder rung that produced these results (0 = full
     /// predicated GVN; see `Pipeline::optimize_resilient` in
-    /// `pgvn-transform`). Zero for plain `run`/`try_run`.
+    /// `pgvn-transform`). Zero for a bare analysis run.
     pub ladder_rung: u32,
     /// Ladder rungs that failed and were rolled back before this one
-    /// succeeded. Zero for plain `run`/`try_run`.
+    /// succeeded. Zero for a bare analysis run.
     pub ladder_failures: u32,
 }
 

@@ -2,9 +2,10 @@
 //! than the dense one on routines that need refinement, and the stats
 //! counters must be coherent.
 
-use pgvn_core::{run, try_run, GvnConfig, Mode, RunOutcome};
+use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext, Mode, RunOutcome};
 use pgvn_lang::compile;
 use pgvn_ssa::SsaStyle;
+use pgvn_telemetry::Telemetry;
 use pgvn_workload::{generate_function, GenConfig};
 
 #[test]
@@ -56,7 +57,9 @@ fn converged_runs_carry_an_explicit_outcome() {
         assert!(r.stats.converged);
         assert_eq!(r.stats.outcome, RunOutcome::Converged);
         assert_eq!(r.outcome(), RunOutcome::Converged);
-        assert!(try_run(&f, &gvn_cfg).is_ok(), "converged run classifies clean");
+        let tel = &mut Telemetry::off();
+        let classified = try_run_traced_in_context(&mut GvnContext::new(), &f, &gvn_cfg, tel);
+        assert!(classified.is_ok(), "converged run classifies clean");
     }
 }
 

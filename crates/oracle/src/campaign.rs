@@ -4,7 +4,7 @@
 //! A campaign shards the iteration space `0..iterations` over
 //! `std::thread::scope` workers. Work is handed out in chunks through a
 //! shared atomic cursor; each worker owns a private
-//! [`GvnContext`](pgvn_core::GvnContext), so a whole shard is
+//! [`GvnContext`], so a whole shard is
 //! allocation-amortized and no worker ever blocks on another's output.
 //!
 //! ## Determinism

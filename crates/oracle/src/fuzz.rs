@@ -29,6 +29,7 @@ use pgvn_ir::{Function, Severity};
 use pgvn_lang::Routine;
 use pgvn_ssa::SsaStyle;
 use pgvn_telemetry::json::JsonWriter;
+use pgvn_telemetry::Telemetry;
 use pgvn_transform::{check_function_with, AnalysisManager, CheckOptions, Pipeline};
 use pgvn_workload::GenConfig;
 
@@ -315,8 +316,8 @@ fn check_resilient(
     };
     let cfg = GvnConfig::full().fault_plan(plan);
     let mut optimized = func.clone();
-    let rep =
-        Pipeline::new(cfg).rounds(validator.rounds).optimize_resilient_with(ctx, &mut optimized);
+    let pipeline = Pipeline::new(cfg).rounds(validator.rounds);
+    let rep = pipeline.optimize_resilient_traced_with(ctx, &mut optimized, &mut Telemetry::off());
     if !rep.is_usable() {
         return Err(format!(
             "[{label}] ladder rejected a verified input: outcome {}",
@@ -347,7 +348,10 @@ fn check_diagnostic_stability(
         .map(|d| d.code())
         .collect();
     let mut optimized = func.clone();
-    Pipeline::new(GvnConfig::full()).rounds(rounds).optimize_with(ctx, &mut optimized);
+    Pipeline::new(GvnConfig::full())
+        .rounds(rounds)
+        .optimize_traced_with(ctx, &mut optimized, &mut Telemetry::off())
+        .map_err(|e| format!("[diagnostics] optimization failed: {e}"))?;
     let mut analyses = AnalysisManager::new();
     let after = check_function_with(ctx, &mut analyses, &optimized, &opts);
     for d in after.diagnostics() {

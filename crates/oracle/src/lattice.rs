@@ -20,8 +20,9 @@
 //! compare `full` against the emulations only where the ordering is
 //! guaranteed (the emulations have no inference of their own).
 
-use pgvn_core::{GvnConfig, GvnResults, Mode};
+use pgvn_core::{GvnConfig, GvnError, GvnResults, Mode};
 use pgvn_ir::Function;
+use pgvn_telemetry::Telemetry;
 use std::fmt;
 
 /// One ordered pair of configurations with the checks to apply.
@@ -156,8 +157,9 @@ fn check_pair(
 ///
 /// # Errors
 ///
-/// Returns the first [`LatticeViolation`]; also reports non-convergence
-/// of any run as a violation of that run against itself.
+/// Returns the first [`LatticeViolation`]; also reports a failed run
+/// (non-convergence or any other classified [`GvnError`]) as a
+/// violation of that run against itself.
 pub fn check_lattice(func: &Function, relations: &[Relation]) -> Result<(), LatticeViolation> {
     check_lattice_with(&mut pgvn_core::GvnContext::new(), func, relations)
 }
@@ -170,26 +172,24 @@ pub fn check_lattice_with(
     relations: &[Relation],
 ) -> Result<(), LatticeViolation> {
     use std::collections::HashMap;
-    let mut cache: HashMap<String, GvnResults> = HashMap::new();
-    let mut results_for = |name: &str, cfg: &GvnConfig| -> GvnResults {
-        cache
+    let mut cache: HashMap<String, Result<GvnResults, GvnError>> = HashMap::new();
+    let mut results_for = |name: &str, cfg: &GvnConfig| {
+        let run = cache
             .entry(name.to_string())
-            .or_insert_with(|| pgvn_core::run_in_context(ctx, func, cfg))
-            .clone()
+            .or_insert_with(|| {
+                pgvn_core::try_run_traced_in_context(ctx, func, cfg, &mut Telemetry::off())
+            })
+            .clone();
+        run.map_err(|err| LatticeViolation {
+            stronger: name.to_string(),
+            weaker: name.to_string(),
+            detail: err.to_string(),
+        })
     };
     for rel in relations {
         let s = results_for(&rel.stronger.0, &rel.stronger.1);
         let w = results_for(&rel.weaker.0, &rel.weaker.1);
-        for (name, r) in [(&rel.stronger.0, &s), (&rel.weaker.0, &w)] {
-            if !r.stats.converged {
-                return Err(LatticeViolation {
-                    stronger: name.clone(),
-                    weaker: name.clone(),
-                    detail: "analysis did not converge".to_string(),
-                });
-            }
-        }
-        check_pair(func, rel, &s, &w)?;
+        check_pair(func, rel, &s?, &w?)?;
     }
     Ok(())
 }

@@ -20,7 +20,7 @@
 //!   statements, unwrap control structure, simplify expressions,
 //!   re-lower — and emitted as a self-contained `.pgvn` regression
 //!   fixture.
-//! - **Fuzzing** ([`fuzz`]): a seeded driver loop over the
+//! - **Fuzzing** ([`fuzz`](mod@fuzz)): a seeded driver loop over the
 //!   `pgvn-workload` generator ties the three together; the `pgvn fuzz`
 //!   CLI subcommand and CI both drive this engine.
 //! - **Sharded campaigns** ([`campaign`]): the iteration space sharded

@@ -17,6 +17,7 @@
 use crate::outcome::{mix64, run_outcome, Outcome};
 use pgvn_core::GvnConfig;
 use pgvn_ir::Function;
+use pgvn_telemetry::Telemetry;
 use pgvn_transform::Pipeline;
 use std::fmt;
 
@@ -165,7 +166,8 @@ pub fn argument_vectors(num_params: usize, vectors: usize, seed: u64) -> Vec<(Ve
 ///
 /// # Errors
 ///
-/// [`Failure::NotConverged`] if an analysis run hit its pass cap,
+/// [`Failure::NotConverged`] if an analysis run did not converge (or
+/// failed in any other classified way),
 /// [`Failure::Verify`] if a pipeline produced ill-formed IR, and
 /// [`Failure::Mismatch`] if original and optimized executions disagree.
 pub fn validate_function(func: &Function, opts: &ValidatorOptions) -> Result<(), Failure> {
@@ -185,11 +187,10 @@ pub fn validate_function_with(
         vectors.iter().map(|(args, os)| run_outcome(func, args, *os, opts.fuel)).collect();
     for (name, cfg) in &opts.configs {
         let mut optimized = func.clone();
-        let report =
-            Pipeline::new(cfg.clone()).rounds(opts.rounds).optimize_with(ctx, &mut optimized);
-        if !report.gvn_stats.converged {
-            return Err(Failure::NotConverged { config: name.clone() });
-        }
+        Pipeline::new(cfg.clone())
+            .rounds(opts.rounds)
+            .optimize_traced_with(ctx, &mut optimized, &mut Telemetry::off())
+            .map_err(|_| Failure::NotConverged { config: name.clone() })?;
         if let Err(e) = pgvn_ir::verify(&optimized) {
             return Err(Failure::Verify { config: name.clone(), error: e.to_string() });
         }

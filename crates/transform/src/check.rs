@@ -25,10 +25,11 @@
 //! error-severity diagnostics across optimization.
 
 use crate::pass::{AnalysisManager, CfgAnalyses};
-use pgvn_core::{run_in_context, ClassId, GvnConfig, GvnContext, GvnResults};
+use pgvn_core::{try_run_traced_in_context, ClassId, GvnConfig, GvnContext, GvnResults};
 use pgvn_ir::{
     verify_into, BinOp, Block, Diagnostic, DiagnosticEngine, EntityRef, Function, Inst, InstKind,
 };
+use pgvn_telemetry::Telemetry;
 use std::collections::BTreeMap;
 
 /// Stable codes for the lint-suite diagnostics (the structural codes
@@ -191,12 +192,15 @@ pub fn check_function_with(
         reg.run_phase(func, cfg, None, &mut engine);
     }
     // Phase 3: GVN-backed lints — only on IR with no error diagnostics,
-    // since the driver assumes valid SSA.
+    // since the driver assumes valid SSA, and only from a converged
+    // partition: a run that fails or is truncated proves nothing.
     if let Some(gvn_cfg) = &opts.gvn {
         if !engine.has_errors() {
-            let results = run_in_context(ctx, func, gvn_cfg);
-            let cfg = analyses.cfg(func);
-            reg.run_phase(func, cfg, Some(&results), &mut engine);
+            let tel = &mut Telemetry::off();
+            if let Ok(results) = try_run_traced_in_context(ctx, func, gvn_cfg, tel) {
+                let cfg = analyses.cfg(func);
+                reg.run_phase(func, cfg, Some(&results), &mut engine);
+            }
         }
     }
     engine.sort();

@@ -35,8 +35,8 @@ use crate::rewrite::{
     eliminate_redundancies_with, eliminate_unreachable, forward_copies, propagate_constants,
 };
 use pgvn_core::{
-    run_traced_in_context, try_run_traced_in_context, BudgetKind, FaultKind, FaultPlan, GvnConfig,
-    GvnContext, GvnError, GvnResults,
+    try_run_traced_in_context, BudgetKind, FaultKind, FaultPlan, GvnConfig, GvnContext, GvnError,
+    GvnResults,
 };
 use pgvn_ir::Function;
 use pgvn_telemetry::{Metric, Phase, Telemetry};
@@ -181,17 +181,13 @@ pub struct PassContext<'a, 'tel> {
     /// pipeline entry points do; ladder rungs never have (phase timings
     /// there would double-count across rolled-back rungs).
     record_phases: bool,
-    /// Whether analysis failures surface as `Err` (ladder rungs) or
-    /// panic through [`run_traced_in_context`] (the infallible entry
-    /// points).
-    fallible: bool,
     /// Rewrite-site fault injection, when this is a faulted rung.
     fault: Option<RewriteFault>,
 }
 
 impl<'a, 'tel> PassContext<'a, 'tel> {
-    /// A context for the infallible pipeline entry points: phases are
-    /// recorded, analysis failures panic, no fault injection.
+    /// A context for the plain pipeline entry points: phases are
+    /// recorded, no rewrite-site fault injection.
     pub fn new(
         gvn: &'a mut GvnContext,
         cfg: &'a GvnConfig,
@@ -199,21 +195,12 @@ impl<'a, 'tel> PassContext<'a, 'tel> {
         tel: &'a mut Telemetry<'tel>,
         report: &'a mut OptimizeReport,
     ) -> Self {
-        PassContext {
-            gvn,
-            cfg,
-            analyses,
-            tel,
-            report,
-            record_phases: true,
-            fallible: false,
-            fault: None,
-        }
+        PassContext { gvn, cfg, analyses, tel, report, record_phases: true, fault: None }
     }
 
-    /// A context for one degradation-ladder rung: failures are `Err`,
-    /// rewrite phases are not recorded, and a rewrite-site fault plan
-    /// (if any) is armed with its countdown.
+    /// A context for one degradation-ladder rung: rewrite phases are not
+    /// recorded, and a rewrite-site fault plan (if any) is armed with its
+    /// countdown.
     pub(crate) fn for_rung(
         gvn: &'a mut GvnContext,
         cfg: &'a GvnConfig,
@@ -223,19 +210,16 @@ impl<'a, 'tel> PassContext<'a, 'tel> {
         rewrite_fault: Option<FaultPlan>,
     ) -> Self {
         let fault = rewrite_fault.map(|plan| RewriteFault { plan, countdown: plan.countdown() });
-        PassContext { gvn, cfg, analyses, tel, report, record_phases: false, fallible: true, fault }
+        PassContext { gvn, cfg, analyses, tel, report, record_phases: false, fault }
     }
 
     /// Runs the GVN analysis on `func`, accumulating `gvn_nanos` and
     /// recording the run's stats into the report (last run wins, as the
-    /// pipeline has always reported).
+    /// pipeline has always reported). Only a converged run is `Ok`, so
+    /// no pass ever rewrites with a truncated partition.
     pub fn run_gvn(&mut self, func: &Function) -> Result<GvnResults, GvnError> {
         let g0 = Instant::now();
-        let results = if self.fallible {
-            try_run_traced_in_context(self.gvn, func, self.cfg, self.tel)?
-        } else {
-            run_traced_in_context(self.gvn, func, self.cfg, self.tel)
-        };
+        let results = try_run_traced_in_context(self.gvn, func, self.cfg, self.tel)?;
         self.report.gvn_nanos += g0.elapsed().as_nanos();
         self.report.gvn_stats = results.stats;
         Ok(results)

@@ -12,7 +12,7 @@
 
 use crate::pass::{AnalysisManager, PassContext, PassManager, PassSpec};
 use crate::rewrite::UceReport;
-use pgvn_core::{GvnConfig, GvnContext, GvnStats};
+use pgvn_core::{GvnConfig, GvnContext, GvnError, GvnStats};
 use pgvn_ir::Function;
 use pgvn_telemetry::Telemetry;
 
@@ -84,41 +84,52 @@ impl Pipeline {
         self.spec.clone().unwrap_or_else(|| PassSpec::gvn_rounds(self.rounds))
     }
 
-    /// Optimizes `func` in place.
+    /// Zero-setup [`Pipeline::optimize_traced_with`]: optimizes `func`
+    /// in place with a fresh context and no telemetry.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the classified [`GvnError`] when any analysis run
+    /// fails (a budget ceiling, non-convergence, an invariant violation
+    /// or an injected fault). Use [`Pipeline::optimize_traced_with`] to
+    /// get the error back, or [`Pipeline::optimize_resilient`] to
+    /// contain it.
     pub fn optimize(&self, func: &mut Function) -> OptimizeReport {
-        self.optimize_traced(func, &mut Telemetry::off())
+        self.optimize_traced_with(&mut GvnContext::new(), func, &mut Telemetry::off())
+            .unwrap_or_else(|err| panic!("pgvn pipeline failed: {err}"))
     }
 
-    /// [`Pipeline::optimize`] against a reusable [`GvnContext`]: every
-    /// GVN round borrows the context's arenas instead of allocating
-    /// fresh ones, so a routine stream sharing one context is
-    /// allocation-amortized. Results are identical to [`Pipeline::optimize`].
-    pub fn optimize_with(&self, ctx: &mut GvnContext, func: &mut Function) -> OptimizeReport {
-        self.optimize_traced_with(ctx, func, &mut Telemetry::off())
-    }
-
-    /// [`Pipeline::optimize`] with observability: the GVN runs of every
-    /// round trace into `tel`'s sink, and the rewrite stages record
-    /// per-phase timings into its profiler.
-    pub fn optimize_traced(&self, func: &mut Function, tel: &mut Telemetry<'_>) -> OptimizeReport {
-        self.optimize_traced_with(&mut GvnContext::new(), func, tel)
-    }
-
-    /// [`Pipeline::optimize_traced`] against a reusable [`GvnContext`].
+    /// Optimizes `func` in place, running the pass sequence against a
+    /// reusable [`GvnContext`]: every GVN run borrows the context's
+    /// arenas instead of allocating fresh ones, so a routine stream
+    /// sharing one context is allocation-amortized, and results never
+    /// depend on what the context ran before. The GVN runs trace into
+    /// `tel`'s sink, and the rewrite stages record per-phase timings
+    /// into its profiler; pass [`Telemetry::off`] for none.
+    ///
+    /// # Errors
+    ///
+    /// Returns the classified [`GvnError`] of the first analysis run
+    /// that does not converge or fails. No rewrite ever consumes that
+    /// run: `func` keeps the output of the passes that completed before
+    /// it (which rewrote from converged runs only, so it still
+    /// verifies). Panics injected through a [`pgvn_core::FaultPlan`]
+    /// still unwind; [`Pipeline::optimize_resilient_traced_with`]
+    /// contains those and rolls `func` back to its input.
     pub fn optimize_traced_with(
         &self,
         ctx: &mut GvnContext,
         func: &mut Function,
         tel: &mut Telemetry<'_>,
-    ) -> OptimizeReport {
+    ) -> Result<OptimizeReport, GvnError> {
         let t0 = std::time::Instant::now();
         let mut report = OptimizeReport::default();
         let spec = self.spec();
         let mut analyses = AnalysisManager::new();
         let mut pcx = PassContext::new(ctx, &self.cfg, &mut analyses, tel, &mut report);
-        PassManager::new().run(&spec, &mut pcx, func).expect("infallible pipeline pass failed");
+        PassManager::new().run(&spec, &mut pcx, func)?;
         report.total_nanos = t0.elapsed().as_nanos();
-        report
+        Ok(report)
     }
 }
 

@@ -220,36 +220,16 @@ impl Pipeline {
     /// worst classified outcome is `Identity` (unoptimized but verified)
     /// or `Rejected` (the *input* was malformed).
     pub fn optimize_resilient(&self, func: &mut Function) -> ResilienceReport {
-        self.optimize_resilient_traced(func, &mut Telemetry::off())
+        self.optimize_resilient_traced_with(&mut GvnContext::new(), func, &mut Telemetry::off())
     }
 
     /// [`Pipeline::optimize_resilient`] against a reusable
-    /// [`GvnContext`]: one context serves every rung of the ladder (and
-    /// every routine of a batch). This is safe precisely because a
-    /// context is rollback-safe — a rung that panics or errors leaves
-    /// only scratch state behind, which the next rung's run re-prepares
-    /// wholesale.
-    pub fn optimize_resilient_with(
-        &self,
-        ctx: &mut GvnContext,
-        func: &mut Function,
-    ) -> ResilienceReport {
-        self.optimize_resilient_traced_with(ctx, func, &mut Telemetry::off())
-    }
-
-    /// [`Pipeline::optimize_resilient`] with observability: each rung's
-    /// analysis traces into `tel`, and every rung commit/failure emits a
-    /// [`TraceEvent::Rung`].
-    pub fn optimize_resilient_traced(
-        &self,
-        func: &mut Function,
-        tel: &mut Telemetry<'_>,
-    ) -> ResilienceReport {
-        self.optimize_resilient_traced_with(&mut GvnContext::new(), func, tel)
-    }
-
-    /// [`Pipeline::optimize_resilient_traced`] against a reusable
-    /// [`GvnContext`] (see [`Pipeline::optimize_resilient_with`]).
+    /// [`GvnContext`] and with observability. One context serves every
+    /// rung of the ladder (and every routine of a batch); this is safe
+    /// precisely because a context is rollback-safe — a rung that panics
+    /// or errors leaves only scratch state behind, which the next rung's
+    /// run re-prepares wholesale. Each rung's analysis traces into `tel`,
+    /// and every rung commit/failure emits a [`TraceEvent::Rung`].
     pub fn optimize_resilient_traced_with(
         &self,
         ctx: &mut GvnContext,
@@ -347,9 +327,8 @@ impl Pipeline {
         ResilienceReport { outcome: ResilientOutcome::Identity, failures, report }
     }
 
-    /// One ladder rung: the ordinary GVN+rewrite rounds, but with the
-    /// fallible analysis entry point, rewrite-site fault injection, and
-    /// a final verifier gate. Runs against the caller's candidate clone;
+    /// One ladder rung: the ordinary pass pipeline, plus rewrite-site
+    /// fault injection and a final verifier gate. Runs against the caller's candidate clone;
     /// any `Err` means the candidate must be discarded.
     fn run_rung(
         &self,
@@ -460,7 +439,7 @@ mod tests {
         let mut tel = Telemetry::with_sink(&mut sink);
         tel.attach_metrics(&reg);
         let rep = Pipeline::new(GvnConfig::full().fault_plan(Some(plan)))
-            .optimize_resilient_traced(&mut f, &mut tel);
+            .optimize_resilient_traced_with(&mut GvnContext::new(), &mut f, &mut tel);
         let _ = tel;
         assert_eq!(rep.outcome, ResilientOutcome::Optimized(RungId::Practical));
         let rollbacks: Vec<_> = sink

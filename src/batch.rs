@@ -2,7 +2,7 @@
 //!
 //! A batch is a list of named routine sources processed independently:
 //! each routine is compiled, pushed through the resilient degradation
-//! ladder ([`Pipeline::optimize_resilient_with`]), and classified into a
+//! ladder ([`Pipeline::optimize_resilient_traced_with`]), and classified into a
 //! per-routine record. Workers are `std::thread::scope` threads, each
 //! owning a private [`GvnContext`] so the whole shard it processes is
 //! allocation-amortized, plus a private record buffer so no worker ever
@@ -127,7 +127,7 @@ pub fn warm_context(ctx: &mut GvnContext) {
     let src = crate::lang::print_routine(&routine);
     let mut func = compile(&src, SsaStyle::Pruned).expect("pilot routine always compiles");
     let pipeline = Pipeline::new(GvnConfig::full()).rounds(2);
-    let _ = pipeline.optimize_resilient_with(ctx, &mut func);
+    let _ = pipeline.optimize_resilient_traced_with(ctx, &mut func, &mut Telemetry::off());
 }
 
 /// How one routine ended.

@@ -107,7 +107,7 @@
 //! ```
 
 use pgvn::batch::{generated_corpus, BatchInput};
-use pgvn::core::{try_run_traced, FaultPlan, GvnBudget};
+use pgvn::core::{try_run_traced_in_context, FaultPlan, GvnBudget, GvnContext};
 use pgvn::prelude::*;
 use pgvn::telemetry::{JsonlSink, Phase, TeeSink, Telemetry, TextSink};
 use std::fmt::Display;
@@ -928,13 +928,14 @@ fn routine_main(mut args: Args) -> CliResult {
     // The display analysis run carries the budget but not the fault
     // plan — injected faults exercise the degradation ladder below.
     let analysis_cfg = config.clone().budget(res.budget);
-    let results = match try_run_traced(&func, &analysis_cfg, &mut tel) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            eprintln!("pgvn: analysis failed ({}): {e}", e.kind());
-            None
-        }
-    };
+    let results =
+        match try_run_traced_in_context(&mut GvnContext::new(), &func, &analysis_cfg, &mut tel) {
+            Ok(r) => Some(r),
+            Err(e) => {
+                eprintln!("pgvn: analysis failed ({}): {e}", e.kind());
+                None
+            }
+        };
     if wants("analysis") {
         if let Some(results) = &results {
             let s = results.strength();
@@ -960,7 +961,8 @@ fn routine_main(mut args: Args) -> CliResult {
     if let Some(spec) = group.passes {
         pipeline = pipeline.passes(spec);
     }
-    let resilience = pipeline.optimize_resilient_traced(&mut optimized, &mut tel);
+    let resilience =
+        pipeline.optimize_resilient_traced_with(&mut GvnContext::new(), &mut optimized, &mut tel);
     tel.flush();
     let report = &resilience.report;
     if !resilience.is_usable() {

@@ -6,15 +6,16 @@
 //! passes:
 //!
 //! 1. **Single-thread throughput** — a warm-context loop of
-//!    [`run_in_context`](pgvn_core::run_in_context) over every routine,
-//!    repeated and taking the best (minimum) wall time;
-//! 2. **Batch scaling** — [`run_batch`](crate::batch::run_batch) wall
-//!    time at each point of a jobs curve (default 1/2/4);
+//!    [`try_run_traced_in_context`] over every routine, repeated and
+//!    taking the best (minimum) wall time;
+//! 2. **Batch scaling** — [`run_batch`] wall time at each point of a
+//!    jobs curve (default 1/2/4);
 //! 3. **Telemetry overhead** — the same loop with a fully active
 //!    [`Telemetry`] (NullSink tracing + metrics) against the untraced
 //!    baseline;
 //! 4. **Per-phase timing and metrics** — one instrumented sweep with the
-//!    [`Profiler`] and a [`MetricsRegistry`] attached;
+//!    [`Profiler`](pgvn_telemetry::Profiler) and a [`MetricsRegistry`]
+//!    attached;
 //! 5. **Pipeline comparison** — the pinned pass pipelines (`gvn` vs
 //!    `gvn,pre,gvn`, see `docs/PASSES.md`) over the same suite, each
 //!    with wall time, a per-pass phase breakdown, and the redundancy
@@ -30,7 +31,7 @@
 
 use crate::batch::{generated_corpus, run_batch, BatchOptions};
 use crate::prelude::*;
-use pgvn_core::run_in_context;
+use pgvn_core::try_run_traced_in_context;
 use pgvn_telemetry::json::{parse, JsonValue, JsonWriter};
 use pgvn_telemetry::{MetricsRegistry, MetricsSnapshot, NullSink, Telemetry, PHASES};
 use std::time::Instant;
@@ -204,6 +205,11 @@ fn phase_times(tel: &Telemetry<'_>) -> Vec<PhaseTime> {
         .unwrap_or_default()
 }
 
+/// One analysis run over a pinned routine, which always converges.
+fn analyze(ctx: &mut GvnContext, f: &Function, cfg: &GvnConfig, tel: &mut Telemetry<'_>) {
+    try_run_traced_in_context(ctx, f, cfg, tel).expect("pinned workload converges");
+}
+
 fn routines_per_sec(routines: u64, nanos: u64) -> f64 {
     if nanos == 0 {
         return 0.0;
@@ -231,7 +237,7 @@ pub fn run_suite(opts: &PerfOptions) -> BenchArtifact {
     // Warm-up sweep: grows every context table to working size so the
     // timed loops measure steady-state reuse, not first-touch growth.
     for f in &funcs {
-        run_in_context(&mut ctx, f, &cfg);
+        analyze(&mut ctx, f, &cfg, &mut Telemetry::off());
     }
 
     // Pass B: untraced single-thread baseline, best of `repeats`.
@@ -239,7 +245,7 @@ pub fn run_suite(opts: &PerfOptions) -> BenchArtifact {
     for _ in 0..repeats {
         let t0 = Instant::now();
         for f in &funcs {
-            run_in_context(&mut ctx, f, &cfg);
+            analyze(&mut ctx, f, &cfg, &mut Telemetry::off());
         }
         base_nanos = base_nanos.min(elapsed_nanos(t0));
     }
@@ -255,7 +261,7 @@ pub fn run_suite(opts: &PerfOptions) -> BenchArtifact {
         tel.attach_metrics(&reg);
         let t0 = Instant::now();
         for f in &funcs {
-            pgvn_core::run_traced_in_context(&mut ctx, f, &cfg, &mut tel);
+            analyze(&mut ctx, f, &cfg, &mut tel);
         }
         instr_nanos = instr_nanos.min(elapsed_nanos(t0));
     }
@@ -274,7 +280,7 @@ pub fn run_suite(opts: &PerfOptions) -> BenchArtifact {
     tel.enable_profiling();
     tel.attach_metrics(&reg);
     for f in &funcs {
-        pgvn_core::run_traced_in_context(&mut ctx, f, &cfg, &mut tel);
+        analyze(&mut ctx, f, &cfg, &mut tel);
     }
     let phases = phase_times(&tel);
     let metrics = reg.snapshot();
@@ -322,7 +328,9 @@ pub fn run_suite(opts: &PerfOptions) -> BenchArtifact {
                 let mut clones = funcs.clone();
                 let t0 = Instant::now();
                 for f in &mut clones {
-                    pipeline.optimize_with(&mut ctx, f);
+                    pipeline
+                        .optimize_traced_with(&mut ctx, f, &mut Telemetry::off())
+                        .expect("pinned workload optimizes cleanly");
                 }
                 best = best.min(elapsed_nanos(t0));
             }
@@ -332,7 +340,9 @@ pub fn run_suite(opts: &PerfOptions) -> BenchArtifact {
             let (mut eliminated, mut inserted, mut pre_gone) = (0u64, 0u64, 0u64);
             for f in &funcs {
                 let mut f = f.clone();
-                let rep = pipeline.optimize_traced_with(&mut ctx, &mut f, &mut tel);
+                let rep = pipeline
+                    .optimize_traced_with(&mut ctx, &mut f, &mut tel)
+                    .expect("pinned workload optimizes cleanly");
                 eliminated += rep.redundancies_eliminated as u64;
                 inserted += rep.pre_inserted as u64;
                 pre_gone += rep.pre_eliminated as u64;

@@ -5,7 +5,7 @@
 //! proptest that [`GvnStats::merge`] is associative and commutative.
 
 use pgvn::batch::{generated_corpus, run_batch, BatchInput, BatchOptions};
-use pgvn::core::{run, run_traced, GvnConfig, GvnStats, RunOutcome};
+use pgvn::core::{run, try_run_traced_in_context, GvnConfig, GvnResults, GvnStats, RunOutcome};
 use pgvn::oracle::mix64;
 use pgvn::prelude::*;
 use pgvn::telemetry::metrics::{bucket_bound, bucket_index};
@@ -62,6 +62,11 @@ fn histogram_buckets_sit_on_power_of_two_boundaries() {
     assert_eq!(snap.bucket(Metric::DriverPasses, NUM_BUCKETS - 1), 1, "overflow");
 }
 
+/// One traced analysis run from a fresh context; the run must converge.
+fn traced_run(func: &Function, cfg: &GvnConfig, tel: &mut Telemetry<'_>) -> GvnResults {
+    try_run_traced_in_context(&mut GvnContext::new(), func, cfg, tel).expect("converges")
+}
+
 #[test]
 fn snapshot_json_round_trips_from_a_real_run() {
     let func = compile(
@@ -72,7 +77,7 @@ fn snapshot_json_round_trips_from_a_real_run() {
     let reg = MetricsRegistry::new();
     let mut tel = Telemetry::off();
     tel.attach_metrics(&reg);
-    run_traced(&func, &GvnConfig::full(), &mut tel);
+    traced_run(&func, &GvnConfig::full(), &mut tel);
     let snap = reg.snapshot();
     assert!(snap.value(Metric::DriverRuns) == 1);
     let back = MetricsSnapshot::from_json(&snap.to_json()).expect("parses back");
@@ -97,7 +102,7 @@ fn attaching_metrics_never_changes_analysis_results() {
         let reg = MetricsRegistry::new();
         let mut tel = Telemetry::off();
         tel.attach_metrics(&reg);
-        let metered = run_traced(&func, &cfg, &mut tel);
+        let metered = traced_run(&func, &cfg, &mut tel);
         assert_eq!(plain.stats, metered.stats, "seed {seed}");
         assert_eq!(plain.partition(), metered.partition(), "seed {seed}");
         assert!(reg.snapshot().value(Metric::DriverRuns) > 0);

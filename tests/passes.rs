@@ -180,7 +180,8 @@ fn multi_pass_pipelines_reuse_cached_analyses() {
     tel.attach_metrics(&reg);
     Pipeline::new(GvnConfig::full())
         .passes("gvn,pre,gvn".parse().unwrap())
-        .optimize_traced(&mut f, &mut tel);
+        .optimize_traced_with(&mut GvnContext::new(), &mut f, &mut tel)
+        .unwrap();
     let snap = reg.snapshot();
     assert_eq!(snap.value(Metric::PassRuns), 3, "one run per pipeline element");
     assert!(

@@ -4,10 +4,15 @@
 //! translation validation must agree with the original, and no panic
 //! may cross the `optimize_resilient` API boundary.
 
-use pgvn::core::{try_run, FaultKind, FaultPlan, FaultSite, GvnBudget, GvnError, RunOutcome};
+use pgvn::batch::generated_corpus;
+use pgvn::core::{
+    try_run_traced_in_context, BudgetKind, FaultKind, FaultPlan, FaultSite, GvnBudget, GvnError,
+    RunOutcome,
+};
 use pgvn::ir::verify;
 use pgvn::oracle::{validate_optimized, ValidatorOptions};
 use pgvn::prelude::*;
+use pgvn::telemetry::Telemetry;
 use pgvn::transform::{ResilientOutcome, RungId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -25,6 +30,11 @@ fn looping() -> Function {
         SsaStyle::Pruned,
     )
     .unwrap()
+}
+
+/// One classified analysis run from a fresh context.
+fn classified_run(f: &Function, cfg: &GvnConfig) -> Result<GvnResults, GvnError> {
+    try_run_traced_in_context(&mut GvnContext::new(), f, cfg, &mut Telemetry::off())
 }
 
 /// Cheap validator tuning for the per-test translation-validation gate.
@@ -106,7 +116,7 @@ fn budget_axes_classify_the_exhaustion() {
     // The loop needs at least two optimistic passes; a one-pass ceiling
     // must trip the pass axis.
     let cfg = GvnConfig::full().budget(GvnBudget::unlimited().passes(1));
-    match try_run(&f, &cfg) {
+    match classified_run(&f, &cfg) {
         Err(GvnError::BudgetExceeded { budget, limit: 1, .. }) => {
             assert_eq!(budget.name(), "passes");
         }
@@ -114,7 +124,7 @@ fn budget_axes_classify_the_exhaustion() {
     }
     // A tiny touched-work quota trips the work axis.
     let cfg = GvnConfig::full().budget(GvnBudget::unlimited().touches(3));
-    match try_run(&f, &cfg) {
+    match classified_run(&f, &cfg) {
         Err(GvnError::BudgetExceeded { budget, limit: 3, .. }) => {
             assert_eq!(budget.name(), "work");
         }
@@ -122,15 +132,42 @@ fn budget_axes_classify_the_exhaustion() {
     }
     // A zero deadline trips the time axis on the first block visit.
     let cfg = GvnConfig::full().budget(GvnBudget::unlimited().deadline(Duration::ZERO));
-    match try_run(&f, &cfg) {
+    match classified_run(&f, &cfg) {
         Err(GvnError::BudgetExceeded { budget, .. }) => assert_eq!(budget.name(), "time"),
         other => panic!("expected a time-budget failure, got {other:?}"),
     }
-    // The legacy panicking entry point still returns partial results for
-    // budget truncation (back-compat), but the outcome is never silent.
+    // The zero-setup `run` still returns partial results for inspection,
+    // but the outcome is never silent.
     let r = pgvn::core::run(&f, &GvnConfig::full().budget(GvnBudget::unlimited().passes(1)));
     assert!(!r.stats.converged);
     assert_eq!(r.outcome(), RunOutcome::BudgetPasses);
+}
+
+#[test]
+fn truncated_analysis_is_never_rewritten() {
+    // A 20-touch quota cuts almost every run short. The plain pipeline
+    // must hand that back as an `Err` instead of rewriting with the
+    // partial partition, and leave the function verified either way.
+    let cfg = GvnConfig::full().budget(GvnBudget::unlimited().touches(20));
+    let pipeline = Pipeline::new(cfg).rounds(2);
+    let mut ctx = GvnContext::new();
+    let mut funcs = vec![looping()];
+    funcs.extend(
+        generated_corpus("g", MATRIX_SEED, 300)
+            .iter()
+            .map(|input| compile(input.source.as_deref().unwrap(), SsaStyle::Pruned).unwrap()),
+    );
+    let mut truncated = 0;
+    for mut f in funcs {
+        let name = f.name().to_string();
+        match pipeline.optimize_traced_with(&mut ctx, &mut f, &mut Telemetry::off()) {
+            Ok(_) => {}
+            Err(GvnError::BudgetExceeded { budget: BudgetKind::Work, .. }) => truncated += 1,
+            Err(other) => panic!("{name}: expected a work-budget failure, got {other:?}"),
+        }
+        verify(&f).unwrap_or_else(|e| panic!("{name}: output invalid: {e}"));
+    }
+    assert!(truncated > 0, "the quota must truncate some runs");
 }
 
 #[test]

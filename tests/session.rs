@@ -3,12 +3,18 @@
 //! and nothing cached in one run (predicate/value inferences, interned
 //! expressions, class structure) may leak into the next.
 
-use pgvn::core::{run, run_in_context, GvnConfig, GvnContext, GvnResults, Mode};
+use pgvn::core::{run, try_run_traced_in_context, GvnConfig, GvnContext, GvnResults, Mode};
 use pgvn::ir::{Function, InstKind};
 use pgvn::prelude::*;
+use pgvn::telemetry::Telemetry;
 
 fn compile_src(src: &str) -> Function {
     compile(src, SsaStyle::Pruned).unwrap()
+}
+
+/// One analysis run against the shared context `ctx`.
+fn run_shared(ctx: &mut GvnContext, f: &Function, cfg: &GvnConfig) -> GvnResults {
+    try_run_traced_in_context(ctx, f, cfg, &mut Telemetry::off()).expect("converges")
 }
 
 fn corpus(n: u64, seed: u64) -> Vec<Function> {
@@ -57,7 +63,7 @@ fn shared_context_matches_fresh_context_over_a_corpus() {
     let mut ctx = GvnContext::new();
     for cfg in session_configs() {
         for (i, f) in funcs.iter().enumerate() {
-            let shared = run_in_context(&mut ctx, f, &cfg);
+            let shared = run_shared(&mut ctx, f, &cfg);
             let fresh = run(f, &cfg);
             assert_same_results(f, &shared, &fresh, &format!("routine {i} under {cfg:?}"));
         }
@@ -66,7 +72,7 @@ fn shared_context_matches_fresh_context_over_a_corpus() {
     assert_eq!(ctx.runs(), 7 * 12);
 }
 
-/// The same equivalence one layer up: `Pipeline::optimize_with` against
+/// The same equivalence one layer up: `Pipeline::optimize_traced_with` against
 /// a shared context rewrites the function identically to the
 /// throwaway-context `optimize`.
 #[test]
@@ -77,7 +83,8 @@ fn pipeline_with_shared_context_rewrites_identically() {
     for (i, f) in funcs.iter().enumerate() {
         let mut shared = f.clone();
         let mut fresh = f.clone();
-        let rs = pipeline.optimize_with(&mut ctx, &mut shared);
+        let rs = pipeline.optimize_traced_with(&mut ctx, &mut shared, &mut Telemetry::off());
+        let rs = rs.expect("converges");
         let rf = pipeline.optimize(&mut fresh);
         assert_eq!(shared.to_string(), fresh.to_string(), "routine {i}: rewrites diverged");
         assert_eq!(rs.gvn_stats, rf.gvn_stats, "routine {i}");
@@ -98,8 +105,8 @@ fn cached_inference_from_one_run_cannot_leak_into_the_next() {
     let b = compile_src("routine b(x) { if (x == 7) { y = x + 0; return y; } return 0; }");
     for cfg in session_configs() {
         let mut ctx = GvnContext::new();
-        let ra = run_in_context(&mut ctx, &a, &cfg);
-        let rb = run_in_context(&mut ctx, &b, &cfg);
+        let ra = run_shared(&mut ctx, &a, &cfg);
+        let rb = run_shared(&mut ctx, &b, &cfg);
         let fresh = run(&b, &cfg);
         assert_same_results(&b, &rb, &fresh, &format!("b after a under {cfg:?}"));
         // The sharpest form of the leak: no value of `b` may be proven
@@ -146,7 +153,7 @@ fn inference_from_an_unreachable_region_cannot_reach_the_final_partition() {
     };
     let mut ctx = GvnContext::new();
     for cfg in session_configs() {
-        let res = run_in_context(&mut ctx, &f, &cfg);
+        let res = run_shared(&mut ctx, &f, &cfg);
         assert_eq!(
             res.constant_value(live_return),
             None,
@@ -154,7 +161,8 @@ fn inference_from_an_unreachable_region_cannot_reach_the_final_partition() {
         );
         // End to end: the optimized routine must still echo its input.
         let mut opt = f.clone();
-        Pipeline::new(cfg.clone()).rounds(2).optimize_with(&mut ctx, &mut opt);
+        let pipeline = Pipeline::new(cfg.clone()).rounds(2);
+        pipeline.optimize_traced_with(&mut ctx, &mut opt, &mut Telemetry::off()).unwrap();
         let mut o = pgvn::ir::HashedOpaques::new(0);
         assert_eq!(pgvn::ir::Interpreter::new(&opt).run(&[9], &mut o), Ok(9), "under {cfg:?}");
     }
@@ -173,10 +181,10 @@ fn context_survives_a_panicking_run() {
         .fault_plan(Some(pgvn::core::FaultPlan::parse("panic@eval").unwrap().sticky()));
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let attempt = catch_unwind(AssertUnwindSafe(|| run_in_context(&mut ctx, &good, &cfg)));
+    let attempt = catch_unwind(AssertUnwindSafe(|| run_shared(&mut ctx, &good, &cfg)));
     std::panic::set_hook(prev);
     assert!(attempt.is_err(), "the injected fault must fire");
-    let shared = run_in_context(&mut ctx, &good, &GvnConfig::full());
+    let shared = run_shared(&mut ctx, &good, &GvnConfig::full());
     let fresh = run(&good, &GvnConfig::full());
     assert_same_results(&good, &shared, &fresh, "after a panicked run");
 }
@@ -189,12 +197,12 @@ fn warm_context_capacities_are_stable() {
     let cfg = GvnConfig::full();
     let mut ctx = GvnContext::new();
     for f in &funcs {
-        run_in_context(&mut ctx, f, &cfg);
+        run_shared(&mut ctx, f, &cfg);
     }
     let warm = ctx.capacities();
     let runs = ctx.runs();
     for f in &funcs {
-        run_in_context(&mut ctx, f, &cfg);
+        run_shared(&mut ctx, f, &cfg);
     }
     assert_eq!(ctx.capacities(), warm, "replaying a seen corpus must not grow the arenas");
     assert_eq!(ctx.runs(), runs + funcs.len() as u64);

@@ -2,7 +2,7 @@
 //! runs, worklist monotonicity, stats JSON round-trips, and the
 //! NullSink ≡ untraced equivalence.
 
-use pgvn::core::{run, run_traced, GvnConfig, GvnStats};
+use pgvn::core::{run, try_run_traced_in_context, GvnConfig, GvnResults, GvnStats};
 use pgvn::prelude::*;
 use pgvn::telemetry::{MemorySink, NullSink, Telemetry, TraceEvent};
 
@@ -29,11 +29,16 @@ const ACYCLIC_SRC: &str = "routine g(a, b) {
     return y + x;
 }";
 
-fn trace(src: &str, cfg: &GvnConfig) -> (Vec<TraceEvent>, pgvn::core::GvnResults) {
+/// One traced analysis run from a fresh context; the run must converge.
+fn traced_run(func: &Function, cfg: &GvnConfig, tel: &mut Telemetry<'_>) -> GvnResults {
+    try_run_traced_in_context(&mut GvnContext::new(), func, cfg, tel).expect("converges")
+}
+
+fn trace(src: &str, cfg: &GvnConfig) -> (Vec<TraceEvent>, GvnResults) {
     let func = compile(src, SsaStyle::Pruned).unwrap();
     let mut sink = MemorySink::new();
     let mut tel = Telemetry::with_sink(&mut sink);
-    let results = run_traced(&func, cfg, &mut tel);
+    let results = traced_run(&func, cfg, &mut tel);
     (sink.events().to_vec(), results)
 }
 
@@ -166,7 +171,7 @@ fn null_sink_matches_untraced_run_exactly() {
             let plain = run(&func, &cfg);
             let mut sink = NullSink;
             let mut tel = Telemetry::with_sink(&mut sink);
-            let traced = run_traced(&func, &cfg, &mut tel);
+            let traced = traced_run(&func, &cfg, &mut tel);
             assert_eq!(plain.stats, traced.stats);
             assert_eq!(plain.strength(), traced.strength());
             for v in func.values() {
