@@ -1,14 +1,11 @@
 //! Batch-engine throughput: routines/sec through `pgvn::batch::run_batch`
-//! at one worker and at the machine's parallelism, plus the session
-//! guarantees the numbers rest on — byte-identical parallel output and
-//! allocation-amortized contexts (a warmed [`pgvn::core::GvnContext`]
-//! must not grow on second-and-later routines).
+//! at one worker and at the machine's parallelism, plus the guarantee the
+//! numbers rest on — byte-identical parallel output. (That a warm
+//! context stops growing is `tests/session.rs`'s
+//! `warm_context_capacities_are_stable`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pgvn::batch::{generated_corpus, run_batch, BatchInput, BatchOptions};
-use pgvn::core::{try_run_traced_in_context, GvnConfig, GvnContext};
-use pgvn::prelude::*;
-use pgvn::telemetry::Telemetry;
 
 fn corpus(n: u64, seed: u64) -> Vec<BatchInput> {
     generated_corpus("batch_", seed, n)
@@ -16,28 +13,6 @@ fn corpus(n: u64, seed: u64) -> Vec<BatchInput> {
 
 fn available_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The capacity-reuse guarantee behind the throughput numbers: after the
-/// first pass over a corpus, replaying it performs no per-routine growth
-/// of the interner, partition or any other arena.
-fn assert_warm_context_stops_growing(inputs: &[BatchInput]) {
-    let cfg = GvnConfig::full();
-    let funcs: Vec<_> = inputs
-        .iter()
-        .map(|i| compile(i.source.as_ref().unwrap(), SsaStyle::Pruned).unwrap())
-        .collect();
-    let mut ctx = GvnContext::new();
-    for f in &funcs {
-        try_run_traced_in_context(&mut ctx, f, &cfg, &mut Telemetry::off()).unwrap();
-    }
-    let warm = ctx.capacities();
-    let runs = ctx.runs();
-    for f in &funcs {
-        try_run_traced_in_context(&mut ctx, f, &cfg, &mut Telemetry::off()).unwrap();
-        assert_eq!(ctx.capacities(), warm, "a warm context must not grow per routine");
-    }
-    assert_eq!(ctx.runs(), runs + funcs.len() as u64);
 }
 
 /// The parallel speedup claim, asserted only where it can hold: with at
@@ -69,8 +44,6 @@ fn assert_parallel_speedup(inputs: &[BatchInput], opts: &BatchOptions) {
 fn bench_batch_throughput(c: &mut Criterion) {
     let inputs = corpus(32, 2002);
     let opts = BatchOptions::default();
-
-    assert_warm_context_stops_growing(&inputs);
 
     // Determinism is part of the contract being measured: the parallel
     // run must reproduce the sequential report byte for byte.

@@ -23,7 +23,6 @@ fn campaign_opts(iterations: u64, jobs: usize) -> CampaignOptions {
             ..Default::default()
         },
         jobs,
-        max_iters_per_shard: 8,
     }
 }
 

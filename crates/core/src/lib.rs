@@ -45,6 +45,7 @@ pub mod expr;
 pub mod linear;
 pub mod predicate;
 pub mod results;
+pub mod shard;
 
 pub use annotate::{annotated, class_report};
 pub use classes::{ClassId, Classes, Leader};
@@ -56,3 +57,4 @@ pub use expr::{ExprId, ExprKind, Interner, PhiKey};
 pub use linear::{LinearExpr, Term};
 pub use predicate::{implies, Pred};
 pub use results::{GvnResults, GvnStats, Partition, RunOutcome, Strength};
+pub use shard::{run_sharded, Sharded};

@@ -1,11 +1,11 @@
 //! Sharded fuzz campaigns: the parallel driver behind `pgvn fuzz
-//! --jobs N`, in the style of the batch engine (`src/batch.rs`).
+//! --jobs N`, on the same worker pool as the batch engine
+//! ([`run_sharded`]).
 //!
-//! A campaign shards the iteration space `0..iterations` over
-//! `std::thread::scope` workers. Work is handed out in chunks through a
-//! shared atomic cursor; each worker owns a private
-//! [`GvnContext`], so a whole shard is
-//! allocation-amortized and no worker ever blocks on another's output.
+//! A campaign shards the iteration space `0..iterations` over worker
+//! threads that claim one iteration at a time; each worker owns a
+//! private [`GvnContext`], so a whole shard is allocation-amortized and
+//! no worker ever blocks on another's output.
 //!
 //! ## Determinism
 //!
@@ -17,28 +17,26 @@
 //!    seed as `mix64(seed ^ mix64(i))` inside [`run_iteration`], so
 //!    shard assignment cannot change what any iteration generates, and
 //!    the oracle verdict is a pure function of `(options, i)`.
-//! 2. **Input-order merge.** Worker outputs are merged back in
-//!    ascending iteration order (via [`FuzzReport::merge`]), then the
-//!    sequential campaign loop is replayed over the merged records —
-//!    including the `max_failures` cutoff — so the final report is the
-//!    one a sequential run would have produced.
+//! 2. **Input-order replay.** Worker outputs come back in ascending
+//!    iteration order, and the sequential campaign loop is replayed over
+//!    them — including the `max_failures` cutoff — so the final report
+//!    is the one a sequential run would have produced.
 //! 3. **Shrink after the parallel phase.** Failures are minimized only
-//!    after the merge, in ascending iteration order, each against a
+//!    after the replay, in ascending iteration order, each against a
 //!    fresh context ([`shrink_pending`]), so fixture bytes cannot
 //!    depend on scheduling.
 //!
 //! ## Early stop (`max_failures`)
 //!
-//! Workers cooperate through a monotonically decreasing iteration
-//! *bound*: whenever the set of discovered failures reaches
-//! `max_failures`, the bound drops to the k-th smallest failure
-//! iteration seen so far. Because the k-th smallest of a subset can
-//! only overestimate the k-th smallest of the full set, the bound never
-//! drops below the true sequential cutoff — every iteration the
-//! sequential run would have executed is executed here too, while
-//! iterations beyond the bound are skipped. Workers racing past the
-//! cutoff before the bound tightens merely *over*-process; the merge
-//! rank-orders the records and discards everything past the sequential
+//! The sequential run stops at the k-th smallest failing iteration. The
+//! workers stop claiming as soon as they have found `max_failures`
+//! failures between them: the k-th smallest of the failures found so
+//! far can only overestimate the k-th smallest of the full set, and it
+//! is an iteration that was already claimed — so, because claims are
+//! handed out in ascending order and every claimed iteration is
+//! processed, every iteration the sequential run would have executed is
+//! executed here too. Workers still running past the cutoff merely
+//! *over*-process; the replay discards everything past the sequential
 //! cutoff, so the reported failures are exactly the first
 //! `max_failures` by iteration index. The overshoot is observable only
 //! in the timing domain ([`Metric::FuzzOverrunIterations`]).
@@ -47,22 +45,21 @@
 //!
 //! Like the batch engine, measurements live in two domains. Stable
 //! metrics (iterations, instructions, failures, shrink attempts) are
-//! recorded post-merge from the deterministic report, so they are
+//! recorded after the replay from the deterministic report, so they are
 //! byte-identical at any `--jobs`; scheduling-dependent measurements
 //! (per-worker shard profile, campaign wall time, overrun) go to a
 //! separate timing snapshot surfaced only by
 //! [`CampaignReport::timing_json`] (the CLI's `--timings` flag).
 
 use crate::fuzz::{
-    run_iteration, shrink_pending, silence_panic_hook, FuzzFailure, FuzzReport, IterationOutcome,
-    PendingFailure,
+    run_iteration, shrink_pending, silence_panic_hook, FuzzFailure, FuzzReport, PendingFailure,
 };
 use crate::FuzzOptions;
-use pgvn_core::GvnContext;
+use pgvn_core::{run_sharded, GvnContext};
 use pgvn_telemetry::json::JsonWriter;
 use pgvn_telemetry::{Metric, MetricsRegistry, MetricsSnapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Tuning for one sharded campaign.
@@ -73,16 +70,11 @@ pub struct CampaignOptions {
     /// Worker threads. Clamped to at least one; values above the
     /// iteration count just leave the extra workers idle.
     pub jobs: usize,
-    /// Maximum iterations a worker claims per cursor grab (the
-    /// `--max-iters-per-shard` CLI flag). Smaller chunks rebalance
-    /// better and tighten the early-stop overrun; larger chunks lower
-    /// cursor traffic. Clamped to at least one.
-    pub max_iters_per_shard: u64,
 }
 
 impl Default for CampaignOptions {
     fn default() -> Self {
-        CampaignOptions { fuzz: FuzzOptions::default(), jobs: 1, max_iters_per_shard: 64 }
+        CampaignOptions { fuzz: FuzzOptions::default(), jobs: 1 }
     }
 }
 
@@ -153,97 +145,51 @@ pub fn run_campaign_with(
     let t0 = Instant::now();
     let _hook = silence_panic_hook();
     let fuzz = &opts.fuzz;
-    let jobs = opts.jobs.max(1).min(usize::try_from(fuzz.iterations.max(1)).unwrap_or(usize::MAX));
-    let chunk = opts.max_iters_per_shard.max(1);
-    let cursor = AtomicU64::new(0);
-    // Early-stop bound: iterations strictly above it can never appear
-    // in the report. `u64::MAX` means "no bound yet". Only ever
-    // lowered, and never below the sequential cutoff (module docs).
-    let bound = AtomicU64::new(u64::MAX);
-    let failure_iters: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    let timing_reg = MetricsRegistry::new();
-    let mut outcomes: Vec<IterationOutcome> = Vec::new();
-    let mut worker_iterations: Vec<u64> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut ctx = GvnContext::new();
-                    let mut produced: Vec<IterationOutcome> = Vec::new();
-                    'claim: loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= fuzz.iterations {
-                            break;
-                        }
-                        let end = start.saturating_add(chunk).min(fuzz.iterations);
-                        for i in start..end {
-                            // Everything at or below the bound must be
-                            // processed; everything above it is dead
-                            // weight. The cursor is monotonic, so once
-                            // this worker sees `i` past the bound every
-                            // unclaimed iteration is past it too.
-                            if fuzz.max_failures != 0 && i > bound.load(Ordering::Relaxed) {
-                                break 'claim;
-                            }
-                            let out = run_iteration(&mut ctx, fuzz, i);
-                            if let Some(p) = &out.failure {
-                                if fuzz.max_failures != 0 {
-                                    let mut fi =
-                                        failure_iters.lock().unwrap_or_else(|e| e.into_inner());
-                                    fi.push(i);
-                                    fi.sort_unstable();
-                                    if fi.len() >= fuzz.max_failures {
-                                        bound.fetch_min(
-                                            fi[fuzz.max_failures - 1],
-                                            Ordering::Relaxed,
-                                        );
-                                    }
-                                }
-                                progress(i, Some(&p.failure));
-                            } else if out.compiled {
-                                progress(i, None);
-                            }
-                            produced.push(out);
-                        }
-                    }
-                    timing_reg.observe(Metric::FuzzWorkerIterations, produced.len() as u64);
-                    produced
-                })
-            })
-            .collect();
-        for h in handles {
-            let produced = h.join().expect("campaign worker panicked outside the ladder");
-            worker_iterations.push(produced.len() as u64);
-            outcomes.extend(produced);
-        }
-    });
-    worker_iterations.sort_unstable();
+    // Failures found so far across workers; reaching `max_failures`
+    // stops further claims (module docs, "Early stop").
+    let failures_found = AtomicUsize::new(0);
+    let run = run_sharded(
+        usize::try_from(fuzz.iterations).unwrap_or(usize::MAX),
+        opts.jobs,
+        GvnContext::new,
+        |ctx, i| {
+            let i = i as u64;
+            let out = run_iteration(ctx, fuzz, i);
+            let Some(p) = &out.failure else {
+                if out.compiled {
+                    progress(i, None);
+                }
+                return ControlFlow::Continue(out);
+            };
+            progress(i, Some(&p.failure));
+            let found = failures_found.fetch_add(1, Ordering::Relaxed) + 1;
+            if fuzz.max_failures != 0 && found >= fuzz.max_failures {
+                ControlFlow::Break(out)
+            } else {
+                ControlFlow::Continue(out)
+            }
+        },
+    );
 
-    // Rank-order the records and replay the sequential campaign loop
-    // over them: fold each record into the report in iteration order
-    // and stop at the `max_failures` cutoff, exactly as `fuzz_with`
-    // does. Whatever the workers over-processed past the cutoff is
-    // discarded here (counted in the timing domain only).
-    outcomes.sort_by_key(|o| o.iteration);
+    // Replay the sequential campaign loop over the in-order records:
+    // fold each one into the report and stop at the `max_failures`
+    // cutoff, exactly as `fuzz_with` does. Whatever the workers
+    // over-processed past the cutoff is discarded here (counted in the
+    // timing domain only).
     let mut report = FuzzReport::default();
     let mut pendings: Vec<PendingFailure> = Vec::new();
-    let mut it = outcomes.into_iter();
+    let mut it = run.results.into_iter();
     for out in it.by_ref() {
         if !out.compiled {
             continue;
         }
-        let mut one = FuzzReport {
-            iterations_run: out.iteration + 1,
-            total_insts: out.insts,
-            failures: Vec::new(),
-        };
+        report.iterations_run = out.iteration + 1;
+        report.total_insts += out.insts;
         if let Some(p) = out.failure {
-            one.failures.push(p.failure.clone());
             pendings.push(p);
-        }
-        report.merge(one);
-        if fuzz.max_failures != 0 && report.failures.len() >= fuzz.max_failures {
-            break;
+            if fuzz.max_failures != 0 && pendings.len() >= fuzz.max_failures {
+                break;
+            }
         }
     }
     let overrun = it.count() as u64;
@@ -251,19 +197,23 @@ pub fn run_campaign_with(
     // Shrink after the parallel phase: ascending iteration index, one
     // fresh context per failure — identical at any job count.
     let mut shrink_attempts = 0u64;
-    for (j, p) in pendings.into_iter().enumerate() {
+    for p in pendings {
         let (fail, attempts) = shrink_pending(p, &fuzz.shrink);
         shrink_attempts += attempts;
-        report.failures[j] = fail;
+        report.failures.push(fail);
     }
 
     // Stable metrics come from the deterministic report, on this
-    // thread, after the merge — never from the workers.
+    // thread, after the replay — never from the workers.
     let reg = MetricsRegistry::new();
     reg.add(Metric::FuzzIterations, report.iterations_run);
     reg.add(Metric::FuzzInsts, report.total_insts);
     reg.add(Metric::FuzzFailures, report.failures.len() as u64);
     reg.add(Metric::FuzzShrinkAttempts, shrink_attempts);
+    let timing_reg = MetricsRegistry::new();
+    for &n in &run.worker_items {
+        timing_reg.observe(Metric::FuzzWorkerIterations, n);
+    }
     timing_reg.add(Metric::FuzzOverrunIterations, overrun);
     timing_reg
         .add(Metric::FuzzCampaignNanos, u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -272,7 +222,7 @@ pub fn run_campaign_with(
         report,
         metrics: reg.snapshot().stable_only(),
         timing: timing_reg.snapshot(),
-        worker_iterations,
+        worker_iterations: run.worker_items,
     }
 }
 
@@ -296,9 +246,8 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_on_a_clean_campaign() {
         let fuzz = quick(24, FuzzMode::Both);
-        let seq =
-            run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1, ..Default::default() });
-        let par = run_campaign(&CampaignOptions { fuzz, jobs: 4, max_iters_per_shard: 3 });
+        let seq = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1 });
+        let par = run_campaign(&CampaignOptions { fuzz, jobs: 4 });
         assert_eq!(seq.report, par.report);
         assert!(seq.report.is_clean(), "failures: {:#?}", seq.report.failures);
         assert_eq!(seq.metrics, par.metrics, "stable metrics must not depend on jobs");
@@ -315,9 +264,8 @@ mod tests {
             shrink: None,
             ..quick(40, FuzzMode::Validate)
         };
-        let seq =
-            run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1, ..Default::default() });
-        let par = run_campaign(&CampaignOptions { fuzz, jobs: 3, max_iters_per_shard: 4 });
+        let seq = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1 });
+        let par = run_campaign(&CampaignOptions { fuzz, jobs: 3 });
         assert_eq!(seq.report, par.report);
         assert_eq!(seq.report.failures.len(), 2);
         assert!(seq.report.iterations_run < 40);
@@ -335,17 +283,14 @@ mod tests {
             ..quick(20, FuzzMode::Validate)
         };
         let legacy = crate::fuzz::fuzz(&fuzz);
-        let campaign = run_campaign(&CampaignOptions { fuzz, jobs: 1, ..Default::default() });
+        let campaign = run_campaign(&CampaignOptions { fuzz, jobs: 1 });
         assert_eq!(legacy, campaign.report);
     }
 
     #[test]
     fn zero_iterations_and_zero_jobs_are_harmless() {
-        let opts = CampaignOptions {
-            fuzz: FuzzOptions { iterations: 0, ..Default::default() },
-            jobs: 0,
-            max_iters_per_shard: 0,
-        };
+        let opts =
+            CampaignOptions { fuzz: FuzzOptions { iterations: 0, ..Default::default() }, jobs: 0 };
         let rep = run_campaign(&opts);
         assert!(rep.report.is_clean());
         assert_eq!(rep.report.iterations_run, 0);

@@ -171,40 +171,6 @@ impl FuzzReport {
     pub fn is_clean(&self) -> bool {
         self.failures.is_empty()
     }
-
-    /// Folds `other` into `self`: iteration high-water marks take the
-    /// maximum, instruction totals add (saturating), and the two
-    /// failure lists — each already ascending by iteration — interleave
-    /// into one ascending list. Shard-local reports cover disjoint
-    /// iteration sets, so the fold is associative and commutative: the
-    /// campaign layer merges worker outputs in any order and still gets
-    /// the sequential report.
-    pub fn merge(&mut self, other: FuzzReport) {
-        self.iterations_run = self.iterations_run.max(other.iterations_run);
-        self.total_insts = self.total_insts.saturating_add(other.total_insts);
-        if self.failures.is_empty() {
-            self.failures = other.failures;
-            return;
-        }
-        if other.failures.is_empty() {
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.failures.len() + other.failures.len());
-        let mut a = std::mem::take(&mut self.failures).into_iter().peekable();
-        let mut b = other.failures.into_iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    let next = if x.iteration <= y.iteration { &mut a } else { &mut b };
-                    merged.push(next.next().expect("peeked"));
-                }
-                (Some(_), None) => merged.push(a.next().expect("peeked")),
-                (None, Some(_)) => merged.push(b.next().expect("peeked")),
-                (None, None) => break,
-            }
-        }
-        self.failures = merged;
-    }
 }
 
 /// The generator profiles cycled across iterations. Varying the planted

@@ -119,7 +119,8 @@ pub enum Metric {
     BatchRoutines,
     /// Routines processed per worker (shard balance distribution).
     BatchWorkerRoutines,
-    /// Nanoseconds the batch merger waited on worker joins.
+    /// Nanoseconds from spawning the batch workers to joining the last
+    /// (the wall time of the parallel phase).
     BatchMergeWaitNanos,
     /// Per-routine wall-clock nanoseconds in the batch engine.
     BatchRoutineNanos,

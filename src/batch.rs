@@ -3,23 +3,22 @@
 //! A batch is a list of named routine sources processed independently:
 //! each routine is compiled, pushed through the resilient degradation
 //! ladder ([`Pipeline::optimize_resilient_traced_with`]), and classified into a
-//! per-routine record. Workers are `std::thread::scope` threads, each
-//! owning a private [`GvnContext`] so the whole shard it processes is
-//! allocation-amortized, plus a private record buffer so no worker ever
-//! blocks on another's output.
+//! per-routine record. Routines are sharded over workers by
+//! [`run_sharded`], each worker owning a private [`GvnContext`] so the
+//! whole shard it processes is allocation-amortized.
 //!
 //! ## Determinism
 //!
 //! Parallel and sequential runs produce **byte-identical** reports.
-//! Work is handed out through a shared atomic cursor, so *which* worker
-//! processes a given routine varies from run to run — but every routine
-//! is independent (its own compiled [`Function`], a context wiped by
-//! `prepare()` at every analysis run) and its record depends only on its
-//! input, so the records themselves are identical no matter which thread
-//! produced them. Records are merged back in original input order, and
-//! the aggregate [`GvnStats::merge`] is associative and applied in that
-//! same order, so `--jobs 1` and `--jobs N` agree byte for byte. Nothing
-//! in a record derives from wall-clock time or scheduling.
+//! Which worker processes a given routine varies from run to run — but
+//! every routine is independent (its own compiled [`Function`], a
+//! context wiped by `prepare()` at every analysis run) and its record
+//! depends only on its input, so the records themselves are identical
+//! no matter which thread produced them. Records come back in original
+//! input order, and the aggregate [`GvnStats::merge`] is associative and
+//! applied in that same order, so `--jobs 1` and `--jobs N` agree byte
+//! for byte. Nothing in a record derives from wall-clock time or
+//! scheduling.
 //!
 //! Metrics keep that invariant by living in two domains. Each worker
 //! owns a private [`MetricsRegistry`] whose per-routine deltas (filtered
@@ -27,20 +26,20 @@
 //! history) land in the record JSON and merge into
 //! [`BatchReport::metrics`]; both are byte-identical at any `--jobs`.
 //! Scheduling- and wall-clock-dependent measurements (per-worker shard
-//! sizes, per-routine nanoseconds, merge wait) go to a separate shared
-//! timing registry surfaced as [`BatchReport::timing`] and — only when
-//! [`BatchOptions::timings`] is set — as `wall_nanos` in the records.
+//! sizes, per-routine nanoseconds, merge wait) go to a separate timing
+//! snapshot surfaced as [`BatchReport::timing`] and — only through
+//! [`RoutineRecord::json_line`] — as `wall_nanos` in the records.
 //!
 //! [`Function`]: pgvn_ir::Function
 
 use crate::prelude::*;
-use pgvn_core::GvnContext;
+use pgvn_core::{run_sharded, GvnContext};
 use pgvn_ir::DiagnosticEngine;
 use pgvn_telemetry::json::JsonWriter;
 use pgvn_telemetry::{Metric, MetricsRegistry, MetricsSnapshot, Telemetry};
 use pgvn_transform::{check_function_with, AnalysisManager, CheckOptions};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One routine to process: a display name and its source text (or the
@@ -86,17 +85,14 @@ pub struct BatchOptions {
     /// Worker threads. Clamped to at least one; values above the input
     /// count just leave the extra workers idle.
     pub jobs: usize,
-    /// Include per-routine wall-clock time (`wall_nanos`) in the JSONL
-    /// records. Off by default: wall time is scheduling-dependent, so
-    /// enabling it forfeits byte-identical output across `--jobs`.
-    pub timings: bool,
     /// Run a pilot routine through each worker's context before it
     /// claims real work, so table growth happens off the measured path.
     /// Records are context-history-independent, so this never changes
     /// report bytes — only the shard wall time.
     pub warm_start: bool,
     /// Run the full lint suite (`pgvn check`) over each routine's
-    /// optimized output as a post-pass gate. Adds a `check` field to
+    /// optimized output as a post-pass gate, its GVN-backed lints under
+    /// `cfg`'s budget (but not its fault plan). Adds a `check` field to
     /// classified records; error-severity diagnostics make the batch
     /// unclean. Off by default so default output bytes are unchanged.
     pub check: bool,
@@ -109,7 +105,6 @@ impl Default for BatchOptions {
             rounds: 2,
             passes: None,
             jobs: 1,
-            timings: false,
             warm_start: true,
             check: false,
         }
@@ -371,11 +366,15 @@ pub(crate) fn process_one(
                     };
                     let absorbed_panics =
                         rep.failures.iter().filter(|f| f.error.kind() == "panicked").count() as u32;
-                    // The post-pass gate lints the committed output. It
-                    // runs before the delta snapshot so its per-severity
-                    // counters (stable domain) land in the record.
-                    let check =
-                        opts.check.then(|| run_check(ctx, reg, &f, &CheckOptions::default()));
+                    // The post-pass gate lints the committed output under
+                    // the run's budget (not its fault plan: the gate runs
+                    // outside the ladder's catch_unwind). It runs before
+                    // the delta snapshot so its per-severity counters
+                    // (stable domain) land in the record.
+                    let check = opts.check.then(|| {
+                        let gvn = GvnConfig::full().budget(opts.cfg.budget);
+                        run_check(ctx, reg, &f, &CheckOptions { gvn: Some(gvn) })
+                    });
                     let delta = reg.snapshot().delta(&before).stable_only();
                     w.field_str("status", "classified")
                         .field_u64("insts", insts as u64)
@@ -426,65 +425,38 @@ pub(crate) fn process_one(
 
 /// Processes every input and merges the records in input order.
 ///
-/// With `opts.jobs > 1`, inputs are sharded dynamically over scoped
-/// worker threads, each with a private [`GvnContext`]; see the module
-/// docs for why the output is identical to a sequential run. The caller
-/// owns panic-hook policy — `pgvn batch` silences the hook so injected
-/// faults don't spray backtraces, but library callers keep theirs.
+/// With `opts.jobs > 1`, inputs are sharded over [`run_sharded`]'s
+/// workers, each with a private [`GvnContext`]; see the module docs for
+/// why the output is identical to a sequential run. The caller owns
+/// panic-hook policy — `pgvn batch` silences the hook so injected faults
+/// don't spray backtraces, but library callers keep theirs.
 pub fn run_batch(inputs: &[BatchInput], opts: &BatchOptions) -> BatchReport {
-    let jobs = opts.jobs.max(1).min(inputs.len().max(1));
-    let mut slots: Vec<Option<RoutineRecord>> = Vec::new();
-    slots.resize_with(inputs.len(), || None);
-    let cursor = AtomicUsize::new(0);
-    // The timing registry is shared (lock-free) across workers; per-run
-    // analysis metrics live in per-worker registries so per-record
-    // deltas cannot see another worker's increments.
-    let timing_reg = MetricsRegistry::new();
-    let mut metrics = MetricsSnapshot::default();
-    let mut worker_routines: Vec<u64> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut ctx = GvnContext::new();
-                    if opts.warm_start {
-                        warm_context(&mut ctx);
-                    }
-                    let reg = MetricsRegistry::new();
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(input) = inputs.get(i) else { break };
-                        let rec = process_one(&mut ctx, &reg, input, opts);
-                        timing_reg.add(Metric::BatchRoutines, 1);
-                        timing_reg.observe(Metric::BatchRoutineNanos, rec.wall_nanos);
-                        produced.push((i, rec));
-                    }
-                    timing_reg.observe(Metric::BatchWorkerRoutines, produced.len() as u64);
-                    (produced, reg.snapshot())
-                })
-            })
-            .collect();
-        let join_t0 = Instant::now();
-        for h in handles {
-            let (produced, snap) = h.join().expect("batch worker panicked outside catch_unwind");
-            worker_routines.push(produced.len() as u64);
-            metrics.merge(&snap);
-            for (i, rec) in produced {
-                slots[i] = Some(rec);
+    // Per-run analysis metrics live in per-worker registries so
+    // per-record deltas cannot see another worker's increments.
+    let run = run_sharded(
+        inputs.len(),
+        opts.jobs,
+        || {
+            let mut ctx = GvnContext::new();
+            if opts.warm_start {
+                warm_context(&mut ctx);
             }
-        }
-        timing_reg.add(
-            Metric::BatchMergeWaitNanos,
-            u64::try_from(join_t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
-    });
-    worker_routines.sort_unstable();
+            (ctx, MetricsRegistry::new())
+        },
+        |(ctx, reg), i| ControlFlow::Continue(process_one(ctx, reg, &inputs[i], opts)),
+    );
+    let mut metrics = MetricsSnapshot::default();
+    for (_, reg) in &run.states {
+        metrics.merge(&reg.snapshot());
+    }
+    let timing_reg = MetricsRegistry::new();
+    for &n in &run.worker_items {
+        timing_reg.observe(Metric::BatchWorkerRoutines, n);
+    }
+    timing_reg.add(Metric::BatchMergeWaitNanos, run.wall_nanos);
 
-    let records: Vec<RoutineRecord> =
-        slots.into_iter().map(|r| r.expect("every input produces a record")).collect();
     let mut report = BatchReport {
-        records,
+        records: run.results,
         optimized: 0,
         identity: 0,
         rejected: 0,
@@ -493,10 +465,12 @@ pub fn run_batch(inputs: &[BatchInput], opts: &BatchOptions) -> BatchReport {
         check_errors: 0,
         merged_stats: GvnStats::default(),
         metrics: metrics.stable_only(),
-        timing: timing_reg.snapshot(),
-        worker_routines,
+        timing: MetricsSnapshot::default(),
+        worker_routines: run.worker_items,
     };
     for rec in &report.records {
+        timing_reg.add(Metric::BatchRoutines, 1);
+        timing_reg.observe(Metric::BatchRoutineNanos, rec.wall_nanos);
         match rec.status {
             RoutineStatus::Optimized => report.optimized += 1,
             RoutineStatus::Identity => report.identity += 1,
@@ -509,6 +483,7 @@ pub fn run_batch(inputs: &[BatchInput], opts: &BatchOptions) -> BatchReport {
             report.merged_stats.merge(stats);
         }
     }
+    report.timing = timing_reg.snapshot();
     report
 }
 
@@ -618,6 +593,39 @@ mod tests {
             off.records.iter().all(|r| !r.json.contains("\"check\":")),
             "default output bytes carry no check field"
         );
+    }
+
+    #[test]
+    fn check_gate_runs_under_the_batch_budget() {
+        use pgvn_core::GvnBudget;
+        let inputs = [BatchInput {
+            name: "figure1".to_string(),
+            source: Ok(include_str!("../examples/corpus/figure1.pgvn").to_string()),
+        }];
+        let gvn_codes = |opts: &BatchOptions| {
+            let json = &run_batch(&inputs, opts).records[0].json;
+            ["constant_branch", "missed_redundancy"]
+                .map(|code| json.matches(&format!("\"code\":\"{code}\"")).count())
+        };
+        let starve = |opts: BatchOptions| BatchOptions {
+            cfg: GvnConfig::full().budget(GvnBudget::unlimited().touches(5)),
+            ..opts
+        };
+        // A GVN-free pipeline commits the same output either way, so only
+        // the gate's own analysis sees the budget: unbudgeted it decides
+        // figure1's three branches and two redundancies (§2.10), under
+        // five touches it converges on nothing.
+        let cleanup = BatchOptions {
+            check: true,
+            passes: Some("cleanup".parse().unwrap()),
+            ..Default::default()
+        };
+        assert_eq!(gvn_codes(&cleanup), [3, 2]);
+        assert_eq!(gvn_codes(&starve(cleanup)), [0, 0]);
+        // The default pipeline falls back to identity under the same
+        // budget; the gate must not report findings from an unbudgeted run.
+        let default = BatchOptions { check: true, ..Default::default() };
+        assert_eq!(gvn_codes(&starve(default)), [0, 0]);
     }
 
     #[test]

@@ -49,7 +49,6 @@
 //!   --no-diagnostics                               skip the diagnostic-stability oracle
 //!   --inject-bug                                   self-test: plant a miscompile
 //!   --jobs N                                       worker threads (default: 1)
-//!   --max-iters-per-shard N                        iterations per cursor grab (default: 64)
 //!   --timings                                      append the fuzz_timing record
 //!
 //! pgvn batch [options]             # resilient batch optimization
@@ -414,7 +413,7 @@ fn check_main(mut args: Args) -> CliResult {
 const FUZZ_USAGE: &str = "usage: pgvn fuzz [--seed N] [--iters N] [--mode validate|lattice|both]\n\
     \x20               [--max-failures N] [--report <path>] [--fixture-dir <dir>]\n\
     \x20               [--no-shrink] [--no-resilient] [--no-diagnostics] [--inject-bug]\n\
-    \x20               [--jobs N] [--max-iters-per-shard N] [--timings]";
+    \x20               [--jobs N] [--timings]";
 
 /// `pgvn fuzz`: the differential oracle, sharded over
 /// [`pgvn::oracle::run_campaign_with`]. The report (failure lines, the
@@ -449,7 +448,6 @@ fn fuzz_main(mut args: Args) -> CliResult {
             "--no-diagnostics" => copts.fuzz.check_diagnostics = false,
             "--inject-bug" => copts.fuzz.inject_miscompile = true,
             "--jobs" => copts.jobs = args.parse(&a),
-            "--max-iters-per-shard" => copts.max_iters_per_shard = args.parse(&a),
             "--timings" => timings = true,
             _ => args.usage(),
         }
@@ -582,7 +580,7 @@ fn batch_main(mut args: Args) -> CliResult {
     // with the fuzz campaigns and `pgvn serve`, so nesting composes).
     let batch = {
         let _hook = pgvn::oracle::silence_panic_hook();
-        run_batch(&inputs, &BatchOptions { cfg, rounds, passes, jobs, timings, warm_start, check })
+        run_batch(&inputs, &BatchOptions { cfg, rounds, passes, jobs, warm_start, check })
     };
 
     // Records come back in input order whatever the worker count, so

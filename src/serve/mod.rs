@@ -247,15 +247,7 @@ pub fn resolve_request_options(req: &Request, opts: &ServeOptions) -> Result<Bat
         None => opts.passes.clone(),
         Some(spec) => Some(PassSpec::parse(spec).map_err(|e| format!("passes: {e}"))?),
     };
-    Ok(BatchOptions {
-        cfg,
-        rounds,
-        passes,
-        jobs: 1,
-        timings: opts.timings,
-        warm_start: false,
-        check: opts.check,
-    })
+    Ok(BatchOptions { cfg, rounds, passes, jobs: 1, warm_start: false, check: opts.check })
 }
 
 /// Materializes the request's routine: shipped source text, or a

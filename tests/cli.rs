@@ -800,7 +800,7 @@ fn flag_matrix_pins_each_subcommand_surface() {
             format!(
                 "--seed 3 --iters 1 --mode validate --max-failures 1 \
                  --fixture-dir {tmp}/matrix-fixtures --no-shrink --no-resilient \
-                 --no-diagnostics --inject-bug --jobs 1 --max-iters-per-shard 4 --timings \
+                 --no-diagnostics --inject-bug --jobs 1 --timings \
                  --report {missing}"
             ),
             "cannot write",

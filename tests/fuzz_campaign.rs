@@ -2,20 +2,18 @@
 //!
 //! The contract under test (see `docs/ORACLE.md`, "Sharded campaigns"):
 //! a campaign's report, shrunk fixtures, and exit code depend only on
-//! `(seed, iterations, oracle options)` — never on `--jobs`, the shard
-//! chunk size, or thread scheduling. The suite exercises the contract at
-//! three levels: the library API (`run_campaign`), shard-report merging
-//! (`FuzzReport::merge` proptests), and the `pgvn fuzz` CLI end to end.
+//! `(seed, iterations, oracle options)` — never on `--jobs` or thread
+//! scheduling. The suite exercises the contract at two levels: the
+//! library API (`run_campaign`) and the `pgvn fuzz` CLI end to end.
 //! It also replays the committed shrinker fixtures through the new
 //! per-iteration entry points, asserting the shrinker's monotonicity
 //! contract on every accepted step.
 
 use pgvn::core::{GvnConfig, GvnContext};
 use pgvn::oracle::{
-    mix64, run_campaign, shrink_measure, shrink_routine, CampaignOptions, FailureCheck,
-    FuzzFailure, FuzzMode, FuzzOptions, FuzzReport, Relation, ShrinkOptions, ValidatorOptions,
+    run_campaign, shrink_measure, shrink_routine, CampaignOptions, FailureCheck, FuzzMode,
+    FuzzOptions, Relation, ShrinkOptions, ValidatorOptions,
 };
-use proptest::prelude::*;
 
 /// Validator/shrinker settings tuned for test wall-time, mirroring the
 /// `quick` helper in the oracle's own unit tests.
@@ -50,12 +48,8 @@ fn observable(campaign: &pgvn::oracle::CampaignReport, seed: u64) -> String {
 #[test]
 fn jobs_1_and_jobs_4_agree_on_an_injected_bug_campaign() {
     let fuzz = FuzzOptions { inject_miscompile: true, ..quick(500, FuzzMode::Validate) };
-    let seq =
-        run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1, max_iters_per_shard: 64 });
-    // A small chunk forces every worker to interleave across the
-    // iteration space rather than one worker swallowing the campaign.
-    let par =
-        run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 4, max_iters_per_shard: 8 });
+    let seq = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1 });
+    let par = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 4 });
     assert!(!seq.report.is_clean(), "inject_miscompile must produce failures");
     assert_eq!(seq.report, par.report);
     assert_eq!(observable(&seq, fuzz.seed), observable(&par, fuzz.seed));
@@ -65,10 +59,8 @@ fn jobs_1_and_jobs_4_agree_on_an_injected_bug_campaign() {
 fn jobs_1_and_jobs_4_agree_under_max_failures_early_stop() {
     let fuzz =
         FuzzOptions { inject_miscompile: true, max_failures: 1, ..quick(500, FuzzMode::Validate) };
-    let seq =
-        run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1, max_iters_per_shard: 64 });
-    let par =
-        run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 4, max_iters_per_shard: 8 });
+    let seq = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1 });
+    let par = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 4 });
     assert_eq!(seq.report.failures.len(), 1);
     assert_eq!(seq.report, par.report);
     assert_eq!(observable(&seq, fuzz.seed), observable(&par, fuzz.seed));
@@ -77,96 +69,11 @@ fn jobs_1_and_jobs_4_agree_under_max_failures_early_stop() {
 #[test]
 fn jobs_1_and_jobs_4_agree_on_a_clean_campaign() {
     let fuzz = quick(60, FuzzMode::Both);
-    let seq =
-        run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1, max_iters_per_shard: 64 });
-    let par =
-        run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 4, max_iters_per_shard: 5 });
+    let seq = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1 });
+    let par = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 4 });
     assert!(seq.report.is_clean(), "failures: {:#?}", seq.report.failures);
     assert_eq!(seq.report, par.report);
     assert_eq!(observable(&seq, fuzz.seed), observable(&par, fuzz.seed));
-}
-
-// ---------------------------------------------------------------------------
-// FuzzReport::merge — the shard-combining step of the campaign engine.
-// Shards partition the iteration space, so merge only ever sees reports
-// whose failure iteration sets are disjoint; the generator below models
-// that by assigning each report a residue class ("lane") mod `lanes`.
-// ---------------------------------------------------------------------------
-
-fn synthetic_failure(iteration: u64, salt: u64) -> FuzzFailure {
-    let kind = ["validate", "lattice", "resilient"][(salt % 3) as usize];
-    let src = format!("routine f{iteration}() {{ return {salt}; }}");
-    FuzzFailure {
-        iteration,
-        gen_seed: mix64(iteration ^ salt),
-        kind: kind.to_string(),
-        detail: format!("synthetic disagreement #{salt}"),
-        source: src.clone(),
-        shrunk_source: src,
-        shrunk_insts: (salt % 17) as usize,
-    }
-}
-
-fn report_from_seed(seed: u64, lane: u64, lanes: u64) -> FuzzReport {
-    let r = |k: u64| mix64(seed ^ mix64(k));
-    let mut failures: Vec<FuzzFailure> = (0..r(0) % 6)
-        .map(|k| synthetic_failure(lane + (r(k + 1) % 40) * lanes, r(k + 7)))
-        .collect();
-    failures.sort_by_key(|f| f.iteration);
-    failures.dedup_by_key(|f| f.iteration);
-    FuzzReport { iterations_run: r(13) % 1_000, total_insts: r(14) % 100_000, failures }
-}
-
-fn merged(a: &FuzzReport, b: &FuzzReport) -> FuzzReport {
-    let mut out = a.clone();
-    out.merge(b.clone());
-    out
-}
-
-fn proptest_cases() -> u32 {
-    std::env::var("PGVN_PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(64)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: proptest_cases(), ..ProptestConfig::default() })]
-
-    #[test]
-    fn fuzz_report_merge_is_commutative(x in 0u64..100_000, y in 0u64..100_000) {
-        let (a, b) = (report_from_seed(x, 0, 2), report_from_seed(y, 1, 2));
-        prop_assert_eq!(merged(&a, &b), merged(&b, &a));
-    }
-
-    #[test]
-    fn fuzz_report_merge_is_associative(
-        x in 0u64..100_000,
-        y in 0u64..100_000,
-        z in 0u64..100_000,
-    ) {
-        let a = report_from_seed(x, 0, 3);
-        let b = report_from_seed(y, 1, 3);
-        let c = report_from_seed(z, 2, 3);
-        prop_assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)));
-    }
-
-    #[test]
-    fn fuzz_report_merge_has_default_identity(x in 0u64..100_000) {
-        let a = report_from_seed(x, 0, 1);
-        prop_assert_eq!(merged(&a, &FuzzReport::default()), a.clone());
-        prop_assert_eq!(merged(&FuzzReport::default(), &a), a);
-    }
-
-    #[test]
-    fn fuzz_report_merge_keeps_failures_sorted_by_iteration(
-        x in 0u64..100_000,
-        y in 0u64..100_000,
-    ) {
-        let (a, b) = (report_from_seed(x, 0, 2), report_from_seed(y, 1, 2));
-        let m = merged(&a, &b);
-        prop_assert!(m.failures.windows(2).all(|w| w[0].iteration < w[1].iteration));
-        prop_assert_eq!(m.failures.len(), a.failures.len() + b.failures.len());
-        prop_assert_eq!(m.iterations_run, a.iterations_run.max(b.iterations_run));
-        prop_assert_eq!(m.total_insts, a.total_insts + b.total_insts);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -288,7 +195,7 @@ fn cli_reports_and_fixtures_are_identical_across_jobs() {
         let fixtures = dir.join("fixtures");
         let out = pgvn()
             .args(["fuzz", "--seed", "2002", "--iters", "40", "--mode", "validate"])
-            .args(["--inject-bug", "--max-failures", "1", "--max-iters-per-shard", "4"])
+            .args(["--inject-bug", "--max-failures", "1"])
             .args(["--report", report.to_str().unwrap()])
             .args(["--fixture-dir", fixtures.to_str().unwrap()])
             .args(jobs)
