@@ -46,6 +46,8 @@ pub struct GenericDomTree {
     idom: Vec<usize>,
     /// Nodes in reverse postorder.
     order: Vec<usize>,
+    /// Dominator-tree children per node, in RPO order.
+    children: Vec<Vec<usize>>,
     pre: Vec<u32>,
     post: Vec<u32>,
 }
@@ -66,15 +68,18 @@ impl GenericDomTree {
         for (i, &u) in order.iter().enumerate() {
             number[u] = i;
         }
-        let pred_pos = |i: usize, out: &mut Vec<usize>| {
-            let mut raw = Vec::new();
-            preds(order[i], &mut raw);
-            for p in raw {
-                if number[p] != usize::MAX {
-                    out.push(number[p]);
-                }
-            }
-        };
+        // RPO-numbered reachable predecessors, fetched once per node
+        // rather than once per node per solver sweep.
+        let mut raw = Vec::new();
+        let pred_nums: Vec<Vec<usize>> = order
+            .iter()
+            .map(|&u| {
+                raw.clear();
+                preds(u, &mut raw);
+                raw.iter().map(|&p| number[p]).filter(|&p| p != usize::MAX).collect()
+            })
+            .collect();
+        let pred_pos = |i: usize, out: &mut Vec<usize>| out.extend_from_slice(&pred_nums[i]);
         let idom_pos = crate::domtree::chk_solve_public(order.len(), &pred_pos);
         let mut idom = vec![usize::MAX; n];
         for (i, &u) in order.iter().enumerate() {
@@ -109,7 +114,7 @@ impl GenericDomTree {
                 stack.pop();
             }
         }
-        GenericDomTree { idom, order, pre, post }
+        GenericDomTree { idom, order, children, pre, post }
     }
 
     /// Nodes in reverse postorder.
@@ -137,8 +142,8 @@ impl GenericDomTree {
     }
 
     /// Children of `u` in the dominator tree, in RPO order.
-    pub fn children(&self, u: usize) -> Vec<usize> {
-        self.order.iter().copied().filter(|&c| c != u && self.idom[c] == u).collect()
+    pub fn children(&self, u: usize) -> &[usize] {
+        &self.children[u]
     }
 
     /// Dominance frontiers of every node (Cytron's algorithm).
@@ -151,16 +156,17 @@ impl GenericDomTree {
         for &b in &self.order {
             buf.clear();
             preds(b, &mut buf);
-            let reachable_preds: Vec<usize> =
-                buf.iter().copied().filter(|&p| self.is_reachable(p)).collect();
-            if reachable_preds.len() < 2 {
+            buf.retain(|&p| self.is_reachable(p));
+            if buf.len() < 2 {
                 continue;
             }
             let idom_b = self.idom[b];
-            for p in reachable_preds {
+            for &p in &buf {
                 let mut runner = p;
                 while runner != idom_b {
-                    if !df[runner].contains(&b) {
+                    // Every push of `b` happens in this iteration, so `b`
+                    // is already in `df[runner]` iff it was pushed last.
+                    if df[runner].last() != Some(&b) {
                         df[runner].push(b);
                     }
                     runner = self.idom[runner];
@@ -228,7 +234,7 @@ mod tests {
         assert_eq!(dt.idom(5), Some(1));
         assert!(dt.dominates(1, 4));
         assert!(!dt.dominates(2, 4));
-        let mut kids = dt.children(1);
+        let mut kids = dt.children(1).to_vec();
         kids.sort_unstable();
         assert_eq!(kids, vec![2, 3, 4, 5]);
     }

@@ -32,9 +32,17 @@ fn bench_analyses(c: &mut Criterion) {
                 PostDomTree::compute(f, &rpo).ipdom(f.entry())
             });
         });
-        group.bench_with_input(BenchmarkId::new("ssa_construction", stmts), &vf, |bencher, vf| {
-            bencher.iter(|| build_ssa(vf, SsaStyle::Pruned).expect("builds").num_insts());
-        });
+        // Every style shares the placement path; pruned and semi-pruned
+        // add liveness.
+        for (name, style) in [
+            ("ssa_construction", SsaStyle::Pruned),
+            ("ssa_construction_minimal", SsaStyle::Minimal),
+            ("ssa_construction_semi_pruned", SsaStyle::SemiPruned),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, stmts), &vf, |bencher, vf| {
+                bencher.iter(|| build_ssa(vf, style).expect("builds").num_insts());
+            });
+        }
     }
     group.finish();
 }

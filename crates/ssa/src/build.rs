@@ -14,12 +14,27 @@
 //! Every variable implicitly reads as 0 before its first assignment; the
 //! builder materializes this as a `const 0` definition at the entry so
 //! renaming never sees an undefined stack.
+//!
+//! # Cost
+//!
+//! Placement shares one "placed" and one "is a definition site" `u32`
+//! stamp array across all variables (Cytron et al.'s work/has-already
+//! flags), so a variable costs O(its sites + the frontier edges it
+//! visits), not O(blocks). φ values and their arguments live in `Vec`s
+//! indexed by (block, slot in that block's φ list), and the dominator
+//! tree keeps its children lists, so renaming is linear in the size of
+//! the routine. Liveness for the pruned styles costs O(⌈vars / 64⌉
+//! words × successors) per block visit ([`Liveness`]).
+//!
+//! Output order is part of the contract: φs are appended per block in
+//! variable-major placement order, and values are created in a
+//! dominator-tree preorder walk with children in RPO order. Both fix
+//! the value numbering that everything downstream prints.
 
 use crate::liveness::Liveness;
 use crate::varfunc::{Var, VarExpr, VarFunction, VarStmt, VarTerm};
 use pgvn_analysis::GenericDomTree;
-use pgvn_ir::{Block, Edge, Function, InstKind, Value};
-use std::collections::HashMap;
+use pgvn_ir::{Block, Function, InstKind, Value};
 
 /// φ-placement style.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -79,17 +94,15 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
     let nv = vf.num_vars();
 
     // Dominators of the variable CFG.
-    let succs = |u: usize, out: &mut Vec<usize>| out.extend(vf.succs(u));
-    let preds_vec: Vec<Vec<usize>> = {
-        let mut p = vec![Vec::new(); nb];
-        for b in 0..nb {
-            for s in vf.succs(b) {
-                p[s].push(b);
-            }
+    let succ_lists: Vec<Vec<usize>> = (0..nb).map(|b| vf.succs(b)).collect();
+    let mut pred_lists = vec![Vec::new(); nb];
+    for (b, ss) in succ_lists.iter().enumerate() {
+        for &s in ss {
+            pred_lists[s].push(b);
         }
-        p
-    };
-    let preds = |u: usize, out: &mut Vec<usize>| out.extend(preds_vec[u].iter().copied());
+    }
+    let succs = |u: usize, out: &mut Vec<usize>| out.extend_from_slice(&succ_lists[u]);
+    let preds = |u: usize, out: &mut Vec<usize>| out.extend_from_slice(&pred_lists[u]);
     let dt = GenericDomTree::compute(nb, 0, &succs, &preds);
     let df = dt.frontiers(&preds);
 
@@ -99,6 +112,8 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
     };
 
     // Definition sites; every variable is implicitly defined at the entry.
+    // Blocks are scanned in order, so a variable's last recorded site
+    // dedupes its repeated assignments within one block.
     let mut def_sites: Vec<Vec<usize>> = vec![vec![0]; nv];
     for b in 0..nb {
         if !dt.is_reachable(b) {
@@ -106,37 +121,45 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
         }
         for stmt in &vf.block(b).stmts {
             if let VarStmt::Assign(v, _) = stmt {
-                if !def_sites[v.0 as usize].contains(&b) {
-                    def_sites[v.0 as usize].push(b);
+                let sites = &mut def_sites[v.0 as usize];
+                if sites.last() != Some(&b) {
+                    sites.push(b);
                 }
             }
         }
     }
 
-    // Iterated dominance frontier φ placement.
+    // Iterated dominance frontier φ placement. The stamp arrays are shared
+    // by all variables: block `d` is "placed" (resp. a definition site) for
+    // variable `i` iff its entry equals `i + 1`.
     let mut needs_phi: Vec<Vec<Var>> = vec![Vec::new(); nb]; // per block, vars in placement order
-    for (var_idx, sites) in def_sites.iter().enumerate().take(nv) {
+    let mut placed = vec![0u32; nb];
+    let mut is_site = vec![0u32; nb];
+    let mut work: Vec<usize> = Vec::new();
+    for (var_idx, sites) in def_sites.iter().enumerate() {
         let var = Var(var_idx as u32);
+        let stamp = var_idx as u32 + 1;
         match (style, &liveness) {
             (SsaStyle::SemiPruned, Some(l)) if !l.is_non_local(var) => continue,
             _ => {}
         }
-        let mut work: Vec<usize> = sites.clone();
-        let mut placed = vec![false; nb];
+        for &site in sites {
+            is_site[site] = stamp;
+        }
+        work.extend_from_slice(sites);
         while let Some(b) = work.pop() {
             for &d in &df[b] {
-                if placed[d] {
+                if placed[d] == stamp {
                     continue;
                 }
+                placed[d] = stamp;
                 if let (SsaStyle::Pruned, Some(l)) = (style, &liveness) {
                     if !l.live_in(d, var) {
-                        placed[d] = true; // don't revisit, but no φ
-                        continue;
+                        continue; // don't revisit, but no φ
                     }
                 }
-                placed[d] = true;
                 needs_phi[d].push(var);
-                if !sites.contains(&d) {
+                if is_site[d] != stamp {
                     work.push(d);
                 }
             }
@@ -154,16 +177,17 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
     }
 
     // Pre-create φ instructions so predecessors can record arguments
-    // before the destination is renamed.
-    let mut phi_value: HashMap<(usize, Var), Value> = HashMap::new();
-    for b in 0..nb {
+    // before the destination is renamed. The φ of `needs_phi[b][slot]` is
+    // `phi_value[phi_base[b] + slot]`; only reachable blocks have φs.
+    let mut phi_base = Vec::with_capacity(nb + 1);
+    let mut phi_value: Vec<Value> = Vec::new();
+    for (b, vars) in needs_phi.iter().enumerate() {
+        phi_base.push(phi_value.len());
         if let Some(fb) = block_of[b] {
-            for &var in &needs_phi[b] {
-                let pv = func.append_phi(fb);
-                phi_value.insert((b, var), pv);
-            }
+            phi_value.extend(vars.iter().map(|_| func.append_phi(fb)));
         }
     }
+    phi_base.push(phi_value.len());
 
     // The implicit initial value of every variable.
     let zero = func.iconst(func.entry(), 0);
@@ -173,43 +197,38 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
     for (i, &p) in vf.param_vars().iter().enumerate() {
         stacks[p.0 as usize].push(func.param(i as u32));
     }
-    // Recorded φ arguments: (dest var block, var) -> edge -> value.
-    let mut phi_args: HashMap<(usize, Var), Vec<(Edge, Value)>> = HashMap::new();
+    // φ arguments, indexed like `phi_value`. Each edge into a block is
+    // recorded right after it is created, so every list fills up in the
+    // order of its block's predecessor edges.
+    let mut phi_args: Vec<Vec<Value>> = vec![Vec::new(); phi_value.len()];
+    // One variable per definition pushed on `stacks`, popped on block exit.
+    let mut defined: Vec<usize> = Vec::new();
 
-    // Explicit-stack preorder DFS with per-block pop counts.
+    // Explicit-stack preorder DFS; `Exit` carries the length of `defined`
+    // on entry to the block.
     enum Action {
         Enter(usize),
-        Exit(Vec<(usize, usize)>), // (var, how many defs to pop)
+        Exit(usize),
     }
     let mut agenda = vec![Action::Enter(0)];
     while let Some(action) = agenda.pop() {
         match action {
-            Action::Exit(pops) => {
-                for (var, count) in pops {
-                    for _ in 0..count {
-                        stacks[var].pop();
-                    }
+            Action::Exit(mark) => {
+                for var in defined.drain(mark..) {
+                    stacks[var].pop();
                 }
             }
             Action::Enter(b) => {
                 let fb = block_of[b].expect("renaming visits only reachable blocks");
-                let mut pushes: Vec<(usize, usize)> = Vec::new();
-                let push_def = |var: Var,
-                                val: Value,
-                                stacks: &mut Vec<Vec<Value>>,
-                                pushes: &mut Vec<(usize, usize)>| {
+                agenda.push(Action::Exit(defined.len()));
+                let mut push_def = |var: Var, val: Value, stacks: &mut Vec<Vec<Value>>| {
                     stacks[var.0 as usize].push(val);
-                    if let Some(entry) = pushes.iter_mut().find(|(v, _)| *v == var.0 as usize) {
-                        entry.1 += 1;
-                    } else {
-                        pushes.push((var.0 as usize, 1));
-                    }
+                    defined.push(var.0 as usize);
                 };
 
                 // φ results become the current definitions.
-                for &var in &needs_phi[b] {
-                    let pv = phi_value[&(b, var)];
-                    push_def(var, pv, &mut stacks, &mut pushes);
+                for (&var, &pv) in needs_phi[b].iter().zip(&phi_value[phi_base[b]..]) {
+                    push_def(var, pv, &mut stacks);
                 }
 
                 // Statements.
@@ -217,7 +236,7 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
                     match stmt {
                         VarStmt::Assign(var, e) => {
                             let val = flatten(&mut func, fb, e, &stacks);
-                            push_def(*var, val, &mut stacks, &mut pushes);
+                            push_def(*var, val, &mut stacks);
                         }
                         VarStmt::Eval(e) => {
                             let _ = flatten(&mut func, fb, e, &stacks);
@@ -226,33 +245,29 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
                 }
 
                 // Terminator: create edges and record φ arguments.
-                let record =
-                    |edge: Edge,
-                     dest: usize,
-                     stacks: &Vec<Vec<Value>>,
-                     phi_args: &mut HashMap<(usize, Var), Vec<(Edge, Value)>>| {
-                        for &var in &needs_phi[dest] {
-                            let cur = *stacks[var.0 as usize]
-                                .last()
-                                .expect("stack has the zero sentinel");
-                            phi_args.entry((dest, var)).or_default().push((edge, cur));
-                        }
-                    };
+                let mut record = |dest: usize, stacks: &[Vec<Value>]| {
+                    let args = &mut phi_args[phi_base[dest]..phi_base[dest + 1]];
+                    for (&var, args) in needs_phi[dest].iter().zip(args) {
+                        args.push(
+                            *stacks[var.0 as usize].last().expect("stack has the zero sentinel"),
+                        );
+                    }
+                };
                 match vf.block(b).term.as_ref().expect("validated") {
                     VarTerm::Jump(t) => {
-                        let edge = func.set_jump(fb, block_of[*t].expect("target reachable"));
-                        record(edge, *t, &stacks, &mut phi_args);
+                        func.set_jump(fb, block_of[*t].expect("target reachable"));
+                        record(*t, &stacks);
                     }
                     VarTerm::Branch(c, t, e) => {
                         let cv = flatten(&mut func, fb, c, &stacks);
-                        let (te, ee) = func.set_branch(
+                        func.set_branch(
                             fb,
                             cv,
                             block_of[*t].expect("target reachable"),
                             block_of[*e].expect("target reachable"),
                         );
-                        record(te, *t, &stacks, &mut phi_args);
-                        record(ee, *e, &stacks, &mut phi_args);
+                        record(*t, &stacks);
+                        record(*e, &stacks);
                     }
                     VarTerm::Switch(e, cases, d) => {
                         let sv = flatten(&mut func, fb, e, &stacks);
@@ -261,17 +276,17 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
                             .iter()
                             .map(|&(_, t)| block_of[t].expect("target reachable"))
                             .collect();
-                        let edges = func.set_switch(
+                        func.set_switch(
                             fb,
                             sv,
                             &case_vals,
                             &targets,
                             block_of[*d].expect("target reachable"),
                         );
-                        for (i, &(_, t)) in cases.iter().enumerate() {
-                            record(edges[i], t, &stacks, &mut phi_args);
+                        for &(_, t) in cases {
+                            record(t, &stacks);
                         }
-                        record(edges[cases.len()], *d, &stacks, &mut phi_args);
+                        record(*d, &stacks);
                     }
                     VarTerm::Return(e) => {
                         let rv = flatten(&mut func, fb, e, &stacks);
@@ -279,31 +294,23 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
                     }
                 }
 
-                agenda.push(Action::Exit(pushes));
                 // Visit dominator-tree children (reverse so RPO-first pops
-                // first — order does not affect correctness).
-                for c in dt.children(b).into_iter().rev() {
+                // first). The order does not affect correctness, but it
+                // fixes value numbering.
+                for &c in dt.children(b).iter().rev() {
                     agenda.push(Action::Enter(c));
                 }
             }
         }
     }
 
-    // Fill in φ arguments in predecessor-edge order.
-    for ((b, var), pv) in phi_value {
-        let fb = block_of[b].expect("φ blocks are reachable");
-        let recorded = phi_args.remove(&(b, var)).unwrap_or_default();
-        let args: Vec<Value> = func
-            .preds(fb)
-            .iter()
-            .map(|&e| {
-                recorded
-                    .iter()
-                    .find(|(re, _)| *re == e)
-                    .map(|&(_, v)| v)
-                    .expect("every predecessor recorded a φ argument")
-            })
-            .collect();
+    // Fill in φ arguments.
+    for (pv, args) in phi_value.into_iter().zip(phi_args) {
+        debug_assert_eq!(
+            args.len(),
+            func.preds(func.inst_block(func.def(pv))).len(),
+            "one argument per edge"
+        );
         func.set_phi_args(pv, args);
     }
 

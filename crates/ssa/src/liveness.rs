@@ -4,70 +4,169 @@
 //! (§3) that "pruned SSA [...] can reduce the effectiveness of global value
 //! numbering", which makes the SSA style an ablation axis of the
 //! reproduction — so all three classic styles are available.
+//!
+//! Every set is a bitset of `words = ⌈vars / 64⌉` `u64`s per block: the
+//! upward-exposed uses, the kills (definitions) and the live-in set.
+//! Successor and predecessor lists are built once. A worklist seeded with
+//! every block re-queues a block's predecessors whenever its live-in set
+//! grows, so one visit costs O(words × successors) and a block is only
+//! revisited after a successor changed. Liveness is the least fixed point
+//! of a monotone system, so the visiting order does not change the sets.
 
-use crate::varfunc::{Var, VarFunction, VarStmt, VarTerm};
+use crate::varfunc::{Var, VarExpr, VarFunction, VarStmt, VarTerm};
 
 /// Block-level liveness sets for every variable.
 #[derive(Clone, Debug)]
 pub struct Liveness {
-    /// `live_in[b]` contains the variables live on entry to block `b`.
-    live_in: Vec<Vec<bool>>,
+    /// `u64` words per block row.
+    words: usize,
+    /// Row `b` (`live_in[b * words..][..words]`) holds the variables live
+    /// on entry to block `b`.
+    live_in: Vec<u64>,
     /// Variables that are used in some block before any local definition
     /// (Briggs' "non-local" / global variables, used by semi-pruned SSA).
-    non_local: Vec<bool>,
+    non_local: Vec<u64>,
 }
 
-fn block_use_def(func: &VarFunction, b: usize, nvars: usize) -> (Vec<bool>, Vec<bool>) {
-    let mut used_before_def = vec![false; nvars];
-    let mut defined = vec![false; nvars];
-    let record_use = |v: Var, defined: &[bool], used: &mut [bool]| {
-        if !defined[v.0 as usize] {
-            used[v.0 as usize] = true;
+fn bit(set: &[u64], i: usize) -> bool {
+    set[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// Marks the variables `e` reads that `defs` has not killed yet as used.
+fn record_reads(e: &VarExpr, defs: &[u64], uses: &mut [u64]) {
+    e.visit_vars(&mut |v| {
+        let i = v.0 as usize;
+        if !bit(defs, i) {
+            uses[i / 64] |= 1 << (i % 64);
         }
-    };
+    });
+}
+
+/// Fills block `b`'s upward-exposed uses and definitions (one row each).
+fn block_use_def(func: &VarFunction, b: usize, uses: &mut [u64], defs: &mut [u64]) {
     for stmt in &func.block(b).stmts {
         match stmt {
             VarStmt::Assign(dst, e) => {
-                e.visit_vars(&mut |v| record_use(v, &defined, &mut used_before_def));
-                defined[dst.0 as usize] = true;
+                record_reads(e, defs, uses);
+                let i = dst.0 as usize;
+                defs[i / 64] |= 1 << (i % 64);
             }
-            VarStmt::Eval(e) => {
-                e.visit_vars(&mut |v| record_use(v, &defined, &mut used_before_def))
-            }
+            VarStmt::Eval(e) => record_reads(e, defs, uses),
         }
     }
     match func.block(b).term.as_ref() {
         Some(VarTerm::Branch(e, _, _))
         | Some(VarTerm::Return(e))
-        | Some(VarTerm::Switch(e, _, _)) => {
-            e.visit_vars(&mut |v| record_use(v, &defined, &mut used_before_def));
-        }
+        | Some(VarTerm::Switch(e, _, _)) => record_reads(e, defs, uses),
         _ => {}
     }
-    (used_before_def, defined)
 }
 
 impl Liveness {
-    /// Computes liveness by the standard backward fixed point.
+    /// Computes liveness by a backward worklist fixed point.
     pub fn compute(func: &VarFunction) -> Self {
         let nb = func.num_blocks();
-        let nv = func.num_vars();
-        let mut use_set = Vec::with_capacity(nb);
-        let mut def_set = Vec::with_capacity(nb);
+        let words = func.num_vars().div_ceil(64);
+        let mut uses = vec![0u64; nb * words];
+        let mut defs = vec![0u64; nb * words];
+        let mut non_local = vec![0u64; words];
+        let mut succs = Vec::with_capacity(nb);
+        let mut preds = vec![Vec::new(); nb];
         for b in 0..nb {
-            let (u, d) = block_use_def(func, b, nv);
-            use_set.push(u);
-            def_set.push(d);
+            let row = b * words..(b + 1) * words;
+            block_use_def(func, b, &mut uses[row.clone()], &mut defs[row.clone()]);
+            for (n, &u) in non_local.iter_mut().zip(&uses[row]) {
+                *n |= u;
+            }
+            let s = func.succs(b);
+            for &t in &s {
+                preds[t].push(b);
+            }
+            succs.push(s);
         }
-        let mut non_local = vec![false; nv];
-        for u in &use_set {
-            for (v, &used) in u.iter().enumerate() {
-                if used {
-                    non_local[v] = true;
+        let mut live_in = vec![0u64; nb * words];
+        let mut out = vec![0u64; words];
+        // Seeded so the last block is visited first, as in a backward sweep.
+        let mut work: Vec<usize> = (0..nb).collect();
+        let mut queued = vec![true; nb];
+        while let Some(b) = work.pop() {
+            queued[b] = false;
+            out.fill(0);
+            for &s in &succs[b] {
+                for (o, &l) in out.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
+                    *o |= l;
+                }
+            }
+            let row = b * words..(b + 1) * words;
+            let mut changed = false;
+            for (((l, &u), &d), &o) in
+                live_in[row.clone()].iter_mut().zip(&uses[row.clone()]).zip(&defs[row]).zip(&out)
+            {
+                let new = u | (o & !d);
+                changed |= new != *l;
+                *l = new;
+            }
+            if changed {
+                for &p in &preds[b] {
+                    if !queued[p] {
+                        queued[p] = true;
+                        work.push(p);
+                    }
                 }
             }
         }
-        let mut live_in: Vec<Vec<bool>> = vec![vec![false; nv]; nb];
+        Liveness { words, live_in, non_local }
+    }
+
+    /// Returns `true` if `v` is live on entry to block `b`.
+    pub fn live_in(&self, b: usize, v: Var) -> bool {
+        bit(&self.live_in[b * self.words..(b + 1) * self.words], v.0 as usize)
+    }
+
+    /// Returns `true` if `v` is used in some block before any local
+    /// definition (the semi-pruned "global variable" criterion).
+    pub fn is_non_local(&self, v: Var) -> bool {
+        bit(&self.non_local, v.0 as usize)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::varfunc::expr::*;
+    use pgvn_ir::CmpOp;
+    use proptest::prelude::*;
+
+    /// The reference: a dense blocks × vars round-robin fixed point.
+    /// Returns `(live_in[b][v], non_local[v])`.
+    fn dense(func: &VarFunction) -> (Vec<Vec<bool>>, Vec<bool>) {
+        let nb = func.num_blocks();
+        let nv = func.num_vars();
+        let mut use_set = vec![vec![false; nv]; nb];
+        let mut def_set = vec![vec![false; nv]; nb];
+        for b in 0..nb {
+            let (used, defined) = (&mut use_set[b], &mut def_set[b]);
+            let mut read = |e: &VarExpr, defined: &[bool]| {
+                e.visit_vars(&mut |v| used[v.0 as usize] |= !defined[v.0 as usize])
+            };
+            for stmt in &func.block(b).stmts {
+                match stmt {
+                    VarStmt::Assign(dst, e) => {
+                        read(e, defined);
+                        defined[dst.0 as usize] = true;
+                    }
+                    VarStmt::Eval(e) => read(e, defined),
+                }
+            }
+            match func.block(b).term.as_ref() {
+                Some(VarTerm::Branch(e, _, _))
+                | Some(VarTerm::Return(e))
+                | Some(VarTerm::Switch(e, _, _)) => read(e, defined),
+                _ => {}
+            }
+        }
+        let non_local = (0..nv).map(|v| use_set.iter().any(|u| u[v])).collect();
+        let mut live_in = vec![vec![false; nv]; nb];
         let mut changed = true;
         while changed {
             changed = false;
@@ -87,26 +186,128 @@ impl Liveness {
                 }
             }
         }
-        Liveness { live_in, non_local }
+        (live_in, non_local)
     }
 
-    /// Returns `true` if `v` is live on entry to block `b`.
-    pub fn live_in(&self, b: usize, v: Var) -> bool {
-        self.live_in[b][v.0 as usize]
+    /// Asserts that [`Liveness`] agrees with [`dense`] on every block,
+    /// unreachable ones included, and every variable.
+    fn assert_matches_dense(func: &VarFunction) {
+        let l = Liveness::compute(func);
+        let (live_in, non_local) = dense(func);
+        for (i, &nl) in non_local.iter().enumerate() {
+            let v = Var(i as u32);
+            let name = func.var_name(v);
+            assert_eq!(l.is_non_local(v), nl, "{}: non-local {name}", func.name());
+            for (b, row) in live_in.iter().enumerate() {
+                assert_eq!(l.live_in(b, v), row[i], "{}: {name} live into block {b}", func.name());
+            }
+        }
     }
 
-    /// Returns `true` if `v` is used in some block before any local
-    /// definition (the semi-pruned "global variable" criterion).
-    pub fn is_non_local(&self, v: Var) -> bool {
-        self.non_local[v.0 as usize]
+    /// Rebuilds a routine lowered by `pgvn-lang`, which links the library
+    /// build of this crate, as this test build's [`VarFunction`].
+    fn import(lib: &pgvn_ssa::VarFunction) -> VarFunction {
+        fn expr(e: &pgvn_ssa::VarExpr) -> VarExpr {
+            match e {
+                pgvn_ssa::VarExpr::Const(k) => VarExpr::Const(*k),
+                pgvn_ssa::VarExpr::Var(v) => VarExpr::Var(Var(v.0)),
+                pgvn_ssa::VarExpr::Opaque(t) => VarExpr::Opaque(*t),
+                pgvn_ssa::VarExpr::Unary(op, a) => VarExpr::Unary(*op, Box::new(expr(a))),
+                pgvn_ssa::VarExpr::Binary(op, a, b) => {
+                    VarExpr::Binary(*op, Box::new(expr(a)), Box::new(expr(b)))
+                }
+                pgvn_ssa::VarExpr::Cmp(op, a, b) => {
+                    VarExpr::Cmp(*op, Box::new(expr(a)), Box::new(expr(b)))
+                }
+            }
+        }
+        let params: Vec<&str> = lib.param_vars().iter().map(|&p| lib.var_name(p)).collect();
+        let mut f = VarFunction::new(lib.name(), &params);
+        for v in params.len()..lib.num_vars() {
+            f.add_var(lib.var_name(pgvn_ssa::Var(v as u32)));
+        }
+        for _ in 1..lib.num_blocks() {
+            f.add_block();
+        }
+        for b in 0..lib.num_blocks() {
+            for stmt in &lib.block(b).stmts {
+                let stmt = match stmt {
+                    pgvn_ssa::VarStmt::Assign(v, e) => VarStmt::Assign(Var(v.0), expr(e)),
+                    pgvn_ssa::VarStmt::Eval(e) => VarStmt::Eval(expr(e)),
+                };
+                f.push(b, stmt);
+            }
+            let term = match &lib.block(b).term {
+                None => continue,
+                Some(pgvn_ssa::VarTerm::Jump(t)) => VarTerm::Jump(*t),
+                Some(pgvn_ssa::VarTerm::Branch(c, t, e)) => VarTerm::Branch(expr(c), *t, *e),
+                Some(pgvn_ssa::VarTerm::Switch(e, cases, d)) => {
+                    VarTerm::Switch(expr(e), cases.clone(), *d)
+                }
+                Some(pgvn_ssa::VarTerm::Return(e)) => VarTerm::Return(expr(e)),
+            };
+            f.terminate(b, term);
+        }
+        f
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::varfunc::expr::*;
-    use pgvn_ir::CmpOp;
+    fn lowered(routine: &pgvn_lang::Routine) -> VarFunction {
+        import(&pgvn_lang::lower(routine))
+    }
+
+    fn generated(seed: u64, target_stmts: usize) -> VarFunction {
+        let gen = pgvn_workload::GenConfig { seed, target_stmts, ..Default::default() };
+        lowered(&pgvn_workload::generate_routine("g", &gen))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        #[test]
+        fn bitset_worklist_matches_dense_reference(seed in 0u64..1_000_000) {
+            assert_matches_dense(&generated(seed, 20));
+            assert_matches_dense(&generated(seed, 200));
+        }
+    }
+
+    proptest! {
+        // The dense reference takes about a second per 800-statement
+        // routine in an unoptimized build.
+        #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+        #[test]
+        fn bitset_worklist_matches_dense_reference_on_large_routines(seed in 0u64..1_000_000) {
+            assert_matches_dense(&generated(seed, 800));
+        }
+    }
+
+    #[test]
+    fn bitset_worklist_matches_dense_reference_on_fixtures() {
+        use pgvn_lang::fixtures::*;
+        let figure9 = figure9(6);
+        for src in
+            [FIGURE1, FIGURE6, FIGURE13, FIGURE14A, FIGURE14B, SIMPLE_INFERENCE, figure9.as_str()]
+        {
+            assert_matches_dense(&lowered(&pgvn_lang::parse(src).expect("fixture parses")));
+        }
+    }
+
+    #[test]
+    fn unreachable_blocks_get_liveness_too() {
+        // b0: return a; b1 (unreachable): t = b; jump b2; b2: return t + a
+        let mut f = VarFunction::new("f", &["a", "b"]);
+        let (a, b) = (f.param_vars()[0], f.param_vars()[1]);
+        let t = f.add_var("t");
+        let (b1, b2) = (f.add_block(), f.add_block());
+        f.terminate(0, VarTerm::Return(v(a)));
+        f.assign(b1, t, v(b));
+        f.terminate(b1, VarTerm::Jump(b2));
+        f.terminate(b2, VarTerm::Return(add(v(t), v(a))));
+        let l = Liveness::compute(&f);
+        assert!(l.live_in(b1, a) && l.live_in(b1, b) && !l.live_in(b1, t));
+        assert!(l.live_in(b2, t) && l.is_non_local(t));
+        assert_matches_dense(&f);
+    }
 
     #[test]
     fn straight_line_liveness() {

@@ -168,7 +168,7 @@ impl JsonValue {
 
 /// Parses one JSON value from `input`.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -179,6 +179,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -265,12 +266,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 character.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of unescaped characters up to the next
+                    // quote or backslash as one slice. Both are ASCII, so
+                    // the run ends on a character boundary and the input,
+                    // already a `&str`, needs no re-validation.
+                    let len = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or("unterminated string")?;
+                    out.push_str(&self.text[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }

@@ -433,6 +433,25 @@ mod tests {
     }
 
     #[test]
+    fn a_one_mib_routine_field_parses_in_linear_time() {
+        // Unescaped runs, escapes and multi-byte characters, filling a
+        // frame at serve's default 1 MiB limit.
+        let line = "routine f(a) { return a; } // \"é\"\n";
+        let routine = line.repeat((1 << 20) / (line.len() + 4));
+        let mut payload = String::from(r#"{"id":1,"routine":""#);
+        pgvn_telemetry::json::escape_into(&routine, &mut payload);
+        payload.push_str("\"}");
+        assert!(payload.len() <= 1 << 20 && payload.len() > 1 << 19, "{}", payload.len());
+        let start = std::time::Instant::now();
+        let req = parse_request(payload.as_bytes()).unwrap();
+        let took = start.elapsed();
+        assert_eq!(req.source.as_deref(), Some(routine.as_str()));
+        // A linear parse takes about 20 ms unoptimized; one quadratic in
+        // the string length takes minutes.
+        assert!(took < std::time::Duration::from_secs(2), "1 MiB request parsed in {took:?}");
+    }
+
+    #[test]
     fn out_of_range_numbers_are_protocol_errors() {
         let req = |field: &str, n: u64| {
             parse_request(format!(r#"{{"gen_seed":3,"{field}":{n}}}"#).as_bytes())

@@ -156,6 +156,35 @@ fn oversized_frame_is_rejected_and_the_connection_survives() {
 }
 
 #[test]
+fn ping_after_a_one_mib_frame_is_answered_promptly() {
+    // The connection thread parses every frame before any budget applies,
+    // so a frame at the default 1 MiB limit must not stall the `ping`
+    // queued behind it. The frame names both a routine and a gen_seed,
+    // so it is a protocol error once parsed and never reaches a worker.
+    let line = "routine f(a) { return a; } // \"é\"\n";
+    let mut big = String::from(r#"{"id":1,"gen_seed":1,"routine":""#);
+    pgvn::telemetry::json::escape_into(&line.repeat((1 << 20) / (line.len() + 4)), &mut big);
+    big.push_str("\"}");
+    assert!(big.len() <= 1 << 20 && big.len() > 1 << 19, "{}", big.len());
+    let start = std::time::Instant::now();
+    let (responses, summary) = roundtrip(
+        &ServeOptions::default(),
+        vec![big.into_bytes(), br#"{"id":2,"op":"ping"}"#.to_vec()],
+    );
+    let took = start.elapsed();
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert!(responses[0].contains("\"error\":\"protocol\""), "{}", responses[0]);
+    assert!(responses[0].contains("both"), "{}", responses[0]);
+    assert_eq!(reply_of(&responses[1]), "pong");
+    assert!(responses[1].contains("\"id\":2"), "{}", responses[1]);
+    assert_eq!(summary.protocol_errors, 1);
+    assert!(summary.is_clean());
+    // About 30 ms unoptimized with a linear parse; a parse quadratic in
+    // the string length takes minutes.
+    assert!(took < std::time::Duration::from_secs(3), "ping answered after {took:?}");
+}
+
+#[test]
 fn malformed_payloads_get_protocol_errors_without_killing_the_loop() {
     let (responses, summary) = roundtrip(
         &ServeOptions::default(),

@@ -1,0 +1,65 @@
+//! Byte-identity golden for SSA construction.
+//!
+//! Prints `build_ssa`'s output for every routine of the SPEC stand-in
+//! suite at scale 0.05 under each φ-placement style and pins a stable
+//! FNV-1a digest of the text plus the total φ count. φs are appended per
+//! block in variable-major placement order and values are created in a
+//! dominator-tree preorder walk; both orders fix value numbering, so any
+//! change to placement or renaming order shows up here even when the
+//! result is still correct SSA.
+//!
+//! The constants were computed before the bitset-liveness / stamp-array
+//! rewrite of `pgvn-ssa` and must not change with a pure speedup.
+
+use pgvn_ir::Function;
+use pgvn_ssa::SsaStyle;
+use pgvn_workload::{spec_suite, SuiteConfig};
+
+/// FNV-1a, 64-bit: stable across toolchains, unlike `DefaultHasher`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+fn count_phis(f: &Function) -> usize {
+    f.values().filter(|&v| f.kind(f.def(v)).is_phi()).count()
+}
+
+/// (digest of the printed suite, routines, total φs) for one style.
+fn suite_digest(style: SsaStyle) -> (u64, usize, usize) {
+    let mut text = String::new();
+    let (mut routines, mut phis) = (0, 0);
+    for bench in spec_suite(SuiteConfig { scale: 0.05, style, ..Default::default() }) {
+        for f in bench.routines() {
+            text.push_str(&f.to_string());
+            text.push('\n');
+            routines += 1;
+            phis += count_phis(&f);
+        }
+    }
+    (fnv1a(text.as_bytes()), routines, phis)
+}
+
+#[test]
+fn ssa_output_is_byte_identical_for_every_style() {
+    let golden = [
+        (SsaStyle::Minimal, 0x8669_6b2f_af3f_7cd0, 289, 26576),
+        (SsaStyle::SemiPruned, 0x7053_8bce_c3b4_9bcd, 289, 21837),
+        (SsaStyle::Pruned, 0xd817_2a2a_baed_2614, 289, 18559),
+    ];
+    let got: Vec<_> = golden.iter().map(|&(style, ..)| (style, suite_digest(style))).collect();
+    for (&(style, digest, routines, phis), &(_, actual)) in golden.iter().zip(&got) {
+        assert_eq!(
+            actual,
+            (digest, routines, phis),
+            "{style:?}: SSA output changed (got digest {:#018x}, {} routines, {} φs); all: {got:x?}",
+            actual.0,
+            actual.1,
+            actual.2
+        );
+    }
+}
