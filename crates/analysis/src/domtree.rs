@@ -37,7 +37,8 @@ fn chk_solve(n: usize, preds: &dyn Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
         return idom;
     }
     idom[0] = 0;
-    let mut buf = Vec::new();
+    // Sized for the worst case up front: no regrowth mid-solve.
+    let mut buf = Vec::with_capacity(n);
     let mut changed = true;
     while changed {
         changed = false;
@@ -76,36 +77,58 @@ fn chk_solve(n: usize, preds: &dyn Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
 }
 
 /// Assigns DFS pre/post intervals and depths over an idom forest.
+///
+/// Children are kept as compressed sparse rows (one offset array, one
+/// flat child array, in `nodes` order within each parent), so the walk
+/// allocates a fixed handful of vectors, not one per block.
 fn tree_intervals(
     n_cap: usize,
     nodes: &[Block],
     idom: &[Option<Block>],
 ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let mut children: Vec<Vec<Block>> = vec![Vec::new(); n_cap];
-    let mut roots = Vec::new();
+    let parent = |b: Block| idom[b.index()].filter(|&p| p != b);
+    // `first[p]..first[p + 1]` spans `p`'s children in `children`.
+    let mut first = vec![0u32; n_cap + 1];
     for &b in nodes {
-        match idom[b.index()] {
-            Some(p) if p != b => children[p.index()].push(b),
-            _ => roots.push(b),
+        if let Some(p) = parent(b) {
+            first[p.index() + 1] += 1;
+        }
+    }
+    for i in 1..=n_cap {
+        first[i] += first[i - 1];
+    }
+    let mut children = vec![Block::new(0); first[n_cap] as usize];
+    // `fill[p]` is the next free slot of `p`'s row.
+    let mut fill = first.clone();
+    let mut roots = Vec::with_capacity(nodes.len());
+    for &b in nodes {
+        match parent(b) {
+            Some(p) => {
+                children[fill[p.index()] as usize] = b;
+                fill[p.index()] += 1;
+            }
+            None => roots.push(b),
         }
     }
     let mut pre = vec![0u32; n_cap];
     let mut post = vec![0u32; n_cap];
     let mut depth = vec![0u32; n_cap];
     let mut clock = 0u32;
+    // (block, next child slot, depth)
+    let mut stack: Vec<(Block, u32, u32)> = Vec::with_capacity(nodes.len());
     for root in roots {
-        let mut stack = vec![(root, 0usize, 0u32)];
         clock += 1;
         pre[root.index()] = clock;
         depth[root.index()] = 0;
+        stack.push((root, first[root.index()], 0));
         while let Some(&mut (b, ref mut next, d)) = stack.last_mut() {
-            if *next < children[b.index()].len() {
-                let c = children[b.index()][*next];
+            if *next < first[b.index() + 1] {
+                let c = children[*next as usize];
                 *next += 1;
                 clock += 1;
                 pre[c.index()] = clock;
                 depth[c.index()] = d + 1;
-                stack.push((c, 0, d + 1));
+                stack.push((c, first[c.index()], d + 1));
             } else {
                 clock += 1;
                 post[b.index()] = clock;
@@ -206,9 +229,8 @@ impl PostDomTree {
         let cap = func.block_capacity();
         // Reverse postorder of the *reverse* CFG from the virtual exit,
         // i.e. postorder of reachable return blocks backwards.
-        let mut order: Vec<Block> = Vec::new(); // reverse graph RPO (exit-first)
         let mut state = vec![0u8; cap];
-        let mut stack: Vec<(Block, usize)> = Vec::new();
+        let mut stack: Vec<(Block, usize)> = Vec::with_capacity(cap);
         let exit_blocks: Vec<Block> = rpo
             .order()
             .iter()
@@ -217,7 +239,7 @@ impl PostDomTree {
                 matches!(func.terminator(b).map(|t| func.kind(t)), Some(InstKind::Return(_)))
             })
             .collect();
-        let mut postorder = Vec::new();
+        let mut postorder = Vec::with_capacity(cap);
         for &x in &exit_blocks {
             if state[x.index()] != 0 {
                 continue;
@@ -241,7 +263,7 @@ impl PostDomTree {
             }
         }
         postorder.reverse();
-        order.extend(postorder);
+        let order = postorder; // reverse graph RPO (exit-first)
 
         let pos_of = {
             let mut m = vec![usize::MAX; cap];

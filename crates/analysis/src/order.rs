@@ -27,9 +27,11 @@ impl Rpo {
     pub fn compute(func: &Function) -> Self {
         let cap = func.block_capacity();
         let mut state = vec![0u8; cap]; // 0 = unvisited, 1 = on stack, 2 = done
-        let mut postorder: Vec<Block> = Vec::new();
+                                        // Sized for every block up front: no regrowth during the walk.
+        let mut postorder: Vec<Block> = Vec::with_capacity(cap);
         // Iterative DFS with an explicit stack of (block, next successor index).
-        let mut stack: Vec<(Block, usize)> = vec![(func.entry(), 0)];
+        let mut stack: Vec<(Block, usize)> = Vec::with_capacity(cap);
+        stack.push((func.entry(), 0));
         state[func.entry().index()] = 1;
         while let Some(&mut (b, ref mut next)) = stack.last_mut() {
             let succs = func.succs(b);

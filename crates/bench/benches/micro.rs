@@ -1,9 +1,10 @@
 //! Microbenchmarks of the substrates: RPO + dominators, postdominators,
-//! SSA construction, the front end, and the telemetry guardrail (an
+//! SSA construction, the front end, the telemetry guardrail (an
 //! untraced `run` vs `try_run_traced_in_context` with a disabled handle
 //! must be within noise of each other — the
 //! `gvn_untraced`/`gvn_telemetry_off` pair below is the check behind the
-//! "<2% overhead" claim in `docs/OBSERVABILITY.md`).
+//! "within noise" claim in `docs/OBSERVABILITY.md`), and the analysis
+//! layer alone over a warm session context (`gvn_warm_context`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgvn_analysis::{DomTree, PostDomTree, Rpo};
@@ -11,7 +12,7 @@ use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
 use pgvn_lang::{lower, parse};
 use pgvn_ssa::{build_ssa, SsaStyle};
 use pgvn_telemetry::{MetricsRegistry, Telemetry};
-use pgvn_workload::{generate_routine, GenConfig};
+use pgvn_workload::{generate_routine, spec_suite, GenConfig, SuiteConfig};
 
 fn bench_analyses(c: &mut Criterion) {
     let mut group = c.benchmark_group("cfg_analyses");
@@ -94,5 +95,40 @@ fn bench_telemetry_off(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_analyses, bench_frontend, bench_telemetry_off);
+/// The analysis layer on its own, the way batch and serve run it: one
+/// warm `GvnContext` reused across runs, so a run pays for its work and
+/// its fixed per-run setup, not for growing scratch tables. The inputs
+/// are the smallest, median and largest routines of the scale-0.05
+/// SPEC stand-in suite, labelled by instruction count.
+fn bench_gvn_warm_context(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gvn_warm_context");
+    let mut funcs: Vec<pgvn_ir::Function> =
+        spec_suite(SuiteConfig { scale: 0.05, style: SsaStyle::Pruned, ..Default::default() })
+            .iter()
+            .flat_map(|bench| bench.routines())
+            .collect();
+    funcs.sort_by_key(|f| f.num_insts());
+    let cfg = GvnConfig::full();
+    let mut ctx = GvnContext::new();
+    for f in [&funcs[0], &funcs[funcs.len() / 2], &funcs[funcs.len() - 1]] {
+        try_run_traced_in_context(&mut ctx, f, &cfg, &mut Telemetry::off()).expect("converges");
+        group.bench_with_input(BenchmarkId::new("full", f.num_insts()), f, |bencher, f| {
+            bencher.iter(|| {
+                try_run_traced_in_context(&mut ctx, f, &cfg, &mut Telemetry::off())
+                    .expect("converges")
+                    .stats
+                    .touches
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_analyses,
+    bench_frontend,
+    bench_telemetry_off,
+    bench_gvn_warm_context
+);
 criterion_main!(benches);

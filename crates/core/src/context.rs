@@ -1,15 +1,28 @@
 //! Reusable analysis sessions.
 //!
-//! Every GVN run needs a pile of scratch state: the expression interner,
-//! the congruence-class partition, the `TOUCHED`/`REACHABLE` bitsets,
-//! edge/block predicate tables, and the §3 inference gates and memo
-//! caches. Building all of that from scratch per routine undercuts the
-//! paper's sparseness argument — on batch workloads the allocator, not
-//! the algorithm, dominates. A [`GvnContext`] owns all of it across
+//! Every GVN run needs a pile of scratch state: the expression interner
+//! and its operand arenas, the congruence-class partition, the
+//! `TOUCHED`/`REACHABLE` bitsets, edge/block predicate tables, the §3
+//! inference gates and memo caches, and the driver's per-touch buffers
+//! (reassociation output, φ argument lists, the φ-predication
+//! traversal). Building any of that per routine or per touch undercuts
+//! the paper's sparseness argument — on batch workloads the allocator,
+//! not the algorithm, dominates. A [`GvnContext`] owns all of it across
 //! runs: [`GvnContext::clear`] (and the internal per-run `prepare`)
 //! resets every structure *without freeing*, so a routine stream reuses
-//! the same allocations and steady-state runs perform no per-routine
-//! capacity growth.
+//! the same allocations.
+//!
+//! # Allocations per run
+//!
+//! Once a context is warm, a run allocates only for its fixed per-run
+//! setup — RPO, ranks, def-use chains, the dominator and postdominator
+//! trees — and for the [`crate::GvnResults`] it returns: 44 allocations
+//! for every routine of the scale-0.05 SPEC stand-in suite, whatever its
+//! size or touch count. Before the interner kept its operands in arenas
+//! and the driver its buffers here, the same suite averaged 2692
+//! allocations per warm run (14897 for the largest routine), about three
+//! per touch. `crates/core/tests/alloc_budget.rs` counts them and holds
+//! the line.
 //!
 //! # Cross-run isolation
 //!
@@ -26,7 +39,8 @@
 //! next run.
 
 use crate::classes::Classes;
-use crate::expr::{ExprId, Interner};
+use crate::driver::Scratch;
+use crate::expr::{ExprId, FxBuildHasher, Interner};
 use crate::predicate::Pred;
 use pgvn_ir::{Block, CmpOp, Edge, EntityRef, EntitySet, Function, Inst, Value};
 use std::collections::HashMap;
@@ -141,10 +155,11 @@ pub struct GvnContext {
     pub(crate) vi_cache: ViCache,
     /// §3 memo for predicate inference. The key `(block, op, lhs, rhs)`
     /// is genuinely sparse — most blocks never query most predicates —
-    /// so this stays a hash map; the context reuses its allocation.
-    pub(crate) pi_cache: HashMap<(Block, CmpOp, ExprId, ExprId), ExprId>,
-    /// φ-predication per-block OR-operand scratch (empty = unvisited).
-    pub(crate) or_ops: Vec<Vec<ExprId>>,
+    /// so this stays a hash map (under the interner's Fx hasher); the
+    /// context reuses its allocation.
+    pub(crate) pi_cache: HashMap<(Block, CmpOp, ExprId, ExprId), ExprId, FxBuildHasher>,
+    /// The driver's per-touch working buffers.
+    pub(crate) scratch: Scratch,
     /// Runs served by this context.
     runs: u64,
 }
@@ -183,9 +198,7 @@ impl GvnContext {
         self.nullified_blocks.clear();
         self.vi_cache.prepare(0);
         self.pi_cache.clear();
-        for o in &mut self.or_ops {
-            o.clear();
-        }
+        self.scratch.pred.prepare(0);
     }
 
     /// Sizes and wipes every structure for a run over `func`, keeping
@@ -217,12 +230,7 @@ impl GvnContext {
         self.nullified_blocks.clear();
         self.vi_cache.prepare(func.value_capacity());
         self.pi_cache.clear();
-        for o in &mut self.or_ops {
-            o.clear();
-        }
-        if self.or_ops.len() < func.block_capacity() {
-            self.or_ops.resize_with(func.block_capacity(), Vec::new);
-        }
+        self.scratch.pred.prepare(func.block_capacity());
     }
 
     /// Snapshot of the dominant allocation capacities (see

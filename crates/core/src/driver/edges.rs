@@ -6,48 +6,41 @@ use super::*;
 
 impl Run<'_, '_, '_, '_> {
     pub(super) fn process_outgoing_edges(&mut self, b: Block) {
-        let Some(term) = self.func.terminator(b) else {
+        let func = self.func;
+        let Some(term) = func.terminator(b) else {
             return;
         };
-        let succs = self.func.succs(b).to_vec();
-        let term_kind = self.func.kind(term).clone();
-        let reachability: Vec<bool> = match &term_kind {
+        let succs = func.succs(b);
+        let term_kind = func.kind(term);
+        let taken = match term_kind {
             InstKind::Return(_) => return,
-            InstKind::Jump => vec![true],
-            InstKind::Branch(cond) => {
-                if !self.cfg.unreachable_code_elim {
-                    vec![true, true]
-                } else {
-                    match self.classes.leader(self.classes.class_of(*cond)) {
-                        Leader::Const(k) => vec![k != 0, k == 0],
-                        Leader::Undetermined => vec![false, false],
-                        Leader::Value(_) => vec![true, true],
-                    }
-                }
+            InstKind::Jump => Taken::All,
+            InstKind::Branch(_) | InstKind::Switch(..) if !self.cfg.unreachable_code_elim => {
+                Taken::All
             }
+            &InstKind::Branch(cond) => match self.classes.leader(self.classes.class_of(cond)) {
+                Leader::Const(k) => Taken::Only(usize::from(k == 0)),
+                Leader::Undetermined => Taken::None,
+                Leader::Value(_) => Taken::All,
+            },
             InstKind::Switch(arg, cases) => {
-                if !self.cfg.unreachable_code_elim {
-                    vec![true; cases.len() + 1]
-                } else {
-                    match self.classes.leader(self.classes.class_of(*arg)) {
-                        Leader::Const(k) => {
-                            let hit = cases.iter().position(|&c| c == k).unwrap_or(cases.len());
-                            (0..=cases.len()).map(|i| i == hit).collect()
-                        }
-                        Leader::Undetermined => vec![false; cases.len() + 1],
-                        Leader::Value(_) => vec![true; cases.len() + 1],
+                match self.classes.leader(self.classes.class_of(*arg)) {
+                    Leader::Const(k) => {
+                        Taken::Only(cases.iter().position(|&c| c == k).unwrap_or(cases.len()))
                     }
+                    Leader::Undetermined => Taken::None,
+                    Leader::Value(_) => Taken::All,
                 }
             }
             _ => unreachable!("terminator"),
         };
         for (i, &edge) in succs.iter().enumerate() {
-            if reachability[i] && self.reach_edges.insert(edge) {
+            if taken.includes(i) && self.reach_edges.insert(edge) {
                 self.any_change = true;
                 if let Some(rdt) = self.rdt.as_mut() {
                     rdt.add_edge(edge);
                 }
-                let d = self.func.edge_to(edge);
+                let d = func.edge_to(edge);
                 if self.reach_blocks.insert(d) {
                     self.touch_block_insts(d);
                     self.touched_blocks.insert(d);
@@ -55,15 +48,10 @@ impl Run<'_, '_, '_, '_> {
                     // The destination became a confluence node: touch its
                     // φs and conservatively re-run inference downstream
                     // (Figure 5 footnote 7).
-                    let phis: Vec<Inst> = self
-                        .func
-                        .block_insts(d)
-                        .iter()
-                        .copied()
-                        .filter(|&i2| self.func.kind(i2).is_phi())
-                        .collect();
-                    for p in phis {
-                        self.touch_inst(p);
+                    for &i2 in func.block_insts(d) {
+                        if func.kind(i2).is_phi() {
+                            self.touch_inst(i2);
+                        }
                     }
                     self.propagate_change_in_edge(edge);
                 }
@@ -74,7 +62,7 @@ impl Run<'_, '_, '_, '_> {
         // extended to handle switch instructions"); the default edge has
         // no explicit predicate and stays ∅, exactly the case the paper
         // singles out.
-        if let InstKind::Switch(arg, cases) = &term_kind {
+        if let InstKind::Switch(arg, cases) = term_kind {
             if self.preds_enabled() {
                 let leader = match self.classes.leader(self.classes.class_of(*arg)) {
                     Leader::Value(l) => Some(l),
@@ -104,7 +92,7 @@ impl Run<'_, '_, '_, '_> {
                 }
             }
         }
-        if let InstKind::Branch(cond) = &term_kind {
+        if let InstKind::Branch(cond) = term_kind {
             if self.preds_enabled() {
                 let base = self.branch_predicate(*cond);
                 for (i, &edge) in succs.iter().enumerate() {
@@ -140,16 +128,16 @@ impl Run<'_, '_, '_, '_> {
         // re-evaluating the leader's comparison instruction, then to the
         // generic truthiness predicate `0 ≠ leader`.
         if let Some(def_e) = self.classes.expression(class) {
-            if let ExprKind::Cmp(op, lhs, rhs) = *self.interner.kind(def_e) {
+            if let ExprKind::Cmp(op, lhs, rhs) = self.interner.kind(def_e) {
                 return Some(Pred { op, lhs, rhs });
             }
         }
-        match self.func.kind(self.func.def(leader)).clone() {
+        match *self.func.kind(self.func.def(leader)) {
             InstKind::Cmp(op, a, b) => {
                 let ae = self.leader_expr(a)?;
                 let be = self.leader_expr(b)?;
                 let e = self.eval_cmp(op, ae, be);
-                match *self.interner.kind(e) {
+                match self.interner.kind(e) {
                     ExprKind::Cmp(cop, lhs, rhs) => Some(Pred { op: cop, lhs, rhs }),
                     _ => None, // folded to a constant
                 }
@@ -176,14 +164,33 @@ impl Run<'_, '_, '_, '_> {
         if !self.preds_enabled() {
             return;
         }
+        // The blocks at or after `d` in RPO are exactly the order's
+        // suffix from `d`'s number (none when `d` is unreachable).
         let d = self.func.edge_to(edge);
-        let dn = self.rpo.number(d);
-        let order: Vec<Block> = self.rpo.order().to_vec();
-        for blk in order {
-            if self.rpo.number(blk) >= dn {
-                self.touch_block_insts(blk);
-                self.touched_blocks.insert(blk);
-            }
+        let from = (self.rpo.number(d) as usize).min(self.rpo.order().len());
+        for bi in from..self.rpo.order().len() {
+            let blk = self.rpo.order()[bi];
+            self.touch_block_insts(blk);
+            self.touched_blocks.insert(blk);
+        }
+    }
+}
+
+/// Which outgoing edges of a terminator are executable (Figure 5).
+enum Taken {
+    All,
+    None,
+    /// Only the edge at this successor position (a decided branch or
+    /// switch).
+    Only(usize),
+}
+
+impl Taken {
+    fn includes(&self, i: usize) -> bool {
+        match *self {
+            Taken::All => true,
+            Taken::None => false,
+            Taken::Only(j) => i == j,
         }
     }
 }

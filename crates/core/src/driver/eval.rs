@@ -24,39 +24,10 @@ impl Run<'_, '_, '_, '_> {
         }
     }
 
-    /// The linear form of an operand expression, honouring forward
-    /// propagation through the defining expression of its class (§2.2).
-    pub(super) fn linear_of(&mut self, e: ExprId) -> LinearExpr {
-        if let Some(c) = self.interner.as_const(e) {
-            return LinearExpr::from_const(c);
-        }
-        if let Some(v) = self.interner.as_value(e) {
-            // Forward propagation: splice in the defining expression of
-            // the operand's class when it is itself linear.
-            let class = self.classes.class_of(v);
-            if let Some(def_e) = self.classes.expression(class) {
-                if let ExprKind::Linear(l) = self.interner.kind(def_e) {
-                    return l.clone();
-                }
-            }
-            return LinearExpr::from_value(v);
-        }
-        // Compound non-linear expression: if it names a class, use its
-        // leader as an atom; otherwise it cannot appear inside a linear
-        // form and the caller falls back to an opaque Op node.
-        if let Some(class) = self.classes.lookup(e) {
-            if let Leader::Value(l) = self.classes.leader(class) {
-                return LinearExpr::from_value(l);
-            }
-            if let Leader::Const(c) = self.classes.leader(class) {
-                return LinearExpr::from_const(c);
-            }
-        }
-        LinearExpr::default()
-    }
-
-    /// Interns a linear expression, demoting to `Const`/`Leader` leaves.
-    pub(super) fn finish_linear(&mut self, l: LinearExpr) -> ExprId {
+    /// Interns the reassociation output buffer, demoting it to a
+    /// `Const`/`Leader` leaf when degenerate.
+    pub(super) fn finish_linear(&mut self) -> ExprId {
+        let l = self.scratch.lin.view();
         if let Some(c) = l.as_const() {
             self.interner.constant(c)
         } else if let Some(v) = l.as_single_value() {
@@ -70,8 +41,7 @@ impl Run<'_, '_, '_, '_> {
     /// by the caller so missing results are a recoverable invariant
     /// failure rather than a panic) in block `b`.
     pub(super) fn evaluate(&mut self, inst: Inst, v: Value, b: Block) -> Option<ExprId> {
-        let kind = self.func.kind(inst).clone();
-        let result = match kind {
+        let result = match *self.func.kind(inst) {
             InstKind::Const(c) => Some(self.interner.constant(c)),
             InstKind::Param(_) => Some(self.interner.intern(ExprKind::Unique(v))),
             InstKind::Opaque(t) => Some(self.interner.intern(ExprKind::Opaque(t))),
@@ -117,14 +87,16 @@ impl Run<'_, '_, '_, '_> {
             }
         }
         if self.cfg.global_reassociation {
-            let l = self.linear_of(ae);
-            let folded = match op {
-                UnOp::Neg => l.neg(),
+            let mut slot = Value::new(0);
+            let out = &mut self.scratch.lin;
+            out.assign(linear_of(self.interner, self.classes, ae, &mut slot));
+            out.scale(-1);
+            if op == UnOp::Not {
                 // ~x == -x - 1 in two's complement.
-                UnOp::Not => l.neg().add(&LinearExpr::from_const(-1)),
-            };
-            if folded.size() <= self.cfg.forward_propagation_limit {
-                return self.finish_linear(folded);
+                out.add_constant(-1);
+            }
+            if out.view().size() <= self.cfg.forward_propagation_limit {
+                return self.finish_linear();
             }
         }
         self.interner.intern(ExprKind::Un(op, ae))
@@ -163,7 +135,7 @@ impl Run<'_, '_, '_, '_> {
         } else {
             (ae, be)
         };
-        self.interner.intern(ExprKind::Op(op, vec![ae, be]))
+        self.interner.intern(ExprKind::Op(op, &[ae, be]))
     }
 
     /// The §6 extension: distributes an operation over φ expressions with
@@ -183,11 +155,13 @@ impl Run<'_, '_, '_, '_> {
         if depth > MAX_DEPTH {
             return None;
         }
-        let phi_parts = |run: &Self, e: ExprId| -> Option<(PhiKey, Vec<ExprId>)> {
+        // The φ defining the operand's class: its key, its interned
+        // expression and its arity.
+        let phi_of = |run: &Self, e: ExprId| -> Option<(PhiKey, ExprId, usize)> {
             let v = run.interner.as_value(e)?;
-            let class = run.classes.class_of(v);
-            match run.interner.kind(run.classes.expression(class)?) {
-                ExprKind::Phi(key, args) => Some((*key, args.clone())),
+            let def = run.classes.expression(run.classes.class_of(v))?;
+            match run.interner.kind(def) {
+                ExprKind::Phi(key, args) => Some((key, def, args.len())),
                 _ => None,
             }
         };
@@ -198,24 +172,70 @@ impl Run<'_, '_, '_, '_> {
                     ExprKind::Leader(_) | ExprKind::Unique(_) | ExprKind::Opaque(_)
                 )
         };
-        let (key, pairs): (PhiKey, Vec<(ExprId, ExprId)>) =
-            match (phi_parts(self, ae), phi_parts(self, be)) {
-                (Some((ka, aa)), Some((kb, ba))) if ka == kb && aa.len() == ba.len() => {
-                    (ka, aa.into_iter().zip(ba).collect())
-                }
-                (Some((ka, aa)), None) if scalar(self, be) => {
-                    (ka, aa.into_iter().map(|a| (a, be)).collect())
-                }
-                (None, Some((kb, ba))) if scalar(self, ae) => {
-                    (kb, ba.into_iter().map(|b| (ae, b)).collect())
-                }
-                _ => return None,
-            };
-        if pairs.is_empty() || pairs.len() > 8 {
+        // Each side is a φ (whose i-th argument pairs with the other
+        // side's) or a scalar repeated for every argument.
+        let (key, phi_a, phi_b, n) = match (phi_of(self, ae), phi_of(self, be)) {
+            (Some((ka, da, na)), Some((kb, db, nb))) if ka == kb && na == nb => {
+                (ka, Some(da), Some(db), na)
+            }
+            (Some((ka, da, na)), None) if scalar(self, be) => (ka, Some(da), None, na),
+            (None, Some((kb, db, nb))) if scalar(self, ae) => (kb, None, Some(db), nb),
+            _ => return None,
+        };
+        if n == 0 || n > 8 {
             return None;
         }
-        let mut combined = Vec::with_capacity(pairs.len());
-        for (a, b) in pairs {
+        // One buffer per depth: the recursion below uses the next one.
+        let slot = depth as usize;
+        if self.scratch.phi_dist.len() <= slot {
+            self.scratch.phi_dist.resize_with(slot + 1, Vec::new);
+        }
+        let mut combined = std::mem::take(&mut self.scratch.phi_dist[slot]);
+        combined.clear();
+        let distributed = self.distribute(op, (ae, phi_a), (be, phi_b), n, depth, &mut combined);
+        let out = distributed.and_then(|()| {
+            if let [first, ref rest @ ..] = combined[..] {
+                if rest.iter().all(|&c| c == first) {
+                    return Some(first);
+                }
+            }
+            let d = self.interner.intern(ExprKind::Phi(key, &combined));
+            if depth > 0 {
+                return Some(d);
+            }
+            // At the top level, adopt the distributed form only when it
+            // names an existing congruence class (i.e. an actual φ
+            // computed the same per-edge results); otherwise fall back
+            // to standard evaluation so the linear reassociation chains
+            // are not derailed.
+            self.classes.lookup(d).is_some().then_some(d)
+        });
+        self.scratch.phi_dist[slot] = combined;
+        out
+    }
+
+    /// Applies `op` to each of the `n` argument pairs of a φ
+    /// distribution, pushing the leader-normalized results onto
+    /// `combined`; `None` when some pair does not combine. A side is its
+    /// expression, and the φ it names when it is not a scalar.
+    fn distribute(
+        &mut self,
+        op: PhiOp,
+        (ae, phi_a): (ExprId, Option<ExprId>),
+        (be, phi_b): (ExprId, Option<ExprId>),
+        n: usize,
+        depth: u32,
+        combined: &mut Vec<ExprId>,
+    ) -> Option<()> {
+        let arg = |run: &Self, side: ExprId, phi: Option<ExprId>, i: usize| match phi {
+            Some(d) => match run.interner.kind(d) {
+                ExprKind::Phi(_, args) => args[i],
+                _ => unreachable!("phi_of returned a φ"),
+            },
+            None => side,
+        };
+        for i in 0..n {
+            let (a, b) = (arg(self, ae, phi_a, i), arg(self, be, phi_b, i));
             let c = match op {
                 PhiOp::Bin(bop) => {
                     // Recurse through nested φs of the arguments.
@@ -228,8 +248,7 @@ impl Run<'_, '_, '_, '_> {
                     } else if self.cfg.global_reassociation
                         && matches!(bop, BinOp::Add | BinOp::Sub | BinOp::Mul)
                     {
-                        let l = self.combine_linear(bop, a, b)?;
-                        self.finish_linear(l)
+                        self.combine_linear(bop, a, b)?
                     } else {
                         return None; // keep distribution conservative
                     }
@@ -244,20 +263,7 @@ impl Run<'_, '_, '_, '_> {
             // identically to a real φ over the same per-edge values.
             combined.push(self.leader_normalized(c));
         }
-        if let [first, rest @ ..] = &combined[..] {
-            if rest.iter().all(|c| c == first) {
-                return Some(*first);
-            }
-        }
-        let d = self.interner.intern(ExprKind::Phi(key, combined));
-        if depth > 0 {
-            return Some(d);
-        }
-        // At the top level, adopt the distributed form only when it names
-        // an existing congruence class (i.e. an actual φ computed the same
-        // per-edge results); otherwise fall back to standard evaluation so
-        // the linear reassociation chains are not derailed.
-        self.classes.lookup(d).is_some().then_some(d)
+        Some(())
     }
 
     /// Rewrites an expression to its congruence class's leader expression
@@ -284,47 +290,42 @@ impl Run<'_, '_, '_, '_> {
         ae: ExprId,
         be: ExprId,
     ) -> Option<ExprId> {
-        let folded = match op {
+        match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul => self.combine_linear(op, ae, be),
             BinOp::Shl => {
                 let k = self.interner.as_const(be)?;
                 if !(0..64).contains(&k) {
                     return None;
                 }
-                let la = self.linear_of(ae);
-                Some(la.scale(1i64.wrapping_shl(k as u32)))
+                let mut slot = Value::new(0);
+                let out = &mut self.scratch.lin;
+                out.assign(linear_of(self.interner, self.classes, ae, &mut slot));
+                out.scale(1i64.wrapping_shl(k as u32));
+                Some(self.finish_linear())
             }
             _ => None,
-        }?;
-        Some(self.finish_linear(folded))
+        }
     }
 
-    pub(super) fn combine_linear(
-        &mut self,
-        op: BinOp,
-        ae: ExprId,
-        be: ExprId,
-    ) -> Option<LinearExpr> {
+    /// `ae op be` for op ∈ {+, −, ×} in canonical linear form, interned;
+    /// `None` when even the atomic retry exceeds the forward-propagation
+    /// limit.
+    pub(super) fn combine_linear(&mut self, op: BinOp, ae: ExprId, be: ExprId) -> Option<ExprId> {
         let limit = self.cfg.forward_propagation_limit;
-        let la = self.linear_of(ae);
-        let lb = self.linear_of(be);
-        let apply = |la: &LinearExpr, lb: &LinearExpr, rank_of: &[u32]| match op {
-            BinOp::Add => la.add(lb),
-            BinOp::Sub => la.sub(lb),
-            BinOp::Mul => la.mul(lb, &|v: Value| rank_of[v.index()]),
-            _ => unreachable!("combine_linear handles +, -, ×"),
-        };
-        let out = apply(&la, &lb, &self.rank_of);
-        if out.size() <= limit {
-            return Some(out);
+        let (mut sa, mut sb) = (Value::new(0), Value::new(0));
+        let la = linear_of(self.interner, self.classes, ae, &mut sa);
+        let lb = linear_of(self.interner, self.classes, be, &mut sb);
+        apply_linear(&mut self.scratch.lin, op, la, lb, &self.ranks);
+        if self.scratch.lin.view().size() <= limit {
+            return Some(self.finish_linear());
         }
         // Forward propagation cancelled (§2.2 footnote 4): retry with the
         // operands as atoms instead of their defining expressions.
         self.stats.reassoc_cap_hits += 1;
-        let la = atomic_linear(self.interner, ae)?;
-        let lb = atomic_linear(self.interner, be)?;
-        let out = apply(&la, &lb, &self.rank_of);
-        (out.size() <= limit).then_some(out)
+        let la = atomic_linear(self.interner, ae, &mut sa)?;
+        let lb = atomic_linear(self.interner, be, &mut sb)?;
+        apply_linear(&mut self.scratch.lin, op, la, lb, &self.ranks);
+        (self.scratch.lin.view().size() <= limit).then(|| self.finish_linear())
     }
 
     /// Local algebraic identities for non-reassociable operators.
@@ -415,11 +416,76 @@ impl Run<'_, '_, '_, '_> {
     }
 }
 
-pub(super) fn atomic_linear(interner: &Interner, e: ExprId) -> Option<LinearExpr> {
+/// The linear form of an operand expression, honouring forward
+/// propagation through the defining expression of its class (§2.2). The
+/// form is borrowed — from the interner's arena, or from `slot` for a
+/// single value — so nothing is copied or allocated.
+pub(super) fn linear_of<'a>(
+    interner: &'a Interner,
+    classes: &Classes,
+    e: ExprId,
+    slot: &'a mut Value,
+) -> LinearView<'a> {
     if let Some(c) = interner.as_const(e) {
-        Some(LinearExpr::from_const(c))
+        return LinearView::constant(c);
+    }
+    if let Some(v) = interner.as_value(e) {
+        // Forward propagation: splice in the defining expression of
+        // the operand's class when it is itself linear.
+        if let Some(def_e) = classes.expression(classes.class_of(v)) {
+            if let ExprKind::Linear(l) = interner.kind(def_e) {
+                return l;
+            }
+        }
+        *slot = v;
+        return LinearView::value(slot);
+    }
+    // Compound non-linear expression: if it names a class, use its
+    // leader as an atom; otherwise it cannot appear inside a linear
+    // form and the caller falls back to an opaque Op node.
+    if let Some(class) = classes.lookup(e) {
+        match classes.leader(class) {
+            Leader::Value(l) => {
+                *slot = l;
+                return LinearView::value(slot);
+            }
+            Leader::Const(c) => return LinearView::constant(c),
+            Leader::Undetermined => {}
+        }
+    }
+    LinearView::constant(0)
+}
+
+/// The operand as an atom: a constant or a single value, never its
+/// class's defining expression.
+pub(super) fn atomic_linear<'a>(
+    interner: &Interner,
+    e: ExprId,
+    slot: &'a mut Value,
+) -> Option<LinearView<'a>> {
+    if let Some(c) = interner.as_const(e) {
+        Some(LinearView::constant(c))
     } else {
-        interner.as_value(e).map(LinearExpr::from_value)
+        *slot = interner.as_value(e)?;
+        Some(LinearView::value(slot))
+    }
+}
+
+/// `out = la op lb` for op ∈ {+, −, ×}.
+fn apply_linear(
+    out: &mut LinearExpr,
+    op: BinOp,
+    la: LinearView<'_>,
+    lb: LinearView<'_>,
+    ranks: &Ranks,
+) {
+    match op {
+        BinOp::Add | BinOp::Sub => {
+            out.assign(la);
+            out.add_scaled(lb, if op == BinOp::Add { 1 } else { -1 });
+        }
+        BinOp::Mul => out.set_product(la, lb, &|v: Value| ranks.rank(v)),
+        _ => unreachable!("combine_linear handles +, -, ×"),
     }
 }
 

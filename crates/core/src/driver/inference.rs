@@ -20,7 +20,7 @@ impl Run<'_, '_, '_, '_> {
         if !self.cfg.predicate_inference || self.cfg.sccp_only {
             return e;
         }
-        let ExprKind::Cmp(op, lhs, rhs) = *self.interner.kind(e) else {
+        let ExprKind::Cmp(op, lhs, rhs) = self.interner.kind(e) else {
             return e;
         };
         // §3: a query predicate that shares no operand with any edge
@@ -70,10 +70,10 @@ impl Run<'_, '_, '_, '_> {
                     let origin = self.func.edge_from(edge);
                     block = (origin != cur).then_some(origin);
                 }
-                EdgeSearch::Joint(edges) => {
+                EdgeSearch::Joint => {
                     if join_depth > 0 {
                         if let Some(truth) =
-                            self.joint_predicate_decision(&edges, query, join_depth - 1)
+                            self.joint_predicate_decision(cur, query, join_depth - 1)
                         {
                             return Some(truth);
                         }
@@ -85,16 +85,18 @@ impl Run<'_, '_, '_, '_> {
         None
     }
 
-    /// §7: decides `query` when every reachable incoming edge decides it
-    /// identically — by its own predicate, or by its own upward walk.
-    fn joint_predicate_decision(
-        &mut self,
-        edges: &[Edge],
-        query: Pred,
-        join_depth: u32,
-    ) -> Option<bool> {
+    /// §7: decides `query` when every reachable incoming edge of `b`
+    /// decides it identically — by its own predicate, or by its own
+    /// upward walk.
+    fn joint_predicate_decision(&mut self, b: Block, query: Pred, join_depth: u32) -> Option<bool> {
         let mut agreed: Option<bool> = None;
-        for &e in edges {
+        let func = self.func;
+        // The walks never change reachability, so filtering the incoming
+        // edges as we go sees the same set `dominating_edge` counted.
+        for &e in func.preds(b) {
+            if !self.reach_edges.contains(e) {
+                continue;
+            }
             if self.cfg.variant == Variant::Practical && self.rpo.is_back_edge(e) {
                 return None;
             }
@@ -142,9 +144,7 @@ impl Run<'_, '_, '_, '_> {
             && self.cfg.joint_domination
             && !(self.cfg.variant == Variant::Practical && has_back)
         {
-            let edges: Vec<Edge> =
-                incoming.iter().copied().filter(|&e| self.reach_edges.contains(e)).collect();
-            return EdgeSearch::Joint(edges);
+            return EdgeSearch::Joint;
         }
         EdgeSearch::Climb(self.idom_of(b))
     }
@@ -213,9 +213,9 @@ impl Run<'_, '_, '_, '_> {
                     let origin = self.func.edge_from(edge);
                     block = (origin != b).then_some(origin);
                 }
-                EdgeSearch::Joint(edges) => {
+                EdgeSearch::Joint => {
                     if join_depth > 0 {
-                        if let Some(repl) = self.joint_replacement(&edges, cur, join_depth - 1) {
+                        if let Some(repl) = self.joint_replacement(b, cur, join_depth - 1) {
                             return Some(repl);
                         }
                     }
@@ -226,16 +226,15 @@ impl Run<'_, '_, '_, '_> {
         None
     }
 
-    /// §7: all reachable incoming edges must produce the *same*
+    /// §7: all reachable incoming edges of `b` must produce the *same*
     /// replacement, each via its own predicate or its own walk.
-    fn joint_replacement(
-        &mut self,
-        edges: &[Edge],
-        cur: ExprId,
-        join_depth: u32,
-    ) -> Option<ExprId> {
+    fn joint_replacement(&mut self, b: Block, cur: ExprId, join_depth: u32) -> Option<ExprId> {
         let mut agreed: Option<ExprId> = None;
-        for &e in edges {
+        let func = self.func;
+        for &e in func.preds(b) {
+            if !self.reach_edges.contains(e) {
+                continue;
+            }
             if self.cfg.variant == Variant::Practical && self.rpo.is_back_edge(e) {
                 return None;
             }
@@ -321,7 +320,7 @@ pub(super) enum EdgeSearch {
     Climb(Option<Block>),
     /// The unique reachable incoming edge.
     Found(Edge),
-    /// §7 extension: the reachable incoming edges of a confluence —
-    /// knowledge they agree on holds at the block.
-    Joint(Vec<Edge>),
+    /// §7 extension: the block is a confluence; knowledge its
+    /// reachable incoming edges agree on holds at the block.
+    Joint,
 }

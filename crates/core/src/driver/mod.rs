@@ -19,8 +19,8 @@ use crate::classes::{ClassId, Classes, Leader};
 use crate::config::{GvnConfig, Mode, Variant};
 use crate::context::{GvnContext, ViCache};
 use crate::error::{BudgetKind, FaultKind, FaultSite, GvnError};
-use crate::expr::{ExprId, ExprKind, Interner, PhiKey};
-use crate::linear::LinearExpr;
+use crate::expr::{ExprId, ExprKind, FxBuildHasher, Interner, PhiKey};
+use crate::linear::{LinearExpr, LinearView};
 use crate::predicate::{implies, Pred};
 use crate::results::{GvnResults, GvnStats, RunOutcome};
 use pgvn_analysis::{DomTree, PostDomTree, Ranks, ReachableDomTree, Rpo};
@@ -146,7 +146,7 @@ struct Run<'f, 'c, 't, 's> {
     func: &'f Function,
     cfg: GvnConfig,
     rpo: Rpo,
-    rank_of: Vec<u32>,
+    ranks: Ranks,
     domtree: DomTree,
     postdom: PostDomTree,
     defuse: DefUse,
@@ -178,9 +178,9 @@ struct Run<'f, 'c, 't, 's> {
     vi_cache: &'c mut ViCache,
     /// §3: memo for predicate inference, keyed by starting block and
     /// canonical predicate.
-    pi_cache: &'c mut HashMap<(Block, CmpOp, ExprId, ExprId), ExprId>,
-    /// φ-predication OR-operand scratch, recycled per traversal.
-    or_ops: &'c mut Vec<Vec<ExprId>>,
+    pi_cache: &'c mut HashMap<(Block, CmpOp, ExprId, ExprId), ExprId, FxBuildHasher>,
+    /// Per-touch working buffers (see [`Scratch`]).
+    scratch: &'c mut Scratch,
     stats: GvnStats,
     any_change: bool,
     /// Wall-clock deadline derived from the budget, checked per block.
@@ -188,6 +188,11 @@ struct Run<'f, 'c, 't, 's> {
     /// Site visits remaining before the armed fault fires; `None` when
     /// no driver-site fault is armed (or it already fired).
     fault_countdown: Option<u64>,
+    /// When profiling: the end of the previous instruction's span, if
+    /// only the pass loop's bookkeeping ran since. The next span starts
+    /// there, so each instruction costs one clock read per phase rather
+    /// than two.
+    span_end: Option<Instant>,
 }
 
 impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
@@ -200,8 +205,6 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
         let t0 = tel.clock();
         let rpo = Rpo::compute(func);
         let ranks = Ranks::assign(func, &rpo);
-        let rank_of: Vec<u32> =
-            (0..func.value_capacity()).map(|i| ranks.rank(Value::new(i))).collect();
         let defuse = DefUse::compute(func);
         tel.record_phase(Phase::Cfg, t0);
         let t0 = tel.clock();
@@ -248,7 +251,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             nullified_blocks,
             vi_cache,
             pi_cache,
-            or_ops,
+            scratch,
             ..
         } = ctx;
         Run {
@@ -256,7 +259,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             func,
             cfg,
             rpo,
-            rank_of,
+            ranks,
             domtree,
             postdom,
             defuse,
@@ -276,11 +279,12 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             nullified_blocks,
             vi_cache,
             pi_cache,
-            or_ops,
+            scratch,
             stats: GvnStats::default(),
             any_change: false,
             deadline,
             fault_countdown,
+            span_end: None,
         }
     }
 
@@ -318,7 +322,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
     }
 
     fn rank(&self, v: Value) -> u32 {
-        self.rank_of[v.index()]
+        self.ranks.rank(v)
     }
 
     fn preds_enabled(&self) -> bool {
@@ -326,9 +330,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
     }
 
     fn touch_inst(&mut self, i: Inst) {
-        if self.touched_insts.insert(i) {
-            self.stats.touches += 1;
-        }
+        touch(self.touched_insts, &mut self.stats, i);
     }
 
     fn touch_block_insts(&mut self, b: Block) {
@@ -352,8 +354,8 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
         let start_everywhere =
             !self.cfg.unreachable_code_elim || self.cfg.mode == Mode::Pessimistic;
         if start_everywhere {
-            let order: Vec<Block> = self.rpo.order().to_vec();
-            for b in order {
+            for bi in 0..self.rpo.order().len() {
+                let b = self.rpo.order()[bi];
                 self.reach_blocks.insert(b);
                 self.touch_block_insts(b);
                 self.touched_blocks.insert(b);
@@ -387,6 +389,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
     }
 
     fn run_passes(&mut self) -> Result<RunOutcome, GvnError> {
+        let func = self.func;
         loop {
             if let Some(max) = self.cfg.budget.max_passes {
                 if self.stats.passes >= max {
@@ -430,6 +433,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                 self.vi_cache.clear();
                 self.pi_cache.clear();
                 self.stats.vi_cache_evictions += 1;
+                self.span_end = None;
                 if self.touched_blocks.remove(b)
                     && self.reach_blocks.contains(b)
                     && self.cfg.phi_predication
@@ -439,8 +443,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                     self.compute_block_predicate(b);
                     self.tel.record(Phase::PhiPredication, t0);
                 }
-                let insts = self.func.block_insts(b).to_vec();
-                for inst in insts {
+                for &inst in func.block_insts(b) {
                     if self.touched_insts.remove(inst) && self.reach_blocks.contains(b) {
                         self.stats.insts_processed += 1;
                         if pass > OSC_PASS_THRESHOLD && self.tel.is_tracing() {
@@ -489,10 +492,12 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                     if self.stats.passes >= MAX_PASSES {
                         return Ok(RunOutcome::NonConverged);
                     }
-                    let blocks: Vec<Block> = self.reach_blocks.iter().collect();
-                    for b in blocks {
-                        self.touch_block_insts(b);
-                        self.touched_blocks.insert(b);
+                    for bi in 0..func.block_capacity() {
+                        let b = Block::new(bi);
+                        if self.reach_blocks.contains(b) {
+                            self.touch_block_insts(b);
+                            self.touched_blocks.insert(b);
+                        }
                     }
                     continue;
                 }
@@ -554,7 +559,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
         match self.func.kind(inst) {
             InstKind::Jump | InstKind::Branch(_) | InstKind::Switch(..) => {
                 self.maybe_fault(FaultSite::Edges)?;
-                let t0 = self.tel.clock();
+                let t0 = self.span_start();
                 self.process_outgoing_edges(b);
                 self.tel.record(Phase::EdgeProcessing, t0);
             }
@@ -566,22 +571,26 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                         "instruction {inst} in {b} should define a value but has no result"
                     )));
                 };
-                let t0 = self.tel.clock();
+                let t0 = self.span_start();
                 let e = self.evaluate(inst, v, b);
-                self.tel.record(Phase::SymbolicEval, t0);
-                let t0 = self.tel.clock();
+                let t0 = self.tel.lap(Phase::SymbolicEval, t0);
                 let moved = self.congruence_finding(v, e)?;
-                self.tel.record(Phase::CongruenceMerge, t0);
                 if moved {
                     self.any_change = true;
-                    let users = self.defuse.uses(v).to_vec();
-                    for u in users {
-                        self.touch_inst(u);
+                    for &u in self.defuse.uses(v) {
+                        touch(self.touched_insts, &mut self.stats, u);
                     }
                 }
+                self.span_end = self.tel.lap(Phase::CongruenceMerge, t0);
             }
         }
         Ok(())
+    }
+
+    /// Starts an instruction's first span: at the previous span's end
+    /// when that is still current, else at a fresh clock read.
+    fn span_start(&mut self) -> Option<Instant> {
+        self.span_end.take().or_else(|| self.tel.clock())
     }
 
     /// [`Run::process_inst`], but reporting any class movement as an
@@ -593,6 +602,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
     fn process_inst_watching_oscillation(&mut self, inst: Inst, b: Block) -> Result<(), GvnError> {
         let result = self.func.inst_result(inst);
         let before = result.map(|v| self.describe_value(v));
+        self.span_end = None; // the description is not the instruction's time
         self.process_inst(inst, b)?;
         let after = result.map(|v| self.describe_value(v));
         if before != after {
@@ -642,6 +652,34 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
     // -----------------------------------------------------------------
     // φ-predication (Figure 8)
     // -----------------------------------------------------------------
+}
+
+/// Adds `i` to `TOUCHED`, counting a touch when it was not there yet.
+/// A free function over the two fields so callers can touch while they
+/// borrow other parts of the run (def-use lists, class members).
+fn touch(touched: &mut EntitySet<Inst>, stats: &mut GvnStats, i: Inst) {
+    if touched.insert(i) {
+        stats.touches += 1;
+    }
+}
+
+/// The driver's per-touch working buffers, owned by the [`GvnContext`]
+/// so their capacity survives across touches and runs. Each is cleared
+/// by the code that uses it; none carries meaning between uses.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Reassociation output: `combine_linear` writes it, `finish_linear`
+    /// interns it.
+    lin: LinearExpr,
+    /// `eval_phi`: (incoming edge, argument) of each reachable edge.
+    phi_pairs: Vec<(Edge, ExprId)>,
+    /// `eval_phi`: the arguments in `CANONICAL` (or incoming) order.
+    phi_args: Vec<ExprId>,
+    /// §6 φ-distribution: the combined arguments, one buffer per
+    /// recursion depth.
+    phi_dist: Vec<Vec<ExprId>>,
+    /// φ-predication traversal state.
+    pub(crate) pred: phipred::PredCtx,
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use super::*;
 
 impl Run<'_, '_, '_, '_> {
     pub(super) fn eval_phi(&mut self, v: Value, b: Block, args: &[Value]) -> Option<ExprId> {
-        let preds = self.func.preds(b).to_vec();
+        let preds = self.func.preds(b);
         if self.cfg.mode != Mode::Optimistic && preds.iter().any(|&e| self.rpo.is_back_edge(e)) {
             // Balanced/pessimistic: cyclic φs are unique values (§2.6).
             return Some(self.interner.intern(ExprKind::Unique(v)));
@@ -14,7 +14,11 @@ impl Run<'_, '_, '_, '_> {
         // that are still ⊥ are *ignored*, exactly like arguments on
         // unreachable edges: ⊥ is the optimistic "any value" assumption,
         // and dropping it is what lets mutually-dependent φ cycles resolve.
-        let mut pairs: Vec<(Edge, ExprId)> = Vec::with_capacity(args.len());
+        // The buffers are the context's, borrowed for the call.
+        let mut pairs = std::mem::take(&mut self.scratch.phi_pairs);
+        let mut arg_exprs = std::mem::take(&mut self.scratch.phi_args);
+        pairs.clear();
+        arg_exprs.clear();
         let mut dropped_bottom = false;
         for (i, &e) in preds.iter().enumerate() {
             if !self.reach_edges.contains(e) {
@@ -25,47 +29,45 @@ impl Run<'_, '_, '_, '_> {
                 None => dropped_bottom = true,
             }
         }
-        if pairs.is_empty() {
-            return None;
-        }
         // Reorder to CANONICAL[B] when the block predicate is known and
         // the correspondence with reachable incoming edges is intact.
+        let canon = &self.canonical[b.index()];
         let key = match self.block_pred[b.index()] {
-            Some(p) if !dropped_bottom && self.canonical[b.index()].len() == pairs.len() => {
-                let canon = self.canonical[b.index()].clone();
-                let mut reordered = Vec::with_capacity(pairs.len());
-                let mut ok = true;
-                for e in canon {
-                    match pairs.iter().find(|&&(pe, _)| pe == e) {
-                        Some(&p2) => reordered.push(p2),
-                        None => {
-                            ok = false;
-                            break;
+            Some(p) if !pairs.is_empty() && !dropped_bottom && canon.len() == pairs.len() => {
+                let reordered =
+                    canon.iter().all(|&e| match pairs.iter().find(|&&(pe, _)| pe == e) {
+                        Some(&(_, ae)) => {
+                            arg_exprs.push(ae);
+                            true
                         }
-                    }
-                }
-                if ok {
-                    pairs = reordered;
+                        None => false,
+                    });
+                if reordered {
                     PhiKey::Pred(p)
                 } else {
+                    arg_exprs.clear();
                     PhiKey::Block(b)
                 }
             }
             _ => PhiKey::Block(b),
         };
-        let arg_exprs: Vec<ExprId> = pairs.into_iter().map(|(_, ae)| ae).collect();
+        if arg_exprs.is_empty() {
+            arg_exprs.extend(pairs.iter().map(|&(_, ae)| ae));
+        }
         // All-congruent arguments reduce the φ (Figure 4 line 23). Note:
         // no "self-reference" shortcut here — reducing φ(x, self) → x in a
         // later pass would be a move *up* the lattice and break the
         // optimistic-to-pessimistic monotonicity that §4's termination
         // argument relies on. A φ that is its own class leader simply
         // hashes to its existing class through its Leader leaf.
-        if let [single, rest @ ..] = &arg_exprs[..] {
-            if rest.iter().all(|a| a == single) {
-                return Some(*single);
-            }
-        }
-        Some(self.interner.intern(ExprKind::Phi(key, arg_exprs)))
+        let out = match arg_exprs[..] {
+            [] => None,
+            [single, ref rest @ ..] if rest.iter().all(|&a| a == single) => Some(single),
+            _ => Some(self.interner.intern(ExprKind::Phi(key, &arg_exprs))),
+        };
+        self.scratch.phi_pairs = pairs;
+        self.scratch.phi_args = arg_exprs;
+        out
     }
 
     pub(super) fn congruence_finding(
@@ -108,20 +110,19 @@ impl Run<'_, '_, '_, '_> {
         {
             // Leader departure (Figure 4 lines 52–56): elect the lowest-
             // ranked member, mark the class changed, re-evaluate members.
-            let members: Vec<Value> = self.classes.members(c0).collect();
-            let Some(new_leader) = members.iter().copied().min_by_key(|&m| (self.rank(m), m))
+            let ranks = &self.ranks;
+            let Some(new_leader) = self.classes.members(c0).min_by_key(|&m| (ranks.rank(m), m))
             else {
                 return Err(GvnError::invariant(format!(
                     "class {c0} reported non-empty on leader departure of {v} but has no members"
                 )));
             };
             self.classes.set_leader(c0, Leader::Value(new_leader));
-            for m in members {
+            for m in self.classes.members(c0) {
                 self.changed.insert(m);
-                self.touch_inst(self.func.def(m));
-                let users = self.defuse.uses(m).to_vec();
-                for u in users {
-                    self.touch_inst(u);
+                touch(self.touched_insts, &mut self.stats, self.func.def(m));
+                for &u in self.defuse.uses(m) {
+                    touch(self.touched_insts, &mut self.stats, u);
                 }
             }
         }

@@ -4,76 +4,62 @@
 
 use super::*;
 
-impl Run<'_, '_, '_, '_> {
+impl<'f> Run<'f, '_, '_, '_> {
     pub(super) fn compute_block_predicate(&mut self, b0: Block) {
         if self.nullified_blocks.contains(b0) {
             return; // §3: permanently nullified after an aborted traversal
         }
+        let func = self.func;
         let reachable_incoming =
-            self.func.preds(b0).iter().filter(|&&e| self.reach_edges.contains(e)).count();
+            func.preds(b0).iter().filter(|&&e| self.reach_edges.contains(e)).count();
         let d0 = match self.rdt.as_mut() {
-            Some(rdt) => rdt.idom(self.func, b0),
+            Some(rdt) => rdt.idom(func, b0),
             None => self.domtree.idom(b0),
         };
-        let new_pred;
-        let mut new_canon = Vec::new();
+        // The traversal state is the context's, borrowed for the call
+        // and handed back below; its OR-operand rows are blank between
+        // traversals.
+        let mut ctx = std::mem::take(&mut self.scratch.pred);
+        ctx.start(b0);
+        let mut new_pred = None;
+        let mut have_canon = false;
         match d0 {
             Some(d0)
                 if d0 != b0 && self.postdom.postdominates(b0, d0) && reachable_incoming >= 1 =>
             {
-                // Recycle the per-block OR-operand table from the session
-                // context (empty inner vec = unvisited); it is cleared and
-                // returned below, so each traversal starts blank.
-                let mut or_ops = std::mem::take(self.or_ops);
-                for ops in &mut or_ops {
-                    ops.clear();
-                }
-                if or_ops.len() < self.func.block_capacity() {
-                    or_ops.resize_with(self.func.block_capacity(), Vec::new);
-                }
-                let mut ctx = PredCtx {
-                    b0,
-                    aborted: false,
-                    incomplete: false,
-                    canonical: Vec::new(),
-                    or_ops,
-                    result: Vec::new(),
-                };
                 self.compute_partial(d0, None, true, &mut ctx);
-                *self.or_ops = std::mem::take(&mut ctx.or_ops);
+                ctx.finish_traversal();
                 if ctx.aborted && self.cfg.nullify_aborted_predicates {
                     self.nullified_blocks.insert(b0);
                 }
-                if ctx.aborted || ctx.incomplete || ctx.result.len() != reachable_incoming {
-                    new_pred = None;
-                } else {
-                    new_canon = ctx.canonical;
+                if !(ctx.aborted || ctx.incomplete || ctx.result.len() != reachable_incoming) {
+                    have_canon = true;
                     let t = self.interner.constant(1);
-                    let ops: Vec<ExprId> = ctx.result.iter().map(|o| o.unwrap_or(t)).collect();
-                    new_pred = if ops.len() == 1 {
-                        Some(ops[0])
+                    ctx.ops.clear();
+                    ctx.ops.extend(ctx.result.iter().map(|o| o.unwrap_or(t)));
+                    new_pred = Some(if let [only] = ctx.ops[..] {
+                        only
                     } else {
-                        Some(self.interner.intern(ExprKind::PredOr(ops)))
-                    };
+                        self.interner.intern(ExprKind::PredOr(&ctx.ops))
+                    });
                 }
             }
-            _ => new_pred = None,
+            _ => {}
         }
+        let new_canon: &[Edge] = if have_canon { &ctx.canonical } else { &[] };
         if self.block_pred[b0.index()] != new_pred || self.canonical[b0.index()] != new_canon {
             self.block_pred[b0.index()] = new_pred;
-            self.canonical[b0.index()] = new_canon;
-            let phis: Vec<Inst> = self
-                .func
-                .block_insts(b0)
-                .iter()
-                .copied()
-                .filter(|&i| self.func.kind(i).is_phi())
-                .collect();
-            for p in phis {
-                self.touch_inst(p);
+            let row = &mut self.canonical[b0.index()];
+            row.clear();
+            row.extend_from_slice(new_canon);
+            for &p in func.block_insts(b0) {
+                if func.kind(p).is_phi() {
+                    self.touch_inst(p);
+                }
             }
             self.any_change = true;
         }
+        self.scratch.pred = ctx;
     }
 
     pub(super) fn compute_partial(
@@ -87,8 +73,8 @@ impl Run<'_, '_, '_, '_> {
             return;
         }
         self.stats.phi_predication_visits += 1;
-        let reachable_in =
-            self.func.preds(b).iter().filter(|&&e| self.reach_edges.contains(e)).count();
+        let func = self.func;
+        let reachable_in = func.preds(b).iter().filter(|&&e| self.reach_edges.contains(e)).count();
         if b == ctx.b0 {
             // A path arrived at B0: record its predicate as the next OR
             // operand (correspondence with CANONICAL is kept by the
@@ -103,12 +89,18 @@ impl Run<'_, '_, '_, '_> {
             // per incoming path and proceed only once complete.
             let t = self.interner.constant(1);
             let ops = &mut ctx.or_ops[b.index()];
+            if ops.is_empty() {
+                ctx.dirty.push(b);
+            }
             ops.push(pp.unwrap_or(t));
             if ops.len() < reachable_in {
                 return;
             }
-            let ops = ops.clone();
-            Some(if ops.len() == 1 { ops[0] } else { self.interner.intern(ExprKind::PredOr(ops)) })
+            Some(if let [only] = ops[..] {
+                only
+            } else {
+                self.interner.intern(ExprKind::PredOr(&ops[..]))
+            })
         };
         // Skip-to-postdominator shortcut (Figure 8 lines 25–28).
         if let Some(d) = self.postdom.ipdom(b) {
@@ -117,7 +109,7 @@ impl Run<'_, '_, '_, '_> {
                 return;
             }
         }
-        let succs = self.canonical_succs(b);
+        let succs = func.succs(b);
         let reachable_out = succs.iter().filter(|&&e| self.reach_edges.contains(e)).count();
         // A split is *ambiguous* when two or more of its reachable edges
         // carry no predicate: a branch whose condition is constant or still
@@ -136,7 +128,7 @@ impl Run<'_, '_, '_, '_> {
                 .filter(|&&e| self.reach_edges.contains(e) && self.edge_pred[e.index()].is_none())
                 .count()
                 >= 2;
-        for e in succs {
+        for e in self.canonical_succs(b) {
             if ctx.aborted || ctx.incomplete {
                 return;
             }
@@ -162,12 +154,10 @@ impl Run<'_, '_, '_, '_> {
                     }
                     (None, ep) => ep,
                     (pp2, None) => pp2,
-                    (Some(a), Some(b2)) => {
-                        Some(self.interner.intern(ExprKind::PredAnd(vec![a, b2])))
-                    }
+                    (Some(a), Some(b2)) => Some(self.interner.intern(ExprKind::PredAnd(&[a, b2]))),
                 }
             };
-            let dest = self.func.edge_to(e);
+            let dest = func.edge_to(e);
             self.compute_partial(dest, ep, false, ctx);
             if dest == ctx.b0 {
                 ctx.canonical.push(e);
@@ -182,28 +172,79 @@ impl Run<'_, '_, '_, '_> {
     /// Outgoing edges in canonical order (§2.8: "the outgoing edges are
     /// arranged so that the predicate of the first outgoing edge has the
     /// operator =, < or ≤").
-    pub(super) fn canonical_succs(&self, b: Block) -> Vec<Edge> {
-        let succs = self.func.succs(b).to_vec();
-        if succs.len() == 2 {
-            if let Some(p) = self.edge_pred[succs[0].index()] {
-                if !matches!(p.op, CmpOp::Eq | CmpOp::Lt | CmpOp::Le) {
-                    return vec![succs[1], succs[0]];
-                }
-            }
-        }
-        succs
+    pub(super) fn canonical_succs(&self, b: Block) -> impl Iterator<Item = Edge> + 'f {
+        let func: &'f Function = self.func;
+        let succs = func.succs(b);
+        let swap = succs.len() == 2
+            && self.edge_pred[succs[0].index()]
+                .is_some_and(|p| !matches!(p.op, CmpOp::Eq | CmpOp::Lt | CmpOp::Le));
+        (0..succs.len()).map(move |i| succs[if swap { 1 - i } else { i }])
     }
 }
 
-pub(super) struct PredCtx {
+/// The state of one φ-predication traversal. It lives in the session
+/// context between traversals, so its buffers are reused.
+#[derive(Debug)]
+pub(crate) struct PredCtx {
     b0: Block,
     aborted: bool,
     /// A path crossed a reachable multi-way split whose edge carries no
     /// predicate: the formula is unknowable *this pass* (not nullified).
     incomplete: bool,
     canonical: Vec<Edge>,
-    /// Per-block accumulated OR operands; an empty vec means unvisited.
-    /// Borrowed from the session context for the traversal's duration.
+    /// Per-block accumulated OR operands; an empty row means unvisited.
+    /// Every row is empty between traversals.
     or_ops: Vec<Vec<ExprId>>,
+    /// The rows of `or_ops` this traversal filled, so clearing them
+    /// costs what the traversal touched rather than O(blocks).
+    dirty: Vec<Block>,
+    /// One OR operand per path reaching `b0`, in `canonical` order.
     result: Vec<Option<ExprId>>,
+    /// The block predicate's OR operands.
+    ops: Vec<ExprId>,
+}
+
+impl Default for PredCtx {
+    fn default() -> Self {
+        PredCtx {
+            b0: Block::new(0),
+            aborted: false,
+            incomplete: false,
+            canonical: Vec::new(),
+            or_ops: Vec::new(),
+            dirty: Vec::new(),
+            result: Vec::new(),
+            ops: Vec::new(),
+        }
+    }
+}
+
+impl PredCtx {
+    /// Sizes the OR-operand table for a run over `blocks` blocks with
+    /// every row blank (a panicked run may have left rows filled).
+    pub(crate) fn prepare(&mut self, blocks: usize) {
+        for row in &mut self.or_ops {
+            row.clear();
+        }
+        if self.or_ops.len() < blocks {
+            self.or_ops.resize_with(blocks, Vec::new);
+        }
+        self.dirty.clear();
+    }
+
+    /// Resets the per-traversal state for a traversal towards `b0`.
+    fn start(&mut self, b0: Block) {
+        self.b0 = b0;
+        self.aborted = false;
+        self.incomplete = false;
+        self.canonical.clear();
+        self.result.clear();
+    }
+
+    /// Blanks the OR-operand rows the traversal filled.
+    fn finish_traversal(&mut self) {
+        for b in self.dirty.drain(..) {
+            self.or_ops[b.index()].clear();
+        }
+    }
 }

@@ -6,10 +6,21 @@
 //! Interning gives every distinct expression a stable [`ExprId`], so
 //! expression equality — including the equality of block predicates needed
 //! by φ-predication — is an integer comparison.
+//!
+//! # Storage
+//!
+//! An [`ExprKind`] is a *borrowed* view: operand lists are slices and a
+//! linear form is a [`LinearView`]. [`Interner::intern`] probes with the
+//! view, so a hit copies nothing; a miss copies the operands into pooled
+//! arenas owned by the interner (one for operand lists, one each for
+//! linear terms and factors). The hash-cons table is open addressing over
+//! ids, with each expression's hash stored beside it, under the in-crate
+//! `FxHasher`. [`Interner::clear`] keeps every arena, so once a session
+//! context is warm, interning allocates nothing, hit or miss.
 
-use crate::linear::LinearExpr;
+use crate::linear::{append_terms, LinearView, Term};
 use pgvn_ir::{BinOp, Block, CmpOp, UnOp, Value};
-use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// An interned expression reference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,6 +61,61 @@ impl pgvn_ir::EntityRef for ExprId {
     }
 }
 
+/// An Fx-style word-at-a-time hasher (rotate, xor, multiply): much
+/// cheaper than SipHash on the small integer keys of the driver's tables,
+/// and keys here are never attacker-chosen hash-flooding material.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// `BuildHasher` for std maps keyed like the interner (e.g. the
+/// predicate-inference memo).
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
 /// The distinguishing context of a φ expression (§2.2, §2.8): a φ's
 /// expression carries either its block or — when φ-predication computed
 /// one — the block's predicate, which lets φs of *different* blocks with
@@ -62,9 +128,11 @@ pub enum PhiKey {
     Pred(ExprId),
 }
 
-/// A canonical symbolic expression.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum ExprKind {
+/// A canonical symbolic expression, borrowed: operand lists and linear
+/// forms point into the interner's arenas (from [`Interner::kind`]) or
+/// into the caller's scratch (when passed to [`Interner::intern`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ExprKind<'a> {
     /// An integer constant.
     Const(i64),
     /// An atomic value (a congruence class leader).
@@ -75,30 +143,88 @@ pub enum ExprKind {
     /// An opaque token (call/load); congruent only to itself.
     Opaque(u32),
     /// A reassociated linear combination (sum of products of leaders).
-    Linear(LinearExpr),
+    Linear(LinearView<'a>),
     /// A non-reassociable operation over canonical operands.
-    Op(BinOp, Vec<ExprId>),
+    Op(BinOp, &'a [ExprId]),
     /// A unary operation that did not simplify.
     Un(UnOp, ExprId),
     /// A comparison with canonically ordered operands.
     Cmp(CmpOp, ExprId, ExprId),
     /// A φ-function: key plus one argument per (canonically ordered)
     /// reachable incoming edge.
-    Phi(PhiKey, Vec<ExprId>),
+    Phi(PhiKey, &'a [ExprId]),
     /// Conjunction of edge predicates along a path (φ-predication).
-    PredAnd(Vec<ExprId>),
+    PredAnd(&'a [ExprId]),
     /// Disjunction of path predicates of a block (φ-predication).
-    PredOr(Vec<ExprId>),
+    PredOr(&'a [ExprId]),
 }
+
+/// A span of one of the interner's arenas.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn of<T>(arena: &[T], start: usize) -> Span {
+        Span { start: start as u32, len: (arena.len() - start) as u32 }
+    }
+
+    fn get<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.start as usize..self.start as usize + self.len as usize]
+    }
+}
+
+/// The stored form of an expression: [`ExprKind`] with its slices
+/// replaced by arena spans.
+#[derive(Clone, Copy, Debug)]
+enum Node {
+    Const(i64),
+    Leader(Value),
+    Unique(Value),
+    Opaque(u32),
+    /// Constant plus a span of the term arena.
+    Linear(i64, Span),
+    Op(BinOp, Span),
+    Un(UnOp, ExprId),
+    Cmp(CmpOp, ExprId, ExprId),
+    Phi(PhiKey, Span),
+    PredAnd(Span),
+    PredOr(Span),
+}
+
+/// An empty hash-cons table slot.
+const EMPTY: u32 = u32::MAX;
+
+/// Smallest non-empty table (a power of two).
+const MIN_TABLE: usize = 16;
 
 /// The expression interner.
 #[derive(Debug, Default)]
 pub struct Interner {
-    map: HashMap<ExprKind, ExprId>,
-    kinds: Vec<ExprKind>,
+    /// Per-id stored expression.
+    nodes: Vec<Node>,
+    /// Per-id hash of the expression.
+    hashes: Vec<u64>,
+    /// Open-addressing (linear probing) table of ids; a power of two in
+    /// length, at most half full.
+    table: Vec<u32>,
+    /// Arena of `Op`/`Phi`/`PredAnd`/`PredOr` operand lists.
+    operands: Vec<ExprId>,
+    /// Arena of linear terms; their spans index `factors`.
+    terms: Vec<Term>,
+    /// Arena of linear factor lists.
+    factors: Vec<Value>,
     hits: u64,
     misses: u64,
     growths: u64,
+}
+
+fn hash_of(kind: &ExprKind<'_>) -> u64 {
+    let mut h = FxHasher::default();
+    kind.hash(&mut h);
+    h.finish()
 }
 
 impl Interner {
@@ -107,21 +233,89 @@ impl Interner {
         Self::default()
     }
 
-    /// Interns `kind`, returning its stable id.
-    pub fn intern(&mut self, kind: ExprKind) -> ExprId {
-        if let Some(&id) = self.map.get(&kind) {
-            self.hits += 1;
-            return id;
+    /// The home slot of `hash` (the high bits: the multiply mixes them
+    /// best).
+    fn home(&self, hash: u64) -> usize {
+        (hash >> 32) as usize & (self.table.len() - 1)
+    }
+
+    /// Interns `kind`, returning its stable id. A hit copies nothing.
+    pub fn intern(&mut self, kind: ExprKind<'_>) -> ExprId {
+        let hash = hash_of(&kind);
+        if !self.table.is_empty() {
+            let mask = self.table.len() - 1;
+            let mut slot = self.home(hash);
+            loop {
+                let id = self.table[slot];
+                if id == EMPTY {
+                    break;
+                }
+                if self.hashes[id as usize] == hash && self.kind(ExprId(id)) == kind {
+                    self.hits += 1;
+                    return ExprId(id);
+                }
+                slot = (slot + 1) & mask;
+            }
         }
         self.misses += 1;
-        let id = ExprId(self.kinds.len() as u32);
-        self.kinds.push(kind.clone());
-        let before = self.map.capacity();
-        self.map.insert(kind, id);
-        if self.map.capacity() > before {
-            self.growths += 1;
+        let id = ExprId(self.nodes.len() as u32);
+        let node = self.store(kind);
+        self.nodes.push(node);
+        self.hashes.push(hash);
+        if self.nodes.len() * 2 > self.table.len() {
+            self.grow();
+        } else {
+            self.place(id);
         }
         id
+    }
+
+    /// Copies `kind`'s slices into the arenas.
+    fn store(&mut self, kind: ExprKind<'_>) -> Node {
+        let mut operands = |args: &[ExprId]| {
+            let start = self.operands.len();
+            self.operands.extend_from_slice(args);
+            Span::of(&self.operands, start)
+        };
+        if let ExprKind::Linear(l) = kind {
+            let start = self.terms.len();
+            append_terms(l, 1, &mut self.terms, &mut self.factors);
+            return Node::Linear(l.constant, Span::of(&self.terms, start));
+        }
+        match kind {
+            ExprKind::Const(c) => Node::Const(c),
+            ExprKind::Leader(v) => Node::Leader(v),
+            ExprKind::Unique(v) => Node::Unique(v),
+            ExprKind::Opaque(t) => Node::Opaque(t),
+            ExprKind::Op(op, args) => Node::Op(op, operands(args)),
+            ExprKind::Un(op, a) => Node::Un(op, a),
+            ExprKind::Cmp(op, a, b) => Node::Cmp(op, a, b),
+            ExprKind::Phi(key, args) => Node::Phi(key, operands(args)),
+            ExprKind::PredAnd(args) => Node::PredAnd(operands(args)),
+            ExprKind::PredOr(args) => Node::PredOr(operands(args)),
+            ExprKind::Linear(_) => unreachable!("stored above"),
+        }
+    }
+
+    /// Inserts `id` at the first free slot of its probe sequence.
+    fn place(&mut self, id: ExprId) {
+        let mask = self.table.len() - 1;
+        let mut slot = self.home(self.hashes[id.index()]);
+        while self.table[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.table[slot] = id.0;
+    }
+
+    /// Doubles the table and re-places every id from its stored hash.
+    fn grow(&mut self) {
+        let cap = (self.table.len() * 2).max(MIN_TABLE);
+        self.table.clear();
+        self.table.resize(cap, EMPTY);
+        self.growths += 1;
+        for i in 0..self.nodes.len() {
+            self.place(ExprId(i as u32));
+        }
     }
 
     /// Empties the interner, keeping its allocations: ids restart at 0
@@ -129,8 +323,12 @@ impl Interner {
     /// reset — a reused interner performs no per-run capacity growth
     /// once warm.
     pub fn clear(&mut self) {
-        self.map.clear();
-        self.kinds.clear();
+        self.nodes.clear();
+        self.hashes.clear();
+        self.table.fill(EMPTY);
+        self.operands.clear();
+        self.terms.clear();
+        self.factors.clear();
         self.hits = 0;
         self.misses = 0;
         self.growths = 0;
@@ -138,12 +336,12 @@ impl Interner {
 
     /// Capacity of the expression arena (amortization metric).
     pub fn expr_capacity(&self) -> usize {
-        self.kinds.capacity()
+        self.nodes.capacity()
     }
 
-    /// Capacity of the hash-cons table (amortization metric).
+    /// Slots in the hash-cons table (amortization metric).
     pub fn table_capacity(&self) -> usize {
-        self.map.capacity()
+        self.table.len()
     }
 
     /// Lookups answered by the hash-cons table.
@@ -156,7 +354,7 @@ impl Interner {
         self.misses
     }
 
-    /// Hash-cons table capacity growths (rehashes) since the last
+    /// Hash-cons table growths (rehashes) since the last
     /// [`Interner::clear`]. Zero on a warm session context whose table
     /// already fits the routine.
     pub fn growths(&self) -> u64 {
@@ -164,18 +362,32 @@ impl Interner {
     }
 
     /// The expression for `id`.
-    pub fn kind(&self, id: ExprId) -> &ExprKind {
-        &self.kinds[id.index()]
+    pub fn kind(&self, id: ExprId) -> ExprKind<'_> {
+        match self.nodes[id.index()] {
+            Node::Const(c) => ExprKind::Const(c),
+            Node::Leader(v) => ExprKind::Leader(v),
+            Node::Unique(v) => ExprKind::Unique(v),
+            Node::Opaque(t) => ExprKind::Opaque(t),
+            Node::Linear(c, terms) => {
+                ExprKind::Linear(LinearView::from_parts(terms.get(&self.terms), &self.factors, c))
+            }
+            Node::Op(op, args) => ExprKind::Op(op, args.get(&self.operands)),
+            Node::Un(op, a) => ExprKind::Un(op, a),
+            Node::Cmp(op, a, b) => ExprKind::Cmp(op, a, b),
+            Node::Phi(key, args) => ExprKind::Phi(key, args.get(&self.operands)),
+            Node::PredAnd(args) => ExprKind::PredAnd(args.get(&self.operands)),
+            Node::PredOr(args) => ExprKind::PredOr(args.get(&self.operands)),
+        }
     }
 
     /// Number of distinct expressions interned.
     pub fn len(&self) -> usize {
-        self.kinds.len()
+        self.nodes.len()
     }
 
     /// Returns `true` if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Shorthand: interns a constant.
@@ -191,18 +403,21 @@ impl Interner {
     /// Returns the constant if `id` is a constant (directly or as a
     /// degenerate linear expression).
     pub fn as_const(&self, id: ExprId) -> Option<i64> {
-        match self.kind(id) {
-            ExprKind::Const(c) => Some(*c),
-            ExprKind::Linear(l) => l.as_const(),
+        match self.nodes[id.index()] {
+            Node::Const(c) => Some(c),
+            Node::Linear(c, terms) => (terms.len == 0).then_some(c),
             _ => None,
         }
     }
 
     /// Returns the value if `id` is a single-value leaf.
     pub fn as_value(&self, id: ExprId) -> Option<Value> {
-        match self.kind(id) {
-            ExprKind::Leader(v) => Some(*v),
-            ExprKind::Linear(l) => l.as_single_value(),
+        match self.nodes[id.index()] {
+            Node::Leader(v) => Some(v),
+            Node::Linear(..) => match self.kind(id) {
+                ExprKind::Linear(l) => l.as_single_value(),
+                _ => None,
+            },
             _ => None,
         }
     }
@@ -259,17 +474,19 @@ impl Interner {
                     let _ = write!(out, "opaque({t})");
                 }
                 ExprKind::Linear(l) => {
-                    for (i, t) in l.terms.iter().enumerate() {
+                    let mut terms = 0;
+                    for (i, (coeff, factors)) in l.terms().enumerate() {
                         if i > 0 {
                             out.push_str(" + ");
                         }
-                        let _ = write!(out, "{}", t.coeff);
-                        for f in &t.factors {
+                        let _ = write!(out, "{coeff}");
+                        for f in factors {
                             let _ = write!(out, "·{f}");
                         }
+                        terms += 1;
                     }
-                    if l.constant != 0 || l.terms.is_empty() {
-                        if !l.terms.is_empty() {
+                    if l.constant != 0 || terms == 0 {
+                        if terms > 0 {
                             out.push_str(" + ");
                         }
                         let _ = write!(out, "{}", l.constant);
@@ -282,14 +499,14 @@ impl Interner {
                 ExprKind::Un(op, a) => {
                     let _ = write!(out, "({op} ");
                     stack.push(Task::Lit(")"));
-                    stack.push(Task::Expr(*a));
+                    stack.push(Task::Expr(a));
                 }
                 ExprKind::Cmp(op, a, b) => {
                     out.push('(');
                     stack.push(Task::Lit(")"));
-                    stack.push(Task::Expr(*b));
+                    stack.push(Task::Expr(b));
                     stack.push(Task::Sep(format!(" {} ", op.symbol())));
-                    stack.push(Task::Expr(*a));
+                    stack.push(Task::Expr(a));
                 }
                 ExprKind::Phi(key, args) => {
                     out.push_str("φ[");
@@ -301,7 +518,7 @@ impl Interner {
                         PhiKey::Pred(p) => {
                             push_args(&mut stack, args, ", ");
                             stack.push(Task::Lit("]("));
-                            stack.push(Task::Expr(*p));
+                            stack.push(Task::Expr(p));
                         }
                     }
                 }
@@ -322,6 +539,7 @@ impl Interner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::LinearExpr;
     use pgvn_ir::EntityRef;
 
     #[test]
@@ -352,8 +570,8 @@ mod tests {
         let mut i = Interner::new();
         let x = LinearExpr::from_value(Value::new(1));
         let y = LinearExpr::from_value(Value::new(2));
-        let a = i.intern(ExprKind::Linear(x.add(&y)));
-        let b = i.intern(ExprKind::Linear(y.add(&x)));
+        let a = i.intern(ExprKind::Linear(x.add(&y).view()));
+        let b = i.intern(ExprKind::Linear(y.add(&x).view()));
         assert_eq!(a, b);
     }
 
@@ -363,11 +581,11 @@ mod tests {
         let c = i.constant(9);
         assert_eq!(i.as_const(c), Some(9));
         assert_eq!(i.as_value(c), None);
-        let lc = i.intern(ExprKind::Linear(LinearExpr::from_const(9)));
+        let lc = i.intern(ExprKind::Linear(LinearExpr::from_const(9).view()));
         assert_eq!(i.as_const(lc), Some(9));
         let v = i.leader(Value::new(3));
         assert_eq!(i.as_value(v), Some(Value::new(3)));
-        let lv = i.intern(ExprKind::Linear(LinearExpr::from_value(Value::new(3))));
+        let lv = i.intern(ExprKind::Linear(LinearExpr::from_value(Value::new(3)).view()));
         assert_eq!(i.as_value(lv), Some(Value::new(3)));
     }
 
@@ -375,12 +593,12 @@ mod tests {
     fn phi_keys_distinguish_blocks() {
         let mut i = Interner::new();
         let x = i.leader(Value::new(1));
-        let p1 = i.intern(ExprKind::Phi(PhiKey::Block(Block::new(1)), vec![x, x]));
-        let p2 = i.intern(ExprKind::Phi(PhiKey::Block(Block::new(2)), vec![x, x]));
+        let p1 = i.intern(ExprKind::Phi(PhiKey::Block(Block::new(1)), &[x, x]));
+        let p2 = i.intern(ExprKind::Phi(PhiKey::Block(Block::new(2)), &[x, x]));
         assert_ne!(p1, p2, "φs in different blocks must not collide");
         let pred = i.constant(1);
-        let p3 = i.intern(ExprKind::Phi(PhiKey::Pred(pred), vec![x, x]));
-        let p4 = i.intern(ExprKind::Phi(PhiKey::Pred(pred), vec![x, x]));
+        let p3 = i.intern(ExprKind::Phi(PhiKey::Pred(pred), &[x, x]));
+        let p4 = i.intern(ExprKind::Phi(PhiKey::Pred(pred), &[x, x]));
         assert_eq!(p3, p4, "φs with congruent predicates collide");
     }
 
@@ -409,15 +627,15 @@ mod tests {
         let c = i.constant(3);
         let cmp = i.intern(ExprKind::Cmp(CmpOp::Lt, x, c));
         let cmp2 = i.intern(ExprKind::Cmp(CmpOp::Eq, y, c));
-        let and = i.intern(ExprKind::PredAnd(vec![cmp, cmp2]));
-        let or = i.intern(ExprKind::PredOr(vec![and, cmp]));
+        let and = i.intern(ExprKind::PredAnd(&[cmp, cmp2]));
+        let or = i.intern(ExprKind::PredOr(&[and, cmp]));
         assert_eq!(i.display(or), "(((v1 < 3) ∧ (v2 == 3)) ∨ (v1 < 3))");
-        let phi = i.intern(ExprKind::Phi(PhiKey::Pred(cmp), vec![x, y]));
+        let phi = i.intern(ExprKind::Phi(PhiKey::Pred(cmp), &[x, y]));
         assert_eq!(i.display(phi), "φ[(v1 < 3)](v1, v2)");
-        let phi_b = i.intern(ExprKind::Phi(PhiKey::Block(Block::new(4)), vec![x, y]));
+        let phi_b = i.intern(ExprKind::Phi(PhiKey::Block(Block::new(4)), &[x, y]));
         assert_eq!(i.display(phi_b), "φ[bb4](v1, v2)");
         let neg = i.intern(ExprKind::Un(pgvn_ir::UnOp::Neg, x));
-        let op = i.intern(ExprKind::Op(BinOp::Mul, vec![neg, y]));
+        let op = i.intern(ExprKind::Op(BinOp::Mul, &[neg, y]));
         assert_eq!(i.display(op), format!("({} ({} v1) v2)", BinOp::Mul, pgvn_ir::UnOp::Neg));
     }
 
@@ -454,7 +672,166 @@ mod tests {
         let c = i.constant(3);
         let cmp = i.intern(ExprKind::Cmp(CmpOp::Le, c, x));
         assert_eq!(i.display(cmp), "(3 <= v1)");
-        let lin = i.intern(ExprKind::Linear(LinearExpr::from_value(Value::new(1)).scale(2)));
+        let lin =
+            i.intern(ExprKind::Linear(LinearExpr::from_value(Value::new(1)).scaled(2).view()));
         assert_eq!(i.display(lin), "2·v1");
+    }
+}
+
+/// The arena interner against a reference: the `HashMap` from owned
+/// expressions to ids that it replaced. Both must assign the same ids and
+/// count the same hits and misses over any intern sequence.
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use crate::linear::LinearExpr;
+    use pgvn_ir::EntityRef;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// An owned expression: operand lists as vectors, a linear form as
+    /// its `(factors, coeff)` terms plus constant.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    enum Owned {
+        Const(i64),
+        Leader(Value),
+        Unique(Value),
+        Opaque(u32),
+        Linear(Vec<(Vec<Value>, i64)>, i64),
+        Op(BinOp, Vec<ExprId>),
+        Un(UnOp, ExprId),
+        Cmp(CmpOp, ExprId, ExprId),
+        Phi(PhiKey, Vec<ExprId>),
+        PredAnd(Vec<ExprId>),
+        PredOr(Vec<ExprId>),
+    }
+
+    impl Owned {
+        fn of(kind: ExprKind<'_>) -> Owned {
+            match kind {
+                ExprKind::Const(c) => Owned::Const(c),
+                ExprKind::Leader(v) => Owned::Leader(v),
+                ExprKind::Unique(v) => Owned::Unique(v),
+                ExprKind::Opaque(t) => Owned::Opaque(t),
+                ExprKind::Linear(l) => Owned::Linear(
+                    l.terms().map(|(coeff, factors)| (factors.to_vec(), coeff)).collect(),
+                    l.constant,
+                ),
+                ExprKind::Op(op, args) => Owned::Op(op, args.to_vec()),
+                ExprKind::Un(op, a) => Owned::Un(op, a),
+                ExprKind::Cmp(op, a, b) => Owned::Cmp(op, a, b),
+                ExprKind::Phi(key, args) => Owned::Phi(key, args.to_vec()),
+                ExprKind::PredAnd(args) => Owned::PredAnd(args.to_vec()),
+                ExprKind::PredOr(args) => Owned::PredOr(args.to_vec()),
+            }
+        }
+
+        /// Interns `self` into the arena interner through a borrowed view.
+        fn intern_into(&self, interner: &mut Interner) -> ExprId {
+            let linear;
+            let kind = match self {
+                Owned::Const(c) => ExprKind::Const(*c),
+                Owned::Leader(v) => ExprKind::Leader(*v),
+                Owned::Unique(v) => ExprKind::Unique(*v),
+                Owned::Opaque(t) => ExprKind::Opaque(*t),
+                Owned::Linear(terms, constant) => {
+                    linear = LinearExpr::from_terms(terms, *constant);
+                    ExprKind::Linear(linear.view())
+                }
+                Owned::Op(op, args) => ExprKind::Op(*op, args),
+                Owned::Un(op, a) => ExprKind::Un(*op, *a),
+                Owned::Cmp(op, a, b) => ExprKind::Cmp(*op, *a, *b),
+                Owned::Phi(key, args) => ExprKind::Phi(*key, args),
+                Owned::PredAnd(args) => ExprKind::PredAnd(args),
+                Owned::PredOr(args) => ExprKind::PredOr(args),
+            };
+            interner.intern(kind)
+        }
+    }
+
+    /// The replaced interner: a std `HashMap<owned expression, id>`.
+    #[derive(Default)]
+    struct Reference {
+        map: HashMap<Owned, ExprId>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Reference {
+        fn intern(&mut self, kind: Owned) -> ExprId {
+            if let Some(&id) = self.map.get(&kind) {
+                self.hits += 1;
+                return id;
+            }
+            self.misses += 1;
+            let id = ExprId::from_raw(self.map.len() as u32);
+            self.map.insert(kind, id);
+            id
+        }
+
+        fn clear(&mut self) {
+            *self = Reference::default();
+        }
+    }
+
+    /// One step of a sequence: a variant tag, small scalars and a short
+    /// id list, all drawn from tiny domains so hits are frequent.
+    type Step = (u8, i64, u8, Vec<u8>);
+
+    /// The expression a step interns (`None` = clear both interners).
+    fn owned(&(tag, k, x, ref list): &Step) -> Option<Owned> {
+        let id = |i: u8| ExprId::from_raw(u32::from(i));
+        let ids: Vec<ExprId> = list.iter().map(|&i| id(i)).collect();
+        let v = |i: u8| Value::new(usize::from(i));
+        Some(match tag {
+            0 => Owned::Const(k),
+            1 => Owned::Leader(v(x)),
+            2 => Owned::Unique(v(x)),
+            3 => Owned::Opaque(u32::from(x)),
+            4 => {
+                // Raw terms over a couple of values; normalization may
+                // merge or cancel them, and both sides see the result.
+                let terms: Vec<(Vec<Value>, i64)> = list
+                    .iter()
+                    .map(|&i| (vec![v(i % 3); 1 + usize::from(i / 3 % 2)], i64::from(i % 3) - 1))
+                    .collect();
+                let l = LinearExpr::from_terms(&terms, k);
+                Owned::of(ExprKind::Linear(l.view()))
+            }
+            5 => Owned::Op(BinOp::ALL[usize::from(x) % BinOp::ALL.len()], ids),
+            6 => Owned::Un(if x % 2 == 0 { UnOp::Neg } else { UnOp::Not }, id(x)),
+            7 => Owned::Cmp(CmpOp::ALL[usize::from(x) % 6], id(x), id(k as u8)),
+            8 => Owned::Phi(PhiKey::Block(Block::new(usize::from(x))), ids),
+            9 => Owned::Phi(PhiKey::Pred(id(x)), ids),
+            10 => Owned::PredAnd(ids),
+            11 => Owned::PredOr(ids),
+            _ => return None,
+        })
+    }
+
+    fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+        let step = (0u8..13, 0i64..3, 0u8..4, proptest::collection::vec(0u8..4, 0..4));
+        proptest::collection::vec(step, 1..300)
+    }
+
+    proptest! {
+        #[test]
+        fn arena_interner_matches_the_hash_map_reference(steps in arb_steps()) {
+            let mut new = Interner::new();
+            let mut reference = Reference::default();
+            for step in &steps {
+                let Some(kind) = owned(step) else {
+                    new.clear();
+                    reference.clear();
+                    continue;
+                };
+                let id = kind.intern_into(&mut new);
+                prop_assert_eq!(id, reference.intern(kind.clone()), "id of {:?}", kind);
+                prop_assert_eq!(Owned::of(new.kind(id)), kind);
+                prop_assert_eq!(new.hits(), reference.hits);
+                prop_assert_eq!(new.misses(), reference.misses);
+                prop_assert_eq!(new.len(), reference.map.len());
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! "The canonical form of an arithmetic expression is a sum of products of
 //! values, where sums and products are represented by ordered lists." A
-//! [`LinearExpr`] is `constant + Σ coeffᵢ·Πⱼ factorᵢⱼ`:
+//! linear expression is `constant + Σ coeffᵢ·Πⱼ factorᵢⱼ`:
 //!
 //! - factors within a product are ordered by increasing rank (constants
 //!   would be rank 0, but constants are folded into the coefficient);
@@ -14,158 +14,333 @@
 //!   reassociation is sound even at the i64 boundaries.
 //!
 //! Forward propagation is cancelled when an expression grows beyond the
-//! configured operand limit (§2.2 footnote 4); see [`LinearExpr::size`].
+//! configured operand limit (§2.2 footnote 4); see [`LinearView::size`].
+//!
+//! # Representation
+//!
+//! Terms never own their factor lists: a [`Term`] is a coefficient plus a
+//! span of a shared factor pool. A [`LinearView`] borrows a term slice and
+//! the pool it indexes — the interner's arena and a [`LinearExpr`]
+//! scratch buffer hand out the same view type — and the algebra writes
+//! its result into a `LinearExpr` the caller reuses. Reassociating a warm
+//! buffer therefore allocates nothing.
 
 use pgvn_ir::Value;
+use std::hash::{Hash, Hasher};
 
-/// One product term: `coeff · factors[0] · factors[1] · …`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// One product term: `coeff · factors[0] · factors[1] · …`, the factor
+/// list being a span of the factor pool of the view it belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Term {
-    /// The factor list, sorted by `(rank, value index)`; may repeat a
-    /// value (powers).
-    pub factors: Vec<Value>,
     /// The wrapping integer coefficient.
     pub coeff: i64,
+    start: u32,
+    len: u32,
 }
 
-/// A linear combination in canonical form.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct LinearExpr {
-    /// Terms ordered by factor list; no term has `coeff == 0` or an empty
-    /// factor list (the constant lives in `constant`).
-    pub terms: Vec<Term>,
+impl Term {
+    fn factors(self, pool: &[Value]) -> &[Value] {
+        &pool[self.start as usize..self.start as usize + self.len as usize]
+    }
+}
+
+/// The one term of `1·v`, whose factor pool is the single value.
+static UNIT_TERM: [Term; 1] = [Term { coeff: 1, start: 0, len: 1 }];
+
+/// A borrowed linear expression in canonical form: terms ordered by
+/// factor list, no zero coefficient, no empty factor list.
+#[derive(Clone, Copy, Debug)]
+pub struct LinearView<'a> {
+    terms: &'a [Term],
+    factors: &'a [Value],
     /// The constant part.
     pub constant: i64,
 }
 
-impl LinearExpr {
-    /// The constant `c`.
-    pub fn from_const(c: i64) -> Self {
-        LinearExpr { terms: Vec::new(), constant: c }
+impl<'a> LinearView<'a> {
+    /// Borrows `terms`, whose spans index `factors`.
+    pub(crate) fn from_parts(terms: &'a [Term], factors: &'a [Value], constant: i64) -> Self {
+        LinearView { terms, factors, constant }
     }
 
-    /// The single value `v` (coefficient 1).
-    pub fn from_value(v: Value) -> Self {
-        LinearExpr { terms: vec![Term { factors: vec![v], coeff: 1 }], constant: 0 }
+    /// The constant `c`.
+    pub fn constant(c: i64) -> Self {
+        LinearView { terms: &[], factors: &[], constant: c }
+    }
+
+    /// The single value `*v` (coefficient 1), borrowing its slot.
+    pub fn value(v: &'a Value) -> Self {
+        LinearView { terms: &UNIT_TERM, factors: std::slice::from_ref(v), constant: 0 }
+    }
+
+    /// The terms in canonical order, as `(coefficient, factors)`.
+    pub fn terms(self) -> impl ExactSizeIterator<Item = (i64, &'a [Value])> {
+        let factors = self.factors;
+        self.terms.iter().map(move |t| (t.coeff, t.factors(factors)))
     }
 
     /// Returns `Some(c)` if the expression is the constant `c`.
-    pub fn as_const(&self) -> Option<i64> {
+    pub fn as_const(self) -> Option<i64> {
         self.terms.is_empty().then_some(self.constant)
     }
 
     /// Returns `Some(v)` if the expression is exactly `1·v`.
-    pub fn as_single_value(&self) -> Option<Value> {
-        match (&self.terms[..], self.constant) {
-            ([t], 0) if t.coeff == 1 && t.factors.len() == 1 => Some(t.factors[0]),
+    pub fn as_single_value(self) -> Option<Value> {
+        match (self.terms, self.constant) {
+            ([t], 0) if t.coeff == 1 && t.len == 1 => Some(self.factors[t.start as usize]),
             _ => None,
         }
     }
 
     /// The size used against the forward-propagation limit: total number
     /// of factors across terms, plus one per term.
-    pub fn size(&self) -> usize {
-        self.terms.iter().map(|t| t.factors.len() + 1).sum()
-    }
-
-    /// Normalizes: merges equal factor lists, drops zero coefficients,
-    /// sorts terms. Factor lists inside terms must already be sorted.
-    fn normalize(mut self) -> Self {
-        self.terms.sort();
-        let mut out: Vec<Term> = Vec::with_capacity(self.terms.len());
-        for t in self.terms {
-            if let Some(last) = out.last_mut() {
-                if last.factors == t.factors {
-                    last.coeff = last.coeff.wrapping_add(t.coeff);
-                    continue;
-                }
-            }
-            out.push(t);
-        }
-        out.retain(|t| t.coeff != 0);
-        LinearExpr { terms: out, constant: self.constant }
-    }
-
-    /// `self + other`.
-    pub fn add(&self, other: &LinearExpr) -> LinearExpr {
-        let mut terms = self.terms.clone();
-        terms.extend(other.terms.iter().cloned());
-        LinearExpr { terms, constant: self.constant.wrapping_add(other.constant) }.normalize()
-    }
-
-    /// `self - other`.
-    pub fn sub(&self, other: &LinearExpr) -> LinearExpr {
-        self.add(&other.neg())
-    }
-
-    /// `-self`.
-    pub fn neg(&self) -> LinearExpr {
-        LinearExpr {
-            terms: self
-                .terms
-                .iter()
-                .map(|t| Term { factors: t.factors.clone(), coeff: t.coeff.wrapping_neg() })
-                .collect(),
-            constant: self.constant.wrapping_neg(),
-        }
-    }
-
-    /// `self · k`.
-    pub fn scale(&self, k: i64) -> LinearExpr {
-        if k == 0 {
-            return LinearExpr::from_const(0);
-        }
-        LinearExpr {
-            terms: self
-                .terms
-                .iter()
-                .map(|t| Term { factors: t.factors.clone(), coeff: t.coeff.wrapping_mul(k) })
-                .collect(),
-            constant: self.constant.wrapping_mul(k),
-        }
-        .normalize()
-    }
-
-    /// `self · other`, distributing multiplication over addition. The
-    /// factor lists of product terms are re-sorted with `rank`.
-    pub fn mul(&self, other: &LinearExpr, rank: &dyn Fn(Value) -> u32) -> LinearExpr {
-        let mut acc = LinearExpr::from_const(self.constant.wrapping_mul(other.constant));
-        // constant × other.terms and self.terms × constant
-        for t in &other.terms {
-            acc.terms.push(Term {
-                factors: t.factors.clone(),
-                coeff: t.coeff.wrapping_mul(self.constant),
-            });
-        }
-        for t in &self.terms {
-            acc.terms.push(Term {
-                factors: t.factors.clone(),
-                coeff: t.coeff.wrapping_mul(other.constant),
-            });
-        }
-        for a in &self.terms {
-            for b in &other.terms {
-                let mut factors = a.factors.clone();
-                factors.extend(b.factors.iter().copied());
-                factors.sort_by_key(|&v| (rank(v), v));
-                acc.terms.push(Term { factors, coeff: a.coeff.wrapping_mul(b.coeff) });
-            }
-        }
-        acc.normalize()
+    pub fn size(self) -> usize {
+        self.terms.iter().map(|t| t.len as usize + 1).sum()
     }
 
     /// Evaluates the expression under a concrete assignment of values.
     /// Used by tests to check reassociation against direct evaluation.
-    pub fn eval(&self, assign: &dyn Fn(Value) -> i64) -> i64 {
+    pub fn eval(self, assign: &dyn Fn(Value) -> i64) -> i64 {
         let mut total = self.constant;
-        for t in &self.terms {
-            let mut p = t.coeff;
-            for &f in &t.factors {
+        for (coeff, factors) in self.terms() {
+            let mut p = coeff;
+            for &f in factors {
                 p = p.wrapping_mul(assign(f));
             }
             total = total.wrapping_add(p);
         }
         total
+    }
+}
+
+/// Structural equality: same constant and the same terms in order,
+/// wherever their factor pools live.
+impl PartialEq for LinearView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.constant == other.constant
+            && self.terms.len() == other.terms.len()
+            && self.terms().zip(other.terms()).all(|(a, b)| a == b)
+    }
+}
+
+impl Eq for LinearView<'_> {}
+
+/// Hashes the structure [`PartialEq`] compares, never pool positions.
+impl Hash for LinearView<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_i64(self.constant);
+        state.write_usize(self.terms.len());
+        for (coeff, factors) in self.terms() {
+            state.write_i64(coeff);
+            factors.hash(state);
+        }
+    }
+}
+
+/// An owned linear expression: the reusable output buffer of the
+/// reassociation algebra. Every operation leaves it in canonical form;
+/// capacity survives across operations.
+#[derive(Clone, Debug, Default)]
+pub struct LinearExpr {
+    terms: Vec<Term>,
+    /// Factor pool; may hold dead spans after merges, compacted by
+    /// [`LinearExpr::assign`].
+    factors: Vec<Value>,
+    constant: i64,
+}
+
+impl LinearExpr {
+    /// Borrows the expression.
+    pub fn view(&self) -> LinearView<'_> {
+        LinearView { terms: &self.terms, factors: &self.factors, constant: self.constant }
+    }
+
+    /// Overwrites `self` with a copy of `src`.
+    pub fn assign(&mut self, src: LinearView<'_>) {
+        self.terms.clear();
+        self.factors.clear();
+        self.constant = src.constant;
+        append_terms(src, 1, &mut self.terms, &mut self.factors);
+    }
+
+    /// `self += k · other`: `k = 1` adds, `k = -1` subtracts.
+    pub fn add_scaled(&mut self, other: LinearView<'_>, k: i64) {
+        self.constant = self.constant.wrapping_add(other.constant.wrapping_mul(k));
+        append_terms(other, k, &mut self.terms, &mut self.factors);
+        self.normalize();
+    }
+
+    /// `self += c`.
+    pub fn add_constant(&mut self, c: i64) {
+        self.constant = self.constant.wrapping_add(c);
+    }
+
+    /// `self ·= k`.
+    pub fn scale(&mut self, k: i64) {
+        self.constant = self.constant.wrapping_mul(k);
+        for t in &mut self.terms {
+            t.coeff = t.coeff.wrapping_mul(k);
+        }
+        self.normalize();
+    }
+
+    /// Overwrites `self` with `a · b`, distributing multiplication over
+    /// addition. The factor lists of product terms are sorted by
+    /// `(rank, value)`.
+    pub fn set_product(
+        &mut self,
+        a: LinearView<'_>,
+        b: LinearView<'_>,
+        rank: &dyn Fn(Value) -> u32,
+    ) {
+        self.terms.clear();
+        self.factors.clear();
+        self.constant = a.constant.wrapping_mul(b.constant);
+        // constant × b.terms and a.terms × constant
+        append_terms(b, a.constant, &mut self.terms, &mut self.factors);
+        append_terms(a, b.constant, &mut self.terms, &mut self.factors);
+        for (ca, fa) in a.terms() {
+            for (cb, fb) in b.terms() {
+                let start = self.factors.len();
+                let product = fa.iter().chain(fb).copied();
+                push_term(ca.wrapping_mul(cb), product, &mut self.terms, &mut self.factors);
+                self.factors[start..].sort_unstable_by_key(|&v| (rank(v), v));
+            }
+        }
+        self.normalize();
+    }
+
+    /// Restores canonical form: sorts terms by factor list, merges equal
+    /// factor lists (summing coefficients), drops zero coefficients.
+    fn normalize(&mut self) {
+        let pool = &self.factors;
+        // Unstable is exact: equal factor lists merge by a commutative
+        // sum, so their relative order cannot show.
+        self.terms.sort_unstable_by(|x, y| x.factors(pool).cmp(y.factors(pool)));
+        let mut out = 0;
+        for i in 0..self.terms.len() {
+            let t = self.terms[i];
+            if out > 0 && self.terms[out - 1].factors(pool) == t.factors(pool) {
+                let last = &mut self.terms[out - 1];
+                last.coeff = last.coeff.wrapping_add(t.coeff);
+            } else {
+                self.terms[out] = t;
+                out += 1;
+            }
+        }
+        self.terms.truncate(out);
+        self.terms.retain(|t| t.coeff != 0);
+    }
+}
+
+/// Appends the term `coeff · factors`, its factors at the end of `pool`.
+fn push_term(
+    coeff: i64,
+    factors: impl Iterator<Item = Value>,
+    terms: &mut Vec<Term>,
+    pool: &mut Vec<Value>,
+) {
+    let start = pool.len();
+    pool.extend(factors);
+    let len = pool.len() - start;
+    terms.push(Term { coeff, start: start as u32, len: len as u32 });
+}
+
+/// Appends `k ·` each term of `src` to `terms`, copying its factors
+/// contiguously into `pool` (which the new spans index).
+pub(crate) fn append_terms(
+    src: LinearView<'_>,
+    k: i64,
+    terms: &mut Vec<Term>,
+    pool: &mut Vec<Value>,
+) {
+    for (coeff, factors) in src.terms() {
+        push_term(coeff.wrapping_mul(k), factors.iter().copied(), terms, pool);
+    }
+}
+
+/// Structural equality of the canonical forms.
+impl PartialEq for LinearExpr {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for LinearExpr {}
+
+#[cfg(test)]
+impl LinearExpr {
+    /// `constant + Σ coeff·factors` from raw (unsorted, possibly
+    /// repeated) terms, normalized.
+    pub(crate) fn from_terms(terms: &[(Vec<Value>, i64)], constant: i64) -> Self {
+        let mut out = LinearExpr { constant, ..Default::default() };
+        for (factors, coeff) in terms {
+            push_term(*coeff, factors.iter().copied(), &mut out.terms, &mut out.factors);
+        }
+        out.normalize();
+        out
+    }
+
+    pub(crate) fn from_const(c: i64) -> Self {
+        Self::from_terms(&[], c)
+    }
+
+    pub(crate) fn from_value(v: Value) -> Self {
+        Self::from_terms(&[(vec![v], 1)], 0)
+    }
+
+    fn combined(&self, f: impl FnOnce(&mut LinearExpr)) -> LinearExpr {
+        let mut out = self.clone();
+        f(&mut out);
+        out
+    }
+
+    pub(crate) fn add(&self, other: &LinearExpr) -> LinearExpr {
+        self.combined(|o| o.add_scaled(other.view(), 1))
+    }
+
+    pub(crate) fn sub(&self, other: &LinearExpr) -> LinearExpr {
+        self.combined(|o| o.add_scaled(other.view(), -1))
+    }
+
+    pub(crate) fn neg(&self) -> LinearExpr {
+        self.combined(|o| o.scale(-1))
+    }
+
+    pub(crate) fn scaled(&self, k: i64) -> LinearExpr {
+        self.combined(|o| o.scale(k))
+    }
+
+    pub(crate) fn mul(&self, other: &LinearExpr, rank: &dyn Fn(Value) -> u32) -> LinearExpr {
+        let mut out = LinearExpr::default();
+        out.set_product(self.view(), other.view(), rank);
+        out
+    }
+
+    pub(crate) fn as_const(&self) -> Option<i64> {
+        self.view().as_const()
+    }
+
+    pub(crate) fn as_single_value(&self) -> Option<Value> {
+        self.view().as_single_value()
+    }
+
+    pub(crate) fn size(&self) -> usize {
+        self.view().size()
+    }
+
+    pub(crate) fn eval(&self, assign: &dyn Fn(Value) -> i64) -> i64 {
+        self.view().eval(assign)
+    }
+
+    /// The `i`th term as `(factors, coeff)`.
+    pub(crate) fn term(&self, i: usize) -> (Vec<Value>, i64) {
+        let (coeff, factors) = self.view().terms().nth(i).expect("term index");
+        (factors.to_vec(), coeff)
+    }
+
+    pub(crate) fn num_terms(&self) -> usize {
+        self.terms.len()
     }
 }
 
@@ -223,18 +398,18 @@ mod tests {
         let lhs = x.add(&one).mul(&x.sub(&one), &id_rank);
         let xx = x.mul(&x, &id_rank);
         assert_eq!(lhs, xx.sub(&one));
-        assert_eq!(lhs.terms.len(), 1);
-        assert_eq!(lhs.terms[0].factors, vec![v(1), v(1)]);
-        assert_eq!(lhs.constant, -1);
+        assert_eq!(lhs.num_terms(), 1);
+        assert_eq!(lhs.term(0).0, vec![v(1), v(1)]);
+        assert_eq!(lhs.view().constant, -1);
     }
 
     #[test]
     fn single_value_detection() {
         let x = LinearExpr::from_value(v(5));
         assert_eq!(x.as_single_value(), Some(v(5)));
-        assert_eq!(x.scale(2).as_single_value(), None);
+        assert_eq!(x.scaled(2).as_single_value(), None);
         assert_eq!(x.add(&LinearExpr::from_const(1)).as_single_value(), None);
-        let back = x.scale(2).sub(&x);
+        let back = x.scaled(2).sub(&x);
         assert_eq!(back.as_single_value(), Some(v(5)));
     }
 
@@ -245,7 +420,7 @@ mod tests {
         let a = LinearExpr::from_value(v(1));
         let b = LinearExpr::from_value(v(3));
         let p = a.mul(&b, &rank);
-        assert_eq!(p.terms[0].factors, vec![v(3), v(1)]);
+        assert_eq!(p.term(0).0, vec![v(3), v(1)]);
         // Multiplication commutes because of the ordering.
         assert_eq!(p, b.mul(&a, &rank));
     }
@@ -253,9 +428,9 @@ mod tests {
     #[test]
     fn wrapping_coefficients() {
         let x = LinearExpr::from_value(v(1));
-        let big = x.scale(i64::MAX);
+        let big = x.scaled(i64::MAX);
         let sum = big.add(&x); // (MAX + 1) x = MIN x
-        assert_eq!(sum.terms[0].coeff, i64::MIN);
+        assert_eq!(sum.term(0).1, i64::MIN);
     }
 
     #[test]
@@ -266,7 +441,7 @@ mod tests {
             LinearExpr::from_value(v(2)),
             LinearExpr::from_value(v(3)),
         );
-        let e = x.mul(&y, &id_rank).scale(2).sub(&z.scale(3)).add(&LinearExpr::from_const(7));
+        let e = x.mul(&y, &id_rank).scaled(2).sub(&z.scaled(3)).add(&LinearExpr::from_const(7));
         let assign = |w: Value| match w.index() {
             1 => 2,
             2 => 5,
@@ -289,7 +464,7 @@ mod tests {
     #[test]
     fn zero_scale_collapses() {
         let x = LinearExpr::from_value(v(1));
-        assert_eq!(x.scale(0).as_const(), Some(0));
+        assert_eq!(x.scaled(0).as_const(), Some(0));
         assert_eq!(x.mul(&LinearExpr::from_const(0), &id_rank).as_const(), Some(0));
     }
 }
@@ -307,10 +482,9 @@ mod proptests {
     /// A small random linear expression over values v0..v4.
     fn arb_linear() -> impl Strategy<Value = LinearExpr> {
         let term = (0usize..5, 1usize..3, -4i64..5)
-            .prop_map(|(v, reps, coeff)| Term { factors: vec![Value::new(v); reps], coeff });
-        (proptest::collection::vec(term, 0..4), -100i64..100).prop_map(|(terms, constant)| {
-            LinearExpr { terms, constant }.add(&LinearExpr::from_const(0)) // normalize
-        })
+            .prop_map(|(v, reps, coeff)| (vec![Value::new(v); reps], coeff));
+        (proptest::collection::vec(term, 0..4), -100i64..100)
+            .prop_map(|(terms, constant)| LinearExpr::from_terms(&terms, constant))
     }
 
     fn arb_assign() -> impl Strategy<Value = [i64; 5]> {

@@ -594,25 +594,51 @@ impl Function {
 /// the IR, so the chains stay valid for the whole run.
 #[derive(Clone, Debug)]
 pub struct DefUse {
-    uses: EntityVec<Value, Vec<Inst>>,
+    /// `offsets[v]..offsets[v + 1]` is `v`'s span of `users`.
+    offsets: Vec<u32>,
+    /// Every use, grouped by used value (compressed sparse rows).
+    users: Vec<Inst>,
 }
 
 impl DefUse {
-    /// Computes def-use chains for `func`.
+    /// Computes def-use chains for `func`: two allocations, whatever the
+    /// number of values.
     pub fn compute(func: &Function) -> Self {
-        let mut uses: EntityVec<Value, Vec<Inst>> =
-            (0..func.values.len()).map(|_| Vec::new()).collect();
-        for b in func.blocks() {
-            for &inst in func.block_insts(b) {
-                func.kind(inst).visit_args(|v| uses[v].push(inst));
+        let n = func.values.len();
+        let mut offsets = vec![0u32; n + 1];
+        let each_use = |f: &mut dyn FnMut(Value, Inst)| {
+            for b in func.blocks() {
+                for &inst in func.block_insts(b) {
+                    func.kind(inst).visit_args(|v| f(v, inst));
+                }
             }
+        };
+        each_use(&mut |v, _| offsets[v.index() + 1] += 1);
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
         }
-        DefUse { uses }
+        // Fill in use order with `offsets[v]` as `v`'s cursor; afterwards
+        // it holds `v`'s end, i.e. `v + 1`'s start, so shift back by one.
+        let mut users = vec![Inst::new(0); offsets[n] as usize];
+        each_use(&mut |v, inst| {
+            let at = &mut offsets[v.index()];
+            users[*at as usize] = inst;
+            *at += 1;
+        });
+        for i in (1..n).rev() {
+            offsets[i] = offsets[i - 1];
+        }
+        if n > 0 {
+            offsets[0] = 0;
+        }
+        DefUse { offsets, users }
     }
 
-    /// Returns the instructions using `value` (with multiplicity).
+    /// Returns the instructions using `value` (with multiplicity), in
+    /// block and instruction order.
     pub fn uses(&self, value: Value) -> &[Inst] {
-        &self.uses[value]
+        let v = value.index();
+        &self.users[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 }
 

@@ -169,6 +169,17 @@ impl<'a> Telemetry<'a> {
         }
     }
 
+    /// Ends a span of `phase` begun at `start` and returns its end time,
+    /// which starts the next span: one clock read closes one span and
+    /// opens the next. `None` when not profiling.
+    #[inline]
+    pub fn lap(&mut self, phase: Phase, start: Option<Instant>) -> Option<Instant> {
+        let (profiler, t0) = (self.profiler.as_mut()?, start?);
+        let now = Instant::now();
+        profiler.add_nanos(phase, u64::try_from((now - t0).as_nanos()).unwrap_or(u64::MAX));
+        Some(now)
+    }
+
     /// Like [`Telemetry::record`], but also emits a
     /// [`TraceEvent::Phase`] event. For one-shot phases (construction,
     /// rewrite stages) where per-span events are useful.

@@ -50,7 +50,7 @@ use proto::{
     shutting_down_response, FrameError, FrameEvent, Request, RequestOp,
 };
 use std::io::{Read, Write};
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -415,14 +415,32 @@ pub fn serve_duplex(
 
 /// Serves a Unix socket listener: each accepted connection gets its
 /// own scoped reader thread over the shared worker pool. Returns after
-/// a `shutdown` request on any connection drains the server. The
-/// listener is switched to non-blocking accept polling and every
-/// connection gets a short read timeout, so the drain is observed
-/// promptly by all loops.
+/// a `shutdown` request on any connection drains the server.
+///
+/// The accept loop blocks in `accept`; the drain wakes it by connecting
+/// to the listener's own path, so a drain is observed at once rather
+/// than at the next poll. Every connection gets a short read timeout,
+/// so the connection loops observe the drain promptly too.
+///
+/// # Errors
+///
+/// `InvalidInput` when the listener is not bound to a filesystem path
+/// (the wake-up connection needs one).
 pub fn serve_socket(listener: UnixListener, opts: &ServeOptions) -> std::io::Result<ServeSummary> {
+    let addr = listener.local_addr()?;
+    let Some(path) = addr.as_pathname() else {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "serve_socket needs a listener bound to a filesystem path",
+        ));
+    };
     let _hook = crate::oracle::silence_panic_hook();
     let engine = Engine::new(opts.clone());
-    listener.set_nonblocking(true)?;
+    let drain = || {
+        engine.begin_drain();
+        // Wake the blocked accept; it sees the drain and stops.
+        let _ = UnixStream::connect(path);
+    };
     std::thread::scope(|s| {
         for index in 0..opts.workers.max(1) {
             let engine = &engine;
@@ -430,26 +448,22 @@ pub fn serve_socket(listener: UnixListener, opts: &ServeOptions) -> std::io::Res
         }
         loop {
             match listener.accept() {
+                // The wake-up connection, or one that raced the drain.
+                Ok(_) if engine.draining() => break,
                 Ok((stream, _addr)) => {
                     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
                     let writer = match stream.try_clone() {
                         Ok(w) => w,
                         Err(_) => continue,
                     };
-                    let engine = &engine;
+                    let (engine, drain) = (&engine, &drain);
                     s.spawn(move || {
                         let mut reader = stream;
                         let out = ConnOut::new(Box::new(writer));
                         if let ConnExit::Shutdown = connection_loop(engine, &mut reader, &out) {
-                            engine.begin_drain();
+                            drain();
                         }
                     });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if engine.draining() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {

@@ -8,10 +8,13 @@ use pgvn::serve::load::{mix_plan, run_load, FaultMix, LoadOptions};
 use pgvn::serve::proto::{
     extract_record, parse_request, read_frame, write_frame, FrameEvent, RequestOp,
 };
-use pgvn::serve::{resolve_request_options, serve_duplex, ServeOptions, ServeSummary};
+use pgvn::serve::{
+    resolve_request_options, serve_duplex, serve_socket, ServeOptions, ServeSummary,
+};
 use pgvn::telemetry::json::{parse, JsonValue};
 use std::io::Write;
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::time::{Duration, Instant};
 
 /// Starts a duplex server on a socketpair and runs `client` against
 /// the client end. The closure owns the conversation; the server's
@@ -122,6 +125,51 @@ fn ping_gen_and_source_requests_are_answered() {
     assert_eq!(summary.control, 2);
     assert_eq!(summary.responses, 4);
     assert!(summary.is_clean());
+}
+
+/// The socket server blocks in `accept` and the drain wakes it with a
+/// self-connect. A fresh connection is therefore answered at once — a
+/// sleep-polling accept loop makes each one wait out part of its poll
+/// interval, ~10 ms on average — and a `shutdown` returns the server
+/// promptly.
+#[test]
+fn socket_server_answers_fresh_connections_at_once_and_drains_promptly() {
+    let path = std::env::temp_dir().join(format!("pgvn-serve-accept-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).expect("bind");
+    let opts = ServeOptions { workers: 1, ..ServeOptions::default() };
+    let mut never = || false;
+    let ping = |never: &mut dyn FnMut() -> bool| -> Option<Duration> {
+        let t0 = Instant::now();
+        let mut conn = UnixStream::connect(&path).ok()?;
+        write_frame(&mut conn, br#"{"id":1,"op":"ping"}"#).ok()?;
+        let Ok(FrameEvent::Frame(reply)) = read_frame(&mut conn, 1 << 20, never) else {
+            return None;
+        };
+        (reply_of(&String::from_utf8(reply).ok()?) == "pong").then(|| t0.elapsed())
+    };
+    // Measure, then always shut the server down before asserting, so a
+    // failure cannot leave the scope waiting on a running server.
+    let (latencies, summary, drained) = std::thread::scope(|s| {
+        let server = s.spawn(|| serve_socket(listener, &opts));
+        let latencies: Vec<Option<Duration>> = (0..21).map(|_| ping(&mut never)).collect();
+        let mut conn = UnixStream::connect(&path).expect("connect");
+        write_frame(&mut conn, br#"{"id":2,"op":"shutdown"}"#).expect("write");
+        let t0 = Instant::now();
+        let summary = server.join().expect("server thread").expect("serves");
+        (latencies, summary, t0.elapsed())
+    });
+    let _ = std::fs::remove_file(&path);
+    let mut latencies: Vec<Duration> =
+        latencies.into_iter().map(|l| l.expect("every ping is answered")).collect();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median connect-to-pong {median:?}: accepts are waiting on a poll interval"
+    );
+    assert!(drained < Duration::from_secs(2), "drain took {drained:?}");
+    assert_eq!(summary.control, 22, "21 pings and the shutdown");
 }
 
 #[test]
