@@ -26,29 +26,29 @@ pub struct DomTree {
     reachable: Vec<bool>,
 }
 
+/// `preds(i, visit)`: calls `visit` with each predecessor of node `i`.
+pub(crate) type PredVisitor<'a> = &'a dyn Fn(usize, &mut dyn FnMut(usize));
+
 /// Generic CHK solver over an abstract graph given in RPO.
 ///
-/// `order` lists nodes in reverse postorder (roots first); `preds(i)` yields
-/// predecessor *positions in `order`* of the node at position `i`.
-fn chk_solve(n: usize, preds: &dyn Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
+/// `order` lists nodes in reverse postorder (roots first); `preds(i, visit)`
+/// calls `visit` with each predecessor *position in `order`* of the node
+/// at position `i`.
+fn chk_solve(n: usize, preds: PredVisitor<'_>) -> Vec<usize> {
     const UNDEF: usize = usize::MAX;
     let mut idom = vec![UNDEF; n];
     if n == 0 {
         return idom;
     }
     idom[0] = 0;
-    // Sized for the worst case up front: no regrowth mid-solve.
-    let mut buf = Vec::with_capacity(n);
     let mut changed = true;
     while changed {
         changed = false;
         for i in 1..n {
-            buf.clear();
-            preds(i, &mut buf);
             let mut new_idom = UNDEF;
-            for &p in buf.iter() {
+            preds(i, &mut |p| {
                 if idom[p] == UNDEF {
-                    continue;
+                    return;
                 }
                 new_idom = if new_idom == UNDEF {
                     p
@@ -66,7 +66,7 @@ fn chk_solve(n: usize, preds: &dyn Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
                     }
                     a
                 };
-            }
+            });
             if new_idom != UNDEF && idom[i] != new_idom {
                 idom[i] = new_idom;
                 changed = true;
@@ -139,7 +139,7 @@ fn tree_intervals(
     (pre, post, depth)
 }
 
-pub(crate) fn chk_solve_public(n: usize, preds: &dyn Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
+pub(crate) fn chk_solve_public(n: usize, preds: PredVisitor<'_>) -> Vec<usize> {
     chk_solve(n, preds)
 }
 
@@ -156,11 +156,11 @@ impl DomTree {
     pub fn compute(func: &Function, rpo: &Rpo) -> Self {
         let order = rpo.order();
         let n = order.len();
-        let preds = |i: usize, out: &mut Vec<usize>| {
+        let preds = |i: usize, visit: &mut dyn FnMut(usize)| {
             for &e in func.preds(order[i]) {
                 let p = func.edge_from(e);
                 if rpo.is_reachable(p) {
-                    out.push(rpo.number(p) as usize);
+                    visit(rpo.number(p) as usize);
                 }
             }
         };
@@ -278,7 +278,7 @@ impl PostDomTree {
         // chk_solve requires a single root), so instead add a phantom node
         // at position 0.
         let n = order.len() + 1; // position 0 = virtual exit
-        let preds = |i: usize, out: &mut Vec<usize>| {
+        let preds = |i: usize, visit: &mut dyn FnMut(usize)| {
             if i == 0 {
                 return;
             }
@@ -287,11 +287,11 @@ impl PostDomTree {
             for &e in func.succs(b) {
                 let s = func.edge_to(e);
                 if pos_of[s.index()] != usize::MAX {
-                    out.push(pos_of[s.index()] + 1);
+                    visit(pos_of[s.index()] + 1);
                 }
             }
             if matches!(func.terminator(b).map(|t| func.kind(t)), Some(InstKind::Return(_))) {
-                out.push(0);
+                visit(0);
             }
         };
         let idom_pos = chk_solve(n, &preds);

@@ -46,7 +46,7 @@ pub mod ssa_verify;
 
 pub use domtree::{naive_dominators, DomTree, PostDomTree};
 pub use frontiers::DominanceFrontiers;
-pub use graph::{generic_rpo, GenericDomTree};
+pub use graph::{generic_rpo, Csr, GenericDomTree};
 pub use loops::LoopInfo;
 pub use order::{Ranks, Rpo, UNREACHABLE_RPO};
 pub use reachable_dom::{full_domtree, ReachableDomTree};

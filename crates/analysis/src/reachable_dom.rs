@@ -95,14 +95,14 @@ impl ReachableDomTree {
             }
             m
         };
-        let preds = |i: usize, out: &mut Vec<usize>| {
+        let preds = |i: usize, visit: &mut dyn FnMut(usize)| {
             for &e in func.preds(order[i]) {
                 if !self.reachable_edges.contains(e) {
                     continue;
                 }
                 let p = func.edge_from(e);
                 if number[p.index()] != usize::MAX {
-                    out.push(number[p.index()]);
+                    visit(number[p.index()]);
                 }
             }
         };

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgvn_analysis::{DomTree, PostDomTree, Rpo};
 use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
-use pgvn_lang::{lower, parse};
+use pgvn_lang::{lex, lower, parse};
 use pgvn_ssa::{build_ssa, SsaStyle};
 use pgvn_telemetry::{MetricsRegistry, Telemetry};
 use pgvn_workload::{generate_routine, spec_suite, GenConfig, SuiteConfig};
@@ -48,11 +48,35 @@ fn bench_analyses(c: &mut Criterion) {
     group.finish();
 }
 
+/// The front end layer by layer — `lex`, `parse` (which lexes),
+/// `lower` and `build_ssa` — on the smallest, median and largest routine
+/// of the scale-0.05 SPEC stand-in suite, by source length.
 fn bench_frontend(c: &mut Criterion) {
-    let src = pgvn_lang::fixtures::FIGURE1;
-    c.bench_function("parse_figure1", |bencher| {
-        bencher.iter(|| parse(src).expect("parses").body.len());
-    });
+    let mut sources: Vec<String> = spec_suite(SuiteConfig { scale: 0.05, ..Default::default() })
+        .iter()
+        .flat_map(|bench| (0..bench.len()).map(|i| bench.source(i)))
+        .collect();
+    sources.sort_by_key(String::len);
+    let picks = [("smallest", 0), ("median", sources.len() / 2), ("largest", sources.len() - 1)];
+    let mut group = c.benchmark_group("frontend");
+    for (label, i) in picks {
+        let src = sources[i].as_str();
+        let ast = parse(src).expect("parses");
+        let vf = lower(&ast);
+        group.bench_with_input(BenchmarkId::new("lex", label), src, |bencher, src| {
+            bencher.iter(|| lex(src).expect("lexes").len());
+        });
+        group.bench_with_input(BenchmarkId::new("parse", label), src, |bencher, src| {
+            bencher.iter(|| parse(src).expect("parses").body.len());
+        });
+        group.bench_with_input(BenchmarkId::new("lower", label), &ast, |bencher, ast| {
+            bencher.iter(|| lower(ast).num_blocks());
+        });
+        group.bench_with_input(BenchmarkId::new("build_ssa", label), &vf, |bencher, vf| {
+            bencher.iter(|| build_ssa(vf, SsaStyle::Pruned).expect("builds").num_insts());
+        });
+    }
+    group.finish();
 }
 
 /// One traced analysis run from a fresh context, like [`run`].

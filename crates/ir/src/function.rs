@@ -73,14 +73,28 @@ impl Function {
     /// created and populated with one [`InstKind::Param`] instruction per
     /// parameter.
     pub fn new(name: impl Into<String>, num_params: u32) -> Self {
+        Function::with_capacity(name, num_params, 0, 0, 0)
+    }
+
+    /// Like [`Function::new`], with room for `blocks` blocks, `insts`
+    /// instructions (and as many values) and `edges` edges, so a builder
+    /// that knows its sizes never regrows them. See also
+    /// [`Function::reserve_block`].
+    pub fn with_capacity(
+        name: impl Into<String>,
+        num_params: u32,
+        blocks: usize,
+        insts: usize,
+        edges: usize,
+    ) -> Self {
         let mut f = Function {
             name: name.into(),
-            params: Vec::new(),
+            params: Vec::with_capacity(num_params as usize),
             entry: Block::new(0),
-            blocks: EntityVec::new(),
-            insts: EntityVec::new(),
-            values: EntityVec::new(),
-            edges: EntityVec::new(),
+            blocks: EntityVec::with_capacity(blocks),
+            insts: EntityVec::with_capacity(insts),
+            values: EntityVec::with_capacity(insts),
+            edges: EntityVec::with_capacity(edges),
         };
         f.entry = f.add_block();
         for i in 0..num_params {
@@ -148,6 +162,15 @@ impl Function {
     /// Appends a fresh empty block.
     pub fn add_block(&mut self) -> Block {
         self.blocks.push(BlockData::default())
+    }
+
+    /// Reserves room in `b` for exactly `insts` more instructions, `preds`
+    /// more incoming and `succs` more outgoing edges.
+    pub fn reserve_block(&mut self, b: Block, insts: usize, preds: usize, succs: usize) {
+        let data = &mut self.blocks[b];
+        data.insts.reserve_exact(insts);
+        data.preds.reserve_exact(preds);
+        data.succs.reserve_exact(succs);
     }
 
     /// Iterates over live blocks in creation order.
@@ -398,7 +421,8 @@ impl Function {
 
     /// Terminates `b` with a switch on `arg`: control transfers to
     /// `targets[i]` when `arg == cases[i]`, to `default` otherwise.
-    /// Returns the created edges, case edges first, default edge last.
+    /// The created edges are `succs(b)`: case edges first, default edge
+    /// last.
     ///
     /// # Panics
     ///
@@ -411,16 +435,15 @@ impl Function {
         cases: &[i64],
         targets: &[Block],
         default: Block,
-    ) -> Vec<Edge> {
+    ) {
         assert_eq!(cases.len(), targets.len(), "one target per case value");
-        let mut sorted = cases.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), cases.len(), "switch case values must be unique");
+        let unique = cases.iter().enumerate().all(|(i, c)| !cases[..i].contains(c));
+        assert!(unique, "switch case values must be unique");
         self.set_terminator(b, InstKind::Switch(arg, cases.to_vec()));
-        let mut edges: Vec<Edge> = targets.iter().map(|&t| self.add_edge(b, t)).collect();
-        edges.push(self.add_edge(b, default));
-        edges
+        for &t in targets {
+            self.add_edge(b, t);
+        }
+        self.add_edge(b, default);
     }
 
     // ---------------------------------------------------------------

@@ -133,6 +133,40 @@ pub fn figure9(n: usize) -> String {
     s
 }
 
+/// Shapes of deeply nested input, for exercising the parser's nesting
+/// bound ([`crate::MAX_NESTING`]); see [`deep`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Deep {
+    /// `return ((…(a)…));` with `n` parenthesis pairs: nesting `n + 1`
+    /// counting the statement.
+    Parens,
+    /// `return a + a + … + a;` with `n` terms: a left-deep chain `n` tall.
+    Sum,
+    /// `n` nested `if (a) { … }` around `return a;`: nesting `n + 1`.
+    Ifs,
+    /// `return - - … - a;` with `n` minus signs: nesting and height
+    /// `n + 1`.
+    Negations,
+    /// `n` parenthesized levels of `a || a && a | … a * (…)`, every
+    /// precedence level at each: height `10 n + 1`, nesting `11 n + 1`.
+    Ladder,
+}
+
+/// Builds routine `deep(a)` in the given shape at size `n`.
+pub fn deep(shape: Deep, n: usize) -> String {
+    let body = match shape {
+        Deep::Parens => format!("return {}a{};", "(".repeat(n), ")".repeat(n)),
+        Deep::Sum => format!("return a{};", " + a".repeat(n.saturating_sub(1))),
+        Deep::Ifs => format!("{}return a;{}", "if (a) { ".repeat(n), " }".repeat(n)),
+        Deep::Negations => format!("return {}a;", "- ".repeat(n)),
+        Deep::Ladder => {
+            let level = "a || a && a | a ^ a & a == a < a << a + a * (";
+            format!("return {}a{};", level.repeat(n), ")".repeat(n))
+        }
+    };
+    format!("routine deep(a) {{ {body} return 0; }}\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

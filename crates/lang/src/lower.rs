@@ -7,15 +7,22 @@
 //! `break`/`continue` jump to the innermost loop's exit/continue blocks.
 //!
 //! A routine that falls off the end returns 0.
+//!
+//! Variables are looked up by the borrowed name in the AST, so a lookup
+//! allocates nothing; the only per-variable allocation is the name the
+//! [`VarFunction`] keeps.
 
 use crate::ast::{Expr, Routine, Stmt};
 use pgvn_ir::CmpOp;
 use pgvn_ssa::{Var, VarExpr, VarFunction, VarStmt, VarTerm};
 use std::collections::HashMap;
 
-struct Lowerer {
+struct Lowerer<'r> {
     vf: VarFunction,
-    vars: HashMap<String, Var>,
+    /// Variables by name, borrowed from the routine being lowered. The
+    /// names come from outside the program (serve requests), so the map
+    /// keeps the standard library's keyed hash against crafted collisions.
+    vars: HashMap<&'r str, Var>,
     /// (continue target, break target) per enclosing loop.
     loops: Vec<(usize, usize)>,
     cur: usize,
@@ -25,14 +32,9 @@ struct Lowerer {
     done: bool,
 }
 
-impl Lowerer {
-    fn var(&mut self, name: &str) -> Var {
-        if let Some(&v) = self.vars.get(name) {
-            return v;
-        }
-        let v = self.vf.add_var(name);
-        self.vars.insert(name.to_string(), v);
-        v
+impl<'r> Lowerer<'r> {
+    fn var(&mut self, name: &'r str) -> Var {
+        *self.vars.entry(name).or_insert_with(|| self.vf.add_var(name))
     }
 
     fn fresh_block_if_done(&mut self) {
@@ -47,7 +49,7 @@ impl Lowerer {
         self.done = true;
     }
 
-    fn expr(&mut self, e: &Expr) -> VarExpr {
+    fn expr(&mut self, e: &'r Expr) -> VarExpr {
         match e {
             Expr::Int(v) => VarExpr::Const(*v),
             Expr::Var(name) => VarExpr::Var(self.var(name)),
@@ -78,7 +80,7 @@ impl Lowerer {
 
     /// Lowers `e` to a 0/1 truth value, skipping the `!= 0` normalization
     /// when the lowered expression is already a comparison.
-    fn truth(&mut self, e: &Expr) -> VarExpr {
+    fn truth(&mut self, e: &'r Expr) -> VarExpr {
         let v = self.expr(e);
         match v {
             VarExpr::Cmp(..) => v,
@@ -87,13 +89,13 @@ impl Lowerer {
         }
     }
 
-    fn stmts(&mut self, stmts: &[Stmt]) {
+    fn stmts(&mut self, stmts: &'r [Stmt]) {
         for s in stmts {
             self.stmt(s);
         }
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    fn stmt(&mut self, s: &'r Stmt) {
         self.fresh_block_if_done();
         match s {
             Stmt::Assign(name, e) => {
@@ -224,8 +226,8 @@ pub fn lower(routine: &Routine) -> VarFunction {
     let param_refs: Vec<&str> = routine.params.iter().map(String::as_str).collect();
     let vf = VarFunction::new(routine.name.clone(), &param_refs);
     let mut vars = HashMap::new();
-    for (i, p) in routine.params.iter().enumerate() {
-        vars.insert(p.clone(), vf.param_vars()[i]);
+    for (p, &v) in routine.params.iter().zip(vf.param_vars()) {
+        vars.insert(p.as_str(), v);
     }
     let mut l = Lowerer { vf, vars, loops: Vec::new(), cur: 0, done: false };
     l.stmts(&routine.body);

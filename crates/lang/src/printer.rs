@@ -114,7 +114,10 @@ fn print_stmt(out: &mut String, s: &Stmt, depth: usize) {
 /// precedence levels (higher binds tighter).
 fn precedence(e: &Expr) -> u8 {
     match e {
-        // Negative literals print as `0 - n`, so they bind like
+        // `i64::MIN` prints as the literal `-9223372036854775808`, which
+        // parses back to itself.
+        Expr::Int(i64::MIN) => 10,
+        // Other negative literals print as `0 - n`, so they bind like
         // subtraction and pick up parentheses from the standard rule.
         Expr::Int(v) if *v < 0 => 8,
         Expr::Int(_) | Expr::Var(_) | Expr::Opaque(_) => 11,
@@ -147,11 +150,13 @@ fn print_expr(out: &mut String, e: &Expr, min_prec: u8) {
     }
     match e {
         Expr::Int(v) => {
-            if *v < 0 {
+            if *v == i64::MIN {
+                write!(out, "{v}").unwrap();
+            } else if *v < 0 {
                 // `-n` would reparse as a unary expression; `0 - n`
                 // reparses to an equivalent tree and reaches a printing
                 // fixpoint after one round.
-                write!(out, "0 - {}", (*v as i128).unsigned_abs()).unwrap();
+                write!(out, "0 - {}", -v).unwrap();
             } else {
                 write!(out, "{v}").unwrap();
             }
@@ -302,5 +307,58 @@ mod tests {
             let b = Interpreter::new(&f2).run(&args, &mut HashedOpaques::new(0)).unwrap();
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn i64_min_roundtrips_as_literal_and_case_label() {
+        use pgvn_ir::{HashedOpaques, Interpreter};
+        let src = "routine f(a) {
+            b = a * -9223372036854775808 + -9223372036854775808;
+            c = ~-9223372036854775808 - --9223372036854775808;
+            switch (a) {
+                case -9223372036854775808: { return b; }
+                case 9223372036854775807: { return c; }
+            }
+            return 0 - 9223372036854775807 - 1;
+        }";
+        let r = parse(src).unwrap();
+        let printed = print_routine(&r);
+        assert_eq!(parse(&printed).unwrap(), r, "{printed}");
+        roundtrip(src);
+        // An AST built directly (as the generator and shrinker do) prints
+        // and reparses too.
+        let built = Routine {
+            name: "g".into(),
+            params: vec!["a".into()],
+            body: vec![
+                Stmt::Switch(
+                    Expr::Var("a".into()),
+                    vec![(i64::MIN, vec![Stmt::Return(Expr::Int(1))])],
+                    vec![],
+                ),
+                Stmt::Return(Expr::Binary(
+                    BinOp::Sub,
+                    Box::new(Expr::Var("a".into())),
+                    Box::new(Expr::Int(i64::MIN)),
+                )),
+            ],
+        };
+        let printed = print_routine(&built);
+        assert_eq!(parse(&printed).unwrap(), built, "{printed}");
+        let f1 = crate::compile(src, pgvn_ssa::SsaStyle::Minimal).unwrap();
+        let f2 = crate::compile(&print_routine(&r), pgvn_ssa::SsaStyle::Minimal).unwrap();
+        for a in [i64::MIN, i64::MAX, 0, 3] {
+            let run = |f| Interpreter::new(f).run(&[a], &mut HashedOpaques::new(0)).unwrap();
+            assert_eq!(run(&f1), run(&f2), "a = {a}");
+        }
+        let g = crate::compile(&printed, pgvn_ssa::SsaStyle::Minimal).unwrap();
+        let run = |a| Interpreter::new(&g).run(&[a], &mut HashedOpaques::new(0)).unwrap();
+        assert_eq!((run(i64::MIN), run(5)), (1, 5i64.wrapping_sub(i64::MIN)));
+    }
+
+    #[test]
+    fn i64_min_after_binary_minus_is_out_of_range() {
+        let e = parse("routine f(a) { return a - 9223372036854775808; }").unwrap_err();
+        assert!(e.message.contains("`9223372036854775808` out of range"), "{e}");
     }
 }

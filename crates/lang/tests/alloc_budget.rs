@@ -1,0 +1,138 @@
+//! Allocation budget of the front end, source text to SSA `Function`.
+//!
+//! Tokens borrow from the source and the lexer sizes its output once, so
+//! [`lex`] makes a constant number of allocations whatever the routine's
+//! length. SSA construction keeps every per-block, per-variable and
+//! per-φ table in a few flat arrays and builds the output `Function` at
+//! its final size, so [`build_ssa`] allocates little beyond the
+//! `Function` it returns: at most twice what cloning that `Function`
+//! costs, plus a constant. This test counts allocations with a counting
+//! global allocator; it lives in its own integration-test crate so the
+//! libraries keep `forbid(unsafe_code)`.
+
+use pgvn_lang::{lex, lower, parse, print_routine};
+use pgvn_ssa::{build_ssa, SsaStyle};
+use pgvn_workload::{generate_routine, GenConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Allocations `lex` may make for any routine.
+const LEX_ALLOCS: u64 = 1;
+/// `build_ssa` may make at most this many times the allocations of
+/// cloning its output, plus [`BUILD_SLACK`].
+const BUILD_FACTOR: u64 = 2;
+/// The constant part of `build_ssa`'s budget.
+const BUILD_SLACK: u64 = 16;
+
+struct Counting;
+
+thread_local! {
+    /// Allocations made by this thread. Thread-local so the test
+    /// harness's own threads cannot perturb the count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the slot may already be gone during thread teardown.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f`, returning its result and the allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Printed generated routines from 6 to 210 statements (the SPEC
+/// stand-in suite's heavy tail) at nesting depths 3–5.
+fn corpus() -> Vec<String> {
+    (0..60u64)
+        .map(|i| {
+            let cfg = GenConfig {
+                seed: (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                num_params: 2 + (i % 3) as usize,
+                target_stmts: 6 + (i as usize * 37) % 205,
+                max_depth: 3 + (i % 3) as usize,
+                ..GenConfig::default()
+            };
+            print_routine(&generate_routine(&format!("a{i}"), &cfg))
+        })
+        .collect()
+}
+
+#[test]
+fn the_front_end_allocates_in_proportion_to_its_output() {
+    let corpus = corpus();
+    let mut totals = [0u64; 5];
+    let mut worst_ratio = 0f64;
+    for src in &corpus {
+        let (tokens, lex_allocs) = counted(|| lex(src).expect("printed routine lexes"));
+        assert!(tokens.len() > 20, "the corpus routines are not trivial");
+        assert_eq!(
+            lex_allocs,
+            LEX_ALLOCS,
+            "lex made {lex_allocs} allocations for {} tokens",
+            tokens.len()
+        );
+        drop(tokens);
+        let (ast, parse_allocs) = counted(|| parse(src).expect("printed routine parses"));
+        let (vf, lower_allocs) = counted(|| lower(&ast));
+        let (f, build_allocs) = counted(|| build_ssa(&vf, SsaStyle::Pruned).expect("builds"));
+        let (copy, clone_allocs) = counted(|| f.clone());
+        drop(copy);
+        assert!(
+            build_allocs <= BUILD_FACTOR * clone_allocs + BUILD_SLACK,
+            "{}: build_ssa made {build_allocs} allocations; cloning its output makes \
+             {clone_allocs} (budget {BUILD_FACTOR}x + {BUILD_SLACK})",
+            f.name()
+        );
+        worst_ratio = worst_ratio.max(build_allocs as f64 / clone_allocs as f64);
+        for (t, n) in totals.iter_mut().zip([
+            lex_allocs,
+            parse_allocs,
+            lower_allocs,
+            build_allocs,
+            clone_allocs,
+        ]) {
+            *t += n;
+        }
+    }
+    let per = |i: usize| totals[i] as f64 / corpus.len() as f64;
+    eprintln!(
+        "{} routines, allocations per routine: lex {:.1}, parse {:.1}, lower {:.1}, \
+         build_ssa {:.1} (clone {:.1}; worst build/clone {worst_ratio:.2})",
+        corpus.len(),
+        per(0),
+        per(1),
+        per(2),
+        per(3),
+        per(4)
+    );
+}

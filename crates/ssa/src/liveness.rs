@@ -7,25 +7,27 @@
 //!
 //! Every set is a bitset of `words = ⌈vars / 64⌉` `u64`s per block: the
 //! upward-exposed uses, the kills (definitions) and the live-in set.
-//! Successor and predecessor lists are built once. A worklist seeded with
-//! every block re-queues a block's predecessors whenever its live-in set
-//! grows, so one visit costs O(words × successors) and a block is only
+//! The successor and predecessor rows come from the caller, built once
+//! per SSA construction ([`VarFunction::succ_rows`]). A worklist seeded
+//! with every block re-queues a block's predecessors whenever its live-in
+//! set grows, so one visit costs O(words × successors) and a block is only
 //! revisited after a successor changed. Liveness is the least fixed point
 //! of a monotone system, so the visiting order does not change the sets.
+//! The whole computation makes three allocations.
 
 use crate::varfunc::{Var, VarExpr, VarFunction, VarStmt, VarTerm};
+use pgvn_analysis::Csr;
 
 /// Block-level liveness sets for every variable.
 #[derive(Clone, Debug)]
 pub struct Liveness {
     /// `u64` words per block row.
     words: usize,
-    /// Row `b` (`live_in[b * words..][..words]`) holds the variables live
-    /// on entry to block `b`.
-    live_in: Vec<u64>,
-    /// Variables that are used in some block before any local definition
-    /// (Briggs' "non-local" / global variables, used by semi-pruned SSA).
-    non_local: Vec<u64>,
+    /// Row `b < blocks` (`sets[b * words..][..words]`) holds the variables
+    /// live on entry to block `b`. The last row holds the variables used
+    /// in some block before any local definition (Briggs' "non-local" /
+    /// global variables, used by semi-pruned SSA).
+    sets: Vec<u64>,
 }
 
 fn bit(set: &[u64], i: usize) -> bool {
@@ -63,70 +65,68 @@ fn block_use_def(func: &VarFunction, b: usize, uses: &mut [u64], defs: &mut [u64
 }
 
 impl Liveness {
-    /// Computes liveness by a backward worklist fixed point.
-    pub fn compute(func: &VarFunction) -> Self {
+    /// Computes liveness by a backward worklist fixed point over the
+    /// blocks' successor rows `succs` and their transpose `preds`.
+    pub fn compute(func: &VarFunction, succs: &Csr, preds: &Csr) -> Self {
         let nb = func.num_blocks();
         let words = func.num_vars().div_ceil(64);
-        let mut uses = vec![0u64; nb * words];
-        let mut defs = vec![0u64; nb * words];
-        let mut non_local = vec![0u64; words];
-        let mut succs = Vec::with_capacity(nb);
-        let mut preds = vec![Vec::new(); nb];
+        // Per block, a use row then a kill row; one spare row for `out`;
+        // then one bit per block, set while the block is queued.
+        let mut scratch = vec![0u64; (2 * nb + 1) * words + nb.div_ceil(64)];
+        let (use_def, rest) = scratch.split_at_mut(2 * nb * words);
+        let (out, queued) = rest.split_at_mut(words);
+        let mut sets = vec![0u64; (nb + 1) * words];
+        let (live_in, non_local) = sets.split_at_mut(nb * words);
         for b in 0..nb {
-            let row = b * words..(b + 1) * words;
-            block_use_def(func, b, &mut uses[row.clone()], &mut defs[row.clone()]);
-            for (n, &u) in non_local.iter_mut().zip(&uses[row]) {
+            let (uses, defs) = use_def[2 * b * words..2 * (b + 1) * words].split_at_mut(words);
+            block_use_def(func, b, uses, defs);
+            for (n, &u) in non_local.iter_mut().zip(&*uses) {
                 *n |= u;
             }
-            let s = func.succs(b);
-            for &t in &s {
-                preds[t].push(b);
-            }
-            succs.push(s);
         }
-        let mut live_in = vec![0u64; nb * words];
-        let mut out = vec![0u64; words];
         // Seeded so the last block is visited first, as in a backward sweep.
-        let mut work: Vec<usize> = (0..nb).collect();
-        let mut queued = vec![true; nb];
+        let mut work: Vec<u32> = (0..nb as u32).collect();
+        queued.fill(!0);
         while let Some(b) = work.pop() {
-            queued[b] = false;
+            let b = b as usize;
+            queued[b / 64] &= !(1 << (b % 64));
             out.fill(0);
-            for &s in &succs[b] {
+            for &s in succs.row(b) {
+                let s = s as usize;
                 for (o, &l) in out.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
                     *o |= l;
                 }
             }
-            let row = b * words..(b + 1) * words;
+            let (uses, defs) = use_def[2 * b * words..2 * (b + 1) * words].split_at(words);
             let mut changed = false;
             for (((l, &u), &d), &o) in
-                live_in[row.clone()].iter_mut().zip(&uses[row.clone()]).zip(&defs[row]).zip(&out)
+                live_in[b * words..(b + 1) * words].iter_mut().zip(uses).zip(defs).zip(&*out)
             {
                 let new = u | (o & !d);
                 changed |= new != *l;
                 *l = new;
             }
             if changed {
-                for &p in &preds[b] {
-                    if !queued[p] {
-                        queued[p] = true;
+                for &p in preds.row(b) {
+                    if !bit(queued, p as usize) {
+                        queued[p as usize / 64] |= 1 << (p % 64);
                         work.push(p);
                     }
                 }
             }
         }
-        Liveness { words, live_in, non_local }
+        Liveness { words, sets }
     }
 
     /// Returns `true` if `v` is live on entry to block `b`.
     pub fn live_in(&self, b: usize, v: Var) -> bool {
-        bit(&self.live_in[b * self.words..(b + 1) * self.words], v.0 as usize)
+        bit(&self.sets[b * self.words..(b + 1) * self.words], v.0 as usize)
     }
 
     /// Returns `true` if `v` is used in some block before any local
     /// definition (the semi-pruned "global variable" criterion).
     pub fn is_non_local(&self, v: Var) -> bool {
-        bit(&self.non_local, v.0 as usize)
+        bit(&self.sets[self.sets.len() - self.words..], v.0 as usize)
     }
 }
 
@@ -136,6 +136,11 @@ mod tests {
     use crate::varfunc::expr::*;
     use pgvn_ir::CmpOp;
     use proptest::prelude::*;
+
+    fn live(func: &VarFunction) -> Liveness {
+        let succs = func.succ_rows();
+        Liveness::compute(func, &succs, &succs.transpose())
+    }
 
     /// The reference: a dense blocks × vars round-robin fixed point.
     /// Returns `(live_in[b][v], non_local[v])`.
@@ -192,7 +197,7 @@ mod tests {
     /// Asserts that [`Liveness`] agrees with [`dense`] on every block,
     /// unreachable ones included, and every variable.
     fn assert_matches_dense(func: &VarFunction) {
-        let l = Liveness::compute(func);
+        let l = live(func);
         let (live_in, non_local) = dense(func);
         for (i, &nl) in non_local.iter().enumerate() {
             let v = Var(i as u32);
@@ -303,7 +308,7 @@ mod tests {
         f.assign(b1, t, v(b));
         f.terminate(b1, VarTerm::Jump(b2));
         f.terminate(b2, VarTerm::Return(add(v(t), v(a))));
-        let l = Liveness::compute(&f);
+        let l = live(&f);
         assert!(l.live_in(b1, a) && l.live_in(b1, b) && !l.live_in(b1, t));
         assert!(l.live_in(b2, t) && l.is_non_local(t));
         assert_matches_dense(&f);
@@ -317,7 +322,7 @@ mod tests {
         let t = f.add_var("t");
         f.assign(0, t, add(v(a), c(1)));
         f.terminate(0, VarTerm::Return(v(t)));
-        let l = Liveness::compute(&f);
+        let l = live(&f);
         assert!(l.live_in(0, a));
         assert!(!l.live_in(0, t));
         assert!(l.is_non_local(a));
@@ -340,7 +345,7 @@ mod tests {
         f.assign(b2, i, add(v(i), c(1)));
         f.terminate(b2, VarTerm::Jump(b1));
         f.terminate(b3, VarTerm::Return(v(i)));
-        let l = Liveness::compute(&f);
+        let l = live(&f);
         assert!(l.live_in(b1, i));
         assert!(l.live_in(b1, n));
         assert!(l.live_in(b2, i));
@@ -359,7 +364,7 @@ mod tests {
         f.assign(0, t, v(a));
         f.assign(0, t, c(5));
         f.terminate(0, VarTerm::Return(v(t)));
-        let l = Liveness::compute(&f);
+        let l = live(&f);
         assert!(l.live_in(0, a));
         assert!(!l.live_in(0, t));
     }

@@ -5,6 +5,7 @@
 //! conversion. `pgvn-lang` lowers its AST to this form; `pgvn-ssa`'s
 //! builder converts it to [`pgvn_ir::Function`] SSA.
 
+use pgvn_analysis::Csr;
 use pgvn_ir::{BinOp, CmpOp, UnOp};
 use std::fmt;
 
@@ -199,41 +200,26 @@ impl VarFunction {
         self.blocks[b].term = Some(term);
     }
 
-    /// Successor block indices of `b` (empty for returns).
-    pub fn succs(&self, b: usize) -> Vec<usize> {
-        match &self.blocks[b].term {
-            Some(VarTerm::Jump(t)) => vec![*t],
-            Some(VarTerm::Branch(_, t, e)) => vec![*t, *e],
-            Some(VarTerm::Switch(_, cases, d)) => {
-                let mut out: Vec<usize> = cases.iter().map(|&(_, t)| t).collect();
-                out.push(*d);
-                out
-            }
-            Some(VarTerm::Return(_)) | None => vec![],
-        }
+    /// Successor block indices of `b`, in terminator order (empty for
+    /// returns and unterminated blocks).
+    pub fn succs(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
+        let (cases, rest): (&[(i64, usize)], [Option<usize>; 2]) = match &self.blocks[b].term {
+            Some(VarTerm::Jump(t)) => (&[], [Some(*t), None]),
+            Some(VarTerm::Branch(_, t, e)) => (&[], [Some(*t), Some(*e)]),
+            Some(VarTerm::Switch(_, cases, d)) => (cases, [Some(*d), None]),
+            Some(VarTerm::Return(_)) | None => (&[], [None, None]),
+        };
+        cases.iter().map(|&(_, t)| t).chain(rest.into_iter().flatten())
     }
 
-    /// Checks that every block reachable from the entry is terminated.
-    ///
-    /// # Errors
-    ///
-    /// Returns the index of the first reachable unterminated block.
-    pub fn validate(&self) -> Result<(), usize> {
-        let mut seen = vec![false; self.blocks.len()];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        while let Some(b) = stack.pop() {
-            if self.blocks[b].term.is_none() {
-                return Err(b);
-            }
-            for s in self.succs(b) {
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        Ok(())
+    /// The successor rows of every block, built once: SSA construction
+    /// and liveness walk these (and their [`Csr::transpose`]) instead of
+    /// re-reading terminators.
+    pub fn succ_rows(&self) -> Csr {
+        let edges = (0..self.blocks.len()).map(|b| self.succs(b).count()).sum();
+        Csr::from_rows(self.blocks.len(), edges, |b, out| {
+            out.extend(self.succs(b).map(|t| t as u32));
+        })
     }
 }
 
@@ -283,7 +269,7 @@ mod tests {
     use pgvn_ir::CmpOp;
 
     #[test]
-    fn build_and_validate() {
+    fn build_and_inspect() {
         let mut f = VarFunction::new("f", &["a", "b"]);
         let (a, b) = (f.param_vars()[0], f.param_vars()[1]);
         let t = f.add_block();
@@ -291,27 +277,12 @@ mod tests {
         f.terminate(0, VarTerm::Branch(cmp(CmpOp::Lt, v(a), v(b)), t, e));
         f.terminate(t, VarTerm::Return(v(a)));
         f.terminate(e, VarTerm::Return(v(b)));
-        assert_eq!(f.validate(), Ok(()));
-        assert_eq!(f.succs(0), vec![t, e]);
-        assert_eq!(f.succs(t), Vec::<usize>::new());
+        assert_eq!(f.succs(0).collect::<Vec<_>>(), vec![t, e]);
+        assert_eq!(f.succs(t).count(), 0);
+        let rows = f.succ_rows();
+        assert_eq!((rows.row(0), rows.row(t)), (&[t as u32, e as u32][..], &[][..]));
         assert_eq!(f.var_name(a), "a");
         assert_eq!(f.num_blocks(), 3);
-    }
-
-    #[test]
-    fn validate_reports_unterminated_reachable_block() {
-        let mut f = VarFunction::new("f", &[]);
-        let b = f.add_block();
-        f.terminate(0, VarTerm::Jump(b));
-        assert_eq!(f.validate(), Err(b));
-    }
-
-    #[test]
-    fn unreachable_unterminated_block_is_fine() {
-        let mut f = VarFunction::new("f", &[]);
-        let _orphan = f.add_block();
-        f.terminate(0, VarTerm::Return(c(0)));
-        assert_eq!(f.validate(), Ok(()));
     }
 
     #[test]

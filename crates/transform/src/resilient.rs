@@ -251,7 +251,6 @@ impl Pipeline {
                 report: OptimizeReport::default(),
             };
         }
-        let pristine = func.clone();
         let mut failures: Vec<RungFailure> = Vec::new();
         // A non-sticky fault plan models a transient/config-specific
         // failure: it is stripped from every rung after the first
@@ -261,7 +260,9 @@ impl Pipeline {
             if strip_fault {
                 rung_cfg.fault_plan = None;
             }
-            let mut candidate = pristine.clone();
+            // `func` is only written when a rung commits, so until then
+            // it is the pristine input each rung starts from.
+            let mut candidate = func.clone();
             // AssertUnwindSafe is justified for the context (not just the
             // candidate, which is discarded on failure): all context
             // contents are scratch that the next run re-prepares from
@@ -299,7 +300,7 @@ impl Pipeline {
                 detail: format!("{}: {error}", error.kind()),
             });
             // The restore itself: the candidate clone is discarded and
-            // the ladder steps down from the pristine input.
+            // the ladder steps down from the untouched `func`.
             tel.emit(|| TraceEvent::Rollback {
                 rung: rung.index(),
                 name: rung.name().to_string(),

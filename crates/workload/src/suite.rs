@@ -157,9 +157,15 @@ impl Benchmark {
         format!("b{}_{i}", self.profile.name.replace('.', "_"))
     }
 
-    /// The generator configuration of routine `i` (shared by
-    /// [`Benchmark::routine`] and [`dump_benchmark`]).
-    fn gen_config(&self, i: usize, seed: u64) -> GenConfig {
+    /// The generator configuration of routine `i`, seeded from the suite
+    /// config (shared by [`Benchmark::routine`] and [`Benchmark::source`]).
+    fn gen_config(&self, i: usize) -> GenConfig {
+        let seed = self
+            .cfg
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(fxhash(self.profile.name))
+            .wrapping_add(i as u64);
         let p = &self.profile;
         // Mix of sizes: mostly near the mean, a heavy tail of big ones.
         let bucket = i % 10;
@@ -187,15 +193,19 @@ impl Benchmark {
     /// Panics if `i >= self.len()`.
     pub fn routine(&self, i: usize) -> Function {
         assert!(i < self.count, "routine index out of range");
-        let p = &self.profile;
-        let seed = self
-            .cfg
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(fxhash(p.name))
-            .wrapping_add(i as u64);
-        let gen = self.gen_config(i, seed);
-        generate_function(&self.routine_name(i), &gen, self.cfg.style)
+        generate_function(&self.routine_name(i), &self.gen_config(i), self.cfg.style)
+    }
+
+    /// The source text of routine `i`: the `pgvn-lang` pretty-printer's
+    /// rendering of the generated AST.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn source(&self, i: usize) -> String {
+        assert!(i < self.count, "routine index out of range");
+        let routine = crate::generate_routine(&self.routine_name(i), &self.gen_config(i));
+        pgvn_lang::print_routine(&routine)
     }
 
     /// Iterates over all routines.
@@ -224,16 +234,7 @@ pub fn dump_benchmark(bench: &Benchmark, dir: &std::path::Path) -> std::io::Resu
     std::fs::create_dir_all(dir)?;
     let mut written = 0;
     for i in 0..bench.len() {
-        let seed = bench
-            .cfg
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(fxhash(bench.profile.name))
-            .wrapping_add(i as u64);
-        let gen = bench.gen_config(i, seed);
-        let routine = crate::generate_routine(&bench.routine_name(i), &gen);
-        let text = pgvn_lang::print_routine(&routine);
-        std::fs::write(dir.join(format!("{}.pg", bench.routine_name(i))), text)?;
+        std::fs::write(dir.join(format!("{}.pg", bench.routine_name(i))), bench.source(i))?;
         written += 1;
     }
     Ok(written)

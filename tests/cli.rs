@@ -912,3 +912,96 @@ fn out_of_range_numbers_are_rejected_not_truncated() {
     assert!(out.status.success(), "u32::MAX is in range");
     assert!(String::from_utf8_lossy(&out.stderr).contains("3 optimized"));
 }
+
+/// Runs `pgvn batch --jobs 1` (one worker thread, default stack) over
+/// `files` written to a fresh directory, plus `extra` flags. Returns the
+/// exit code and, per file in name order, its record's `status`,
+/// resilience `outcome` (empty for input errors) and `detail`.
+fn batch_over(
+    tag: &str,
+    files: &[(&str, String)],
+    extra: &[&str],
+) -> (Option<i32>, Vec<[String; 3]>) {
+    use pgvn::telemetry::json::{parse, JsonValue};
+
+    let dir = std::env::temp_dir().join("pgvn-cli-tests").join(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (name, src) in files {
+        std::fs::write(dir.join(format!("{name}.pgvn")), src).expect("write");
+    }
+    let out = pgvn()
+        .args(["batch", "--jobs", "1", "--dir", dir.to_str().unwrap()])
+        .args(extra)
+        .output()
+        .expect("spawns");
+    let text =
+        |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_str).unwrap_or("").to_string();
+    let records = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| parse(l).ok())
+        .filter(|e| text(e, "event") == "routine")
+        .map(|e| {
+            let outcome = e.get("resilience").map(|r| text(r, "outcome")).unwrap_or_default();
+            [text(&e, "status"), outcome, text(&e, "detail")]
+        })
+        .collect();
+    (out.status.code(), records)
+}
+
+#[test]
+fn batch_survives_over_deep_routines_as_input_errors() {
+    use pgvn::lang::fixtures::{deep, Deep};
+
+    // A 2 KB routine of 1000 nested parentheses, and an 80 KB sum of
+    // 20000 terms, each used to overflow the worker's stack and abort
+    // the whole batch.
+    for (shape, n, message) in [
+        (Deep::Parens, 1000, "nesting deeper than 256 levels"),
+        (Deep::Sum, 20_000, "expression taller than 256 levels"),
+    ] {
+        let files =
+            [("a_deep", deep(shape, n)), ("b_normal", "routine f(a) { return a + a; }".into())];
+        let (code, records) = batch_over("deep-input", &files, &[]);
+        assert_eq!(
+            code,
+            Some(1),
+            "{shape:?}: an input error fails the batch, it does not abort it"
+        );
+        assert_eq!(records.len(), 2, "{shape:?}: {records:?}");
+        assert_eq!(records[0][0], "input_error", "{shape:?}: {records:?}");
+        assert!(records[0][2].contains(message), "{shape:?}: {records:?}");
+        assert_eq!(records[1][..2], ["classified", "optimized"], "{shape:?}: {records:?}");
+    }
+}
+
+#[test]
+fn routines_at_the_nesting_bound_run_end_to_end_on_a_worker_stack() {
+    use pgvn::lang::fixtures::{deep, Deep};
+    use pgvn::lang::MAX_NESTING;
+
+    // The largest routine of each shape the parser accepts, through the
+    // whole batch path of this unoptimized build: compile, PRE pipeline,
+    // ladder and post-pass check, on a default-sized worker stack.
+    let m = MAX_NESTING as usize;
+    let mut files = vec![
+        ("parens", deep(Deep::Parens, m - 1)),
+        ("sum", deep(Deep::Sum, m)),
+        ("ifs", deep(Deep::Ifs, m - 1)),
+        ("negations", deep(Deep::Negations, m - 1)),
+        ("ladder", deep(Deep::Ladder, (m - 1) / 11)),
+    ];
+    // Nesting and height at once: a maximal sum inside maximal ifs.
+    let sum = " + a".repeat(m - 1);
+    let ifs = "if (a) { ".repeat(m - 2);
+    files.push((
+        "sum_in_ifs",
+        format!("routine g(a) {{ {ifs}return a{sum};{} }}", " }".repeat(m - 2)),
+    ));
+    let (code, records) = batch_over("deep-bound", &files, &["--passes", "gvn,pre,gvn", "--check"]);
+    assert_eq!(code, Some(0), "{records:?}");
+    assert_eq!(records.len(), files.len(), "{records:?}");
+    for r in &records {
+        assert_eq!(r[..2], ["classified", "optimized"], "{records:?}");
+    }
+}

@@ -233,6 +233,41 @@ fn ping_after_a_one_mib_frame_is_answered_promptly() {
 }
 
 #[test]
+fn over_deep_routines_get_input_errors_and_a_later_ping_is_answered() {
+    use pgvn::lang::fixtures::{deep, Deep};
+
+    // Each used to overflow the worker's stack and abort the server,
+    // leaving the request and the ping unanswered.
+    let request = |id: u64, src: &str| {
+        let mut frame = format!(r#"{{"id":{id},"routine":""#);
+        pgvn::telemetry::json::escape_into(src, &mut frame);
+        frame.push_str("\"}");
+        frame.into_bytes()
+    };
+    let opts = ServeOptions { workers: 1, ..ServeOptions::default() };
+    let (responses, summary) = roundtrip(
+        &opts,
+        vec![
+            request(1, &deep(Deep::Parens, 1000)),
+            request(2, &deep(Deep::Sum, 20_000)),
+            br#"{"id":3,"op":"ping"}"#.to_vec(),
+        ],
+    );
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    let by_id = |id: u64| {
+        responses.iter().find(|r| r.contains(&format!("\"id\":{id},"))).expect("answered")
+    };
+    for (id, message) in [(1, "nesting deeper than 256"), (2, "expression taller than 256")] {
+        let r = by_id(id);
+        assert_eq!(reply_of(r), "record", "{r}");
+        assert!(r.contains("\"status\":\"input_error\"") && r.contains(message), "{r}");
+    }
+    assert_eq!(reply_of(by_id(3)), "pong");
+    assert_eq!(summary.input_errors, 2);
+    assert!(summary.is_clean());
+}
+
+#[test]
 fn malformed_payloads_get_protocol_errors_without_killing_the_loop() {
     let (responses, summary) = roundtrip(
         &ServeOptions::default(),

@@ -9,7 +9,9 @@
 //! result is still correct SSA.
 //!
 //! The constants were computed before the bitset-liveness / stamp-array
-//! rewrite of `pgvn-ssa` and must not change with a pure speedup.
+//! rewrite of `pgvn-ssa` and must not change with a pure speedup. The
+//! text-path constant was computed before the allocation-lean rewrite of
+//! the lexer, parser, lowering and SSA builder.
 
 use pgvn_ir::Function;
 use pgvn_ssa::SsaStyle;
@@ -62,4 +64,61 @@ fn ssa_output_is_byte_identical_for_every_style() {
             actual.2
         );
     }
+}
+
+/// (digest of the compiled output, routines, total φs) for the text
+/// path: generator AST → `print_routine` → `compile(…, Pruned)`, so the
+/// lexer and parser are pinned as well as lowering and SSA construction.
+/// Sizes sweep from 6 statements to 210, the suite's heavy tail
+/// (`mean_stmts * 3` for 186.crafty), and nesting depths 3–5; the
+/// paper's figures ride along.
+fn text_path_digest() -> (u64, usize, usize) {
+    use pgvn::lang::{compile, fixtures, print_routine};
+    use pgvn::workload::{generate_routine, GenConfig};
+    let mut sources: Vec<String> = (0..240u64)
+        .map(|i| {
+            let cfg = GenConfig {
+                seed: (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                num_params: 2 + (i % 3) as usize,
+                target_stmts: 6 + (i as usize * 37) % 205,
+                max_depth: 3 + (i % 3) as usize,
+                ..GenConfig::default()
+            };
+            print_routine(&generate_routine(&format!("t{i}"), &cfg))
+        })
+        .collect();
+    sources.extend(
+        [
+            fixtures::FIGURE1,
+            fixtures::FIGURE6,
+            fixtures::FIGURE13,
+            fixtures::FIGURE14A,
+            fixtures::FIGURE14B,
+            fixtures::SIMPLE_INFERENCE,
+        ]
+        .map(String::from),
+    );
+    sources.push(fixtures::figure9(6));
+    let mut text = String::new();
+    let mut phis = 0;
+    for src in &sources {
+        let f = compile(src, SsaStyle::Pruned).expect("printed routine compiles");
+        text.push_str(&f.to_string());
+        text.push('\n');
+        phis += count_phis(&f);
+    }
+    (fnv1a(text.as_bytes()), sources.len(), phis)
+}
+
+#[test]
+fn text_path_output_is_byte_identical() {
+    let got = text_path_digest();
+    assert_eq!(
+        got,
+        (0x12ce_3088_f035_e53f, 247, 30945),
+        "compile(print_routine(…)) output changed (got digest {:#018x}, {} routines, {} φs)",
+        got.0,
+        got.1,
+        got.2
+    );
 }
