@@ -4,7 +4,12 @@
 //! must be within noise of each other — the
 //! `gvn_untraced`/`gvn_telemetry_off` pair below is the check behind the
 //! "within noise" claim in `docs/OBSERVABILITY.md`), and the analysis
-//! layer alone over a warm session context (`gvn_warm_context`).
+//! layer alone over a warm session context (`gvn_warm_context`, and
+//! `gvn_large` on batch-large-shaped routines).
+//!
+//! A context answers a repeated request about the same function
+//! instance from its memo, so the analysis benches rotate over distinct
+//! instances: every timed iteration is a real run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgvn_analysis::{DomTree, PostDomTree, Rpo};
@@ -12,7 +17,7 @@ use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
 use pgvn_lang::{lex, lower, parse};
 use pgvn_ssa::{build_ssa, SsaStyle};
 use pgvn_telemetry::{MetricsRegistry, Telemetry};
-use pgvn_workload::{generate_routine, spec_suite, GenConfig, SuiteConfig};
+use pgvn_workload::{generate_function, generate_routine, spec_suite, GenConfig, SuiteConfig};
 
 fn bench_analyses(c: &mut Criterion) {
     let mut group = c.benchmark_group("cfg_analyses");
@@ -119,11 +124,31 @@ fn bench_telemetry_off(c: &mut Criterion) {
     group.finish();
 }
 
+/// Analyzes `funcs` in rotation against `ctx`, one routine per call:
+/// consecutive requests name different instances, so none is answered
+/// from the memo of the one before.
+fn rotating_run<'a>(
+    ctx: &'a mut GvnContext,
+    funcs: &'a [pgvn_ir::Function],
+    cfg: &'a GvnConfig,
+) -> impl FnMut() -> u64 + 'a {
+    assert!(funcs.len() >= 2, "a rotation needs two instances");
+    let mut next = 0;
+    move || {
+        next = (next + 1) % funcs.len();
+        try_run_traced_in_context(ctx, &funcs[next], cfg, &mut Telemetry::off())
+            .expect("converges")
+            .stats
+            .touches
+    }
+}
+
 /// The analysis layer on its own, the way batch and serve run it: one
 /// warm `GvnContext` reused across runs, so a run pays for its work and
 /// its fixed per-run setup, not for growing scratch tables. The inputs
 /// are the smallest, median and largest routines of the scale-0.05
-/// SPEC stand-in suite, labelled by instruction count.
+/// SPEC stand-in suite, labelled by instruction count; each is timed
+/// over two alternating clones.
 fn bench_gvn_warm_context(c: &mut Criterion) {
     let mut group = c.benchmark_group("gvn_warm_context");
     let mut funcs: Vec<pgvn_ir::Function> =
@@ -135,16 +160,49 @@ fn bench_gvn_warm_context(c: &mut Criterion) {
     let cfg = GvnConfig::full();
     let mut ctx = GvnContext::new();
     for f in [&funcs[0], &funcs[funcs.len() / 2], &funcs[funcs.len() - 1]] {
-        try_run_traced_in_context(&mut ctx, f, &cfg, &mut Telemetry::off()).expect("converges");
-        group.bench_with_input(BenchmarkId::new("full", f.num_insts()), f, |bencher, f| {
-            bencher.iter(|| {
-                try_run_traced_in_context(&mut ctx, f, &cfg, &mut Telemetry::off())
-                    .expect("converges")
-                    .stats
-                    .touches
-            });
+        let pair = [f.clone(), f.clone()];
+        let mut run = rotating_run(&mut ctx, &pair, &cfg);
+        run();
+        group.bench_with_input(BenchmarkId::new("full", f.num_insts()), f, |bencher, _| {
+            bencher.iter(&mut run);
         });
     }
+    group.finish();
+}
+
+/// A first analysis of a large routine on a warm context: eight
+/// routines shaped like perfbench's batch-large workload (260
+/// statements, depth 6, more loops, cyclic values, inference, correlated
+/// guards and diamonds; ≈1700 instructions, ≈8 passes), analyzed in
+/// rotation. The reported time is per routine.
+fn bench_gvn_large(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gvn_large");
+    let funcs: Vec<pgvn_ir::Function> = (0..8)
+        .map(|i| {
+            let gen = GenConfig {
+                seed: 0x1A26E ^ i,
+                num_params: 4,
+                target_stmts: 260,
+                max_depth: 6,
+                loop_prob: 0.4,
+                inference_prob: 0.25,
+                diamond_prob: 0.15,
+                correlated_prob: 0.2,
+                cyclic_prob: 0.5,
+                ..GenConfig::default()
+            };
+            generate_function(&format!("large{i}"), &gen, SsaStyle::Pruned)
+        })
+        .collect();
+    let insts: usize = funcs.iter().map(|f| f.num_insts()).sum();
+    let cfg = GvnConfig::full();
+    let mut ctx = GvnContext::new();
+    let mut run = rotating_run(&mut ctx, &funcs, &cfg);
+    for _ in 0..funcs.len() {
+        run();
+    }
+    let id = BenchmarkId::new("full", insts / funcs.len());
+    group.bench_with_input(id, &(), |bencher, _| bencher.iter(&mut run));
     group.finish();
 }
 
@@ -153,6 +211,7 @@ criterion_group!(
     bench_analyses,
     bench_frontend,
     bench_telemetry_off,
-    bench_gvn_warm_context
+    bench_gvn_warm_context,
+    bench_gvn_large
 );
 criterion_main!(benches);

@@ -16,13 +16,29 @@
 //!
 //! Once a context is warm, a run allocates only for its fixed per-run
 //! setup — RPO, ranks, def-use chains, the dominator and postdominator
-//! trees — and for the [`crate::GvnResults`] it returns: 44 allocations
+//! trees — and for the [`crate::GvnResults`] it returns: 42 allocations
 //! for every routine of the scale-0.05 SPEC stand-in suite, whatever its
 //! size or touch count. Before the interner kept its operands in arenas
 //! and the driver its buffers here, the same suite averaged 2692
 //! allocations per warm run (14897 for the largest routine), about three
-//! per touch. `crates/core/tests/alloc_budget.rs` counts them and holds
-//! the line.
+//! per touch. A memo hit (below) allocates only the results it returns.
+//! `crates/core/tests/alloc_budget.rs` counts both and holds the line.
+//!
+//! # The memo of the last converged run
+//!
+//! A context remembers its last converged run: the analyzed function's
+//! [`FunctionStamp`], the [`GvnConfig`] and the stats. Asked again about
+//! the same function instance at the same revision under an equal
+//! config, [`crate::try_run_traced_in_context`] does not run: it rebuilds
+//! the same [`crate::GvnResults`] from the partition and reachable sets
+//! the run left in this context's scratch, the way the run's own finish
+//! did. Pass pipelines ask that question often: the final `gvn` after a
+//! `pre` that changed nothing, and the `--check` gate after a final
+//! `gvn` that changed nothing. Every `&mut` method of a `Function` moves
+//! its stamp and a clone gets a fresh one, so an equal stamp means equal
+//! content. The next run's `prepare` and [`GvnContext::clear`] drop the
+//! memo; a run that fails, is truncated by a budget or panics never sets
+//! it.
 //!
 //! # Cross-run isolation
 //!
@@ -33,16 +49,22 @@
 //! both inference caches are invalidated. Nothing observable can leak
 //! from one routine into the next — `tests/session.rs` asserts that a
 //! shared context and a fresh context produce identical results over
-//! generated corpora. A context is therefore also *rollback-safe*: if a
-//! run panics mid-pass (e.g. an injected fault inside the resilient
-//! ladder), the half-mutated scratch state is simply re-prepared by the
-//! next run.
+//! generated corpora. The memo does not weaken this: a hit returns what
+//! a run on this very content and config computed, and that run started
+//! from wiped state, so a hit equals a fresh-context run (debug builds
+//! assert it on every hit). A context is therefore also
+//! *rollback-safe*: if a run panics mid-pass (e.g. an injected fault
+//! inside the resilient ladder), the half-mutated scratch state is
+//! simply re-prepared by the next run, and no memo survives to point
+//! at it.
 
 use crate::classes::Classes;
+use crate::config::GvnConfig;
 use crate::driver::Scratch;
 use crate::expr::{ExprId, FxBuildHasher, Interner};
 use crate::predicate::Pred;
-use pgvn_ir::{Block, CmpOp, Edge, EntityRef, EntitySet, Function, Inst, Value};
+use crate::results::GvnStats;
+use pgvn_ir::{Block, CmpOp, Edge, EntityRef, EntitySet, Function, FunctionStamp, Inst, Value};
 use std::collections::HashMap;
 
 use crate::classes::ClassId;
@@ -111,6 +133,19 @@ pub struct ContextCapacities {
     pub value_slots: usize,
 }
 
+/// The key and stats of a context's last converged run. Its partition
+/// and reachable sets are still in the context's scratch, which only
+/// the next run's `prepare` (or `clear`) overwrites.
+#[derive(Debug)]
+pub(crate) struct Memo {
+    /// The analyzed function's content stamp.
+    pub(crate) stamp: FunctionStamp,
+    /// The configuration it ran under.
+    pub(crate) cfg: GvnConfig,
+    /// The run's stats, returned again on a hit.
+    pub(crate) stats: GvnStats,
+}
+
 /// A reusable analysis session: all scratch state of the GVN driver,
 /// reset-without-free between runs.
 ///
@@ -160,7 +195,9 @@ pub struct GvnContext {
     pub(crate) pi_cache: HashMap<(Block, CmpOp, ExprId, ExprId), ExprId, FxBuildHasher>,
     /// The driver's per-touch working buffers.
     pub(crate) scratch: Scratch,
-    /// Runs served by this context.
+    /// The last converged run, if the scratch still holds its answer.
+    pub(crate) memo: Option<Memo>,
+    /// Analyses run in this context (memo hits are not runs).
     runs: u64,
 }
 
@@ -171,7 +208,8 @@ impl GvnContext {
         Self::default()
     }
 
-    /// Number of runs this context has served.
+    /// Number of analyses this context has run. A request answered from
+    /// the memo of the last converged run is not counted.
     pub fn runs(&self) -> u64 {
         self.runs
     }
@@ -181,6 +219,7 @@ impl GvnContext {
     /// between unrelated batches) while keeping capacity; calling it is
     /// never required for correctness.
     pub fn clear(&mut self) {
+        self.memo = None;
         self.interner.clear();
         self.classes.reset(0);
         self.reach_blocks.clear();
@@ -205,6 +244,7 @@ impl GvnContext {
     /// all allocations. Called by the driver at run start — which is
     /// what makes a context rollback-safe after a mid-run panic.
     pub(crate) fn prepare(&mut self, func: &Function) {
+        self.memo = None;
         self.runs += 1;
         self.interner.clear();
         self.classes.reset(func.value_capacity());

@@ -160,18 +160,51 @@ impl Run<'_, '_, '_, '_> {
     /// rooted in the region (see DESIGN.md), so this reproduction uses the
     /// RPO-downstream superset for both variants — sound, and every bit
     /// as strong.
+    ///
+    /// Blocks ahead of the cursor that are already fully touched are
+    /// skipped. Within a pass, only the block under the cursor ever
+    /// leaves `TOUCHED`, so after a change at `d` every block at or past
+    /// both `d` and the next cursor position stays touched until the
+    /// cursor reaches it (`touched_from`). The touched sets come out
+    /// exactly as if the whole suffix had been re-touched.
     pub(super) fn propagate_change_in_edge(&mut self, edge: Edge) {
         if !self.preds_enabled() {
             return;
         }
         // The blocks at or after `d` in RPO are exactly the order's
         // suffix from `d`'s number (none when `d` is unreachable).
-        let d = self.func.edge_to(edge);
-        let from = (self.rpo.number(d) as usize).min(self.rpo.order().len());
-        for bi in from..self.rpo.order().len() {
+        let n = self.rpo.order().len();
+        let d = (self.rpo.number(self.func.edge_to(edge)) as usize).min(n);
+        #[cfg(test)]
+        if self.scratch.probe.eager {
+            self.touch_rpo_range(d..n);
+            return;
+        }
+        // Empty when `d` lies in the part already touched.
+        self.touch_rpo_range(d..self.touched_from.max(self.cursor + 1));
+        self.touched_from = self.touched_from.min(d);
+        debug_assert!(
+            self.rpo.order()[d..].iter().all(|&b| self.touched_blocks.contains(b)
+                && self.func.block_insts(b).iter().all(|&i| self.touched_insts.contains(i))),
+            "the RPO suffix from a changed edge's destination is fully touched"
+        );
+    }
+
+    /// Touches every instruction and block at the RPO positions `range`.
+    fn touch_rpo_range(&mut self, range: std::ops::Range<usize>) {
+        for bi in range {
             let blk = self.rpo.order()[bi];
+            #[cfg(test)]
+            let touches = self.stats.touches;
             self.touch_block_insts(blk);
             self.touched_blocks.insert(blk);
+            #[cfg(test)]
+            {
+                let probe = &mut self.scratch.probe;
+                probe.visits.push((self.stats.passes, bi));
+                probe.slots += self.func.block_insts(blk).len() as u64;
+                probe.new_touches += self.stats.touches - touches;
+            }
         }
     }
 }
@@ -192,5 +225,174 @@ impl Taken {
             Taken::None => false,
             Taken::Only(j) => i == j,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::PropagationProbe;
+    use super::*;
+    use pgvn_ssa::SsaStyle;
+    use pgvn_telemetry::MemorySink;
+    use pgvn_workload::{generate_function, spec_suite, GenConfig, SuiteConfig};
+
+    /// Every preset under every mode and variant, plus the dense driver.
+    fn all_configs() -> Vec<GvnConfig> {
+        let mut out = Vec::new();
+        for preset in ["full", "extended", "click", "sccp", "awz", "basic"] {
+            for mode in ["optimistic", "balanced", "pessimistic"] {
+                for variant in ["practical", "complete"] {
+                    let names = (Some(preset), Some(mode), Some(variant));
+                    out.push(GvnConfig::full().with_names(names.0, names.1, names.2).unwrap());
+                }
+            }
+        }
+        out.push(GvnConfig::full().sparse(false));
+        out
+    }
+
+    fn generated(n: u64) -> Vec<Function> {
+        (0..n)
+            .map(|i| {
+                let cfg = GenConfig {
+                    seed: 0x5EED ^ i,
+                    target_stmts: 10 + (i % 30) as usize,
+                    max_depth: 1 + (i % 4) as usize,
+                    loop_prob: 0.35,
+                    ..GenConfig::default()
+                };
+                generate_function(&format!("w{i}"), &cfg, SsaStyle::Pruned)
+            })
+            .collect()
+    }
+
+    /// One run on a fresh context, with propagation either eager (the
+    /// reference) or watermarked: its results, its pass events (minus
+    /// wall time) and what propagation visited.
+    fn probed(
+        f: &Function,
+        cfg: &GvnConfig,
+        eager: bool,
+    ) -> (GvnResults, Vec<TraceEvent>, PropagationProbe) {
+        let mut ctx = GvnContext::new();
+        ctx.scratch.probe.eager = eager;
+        let mut sink = MemorySink::new();
+        let results = Run::new(&mut ctx, f, cfg.clone(), &mut Telemetry::with_sink(&mut sink))
+            .execute()
+            .expect("generated routines analyze");
+        let mut events = sink.events().to_vec();
+        for e in &mut events {
+            if let TraceEvent::PassEnd { nanos, .. } = e {
+                *nanos = 0;
+            }
+        }
+        (results, events, std::mem::take(&mut ctx.scratch.probe))
+    }
+
+    /// The watermark changes only how much propagation visits: stats,
+    /// partition, reachability, and the `TOUCHED` sizes at every pass
+    /// boundary match the eager reference under every configuration.
+    #[test]
+    fn watermark_matches_the_eager_suffix_reference() {
+        let funcs = generated(24);
+        let (mut eager_slots, mut slots) = (0, 0);
+        for cfg in all_configs() {
+            for f in &funcs {
+                let what = format!("{} under {cfg:?}", f.name());
+                let (want, want_events, want_probe) = probed(f, &cfg, true);
+                let (got, got_events, got_probe) = probed(f, &cfg, false);
+                assert_eq!(got.stats, want.stats, "{what}: stats");
+                assert_eq!(got.partition(), want.partition(), "{what}: partition");
+                assert!(
+                    f.blocks().all(|b| got.is_block_reachable(b) == want.is_block_reachable(b))
+                        && f.edges().all(|e| got.is_edge_reachable(e) == want.is_edge_reachable(e)),
+                    "{what}: reachability"
+                );
+                assert_eq!(got_events, want_events, "{what}: pass events");
+                assert_eq!(got_probe.new_touches, want_probe.new_touches, "{what}: new touches");
+                assert!(got_probe.slots <= want_probe.slots, "{what}: visits more than eager");
+                eager_slots += want_probe.slots;
+                slots += got_probe.slots;
+            }
+        }
+        assert!(slots < eager_slots, "the corpus exercises the watermark");
+    }
+
+    /// `n` diamonds in sequence: diamond `i` branches on `x < i` and
+    /// joins `x + 1` and `x - 1` in a φ, which a running sum adds up.
+    fn diamonds(n: i64) -> Function {
+        let mut f = Function::new("diamonds", 1);
+        let x = f.param(0);
+        let mut b = f.entry();
+        let one = f.iconst(b, 1);
+        let mut sum = f.iconst(b, 0);
+        for i in 0..n {
+            let (t, e, j) = (f.add_block(), f.add_block(), f.add_block());
+            let k = f.iconst(b, i);
+            let c = f.cmp(b, CmpOp::Lt, x, k);
+            f.set_branch(b, c, t, e);
+            let up = f.binary(t, BinOp::Add, x, one);
+            f.set_jump(t, j);
+            let down = f.binary(e, BinOp::Sub, x, one);
+            f.set_jump(e, j);
+            let phi = f.append_phi(j);
+            f.set_phi_args(phi, vec![up, down]);
+            sum = f.binary(j, BinOp::Add, sum, phi);
+            b = j;
+        }
+        f.set_return(b, sum);
+        f
+    }
+
+    /// On an acyclic routine nothing behind the cursor is ever re-touched,
+    /// so propagation visits each block at most once per pass; the eager
+    /// suffix visits the tail once per changed edge.
+    #[test]
+    fn acyclic_propagation_visits_each_block_at_most_once_per_pass() {
+        let f = diamonds(200);
+        let once_per_pass = |probe: &PropagationProbe| {
+            let mut visits = probe.visits.clone();
+            visits.sort_unstable();
+            visits.windows(2).all(|w| w[0] != w[1])
+        };
+        for cfg in [GvnConfig::full(), GvnConfig::full().variant(Variant::Complete)] {
+            let (want, _, eager) = probed(&f, &cfg, true);
+            let (got, _, probe) = probed(&f, &cfg, false);
+            assert_eq!(got.stats, want.stats);
+            assert!(!probe.visits.is_empty(), "edge changes propagate");
+            assert!(once_per_pass(&probe), "a block was visited twice in one pass");
+            assert!(!once_per_pass(&eager), "the eager reference re-visits the tail");
+            assert!(eager.slots > 50 * probe.slots, "{} vs {}", eager.slots, probe.slots);
+        }
+    }
+
+    /// On the SPEC stand-in (the batch-pre-check corpus, smaller), the
+    /// first run's propagation visits about as many slots as it adds
+    /// touches, against several times that for the eager suffix.
+    #[test]
+    fn propagation_visits_little_more_than_it_touches() {
+        let funcs: Vec<Function> =
+            spec_suite(SuiteConfig { scale: 0.05, style: SsaStyle::Pruned, ..Default::default() })
+                .iter()
+                .flat_map(|bench| bench.routines())
+                .collect();
+        let (mut eager_slots, mut slots, mut new_touches) = (0, 0, 0);
+        for f in &funcs {
+            let (_, _, eager) = probed(f, &GvnConfig::full(), true);
+            let (_, _, probe) = probed(f, &GvnConfig::full(), false);
+            assert_eq!(probe.new_touches, eager.new_touches, "{}", f.name());
+            eager_slots += eager.slots;
+            slots += probe.slots;
+            new_touches += probe.new_touches;
+        }
+        let n = funcs.len() as u64;
+        eprintln!(
+            "per routine: eager {} slots, watermark {} slots, {} new touches",
+            eager_slots / n,
+            slots / n,
+            new_touches / n
+        );
+        assert!(slots <= 2 * new_touches, "{slots} slots for {new_touches} new touches");
+        assert!(eager_slots >= 4 * slots, "eager {eager_slots} vs watermark {slots}");
     }
 }

@@ -17,7 +17,7 @@ mod phipred;
 
 use crate::classes::{ClassId, Classes, Leader};
 use crate::config::{GvnConfig, Mode, Variant};
-use crate::context::{GvnContext, ViCache};
+use crate::context::{GvnContext, Memo, ViCache};
 use crate::error::{BudgetKind, FaultKind, FaultSite, GvnError};
 use crate::expr::{ExprId, ExprKind, FxBuildHasher, Interner, PhiKey};
 use crate::linear::{LinearExpr, LinearView};
@@ -88,6 +88,11 @@ pub fn run(func: &Function, cfg: &GvnConfig) -> GvnResults {
 /// to `tel`'s sink and phase timings accumulate in its profiler; pass
 /// [`Telemetry::off`] for none.
 ///
+/// `ctx` remembers its last converged run. Asked again about the same
+/// function instance at the same revision ([`Function::stamp`]) under an
+/// equal config, it returns the same results without running: no trace
+/// events, no driver metrics, one [`Metric::DriverReuses`] count.
+///
 /// # Errors
 ///
 /// Only a converged run is `Ok`. `Err` covers non-convergence (the hard
@@ -103,8 +108,71 @@ pub fn try_run_traced_in_context(
     cfg: &GvnConfig,
     tel: &mut Telemetry<'_>,
 ) -> Result<GvnResults, GvnError> {
-    let results = Run::new(ctx, func, cfg.clone(), tel).execute()?;
-    classify(cfg, results)
+    if let Some(results) = reuse(ctx, func, cfg) {
+        tel.count(Metric::DriverReuses, 1);
+        return Ok(results);
+    }
+    // `prepare` drops the memo, so a run that fails or panics leaves none.
+    let results = classify(cfg, Run::new(ctx, func, cfg.clone(), tel).execute()?)?;
+    ctx.memo = Some(Memo { stamp: func.stamp(), cfg: cfg.clone(), stats: results.stats });
+    Ok(results)
+}
+
+/// The results of `ctx`'s last converged run, rebuilt from its scratch,
+/// when that run analyzed `func` as it is now under a config equal to
+/// `cfg`.
+fn reuse(ctx: &GvnContext, func: &Function, cfg: &GvnConfig) -> Option<GvnResults> {
+    let memo = ctx.memo.as_ref().filter(|m| m.stamp == func.stamp() && m.cfg == *cfg)?;
+    let results =
+        collect_results(func, &ctx.classes, &ctx.reach_blocks, &ctx.reach_edges, memo.stats);
+    #[cfg(debug_assertions)]
+    assert_matches_fresh_run(func, cfg, &results);
+    Some(results)
+}
+
+/// Debug builds check every memo hit against a run on a fresh context.
+/// The check drops the time budget, the one input that is not
+/// deterministic, and allocates nothing beyond that run (so
+/// `tests/alloc_budget.rs` can account for it).
+#[cfg(debug_assertions)]
+fn assert_matches_fresh_run(func: &Function, cfg: &GvnConfig, hit: &GvnResults) {
+    let budget = crate::GvnBudget { time_limit: None, ..cfg.budget };
+    let cfg = GvnConfig { budget, ..cfg.clone() };
+    let fresh = Run::new(&mut GvnContext::new(), func, cfg, &mut Telemetry::off())
+        .execute()
+        .expect("a memoized run converges again");
+    assert_eq!(hit.stats, fresh.stats, "memo hit: stats differ from a fresh run");
+    assert!(
+        hit.class_of == fresh.class_of && hit.leaders == fresh.leaders,
+        "memo hit: partition differs from a fresh run"
+    );
+    assert!(
+        func.blocks().all(|b| hit.is_block_reachable(b) == fresh.is_block_reachable(b))
+            && func.edges().all(|e| hit.is_edge_reachable(e) == fresh.is_edge_reachable(e)),
+        "memo hit: reachability differs from a fresh run"
+    );
+}
+
+/// Copies a run's answer out of the context-owned partition and
+/// reachable sets.
+fn collect_results(
+    func: &Function,
+    classes: &Classes,
+    reach_blocks: &EntitySet<Block>,
+    reach_edges: &EntitySet<Edge>,
+    stats: GvnStats,
+) -> GvnResults {
+    let class_of = (0..func.value_capacity()).map(|i| classes.class_of(Value::new(i))).collect();
+    let leaders = (0..classes.num_class_slots())
+        .map(|i| classes.leader(ClassId::from_raw(i as u32)))
+        .collect();
+    GvnResults {
+        reachable_blocks: reach_blocks.clone(),
+        reachable_edges: reach_edges.clone(),
+        class_of,
+        leaders,
+        stats,
+    }
 }
 
 /// Maps a completed run's [`RunOutcome`] to the error taxonomy: only a
@@ -183,6 +251,12 @@ struct Run<'f, 'c, 't, 's> {
     scratch: &'c mut Scratch,
     stats: GvnStats,
     any_change: bool,
+    /// The pass loop's position in RPO.
+    cursor: usize,
+    /// Every block at RPO position `touched_from` or later, and past the
+    /// cursor, is fully touched (reset at pass start; see
+    /// `propagate_change_in_edge`).
+    touched_from: usize,
     /// Wall-clock deadline derived from the budget, checked per block.
     deadline: Option<Instant>,
     /// Site visits remaining before the armed fault fires; `None` when
@@ -282,6 +356,8 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             scratch,
             stats: GvnStats::default(),
             any_change: false,
+            cursor: 0,
+            touched_from: 0,
             deadline,
             fault_countdown,
             span_end: None,
@@ -408,7 +484,9 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             self.tel.observe(Metric::DriverTouchedInstsPass, ti0);
             let snap = self.stats;
             let pass_t0 = self.tel.clock();
+            self.touched_from = self.rpo.order().len();
             for bi in 0..self.rpo.order().len() {
+                self.cursor = bi;
                 let b = self.rpo.order()[bi];
                 if let Some(deadline) = self.deadline {
                     if Instant::now() >= deadline {
@@ -535,20 +613,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
         }
         self.tel.emit(|| TraceEvent::RunEnd { passes: stats.passes, converged });
         self.tel.flush();
-        let nvals = self.func.value_capacity();
-        let class_of: Vec<ClassId> =
-            (0..nvals).map(|i| self.classes.class_of(Value::new(i))).collect();
-        let leaders: Vec<Leader> = (0..self.classes.num_class_slots())
-            .map(|i| self.classes.leader(ClassId::from_raw(i as u32)))
-            .collect();
-        GvnResults {
-            // The sets are context-owned scratch; the results get a copy.
-            reachable_blocks: self.reach_blocks.clone(),
-            reachable_edges: self.reach_edges.clone(),
-            class_of,
-            leaders,
-            stats,
-        }
+        collect_results(self.func, self.classes, self.reach_blocks, self.reach_edges, stats)
     }
 
     // -----------------------------------------------------------------
@@ -680,6 +745,25 @@ pub(crate) struct Scratch {
     phi_dist: Vec<Vec<ExprId>>,
     /// φ-predication traversal state.
     pub(crate) pred: phipred::PredCtx,
+    /// Test-only record of the blocks edge propagation visits.
+    #[cfg(test)]
+    pub(crate) probe: PropagationProbe,
+}
+
+/// What edge propagation visited, for the tests of its watermark, and a
+/// switch back to re-touching the whole RPO suffix (the reference the
+/// watermark must match).
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct PropagationProbe {
+    /// Re-touch the whole suffix from the destination on every change.
+    pub(crate) eager: bool,
+    /// `(pass, RPO position)` of every block visit.
+    pub(crate) visits: Vec<(u32, usize)>,
+    /// Instruction slots visited.
+    pub(crate) slots: u64,
+    /// Instructions the visits added to `TOUCHED`.
+    pub(crate) new_touches: u64,
 }
 
 #[cfg(test)]

@@ -4,11 +4,13 @@
 //! the driver, so once it is warm a run allocates only for its fixed
 //! per-run setup (RPO, ranks, def-use, the two dominator trees) and for
 //! the [`pgvn_core::GvnResults`] it returns — a constant number of
-//! allocations, whatever the routine's size or touch count. This test
-//! counts them with a counting global allocator; it lives in its own
-//! integration-test crate so the libraries keep `forbid(unsafe_code)`.
+//! allocations, whatever the routine's size or touch count. A request
+//! the context answers from the memo of its last converged run
+//! allocates only the results it returns. This test counts both with a
+//! counting global allocator; it lives in its own integration-test
+//! crate so the libraries keep `forbid(unsafe_code)`.
 
-use pgvn_core::{try_run_traced_in_context, GvnConfig, GvnContext};
+use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
 use pgvn_ir::Function;
 use pgvn_telemetry::Telemetry;
 use pgvn_workload::{spec_suite, SuiteConfig};
@@ -61,6 +63,13 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Allocations `f` makes on this thread, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = allocs();
+    let out = f();
+    (allocs() - before, out)
+}
+
 fn suite() -> Vec<Function> {
     spec_suite(SuiteConfig { scale: 0.05, ..Default::default() })
         .iter()
@@ -69,15 +78,17 @@ fn suite() -> Vec<Function> {
 }
 
 /// Runs every routine once in `ctx`, returning the allocation count of
-/// each run (results dropped outside the measured window).
+/// each run (results dropped outside the measured window). Each run is
+/// a real analysis: the context's last run was of another instance.
 fn measure(ctx: &mut GvnContext, funcs: &[Function], cfg: &GvnConfig) -> Vec<u64> {
     let mut counts = Vec::with_capacity(funcs.len());
     for f in funcs {
-        let mut tel = Telemetry::off();
-        let before = allocs();
-        let results = try_run_traced_in_context(ctx, f, cfg, &mut tel);
-        counts.push(allocs() - before);
+        let runs = ctx.runs();
+        let (count, results) =
+            counted(|| try_run_traced_in_context(ctx, f, cfg, &mut Telemetry::off()));
+        counts.push(count);
         assert!(results.expect("suite routine converges").stats.converged);
+        assert_eq!(ctx.runs(), runs + 1, "{} was analyzed, not reused", f.name());
     }
     counts
 }
@@ -86,11 +97,14 @@ fn measure(ctx: &mut GvnContext, funcs: &[Function], cfg: &GvnConfig) -> Vec<u64
 fn a_warm_run_allocates_a_constant_number_of_times() {
     let funcs = suite();
     assert!(funcs.len() > 200, "the suite is the scale-0.05 SPEC stand-in");
+    // A second instance of every routine: alternating the two makes each
+    // measured request a run, even in a one-routine suite.
+    let clones = funcs.clone();
     for (name, cfg) in [("full", GvnConfig::full()), ("extended", GvnConfig::extended())] {
         let mut ctx = GvnContext::new();
         // Warm-up: every scratch structure reaches the size the largest
         // routine needs.
-        measure(&mut ctx, &funcs, &cfg);
+        measure(&mut ctx, &clones, &cfg);
         let counts = measure(&mut ctx, &funcs, &cfg);
         let total: u64 = counts.iter().sum();
         let (worst, at) = counts.iter().zip(&funcs).max_by_key(|(c, _)| **c).unwrap();
@@ -104,6 +118,34 @@ fn a_warm_run_allocates_a_constant_number_of_times() {
             *worst <= MAX_ALLOCS_PER_RUN,
             "{name}: routine {} made {worst} allocations in one warm run (budget {MAX_ALLOCS_PER_RUN})",
             at.name()
+        );
+    }
+}
+
+/// A memo hit rebuilds the results from the context's scratch: it
+/// allocates no more than cloning those results would. In debug builds
+/// every hit is also checked against a fresh-context run, whose
+/// allocations are measured separately and allowed for.
+#[test]
+fn a_memo_hit_allocates_only_its_results() {
+    let funcs = suite();
+    let cfg = GvnConfig::full();
+    let mut ctx = GvnContext::new();
+    for f in funcs.iter().step_by(7) {
+        let first = try_run_traced_in_context(&mut ctx, f, &cfg, &mut Telemetry::off());
+        let first = first.expect("suite routine converges");
+        let runs = ctx.runs();
+        let (hit, results) =
+            counted(|| try_run_traced_in_context(&mut ctx, f, &cfg, &mut Telemetry::off()));
+        assert_eq!(ctx.runs(), runs, "{}: the second request is a hit", f.name());
+        assert_eq!(results.expect("a hit is Ok").stats, first.stats);
+        let (clone, _copy) = counted(|| first.clone());
+        let check = if cfg!(debug_assertions) { counted(|| run(f, &cfg)).0 } else { 0 };
+        assert!(
+            hit <= clone + check,
+            "{}: a hit made {hit} allocations; its results clone in {clone} (+{check} for the \
+             debug check)",
+            f.name()
         );
     }
 }

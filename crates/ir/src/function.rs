@@ -8,6 +8,7 @@
 
 use crate::entities::{Block, Edge, EntityRef, EntityVec, Inst, Value};
 use crate::instr::{BinOp, CmpOp, InstData, InstKind, UnOp};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A basic block: ordered instructions plus ordered incoming and outgoing
 /// edge lists.
@@ -42,6 +43,37 @@ pub struct ValueData {
     pub def: Inst,
 }
 
+/// Identifies a [`Function`]'s content: the instance it belongs to and
+/// how many times that instance has been mutated.
+///
+/// Every `Function` gets a process-unique instance id when it is created
+/// or cloned, and every `&mut self` method bumps its revision. Two equal
+/// stamps therefore always denote the same content, which lets an
+/// analysis remember its last answer without comparing functions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct FunctionStamp {
+    instance: u64,
+    revision: u64,
+}
+
+/// A process-unique instance id. Cloning draws a fresh one: a clone is
+/// a new instance whose mutations must not alias the original's stamps.
+#[derive(Debug)]
+struct InstanceId(u64);
+
+impl InstanceId {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        InstanceId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for InstanceId {
+    fn clone(&self) -> Self {
+        InstanceId::fresh()
+    }
+}
+
 /// A routine in SSA form.
 ///
 /// # Examples
@@ -66,6 +98,9 @@ pub struct Function {
     pub(crate) insts: EntityVec<Inst, InstData>,
     pub(crate) values: EntityVec<Value, ValueData>,
     pub(crate) edges: EntityVec<Edge, EdgeData>,
+    instance: InstanceId,
+    /// Bumped by every `&mut self` method (see [`FunctionStamp`]).
+    revision: u64,
 }
 
 impl Function {
@@ -95,6 +130,8 @@ impl Function {
             insts: EntityVec::with_capacity(insts),
             values: EntityVec::with_capacity(insts),
             edges: EntityVec::with_capacity(edges),
+            instance: InstanceId::fresh(),
+            revision: 0,
         };
         f.entry = f.add_block();
         for i in 0..num_params {
@@ -102,6 +139,17 @@ impl Function {
             f.params.push(v);
         }
         f
+    }
+
+    /// The content stamp: equal stamps mean equal content (see
+    /// [`FunctionStamp`]).
+    pub fn stamp(&self) -> FunctionStamp {
+        FunctionStamp { instance: self.instance.0, revision: self.revision }
+    }
+
+    /// Records a mutation. Every `&mut self` method calls this first.
+    fn bump(&mut self) {
+        self.revision += 1;
     }
 
     /// Returns the function name.
@@ -161,12 +209,14 @@ impl Function {
 
     /// Appends a fresh empty block.
     pub fn add_block(&mut self) -> Block {
+        self.bump();
         self.blocks.push(BlockData::default())
     }
 
     /// Reserves room in `b` for exactly `insts` more instructions, `preds`
     /// more incoming and `succs` more outgoing edges.
     pub fn reserve_block(&mut self, b: Block, insts: usize, preds: usize, succs: usize) {
+        self.bump();
         let data = &mut self.blocks[b];
         data.insts.reserve_exact(insts);
         data.preds.reserve_exact(preds);
@@ -286,6 +336,7 @@ impl Function {
     /// [`Function::set_branch`] or [`Function::set_return`]) or if the block
     /// is already terminated.
     pub fn append(&mut self, b: Block, kind: InstKind) -> Value {
+        self.bump();
         assert!(!kind.is_terminator(), "append requires a non-terminator; got {kind:?}");
         assert!(self.terminator(b).is_none(), "block {b} is already terminated");
         let inst = self.insts.push(InstData { kind, block: b, result: None });
@@ -303,6 +354,7 @@ impl Function {
     /// Panics if `b` already contains a non-φ instruction (φs must form a
     /// prefix of their block).
     pub fn append_phi(&mut self, b: Block) -> Value {
+        self.bump();
         let all_phis = self.blocks[b].insts.iter().all(|&i| self.insts[i].kind.is_phi());
         assert!(all_phis, "φ appended after non-φ instructions in {b}");
         self.append(b, InstKind::Phi(Vec::new()))
@@ -318,6 +370,7 @@ impl Function {
     /// Panics if `kind` is a terminator or a φ (φs must join the block's
     /// φ prefix — use [`Function::insert_phi`]).
     pub fn insert_before_terminator(&mut self, b: Block, kind: InstKind) -> Value {
+        self.bump();
         assert!(!kind.is_terminator(), "insert requires a non-terminator; got {kind:?}");
         assert!(!kind.is_phi(), "insert_before_terminator cannot place a φ");
         let inst = self.insts.push(InstData { kind, block: b, result: None });
@@ -338,6 +391,7 @@ impl Function {
     /// pass adds φ-merges to complete blocks); arguments are filled in
     /// later with [`Function::set_phi_args`].
     pub fn insert_phi(&mut self, b: Block) -> Value {
+        self.bump();
         let kind = InstKind::Phi(Vec::new());
         let inst = self.insts.push(InstData { kind, block: b, result: None });
         let value = self.values.push(ValueData { def: inst });
@@ -358,6 +412,7 @@ impl Function {
     ///
     /// Panics if `phi_value` is not defined by a φ.
     pub fn set_phi_args(&mut self, phi_value: Value, args: Vec<Value>) {
+        self.bump();
         let inst = self.def(phi_value);
         match &mut self.insts[inst].kind {
             InstKind::Phi(a) => *a = args,
@@ -386,6 +441,7 @@ impl Function {
     ///
     /// Panics if `b` is already terminated.
     pub fn set_jump(&mut self, b: Block, target: Block) -> Edge {
+        self.bump();
         self.set_terminator(b, InstKind::Jump);
         self.add_edge(b, target)
     }
@@ -404,6 +460,7 @@ impl Function {
         then_target: Block,
         else_target: Block,
     ) -> (Edge, Edge) {
+        self.bump();
         self.set_terminator(b, InstKind::Branch(cond));
         let t = self.add_edge(b, then_target);
         let e = self.add_edge(b, else_target);
@@ -416,6 +473,7 @@ impl Function {
     ///
     /// Panics if `b` is already terminated.
     pub fn set_return(&mut self, b: Block, value: Value) {
+        self.bump();
         self.set_terminator(b, InstKind::Return(value));
     }
 
@@ -436,6 +494,7 @@ impl Function {
         targets: &[Block],
         default: Block,
     ) {
+        self.bump();
         assert_eq!(cases.len(), targets.len(), "one target per case value");
         let unique = cases.iter().enumerate().all(|(i, c)| !cases[..i].contains(c));
         assert!(unique, "switch case values must be unique");
@@ -460,6 +519,7 @@ impl Function {
     ///
     /// Panics if the old and new kinds disagree about being a terminator.
     pub fn replace_kind(&mut self, inst: Inst, kind: InstKind) {
+        self.bump();
         assert_eq!(
             self.insts[inst].kind.is_terminator(),
             kind.is_terminator(),
@@ -491,6 +551,7 @@ impl Function {
     /// The originating block's terminator is *not* changed; callers that
     /// fold a branch should use [`Function::fold_branch_to`].
     pub fn remove_edge(&mut self, e: Edge) {
+        self.bump();
         if self.edges[e].removed {
             return;
         }
@@ -517,6 +578,7 @@ impl Function {
     ///
     /// Panics if `b` does not end in a branch or `keep` is not 0 or 1.
     pub fn fold_branch_to(&mut self, b: Block, keep: usize) {
+        self.bump();
         assert!(keep < 2, "branch edge index must be 0 or 1");
         let term = self.terminator(b).expect("terminated block");
         assert!(
@@ -535,6 +597,7 @@ impl Function {
     ///
     /// Panics if `b` does not end in a switch or `keep` is out of range.
     pub fn fold_switch_to(&mut self, b: Block, keep: usize) {
+        self.bump();
         let term = self.terminator(b).expect("terminated block");
         assert!(
             matches!(self.insts[term].kind, InstKind::Switch(..)),
@@ -557,6 +620,7 @@ impl Function {
     ///
     /// Panics if `b` is the entry block.
     pub fn remove_block(&mut self, b: Block) {
+        self.bump();
         assert!(b != self.entry, "cannot remove the entry block");
         if self.blocks[b].removed {
             return;
@@ -573,6 +637,7 @@ impl Function {
     /// Removes a non-terminator instruction from its block (tombstones the
     /// slot). The caller is responsible for ensuring the result is unused.
     pub fn remove_inst(&mut self, inst: Inst) {
+        self.bump();
         let b = self.insts[inst].block;
         self.blocks[b].insts.retain(|&i| i != inst);
     }
@@ -580,6 +645,7 @@ impl Function {
     /// Replaces the φ defining `phi_value` by a copy of `src` (used when a
     /// φ becomes redundant after edge removal).
     pub fn replace_phi_with_copy(&mut self, phi_value: Value, src: Value) {
+        self.bump();
         let inst = self.def(phi_value);
         assert!(self.insts[inst].kind.is_phi(), "not a φ");
         self.insts[inst].kind = InstKind::Copy(src);
@@ -592,21 +658,25 @@ impl Function {
 
     /// Appends `Const(c)` to `b`.
     pub fn iconst(&mut self, b: Block, c: i64) -> Value {
+        self.bump();
         self.append(b, InstKind::Const(c))
     }
 
     /// Appends a binary operation to `b`.
     pub fn binary(&mut self, b: Block, op: BinOp, x: Value, y: Value) -> Value {
+        self.bump();
         self.append(b, InstKind::Binary(op, x, y))
     }
 
     /// Appends a comparison to `b`.
     pub fn cmp(&mut self, b: Block, op: CmpOp, x: Value, y: Value) -> Value {
+        self.bump();
         self.append(b, InstKind::Cmp(op, x, y))
     }
 
     /// Appends a unary operation to `b`.
     pub fn unary(&mut self, b: Block, op: UnOp, x: Value) -> Value {
+        self.bump();
         self.append(b, InstKind::Unary(op, x))
     }
 }
@@ -827,5 +897,97 @@ mod tests {
         f.set_phi_args(p, vec![x, y]);
         f.replace_phi_with_copy(p, x);
         assert_eq!(f.kind(f.def(p)), &InstKind::Copy(x));
+    }
+
+    #[test]
+    fn clones_and_fresh_functions_get_fresh_stamps() {
+        let (f, ..) = diamond();
+        let g = f.clone();
+        assert_ne!(f.stamp(), g.stamp(), "a clone is a new instance");
+        assert_ne!(Function::new("d", 2).stamp(), Function::new("d", 2).stamp());
+        let moved = f.stamp();
+        let f2 = f;
+        assert_eq!(f2.stamp(), moved, "a move keeps the stamp");
+        assert_eq!(f2.stamp(), f2.stamp(), "reads never change it");
+    }
+
+    /// Every public `&mut self` method is a mutation: it must move the
+    /// stamp, even when it leaves the content as it was.
+    #[test]
+    fn every_mutator_changes_the_stamp() {
+        /// The diamond plus a φ `p` in the join, a block `w` ending in a
+        /// switch on `x`, and an unterminated block `s`.
+        struct Fixture {
+            entry: Block,
+            t: Block,
+            e: Block,
+            j: Block,
+            w: Block,
+            s: Block,
+            x: Value,
+            y: Value,
+            p: Value,
+        }
+        let fixture = || {
+            let (mut f, entry, t, e, j, x, y) = diamond();
+            let p = f.append_phi(j);
+            f.set_phi_args(p, vec![x, y]);
+            let (w, s) = (f.add_block(), f.add_block());
+            f.set_switch(w, x, &[1], &[t], e);
+            (f, Fixture { entry, t, e, j, w, s, x, y, p })
+        };
+        type Mutation = fn(&mut Function, &Fixture);
+        let mutations: [(&str, Mutation); 22] = [
+            ("add_block", |f, _| {
+                f.add_block();
+            }),
+            ("reserve_block", |f, k| f.reserve_block(k.t, 0, 0, 0)),
+            ("append", |f, k| {
+                f.append(k.s, InstKind::Const(1));
+            }),
+            ("append_phi", |f, k| {
+                f.append_phi(k.s);
+            }),
+            ("insert_before_terminator", |f, k| {
+                f.insert_before_terminator(k.t, InstKind::Const(1));
+            }),
+            ("insert_phi", |f, k| {
+                f.insert_phi(k.t);
+            }),
+            ("set_phi_args", |f, k| f.set_phi_args(k.p, vec![k.x, k.y])),
+            ("set_jump", |f, k| {
+                f.set_jump(k.s, k.j);
+            }),
+            ("set_branch", |f, k| {
+                f.set_branch(k.s, k.x, k.t, k.e);
+            }),
+            ("set_return", |f, k| f.set_return(k.s, k.x)),
+            ("set_switch", |f, k| f.set_switch(k.s, k.x, &[1], &[k.t], k.e)),
+            ("replace_kind", |f, k| f.replace_kind(f.def(k.x), InstKind::Const(10))),
+            ("remove_edge", |f, k| f.remove_edge(f.succs(k.t)[0])),
+            ("fold_branch_to", |f, k| f.fold_branch_to(k.entry, 0)),
+            ("fold_switch_to", |f, k| f.fold_switch_to(k.w, 1)),
+            ("remove_block", |f, k| f.remove_block(k.t)),
+            ("remove_inst", |f, k| f.remove_inst(f.def(k.y))),
+            ("replace_phi_with_copy", |f, k| f.replace_phi_with_copy(k.p, k.x)),
+            ("iconst", |f, k| {
+                f.iconst(k.s, 3);
+            }),
+            ("binary", |f, k| {
+                f.binary(k.s, BinOp::Add, k.x, k.y);
+            }),
+            ("cmp", |f, k| {
+                f.cmp(k.s, CmpOp::Eq, k.x, k.y);
+            }),
+            ("unary", |f, k| {
+                f.unary(k.s, UnOp::Neg, k.x);
+            }),
+        ];
+        for (name, mutate) in mutations {
+            let (mut f, k) = fixture();
+            let before = f.stamp();
+            mutate(&mut f, &k);
+            assert_ne!(f.stamp(), before, "{name} must change the stamp");
+        }
     }
 }

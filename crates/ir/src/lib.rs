@@ -47,7 +47,7 @@ pub mod verify;
 
 pub use diag::{Diagnostic, DiagnosticEngine, Severity};
 pub use entities::{Block, Edge, EntityRef, EntitySet, EntityVec, Inst, SecondaryMap, Value};
-pub use function::{BlockData, DefUse, EdgeData, Function, ValueData};
+pub use function::{BlockData, DefUse, EdgeData, Function, FunctionStamp, ValueData};
 pub use instr::{BinOp, CmpOp, InstData, InstKind, UnOp};
 pub use interp::{HashedOpaques, InterpError, Interpreter, OpaqueSource, Trace};
 pub use verify::{assert_verifies, verify, verify_into, VerifyError};

@@ -166,9 +166,15 @@ impl JsonValue {
     }
 }
 
-/// Parses one JSON value from `input`.
+/// The deepest nesting of arrays and objects [`parse`] accepts. Requests
+/// and stats documents nest a few levels; the bound keeps the recursive
+/// descent's stack use small whatever a peer sends.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON value from `input`. Nesting deeper than
+/// [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -182,6 +188,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -219,8 +227,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
@@ -384,6 +399,27 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        let err = parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let obj = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse(&obj(MAX_DEPTH)).is_ok());
+        assert!(parse(&obj(MAX_DEPTH + 1)).is_err());
+        // Far past the bound, the parse fails fast instead of
+        // overflowing the stack of a small thread.
+        let deep = "[".repeat(200_000);
+        let handle = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&deep).is_err())
+            .unwrap();
+        assert!(handle.join().unwrap());
     }
 
     #[test]

@@ -63,8 +63,13 @@ pub enum MetricKind {
 /// full table of where each is emitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Metric {
-    /// Analysis runs completed (driver `finish`).
+    /// Analysis runs completed (driver `finish`). Memo hits are not
+    /// runs; they count as [`Metric::DriverReuses`].
     DriverRuns,
+    /// Analysis requests answered from the context's memo of its last
+    /// converged run (same function instance and revision, equal
+    /// config), without running.
+    DriverReuses,
     /// RPO passes to convergence, per run (driver `finish`).
     DriverPasses,
     /// Touch operations performed (driver `finish`).
@@ -177,8 +182,9 @@ pub enum Metric {
 }
 
 /// All metrics, in catalog (and snapshot) order.
-pub const METRICS: [Metric; 48] = [
+pub const METRICS: [Metric; 49] = [
     Metric::DriverRuns,
+    Metric::DriverReuses,
     Metric::DriverPasses,
     Metric::DriverTouches,
     Metric::DriverInstsProcessed,
@@ -233,6 +239,7 @@ impl Metric {
     pub fn name(self) -> &'static str {
         match self {
             Metric::DriverRuns => "driver_runs",
+            Metric::DriverReuses => "driver_reuses",
             Metric::DriverPasses => "driver_passes",
             Metric::DriverTouches => "driver_touches",
             Metric::DriverInstsProcessed => "driver_insts_processed",
@@ -287,6 +294,7 @@ impl Metric {
     pub fn kind(self) -> MetricKind {
         match self {
             Metric::DriverRuns
+            | Metric::DriverReuses
             | Metric::DriverTouches
             | Metric::DriverInstsProcessed
             | Metric::InternerHits
@@ -339,7 +347,7 @@ impl Metric {
     /// The unit of the recorded quantity.
     pub fn unit(self) -> &'static str {
         match self {
-            Metric::DriverRuns => "runs",
+            Metric::DriverRuns | Metric::DriverReuses => "runs",
             Metric::DriverPasses => "passes",
             Metric::DriverTouches => "touches",
             Metric::DriverInstsProcessed | Metric::DriverTouchedInstsPass => "insts",

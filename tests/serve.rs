@@ -233,6 +233,22 @@ fn ping_after_a_one_mib_frame_is_answered_promptly() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_protocol_error_and_a_later_ping_is_answered() {
+    // 200,000 open brackets fit the 1 MiB frame limit. The recursive
+    // JSON parser used to overflow the connection thread's stack on
+    // them and abort the server.
+    let deep = "[".repeat(200_000).into_bytes();
+    let (responses, summary) =
+        roundtrip(&ServeOptions::default(), vec![deep, br#"{"id":2,"op":"ping"}"#.to_vec()]);
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert!(responses[0].contains("\"error\":\"protocol\""), "{}", responses[0]);
+    assert!(responses[0].contains("nesting deeper than"), "{}", responses[0]);
+    assert_eq!(reply_of(&responses[1]), "pong");
+    assert_eq!(summary.protocol_errors, 1);
+    assert!(summary.is_clean());
+}
+
+#[test]
 fn over_deep_routines_get_input_errors_and_a_later_ping_is_answered() {
     use pgvn::lang::fixtures::{deep, Deep};
 

@@ -207,3 +207,157 @@ fn warm_context_capacities_are_stable() {
     assert_eq!(ctx.capacities(), warm, "replaying a seen corpus must not grow the arenas");
     assert_eq!(ctx.runs(), runs + funcs.len() as u64);
 }
+
+/// One analysis against `ctx` with a metrics registry and a memory
+/// sink attached: the results, the trace events it emitted, and the
+/// `(driver_runs, driver_reuses)` it counted.
+fn run_observed(
+    ctx: &mut GvnContext,
+    f: &Function,
+    cfg: &GvnConfig,
+) -> (Result<GvnResults, pgvn::core::GvnError>, usize, (u64, u64)) {
+    use pgvn::telemetry::{MemorySink, Metric, MetricsRegistry};
+    let reg = MetricsRegistry::new();
+    let mut sink = MemorySink::new();
+    let results = {
+        let mut tel = Telemetry::with_sink(&mut sink);
+        tel.attach_metrics(&reg);
+        try_run_traced_in_context(ctx, f, cfg, &mut tel)
+    };
+    let snap = reg.snapshot();
+    (
+        results,
+        sink.events().len(),
+        (snap.value(Metric::DriverRuns), snap.value(Metric::DriverReuses)),
+    )
+}
+
+/// The memo: asking again about the same function instance at the same
+/// revision under an equal config returns the fresh-context answer
+/// without running, tracing or counting a run.
+#[test]
+fn memo_hits_match_fresh_runs_over_a_corpus() {
+    let funcs = corpus(12, 2002);
+    let mut ctx = GvnContext::new();
+    for cfg in session_configs() {
+        for (i, f) in funcs.iter().enumerate() {
+            let what = format!("routine {i} under {cfg:?}");
+            let (first, first_events, counts) = run_observed(&mut ctx, f, &cfg);
+            let first = first.expect("converges");
+            assert!(first_events > 0 && counts == (1, 0), "{what}: the first request runs");
+            let runs = ctx.runs();
+            let (hit, events, counts) = run_observed(&mut ctx, f, &cfg);
+            let hit = hit.expect("a hit is Ok");
+            assert_eq!(ctx.runs(), runs, "{what}: a hit runs no analysis");
+            assert_eq!((events, counts), (0, (0, 1)), "{what}: a hit only counts a reuse");
+            assert_same_results(f, &hit, &run(f, &cfg), &format!("{what}: hit vs fresh"));
+            assert_same_results(f, &hit, &first, &format!("{what}: hit vs first run"));
+        }
+    }
+}
+
+#[test]
+fn memo_misses_on_a_mutation_a_clone_or_another_config() {
+    let mut f = compile_src("routine f(x) { y = x + 1; z = 1 + x; return y - z; }");
+    let ret = f.blocks().find_map(|b| match f.terminator(b).map(|t| f.kind(t)) {
+        Some(&InstKind::Return(v)) => Some(v),
+        _ => None,
+    });
+    let ret = ret.expect("a return");
+    let mut ctx = GvnContext::new();
+    let full = GvnConfig::full();
+    assert_eq!(run_shared(&mut ctx, &f, &full).constant_value(ret), Some(0));
+    let expect_miss = |ctx: &mut GvnContext, f: &Function, cfg: &GvnConfig, what: &str| {
+        let runs = ctx.runs();
+        let got = run_shared(ctx, f, cfg);
+        assert_eq!(ctx.runs(), runs + 1, "{what} must miss the memo");
+        assert_same_results(f, &got, &run(f, cfg), what);
+    };
+    // A mutation that leaves the content as it was still misses: the
+    // stamp moves on every `&mut` call.
+    let entry = f.entry();
+    f.reserve_block(entry, 0, 0, 0);
+    expect_miss(&mut ctx, &f, &full, "after reserve_block");
+    // A mutation the answer depends on: `z = 1 + x` becomes `z = x + x`,
+    // so `y - z` no longer folds to 0.
+    let x = f.param(0);
+    let z = f.values().filter(|&v| matches!(f.kind(f.def(v)), InstKind::Binary(..))).nth(1);
+    f.replace_kind(f.def(z.expect("z")), InstKind::Binary(pgvn::ir::BinOp::Add, x, x));
+    expect_miss(&mut ctx, &f, &full, "after replace_kind");
+    assert_eq!(run_shared(&mut ctx, &f, &full).constant_value(ret), None);
+    expect_miss(&mut ctx, &f.clone(), &full, "a clone");
+    expect_miss(&mut ctx, &f, &full, "the original after its clone ran");
+    expect_miss(&mut ctx, &f, &GvnConfig::extended(), "another config");
+    let runs = ctx.runs();
+    run_shared(&mut ctx, &f, &GvnConfig::extended());
+    assert_eq!(ctx.runs(), runs, "the same config again hits");
+    ctx.clear();
+    expect_miss(&mut ctx, &f, &GvnConfig::extended(), "after clear()");
+}
+
+/// Only converged runs are remembered: errors and budget-truncated runs
+/// run again every time, and a panicked run leaves no memo behind even
+/// for the routine the context converged on before it.
+#[test]
+fn failed_truncated_and_panicked_runs_are_never_reused() {
+    use pgvn::core::{FaultPlan, GvnBudget};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let f = corpus(1, 5).pop().unwrap();
+    let mut ctx = GvnContext::new();
+    let truncated =
+        GvnConfig::full().budget(GvnBudget { max_touches: Some(1), ..Default::default() });
+    let faulted = GvnConfig::full().fault_plan(Some(FaultPlan::parse("invariant@eval").unwrap()));
+    for (what, cfg) in [("budget-truncated", truncated), ("failed", faulted)] {
+        for attempt in 1..=2 {
+            let runs = ctx.runs();
+            let (result, events, counts) = run_observed(&mut ctx, &f, &cfg);
+            assert!(result.is_err(), "{what} attempt {attempt} must fail");
+            assert_eq!(ctx.runs(), runs + 1, "{what} attempt {attempt} must run");
+            assert!(events > 0 && counts.1 == 0, "{what} attempt {attempt} is no reuse");
+        }
+    }
+    let full = GvnConfig::full();
+    run_shared(&mut ctx, &f, &full);
+    let panicking =
+        GvnConfig::full().fault_plan(Some(FaultPlan::parse("panic@eval").unwrap().sticky()));
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let attempt = catch_unwind(AssertUnwindSafe(|| run_shared(&mut ctx, &f, &panicking)));
+    std::panic::set_hook(prev);
+    assert!(attempt.is_err(), "the injected fault must fire");
+    let runs = ctx.runs();
+    let after = run_shared(&mut ctx, &f, &full);
+    assert_eq!(ctx.runs(), runs + 1, "the panicked run dropped the memo");
+    assert_same_results(&f, &after, &run(&f, &full), "after a panicked run");
+}
+
+/// The `--check` gate lints the committed function with an equal config
+/// on the same context, so after a final `gvn` that changed nothing it
+/// reuses that run instead of analyzing again.
+#[test]
+fn the_check_gate_reuses_a_no_op_final_gvn() {
+    use pgvn::transform::{check_function_with, AnalysisManager, CheckOptions};
+
+    let funcs = corpus(40, 7);
+    let mut ctx = GvnContext::new();
+    let gvn_pre = Pipeline::new(GvnConfig::full()).passes("gvn,pre".parse().unwrap());
+    let gvn = Pipeline::new(GvnConfig::full()).passes("gvn".parse().unwrap());
+    let opts = CheckOptions { gvn: Some(GvnConfig::full()) };
+    let mut no_ops = 0;
+    for (i, f) in funcs.iter().enumerate() {
+        let mut f = f.clone();
+        gvn_pre.optimize_traced_with(&mut ctx, &mut f, &mut Telemetry::off()).unwrap();
+        let before = f.to_string();
+        gvn.optimize_traced_with(&mut ctx, &mut f, &mut Telemetry::off()).unwrap();
+        let no_op = f.to_string() == before;
+        let runs = ctx.runs();
+        let engine = check_function_with(&mut ctx, &mut AnalysisManager::new(), &f, &opts);
+        assert_eq!(ctx.runs() == runs, no_op, "routine {i}: the gate reuses iff gvn was a no-op");
+        let fresh =
+            check_function_with(&mut GvnContext::new(), &mut AnalysisManager::new(), &f, &opts);
+        assert_eq!(engine.to_json_array(), fresh.to_json_array(), "routine {i}: diagnostics");
+        no_ops += usize::from(no_op);
+    }
+    assert!(no_ops > 0, "the corpus has routines the final gvn leaves unchanged");
+}
