@@ -8,7 +8,8 @@
 //! - [`Ranks`] — the `RANK` mapping over values (§2.2);
 //! - [`DomTree`] / [`PostDomTree`] — dominator and postdominator trees
 //!   (Cooper–Harvey–Kennedy);
-//! - [`DominanceFrontiers`] — for SSA construction;
+//! - [`GenericDomTree`] — dominators and dominance frontiers over any
+//!   CSR graph (SSA construction places φs with its frontiers);
 //! - [`ReachableDomTree`] — the incrementally maintained dominator tree of
 //!   the reachable subgraph used by the paper's *complete* algorithm;
 //! - [`LoopInfo`] — natural loops and the loop-connectedness statistic
@@ -37,7 +38,6 @@
 #![forbid(unsafe_code)]
 
 pub mod domtree;
-pub mod frontiers;
 pub mod graph;
 pub mod loops;
 pub mod order;
@@ -45,7 +45,6 @@ pub mod reachable_dom;
 pub mod ssa_verify;
 
 pub use domtree::{naive_dominators, DomTree, PostDomTree};
-pub use frontiers::DominanceFrontiers;
 pub use graph::{generic_rpo, Csr, GenericDomTree};
 pub use loops::LoopInfo;
 pub use order::{Ranks, Rpo, UNREACHABLE_RPO};

@@ -120,6 +120,17 @@ fn bench_telemetry_off(c: &mut Criterion) {
                 traced(f, &cfg, &mut tel)
             });
         });
+        // `pgvn --profile`'s cost: metered plus the phase clocks, which
+        // no batch, serve, check or fuzz path turns on.
+        group.bench_with_input(BenchmarkId::new("gvn_timings_on", stmts), &f, |bencher, f| {
+            let reg = MetricsRegistry::new();
+            bencher.iter(|| {
+                let mut tel = Telemetry::off();
+                tel.attach_metrics(&reg);
+                tel.enable_timing();
+                traced(f, &cfg, &mut tel)
+            });
+        });
     }
     group.finish();
 }

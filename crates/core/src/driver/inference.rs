@@ -40,7 +40,7 @@ impl Run<'_, '_, '_, '_> {
             Some(truth) => self.interner.constant(truth as i64),
             None => e,
         };
-        self.tel.record(Phase::PredicateInference, t0);
+        self.record(Metric::PredicateInference, t0);
         self.pi_cache.insert((b, op, lhs, rhs), out);
         out
     }
@@ -186,7 +186,7 @@ impl Run<'_, '_, '_, '_> {
                 None => break,
             }
         }
-        self.tel.record(Phase::ValueInference, t0);
+        self.record(Metric::ValueInference, t0);
         self.vi_cache.insert(b, v, cur_expr);
         Some(cur_expr)
     }

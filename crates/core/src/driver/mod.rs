@@ -27,7 +27,7 @@ use pgvn_analysis::{DomTree, PostDomTree, Ranks, ReachableDomTree, Rpo};
 use pgvn_ir::{
     BinOp, Block, CmpOp, DefUse, Edge, EntityRef, EntitySet, Function, Inst, InstKind, UnOp, Value,
 };
-use pgvn_telemetry::{Metric, Phase, Telemetry, TraceEvent};
+use pgvn_telemetry::{nanos_since, Metric, Telemetry, TraceEvent, METRICS};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -85,7 +85,8 @@ pub fn run(func: &Function, cfg: &GvnConfig) -> GvnResults {
 /// start, so a stream of routines sharing one context is
 /// allocation-amortized; results never depend on what the context ran
 /// before (see the `context` module docs). Per-pass [`TraceEvent`]s go
-/// to `tel`'s sink and phase timings accumulate in its profiler; pass
+/// to `tel`'s sink, metrics to its registry, and — when timing is on —
+/// each phase's summed time to its histogram once per run; pass
 /// [`Telemetry::off`] for none.
 ///
 /// `ctx` remembers its last converged run. Asked again about the same
@@ -262,12 +263,21 @@ struct Run<'f, 'c, 't, 's> {
     /// Site visits remaining before the armed fault fires; `None` when
     /// no driver-site fault is armed (or it already fired).
     fault_countdown: Option<u64>,
-    /// When profiling: the end of the previous instruction's span, if
+    /// When timing: the end of the previous instruction's span, if
     /// only the pass loop's bookkeeping ran since. The next span starts
     /// there, so each instruction costs one clock read per phase rather
     /// than two.
     span_end: Option<Instant>,
+    /// When timing: this run's summed span nanoseconds per driver phase
+    /// ([`Metric::Passes`] through [`Metric::EdgeProcessing`], by
+    /// catalog position), `None` for a phase that never ran. Each sum is
+    /// observed once at the end of the run, so registry writes scale
+    /// with runs, not spans.
+    phase_nanos: [Option<u64>; SPAN_PHASE_COUNT],
 }
+
+/// The span-timed driver phases: a contiguous run of the catalog.
+const SPAN_PHASE_COUNT: usize = Metric::EdgeProcessing as usize + 1 - Metric::Passes as usize;
 
 impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
     fn new(
@@ -280,12 +290,12 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
         let rpo = Rpo::compute(func);
         let ranks = Ranks::assign(func, &rpo);
         let defuse = DefUse::compute(func);
-        tel.record_phase(Phase::Cfg, t0);
+        tel.record_phase(Metric::Cfg, t0);
         let t0 = tel.clock();
         let domtree = DomTree::compute(func, &rpo);
         let postdom = PostDomTree::compute(func, &rpo);
         let rdt = (cfg.variant == Variant::Complete).then(|| ReachableDomTree::new(func));
-        tel.record_phase(Phase::DomTree, t0);
+        tel.record_phase(Metric::DomTree, t0);
         let deadline = cfg.budget.time_limit.map(|limit| Instant::now() + limit);
         let fault_countdown =
             cfg.fault_plan.filter(|p| p.site != FaultSite::Rewrite).map(|p| p.countdown());
@@ -361,6 +371,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             deadline,
             fault_countdown,
             span_end: None,
+            phase_nanos: [None; SPAN_PHASE_COUNT],
         }
     }
 
@@ -451,7 +462,9 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             self.touch_block_insts(entry);
         }
 
-        match self.run_passes() {
+        let outcome = self.run_passes();
+        self.observe_phases();
+        match outcome {
             Ok(outcome) => Ok(self.finish(outcome)),
             Err(err) => {
                 // The run is abandoned mid-pass: delimit and flush the
@@ -519,7 +532,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                     self.maybe_fault(FaultSite::PhiPred)?;
                     let t0 = self.tel.clock();
                     self.compute_block_predicate(b);
-                    self.tel.record(Phase::PhiPredication, t0);
+                    self.record(Metric::PhiPredication, t0);
                 }
                 for &inst in func.block_insts(b) {
                     if self.touched_insts.remove(inst) && self.reach_blocks.contains(b) {
@@ -537,10 +550,10 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                     }
                 }
             }
-            let nanos = pass_t0
-                .map(|t0| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX))
-                .unwrap_or(0);
-            self.tel.record(Phase::Passes, pass_t0);
+            let nanos = pass_t0.map_or(0, nanos_since);
+            if pass_t0.is_some() {
+                self.add_span(Metric::Passes, nanos);
+            }
             let stats = self.stats;
             let (rb, re) = (self.reach_blocks.len() as u64, self.reach_edges.len() as u64);
             let (ti, tb) = (self.touched_insts.len() as u64, self.touched_blocks.len() as u64);
@@ -626,7 +639,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                 self.maybe_fault(FaultSite::Edges)?;
                 let t0 = self.span_start();
                 self.process_outgoing_edges(b);
-                self.tel.record(Phase::EdgeProcessing, t0);
+                self.record(Metric::EdgeProcessing, t0);
             }
             InstKind::Return(_) => {}
             _ => {
@@ -638,7 +651,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                 };
                 let t0 = self.span_start();
                 let e = self.evaluate(inst, v, b);
-                let t0 = self.tel.lap(Phase::SymbolicEval, t0);
+                let t0 = self.lap(Metric::SymbolicEval, t0);
                 let moved = self.congruence_finding(v, e)?;
                 if moved {
                     self.any_change = true;
@@ -646,7 +659,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                         touch(self.touched_insts, &mut self.stats, u);
                     }
                 }
-                self.span_end = self.tel.lap(Phase::CongruenceMerge, t0);
+                self.span_end = self.lap(Metric::CongruenceMerge, t0);
             }
         }
         Ok(())
@@ -656,6 +669,38 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
     /// when that is still current, else at a fresh clock read.
     fn span_start(&mut self) -> Option<Instant> {
         self.span_end.take().or_else(|| self.tel.clock())
+    }
+
+    /// Adds the span begun at `start` (from [`Telemetry::clock`]) to
+    /// `phase`'s sum. No-op when timing is off.
+    fn record(&mut self, phase: Metric, start: Option<Instant>) {
+        if let Some(t0) = start {
+            self.add_span(phase, nanos_since(t0));
+        }
+    }
+
+    /// Ends a span of `phase` begun at `start` and returns its end time,
+    /// which starts the next span: one clock read closes one span and
+    /// opens the next. `None` when timing is off.
+    fn lap(&mut self, phase: Metric, start: Option<Instant>) -> Option<Instant> {
+        let t0 = start?;
+        let now = Instant::now();
+        self.add_span(phase, u64::try_from((now - t0).as_nanos()).unwrap_or(u64::MAX));
+        Some(now)
+    }
+
+    fn add_span(&mut self, phase: Metric, nanos: u64) {
+        let sum = self.phase_nanos[phase as usize - Metric::Passes as usize].get_or_insert(0);
+        *sum = sum.saturating_add(nanos);
+    }
+
+    /// Observes each driver phase that ran, once, with its summed time.
+    fn observe_phases(&self) {
+        for (k, nanos) in self.phase_nanos.iter().enumerate() {
+            if let Some(nanos) = *nanos {
+                self.tel.observe(METRICS[Metric::Passes as usize + k], nanos);
+            }
+        }
     }
 
     /// [`Run::process_inst`], but reporting any class movement as an

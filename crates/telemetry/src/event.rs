@@ -6,7 +6,7 @@
 //! and any consumer can decode a trace without the compiler's types.
 
 use crate::json::JsonWriter;
-use crate::profile::Phase;
+use crate::metrics::Metric;
 use std::fmt;
 
 /// One telemetry event from an analysis or transform run.
@@ -52,7 +52,7 @@ pub enum TraceEvent {
         changed_values: u64,
         /// Whether anything changed during this pass.
         any_change: bool,
-        /// Wall-clock nanoseconds of the pass (0 unless profiling).
+        /// Wall-clock nanoseconds of the pass (0 unless timing is on).
         nanos: u64,
     },
     /// A value's class moved during a late pass (possible oscillation);
@@ -70,10 +70,11 @@ pub enum TraceEvent {
         /// Class and leader expression after re-evaluation.
         after: String,
     },
-    /// A one-shot phase completed (construction phases, rewrite stages).
+    /// A one-shot phase completed while timing was on (CFG, dominator
+    /// tree or SSA construction).
     Phase {
-        /// The completed phase.
-        phase: Phase,
+        /// The completed phase's timing histogram.
+        phase: Metric,
         /// Wall-clock nanoseconds spent.
         nanos: u64,
     },

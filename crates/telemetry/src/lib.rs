@@ -2,9 +2,11 @@
 //!
 //! This crate provides the instrumentation layer that the analysis
 //! (`pgvn-core`), the rewrite pipeline (`pgvn-transform`), and the CLI
-//! share: structured [`TraceEvent`]s describing each fixed-point pass,
-//! pluggable [`TraceSink`]s (text, JSON Lines, in-memory), and a
-//! [`Profiler`] of per-[`Phase`] wall-clock timers.
+//! share through two channels: structured [`TraceEvent`]s describing
+//! each fixed-point pass, delivered to pluggable [`TraceSink`]s (text,
+//! JSON Lines, in-memory), and a lock-free [`MetricsRegistry`] of
+//! counters, gauges and histograms — including the timing-domain phase
+//! histograms that [`Telemetry::enable_timing`] feeds.
 //!
 //! It depends on nothing — not even `pgvn-ir` — so it sits at the very
 //! bottom of the workspace graph. Events carry display strings and raw
@@ -33,40 +35,38 @@
 pub mod event;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod sink;
 
 pub use event::TraceEvent;
 pub use metrics::{Metric, MetricKind, MetricsRegistry, MetricsSnapshot, METRICS, NUM_BUCKETS};
-pub use profile::{Phase, Profiler, PHASES};
 pub use sink::{JsonlSink, MemorySink, NullSink, TeeSink, TextSink, TraceSink};
 
 use std::time::Instant;
 
 /// The telemetry handle threaded through the driver and pipeline.
 ///
-/// Bundles an optional trace sink with an optional profiler so
+/// Bundles an optional trace sink with an optional metrics registry so
 /// instrumented code carries a single parameter. Constructed once per
 /// run by the caller ([`Telemetry::off`] for untraced runs) and
-/// borrowed mutably for the run's duration; the profiler is read back
-/// afterwards via [`Telemetry::profiler`].
+/// borrowed mutably for the run's duration; metrics are read back from
+/// the registry afterwards.
 #[derive(Default)]
 pub struct Telemetry<'a> {
     sink: Option<&'a mut dyn TraceSink>,
-    profiler: Option<Profiler>,
     metrics: Option<&'a MetricsRegistry>,
+    timing: bool,
 }
 
 impl<'a> Telemetry<'a> {
-    /// A disabled handle: no events, no timers, no overhead.
+    /// A disabled handle: no events, no metrics, no clock reads.
     pub fn off() -> Telemetry<'a> {
-        Telemetry { sink: None, profiler: None, metrics: None }
+        Telemetry::default()
     }
 
-    /// A handle that forwards events to `sink`. Profiling stays off
-    /// until [`Telemetry::enable_profiling`].
+    /// A handle that forwards events to `sink`. Metrics and timing stay
+    /// off until attached / enabled.
     pub fn with_sink(sink: &'a mut dyn TraceSink) -> Telemetry<'a> {
-        Telemetry { sink: Some(sink), profiler: None, metrics: None }
+        Telemetry { sink: Some(sink), ..Telemetry::default() }
     }
 
     /// Attaches a metrics registry: recording calls below start landing
@@ -108,11 +108,13 @@ impl<'a> Telemetry<'a> {
         }
     }
 
-    /// Turns on the per-phase wall-clock timers.
-    pub fn enable_profiling(&mut self) {
-        if self.profiler.is_none() {
-            self.profiler = Some(Profiler::new());
-        }
+    /// Turns on the phase timings: from now on [`Telemetry::clock`]
+    /// reads the clock, and each run observes its phase histograms
+    /// ([`Metric::Cfg`] … [`Metric::EdgeProcessing`]) once into the
+    /// attached registry. Only `pgvn --profile` turns it on; batch,
+    /// serve, check and fuzz never do.
+    pub fn enable_timing(&mut self) {
+        self.timing = true;
     }
 
     /// True if a sink is attached (events will be delivered).
@@ -121,16 +123,10 @@ impl<'a> Telemetry<'a> {
         self.sink.is_some()
     }
 
-    /// True if phase timers are running.
-    #[inline]
-    pub fn is_profiling(&self) -> bool {
-        self.profiler.is_some()
-    }
-
-    /// True if tracing, profiling, or metering is on.
+    /// True if tracing, timing, or metering is on.
     #[inline]
     pub fn is_active(&self) -> bool {
-        self.is_tracing() || self.is_profiling() || self.is_metering()
+        self.is_tracing() || self.timing || self.is_metering()
     }
 
     /// Delivers an event to the sink, if one is attached. The closure
@@ -143,59 +139,23 @@ impl<'a> Telemetry<'a> {
         }
     }
 
-    /// Starts a span clock, or `None` when not profiling. Pair with
-    /// [`Telemetry::record`]:
-    ///
-    /// ```ignore
-    /// let t0 = tel.clock();
-    /// expensive_phase();
-    /// tel.record(Phase::SymbolicEval, t0);
-    /// ```
+    /// Starts a span clock, or `None` when timing is off. Pair with
+    /// [`Telemetry::record_phase`] or a caller-side per-run sum.
     #[inline]
     pub fn clock(&self) -> Option<Instant> {
-        if self.profiler.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        }
+        self.timing.then(Instant::now)
     }
 
-    /// Accumulates the time since `start` (from [`Telemetry::clock`])
-    /// into `phase`. No-op when `start` is `None`.
-    #[inline]
-    pub fn record(&mut self, phase: Phase, start: Option<Instant>) {
-        if let (Some(profiler), Some(t0)) = (self.profiler.as_mut(), start) {
-            profiler.record(phase, t0);
-        }
-    }
-
-    /// Ends a span of `phase` begun at `start` and returns its end time,
-    /// which starts the next span: one clock read closes one span and
-    /// opens the next. `None` when not profiling.
-    #[inline]
-    pub fn lap(&mut self, phase: Phase, start: Option<Instant>) -> Option<Instant> {
-        let (profiler, t0) = (self.profiler.as_mut()?, start?);
-        let now = Instant::now();
-        profiler.add_nanos(phase, u64::try_from((now - t0).as_nanos()).unwrap_or(u64::MAX));
-        Some(now)
-    }
-
-    /// Like [`Telemetry::record`], but also emits a
-    /// [`TraceEvent::Phase`] event. For one-shot phases (construction,
-    /// rewrite stages) where per-span events are useful.
-    pub fn record_phase(&mut self, phase: Phase, start: Option<Instant>) {
+    /// Observes the time since `start` (from [`Telemetry::clock`]) into
+    /// phase histogram `phase` and emits a [`TraceEvent::Phase`]. For
+    /// one-shot phases (CFG, dominator tree and SSA construction). No-op
+    /// when `start` is `None`.
+    pub fn record_phase(&mut self, phase: Metric, start: Option<Instant>) {
         if let Some(t0) = start {
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if let Some(profiler) = self.profiler.as_mut() {
-                profiler.add_nanos(phase, nanos);
-            }
+            let nanos = nanos_since(t0);
+            self.observe(phase, nanos);
             self.emit(|| TraceEvent::Phase { phase, nanos });
         }
-    }
-
-    /// The accumulated profile, if profiling was enabled.
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
     }
 
     /// Flushes the attached sink, if any.
@@ -204,6 +164,11 @@ impl<'a> Telemetry<'a> {
             sink.flush();
         }
     }
+}
+
+/// Nanoseconds elapsed since `t0`, saturating.
+pub fn nanos_since(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -216,8 +181,7 @@ mod tests {
         assert!(!tel.is_active());
         tel.emit(|| unreachable!("payload built while tracing is off"));
         assert!(tel.clock().is_none());
-        tel.record(Phase::Cfg, None);
-        assert!(tel.profiler().is_none());
+        tel.record_phase(Metric::Cfg, None);
     }
 
     #[test]
@@ -226,7 +190,7 @@ mod tests {
         {
             let mut tel = Telemetry::with_sink(&mut sink);
             assert!(tel.is_tracing());
-            assert!(!tel.is_profiling());
+            assert!(tel.clock().is_none(), "tracing alone reads no clock");
             tel.emit(|| TraceEvent::RunEnd { passes: 1, converged: true });
             tel.flush();
         }
@@ -234,30 +198,28 @@ mod tests {
     }
 
     #[test]
-    fn profiling_accumulates_and_reads_back() {
-        let mut tel = Telemetry::off();
-        tel.enable_profiling();
-        let t0 = tel.clock();
-        assert!(t0.is_some());
-        tel.record(Phase::DomTree, t0);
-        assert_eq!(tel.profiler().unwrap().spans(Phase::DomTree), 1);
-        // enable_profiling is idempotent: re-enabling keeps the data.
-        tel.enable_profiling();
-        assert_eq!(tel.profiler().unwrap().spans(Phase::DomTree), 1);
-    }
-
-    #[test]
-    fn record_phase_emits_event_and_accumulates() {
+    fn record_phase_observes_once_and_emits_an_event() {
+        let reg = MetricsRegistry::new();
         let mut sink = MemorySink::new();
         {
             let mut tel = Telemetry::with_sink(&mut sink);
-            tel.enable_profiling();
+            tel.attach_metrics(&reg);
+            // Timing off: no clock, nothing recorded.
+            tel.record_phase(Metric::DomTree, tel.clock());
+            assert_eq!(reg.snapshot().count(Metric::DomTree), 0);
+            tel.enable_timing();
+            assert!(tel.is_active());
             let t0 = tel.clock();
-            tel.record_phase(Phase::Uce, t0);
-            assert_eq!(tel.profiler().unwrap().spans(Phase::Uce), 1);
+            assert!(t0.is_some());
+            tel.record_phase(Metric::DomTree, t0);
         }
+        let snap = reg.snapshot();
+        assert_eq!(snap.count(Metric::DomTree), 1);
         assert_eq!(sink.events().len(), 1);
-        assert!(matches!(sink.events()[0], TraceEvent::Phase { phase: Phase::Uce, .. }));
+        let TraceEvent::Phase { phase, nanos } = sink.events()[0] else {
+            panic!("expected a phase event: {:?}", sink.events())
+        };
+        assert_eq!((phase, nanos), (Metric::DomTree, snap.sum(Metric::DomTree)));
     }
 
     #[test]
@@ -272,6 +234,7 @@ mod tests {
         tel.attach_metrics(&reg);
         assert!(tel.is_metering());
         assert!(tel.is_active());
+        assert!(tel.clock().is_none(), "metering alone reads no clock");
         tel.count(Metric::DriverRuns, 1);
         tel.observe(Metric::DriverPasses, 3);
         tel.gauge_max(Metric::ContextValueSlots, 5);
@@ -279,13 +242,5 @@ mod tests {
         assert_eq!(s.value(Metric::DriverRuns), 1);
         assert_eq!(s.count(Metric::DriverPasses), 1);
         assert_eq!(s.value(Metric::ContextValueSlots), 5);
-    }
-
-    #[test]
-    fn tracing_without_profiling_has_no_clock() {
-        let mut sink = NullSink;
-        let tel = Telemetry::with_sink(&mut sink);
-        assert!(tel.is_tracing());
-        assert!(tel.clock().is_none());
     }
 }

@@ -39,7 +39,7 @@ use pgvn_core::{
     GvnResults,
 };
 use pgvn_ir::Function;
-use pgvn_telemetry::{Metric, Phase, Telemetry};
+use pgvn_telemetry::{Metric, Telemetry};
 use std::fmt;
 use std::time::Instant;
 
@@ -173,21 +173,17 @@ pub struct PassContext<'a, 'tel> {
     pub cfg: &'a GvnConfig,
     /// Lazily computed, epoch-invalidated CFG analyses.
     pub analyses: &'a mut AnalysisManager,
-    /// Trace/metrics/profiling sink.
+    /// Trace and metrics sink.
     pub tel: &'a mut Telemetry<'tel>,
     /// The report accumulated across the whole pipeline.
     pub report: &'a mut OptimizeReport,
-    /// Whether rewrite stages record profiler phases. The traced
-    /// pipeline entry points do; ladder rungs never have (phase timings
-    /// there would double-count across rolled-back rungs).
-    record_phases: bool,
     /// Rewrite-site fault injection, when this is a faulted rung.
     fault: Option<RewriteFault>,
 }
 
 impl<'a, 'tel> PassContext<'a, 'tel> {
-    /// A context for the plain pipeline entry points: phases are
-    /// recorded, no rewrite-site fault injection.
+    /// A context for the plain pipeline entry points: no rewrite-site
+    /// fault injection.
     pub fn new(
         gvn: &'a mut GvnContext,
         cfg: &'a GvnConfig,
@@ -195,12 +191,11 @@ impl<'a, 'tel> PassContext<'a, 'tel> {
         tel: &'a mut Telemetry<'tel>,
         report: &'a mut OptimizeReport,
     ) -> Self {
-        PassContext { gvn, cfg, analyses, tel, report, record_phases: true, fault: None }
+        PassContext { gvn, cfg, analyses, tel, report, fault: None }
     }
 
-    /// A context for one degradation-ladder rung: rewrite phases are not
-    /// recorded, and a rewrite-site fault plan (if any) is armed with its
-    /// countdown.
+    /// A context for one degradation-ladder rung: a rewrite-site fault
+    /// plan (if any) is armed with its countdown.
     pub(crate) fn for_rung(
         gvn: &'a mut GvnContext,
         cfg: &'a GvnConfig,
@@ -210,7 +205,7 @@ impl<'a, 'tel> PassContext<'a, 'tel> {
         rewrite_fault: Option<FaultPlan>,
     ) -> Self {
         let fault = rewrite_fault.map(|plan| RewriteFault { plan, countdown: plan.countdown() });
-        PassContext { gvn, cfg, analyses, tel, report, record_phases: false, fault }
+        PassContext { gvn, cfg, analyses, tel, report, fault }
     }
 
     /// Runs the GVN analysis on `func`, accumulating `gvn_nanos` and
@@ -223,22 +218,6 @@ impl<'a, 'tel> PassContext<'a, 'tel> {
         self.report.gvn_nanos += g0.elapsed().as_nanos();
         self.report.gvn_stats = results.stats;
         Ok(results)
-    }
-
-    /// Starts a phase timer when this context records rewrite phases.
-    pub fn phase_clock(&self) -> Option<Instant> {
-        if self.record_phases {
-            self.tel.clock()
-        } else {
-            None
-        }
-    }
-
-    /// Closes a phase span opened by [`PassContext::phase_clock`].
-    pub fn record_phase(&mut self, phase: Phase, start: Option<Instant>) {
-        if self.record_phases {
-            self.tel.record_phase(phase, start);
-        }
     }
 
     /// Fires the rewrite-site fault when its countdown has elapsed
@@ -305,31 +284,21 @@ impl Pass for GvnPass {
     fn run(&self, pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError> {
         let results = pcx.run_gvn(func)?;
         pcx.inject_rewrite_fault()?;
-        let p0 = pcx.phase_clock();
         let uce = eliminate_unreachable(func, &results);
-        pcx.record_phase(Phase::Uce, p0);
         pcx.report.uce.branches_folded += uce.branches_folded;
         pcx.report.uce.blocks_removed += uce.blocks_removed;
         pcx.report.uce.phis_simplified += uce.phis_simplified;
         if uce.branches_folded > 0 || uce.blocks_removed > 0 {
             pcx.analyses.invalidate();
         }
-        let p0 = pcx.phase_clock();
         pcx.report.constants_propagated += propagate_constants(func, &results);
-        pcx.record_phase(Phase::ConstantProp, p0);
-        let p0 = pcx.phase_clock();
         let eliminated = {
             let an = pcx.analyses.cfg(func);
             eliminate_redundancies_with(func, &results, &an.domtree)
         };
         pcx.report.redundancies_eliminated += eliminated;
-        pcx.record_phase(Phase::RedundancyElim, p0);
-        let p0 = pcx.phase_clock();
         pcx.report.copies_forwarded += forward_copies(func);
-        pcx.record_phase(Phase::CopyForward, p0);
-        let p0 = pcx.phase_clock();
         pcx.report.dead_removed += eliminate_dead_code(func);
-        pcx.record_phase(Phase::Dce, p0);
         Ok(())
     }
 }
@@ -353,12 +322,10 @@ impl Pass for PrePass {
 
     fn run(&self, pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError> {
         let results = pcx.run_gvn(func)?;
-        let p0 = pcx.phase_clock();
         let stats = {
             let an = pcx.analyses.cfg(func);
             pre::eliminate_partial_redundancies(func, &results, &an.rpo, &an.domtree)
         };
-        pcx.record_phase(Phase::Pre, p0);
         pcx.report.pre_inserted += stats.inserted;
         pcx.report.pre_eliminated += stats.eliminated;
         pcx.tel.count(Metric::PreInserted, stats.inserted as u64);
@@ -383,10 +350,8 @@ impl Pass for CleanupPass {
     }
 
     fn run(&self, pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError> {
-        let p0 = pcx.phase_clock();
         let forwarded = forward_copies(func);
         let removed = eliminate_dead_code(func);
-        pcx.record_phase(Phase::Cleanup, p0);
         pcx.report.copies_forwarded += forwarded;
         pcx.report.cleanup_removed += removed;
         pcx.tel.count(Metric::CleanupRemoved, removed as u64);

@@ -104,8 +104,8 @@ impl Pipeline {
     /// arenas instead of allocating fresh ones, so a routine stream
     /// sharing one context is allocation-amortized, and results never
     /// depend on what the context ran before. The GVN runs trace into
-    /// `tel`'s sink, and the rewrite stages record per-phase timings
-    /// into its profiler; pass [`Telemetry::off`] for none.
+    /// `tel`'s sink and record into its metrics registry (phase timings
+    /// too, when timing is on); pass [`Telemetry::off`] for none.
     ///
     /// # Errors
     ///

@@ -56,8 +56,8 @@ pub struct BatchInput {
 /// The seeded generated corpus: `n` routines named `{prefix}{i}`, the
 /// `i`-th drawn from the workload generator with seed
 /// `mix64(seed ^ mix64(i))`. `pgvn batch --gen n --seed seed` runs this
-/// corpus (prefix `batch_`), `pgvn check --gen` lints it (`check_`), and
-/// `pgvn perf` times it (`perf_`); the prefix only changes the names.
+/// corpus (prefix `batch_`) and `pgvn check --gen` lints it (`check_`);
+/// the prefix only changes the names.
 pub fn generated_corpus(prefix: &str, seed: u64, n: u64) -> Vec<BatchInput> {
     use crate::oracle::mix64;
     use crate::workload::{generate_routine, GenConfig};
@@ -207,7 +207,7 @@ pub struct BatchReport {
     pub metrics: MetricsSnapshot,
     /// Scheduling/timing measurements: routines per worker (shard
     /// balance), per-routine nanoseconds, merge wait. Varies run to run;
-    /// consumed by `pgvn perf`, never by the deterministic reports.
+    /// surfaced by `--timings`, never in the deterministic reports.
     pub timing: MetricsSnapshot,
     /// Routines processed per worker, sorted ascending — the shard
     /// imbalance profile behind [`Metric::BatchWorkerRoutines`].

@@ -16,7 +16,7 @@
 //!   --stats                                        print analysis counters
 //!   --trace                                        trace events to stderr
 //!   --trace-json <path>                            trace events as JSONL
-//!   --profile                                      per-phase wall-clock report
+//!   --profile                                      per-phase timing report
 //!   --stats-json                                   stats + strength + resilience as JSON
 //!   --budget-passes N                              per-routine pass ceiling
 //!   --budget-ms N                                  per-routine wall-clock deadline
@@ -108,7 +108,9 @@
 use pgvn::batch::{generated_corpus, BatchInput};
 use pgvn::core::{try_run_traced_in_context, FaultPlan, GvnBudget, GvnContext};
 use pgvn::prelude::*;
-use pgvn::telemetry::{JsonlSink, Phase, TeeSink, Telemetry, TextSink};
+use pgvn::telemetry::{
+    JsonlSink, Metric, MetricKind, MetricsRegistry, TeeSink, Telemetry, TextSink, METRICS,
+};
 use std::fmt::Display;
 use std::io::Read;
 use std::path::Path;
@@ -759,75 +761,17 @@ fn serve_load_main(mut args: Args) -> CliResult {
     Ok(exit_code(all_clean))
 }
 
-const PERF_USAGE: &str = "usage: pgvn perf [--seed N] [--routines N] [--repeats N]\n\
-    \x20               [--jobs-curve 1,2,4] [--out <path>] [--quick]\n\
-    \x20      pgvn perf --compare <old.json> <new.json>\n\
-    \x20               [--threshold PCT] [--max-overhead PCT]";
-
-/// `pgvn perf`: runs the pinned benchmark suite and emits the
-/// schema-versioned `BENCH_*.json` artifact, or — with `--compare` —
-/// diffs two artifacts and exits nonzero on regression. See
-/// `docs/OBSERVABILITY.md` for the artifact schema and thresholds.
-fn perf_main(mut args: Args) -> CliResult {
-    use pgvn::perf::{compare, run_suite, BenchArtifact, CompareThresholds, PerfOptions};
-
-    let mut opts = PerfOptions::default();
-    let mut out_path: Option<String> = None;
-    let mut compare_paths: Option<(String, String)> = None;
-    let mut thresholds = CompareThresholds::default();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => opts.seed = args.parse(&a),
-            "--routines" => opts.routines = args.parse(&a),
-            "--repeats" => opts.repeats = args.parse(&a),
-            "--jobs-curve" => {
-                opts.jobs_curve = args.list(&a);
-                if opts.jobs_curve.is_empty() {
-                    args.usage();
-                }
-            }
-            "--quick" => {
-                let q = PerfOptions::quick();
-                opts.routines = q.routines;
-                opts.repeats = q.repeats;
-            }
-            "--out" => out_path = Some(args.value(&a)),
-            "--compare" => compare_paths = Some((args.value(&a), args.value(&a))),
-            "--threshold" => thresholds.regress_pct = args.parse(&a),
-            "--max-overhead" => thresholds.max_overhead_pct = args.parse(&a),
-            _ => args.usage(),
-        }
+/// The `--profile` table: every phase-timing histogram that recorded a
+/// run, in catalog order, with its summed time and run count.
+fn profile_table(timings: &MetricsRegistry) -> String {
+    let snap = timings.snapshot();
+    let mut out = format!("{:<22} {:>12} {:>10}\n", "phase", "ms", "runs");
+    let timed = |m: &Metric| m.kind() == MetricKind::Histogram && m.unit() == "nanos";
+    for m in METRICS.into_iter().filter(|m| timed(m) && snap.count(*m) > 0) {
+        let ms = snap.sum(m) as f64 / 1.0e6;
+        out.push_str(&format!("{:<22} {:>12.3} {:>10}\n", m.name(), ms, snap.count(m)));
     }
-
-    if let Some((old_path, new_path)) = compare_paths {
-        let load = |path: &str| -> Result<BenchArtifact, String> {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("perf: cannot read {path}: {e}"))?;
-            BenchArtifact::from_json(&text).map_err(|e| format!("perf: {path}: {e}"))
-        };
-        let (old, new) = (load(&old_path)?, load(&new_path)?);
-        let regressions = compare(&old, &new, &thresholds);
-        if regressions.is_empty() {
-            eprintln!(
-                "pgvn perf: no regressions against {old_path} \
-                 (threshold {:.0}%, overhead ceiling {:.0}%)",
-                thresholds.regress_pct, thresholds.max_overhead_pct
-            );
-            return Ok(ExitCode::SUCCESS);
-        }
-        for r in &regressions {
-            eprintln!("pgvn perf: REGRESSION: {r}");
-        }
-        return Ok(ExitCode::FAILURE);
-    }
-
-    let artifact = run_suite(&opts);
-    eprint!("{}", artifact.summary());
-    write_report("perf", out_path.as_deref(), &format!("{}\n", artifact.to_json()))?;
-    if let Some(path) = &out_path {
-        eprintln!("pgvn perf: artifact written to {path}");
-    }
-    Ok(ExitCode::SUCCESS)
+    out
 }
 
 /// Single-routine mode: compile one routine, show the requested
@@ -892,8 +836,8 @@ fn routine_main(mut args: Args) -> CliResult {
         println!("== source (pretty-printed) ==\n{}", pgvn::lang::print_routine(&r));
     }
 
-    // Telemetry: tee the optional text and JSONL sinks, and start the
-    // phase timers early enough to cover SSA construction.
+    // Telemetry: tee the optional text and JSONL sinks, and turn timing
+    // on early enough to cover SSA construction.
     let mut text_sink = trace.then(TextSink::stderr);
     let mut json_sink = match &trace_json {
         Some(path) => {
@@ -910,14 +854,16 @@ fn routine_main(mut args: Args) -> CliResult {
     if let Some(s) = json_sink.as_mut() {
         tee.push(s);
     }
+    let timings = MetricsRegistry::new();
     let mut tel = if tee.is_empty() { Telemetry::off() } else { Telemetry::with_sink(&mut tee) };
     if profile {
-        tel.enable_profiling();
+        tel.attach_metrics(&timings);
+        tel.enable_timing();
     }
 
     let t0 = tel.clock();
     let func = compile(&source, style).map_err(|e| e.to_string())?;
-    tel.record_phase(Phase::SsaBuild, t0);
+    tel.record_phase(Metric::SsaBuild, t0);
 
     if wants("ir") {
         println!("== ssa ==\n{func}");
@@ -982,9 +928,7 @@ fn routine_main(mut args: Args) -> CliResult {
         println!("ladder failures:       {}", report.gvn_stats.ladder_failures);
     }
     if profile {
-        if let Some(p) = tel.profiler() {
-            print!("== profile ==\n{p}");
-        }
+        print!("== profile ==\n{}", profile_table(&timings));
     }
     if stats_json {
         // One machine-readable object: the analysis run's expanded
@@ -1040,11 +984,10 @@ fn routine_main(mut args: Args) -> CliResult {
 
 type Subcommand = (&'static str, fn(Args) -> CliResult, &'static str);
 
-const SUBCOMMANDS: [Subcommand; 6] = [
+const SUBCOMMANDS: [Subcommand; 5] = [
     ("check", check_main, CHECK_USAGE),
     ("fuzz", fuzz_main, FUZZ_USAGE),
     ("batch", batch_main, BATCH_USAGE),
-    ("perf", perf_main, PERF_USAGE),
     ("serve", serve_main, SERVE_USAGE),
     ("serve-load", serve_load_main, SERVE_LOAD_USAGE),
 ];

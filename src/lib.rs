@@ -13,8 +13,9 @@
 //! - [`core`] — the paper's unified sparse GVN algorithm;
 //! - [`transform`] — GVN-driven optimizations, PRE, and the
 //!   pass-manager pipeline (see `docs/PASSES.md`);
-//! - [`telemetry`] — structured trace events, sinks and phase timers
-//!   (see `docs/OBSERVABILITY.md`);
+//! - [`telemetry`] — structured trace events, sinks and the metrics
+//!   registry with its phase-timing histograms (see
+//!   `docs/OBSERVABILITY.md`);
 //! - [`workload`] — the synthetic SPEC CINT2000 stand-in suite used by
 //!   the evaluation harness;
 //! - [`oracle`] — the differential correctness oracle: interpreter-backed
@@ -24,10 +25,6 @@
 //!   `pgvn batch`: scoped worker threads, one reusable
 //!   [`GvnContext`](pgvn_core::GvnContext) per worker, byte-identical
 //!   reports at any `--jobs` count (see `docs/ARCHITECTURE.md`);
-//! - [`perf`] — the pinned-workload benchmark harness behind
-//!   `pgvn perf`: single-thread throughput, batch scaling, per-phase
-//!   timing, telemetry overhead, and the schema-versioned
-//!   `BENCH_*.json` artifact with its regression comparator;
 //! - [`serve`] — the long-lived optimization service behind
 //!   `pgvn serve`: length-prefixed framing over stdio or a Unix
 //!   socket, a context-pooled worker pool, clamped per-request
@@ -55,7 +52,6 @@
 
 pub mod batch;
 pub mod check;
-pub mod perf;
 pub mod serve;
 
 pub use pgvn_analysis as analysis;

@@ -197,12 +197,65 @@ fn trace_json_writes_parseable_jsonl() {
         ev.get("event").and_then(JsonValue::as_str).map(str::to_owned)
     };
     // The CLI traces the analysis run plus two pipeline rounds; each run
-    // is delimited and contains at least one pass, and profiling adds
+    // is delimited and contains at least one pass, and `--profile` adds
     // phase events.
     assert_eq!(events.iter().filter(|e| kind(e).as_deref() == Some("run_start")).count(), 3);
     assert_eq!(events.iter().filter(|e| kind(e).as_deref() == Some("run_end")).count(), 3);
     assert!(events.iter().any(|e| kind(e).as_deref() == Some("pass_end")));
     assert!(events.iter().any(|e| kind(e).as_deref() == Some("phase")));
+}
+
+#[test]
+fn profile_prints_one_row_per_phase_and_nothing_without_the_flag() {
+    use pgvn::telemetry::json::{parse, JsonValue};
+
+    let figure1 = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/corpus/figure1.pgvn");
+    let dir = std::env::temp_dir().join("pgvn-cli-tests");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let phases = [
+        "cfg",
+        "domtree",
+        "ssa_build",
+        "passes",
+        "symbolic_eval",
+        "congruence_merge",
+        "predicate_inference",
+        "value_inference",
+        "phi_predication",
+        "edge_processing",
+    ];
+
+    let out = pgvn().arg(figure1).arg("--profile").output().expect("spawns");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let table = stdout.split("== profile ==\n").nth(1).expect("profile block");
+    let mut lines = table.lines();
+    let header: Vec<_> = lines.next().expect("header").split_whitespace().collect();
+    assert_eq!(header, ["phase", "ms", "runs"], "{table}");
+    let rows: Vec<Vec<&str>> = lines.map(|l| l.split_whitespace().collect()).collect();
+    let names: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+    assert_eq!(names, phases, "{table}");
+    for row in &rows {
+        let ms: f64 = row[1].parse().expect("ms column");
+        let runs: u64 = row[2].parse().expect("runs column");
+        assert!(ms >= 0.0 && runs > 0, "{table}");
+    }
+
+    // Without `--profile`: no table, and a trace carries no phase event.
+    let trace = dir.join("figure1-trace.jsonl");
+    let out = pgvn()
+        .arg(figure1)
+        .args(["--trace-json", trace.to_str().unwrap()])
+        .output()
+        .expect("spawns");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("== profile =="));
+    let body = std::fs::read_to_string(&trace).expect("trace file written");
+    assert!(body.lines().count() > 0);
+    for line in body.lines() {
+        let event = parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
+        assert_ne!(event.get("event").and_then(JsonValue::as_str), Some("phase"), "{line}");
+    }
 }
 
 #[test]
@@ -596,7 +649,7 @@ fn single_routine_check_gate_passes_on_clean_input() {
 #[test]
 fn readme_documents_the_exit_code_table() {
     // The README's exit-code table is the contract the CLI tests in
-    // this file (plus tests/perf.rs and tests/serve.rs) pin down; keep
+    // this file (plus tests/serve.rs) pin down; keep
     // every surface listed so the docs cannot drift from the binary.
     let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
         .expect("README.md at the workspace root");
@@ -605,7 +658,6 @@ fn readme_documents_the_exit_code_table() {
         "`pgvn check`",
         "`pgvn batch`",
         "`pgvn fuzz`",
-        "`pgvn perf --compare`",
         "`pgvn serve`",
         "`pgvn serve-load`",
     ] {
@@ -776,7 +828,7 @@ fn flag_matrix_pins_each_subcommand_surface() {
     let file = write_temp("matrix.pg", "routine f(a) { return a + 0; }");
     let file = file.to_str().unwrap();
     let missing = "/nonexistent/pgvn-flag-matrix";
-    let rows: [(&[&str], String, &str); 7] = [
+    let rows: [(&[&str], String, &str); 6] = [
         // `--stats-json` is a switch here: the path after it is the
         // positional input.
         (
@@ -835,15 +887,6 @@ fn flag_matrix_pins_each_subcommand_surface() {
                  --fault every:2 --check-batch --no-warm --passes gvn --report {missing}"
             ),
             "cannot write",
-        ),
-        (
-            &["perf"],
-            format!(
-                "--seed 3 --routines 1 --repeats 1 --jobs-curve 1,2 \
-                 --out {tmp}/matrix-bench.json --quick --threshold 50 --max-overhead 50 \
-                 --compare {missing} {missing}"
-            ),
-            "cannot read",
         ),
     ];
     for (sub, line, io_error) in &rows {

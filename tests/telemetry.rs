@@ -1,10 +1,10 @@
 //! Integration tests for the telemetry layer: event sequences from real
-//! runs, worklist monotonicity, stats JSON round-trips, and the
-//! NullSink ≡ untraced equivalence.
+//! runs, worklist monotonicity, stats JSON round-trips, phase timings,
+//! and the NullSink ≡ untraced equivalence.
 
 use pgvn::core::{run, try_run_traced_in_context, GvnConfig, GvnResults, GvnStats};
 use pgvn::prelude::*;
-use pgvn::telemetry::{MemorySink, NullSink, Telemetry, TraceEvent};
+use pgvn::telemetry::{MemorySink, Metric, MetricsRegistry, NullSink, Telemetry, TraceEvent};
 
 /// A loop whose φs force the optimistic fixed point through more than
 /// one RPO pass: `s` and `i` are mutually touched across the back edge.
@@ -49,7 +49,7 @@ fn memory_sink_sees_the_expected_event_sequence() {
 
     // Shape: ContextPrepare (session-level, before the run proper), then
     // RunStart, one PassStart/PassEnd pair per pass in order, RunEnd.
-    // No profiling ⇒ no Phase events.
+    // Timing off ⇒ no Phase events.
     assert!(matches!(events.first(), Some(TraceEvent::ContextPrepare { .. })));
     let events = &events[1..];
     assert!(matches!(events.first(), Some(TraceEvent::RunStart { .. })));
@@ -179,4 +179,46 @@ fn null_sink_matches_untraced_run_exactly() {
             }
         }
     }
+}
+
+#[test]
+fn timing_observes_each_phase_once_per_run() {
+    let func = compile(pgvn::lang::fixtures::FIGURE1, SsaStyle::Pruned).unwrap();
+    // The driver's phases: one-shot construction, then span-summed.
+    let phases = [
+        Metric::Cfg,
+        Metric::DomTree,
+        Metric::Passes,
+        Metric::SymbolicEval,
+        Metric::CongruenceMerge,
+        Metric::PredicateInference,
+        Metric::ValueInference,
+        Metric::PhiPredication,
+        Metric::EdgeProcessing,
+    ];
+    let timed = MetricsRegistry::new();
+    let untimed = MetricsRegistry::new();
+    for (reg, timing) in [(&timed, true), (&untimed, false)] {
+        let mut tel = Telemetry::off();
+        tel.attach_metrics(reg);
+        if timing {
+            tel.enable_timing();
+        }
+        assert_eq!(tel.clock().is_some(), timing);
+        let mut ctx = GvnContext::new();
+        for _ in 0..3 {
+            // A fresh clone per call: the context's memo never answers.
+            try_run_traced_in_context(&mut ctx, &func.clone(), &GvnConfig::full(), &mut tel)
+                .expect("converges");
+        }
+    }
+    let (timed, untimed) = (timed.snapshot(), untimed.snapshot());
+    assert_eq!(timed.value(Metric::DriverRuns), 3);
+    for m in phases {
+        assert_eq!(timed.count(m), 3, "{} observed once per run", m.name());
+        assert!(timed.sum(m) > 0, "{}", m.name());
+        assert!(untimed.is_zero(m), "{} recorded with timing off", m.name());
+    }
+    assert!(timed.is_zero(Metric::SsaBuild), "SSA construction is timed by its caller");
+    assert_eq!(timed.stable_only(), untimed.stable_only(), "timing is observation-only");
 }
