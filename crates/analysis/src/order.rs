@@ -152,7 +152,7 @@ mod tests {
         let c = f.cmp(head, CmpOp::Lt, i, f.param(0));
         f.set_branch(head, c, body, exit);
         f.set_jump(body, head);
-        f.set_phi_args(i, vec![f.param(0), i]);
+        f.set_phi_args(i, &[f.param(0), i]);
         let r = f.iconst(exit, 0);
         f.set_return(exit, r);
         (f, head, body, exit)

@@ -46,8 +46,8 @@ pub fn verify_ssa(func: &Function) -> Result<(), String> {
     for &b in rpo.order() {
         for &inst in func.block_insts(b) {
             match func.kind(inst) {
-                InstKind::Phi(args) => {
-                    for (i, &arg) in args.iter().enumerate() {
+                InstKind::Phi(_) => {
+                    for (i, &arg) in func.phi_args(inst).iter().enumerate() {
                         let edge = func.preds(b)[i];
                         let pred = func.edge_from(edge);
                         if !rpo.is_reachable(pred) {
@@ -72,9 +72,9 @@ pub fn verify_ssa(func: &Function) -> Result<(), String> {
                         }
                     }
                 }
-                kind => {
+                _ => {
                     let mut bad: Option<Value> = None;
-                    kind.visit_args(|v| {
+                    func.visit_args(inst, |v| {
                         if bad.is_none()
                             && !defined_before(func, &rpo, &domtree, func.def(v), inst, b)
                         {
@@ -126,7 +126,7 @@ mod tests {
         let one = f.iconst(body, 1);
         let i2 = f.binary(body, BinOp::Add, i, one);
         f.set_jump(body, head);
-        f.set_phi_args(i, vec![zero, i2]);
+        f.set_phi_args(i, &[zero, i2]);
         f.set_return(exit, i);
         assert_eq!(verify_ssa(&f), Ok(()));
         assert_ssa(&f);
@@ -166,7 +166,7 @@ mod tests {
         f.set_jump(e, j);
         let p = f.append_phi(j);
         // Wrong: x comes from t but we claim it arrives via e's edge.
-        f.set_phi_args(p, vec![y, x]);
+        f.set_phi_args(p, &[y, x]);
         f.set_return(j, p);
         let err = verify_ssa(&f).unwrap_err();
         assert!(err.contains("does not dominate predecessor"), "{err}");

@@ -5,7 +5,9 @@
 //! `gvn_untraced`/`gvn_telemetry_off` pair below is the check behind the
 //! "within noise" claim in `docs/OBSERVABILITY.md`), and the analysis
 //! layer alone over a warm session context (`gvn_warm_context`, and
-//! `gvn_large` on batch-large-shaped routines).
+//! `gvn_large` on batch-large-shaped routines). `function_clone` and
+//! `rewrite_round` time the per-routine work around the analysis: the
+//! degradation ladder's clone of its input and one GVN pass's rewrites.
 //!
 //! A context answers a repeated request about the same function
 //! instance from its memo, so the analysis benches rotate over distinct
@@ -17,6 +19,10 @@ use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
 use pgvn_lang::{lex, lower, parse};
 use pgvn_ssa::{build_ssa, SsaStyle};
 use pgvn_telemetry::{MetricsRegistry, Telemetry};
+use pgvn_transform::{
+    eliminate_dead_code, eliminate_redundancies_with, eliminate_unreachable, forward_copies,
+    propagate_constants, Pipeline,
+};
 use pgvn_workload::{generate_function, generate_routine, spec_suite, GenConfig, SuiteConfig};
 
 fn bench_analyses(c: &mut Criterion) {
@@ -217,12 +223,76 @@ fn bench_gvn_large(c: &mut Criterion) {
     group.finish();
 }
 
+/// The smallest, median and largest routines of the scale-0.05 SPEC
+/// stand-in suite, by instruction count.
+fn suite_picks() -> [pgvn_ir::Function; 3] {
+    let mut funcs: Vec<pgvn_ir::Function> =
+        spec_suite(SuiteConfig { scale: 0.05, style: SsaStyle::Pruned, ..Default::default() })
+            .iter()
+            .flat_map(|bench| bench.routines())
+            .collect();
+    funcs.sort_by_key(|f| f.num_insts());
+    let n = funcs.len();
+    [funcs[0].clone(), funcs[n / 2].clone(), funcs[n - 1].clone()]
+}
+
+/// Cloning a function, as the degradation ladder does once per rung:
+/// `fresh` straight from `build_ssa` (pools without holes, one copy
+/// each) and `optimized` after the default pipeline edited it (pools
+/// with holes, compacted on the way). Labelled by instruction count.
+fn bench_function_clone(c: &mut Criterion) {
+    let mut group = c.benchmark_group("function_clone");
+    for f in suite_picks() {
+        let insts = f.num_insts();
+        group.bench_with_input(BenchmarkId::new("fresh", insts), &f, |bencher, f| {
+            bencher.iter(|| f.clone().num_insts());
+        });
+        let mut optimized = f.clone();
+        Pipeline::new(GvnConfig::full()).optimize(&mut optimized);
+        group.bench_with_input(BenchmarkId::new("optimized", insts), &optimized, |bencher, f| {
+            bencher.iter(|| f.clone().num_insts());
+        });
+    }
+    group.finish();
+}
+
+/// One GVN pass's rewrite stage — UCE, constant propagation,
+/// redundancy elimination, copy forwarding and DCE — against the
+/// routine's precomputed analysis and the dominator tree of its CFG
+/// after UCE, which the pipeline takes from its cache. Each iteration
+/// rewrites a fresh clone, so `clone_and_rewrite` minus
+/// `function_clone/fresh` is the stage. Labelled by instruction count.
+fn bench_rewrite_round(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rewrite_round");
+    let cfg = GvnConfig::full();
+    for f in suite_picks() {
+        let results = run(&f, &cfg);
+        let mut pruned = f.clone();
+        eliminate_unreachable(&mut pruned, &results);
+        let domtree = DomTree::compute(&pruned, &Rpo::compute(&pruned));
+        let id = BenchmarkId::new("clone_and_rewrite", f.num_insts());
+        group.bench_with_input(id, &f, |bencher, f| {
+            bencher.iter(|| {
+                let mut g = f.clone();
+                eliminate_unreachable(&mut g, &results);
+                propagate_constants(&mut g, &results);
+                eliminate_redundancies_with(&mut g, &results, &domtree);
+                forward_copies(&mut g);
+                eliminate_dead_code(&mut g)
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_analyses,
     bench_frontend,
     bench_telemetry_off,
     bench_gvn_warm_context,
-    bench_gvn_large
+    bench_gvn_large,
+    bench_function_clone,
+    bench_rewrite_round
 );
 criterion_main!(benches);

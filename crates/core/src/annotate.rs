@@ -5,7 +5,7 @@
 
 use crate::classes::ClassId;
 use crate::results::GvnResults;
-use pgvn_ir::{Function, Value};
+use pgvn_ir::{Function, InstKind, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -28,12 +28,19 @@ pub fn annotated(func: &Function, results: &GvnResults) -> String {
         let marker = if results.is_block_reachable(b) { "" } else { "    [unreachable]" };
         let _ = writeln!(out, "{b}:{marker}");
         for &inst in func.block_insts(b) {
-            let mut line = String::new();
+            let mut line = String::from("  ");
             if let Some(r) = func.inst_result(inst) {
-                let _ = write!(line, "  {r} = {:?}", func.kind(inst));
-            } else {
-                let _ = write!(line, "  {:?}", func.kind(inst));
+                let _ = write!(line, "{r} = ");
             }
+            // The kind's `Debug` form, with a φ's arguments and a
+            // switch's cases read from the function's pools.
+            let _ = match *func.kind(inst) {
+                InstKind::Phi(_) => write!(line, "Phi({:?})", func.phi_args(inst)),
+                InstKind::Switch(v, _) => {
+                    write!(line, "Switch({v:?}, {:?})", func.switch_cases(inst))
+                }
+                ref kind => write!(line, "{kind:?}"),
+            };
             if let Some(v) = func.inst_result(inst) {
                 let _ = write!(line, "    ; {}", describe_value(results, v));
             }

@@ -23,15 +23,14 @@ impl Run<'_, '_, '_, '_> {
                 Leader::Undetermined => Taken::None,
                 Leader::Value(_) => Taken::All,
             },
-            InstKind::Switch(arg, cases) => {
-                match self.classes.leader(self.classes.class_of(*arg)) {
-                    Leader::Const(k) => {
-                        Taken::Only(cases.iter().position(|&c| c == k).unwrap_or(cases.len()))
-                    }
-                    Leader::Undetermined => Taken::None,
-                    Leader::Value(_) => Taken::All,
+            InstKind::Switch(arg, _) => match self.classes.leader(self.classes.class_of(*arg)) {
+                Leader::Const(k) => {
+                    let cases = func.switch_cases(term);
+                    Taken::Only(cases.iter().position(|&c| c == k).unwrap_or(cases.len()))
                 }
-            }
+                Leader::Undetermined => Taken::None,
+                Leader::Value(_) => Taken::All,
+            },
             _ => unreachable!("terminator"),
         };
         for (i, &edge) in succs.iter().enumerate() {
@@ -62,7 +61,8 @@ impl Run<'_, '_, '_, '_> {
         // extended to handle switch instructions"); the default edge has
         // no explicit predicate and stays ∅, exactly the case the paper
         // singles out.
-        if let InstKind::Switch(arg, cases) = term_kind {
+        if let InstKind::Switch(arg, _) = term_kind {
+            let cases = func.switch_cases(term);
             if self.preds_enabled() {
                 let leader = match self.classes.leader(self.classes.class_of(*arg)) {
                     Leader::Value(l) => Some(l),
@@ -336,7 +336,7 @@ mod tests {
             let down = f.binary(e, BinOp::Sub, x, one);
             f.set_jump(e, j);
             let phi = f.append_phi(j);
-            f.set_phi_args(phi, vec![up, down]);
+            f.set_phi_args(phi, &[up, down]);
             sum = f.binary(j, BinOp::Add, sum, phi);
             b = j;
         }

@@ -66,7 +66,7 @@ impl Run<'_, '_, '_, '_> {
                 let cmp = self.eval_cmp(op, ae, be);
                 Some(self.apply_predicate_inference(cmp, b))
             }
-            InstKind::Phi(ref args) => self.eval_phi(v, b, args),
+            InstKind::Phi(_) => self.eval_phi(v, b, self.func.phi_args(inst)),
             InstKind::Jump | InstKind::Branch(_) | InstKind::Switch(..) | InstKind::Return(_) => {
                 unreachable!()
             }

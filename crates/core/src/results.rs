@@ -158,6 +158,13 @@ impl GvnStats {
     /// Renders every counter as one JSON object.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::object();
+        self.write_fields(&mut w);
+        w.finish()
+    }
+
+    /// Writes the [`GvnStats::to_json`] fields into the object `w` has
+    /// open.
+    pub fn write_fields(&self, w: &mut JsonWriter) {
         w.field_u64("passes", u64::from(self.passes))
             .field_u64("insts_processed", self.insts_processed)
             .field_u64("touches", self.touches)
@@ -180,7 +187,6 @@ impl GvnStats {
             .field_str("outcome", self.outcome.name())
             .field_u64("ladder_rung", u64::from(self.ladder_rung))
             .field_u64("ladder_failures", u64::from(self.ladder_failures));
-        w.finish()
     }
 
     /// Folds another run's counters into this one, for merged batch

@@ -6,12 +6,15 @@
 //! the [`pgvn_core::GvnResults`] it returns — a constant number of
 //! allocations, whatever the routine's size or touch count. A request
 //! the context answers from the memo of its last converged run
-//! allocates only the results it returns. This test counts both with a
-//! counting global allocator; it lives in its own integration-test
-//! crate so the libraries keep `forbid(unsafe_code)`.
+//! allocates only the results it returns. A [`Function`] keeps its
+//! lists in a few flat pools, so cloning one — the degradation ladder
+//! does, once per rung — also allocates a constant number of times.
+//! This test counts all three with a counting global allocator; it
+//! lives in its own integration-test crate so the libraries keep
+//! `forbid(unsafe_code)`.
 
 use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
-use pgvn_ir::Function;
+use pgvn_ir::{Function, InstKind};
 use pgvn_telemetry::Telemetry;
 use pgvn_workload::{spec_suite, SuiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -19,6 +22,8 @@ use std::cell::Cell;
 
 /// Heap allocations a warm run may make, fixed setup included.
 const MAX_ALLOCS_PER_RUN: u64 = 48;
+/// Heap allocations a clone may make: one per arena and per pool.
+const MAX_ALLOCS_PER_CLONE: u64 = 8;
 
 struct Counting;
 
@@ -148,4 +153,39 @@ fn a_memo_hit_allocates_only_its_results() {
             f.name()
         );
     }
+}
+
+/// A clone copies each arena and each pool of the function once,
+/// whatever its size: straight after construction (the pools have no
+/// holes) and after edits that moved lists within their pools (the
+/// clone compacts them).
+#[test]
+fn a_clone_allocates_a_constant_number_of_times() {
+    let funcs = suite();
+    let mut worst = (0, "");
+    for f in &funcs {
+        let (fresh, copy) = counted(|| f.clone());
+        drop(copy);
+        // Grow the entry block past its span, so its list moves and
+        // leaves a hole behind.
+        let mut edited = f.clone();
+        let entry = edited.entry();
+        for c in 0..8 {
+            edited.insert_before_terminator(entry, InstKind::Const(c));
+        }
+        let (compacted, copy) = counted(|| edited.clone());
+        assert_eq!(copy.to_string(), edited.to_string(), "{}: the clone is equal", f.name());
+        drop(copy);
+        for n in [fresh, compacted] {
+            assert!(
+                n <= MAX_ALLOCS_PER_CLONE,
+                "{}: a clone made {n} allocations (budget {MAX_ALLOCS_PER_CLONE})",
+                f.name()
+            );
+            if n > worst.0 {
+                worst = (n, f.name());
+            }
+        }
+    }
+    eprintln!("{} routines cloned, worst {} allocations ({})", funcs.len(), worst.0, worst.1);
 }

@@ -61,7 +61,7 @@ fn self_loop_block() {
     let i2 = f.binary(l, pgvn_ir::BinOp::Add, i, one);
     let c = f.cmp(l, pgvn_ir::CmpOp::Lt, i2, f.param(0));
     f.set_branch(l, c, l, exit);
-    f.set_phi_args(i, vec![zero, i2]);
+    f.set_phi_args(i, &[zero, i2]);
     f.set_return(exit, i2);
     pgvn_ir::assert_verifies(&f);
     for cfg in all_configs() {
@@ -115,7 +115,7 @@ fn branch_with_both_edges_to_same_block() {
     let c = f.cmp(entry, pgvn_ir::CmpOp::Gt, f.param(0), zero);
     f.set_branch(entry, c, j, j);
     let p = f.append_phi(j);
-    f.set_phi_args(p, vec![zero, one]);
+    f.set_phi_args(p, &[zero, one]);
     f.set_return(j, p);
     pgvn_ir::assert_verifies(&f);
     for cfg in all_configs() {

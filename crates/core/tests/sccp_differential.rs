@@ -88,7 +88,7 @@ impl<'f> Sccp<'f> {
             return;
         }
         let get = |s: &Self, v: Value| s.lat(v);
-        match self.func.kind(inst).clone() {
+        match *self.func.kind(inst) {
             InstKind::Const(c) => self.set(self.func.inst_result(inst).unwrap(), Lattice::Const(c)),
             InstKind::Param(_) | InstKind::Opaque(_) => {
                 self.set(self.func.inst_result(inst).unwrap(), Lattice::Bottom)
@@ -118,7 +118,8 @@ impl<'f> Sccp<'f> {
                 };
                 self.set(self.func.inst_result(inst).unwrap(), l);
             }
-            InstKind::Phi(args) => {
+            InstKind::Phi(_) => {
+                let args = self.func.phi_args(inst);
                 let mut acc = Lattice::Top;
                 for (i, &e) in self.func.preds(b).iter().enumerate() {
                     if self.edge_executable[e.index()] {
@@ -138,9 +139,10 @@ impl<'f> Sccp<'f> {
                     self.mark_edge(self.func.succs(b)[1]);
                 }
             },
-            InstKind::Switch(a, cases) => match get(self, a) {
+            InstKind::Switch(a, _) => match get(self, a) {
                 Lattice::Top => {}
                 Lattice::Const(k) => {
+                    let cases = self.func.switch_cases(inst);
                     let idx = cases.iter().position(|&c| c == k).unwrap_or(cases.len());
                     self.mark_edge(self.func.succs(b)[idx]);
                 }

@@ -2,27 +2,43 @@
 //!
 //! A function is a control flow graph of basic blocks. Control flow edges
 //! are materialized as entities because the paper's algorithm tracks
-//! per-edge reachability and predicates. Instructions live in per-block
-//! ordered lists; the last instruction of a complete block is a terminator
-//! and φ-functions form a prefix of the block.
+//! per-edge reachability and predicates. Each block has an ordered
+//! instruction list; the last instruction of a complete block is a
+//! terminator and φ-functions form a prefix of the block.
+//!
+//! # Layout
+//!
+//! Blocks, instructions, values and edges are dense arenas. Every
+//! variable-length list lives in one of four function-owned pools (see
+//! [`crate::pool`]): block instruction lists, block edge lists
+//! (predecessors and successors), φ arguments and switch case values.
+//! A block or an instruction holds a [`Span`] of its pool, so
+//! [`InstKind`] owns no heap memory and is `Copy`. Edits happen in place
+//! inside a span; a list that outgrows its span moves to the end of its
+//! pool with doubled capacity. A clone therefore copies a fixed number
+//! of buffers, whatever the function's size: each arena and each pool
+//! once (pools with holes are compacted on the way), while the name and
+//! the parameter list are shared.
 
 use crate::entities::{Block, Edge, EntityRef, EntityVec, Inst, Value};
 use crate::instr::{BinOp, CmpOp, InstData, InstKind, UnOp};
+use crate::pool::{Pool, Span};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// A basic block: ordered instructions plus ordered incoming and outgoing
-/// edge lists.
-#[derive(Clone, Debug, Default)]
-pub struct BlockData {
+/// A basic block: spans of its instruction list and of its incoming and
+/// outgoing edge lists.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct BlockData {
     /// Instructions in execution order; φs first, terminator last.
-    pub insts: Vec<Inst>,
+    pub(crate) insts: Span,
     /// Incoming edges. φ argument `i` corresponds to `preds[i]`.
-    pub preds: Vec<Edge>,
+    preds: Span,
     /// Outgoing edges. For a branch, index 0 is the true edge and index 1
     /// the false edge.
-    pub succs: Vec<Edge>,
+    succs: Span,
     /// Tombstone flag; removed blocks are skipped by iteration.
-    pub removed: bool,
+    removed: bool,
 }
 
 /// A control flow edge from one block to another.
@@ -56,8 +72,7 @@ pub struct FunctionStamp {
     revision: u64,
 }
 
-/// A process-unique instance id. Cloning draws a fresh one: a clone is
-/// a new instance whose mutations must not alias the original's stamps.
+/// A process-unique instance id.
 #[derive(Debug)]
 struct InstanceId(u64);
 
@@ -65,12 +80,6 @@ impl InstanceId {
     fn fresh() -> Self {
         static NEXT: AtomicU64 = AtomicU64::new(1);
         InstanceId(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-impl Clone for InstanceId {
-    fn clone(&self) -> Self {
-        InstanceId::fresh()
     }
 }
 
@@ -89,18 +98,71 @@ impl Clone for InstanceId {
 /// f.set_return(entry, d);
 /// assert_eq!(f.num_blocks(), 1);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Function {
-    name: String,
-    params: Vec<Value>,
+    /// Shared by clones: neither changes after construction.
+    name: Arc<str>,
+    params: Arc<[Value]>,
     entry: Block,
     pub(crate) blocks: EntityVec<Block, BlockData>,
     pub(crate) insts: EntityVec<Inst, InstData>,
     pub(crate) values: EntityVec<Value, ValueData>,
     pub(crate) edges: EntityVec<Edge, EdgeData>,
+    /// Every block's instruction list.
+    pub(crate) inst_pool: Pool<Inst>,
+    /// Every block's predecessor and successor lists.
+    edge_pool: Pool<Edge>,
+    /// Every φ's arguments.
+    arg_pool: Pool<Value>,
+    /// Every switch's case values.
+    case_pool: Pool<i64>,
     instance: InstanceId,
     /// Bumped by every `&mut self` method (see [`FunctionStamp`]).
     revision: u64,
+}
+
+impl Clone for Function {
+    /// Copies each arena and each pool once; a pool with holes is
+    /// compacted on the way. The clone is a new instance (a fresh
+    /// [`FunctionStamp`]).
+    fn clone(&self) -> Self {
+        let mut blocks = self.blocks.clone();
+        let mut insts = self.insts.clone();
+        let inst_pool =
+            self.inst_pool.clone_compacted(blocks.iter_mut().map(|(_, b)| &mut b.insts));
+        let edge_pool = self
+            .edge_pool
+            .clone_compacted(blocks.iter_mut().flat_map(|(_, b)| [&mut b.preds, &mut b.succs]));
+        let arg_pool =
+            self.arg_pool.clone_compacted(insts.iter_mut().filter_map(
+                |(_, d)| match &mut d.kind {
+                    InstKind::Phi(s) => Some(s),
+                    _ => None,
+                },
+            ));
+        let case_pool =
+            self.case_pool.clone_compacted(insts.iter_mut().filter_map(
+                |(_, d)| match &mut d.kind {
+                    InstKind::Switch(_, s) => Some(s),
+                    _ => None,
+                },
+            ));
+        Function {
+            name: Arc::clone(&self.name),
+            params: Arc::clone(&self.params),
+            entry: self.entry,
+            blocks,
+            insts,
+            values: self.values.clone(),
+            edges: self.edges.clone(),
+            inst_pool,
+            edge_pool,
+            arg_pool,
+            case_pool,
+            instance: InstanceId::fresh(),
+            revision: self.revision,
+        }
+    }
 }
 
 impl Function {
@@ -108,36 +170,42 @@ impl Function {
     /// created and populated with one [`InstKind::Param`] instruction per
     /// parameter.
     pub fn new(name: impl Into<String>, num_params: u32) -> Self {
-        Function::with_capacity(name, num_params, 0, 0, 0)
+        Function::with_capacity(name, num_params, 0, 0, 0, 0, 0)
     }
 
     /// Like [`Function::new`], with room for `blocks` blocks, `insts`
-    /// instructions (and as many values) and `edges` edges, so a builder
-    /// that knows its sizes never regrows them. See also
-    /// [`Function::reserve_block`].
+    /// instructions (and as many values), `edges` edges, `phi_args` φ
+    /// arguments and `switch_cases` case values, so a builder that knows
+    /// its sizes never regrows them. See also [`Function::reserve_block`].
     pub fn with_capacity(
         name: impl Into<String>,
         num_params: u32,
         blocks: usize,
         insts: usize,
         edges: usize,
+        phi_args: usize,
+        switch_cases: usize,
     ) -> Self {
         let mut f = Function {
-            name: name.into(),
-            params: Vec::with_capacity(num_params as usize),
+            name: Arc::from(name.into()),
+            params: Arc::from([]),
             entry: Block::new(0),
             blocks: EntityVec::with_capacity(blocks),
             insts: EntityVec::with_capacity(insts),
             values: EntityVec::with_capacity(insts),
             edges: EntityVec::with_capacity(edges),
+            inst_pool: Pool::with_capacity(insts),
+            edge_pool: Pool::with_capacity(2 * edges),
+            arg_pool: Pool::with_capacity(phi_args),
+            case_pool: Pool::with_capacity(switch_cases),
             instance: InstanceId::fresh(),
             revision: 0,
         };
         f.entry = f.add_block();
-        for i in 0..num_params {
-            let v = f.append(f.entry, InstKind::Param(i));
-            f.params.push(v);
-        }
+        f.reserve_block(f.entry, num_params as usize, 0, 0);
+        let params: Vec<Value> =
+            (0..num_params).map(|i| f.append(f.entry, InstKind::Param(i))).collect();
+        f.params = params.into();
         f
     }
 
@@ -218,9 +286,9 @@ impl Function {
     pub fn reserve_block(&mut self, b: Block, insts: usize, preds: usize, succs: usize) {
         self.bump();
         let data = &mut self.blocks[b];
-        data.insts.reserve_exact(insts);
-        data.preds.reserve_exact(preds);
-        data.succs.reserve_exact(succs);
+        self.inst_pool.reserve(&mut data.insts, insts);
+        self.edge_pool.reserve(&mut data.preds, preds);
+        self.edge_pool.reserve(&mut data.succs, succs);
     }
 
     /// Iterates over live blocks in creation order.
@@ -245,17 +313,17 @@ impl Function {
 
     /// Returns the block's instruction list in order.
     pub fn block_insts(&self, b: Block) -> &[Inst] {
-        &self.blocks[b].insts
+        self.inst_pool.get(self.blocks[b].insts)
     }
 
     /// Returns the block's incoming edges in φ-argument order.
     pub fn preds(&self, b: Block) -> &[Edge] {
-        &self.blocks[b].preds
+        self.edge_pool.get(self.blocks[b].preds)
     }
 
     /// Returns the block's outgoing edges in branch order.
     pub fn succs(&self, b: Block) -> &[Edge] {
-        &self.blocks[b].succs
+        self.edge_pool.get(self.blocks[b].succs)
     }
 
     /// Returns the originating block of an edge.
@@ -276,6 +344,72 @@ impl Function {
     /// Returns the kind of `inst`.
     pub fn kind(&self, inst: Inst) -> &InstKind {
         &self.insts[inst].kind
+    }
+
+    /// Returns the arguments of the φ `inst`, one per incoming edge of
+    /// its block, in predecessor order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inst` is not a φ.
+    pub fn phi_args(&self, inst: Inst) -> &[Value] {
+        match self.insts[inst].kind {
+            InstKind::Phi(s) => self.arg_pool.get(s),
+            other => panic!("phi_args on non-φ {other:?}"),
+        }
+    }
+
+    /// Returns the case values of the switch `inst`: edge `i` of its
+    /// block is taken when the operand equals `cases[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inst` is not a switch.
+    pub fn switch_cases(&self, inst: Inst) -> &[i64] {
+        match self.insts[inst].kind {
+            InstKind::Switch(_, s) => self.case_pool.get(s),
+            other => panic!("switch_cases on non-switch {other:?}"),
+        }
+    }
+
+    /// Calls `f` on every value operand of `inst`, in operand order.
+    pub fn visit_args(&self, inst: Inst, mut f: impl FnMut(Value)) {
+        match self.insts[inst].kind {
+            InstKind::Const(_) | InstKind::Param(_) | InstKind::Opaque(_) | InstKind::Jump => {}
+            InstKind::Unary(_, a)
+            | InstKind::Copy(a)
+            | InstKind::Branch(a)
+            | InstKind::Switch(a, _)
+            | InstKind::Return(a) => f(a),
+            InstKind::Binary(_, a, b) | InstKind::Cmp(_, a, b) => {
+                f(a);
+                f(b);
+            }
+            InstKind::Phi(s) => self.arg_pool.get(s).iter().copied().for_each(f),
+        }
+    }
+
+    /// Rewrites every value operand of `inst` through `f`, in place and
+    /// in operand order.
+    pub fn map_args(&mut self, inst: Inst, mut f: impl FnMut(Value) -> Value) {
+        self.bump();
+        match &mut self.insts[inst].kind {
+            InstKind::Const(_) | InstKind::Param(_) | InstKind::Opaque(_) | InstKind::Jump => {}
+            InstKind::Unary(_, a)
+            | InstKind::Copy(a)
+            | InstKind::Branch(a)
+            | InstKind::Switch(a, _)
+            | InstKind::Return(a) => *a = f(*a),
+            InstKind::Binary(_, a, b) | InstKind::Cmp(_, a, b) => {
+                *a = f(*a);
+                *b = f(*b);
+            }
+            InstKind::Phi(s) => {
+                for a in self.arg_pool.get_mut(*s) {
+                    *a = f(*a);
+                }
+            }
+        }
     }
 
     /// Returns the block containing `inst`.
@@ -309,7 +443,7 @@ impl Function {
 
     /// Returns the terminator of `b`, if the block is complete.
     pub fn terminator(&self, b: Block) -> Option<Inst> {
-        let last = *self.blocks[b].insts.last()?;
+        let last = *self.block_insts(b).last()?;
         self.insts[last].kind.is_terminator().then_some(last)
     }
 
@@ -319,13 +453,44 @@ impl Function {
         self.blocks
             .values()
             .filter(|b| !b.removed)
-            .flat_map(|b| b.insts.iter())
+            .flat_map(|b| self.inst_pool.get(b.insts).iter())
             .filter_map(|&i| self.insts[i].result)
     }
 
     // ---------------------------------------------------------------
     // Construction
     // ---------------------------------------------------------------
+
+    /// Creates an instruction of `kind` in `b` (not yet placed in the
+    /// block's list), with a result value unless it is a terminator.
+    fn new_inst(&mut self, b: Block, kind: InstKind) -> Inst {
+        if let InstKind::Phi(s) | InstKind::Switch(_, s) = kind {
+            assert_eq!(s, Span::EMPTY, "a new instruction cannot share another's list");
+        }
+        let inst = self.insts.push(InstData { kind, block: b, result: None });
+        if !kind.is_terminator() {
+            let value = self.values.push(ValueData { def: inst });
+            self.insts[inst].result = Some(value);
+        }
+        inst
+    }
+
+    /// The result of a value-defining instruction.
+    fn result_of(&self, inst: Inst) -> Value {
+        self.insts[inst].result.expect("non-terminators define a value")
+    }
+
+    /// Inserts `inst` at position `at` of `b`'s instruction list.
+    fn place(&mut self, b: Block, at: usize, inst: Inst) {
+        self.inst_pool.insert(&mut self.blocks[b].insts, at, inst);
+    }
+
+    /// The position of the first instruction of `b` satisfying `pred`,
+    /// or the list's length.
+    fn position_in(&self, b: Block, pred: impl Fn(&InstKind) -> bool) -> usize {
+        let insts = self.block_insts(b);
+        insts.iter().position(|&i| pred(&self.insts[i].kind)).unwrap_or(insts.len())
+    }
 
     /// Appends a non-terminator instruction to `b` and returns its result
     /// value.
@@ -339,11 +504,10 @@ impl Function {
         self.bump();
         assert!(!kind.is_terminator(), "append requires a non-terminator; got {kind:?}");
         assert!(self.terminator(b).is_none(), "block {b} is already terminated");
-        let inst = self.insts.push(InstData { kind, block: b, result: None });
-        let value = self.values.push(ValueData { def: inst });
-        self.insts[inst].result = Some(value);
-        self.blocks[b].insts.push(inst);
-        value
+        let inst = self.new_inst(b, kind);
+        let at = self.blocks[b].insts.len();
+        self.place(b, at, inst);
+        self.result_of(inst)
     }
 
     /// Appends an empty φ-function to `b`; arguments are filled in later
@@ -355,9 +519,9 @@ impl Function {
     /// prefix of their block).
     pub fn append_phi(&mut self, b: Block) -> Value {
         self.bump();
-        let all_phis = self.blocks[b].insts.iter().all(|&i| self.insts[i].kind.is_phi());
+        let all_phis = self.block_insts(b).iter().all(|&i| self.insts[i].kind.is_phi());
         assert!(all_phis, "φ appended after non-φ instructions in {b}");
-        self.append(b, InstKind::Phi(Vec::new()))
+        self.append(b, InstKind::Phi(Span::EMPTY))
     }
 
     /// Inserts a non-terminator instruction immediately before `b`'s
@@ -373,16 +537,10 @@ impl Function {
         self.bump();
         assert!(!kind.is_terminator(), "insert requires a non-terminator; got {kind:?}");
         assert!(!kind.is_phi(), "insert_before_terminator cannot place a φ");
-        let inst = self.insts.push(InstData { kind, block: b, result: None });
-        let value = self.values.push(ValueData { def: inst });
-        self.insts[inst].result = Some(value);
-        let pos = self.blocks[b]
-            .insts
-            .iter()
-            .position(|&i| self.insts[i].kind.is_terminator())
-            .unwrap_or(self.blocks[b].insts.len());
-        self.blocks[b].insts.insert(pos, inst);
-        value
+        let inst = self.new_inst(b, kind);
+        let at = self.position_in(b, InstKind::is_terminator);
+        self.place(b, at, inst);
+        self.result_of(inst)
     }
 
     /// Inserts an empty φ-function at the end of `b`'s φ prefix and
@@ -392,17 +550,10 @@ impl Function {
     /// later with [`Function::set_phi_args`].
     pub fn insert_phi(&mut self, b: Block) -> Value {
         self.bump();
-        let kind = InstKind::Phi(Vec::new());
-        let inst = self.insts.push(InstData { kind, block: b, result: None });
-        let value = self.values.push(ValueData { def: inst });
-        self.insts[inst].result = Some(value);
-        let pos = self.blocks[b]
-            .insts
-            .iter()
-            .position(|&i| !self.insts[i].kind.is_phi())
-            .unwrap_or(self.blocks[b].insts.len());
-        self.blocks[b].insts.insert(pos, inst);
-        value
+        let inst = self.new_inst(b, InstKind::Phi(Span::EMPTY));
+        let at = self.position_in(b, |k| !k.is_phi());
+        self.place(b, at, inst);
+        self.result_of(inst)
     }
 
     /// Sets the arguments of the φ defining `phi_value`, one per incoming
@@ -411,26 +562,42 @@ impl Function {
     /// # Panics
     ///
     /// Panics if `phi_value` is not defined by a φ.
-    pub fn set_phi_args(&mut self, phi_value: Value, args: Vec<Value>) {
+    pub fn set_phi_args(&mut self, phi_value: Value, args: &[Value]) {
         self.bump();
         let inst = self.def(phi_value);
         match &mut self.insts[inst].kind {
-            InstKind::Phi(a) => *a = args,
+            InstKind::Phi(s) => self.arg_pool.set(s, args),
             other => panic!("set_phi_args on non-φ {other:?}"),
+        }
+    }
+
+    /// Replaces the case values of the switch `inst`, keeping its edges.
+    /// Unlike [`Function::set_switch`] this checks neither uniqueness nor
+    /// the count; [`crate::verify()`] and the lints report what it breaks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inst` is not a switch.
+    pub fn set_switch_cases(&mut self, inst: Inst, cases: &[i64]) {
+        self.bump();
+        match &mut self.insts[inst].kind {
+            InstKind::Switch(_, s) => self.case_pool.set(s, cases),
+            other => panic!("set_switch_cases on non-switch {other:?}"),
         }
     }
 
     fn add_edge(&mut self, from: Block, to: Block) -> Edge {
         let e = self.edges.push(EdgeData { from, to, removed: false });
-        self.blocks[from].succs.push(e);
-        self.blocks[to].preds.push(e);
+        self.edge_pool.push(&mut self.blocks[from].succs, e);
+        self.edge_pool.push(&mut self.blocks[to].preds, e);
         e
     }
 
     fn set_terminator(&mut self, b: Block, kind: InstKind) -> Inst {
         assert!(self.terminator(b).is_none(), "block {b} is already terminated");
-        let inst = self.insts.push(InstData { kind, block: b, result: None });
-        self.blocks[b].insts.push(inst);
+        let inst = self.new_inst(b, kind);
+        let at = self.blocks[b].insts.len();
+        self.place(b, at, inst);
         inst
     }
 
@@ -498,7 +665,8 @@ impl Function {
         assert_eq!(cases.len(), targets.len(), "one target per case value");
         let unique = cases.iter().enumerate().all(|(i, c)| !cases[..i].contains(c));
         assert!(unique, "switch case values must be unique");
-        self.set_terminator(b, InstKind::Switch(arg, cases.to_vec()));
+        let term = self.set_terminator(b, InstKind::Switch(arg, Span::EMPTY));
+        self.set_switch_cases(term, cases);
         for &t in targets {
             self.add_edge(b, t);
         }
@@ -509,40 +677,78 @@ impl Function {
     // Mutation (used by the transform crate)
     // ---------------------------------------------------------------
 
-    /// Replaces the kind of a value-defining instruction in place.
+    /// Replaces the kind of an instruction in place.
     ///
     /// When a φ is replaced by a non-φ, the instruction is moved just
     /// after the block's φ prefix so that φs stay contiguous at the top
     /// (the interpreter and verifier rely on this invariant).
     ///
+    /// A φ or switch kind must carry the instruction's own list (a kind
+    /// read back from it, rewritten) or [`Span::EMPTY`]; the list of a
+    /// kind that stops being the instruction's is released.
+    ///
     /// # Panics
     ///
-    /// Panics if the old and new kinds disagree about being a terminator.
+    /// Panics if the old and new kinds disagree about being a terminator,
+    /// or if `kind` carries another instruction's list.
     pub fn replace_kind(&mut self, inst: Inst, kind: InstKind) {
         self.bump();
+        let old = self.insts[inst].kind;
         assert_eq!(
-            self.insts[inst].kind.is_terminator(),
+            old.is_terminator(),
             kind.is_terminator(),
             "replace_kind cannot change terminator-ness"
         );
-        let was_phi = self.insts[inst].kind.is_phi();
+        match (old, kind) {
+            (InstKind::Phi(a), InstKind::Phi(b)) if a == b => {}
+            (InstKind::Switch(_, a), InstKind::Switch(_, b)) if a == b => {}
+            _ => {
+                if let InstKind::Phi(s) | InstKind::Switch(_, s) = kind {
+                    assert_eq!(
+                        s,
+                        Span::EMPTY,
+                        "replace_kind cannot take another instruction's list"
+                    );
+                }
+                self.release_lists(old);
+            }
+        }
         self.insts[inst].kind = kind;
-        if was_phi && !self.insts[inst].kind.is_phi() {
+        if old.is_phi() && !kind.is_phi() {
             self.restore_phi_prefix(self.insts[inst].block, inst);
+        }
+    }
+
+    /// Returns the pooled list a kind held to its pool.
+    fn release_lists(&mut self, kind: InstKind) {
+        match kind {
+            InstKind::Phi(s) => self.arg_pool.release(s),
+            InstKind::Switch(_, s) => self.case_pool.release(s),
+            _ => {}
         }
     }
 
     /// Moves `inst` (which just stopped being a φ) to the end of `b`'s φ
     /// prefix, preserving the relative order of everything else.
     fn restore_phi_prefix(&mut self, b: Block, inst: Inst) {
-        let pos = self.blocks[b].insts.iter().position(|&i| i == inst).expect("inst in its block");
-        self.blocks[b].insts.remove(pos);
-        let first_non_phi = self.blocks[b]
-            .insts
-            .iter()
-            .position(|&i| !self.insts[i].kind.is_phi())
-            .unwrap_or(self.blocks[b].insts.len());
-        self.blocks[b].insts.insert(first_non_phi, inst);
+        let items = self.inst_pool.get_mut(self.blocks[b].insts);
+        let pos = items.iter().position(|&i| i == inst).expect("inst in its block");
+        // The φ prefix's length once `inst` is out of the list.
+        let mut end = 0;
+        for (k, &i) in items.iter().enumerate() {
+            if k == pos {
+                continue;
+            }
+            if !self.insts[i].kind.is_phi() {
+                break;
+            }
+            end += 1;
+        }
+        if end >= pos {
+            items[pos..=end].rotate_left(1);
+        } else {
+            items[end..=pos].rotate_right(1);
+        }
     }
 
     /// Removes edge `e` from the graph, dropping the corresponding φ
@@ -556,15 +762,16 @@ impl Function {
             return;
         }
         let EdgeData { from, to, .. } = self.edges[e];
+        let preds = &mut self.blocks[to].preds;
         let pred_pos =
-            self.blocks[to].preds.iter().position(|&x| x == e).expect("edge in pred list");
-        self.blocks[to].preds.remove(pred_pos);
-        self.blocks[from].succs.retain(|&x| x != e);
+            self.edge_pool.get(*preds).iter().position(|&x| x == e).expect("edge in pred list");
+        self.edge_pool.remove(preds, pred_pos);
+        self.edge_pool.retain(&mut self.blocks[from].succs, |x| x != e);
         // Drop the matching φ argument in every φ of `to`.
-        for &i in self.blocks[to].insts.clone().iter() {
+        for &i in self.inst_pool.get(self.blocks[to].insts) {
             if let InstKind::Phi(args) = &mut self.insts[i].kind {
                 if pred_pos < args.len() {
-                    args.remove(pred_pos);
+                    self.arg_pool.remove(args, pred_pos);
                 }
             }
         }
@@ -585,7 +792,7 @@ impl Function {
             matches!(self.insts[term].kind, InstKind::Branch(_)),
             "{b} does not end in a branch"
         );
-        let drop_edge = self.blocks[b].succs[1 - keep];
+        let drop_edge = self.succs(b)[1 - keep];
         self.remove_edge(drop_edge);
         self.insts[term].kind = InstKind::Jump;
     }
@@ -599,17 +806,15 @@ impl Function {
     pub fn fold_switch_to(&mut self, b: Block, keep: usize) {
         self.bump();
         let term = self.terminator(b).expect("terminated block");
-        assert!(
-            matches!(self.insts[term].kind, InstKind::Switch(..)),
-            "{b} does not end in a switch"
-        );
-        let succs = self.blocks[b].succs.clone();
-        assert!(keep < succs.len(), "switch edge index out of range");
-        for (i, e) in succs.into_iter().enumerate() {
-            if i != keep {
-                self.remove_edge(e);
-            }
+        let kind = self.insts[term].kind;
+        assert!(matches!(kind, InstKind::Switch(..)), "{b} does not end in a switch");
+        assert!(keep < self.succs(b).len(), "switch edge index out of range");
+        // Remove the other edges in successor order.
+        let kept = self.succs(b)[keep];
+        while let Some(&e) = self.succs(b).iter().find(|&&e| e != kept) {
+            self.remove_edge(e);
         }
+        self.release_lists(kind);
         self.insts[term].kind = InstKind::Jump;
     }
 
@@ -625,10 +830,10 @@ impl Function {
         if self.blocks[b].removed {
             return;
         }
-        for e in self.blocks[b].preds.clone() {
+        while let Some(&e) = self.preds(b).first() {
             self.remove_edge(e);
         }
-        for e in self.blocks[b].succs.clone() {
+        while let Some(&e) = self.succs(b).first() {
             self.remove_edge(e);
         }
         self.blocks[b].removed = true;
@@ -639,7 +844,16 @@ impl Function {
     pub fn remove_inst(&mut self, inst: Inst) {
         self.bump();
         let b = self.insts[inst].block;
-        self.blocks[b].insts.retain(|&i| i != inst);
+        self.inst_pool.retain(&mut self.blocks[b].insts, |i| i != inst);
+    }
+
+    /// Keeps the instructions of `b` whose data satisfies `keep`, in
+    /// order, in one pass; the others are removed as by
+    /// [`Function::remove_inst`].
+    pub fn retain_insts(&mut self, b: Block, mut keep: impl FnMut(&InstData) -> bool) {
+        self.bump();
+        let insts = &self.insts;
+        self.inst_pool.retain(&mut self.blocks[b].insts, |i| keep(&insts[i]));
     }
 
     /// Replaces the φ defining `phi_value` by a copy of `src` (used when a
@@ -648,8 +862,7 @@ impl Function {
         self.bump();
         let inst = self.def(phi_value);
         assert!(self.insts[inst].kind.is_phi(), "not a φ");
-        self.insts[inst].kind = InstKind::Copy(src);
-        self.restore_phi_prefix(self.insts[inst].block, inst);
+        self.replace_kind(inst, InstKind::Copy(src));
     }
 
     // ---------------------------------------------------------------
@@ -702,7 +915,7 @@ impl DefUse {
         let each_use = |f: &mut dyn FnMut(Value, Inst)| {
             for b in func.blocks() {
                 for &inst in func.block_insts(b) {
-                    func.kind(inst).visit_args(|v| f(v, inst));
+                    func.visit_args(inst, |v| f(v, inst));
                 }
             }
         };
@@ -810,11 +1023,8 @@ mod tests {
     fn phi_args_follow_pred_order() {
         let (mut f, _entry, _t, _e, j, x, y) = diamond();
         let p = f.append_phi(j);
-        f.set_phi_args(p, vec![x, y]);
-        match f.kind(f.def(p)) {
-            InstKind::Phi(args) => assert_eq!(args, &vec![x, y]),
-            _ => panic!(),
-        }
+        f.set_phi_args(p, &[x, y]);
+        assert_eq!(f.phi_args(f.def(p)), &[x, y]);
     }
 
     #[test]
@@ -828,15 +1038,12 @@ mod tests {
     fn remove_edge_fixes_phis() {
         let (mut f, _entry, _t, _e, j, x, y) = diamond();
         let p = f.append_phi(j);
-        f.set_phi_args(p, vec![x, y]);
+        f.set_phi_args(p, &[x, y]);
         let drop = f.preds(j)[0];
         f.remove_edge(drop);
         assert!(f.is_edge_removed(drop));
         assert_eq!(f.preds(j).len(), 1);
-        match f.kind(f.def(p)) {
-            InstKind::Phi(args) => assert_eq!(args, &vec![y]),
-            _ => panic!(),
-        }
+        assert_eq!(f.phi_args(f.def(p)), &[y]);
     }
 
     #[test]
@@ -853,16 +1060,13 @@ mod tests {
     fn remove_block_detaches_all_edges() {
         let (mut f, _entry, t, _e, j, x, y) = diamond();
         let p = f.append_phi(j);
-        f.set_phi_args(p, vec![x, y]);
+        f.set_phi_args(p, &[x, y]);
         f.remove_block(t);
         assert!(f.is_block_removed(t));
         assert_eq!(f.preds(j).len(), 1);
         assert_eq!(f.num_blocks(), 3);
         // φ lost the argument from t.
-        match f.kind(f.def(p)) {
-            InstKind::Phi(args) => assert_eq!(args, &vec![y]),
-            _ => panic!(),
-        }
+        assert_eq!(f.phi_args(f.def(p)), &[y]);
     }
 
     #[test]
@@ -894,7 +1098,7 @@ mod tests {
     fn replace_phi_with_copy() {
         let (mut f, _entry, _t, _e, j, x, y) = diamond();
         let p = f.append_phi(j);
-        f.set_phi_args(p, vec![x, y]);
+        f.set_phi_args(p, &[x, y]);
         f.replace_phi_with_copy(p, x);
         assert_eq!(f.kind(f.def(p)), &InstKind::Copy(x));
     }
@@ -909,6 +1113,112 @@ mod tests {
         let f2 = f;
         assert_eq!(f2.stamp(), moved, "a move keeps the stamp");
         assert_eq!(f2.stamp(), f2.stamp(), "reads never change it");
+    }
+
+    #[test]
+    fn visit_and_map_args_cover_every_operand() {
+        let (mut f, _entry, _t, _e, j, x, y) = diamond();
+        let p = f.append_phi(j);
+        f.set_phi_args(p, &[x, y]);
+        let s = f.binary(j, BinOp::Add, p, x);
+        let mut seen = Vec::new();
+        f.visit_args(f.def(s), |v| seen.push(v));
+        assert_eq!(seen, [p, x]);
+        f.map_args(f.def(p), |v| if v == x { y } else { v });
+        assert_eq!(f.phi_args(f.def(p)), &[y, y]);
+        f.map_args(f.def(s), |v| if v == x { y } else { v });
+        assert_eq!(f.kind(f.def(s)), &InstKind::Binary(BinOp::Add, p, y));
+    }
+
+    #[test]
+    fn block_lists_keep_their_order_when_they_outgrow_their_spans() {
+        // Two blocks whose lists interleave in the pool, so every growth
+        // past a span's capacity relocates it.
+        let mut f = Function::new("grow", 1);
+        let entry = f.entry();
+        let (a, b) = (f.add_block(), f.add_block());
+        let c = f.iconst(a, 1);
+        f.set_return(a, c);
+        f.set_jump(entry, a);
+        let d = f.iconst(b, 2);
+        f.set_return(b, d);
+        let mut phis = Vec::new();
+        let mut mids = Vec::new();
+        for i in 0..20 {
+            phis.push(f.insert_phi(a));
+            mids.push(f.insert_before_terminator(a, InstKind::Const(100 + i)));
+            f.insert_before_terminator(b, InstKind::Const(i));
+        }
+        let insts = f.block_insts(a);
+        let results: Vec<Value> = insts.iter().filter_map(|&i| f.inst_result(i)).collect();
+        let expected: Vec<Value> = phis.iter().chain([&c]).chain(&mids).copied().collect();
+        assert_eq!(results, expected, "φs in insertion order, then the rest in order");
+        assert!(f.kind(*insts.last().unwrap()).is_terminator());
+        let consts: Vec<i64> = f
+            .block_insts(b)
+            .iter()
+            .filter_map(|&i| f.inst_result(i))
+            .map(|v| f.value_as_const(v).unwrap())
+            .collect();
+        let mut want = vec![2];
+        want.extend(0..20);
+        assert_eq!(consts, want);
+        assert!(f.inst_pool.holes() > 0, "the lists did move");
+    }
+
+    #[test]
+    fn remove_edge_drops_the_matching_pooled_argument() {
+        // A three-way merge: removing the middle edge must drop exactly
+        // the middle argument of every φ, and leave other φs alone.
+        let mut f = Function::new("m", 1);
+        let entry = f.entry();
+        let x = f.param(0);
+        let j = f.add_block();
+        let (c1, c2, c3) = (f.iconst(entry, 1), f.iconst(entry, 2), f.iconst(entry, 3));
+        f.set_switch(entry, x, &[1, 2], &[j, j], j);
+        let p = f.append_phi(j);
+        let q = f.append_phi(j);
+        f.set_phi_args(p, &[c1, c2, c3]);
+        f.set_phi_args(q, &[c3, c2, c1]);
+        f.set_return(j, p);
+        let middle = f.preds(j)[1];
+        f.remove_edge(middle);
+        assert_eq!(f.phi_args(f.def(p)), &[c1, c3]);
+        assert_eq!(f.phi_args(f.def(q)), &[c3, c1]);
+        assert_eq!(f.preds(j).len(), 2);
+        assert!(!f.succs(entry).contains(&middle));
+    }
+
+    #[test]
+    fn mutating_a_clone_never_changes_the_original() {
+        let (mut f, entry, t, _e, j, x, y) = diamond();
+        let p = f.append_phi(j);
+        f.set_phi_args(p, &[x, y]);
+        f.set_return(j, p);
+        // Give the original holes, so the clone is compacted.
+        f.insert_before_terminator(t, InstKind::Const(5));
+        let text = f.to_string();
+        let mut g = f.clone();
+        assert_eq!(g.to_string(), text);
+        g.set_phi_args(p, &[y, x]);
+        g.insert_phi(j);
+        g.insert_before_terminator(entry, InstKind::Const(7));
+        g.fold_branch_to(entry, 1);
+        g.remove_block(t);
+        g.replace_kind(f.def(x), InstKind::Const(9));
+        assert_ne!(g.to_string(), text);
+        assert_eq!(f.to_string(), text, "the original is untouched");
+        assert_eq!(f.phi_args(f.def(p)), &[x, y]);
+    }
+
+    #[test]
+    #[should_panic(expected = "another instruction's list")]
+    fn a_kind_cannot_take_another_instructions_list() {
+        let (mut f, _entry, _t, _e, j, x, y) = diamond();
+        let p = f.append_phi(j);
+        f.set_phi_args(p, &[x, y]);
+        let stolen = *f.kind(f.def(p));
+        f.replace_kind(f.def(x), stolen);
     }
 
     /// Every public `&mut self` method is a mutation: it must move the
@@ -931,13 +1241,13 @@ mod tests {
         let fixture = || {
             let (mut f, entry, t, e, j, x, y) = diamond();
             let p = f.append_phi(j);
-            f.set_phi_args(p, vec![x, y]);
+            f.set_phi_args(p, &[x, y]);
             let (w, s) = (f.add_block(), f.add_block());
             f.set_switch(w, x, &[1], &[t], e);
             (f, Fixture { entry, t, e, j, w, s, x, y, p })
         };
         type Mutation = fn(&mut Function, &Fixture);
-        let mutations: [(&str, Mutation); 22] = [
+        let mutations: [(&str, Mutation); 25] = [
             ("add_block", |f, _| {
                 f.add_block();
             }),
@@ -954,7 +1264,12 @@ mod tests {
             ("insert_phi", |f, k| {
                 f.insert_phi(k.t);
             }),
-            ("set_phi_args", |f, k| f.set_phi_args(k.p, vec![k.x, k.y])),
+            ("set_phi_args", |f, k| f.set_phi_args(k.p, &[k.x, k.y])),
+            ("set_switch_cases", |f, k| {
+                f.set_switch_cases(f.terminator(k.w).unwrap(), &[2]);
+            }),
+            ("map_args", |f, k| f.map_args(f.def(k.p), |v| v)),
+            ("retain_insts", |f, k| f.retain_insts(k.t, |_| true)),
             ("set_jump", |f, k| {
                 f.set_jump(k.s, k.j);
             }),

@@ -11,6 +11,7 @@
 //! masked to `0..=63`; comparisons yield `0` or `1`.
 
 use crate::entities::{Block, Value};
+use crate::pool::Span;
 use std::fmt;
 
 /// A binary arithmetic or bitwise operator.
@@ -241,7 +242,13 @@ impl fmt::Display for CmpOp {
 /// Every non-terminator instruction defines exactly one SSA value.
 /// φ-functions have one argument per *incoming edge* of their block, in
 /// the same order as the block's predecessor edge list.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// A kind owns no heap memory: a φ's arguments and a switch's case
+/// values live in pools of the containing [`Function`](crate::Function),
+/// and the kind holds their [`Span`]. Read them with
+/// [`Function::phi_args`](crate::Function::phi_args) and
+/// [`Function::switch_cases`](crate::Function::switch_cases).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InstKind {
     /// An integer constant.
     Const(i64),
@@ -259,8 +266,9 @@ pub enum InstKind {
     /// load). Two opaques are congruent only if they are the same token —
     /// the builder hands out distinct tokens, so in practice never.
     Opaque(u32),
-    /// A φ-function merging one value per incoming edge of its block.
-    Phi(Vec<Value>),
+    /// A φ-function merging one value per incoming edge of its block;
+    /// the span locates its arguments.
+    Phi(Span),
     /// Unconditional jump to the block's single outgoing edge.
     Jump,
     /// Conditional branch on a value: edge 0 is taken when the value is
@@ -268,7 +276,8 @@ pub enum InstKind {
     Branch(Value),
     /// Multi-way branch: edge `i` is taken when the value equals
     /// `cases[i]`; the last edge is the default. Case values are unique.
-    Switch(Value, Vec<i64>),
+    /// The span locates the case values.
+    Switch(Value, Span),
     /// Return a value from the routine.
     Return(Value),
 }
@@ -290,44 +299,6 @@ impl InstKind {
     /// Returns `true` for φ-functions.
     pub fn is_phi(&self) -> bool {
         matches!(self, InstKind::Phi(_))
-    }
-
-    /// Visits every value operand.
-    pub fn visit_args(&self, mut f: impl FnMut(Value)) {
-        match self {
-            InstKind::Const(_) | InstKind::Param(_) | InstKind::Opaque(_) | InstKind::Jump => {}
-            InstKind::Unary(_, a)
-            | InstKind::Copy(a)
-            | InstKind::Branch(a)
-            | InstKind::Switch(a, _)
-            | InstKind::Return(a) => f(*a),
-            InstKind::Binary(_, a, b) | InstKind::Cmp(_, a, b) => {
-                f(*a);
-                f(*b);
-            }
-            InstKind::Phi(args) => args.iter().copied().for_each(f),
-        }
-    }
-
-    /// Rewrites every value operand through `f`.
-    pub fn map_args(&mut self, mut f: impl FnMut(Value) -> Value) {
-        match self {
-            InstKind::Const(_) | InstKind::Param(_) | InstKind::Opaque(_) | InstKind::Jump => {}
-            InstKind::Unary(_, a)
-            | InstKind::Copy(a)
-            | InstKind::Branch(a)
-            | InstKind::Switch(a, _)
-            | InstKind::Return(a) => *a = f(*a),
-            InstKind::Binary(_, a, b) | InstKind::Cmp(_, a, b) => {
-                *a = f(*a);
-                *b = f(*b);
-            }
-            InstKind::Phi(args) => {
-                for a in args {
-                    *a = f(*a);
-                }
-            }
-        }
     }
 }
 
@@ -416,24 +387,7 @@ mod tests {
         assert!(!InstKind::Const(3).is_terminator());
         assert!(InstKind::Const(3).has_result());
         assert!(!InstKind::Jump.has_result());
-        assert!(InstKind::Phi(vec![]).is_phi());
+        assert!(InstKind::Phi(Span::EMPTY).is_phi());
         assert!(!InstKind::Const(0).is_phi());
-    }
-
-    #[test]
-    fn instkind_visit_and_map_args() {
-        let a = Value::from_u32(1);
-        let b = Value::from_u32(2);
-        let mut k = InstKind::Binary(BinOp::Add, a, b);
-        let mut seen = Vec::new();
-        k.visit_args(|v| seen.push(v));
-        assert_eq!(seen, vec![a, b]);
-        k.map_args(|v| Value::from_u32(v.as_u32() + 10));
-        assert_eq!(k, InstKind::Binary(BinOp::Add, Value::from_u32(11), Value::from_u32(12)));
-
-        let phi = InstKind::Phi(vec![a, b, a]);
-        let mut n = 0;
-        phi.visit_args(|_| n += 1);
-        assert_eq!(n, 3);
     }
 }

@@ -189,9 +189,11 @@ impl<'a> Interpreter<'a> {
             });
             let mut phi_updates: Vec<(Value, i64)> = Vec::new();
             for &inst in func.block_insts(block) {
-                let InstKind::Phi(phi_args) = func.kind(inst) else { break };
+                if !func.kind(inst).is_phi() {
+                    break;
+                }
                 let pos = pred_pos.expect("φ in entry block");
-                let arg = phi_args[pos];
+                let arg = func.phi_args(inst)[pos];
                 let v = env[arg.index()].ok_or(InterpError::UndefinedValue(arg))?;
                 phi_updates.push((func.inst_result(inst).expect("φ has a result"), v));
             }
@@ -261,8 +263,9 @@ impl<'a> Interpreter<'a> {
                         let e = func.succs(block)[if cond != 0 { 0 } else { 1 }];
                         next = Some((func.edge_to(e), e));
                     }
-                    InstKind::Switch(a, cases) => {
+                    InstKind::Switch(a, _) => {
                         let x = get(*a, &env)?;
+                        let cases = func.switch_cases(inst);
                         let idx = cases.iter().position(|&c| c == x).unwrap_or(cases.len());
                         let e = func.succs(block)[idx];
                         next = Some((func.edge_to(e), e));
@@ -350,7 +353,7 @@ mod tests {
         let one = f.iconst(body, 1);
         let i2 = f.binary(body, BinOp::Add, i, one);
         f.set_jump(body, head);
-        f.set_phi_args(i, vec![zero, i2]);
+        f.set_phi_args(i, &[zero, i2]);
         f.set_return(exit, i);
         let interp = Interpreter::new(&f);
         let mut o = HashedOpaques::new(0);
@@ -494,7 +497,7 @@ mod tests {
         let one = f.iconst(body, 1);
         let i2 = f.binary(body, BinOp::Add, i, one);
         f.set_jump(body, head);
-        f.set_phi_args(i, vec![zero, i2]);
+        f.set_phi_args(i, &[zero, i2]);
         f.set_return(exit, i);
         // Plenty of fuel: returns the trip count.
         assert_eq!(

@@ -25,7 +25,7 @@
 //! let b = f.binary(e, BinOp::Sub, f.param(1), f.param(0));
 //! f.set_jump(e, j);
 //! let r = f.append_phi(j);
-//! f.set_phi_args(r, vec![a, b]);
+//! f.set_phi_args(r, &[a, b]);
 //! f.set_return(j, r);
 //!
 //! pgvn_ir::verify(&f)?;
@@ -42,12 +42,14 @@ pub mod entities;
 pub mod function;
 pub mod instr;
 pub mod interp;
+pub mod pool;
 pub mod print;
 pub mod verify;
 
 pub use diag::{Diagnostic, DiagnosticEngine, Severity};
 pub use entities::{Block, Edge, EntityRef, EntitySet, EntityVec, Inst, SecondaryMap, Value};
-pub use function::{BlockData, DefUse, EdgeData, Function, FunctionStamp, ValueData};
+pub use function::{DefUse, EdgeData, Function, FunctionStamp, ValueData};
 pub use instr::{BinOp, CmpOp, InstData, InstKind, UnOp};
 pub use interp::{HashedOpaques, InterpError, Interpreter, OpaqueSource, Trace};
+pub use pool::Span;
 pub use verify::{assert_verifies, verify, verify_into, VerifyError};

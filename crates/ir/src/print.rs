@@ -57,9 +57,9 @@ impl Function {
                 InstKind::Cmp(op, a, b2) => writeln!(f, "{op} {a}, {b2}")?,
                 InstKind::Copy(a) => writeln!(f, "copy {a}")?,
                 InstKind::Opaque(t) => writeln!(f, "opaque {t}")?,
-                InstKind::Phi(args) => {
+                InstKind::Phi(_) => {
                     write!(f, "phi")?;
-                    for (i, a) in args.iter().enumerate() {
+                    for (i, a) in self.phi_args(inst).iter().enumerate() {
                         if i > 0 {
                             write!(f, ",")?;
                         }
@@ -85,7 +85,8 @@ impl Function {
                         self.edge_to(e)
                     )?;
                 }
-                InstKind::Switch(arg, cases) => {
+                InstKind::Switch(arg, _) => {
+                    let cases = self.switch_cases(inst);
                     write!(f, "switch {arg}")?;
                     for (i, c) in cases.iter().enumerate() {
                         write!(f, ", {c} -> {}", self.edge_to(self.succs(b)[i]))?;
@@ -131,7 +132,7 @@ mod tests {
         let y = f.iconst(e, 2);
         f.set_jump(e, j);
         let p = f.append_phi(j);
-        f.set_phi_args(p, vec![x, y]);
+        f.set_phi_args(p, &[x, y]);
         f.set_return(j, p);
         let text = f.to_string();
         assert!(text.contains("branch v2, bb1, bb2"), "{text}");

@@ -180,7 +180,7 @@ pub fn verify_into(func: &Function, engine: &mut DiagnosticEngine) {
                 );
             }
             let mut bad: Option<Value> = None;
-            kind.visit_args(|v| {
+            func.visit_args(inst, |v| {
                 let def = func.def(v);
                 if !inst_live[def.index()] && bad.is_none() {
                     bad = Some(v);
@@ -310,7 +310,7 @@ mod tests {
         let y = f.iconst(e, 20);
         f.set_jump(e, j);
         let p = f.append_phi(j);
-        f.set_phi_args(p, vec![x, y]);
+        f.set_phi_args(p, &[x, y]);
         f.set_return(j, p);
         f
     }
@@ -341,7 +341,7 @@ mod tests {
         // Find the φ and give it a bogus arg list.
         let phi = f.values().find(|&v| f.kind(f.def(v)).is_phi()).expect("diamond has a φ");
         let x = f.param(0);
-        f.set_phi_args(phi, vec![x]);
+        f.set_phi_args(phi, &[x]);
         let e = verify(&f).unwrap_err();
         assert!(e.message().contains("predecessors"), "{e}");
         assert_eq!(e.code(), codes::PHI_ARITY_MISMATCH);
@@ -419,7 +419,7 @@ mod tests {
         let jump = f.terminator(t).expect("then-block is terminated");
         // Swap the const and the jump: the jump is now mid-block (and
         // the block also loses its terminator, reported separately).
-        f.blocks[t].insts.swap(0, 1);
+        f.inst_pool.get_mut(f.blocks[t].insts).swap(0, 1);
         let d = sole_diagnostic(&f, codes::TERMINATOR_MID_BLOCK);
         assert_eq!(d.block(), Some(t));
         assert_eq!(d.inst(), Some(jump));

@@ -24,7 +24,8 @@ fn builds_and_verifies() {
     assert_verifies(&f);
     assert_eq!(f.succs(blocks[0]).len(), 3, "two cases + default");
     let term = f.terminator(blocks[0]).unwrap();
-    assert!(matches!(f.kind(term), InstKind::Switch(_, cases) if cases == &vec![1, 5]));
+    assert!(matches!(f.kind(term), InstKind::Switch(..)));
+    assert_eq!(f.switch_cases(term), &[1, 5]);
 }
 
 #[test]
@@ -69,7 +70,7 @@ fn fold_switch_fixes_phis_at_destinations() {
     let c3 = f.iconst(entry, 300);
     f.set_switch(entry, x, &[1, 2], &[j, j], j);
     let p = f.append_phi(j);
-    f.set_phi_args(p, vec![c1, c2, c3]);
+    f.set_phi_args(p, &[c1, c2, c3]);
     f.set_return(j, p);
     assert_verifies(&f);
     let mut o = HashedOpaques::new(0);
@@ -82,10 +83,7 @@ fn fold_switch_fixes_phis_at_destinations() {
     // Fold to the default edge; the φ collapses to one argument.
     f.fold_switch_to(entry, 2);
     assert_verifies(&f);
-    match f.kind(f.def(p)) {
-        InstKind::Phi(args) => assert_eq!(args.len(), 1),
-        other => panic!("{other:?}"),
-    }
+    assert_eq!(f.phi_args(f.def(p)).len(), 1);
     assert_eq!(Interpreter::new(&f).run(&[1], &mut o).unwrap(), 300);
 }
 

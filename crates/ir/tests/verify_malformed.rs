@@ -14,7 +14,9 @@
 //! crate-internal test module of `src/verify.rs`.
 
 use pgvn_ir::diag::codes;
-use pgvn_ir::{verify, verify_into, BinOp, CmpOp, DiagnosticEngine, Function, InstKind, Severity};
+use pgvn_ir::{
+    verify, verify_into, BinOp, CmpOp, DiagnosticEngine, Function, InstKind, Severity, Span,
+};
 
 /// The diamond every test corrupts: `entry ─▶ {then, else} ─▶ join(φ)`.
 fn diamond() -> Function {
@@ -28,7 +30,7 @@ fn diamond() -> Function {
     let y = f.iconst(e, 20);
     f.set_jump(e, j);
     let p = f.append_phi(j);
-    f.set_phi_args(p, vec![x, y]);
+    f.set_phi_args(p, &[x, y]);
     f.set_return(j, p);
     verify(&f).expect("the uncorrupted diamond verifies");
     f
@@ -114,7 +116,7 @@ fn phi_arity_below_predecessor_count_is_rejected() {
     let mut f = diamond();
     let phi = f.values().find(|&v| f.kind(f.def(v)).is_phi()).expect("diamond has a φ");
     let x = f.param(0);
-    f.set_phi_args(phi, vec![x]);
+    f.set_phi_args(phi, &[x]);
     let e = verify(&f).expect_err("φ arity below pred count must be rejected");
     assert!(e.message().contains("predecessors"), "{e}");
     assert_eq!(e.code(), codes::PHI_ARITY_MISMATCH);
@@ -127,7 +129,7 @@ fn phi_arity_above_predecessor_count_is_rejected() {
     let mut f = diamond();
     let phi = f.values().find(|&v| f.kind(f.def(v)).is_phi()).expect("diamond has a φ");
     let (a, b) = (f.param(0), f.param(1));
-    f.set_phi_args(phi, vec![a, b, a]);
+    f.set_phi_args(phi, &[a, b, a]);
     let e = verify(&f).expect_err("φ arity above pred count must be rejected");
     assert!(e.message().contains("predecessors"), "{e}");
     assert_eq!(e.code(), codes::PHI_ARITY_MISMATCH);
@@ -147,7 +149,7 @@ fn phi_after_non_phi_is_rejected() {
         .copied()
         .find(|&i| matches!(f.kind(i), InstKind::Cmp(..)))
         .expect("entry compares the params");
-    f.replace_kind(cmp, InstKind::Phi(Vec::new()));
+    f.replace_kind(cmp, InstKind::Phi(Span::EMPTY));
     let e = verify(&f).expect_err("φ after non-φ instructions must be rejected");
     assert!(e.message().contains("prefix"), "{e}");
     assert_eq!(e.code(), codes::PHI_NOT_PREFIX);
@@ -221,7 +223,7 @@ fn json_array_renders_every_collected_violation() {
     f.add_block(); // no terminator
     let phi = f.values().find(|&v| f.kind(f.def(v)).is_phi()).expect("diamond has a φ");
     let x = f.param(0);
-    f.set_phi_args(phi, vec![x]); // arity mismatch
+    f.set_phi_args(phi, &[x]); // arity mismatch
     let mut engine = DiagnosticEngine::new();
     verify_into(&f, &mut engine);
     assert_eq!(engine.error_count(), 2, "{:?}", engine.diagnostics());

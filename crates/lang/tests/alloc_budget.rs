@@ -3,12 +3,12 @@
 //! Tokens borrow from the source and the lexer sizes its output once, so
 //! [`lex`] makes a constant number of allocations whatever the routine's
 //! length. SSA construction keeps every per-block, per-variable and
-//! per-φ table in a few flat arrays and builds the output `Function` at
-//! its final size, so [`build_ssa`] allocates little beyond the
-//! `Function` it returns: at most twice what cloning that `Function`
-//! costs, plus a constant. This test counts allocations with a counting
-//! global allocator; it lives in its own integration-test crate so the
-//! libraries keep `forbid(unsafe_code)`.
+//! per-φ table in a few flat arrays and writes the output `Function`
+//! straight into its pools, sized once, so [`build_ssa`] makes a
+//! constant number of allocations too, and cloning its output a
+//! constant number smaller still. This test counts allocations with a
+//! counting global allocator; it lives in its own integration-test crate
+//! so the libraries keep `forbid(unsafe_code)`.
 
 use pgvn_lang::{lex, lower, parse, print_routine};
 use pgvn_ssa::{build_ssa, SsaStyle};
@@ -18,11 +18,12 @@ use std::cell::Cell;
 
 /// Allocations `lex` may make for any routine.
 const LEX_ALLOCS: u64 = 1;
-/// `build_ssa` may make at most this many times the allocations of
-/// cloning its output, plus [`BUILD_SLACK`].
-const BUILD_FACTOR: u64 = 2;
-/// The constant part of `build_ssa`'s budget.
-const BUILD_SLACK: u64 = 16;
+/// Allocations `build_ssa` may make for any routine: its scratch tables
+/// plus the output `Function`'s arenas and pools.
+const BUILD_ALLOCS: u64 = 48;
+/// Allocations cloning a built `Function` may make: one per arena and
+/// per pool.
+const CLONE_ALLOCS: u64 = 8;
 
 struct Counting;
 
@@ -91,7 +92,7 @@ fn corpus() -> Vec<String> {
 fn the_front_end_allocates_in_proportion_to_its_output() {
     let corpus = corpus();
     let mut totals = [0u64; 5];
-    let mut worst_ratio = 0f64;
+    let mut worst_build = 0;
     for src in &corpus {
         let (tokens, lex_allocs) = counted(|| lex(src).expect("printed routine lexes"));
         assert!(tokens.len() > 20, "the corpus routines are not trivial");
@@ -108,12 +109,17 @@ fn the_front_end_allocates_in_proportion_to_its_output() {
         let (copy, clone_allocs) = counted(|| f.clone());
         drop(copy);
         assert!(
-            build_allocs <= BUILD_FACTOR * clone_allocs + BUILD_SLACK,
-            "{}: build_ssa made {build_allocs} allocations; cloning its output makes \
-             {clone_allocs} (budget {BUILD_FACTOR}x + {BUILD_SLACK})",
+            build_allocs <= BUILD_ALLOCS,
+            "{}: build_ssa made {build_allocs} allocations (budget {BUILD_ALLOCS})",
             f.name()
         );
-        worst_ratio = worst_ratio.max(build_allocs as f64 / clone_allocs as f64);
+        assert!(
+            clone_allocs <= CLONE_ALLOCS,
+            "{}: cloning the built function made {clone_allocs} allocations \
+             (budget {CLONE_ALLOCS})",
+            f.name()
+        );
+        worst_build = worst_build.max(build_allocs);
         for (t, n) in totals.iter_mut().zip([
             lex_allocs,
             parse_allocs,
@@ -127,7 +133,7 @@ fn the_front_end_allocates_in_proportion_to_its_output() {
     let per = |i: usize| totals[i] as f64 / corpus.len() as f64;
     eprintln!(
         "{} routines, allocations per routine: lex {:.1}, parse {:.1}, lower {:.1}, \
-         build_ssa {:.1} (clone {:.1}; worst build/clone {worst_ratio:.2})",
+         build_ssa {:.1} (worst {worst_build}), clone {:.1}",
         corpus.len(),
         per(0),
         per(1),

@@ -18,8 +18,8 @@
 //!
 //! # Cost
 //!
-//! Work is proportional to the routine and allocations to the
-//! `Function` returned. The variable CFG's successors and predecessors
+//! Work is proportional to the routine; allocations are a constant
+//! number (see below). The variable CFG's successors and predecessors
 //! are built once as [`Csr`] rows, and the dominator tree, its frontiers
 //! and liveness all run on them. Placement shares one "placed" and one
 //! "is a definition site" `u32` stamp array across all variables
@@ -28,14 +28,14 @@
 //! sites and each block's φs are CSR rows too; a φ's position in its
 //! row array indexes its value and its argument slots in one flat
 //! argument array. The output `Function` is sized from counts known
-//! before it is built (instructions per block, edges, φ arguments), so
-//! none of its vectors regrows. Liveness for the pruned styles costs
+//! before it is built (instructions per block, edges, φ arguments,
+//! switch cases), so none of its arenas or pools regrows. Liveness for the pruned styles costs
 //! O(⌈vars / 64⌉ words × successors) per block visit ([`Liveness`]).
 //!
-//! On the batch-pre-check corpus (1739 routines) this makes 330
-//! allocations per routine on average: cloning the result costs 295,
-//! and the scratch arrays a constant 33–35 more. The per-variable,
-//! per-block and per-φ `Vec`s it replaced made 1,296, 4.4× the clone.
+//! The output's lists go straight into the `Function`'s pools, sized
+//! once (`Function::with_capacity`, then `reserve_block` per block in
+//! order), so a build makes a constant number of allocations: about 46
+//! per routine, the scratch arrays plus the output's arenas and pools.
 //!
 //! Output order is part of the contract: φs are appended per block in
 //! variable-major placement order, and values are created in a
@@ -201,11 +201,16 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
     let (block_insts, in_edges) = (&mut placed, &mut is_site);
     let mut slot: Vec<u32> = Vec::with_capacity(needs_phi.num_edges());
     let (mut insts, mut edges, mut defs, mut num_args) = (vf.param_vars().len(), 0, 0, 0);
+    let mut num_cases = 0;
     for b in (0..nb).filter(|&b| reachable(b)) {
         let block = vf.block(b);
         let term = match block.term.as_ref().expect("reachable blocks are terminated") {
             VarTerm::Jump(_) => 0,
-            VarTerm::Branch(e, ..) | VarTerm::Switch(e, ..) | VarTerm::Return(e) => inst_count(e),
+            VarTerm::Branch(e, ..) | VarTerm::Return(e) => inst_count(e),
+            VarTerm::Switch(e, cases, _) => {
+                num_cases += cases.len();
+                inst_count(e)
+            }
         };
         let stmts: usize = block.stmts.iter().map(stmt_inst_count).sum();
         // φs, statements, the terminator and, at the entry, the implicit
@@ -225,7 +230,15 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
     // Create the SSA function and its blocks (reachable var blocks only,
     // in index order).
     let nparams = vf.param_vars().len() as u32;
-    let mut func = Function::with_capacity(vf.name(), nparams, dt.order().len(), insts, edges);
+    let mut func = Function::with_capacity(
+        vf.name(),
+        nparams,
+        dt.order().len(),
+        insts,
+        edges,
+        num_args,
+        num_cases,
+    );
     let mut block_of: Vec<Option<Block>> = vec![None; nb];
     for b in (0..nb).filter(|&b| reachable(b)) {
         let fb = if b == 0 { func.entry() } else { func.add_block() };
@@ -354,7 +367,7 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
             func.preds(func.inst_block(func.def(pv))).len(),
             "one argument per edge"
         );
-        func.set_phi_args(pv, args[start as usize..end as usize].to_vec());
+        func.set_phi_args(pv, &args[start as usize..end as usize]);
         start = end;
     }
 

@@ -8,30 +8,69 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Escapes `s` per RFC 8259 into `out`.
+/// Escapes `s` per RFC 8259 into `out`. A string with nothing to
+/// escape is copied with one push; otherwise the runs between escapes
+/// are.
 pub fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every byte escaped is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if escaped.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escaped);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
-/// An incremental writer for one flat-ish JSON object.
+/// Appends the decimal digits of `v` to `out`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends the decimal form of `v` to `out`.
+fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// An incremental writer for one JSON object, nested objects and arrays
+/// included, written in place into one buffer.
 ///
 /// ```
 /// let mut w = pgvn_telemetry::json::JsonWriter::object();
 /// w.field_str("kind", "pass");
 /// w.field_u64("n", 3);
-/// assert_eq!(w.finish(), r#"{"kind":"pass","n":3}"#);
+/// w.begin_object("inner").field_bool("ok", true).end_object();
+/// w.begin_array("xs").item_u64(1).item_null().end_array();
+/// assert_eq!(w.finish(), r#"{"kind":"pass","n":3,"inner":{"ok":true},"xs":[1,null]}"#);
 /// ```
 #[derive(Debug)]
 pub struct JsonWriter {
@@ -42,17 +81,30 @@ pub struct JsonWriter {
 impl JsonWriter {
     /// Starts an object.
     pub fn object() -> Self {
-        JsonWriter { buf: String::from("{"), needs_comma: false }
+        JsonWriter::object_in(String::new())
     }
 
-    fn key(&mut self, name: &str) {
+    /// Starts an object in `buf`, which is cleared first: a caller that
+    /// renders many objects can hand the same buffer back each time
+    /// (see [`JsonWriter::finish`]) and allocate only when it grows.
+    pub fn object_in(mut buf: String) -> Self {
+        buf.clear();
+        buf.push('{');
+        JsonWriter { buf, needs_comma: false }
+    }
+
+    fn comma(&mut self) {
         if self.needs_comma {
             self.buf.push(',');
         }
+        self.needs_comma = true;
+    }
+
+    fn key(&mut self, name: &str) {
+        self.comma();
         self.buf.push('"');
         escape_into(name, &mut self.buf);
         self.buf.push_str("\":");
-        self.needs_comma = true;
     }
 
     /// Writes a string field.
@@ -67,14 +119,14 @@ impl JsonWriter {
     /// Writes an unsigned integer field.
     pub fn field_u64(&mut self, name: &str, value: u64) -> &mut Self {
         self.key(name);
-        let _ = write!(self.buf, "{value}");
+        push_u64(&mut self.buf, value);
         self
     }
 
     /// Writes a signed integer field.
     pub fn field_i64(&mut self, name: &str, value: i64) -> &mut Self {
         self.key(name);
-        let _ = write!(self.buf, "{value}");
+        push_i64(&mut self.buf, value);
         self
     }
 
@@ -100,6 +152,70 @@ impl JsonWriter {
     pub fn field_raw(&mut self, name: &str, json: &str) -> &mut Self {
         self.key(name);
         self.buf.push_str(json);
+        self
+    }
+
+    /// Opens an object-valued field; its fields follow, then
+    /// [`JsonWriter::end_object`].
+    pub fn begin_object(&mut self, name: &str) -> &mut Self {
+        self.key(name);
+        self.buf.push('{');
+        self.needs_comma = false;
+        self
+    }
+
+    /// Closes the innermost open object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.buf.push('}');
+        self.needs_comma = true;
+        self
+    }
+
+    /// Opens an array-valued field; its items follow, then
+    /// [`JsonWriter::end_array`].
+    pub fn begin_array(&mut self, name: &str) -> &mut Self {
+        self.key(name);
+        self.buf.push('[');
+        self.needs_comma = false;
+        self
+    }
+
+    /// Closes the innermost open array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.buf.push(']');
+        self.needs_comma = true;
+        self
+    }
+
+    /// Opens an object as the next item of the open array; close it
+    /// with [`JsonWriter::end_object`].
+    pub fn item_object(&mut self) -> &mut Self {
+        self.comma();
+        self.buf.push('{');
+        self.needs_comma = false;
+        self
+    }
+
+    /// Opens an array as the next item of the open array; close it with
+    /// [`JsonWriter::end_array`].
+    pub fn item_array(&mut self) -> &mut Self {
+        self.comma();
+        self.buf.push('[');
+        self.needs_comma = false;
+        self
+    }
+
+    /// Writes an unsigned integer as the next item of the open array.
+    pub fn item_u64(&mut self, value: u64) -> &mut Self {
+        self.comma();
+        push_u64(&mut self.buf, value);
+        self
+    }
+
+    /// Writes `null` as the next item of the open array.
+    pub fn item_null(&mut self) -> &mut Self {
+        self.comma();
+        self.buf.push_str("null");
         self
     }
 
@@ -372,6 +488,56 @@ mod tests {
         assert_eq!(s, "{\"k\":\"a\\\"b\\\\c\\nd\\te\\u0001\"}");
         let v = parse(&s).unwrap();
         assert_eq!(v.get("k").unwrap().as_str().unwrap(), "a\"b\\c\nd\te\u{1}");
+    }
+
+    #[test]
+    fn integers_match_the_formatter() {
+        for v in [0, 1, 9, 10, 99, 100, 4_096, 12_345_678, u64::MAX] {
+            let mut s = String::from("x");
+            push_u64(&mut s, v);
+            assert_eq!(s, format!("x{v}"));
+        }
+        for v in [0, -1, 7, -120, i64::MIN, i64::MAX] {
+            let mut s = String::new();
+            push_i64(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
+    }
+
+    #[test]
+    fn escape_keeps_unescaped_runs_and_multibyte_text() {
+        let cases = ["", "plain", "héllo ✓ φ", "\u{1f}lead", "trail\n", "a\"b\\c\u{7f}", "\u{0}"];
+        for text in cases {
+            let mut fast = String::new();
+            escape_into(text, &mut fast);
+            // The char-at-a-time reference.
+            let mut slow = String::new();
+            for c in text.chars() {
+                match c {
+                    '"' => slow.push_str("\\\""),
+                    '\\' => slow.push_str("\\\\"),
+                    '\n' => slow.push_str("\\n"),
+                    '\r' => slow.push_str("\\r"),
+                    '\t' => slow.push_str("\\t"),
+                    c if (c as u32) < 0x20 => slow.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => slow.push(c),
+                }
+            }
+            assert_eq!(fast, slow, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn nested_objects_and_arrays_render_in_place() {
+        let mut w = JsonWriter::object_in(String::from("stale"));
+        w.field_u64("a", 1).begin_object("o").end_object();
+        w.begin_array("rows");
+        w.item_array().item_null().item_u64(2).end_array();
+        w.item_object().field_str("k", "v").end_object();
+        w.end_array().field_bool("z", false);
+        let s = w.finish();
+        assert_eq!(s, r#"{"a":1,"o":{},"rows":[[null,2],{"k":"v"}],"z":false}"#);
+        parse(&s).expect("valid JSON");
     }
 
     #[test]

@@ -635,6 +635,20 @@ impl MetricsRegistry {
             buckets: self.buckets.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
         }
     }
+
+    /// Copies the current values into `out`, reusing its storage: the
+    /// allocation-free form of [`MetricsRegistry::snapshot`].
+    pub fn snapshot_into(&self, out: &mut MetricsSnapshot) {
+        for (dst, src) in [
+            (&mut out.scalars, &self.scalars),
+            (&mut out.sums, &self.sums),
+            (&mut out.buckets, &self.buckets),
+        ] {
+            for (d, a) in dst.iter_mut().zip(src) {
+                *d = a.load(Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 /// A point-in-time copy of a [`MetricsRegistry`]: plain `u64`s, so it
@@ -743,47 +757,49 @@ impl MetricsSnapshot {
     /// Untouched metrics are omitted.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::object();
+        self.write_fields(&mut w, |_| true);
+        w.finish()
+    }
+
+    /// Writes the [`MetricsSnapshot::to_json`] fields of the metrics
+    /// `keep` selects into the object `w` has open. With
+    /// `keep = Metric::stable` the output equals that of
+    /// [`MetricsSnapshot::stable_only`] without the copy.
+    pub fn write_fields(&self, w: &mut JsonWriter, keep: impl Fn(Metric) -> bool) {
         for m in METRICS {
-            if self.is_zero(m) {
+            if self.is_zero(m) || !keep(m) {
                 continue;
             }
-            let mut inner = JsonWriter::object();
-            inner.field_str("unit", m.unit());
+            w.begin_object(m.name()).field_str("unit", m.unit());
             match m.kind() {
                 MetricKind::Counter => {
-                    inner.field_str("kind", "counter").field_u64("value", self.value(m));
+                    w.field_str("kind", "counter").field_u64("value", self.value(m));
                 }
                 MetricKind::Gauge => {
-                    inner.field_str("kind", "gauge").field_u64("value", self.value(m));
+                    w.field_str("kind", "gauge").field_u64("value", self.value(m));
                 }
                 MetricKind::Histogram => {
-                    inner
-                        .field_str("kind", "histogram")
+                    w.field_str("kind", "histogram")
                         .field_u64("count", self.count(m))
-                        .field_u64("sum", self.sum(m));
-                    let mut buckets = String::from("[");
-                    let mut first = true;
+                        .field_u64("sum", self.sum(m))
+                        .begin_array("buckets");
                     for i in 0..NUM_BUCKETS {
                         let n = self.bucket(m, i);
                         if n == 0 {
                             continue;
                         }
-                        if !first {
-                            buckets.push(',');
-                        }
-                        first = false;
+                        w.item_array();
                         match bucket_bound(i) {
-                            Some(bound) => buckets.push_str(&format!("[{bound},{n}]")),
-                            None => buckets.push_str(&format!("[null,{n}]")),
-                        }
+                            Some(bound) => w.item_u64(bound),
+                            None => w.item_null(),
+                        };
+                        w.item_u64(n).end_array();
                     }
-                    buckets.push(']');
-                    inner.field_raw("buckets", &buckets);
+                    w.end_array();
                 }
             }
-            w.field_raw(m.name(), &inner.finish());
+            w.end_object();
         }
-        w.finish()
     }
 }
 
@@ -949,6 +965,33 @@ mod tests {
         // Untouched metrics are omitted from the text entirely.
         assert!(!json.contains("driver_runs"));
         assert_eq!(MetricsSnapshot::default().to_json(), "{}");
+    }
+
+    #[test]
+    fn stable_fields_match_the_stable_copy_and_snapshot_into_matches_snapshot() {
+        let reg = MetricsRegistry::new();
+        reg.add(Metric::InternerHits, 42);
+        reg.add(Metric::AnalysisCacheHits, 3);
+        reg.gauge_max(Metric::ContextValueSlots, 17);
+        reg.observe(Metric::LadderRung, 1);
+        reg.observe(Metric::Cfg, 900);
+        let snap = reg.snapshot();
+        let mut w = JsonWriter::object();
+        snap.write_fields(&mut w, Metric::stable);
+        assert_eq!(w.finish(), snap.stable_only().to_json());
+        let mut into = MetricsSnapshot::default();
+        reg.snapshot_into(&mut into);
+        assert_eq!(into, snap);
+        // Clearing and re-reading yields the per-interval values a delta
+        // would.
+        reg.clear();
+        reg.add(Metric::InternerHits, 5);
+        reg.snapshot_into(&mut into);
+        assert_eq!(into.value(Metric::InternerHits), 5);
+        assert_eq!(
+            into.stable_only(),
+            reg.snapshot().delta(&MetricsSnapshot::default()).stable_only()
+        );
     }
 
     #[test]

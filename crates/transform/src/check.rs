@@ -253,8 +253,8 @@ impl Lint for DominanceLint {
         for &b in cfg.rpo.order() {
             for &inst in func.block_insts(b) {
                 match func.kind(inst) {
-                    InstKind::Phi(args) => {
-                        for (i, &arg) in args.iter().enumerate() {
+                    InstKind::Phi(_) => {
+                        for (i, &arg) in func.phi_args(inst).iter().enumerate() {
                             let edge = func.preds(b)[i];
                             let pred = func.edge_from(edge);
                             if !cfg.rpo.is_reachable(pred) {
@@ -279,8 +279,8 @@ impl Lint for DominanceLint {
                             }
                         }
                     }
-                    kind => {
-                        kind.visit_args(|v| {
+                    _ => {
+                        func.visit_args(inst, |v| {
                             if !defined_before(func, cfg, func.def(v), inst, b) {
                                 cx.engine.report(
                                     Diagnostic::error(
@@ -339,8 +339,7 @@ impl Lint for PhiCycleLint {
                 if grounded[phi.index()] {
                     continue;
                 }
-                let InstKind::Phi(args) = func.kind(phi) else { unreachable!() };
-                let has_source = args.iter().any(|&a| {
+                let has_source = func.phi_args(phi).iter().any(|&a| {
                     let def = func.def(a);
                     !func.kind(def).is_phi() || grounded[def.index()]
                 });
@@ -417,10 +416,10 @@ impl Lint for TypeWidthLint {
         for b in func.blocks() {
             for &inst in func.block_insts(b) {
                 match func.kind(inst) {
-                    InstKind::Switch(_, cases) => {
+                    InstKind::Switch(..) => {
                         let mut seen: Vec<i64> = Vec::new();
                         let mut reported: Vec<i64> = Vec::new();
-                        for &k in cases {
+                        for &k in func.switch_cases(inst) {
                             if seen.contains(&k) && !reported.contains(&k) {
                                 reported.push(k);
                                 cx.engine.report(
@@ -710,7 +709,7 @@ mod tests {
         let u = f.add_block();
         let phi = f.append_phi(u);
         f.set_jump(u, u);
-        f.set_phi_args(phi, vec![phi]);
+        f.set_phi_args(phi, &[phi]);
         assert!(pgvn_ir::verify(&f).is_ok(), "{:?}", pgvn_ir::verify(&f));
         let engine = check_function(&f, &CheckOptions::without_gvn());
         assert!(

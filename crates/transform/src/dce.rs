@@ -4,35 +4,43 @@
 //! `opaque`, which models a side-effect-free unknown input), so any value
 //! not transitively demanded by a terminator can be removed.
 
-use pgvn_ir::{EntityRef, Function, Value};
+use pgvn_ir::{Block, EntityRef, Function, Value};
 
 /// Removes instructions whose results are never used (transitively).
-/// Returns the number of instructions removed.
+/// Returns the number of instructions removed. Each block with dead
+/// instructions loses them in one pass over its list; a block without
+/// any is left untouched, so a no-op run keeps the function's stamp.
 pub fn eliminate_dead_code(func: &mut Function) -> usize {
+    // A value is marked live when first found, so it enters the
+    // worklist at most once.
     let mut live = vec![false; func.value_capacity()];
-    let mut work: Vec<Value> = Vec::new();
+    let mut work: Vec<Value> = Vec::with_capacity(func.value_capacity());
+    let mut demand = |v: Value, work: &mut Vec<Value>| {
+        if !live[v.index()] {
+            live[v.index()] = true;
+            work.push(v);
+        }
+    };
     for b in func.blocks() {
         if let Some(term) = func.terminator(b) {
-            func.kind(term).visit_args(|v| work.push(v));
+            func.visit_args(term, |v| demand(v, &mut work));
         }
     }
     while let Some(v) = work.pop() {
-        if live[v.index()] {
+        func.visit_args(func.def(v), |a| demand(a, &mut work));
+    }
+    let is_live = |result: Option<Value>| result.is_none_or(|v| live[v.index()]);
+    let mut removed = 0;
+    for b in (0..func.block_capacity()).map(Block::new) {
+        if func.is_block_removed(b)
+            || func.block_insts(b).iter().all(|&i| is_live(func.inst_result(i)))
+        {
             continue;
         }
-        live[v.index()] = true;
-        func.kind(func.def(v)).visit_args(|a| work.push(a));
-    }
-    let mut removed = 0;
-    for b in func.blocks().collect::<Vec<_>>() {
-        for inst in func.block_insts(b).to_vec() {
-            if let Some(v) = func.inst_result(inst) {
-                if !live[v.index()] {
-                    func.remove_inst(inst);
-                    removed += 1;
-                }
-            }
-        }
+        func.retain_insts(b, |data| {
+            removed += usize::from(!is_live(data.result));
+            is_live(data.result)
+        });
     }
     removed
 }

@@ -35,7 +35,7 @@
 
 use pgvn_analysis::{DomTree, Rpo};
 use pgvn_core::GvnResults;
-use pgvn_ir::{Block, EntityRef, Function, Inst, InstKind, Value};
+use pgvn_ir::{Block, Edge, EntityRef, Function, Inst, InstKind, Value};
 use std::collections::HashMap;
 
 /// What one PRE run did.
@@ -72,18 +72,17 @@ pub fn eliminate_partial_redundancies(
         a.index() < known && b.index() < known && results.congruent(a, b)
     };
 
-    let blocks: Vec<Block> = func.blocks().collect();
     // Snapshot every pre-existing pure computation, in block × position
     // order (availability searches pick the first match, so this order
     // is part of the deterministic output).
     let mut pure: Vec<PureDef> = Vec::new();
-    for &b in &blocks {
+    for b in func.blocks() {
         for &inst in func.block_insts(b) {
-            if let k @ (InstKind::Binary(..) | InstKind::Cmp(..) | InstKind::Unary(..)) =
+            if let &k @ (InstKind::Binary(..) | InstKind::Cmp(..) | InstKind::Unary(..)) =
                 func.kind(inst)
             {
                 if let Some(value) = func.inst_result(inst) {
-                    pure.push(PureDef { value, kind: k.clone() });
+                    pure.push(PureDef { value, kind: k });
                 }
             }
         }
@@ -93,7 +92,7 @@ pub fn eliminate_partial_redundancies(
     // reachable (the dominator tree has nothing to say about
     // unreachable predecessors).
     let mut worklist: Vec<(Block, Inst, Value)> = Vec::new();
-    for &b in &blocks {
+    for b in func.blocks() {
         if func.preds(b).len() < 2 || !results.is_block_reachable(b) {
             continue;
         }
@@ -118,6 +117,14 @@ pub fn eliminate_partial_redundancies(
     // the same class reuses the merge built for the first.
     let mut phi_memo: HashMap<(usize, usize), Value> = HashMap::new();
 
+    // Per-candidate buffers, reused: the merge block's incoming edges,
+    // the translated operands (`ops.len()` per edge, edge-major), each
+    // edge's available definition and the new φ's arguments.
+    let mut preds: Vec<Edge> = Vec::new();
+    let mut translated: Vec<Value> = Vec::new();
+    let mut avail: Vec<Option<Value>> = Vec::new();
+    let mut args: Vec<Value> = Vec::new();
+
     for (b, inst, v) in worklist {
         let class = results.class_of(v);
         if let Some(&phi) = phi_memo.get(&(b.index(), class.index())) {
@@ -125,24 +132,27 @@ pub fn eliminate_partial_redundancies(
             stats.eliminated += 1;
             continue;
         }
-        let kind = func.kind(inst).clone();
-        let ops = operands(&kind);
+        let kind = *func.kind(inst);
+        let (operand_slots, arity) = operands(&kind);
+        let ops = &operand_slots[..arity];
         // φ-translate each operand through each incoming edge.
-        let preds = func.preds(b).to_vec();
-        let mut per_edge: Vec<Vec<Value>> = Vec::with_capacity(preds.len());
+        preds.clear();
+        preds.extend_from_slice(func.preds(b));
+        translated.clear();
         let mut translatable = true;
-        'edges: for (ei, _) in preds.iter().enumerate() {
-            let mut tr = Vec::with_capacity(ops.len());
-            for &o in &ops {
+        'edges: for ei in 0..preds.len() {
+            for &o in ops {
                 if func.def_block(o) == b {
                     let def = func.def(o);
                     match func.kind(def) {
-                        InstKind::Phi(args) if args.len() == preds.len() => tr.push(args[ei]),
+                        InstKind::Phi(_) if func.phi_args(def).len() == preds.len() => {
+                            translated.push(func.phi_args(def)[ei]);
+                        }
                         // A constant's value is position-independent:
                         // keep it for congruence matching and clone it
                         // at insertion time (it does not dominate the
                         // predecessors).
-                        InstKind::Const(_) => tr.push(o),
+                        InstKind::Const(_) => translated.push(o),
                         _ => {
                             // Defined in the merge block itself (or a
                             // malformed φ): unsound to read across a
@@ -156,35 +166,32 @@ pub fn eliminate_partial_redundancies(
                     // every predecessor (any path to a predecessor
                     // extends to a path to `b`, and the def dominates
                     // `b`), so the value is usable as-is.
-                    tr.push(o);
+                    translated.push(o);
                 }
             }
-            per_edge.push(tr);
         }
         if !translatable {
             continue;
         }
-        let untranslated = per_edge.iter().all(|tr| tr[..] == ops[..]);
+        let per_edge = |ei: usize| &translated[ei * arity..(ei + 1) * arity];
+        let untranslated = (0..preds.len()).all(|ei| per_edge(ei) == ops);
         // Availability: a pre-existing definition congruent to the
         // translated expression whose block dominates (or is) the
         // predecessor.
-        let avail: Vec<Option<Value>> = preds
-            .iter()
-            .zip(&per_edge)
-            .map(|(&e, tr)| {
-                let p = func.edge_from(e);
-                pure.iter()
-                    .find(|d| {
-                        let db = func.def_block(d.value);
-                        if db != p && !domtree.strictly_dominates(db, p) {
-                            return false;
-                        }
-                        kinds_congruent(&d.kind, &kind, tr, congruent)
-                            || (untranslated && congruent(d.value, v))
-                    })
-                    .map(|d| d.value)
-            })
-            .collect();
+        avail.clear();
+        avail.extend(preds.iter().enumerate().map(|(ei, &e)| {
+            let p = func.edge_from(e);
+            pure.iter()
+                .find(|d| {
+                    let db = func.def_block(d.value);
+                    if db != p && !domtree.strictly_dominates(db, p) {
+                        return false;
+                    }
+                    kinds_congruent(&d.kind, &kind, per_edge(ei), congruent)
+                        || (untranslated && congruent(d.value, v))
+                })
+                .map(|d| d.value)
+        }));
         if !avail.iter().any(Option::is_some) {
             // No redundancy anywhere: inserting would be pure code
             // motion with nothing saved.
@@ -200,8 +207,8 @@ pub fn eliminate_partial_redundancies(
             continue;
         }
         // Commit: clone into lacking predecessors, then φ-merge.
-        let mut args = Vec::with_capacity(preds.len());
-        for ((&e, a), tr) in preds.iter().zip(&avail).zip(&per_edge) {
+        args.clear();
+        for (ei, (&e, a)) in preds.iter().zip(&avail).enumerate() {
             match a {
                 Some(w) => args.push(*w),
                 None => {
@@ -210,16 +217,16 @@ pub fn eliminate_partial_redundancies(
                     // constants (everything else was rejected above);
                     // re-materialize them in the predecessor so the
                     // clone's operands all dominate it.
-                    let mut mapped = Vec::with_capacity(tr.len());
-                    for &o in tr {
-                        if func.def_block(o) == b {
+                    let mut mapped = operand_slots;
+                    for (m, &o) in mapped.iter_mut().zip(per_edge(ei)) {
+                        *m = if func.def_block(o) == b {
                             let InstKind::Const(c) = *func.kind(func.def(o)) else {
                                 unreachable!("only const operands may remain merge-local")
                             };
-                            mapped.push(func.insert_before_terminator(p, InstKind::Const(c)));
+                            func.insert_before_terminator(p, InstKind::Const(c))
                         } else {
-                            mapped.push(o);
-                        }
+                            o
+                        };
                     }
                     let clone = func.insert_before_terminator(p, with_operands(&kind, &mapped));
                     stats.inserted += 1;
@@ -228,7 +235,7 @@ pub fn eliminate_partial_redundancies(
             }
         }
         let phi = func.insert_phi(b);
-        func.set_phi_args(phi, args);
+        func.set_phi_args(phi, &args);
         func.replace_kind(inst, InstKind::Copy(phi));
         phi_memo.insert((b.index(), class.index()), phi);
         stats.eliminated += 1;
@@ -236,11 +243,12 @@ pub fn eliminate_partial_redundancies(
     stats
 }
 
-/// The operand values of a pure computation, in argument order.
-fn operands(kind: &InstKind) -> Vec<Value> {
-    match kind {
-        InstKind::Unary(_, a) => vec![*a],
-        InstKind::Binary(_, a, b) | InstKind::Cmp(_, a, b) => vec![*a, *b],
+/// The operand values of a pure computation, in argument order: the
+/// first `n` slots of the array, and `n`.
+fn operands(kind: &InstKind) -> ([Value; 2], usize) {
+    match *kind {
+        InstKind::Unary(_, a) => ([a, a], 1),
+        InstKind::Binary(_, a, b) | InstKind::Cmp(_, a, b) => ([a, b], 2),
         other => unreachable!("not a pure computation: {other:?}"),
     }
 }

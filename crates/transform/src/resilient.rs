@@ -132,6 +132,13 @@ impl ResilienceReport {
     /// one JSON object (the per-routine record of `pgvn batch`).
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::object();
+        self.write_fields(&mut w);
+        w.finish()
+    }
+
+    /// Writes the [`ResilienceReport::to_json`] fields into the object
+    /// `w` has open.
+    pub fn write_fields(&self, w: &mut JsonWriter) {
         w.field_str("outcome", self.outcome.kind());
         match &self.outcome {
             ResilientOutcome::Optimized(r) => {
@@ -144,21 +151,17 @@ impl ResilienceReport {
                 w.field_str("error", err.kind()).field_str("detail", &err.to_string());
             }
         }
-        let mut failures = String::from("[");
-        for (i, f) in self.failures.iter().enumerate() {
-            if i > 0 {
-                failures.push(',');
-            }
-            let mut fw = JsonWriter::object();
-            fw.field_str("rung", f.rung.name())
+        w.begin_array("failures");
+        for f in &self.failures {
+            w.item_object()
+                .field_str("rung", f.rung.name())
                 .field_str("error", f.error.kind())
-                .field_str("detail", &f.error.to_string());
-            failures.push_str(&fw.finish());
+                .field_str("detail", &f.error.to_string())
+                .end_object();
         }
-        failures.push(']');
-        w.field_raw("failures", &failures);
-        w.field_raw("stats", &self.report.gvn_stats.to_json());
-        w.finish()
+        w.end_array().begin_object("stats");
+        self.report.gvn_stats.write_fields(w);
+        w.end_object();
     }
 }
 

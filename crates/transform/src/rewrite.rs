@@ -1,9 +1,34 @@
 //! GVN-driven rewrites: unreachable code elimination, constant
 //! propagation, redundancy elimination and copy forwarding.
+//!
+//! Every rewrite edits the function in place, block by block, and
+//! allocates a constant number of times per call, whatever the
+//! function's size: one reused buffer that holds each block's
+//! instruction list while the block is edited, plus one operand buffer
+//! for copy forwarding.
 
 use pgvn_analysis::{DomTree, Rpo};
 use pgvn_core::GvnResults;
-use pgvn_ir::{Block, Function, InstKind, Value};
+use pgvn_ir::{Block, EntityRef, Function, Inst, InstKind, Value};
+
+/// Calls `step` on every instruction of every live block, in block and
+/// list order, letting it edit `func` in between. Each block's list is
+/// read into one reused buffer before its first step, so a step that
+/// moves or removes instructions never changes what is visited.
+fn each_inst(func: &mut Function, mut step: impl FnMut(&mut Function, Block, Inst)) {
+    let largest = func.blocks().map(|b| func.block_insts(b).len()).max().unwrap_or(0);
+    let mut insts: Vec<Inst> = Vec::with_capacity(largest);
+    for b in (0..func.block_capacity()).map(Block::new) {
+        if func.is_block_removed(b) {
+            continue;
+        }
+        insts.clear();
+        insts.extend_from_slice(func.block_insts(b));
+        for &inst in &insts {
+            step(func, b, inst);
+        }
+    }
+}
 
 /// What unreachable code elimination removed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -23,18 +48,15 @@ pub struct UceReport {
 pub fn eliminate_unreachable(func: &mut Function, results: &GvnResults) -> UceReport {
     let mut report = UceReport::default();
     // Fold branches and switches with dead outgoing edges.
-    let blocks: Vec<Block> = func.blocks().collect();
-    for &b in &blocks {
-        if !results.is_block_reachable(b) {
+    for b in (0..func.block_capacity()).map(Block::new) {
+        if func.is_block_removed(b) || !results.is_block_reachable(b) {
             continue;
         }
         let Some(term) = func.terminator(b) else { continue };
         match func.kind(term) {
             InstKind::Branch(_) => {
-                let succs = func.succs(b);
-                let alive: Vec<bool> =
-                    succs.iter().map(|&e| results.is_edge_reachable(e)).collect();
-                match (alive[0], alive[1]) {
+                let alive = |i: usize| results.is_edge_reachable(func.succs(b)[i]);
+                match (alive(0), alive(1)) {
                     (true, false) => {
                         func.fold_branch_to(b, 0);
                         report.branches_folded += 1;
@@ -47,14 +69,9 @@ pub fn eliminate_unreachable(func: &mut Function, results: &GvnResults) -> UceRe
                 }
             }
             InstKind::Switch(..) => {
-                let alive: Vec<usize> = func
-                    .succs(b)
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &e)| results.is_edge_reachable(e))
-                    .map(|(i, _)| i)
-                    .collect();
-                if let [only] = alive[..] {
+                let succs = func.succs(b);
+                let mut alive = (0..succs.len()).filter(|&i| results.is_edge_reachable(succs[i]));
+                if let (Some(only), None) = (alive.next(), alive.next()) {
                     func.fold_switch_to(b, only);
                     report.branches_folded += 1;
                 }
@@ -63,27 +80,24 @@ pub fn eliminate_unreachable(func: &mut Function, results: &GvnResults) -> UceRe
         }
     }
     // Remove unreachable blocks.
-    for &b in &blocks {
-        if b != func.entry() && !results.is_block_reachable(b) {
+    for b in (0..func.block_capacity()).map(Block::new) {
+        if !func.is_block_removed(b) && b != func.entry() && !results.is_block_reachable(b) {
             func.remove_block(b);
             report.blocks_removed += 1;
         }
     }
     // Simplify φs with a single remaining argument.
-    for b in func.blocks().collect::<Vec<_>>() {
-        for inst in func.block_insts(b).to_vec() {
-            if let InstKind::Phi(args) = func.kind(inst) {
-                if args.len() == 1 {
-                    let src = args[0];
-                    // A φ without a result is malformed IR; leave it for
-                    // the verifier gate instead of panicking mid-rewrite.
-                    let Some(result) = func.inst_result(inst) else { continue };
-                    func.replace_phi_with_copy(result, src);
-                    report.phis_simplified += 1;
-                }
-            }
+    each_inst(func, |func, _, inst| {
+        if !func.kind(inst).is_phi() {
+            return;
         }
-    }
+        // A φ without a result is malformed IR; leave it for the
+        // verifier gate instead of panicking mid-rewrite.
+        if let (&[src], Some(result)) = (func.phi_args(inst), func.inst_result(inst)) {
+            func.replace_phi_with_copy(result, src);
+            report.phis_simplified += 1;
+        }
+    });
     report
 }
 
@@ -91,18 +105,16 @@ pub fn eliminate_unreachable(func: &mut Function, results: &GvnResults) -> UceRe
 /// `const` instruction. Returns the number of replacements.
 pub fn propagate_constants(func: &mut Function, results: &GvnResults) -> usize {
     let mut n = 0;
-    for b in func.blocks().collect::<Vec<_>>() {
-        for inst in func.block_insts(b).to_vec() {
-            let Some(v) = func.inst_result(inst) else { continue };
-            if matches!(func.kind(inst), InstKind::Const(_)) {
-                continue;
-            }
-            if let Some(c) = results.constant_value(v) {
-                func.replace_kind(inst, InstKind::Const(c));
-                n += 1;
-            }
+    each_inst(func, |func, _, inst| {
+        let Some(v) = func.inst_result(inst) else { return };
+        if matches!(func.kind(inst), InstKind::Const(_)) {
+            return;
         }
-    }
+        if let Some(c) = results.constant_value(v) {
+            func.replace_kind(inst, InstKind::Const(c));
+            n += 1;
+        }
+    });
     n
 }
 
@@ -130,34 +142,29 @@ pub fn eliminate_redundancies_with(
     domtree: &DomTree,
 ) -> usize {
     let mut n = 0;
-    for b in func.blocks().collect::<Vec<_>>() {
-        for inst in func.block_insts(b).to_vec() {
-            let Some(v) = func.inst_result(inst) else { continue };
-            if matches!(
-                func.kind(inst),
-                InstKind::Const(_) | InstKind::Copy(_) | InstKind::Param(_)
-            ) {
-                continue;
-            }
-            let Some(leader) = results.leader_value(v) else { continue };
-            if leader == v {
-                continue;
-            }
-            let lb = func.def_block(leader);
-            let dominates = if lb == b {
-                let insts = func.block_insts(b);
-                let lp = insts.iter().position(|&i| i == func.def(leader));
-                let vp = insts.iter().position(|&i| i == inst);
-                matches!((lp, vp), (Some(l), Some(x)) if l < x)
-            } else {
-                domtree.strictly_dominates(lb, b)
-            };
-            if dominates {
-                func.replace_kind(inst, InstKind::Copy(leader));
-                n += 1;
-            }
+    each_inst(func, |func, b, inst| {
+        let Some(v) = func.inst_result(inst) else { return };
+        if matches!(func.kind(inst), InstKind::Const(_) | InstKind::Copy(_) | InstKind::Param(_)) {
+            return;
         }
-    }
+        let Some(leader) = results.leader_value(v) else { return };
+        if leader == v {
+            return;
+        }
+        let lb = func.def_block(leader);
+        let dominates = if lb == b {
+            let insts = func.block_insts(b);
+            let lp = insts.iter().position(|&i| i == func.def(leader));
+            let vp = insts.iter().position(|&i| i == inst);
+            matches!((lp, vp), (Some(l), Some(x)) if l < x)
+        } else {
+            domtree.strictly_dominates(lb, b)
+        };
+        if dominates {
+            func.replace_kind(inst, InstKind::Copy(leader));
+            n += 1;
+        }
+    });
     n
 }
 
@@ -178,23 +185,27 @@ pub fn forward_copies(func: &mut Function) -> usize {
         v
     };
     let mut n = 0;
-    for b in func.blocks().collect::<Vec<_>>() {
-        for inst in func.block_insts(b).to_vec() {
-            let mut kind = func.kind(inst).clone();
-            let mut changed = false;
-            kind.map_args(|a| {
-                let r = resolve(func, a);
-                if r != a {
-                    changed = true;
-                    n += 1;
-                }
+    // The instruction's resolved operands, in operand order; a φ has one
+    // per incoming edge.
+    let widest = func.blocks().map(|b| func.preds(b).len()).max().unwrap_or(0);
+    let mut resolved: Vec<Value> = Vec::with_capacity(widest.max(2));
+    each_inst(func, |func, _, inst| {
+        resolved.clear();
+        let mut differ = false;
+        func.visit_args(inst, |a| {
+            let r = resolve(func, a);
+            differ |= r != a;
+            resolved.push(r);
+        });
+        if differ {
+            let mut next = resolved.iter();
+            func.map_args(inst, |a| {
+                let r = *next.next().expect("one resolution per operand");
+                n += usize::from(r != a);
                 r
             });
-            if changed {
-                func.replace_kind(inst, kind);
-            }
         }
-    }
+    });
     n
 }
 

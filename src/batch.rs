@@ -38,6 +38,7 @@ use pgvn_ir::DiagnosticEngine;
 use pgvn_telemetry::json::JsonWriter;
 use pgvn_telemetry::{Metric, MetricsRegistry, MetricsSnapshot, Telemetry};
 use pgvn_transform::{check_function_with, AnalysisManager, CheckOptions};
+use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -170,14 +171,14 @@ pub struct RoutineRecord {
 impl RoutineRecord {
     /// The JSONL line for this record. With `timings` the
     /// scheduling-dependent `wall_nanos` field is spliced in; without it
-    /// the line is exactly [`RoutineRecord::json`], byte-stable across
-    /// worker counts.
-    pub fn json_line(&self, timings: bool) -> String {
+    /// the line is exactly [`RoutineRecord::json`], borrowed, byte-stable
+    /// across worker counts.
+    pub fn json_line(&self, timings: bool) -> Cow<'_, str> {
         if !timings {
-            return self.json.clone();
+            return Cow::Borrowed(&self.json);
         }
         let body = self.json.strip_suffix('}').unwrap_or(&self.json);
-        format!("{body},\"wall_nanos\":{}}}", self.wall_nanos)
+        Cow::Owned(format!("{body},\"wall_nanos\":{}}}", self.wall_nanos))
     }
 }
 
@@ -276,16 +277,16 @@ impl BatchReport {
     }
 }
 
-/// The `check` object embedded in a classified record when the
+/// Writes the `check` object embedded in a classified record when the
 /// [`BatchOptions::check`] gate is on: severity counts plus the full
 /// sorted diagnostic list.
-fn check_json(engine: &DiagnosticEngine) -> String {
-    let mut w = JsonWriter::object();
-    w.field_u64("errors", engine.error_count() as u64)
+fn write_check(w: &mut JsonWriter, engine: &DiagnosticEngine) {
+    w.begin_object("check")
+        .field_u64("errors", engine.error_count() as u64)
         .field_u64("warns", engine.warn_count() as u64)
         .field_u64("advisories", engine.advisory_count() as u64)
-        .field_raw("diagnostics", &engine.to_json_array());
-    w.finish()
+        .field_raw("diagnostics", &engine.to_json_array())
+        .end_object();
 }
 
 /// Runs the full lint suite over one function, recording the
@@ -305,42 +306,109 @@ pub(crate) fn run_check(
     engine
 }
 
-/// Compiles and optimizes one routine against a worker's private
-/// context, producing its classified record. This is the unit of work a
-/// batch distributes; everything in the record except `wall_nanos`
-/// depends only on `(input, opts)`, never on the worker or the schedule
-/// — the metrics delta embedded in the JSON is filtered to the stable
-/// subset for exactly that reason.
+/// One batch or serve worker's private state, reused for every routine
+/// it processes.
+///
+/// The metrics registry is cleared when a routine starts, so one
+/// snapshot when it ends holds exactly that routine's metrics: no
+/// "before" copy, no delta. That snapshot's stable subset goes into the
+/// record, and the snapshot itself into the worker's running total,
+/// which feeds [`BatchReport::metrics`] and serve's drain summary. The
+/// record is rendered into one reused buffer and copied out once.
+pub(crate) struct Worker {
+    /// The analysis context, reused across routines.
+    pub(crate) ctx: GvnContext,
+    reg: MetricsRegistry,
+    /// The current routine's metrics.
+    routine: MetricsSnapshot,
+    /// The metrics of every routine so far.
+    total: MetricsSnapshot,
+    /// `reg` holds metrics not yet in `total`: a routine is running, or
+    /// one unwound past [`process_one`].
+    pending: bool,
+    /// The record buffer.
+    line: String,
+}
+
+impl Worker {
+    /// A fresh worker; `warm_start` runs [`warm_context`] on its context.
+    pub(crate) fn new(warm_start: bool) -> Worker {
+        let mut ctx = GvnContext::new();
+        if warm_start {
+            warm_context(&mut ctx);
+        }
+        Worker {
+            ctx,
+            reg: MetricsRegistry::new(),
+            routine: MetricsSnapshot::default(),
+            total: MetricsSnapshot::default(),
+            pending: false,
+            line: String::new(),
+        }
+    }
+
+    /// Starts a routine's metrics: folds in whatever an unwound routine
+    /// left behind, then clears the registry.
+    fn begin_routine(&mut self) {
+        if self.pending {
+            self.settle();
+        }
+        self.reg.clear();
+        self.pending = true;
+    }
+
+    /// Takes the routine's one snapshot and adds it to the total.
+    fn settle(&mut self) {
+        self.reg.snapshot_into(&mut self.routine);
+        self.total.merge(&self.routine);
+        self.pending = false;
+    }
+
+    /// The metrics of every routine this worker processed.
+    pub(crate) fn into_metrics(mut self) -> MetricsSnapshot {
+        if self.pending {
+            self.settle();
+        }
+        self.total
+    }
+}
+
+/// Compiles and optimizes one routine with a worker's private state,
+/// producing its classified record. This is the unit of work a batch
+/// distributes; everything in the record except `wall_nanos` depends
+/// only on `(input, opts)`, never on the worker or the schedule — the
+/// metrics embedded in the JSON are filtered to the stable subset for
+/// exactly that reason.
 pub(crate) fn process_one(
-    ctx: &mut GvnContext,
-    reg: &MetricsRegistry,
+    worker: &mut Worker,
     input: &BatchInput,
     opts: &BatchOptions,
 ) -> RoutineRecord {
     let t0 = Instant::now();
-    let mut w = JsonWriter::object();
+    let mut w = JsonWriter::object_in(std::mem::take(&mut worker.line));
     w.field_str("event", "routine").field_str("name", &input.name);
     let func = input
         .source
         .as_ref()
         .map_err(|e| e.clone())
         .and_then(|s| compile(s, SsaStyle::Pruned).map_err(|e| e.to_string()));
+    let mut record = RoutineRecord {
+        name: input.name.clone(),
+        status: RoutineStatus::InputError,
+        json: String::new(),
+        diagnostic: None,
+        gvn_stats: None,
+        absorbed_panics: 0,
+        check_errors: 0,
+        wall_nanos: 0,
+    };
     match func {
         Err(e) => {
             w.field_str("status", "input_error").field_str("detail", &e);
-            RoutineRecord {
-                name: input.name.clone(),
-                status: RoutineStatus::InputError,
-                json: w.finish(),
-                diagnostic: Some(format!("pgvn batch: {}: input error: {e}", input.name)),
-                gvn_stats: None,
-                absorbed_panics: 0,
-                check_errors: 0,
-                wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            }
+            record.diagnostic = Some(format!("pgvn batch: {}: input error: {e}", input.name));
         }
         Ok(mut f) => {
-            let before = reg.snapshot();
+            worker.begin_routine();
             // The API contract says optimize_resilient never panics; the
             // batch boundary still catches, so a violation is a
             // classified record (and a batch failure), not a crash. The
@@ -349,78 +417,77 @@ pub(crate) fn process_one(
             // `prepare()`, which rebuilds all scratch state from zero.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 let mut tel = Telemetry::off();
-                tel.attach_metrics(reg);
+                tel.attach_metrics(&worker.reg);
                 let mut pipeline = Pipeline::new(opts.cfg.clone()).rounds(opts.rounds);
                 if let Some(spec) = &opts.passes {
                     pipeline = pipeline.passes(spec.clone());
                 }
-                let rep = pipeline.optimize_resilient_traced_with(ctx, &mut f, &mut tel);
+                let rep =
+                    pipeline.optimize_resilient_traced_with(&mut worker.ctx, &mut f, &mut tel);
                 (rep, f.num_insts())
             }));
             match attempt {
                 Ok((rep, insts)) => {
-                    let status = match rep.outcome.kind() {
+                    record.status = match rep.outcome.kind() {
                         "optimized" => RoutineStatus::Optimized,
                         "identity" => RoutineStatus::Identity,
                         _ => RoutineStatus::Rejected,
                     };
-                    let absorbed_panics =
+                    record.absorbed_panics =
                         rep.failures.iter().filter(|f| f.error.kind() == "panicked").count() as u32;
                     // The post-pass gate lints the committed output under
                     // the run's budget (not its fault plan: the gate runs
                     // outside the ladder's catch_unwind). It runs before
-                    // the delta snapshot so its per-severity counters
-                    // (stable domain) land in the record.
+                    // the snapshot so its per-severity counters (stable
+                    // domain) land in the record.
                     let check = opts.check.then(|| {
                         let gvn = GvnConfig::full().budget(opts.cfg.budget);
-                        run_check(ctx, reg, &f, &CheckOptions { gvn: Some(gvn) })
-                    });
-                    let delta = reg.snapshot().delta(&before).stable_only();
-                    w.field_str("status", "classified")
-                        .field_u64("insts", insts as u64)
-                        .field_raw("resilience", &rep.to_json())
-                        .field_raw("metrics", &delta.to_json());
-                    if let Some(engine) = &check {
-                        w.field_raw("check", &check_json(engine));
-                    }
-                    let check_errors = check.as_ref().map_or(0, |e| e.error_count() as u32);
-                    let diagnostic = (check_errors > 0).then(|| {
-                        format!(
-                            "pgvn batch: {}: check: {check_errors} error diagnostic(s) on \
-                             optimized output",
-                            input.name
+                        run_check(
+                            &mut worker.ctx,
+                            &worker.reg,
+                            &f,
+                            &CheckOptions { gvn: Some(gvn) },
                         )
                     });
-                    RoutineRecord {
-                        name: input.name.clone(),
-                        status,
-                        json: w.finish(),
-                        diagnostic,
-                        gvn_stats: Some(rep.report.gvn_stats),
-                        absorbed_panics,
-                        check_errors,
-                        wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                    worker.settle();
+                    w.field_str("status", "classified")
+                        .field_u64("insts", insts as u64)
+                        .begin_object("resilience");
+                    rep.write_fields(&mut w);
+                    w.end_object().begin_object("metrics");
+                    worker.routine.write_fields(&mut w, Metric::stable);
+                    w.end_object();
+                    if let Some(engine) = &check {
+                        write_check(&mut w, engine);
+                        record.check_errors = engine.error_count() as u32;
                     }
+                    if record.check_errors > 0 {
+                        record.diagnostic = Some(format!(
+                            "pgvn batch: {}: check: {} error diagnostic(s) on optimized output",
+                            input.name, record.check_errors
+                        ));
+                    }
+                    record.gvn_stats = Some(rep.report.gvn_stats);
                 }
                 Err(_) => {
+                    // Whatever the unwound run recorded still counts
+                    // toward the worker's total.
+                    worker.settle();
                     w.field_str("status", "escaped_panic");
-                    RoutineRecord {
-                        name: input.name.clone(),
-                        status: RoutineStatus::EscapedPanic,
-                        json: w.finish(),
-                        diagnostic: Some(format!(
-                            "pgvn batch: {}: PANIC escaped optimize_resilient",
-                            input.name
-                        )),
-                        gvn_stats: None,
-                        absorbed_panics: 0,
-                        check_errors: 0,
-                        wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    }
+                    record.status = RoutineStatus::EscapedPanic;
+                    record.diagnostic = Some(format!(
+                        "pgvn batch: {}: PANIC escaped optimize_resilient",
+                        input.name
+                    ));
                 }
             }
         }
     }
+    let line = w.finish();
+    record.json = line.clone();
+    worker.line = line;
+    record.wall_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    record
 }
 
 /// Processes every input and merges the records in input order.
@@ -432,22 +499,16 @@ pub(crate) fn process_one(
 /// don't spray backtraces, but library callers keep theirs.
 pub fn run_batch(inputs: &[BatchInput], opts: &BatchOptions) -> BatchReport {
     // Per-run analysis metrics live in per-worker registries so
-    // per-record deltas cannot see another worker's increments.
+    // per-record metrics cannot see another worker's increments.
     let run = run_sharded(
         inputs.len(),
         opts.jobs,
-        || {
-            let mut ctx = GvnContext::new();
-            if opts.warm_start {
-                warm_context(&mut ctx);
-            }
-            (ctx, MetricsRegistry::new())
-        },
-        |(ctx, reg), i| ControlFlow::Continue(process_one(ctx, reg, &inputs[i], opts)),
+        || Worker::new(opts.warm_start),
+        |worker, i| ControlFlow::Continue(process_one(worker, &inputs[i], opts)),
     );
     let mut metrics = MetricsSnapshot::default();
-    for (_, reg) in &run.states {
-        metrics.merge(&reg.snapshot());
+    for worker in run.states {
+        metrics.merge(&worker.into_metrics());
     }
     let timing_reg = MetricsRegistry::new();
     for &n in &run.worker_items {

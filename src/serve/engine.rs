@@ -10,7 +10,7 @@
 //! worker clears its context and keeps serving. Nothing a request does
 //! can take down the process.
 
-use crate::batch::{process_one, warm_context, BatchInput, BatchOptions, RoutineStatus};
+use crate::batch::{process_one, BatchInput, BatchOptions, RoutineStatus, Worker};
 use crate::serve::proto::{error_response, expired_response, record_response, write_frame};
 use crate::serve::ServeOptions;
 use pgvn_core::{ContextCapacities, GvnContext};
@@ -174,15 +174,18 @@ impl Engine {
 
     /// One worker: a private context and metrics registry, reused for
     /// every request until the drain. Runs on a scoped thread.
+    ///
+    /// The `serve_request_nanos` window opens when the worker takes the
+    /// job and closes once the response frame is rendered, just before
+    /// it is written: the socket write, and whatever the client does
+    /// meanwhile, are outside it.
     pub(crate) fn worker_loop(&self, index: usize) {
-        let mut ctx = GvnContext::new();
+        // Private per-worker state: record metrics must never see
+        // another worker's increments (the determinism contract).
+        let mut worker = Worker::new(self.opts.warm_start);
         if self.opts.warm_start {
-            warm_context(&mut ctx);
-            self.record_worker(index, &ctx);
+            self.record_worker(index, &worker.ctx);
         }
-        // Private per-worker registry: record metric deltas must never
-        // see another worker's increments (the determinism contract).
-        let reg = MetricsRegistry::new();
         while let Some(job) = self.next_job() {
             let waited = job.enqueued.elapsed();
             self.reg.observe(
@@ -200,10 +203,9 @@ impl Engine {
             // process_one never panics by contract (its ladder catches);
             // this outer catch makes a violation cost one error
             // response instead of the process.
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                process_one(&mut ctx, &reg, &job.input, &job.opts)
-            }));
-            match attempt {
+            let attempt =
+                catch_unwind(AssertUnwindSafe(|| process_one(&mut worker, &job.input, &job.opts)));
+            let response = match attempt {
                 Ok(rec) => {
                     self.records.fetch_add(1, Ordering::Relaxed);
                     match rec.status {
@@ -221,28 +223,26 @@ impl Engine {
                         self.reg.add(Metric::ServeDegraded, 1);
                     }
                     self.reg.add(Metric::ServeAbsorbedPanics, u64::from(rec.absorbed_panics));
-                    job.out.send(self, &record_response(job.id, &rec.json_line(self.opts.timings)));
+                    record_response(job.id, &rec.json_line(self.opts.timings))
                 }
                 Err(_) => {
                     // The context may hold arbitrary mid-run state;
                     // clear (free + rebuild) rather than trusting
                     // prepare() after a contract violation.
-                    ctx.clear();
+                    worker.ctx.clear();
                     self.escaped_panics.fetch_add(1, Ordering::Relaxed);
-                    job.out.send(
-                        self,
-                        &error_response(job.id, "internal", "panic escaped the optimizer boundary"),
-                    );
+                    error_response(job.id, "internal", "panic escaped the optimizer boundary")
                 }
-            }
+            };
             self.reg.observe(
                 Metric::ServeRequestNanos,
                 u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
-            self.record_worker(index, &ctx);
+            job.out.send(self, &response);
+            self.record_worker(index, &worker.ctx);
         }
         let mut merged = self.analysis.lock().expect("serve analysis lock poisoned");
-        merged.merge(&reg.snapshot());
+        merged.merge(&worker.into_metrics());
     }
 
     fn record_worker(&self, index: usize, ctx: &GvnContext) {

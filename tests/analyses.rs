@@ -160,7 +160,7 @@ proptest! {
         for v in f.values() {
             for &u in du.uses(v) {
                 let mut count = 0;
-                f.kind(u).visit_args(|a| {
+                f.visit_args(u, |a| {
                     if a == v {
                         count += 1;
                     }
@@ -171,7 +171,7 @@ proptest! {
         // And every actual use is recorded.
         for b in f.blocks() {
             for &inst in f.block_insts(b) {
-                f.kind(inst).visit_args(|a| {
+                f.visit_args(inst, |a| {
                     assert!(du.uses(a).contains(&inst), "{inst} missing from uses of {a}");
                 });
             }

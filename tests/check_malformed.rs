@@ -11,7 +11,7 @@
 
 use pgvn::batch::BatchInput;
 use pgvn::check::{run_check_inputs, PARSE_ERROR};
-use pgvn::ir::{verify, CmpOp, Function, InstKind, Severity};
+use pgvn::ir::{verify, CmpOp, Function, Severity};
 use pgvn::transform::check::codes;
 use pgvn::transform::{check_function, CheckOptions};
 
@@ -60,7 +60,7 @@ fn phi_feeding_only_itself_is_phi_cycle_no_init() {
     let u = f.add_block();
     let phi = f.append_phi(u);
     f.set_jump(u, u);
-    f.set_phi_args(phi, vec![phi]);
+    f.set_phi_args(phi, &[phi]);
     let d = expect_error(&f, codes::PHI_CYCLE_NO_INIT);
     assert_eq!(d.block(), Some(u));
     assert_eq!(d.inst(), Some(f.def(phi)));
@@ -78,7 +78,7 @@ fn phi_feeding_only_itself_is_phi_cycle_no_init() {
 fn repeated_switch_case_is_switch_duplicate_case() {
     // `set_switch` refuses duplicate cases, so model the corruption a
     // buggy case-folding rewrite could introduce: rewrite a well-formed
-    // switch's kind in place. Edge counts stay consistent (2 cases +
+    // switch's case values in place. Edge counts stay consistent (2 cases +
     // default before and after), so the verifier stays happy.
     let mut f = Function::new("sw", 1);
     let entry = f.entry();
@@ -89,7 +89,7 @@ fn repeated_switch_case_is_switch_duplicate_case() {
         f.set_return(blk, x);
     }
     let term = f.terminator(entry).expect("entry ends in the switch");
-    f.replace_kind(term, InstKind::Switch(x, vec![1, 1]));
+    f.set_switch_cases(term, &[1, 1]);
     let diag = expect_error(&f, codes::SWITCH_DUPLICATE_CASE);
     assert_eq!(diag.block(), Some(entry));
     assert_eq!(diag.inst(), Some(term));
