@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgvn_analysis::{DomTree, PostDomTree, Rpo};
 use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
-use pgvn_lang::{lex, lower, parse};
+use pgvn_lang::{compile, lex, lower, parse, print_routine};
 use pgvn_ssa::{build_ssa, SsaStyle};
 use pgvn_telemetry::{MetricsRegistry, Telemetry};
 use pgvn_transform::{
@@ -60,31 +60,48 @@ fn bench_analyses(c: &mut Criterion) {
 }
 
 /// The front end layer by layer — `lex`, `parse` (which lexes),
-/// `lower` and `build_ssa` — on the smallest, median and largest routine
-/// of the scale-0.05 SPEC stand-in suite, by source length.
+/// `lower` and `build_ssa` — and whole (`compile`), on the smallest,
+/// median and largest routine of the scale-0.05 SPEC stand-in suite, by
+/// source length, and on a routine the size of perfbench's batch-small
+/// ones (16 statements at depth 2, about 1 KB of text).
 fn bench_frontend(c: &mut Criterion) {
     let mut sources: Vec<String> = spec_suite(SuiteConfig { scale: 0.05, ..Default::default() })
         .iter()
         .flat_map(|bench| (0..bench.len()).map(|i| bench.source(i)))
         .collect();
     sources.sort_by_key(String::len);
-    let picks = [("smallest", 0), ("median", sources.len() / 2), ("largest", sources.len() - 1)];
+    let small = GenConfig {
+        seed: 7,
+        num_params: 2,
+        target_stmts: 16,
+        max_depth: 2,
+        ..GenConfig::default()
+    };
+    let batch_small = print_routine(&generate_routine("r00007", &small));
+    let picks = [
+        ("batch_small", batch_small.as_str()),
+        ("smallest", &sources[0]),
+        ("median", &sources[sources.len() / 2]),
+        ("largest", &sources[sources.len() - 1]),
+    ];
     let mut group = c.benchmark_group("frontend");
-    for (label, i) in picks {
-        let src = sources[i].as_str();
+    for (label, src) in picks {
         let ast = parse(src).expect("parses");
         let vf = lower(&ast);
         group.bench_with_input(BenchmarkId::new("lex", label), src, |bencher, src| {
             bencher.iter(|| lex(src).expect("lexes").len());
         });
         group.bench_with_input(BenchmarkId::new("parse", label), src, |bencher, src| {
-            bencher.iter(|| parse(src).expect("parses").body.len());
+            bencher.iter(|| parse(src).expect("parses").body().len);
         });
         group.bench_with_input(BenchmarkId::new("lower", label), &ast, |bencher, ast| {
             bencher.iter(|| lower(ast).num_blocks());
         });
         group.bench_with_input(BenchmarkId::new("build_ssa", label), &vf, |bencher, vf| {
             bencher.iter(|| build_ssa(vf, SsaStyle::Pruned).expect("builds").num_insts());
+        });
+        group.bench_with_input(BenchmarkId::new("compile", label), src, |bencher, src| {
+            bencher.iter(|| compile(src, SsaStyle::Pruned).expect("compiles").num_insts());
         });
     }
     group.finish();

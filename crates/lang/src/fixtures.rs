@@ -191,7 +191,7 @@ mod tests {
         for n in [2, 3, 10] {
             let src = figure9(n);
             let r = parse(&src).unwrap_or_else(|e| panic!("n={n}: {e}\n{src}"));
-            assert_eq!(r.params.len(), n);
+            assert_eq!(r.params().len(), n);
         }
     }
 }

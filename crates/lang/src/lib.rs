@@ -28,7 +28,7 @@ pub mod parser;
 pub mod printer;
 pub mod token;
 
-pub use ast::{Expr, Routine, Stmt};
+pub use ast::{Capacity, Case, Expr, ExprId, Routine, Span, Stmt, Sym};
 pub use lower::lower;
 pub use parser::{parse, ParseError, MAX_NESTING};
 pub use printer::print_routine;

@@ -8,23 +8,27 @@
 //!
 //! A routine that falls off the end returns 0.
 //!
-//! Variables are looked up by the borrowed name in the AST, so a lookup
-//! allocates nothing; the only per-variable allocation is the name the
-//! [`VarFunction`] keeps.
+//! A symbol's variable is found through an array indexed by the symbol,
+//! made on its first use. The output's pools are sized from one scan of
+//! the routine's pools, which bounds each of them, so lowering makes a
+//! constant number of allocations: 9 whatever the routine's size (the
+//! function's name, its eight pools, and the symbol array).
 
-use crate::ast::{Expr, Routine, Stmt};
-use pgvn_ir::CmpOp;
-use pgvn_ssa::{Var, VarExpr, VarFunction, VarStmt, VarTerm};
-use std::collections::HashMap;
+use crate::ast::{Expr, ExprId, Routine, Span, Stmt, Sym};
+use pgvn_ir::{BinOp, CmpOp};
+use pgvn_ssa::{Var, VarCapacity, VarExpr, VarFunction, VarNode, VarStmt, VarTerm};
+
+/// No variable yet, in [`Lowerer::var_of`].
+const NO_VAR: u32 = u32::MAX;
+
+/// The (continue target, break target) of the innermost enclosing loop.
+type Loop = Option<(usize, usize)>;
 
 struct Lowerer<'r> {
+    r: &'r Routine,
     vf: VarFunction,
-    /// Variables by name, borrowed from the routine being lowered. The
-    /// names come from outside the program (serve requests), so the map
-    /// keeps the standard library's keyed hash against crafted collisions.
-    vars: HashMap<&'r str, Var>,
-    /// (continue target, break target) per enclosing loop.
-    loops: Vec<(usize, usize)>,
+    /// Each symbol's variable, [`NO_VAR`] until its first use.
+    var_of: Vec<u32>,
     cur: usize,
     /// Set once the current block has been terminated; subsequent
     /// statements in the same source block land in a fresh unreachable
@@ -32,9 +36,48 @@ struct Lowerer<'r> {
     done: bool,
 }
 
-impl<'r> Lowerer<'r> {
-    fn var(&mut self, name: &'r str) -> Var {
-        *self.vars.entry(name).or_insert_with(|| self.vf.add_var(name))
+/// Pool sizes that bound lowering `r`'s output.
+fn capacity(r: &Routine) -> VarCapacity {
+    let nodes = r
+        .expr_pool()
+        .iter()
+        .map(|e| match e {
+            Expr::Int(_) | Expr::Var(_) | Expr::Opaque(_) => 0,
+            // The operator and a `!= 0` per operand.
+            Expr::LogicalAnd(..) | Expr::LogicalOr(..) => 3,
+            _ => 1,
+        })
+        .sum();
+    let (mut stmts, mut blocks) = (0, 1);
+    for s in r.stmt_pool() {
+        // Every statement may open a fresh block after a terminated one.
+        blocks += 1 + match s {
+            Stmt::If(..) | Stmt::While(..) | Stmt::DoWhile(..) => 3,
+            Stmt::Switch(_, cases, _) => 2 + cases.len as usize,
+            _ => 0,
+        };
+        stmts += usize::from(matches!(s, Stmt::Assign(..) | Stmt::Expr(_)));
+    }
+    let params = r.params().len();
+    let param_text: usize = r.params().iter().map(|&p| r.sym_name(p).len()).sum();
+    VarCapacity {
+        params,
+        vars: params + r.num_syms(),
+        names: param_text + r.sym_text_len(),
+        nodes,
+        stmts,
+        blocks,
+        cases: r.case_pool().len(),
+    }
+}
+
+impl Lowerer<'_> {
+    fn var(&mut self, s: Sym) -> Var {
+        let slot = &mut self.var_of[s.0 as usize];
+        if *slot == NO_VAR {
+            *slot = self.vf.add_var(self.r.sym_name(s)).0;
+        }
+        Var(*slot)
     }
 
     fn fresh_block_if_done(&mut self) {
@@ -49,53 +92,71 @@ impl<'r> Lowerer<'r> {
         self.done = true;
     }
 
-    fn expr(&mut self, e: &'r Expr) -> VarExpr {
-        match e {
-            Expr::Int(v) => VarExpr::Const(*v),
-            Expr::Var(name) => VarExpr::Var(self.var(name)),
-            Expr::Unary(op, a) => VarExpr::Unary(*op, Box::new(self.expr(a))),
+    fn expr(&mut self, e: ExprId) -> VarExpr {
+        match self.r.expr(e) {
+            Expr::Int(v) => VarExpr::Const(v),
+            Expr::Var(s) => VarExpr::Var(self.var(s)),
+            Expr::Unary(op, a) => {
+                let av = self.expr(a);
+                self.vf.unary(op, av)
+            }
             Expr::Binary(op, a, b) => {
-                VarExpr::Binary(*op, Box::new(self.expr(a)), Box::new(self.expr(b)))
+                let av = self.expr(a);
+                let bv = self.expr(b);
+                self.vf.binary(op, av, bv)
             }
             Expr::Cmp(op, a, b) => {
-                VarExpr::Cmp(*op, Box::new(self.expr(a)), Box::new(self.expr(b)))
+                let av = self.expr(a);
+                let bv = self.expr(b);
+                self.vf.cmp(op, av, bv)
             }
             Expr::LogicalNot(a) => {
                 let av = self.expr(a);
-                VarExpr::Cmp(CmpOp::Eq, Box::new(av), Box::new(VarExpr::Const(0)))
+                self.vf.cmp(CmpOp::Eq, av, VarExpr::Const(0))
             }
             Expr::LogicalAnd(a, b) => {
                 let av = self.truth(a);
                 let bv = self.truth(b);
-                VarExpr::Binary(pgvn_ir::BinOp::And, Box::new(av), Box::new(bv))
+                self.vf.binary(BinOp::And, av, bv)
             }
             Expr::LogicalOr(a, b) => {
                 let av = self.truth(a);
                 let bv = self.truth(b);
-                VarExpr::Binary(pgvn_ir::BinOp::Or, Box::new(av), Box::new(bv))
+                self.vf.binary(BinOp::Or, av, bv)
             }
-            Expr::Opaque(t) => VarExpr::Opaque(*t),
+            Expr::Opaque(t) => VarExpr::Opaque(t),
         }
     }
 
     /// Lowers `e` to a 0/1 truth value, skipping the `!= 0` normalization
     /// when the lowered expression is already a comparison.
-    fn truth(&mut self, e: &'r Expr) -> VarExpr {
-        let v = self.expr(e);
-        match v {
-            VarExpr::Cmp(..) => v,
+    fn truth(&mut self, e: ExprId) -> VarExpr {
+        match self.expr(e) {
+            v @ VarExpr::Node(n) if matches!(self.vf.node(n), VarNode::Cmp(..)) => v,
             VarExpr::Const(c) => VarExpr::Const((c != 0) as i64),
-            other => VarExpr::Cmp(CmpOp::Ne, Box::new(other), Box::new(VarExpr::Const(0))),
+            other => self.vf.cmp(CmpOp::Ne, other, VarExpr::Const(0)),
         }
     }
 
-    fn stmts(&mut self, stmts: &'r [Stmt]) {
-        for s in stmts {
-            self.stmt(s);
+    fn stmts(&mut self, list: Span, lp: Loop) {
+        let r = self.r;
+        for &s in r.stmts(list) {
+            self.stmt(s, lp);
         }
     }
 
-    fn stmt(&mut self, s: &'r Stmt) {
+    /// Lowers `body` into block `b`, then jumps to `next` unless the body
+    /// ended in a terminator.
+    fn arm(&mut self, b: usize, body: Span, lp: Loop, next: usize) {
+        self.cur = b;
+        self.done = false;
+        self.stmts(body, lp);
+        if !self.done {
+            self.terminate(VarTerm::Jump(next));
+        }
+    }
+
+    fn stmt(&mut self, s: Stmt, lp: Loop) {
         self.fresh_block_if_done();
         match s {
             Stmt::Assign(name, e) => {
@@ -112,11 +173,11 @@ impl<'r> Lowerer<'r> {
                 self.terminate(VarTerm::Return(ve));
             }
             Stmt::Break => {
-                let (_, brk) = *self.loops.last().expect("break outside loop");
+                let (_, brk) = lp.expect("break outside loop");
                 self.terminate(VarTerm::Jump(brk));
             }
             Stmt::Continue => {
-                let (cont, _) = *self.loops.last().expect("continue outside loop");
+                let (cont, _) = lp.expect("continue outside loop");
                 self.terminate(VarTerm::Jump(cont));
             }
             Stmt::If(cond, then, otherwise) => {
@@ -125,19 +186,9 @@ impl<'r> Lowerer<'r> {
                 let join = self.vf.add_block();
                 let else_b = if otherwise.is_empty() { join } else { self.vf.add_block() };
                 self.terminate(VarTerm::Branch(cv, then_b, else_b));
-                self.cur = then_b;
-                self.done = false;
-                self.stmts(then);
-                if !self.done {
-                    self.terminate(VarTerm::Jump(join));
-                }
+                self.arm(then_b, then, lp, join);
                 if !otherwise.is_empty() {
-                    self.cur = else_b;
-                    self.done = false;
-                    self.stmts(otherwise);
-                    if !self.done {
-                        self.terminate(VarTerm::Jump(join));
-                    }
+                    self.arm(else_b, otherwise, lp, join);
                 }
                 self.cur = join;
                 self.done = false;
@@ -151,42 +202,29 @@ impl<'r> Lowerer<'r> {
                 self.done = false;
                 let cv = self.expr(cond);
                 self.terminate(VarTerm::Branch(cv, body_b, exit));
-                self.cur = body_b;
-                self.done = false;
-                self.loops.push((head, exit));
-                self.stmts(body);
-                self.loops.pop();
-                if !self.done {
-                    self.terminate(VarTerm::Jump(head));
-                }
+                self.arm(body_b, body, Some((head, exit)), head);
                 self.cur = exit;
                 self.done = false;
             }
             Stmt::Switch(scrutinee, cases, default) => {
                 let sv = self.expr(scrutinee);
                 let join = self.vf.add_block();
-                let mut case_targets: Vec<(i64, usize)> = Vec::new();
-                let mut bodies: Vec<(usize, &Vec<Stmt>)> = Vec::new();
-                for (value, body) in cases {
-                    let blk = self.vf.add_block();
-                    case_targets.push((*value, blk));
-                    bodies.push((blk, body));
+                let r = self.r;
+                let arms = r.cases(cases);
+                let first = self.vf.num_blocks();
+                for _ in arms {
+                    self.vf.add_block();
                 }
-                let default_blk = if default.is_empty() {
-                    join
-                } else {
-                    let blk = self.vf.add_block();
-                    bodies.push((blk, default));
-                    blk
-                };
-                self.terminate(VarTerm::Switch(sv, case_targets, default_blk));
-                for (blk, body) in bodies {
-                    self.cur = blk;
-                    self.done = false;
-                    self.stmts(body);
-                    if !self.done {
-                        self.terminate(VarTerm::Jump(join));
-                    }
+                let default_blk = if default.is_empty() { join } else { self.vf.add_block() };
+                let targets = self
+                    .vf
+                    .add_cases(arms.iter().enumerate().map(|(i, case)| (case.value, first + i)));
+                self.terminate(VarTerm::Switch(sv, targets, default_blk));
+                for (i, case) in arms.iter().enumerate() {
+                    self.arm(first + i, case.body, lp, join);
+                }
+                if !default.is_empty() {
+                    self.arm(default_blk, default, lp, join);
                 }
                 self.cur = join;
                 self.done = false;
@@ -196,14 +234,7 @@ impl<'r> Lowerer<'r> {
                 let check = self.vf.add_block();
                 let exit = self.vf.add_block();
                 self.terminate(VarTerm::Jump(body_b));
-                self.cur = body_b;
-                self.done = false;
-                self.loops.push((check, exit));
-                self.stmts(body);
-                self.loops.pop();
-                if !self.done {
-                    self.terminate(VarTerm::Jump(check));
-                }
+                self.arm(body_b, body, Some((check, exit)), check);
                 self.cur = check;
                 self.done = false;
                 let cv = self.expr(cond);
@@ -219,18 +250,16 @@ impl<'r> Lowerer<'r> {
 ///
 /// # Panics
 ///
-/// Panics on `break`/`continue` outside a loop (rejecting these
-/// syntactically would require scope tracking in the parser; the lowering
-/// treats them as programming errors in the input).
+/// Panics on `break`/`continue` outside a loop, which [`crate::parse`]
+/// rejects; only a routine built by hand can hold one.
 pub fn lower(routine: &Routine) -> VarFunction {
-    let param_refs: Vec<&str> = routine.params.iter().map(String::as_str).collect();
-    let vf = VarFunction::new(routine.name.clone(), &param_refs);
-    let mut vars = HashMap::new();
-    for (p, &v) in routine.params.iter().zip(vf.param_vars()) {
-        vars.insert(p.as_str(), v);
+    let mut vf = VarFunction::with_capacity(routine.name(), &capacity(routine));
+    let mut var_of = vec![NO_VAR; routine.num_syms()];
+    for &p in routine.params() {
+        var_of[p.0 as usize] = vf.add_param(routine.sym_name(p)).0;
     }
-    let mut l = Lowerer { vf, vars, loops: Vec::new(), cur: 0, done: false };
-    l.stmts(&routine.body);
+    let mut l = Lowerer { r: routine, vf, var_of, cur: 0, done: false };
+    l.stmts(routine.body(), None);
     if !l.done {
         l.terminate(VarTerm::Return(VarExpr::Const(0)));
     }
@@ -341,9 +370,19 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "break outside loop")]
-    fn break_outside_loop_panics() {
-        let r = parse("routine f() { break; return 0; }").unwrap();
+    fn break_outside_loop_panics_in_a_built_routine() {
+        let mut r = Routine::new("f");
+        let body = r.add_stmts(&[Stmt::Break]);
+        r.set_body(body);
         let _ = lower(&r);
+    }
+
+    #[test]
+    fn lowering_keeps_the_variable_order_of_first_use() {
+        let r = parse("routine f(a, b) { c = b + d; a = c; return e; }").unwrap();
+        let vf = lower(&r);
+        let names: Vec<&str> = (0..vf.num_vars()).map(|v| vf.var_name(Var(v as u32))).collect();
+        assert_eq!(names, ["a", "b", "d", "c", "e"]);
     }
 
     #[test]

@@ -18,18 +18,23 @@
 //! levels are parsed by precedence climbing, so a parenthesis costs a
 //! few stack frames, not one per level.
 //!
-//! Tokens borrow from the source ([`Token`]), so the parser's only
-//! allocations are the tree itself: one `String` per identifier the AST
-//! stores, one `Box` per operator node and one `Vec` per statement list.
-//! Before, the lexer also made a `String` per identifier token, which
-//! the parser then cloned into the tree: lexing plus parsing made 777
-//! allocations per routine on average on the batch-pre-check corpus,
-//! now 553 (the lexer's one included). Nesting is bounded by
+//! `break` and `continue` outside a loop are parse errors.
+//!
+//! The parser writes a [`Routine`]'s pools directly: expression nodes as
+//! they are built, children first; a statement list onto a stack of
+//! pending statements, copied into the pool as one span when the list
+//! closes; identifiers as symbols, looked up by their text in a map
+//! keyed with the standard library's randomly seeded hash, since routine
+//! text comes from outside the program (serve requests). Every pool and
+//! the map are sized once from the token count, which bounds each of
+//! them, so parsing makes a constant number of allocations, lexing's one
+//! included: 10 whatever the routine's size. Nesting is bounded by
 //! [`MAX_NESTING`].
 
-use crate::ast::{Expr, Routine, Stmt};
+use crate::ast::{Capacity, Case, Expr, ExprId, Routine, Span, Stmt, Sym};
 use crate::token::{lex, LexError, Token};
 use pgvn_ir::{BinOp, CmpOp, UnOp};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -40,11 +45,12 @@ use std::fmt;
 /// stack up while operators bind ever tighter (in `a || b && c`, `b` is
 /// one level in and `c` two; in `a + b + c` each operand is one). Height
 /// counts operator chains too:
-/// `a + a + a` is three tall. Lowering, SSA construction, the printer
-/// and `Drop` all recurse over the tree, so the two bounds keep every
-/// consumer, parser included, inside a default 2 MiB thread stack even
-/// in an unoptimized build. The in-repo generators reach nesting 46 and
-/// height 91 (batch-large's routines).
+/// `a + a + a` is three tall. The tree is flat, so dropping it no longer
+/// recurses, but lowering, SSA construction and the printer still walk
+/// statement nesting and expression depth recursively, and so does the
+/// parser itself; the two bounds keep every one of them inside a default
+/// 2 MiB thread stack even in an unoptimized build. The in-repo
+/// generators reach nesting 46 and height 91 (batch-large's routines).
 pub const MAX_NESTING: u32 = 256;
 
 /// A parse error with a line number.
@@ -71,7 +77,7 @@ impl From<LexError> for ParseError {
 }
 
 /// An expression with its height (a leaf is 1 tall).
-type Tall = (Expr, u32);
+type Tall = (ExprId, u32);
 
 /// The kind of node an infix operator builds.
 #[derive(Clone, Copy)]
@@ -117,6 +123,16 @@ struct Parser<'a> {
     next_opaque: u32,
     /// Current nesting, as [`MAX_NESTING`] counts it.
     depth: u32,
+    /// Loops enclosing the current statement.
+    loops: u32,
+    /// The routine being built.
+    r: Routine,
+    /// Statements of the lists still open, innermost last.
+    pending: Vec<Stmt>,
+    /// Arms of the switches still open, innermost last.
+    pending_cases: Vec<Case>,
+    /// Symbols by their text.
+    syms: HashMap<&'a str, Sym>,
 }
 
 // The functions on the recursion path — `stmt`, the statement forms,
@@ -124,6 +140,34 @@ struct Parser<'a> {
 // frames small: an unoptimized build gives every local of every arm its
 // own stack slot, so error formatting lives in the cold helpers below.
 impl<'a> Parser<'a> {
+    fn new(src: &str, toks: Vec<(Token<'a>, u32)>) -> Parser<'a> {
+        // Every bound is a count of tokens: an expression node takes at
+        // least one, a statement two (`x;`), a switch arm more than four
+        // (`case 1: x;`), and a symbol is an identifier.
+        let n = toks.len();
+        let idents = toks.iter().filter(|(t, _)| matches!(t, Token::Ident(_))).count();
+        let cap = Capacity {
+            syms: idents,
+            text: src.len(),
+            params: idents,
+            exprs: n,
+            stmts: n / 2,
+            cases: n / 4,
+        };
+        Parser {
+            toks,
+            pos: 0,
+            next_opaque: 1_000_000,
+            depth: 0,
+            loops: 0,
+            // The name is filled in by `routine`.
+            r: Routine::with_capacity("", &cap),
+            pending: Vec::with_capacity(cap.stmts),
+            pending_cases: Vec::with_capacity(cap.cases),
+            syms: HashMap::with_capacity(idents),
+        }
+    }
+
     fn peek(&self) -> Option<Token<'a>> {
         self.toks.get(self.pos).map(|&(t, _)| t)
     }
@@ -168,6 +212,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// "`t` outside a loop" at the `break` or `continue` just consumed.
+    #[cold]
+    fn outside_loop(&self, t: Token<'_>) -> ParseError {
+        self.error_at_previous(format!("`{t}` outside a loop"))
+    }
+
     fn bump(&mut self) -> Option<Token<'a>> {
         let t = self.peek();
         self.pos += 1;
@@ -209,21 +259,29 @@ impl<'a> Parser<'a> {
         Ok(height)
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    /// The symbol of `name`, added on first sight.
+    fn sym(&mut self, name: &'a str) -> Sym {
+        let r = &mut self.r;
+        *self.syms.entry(name).or_insert_with(|| r.add_sym(name))
+    }
+
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         match self.bump() {
-            Some(Token::Ident(s)) => Ok(s.to_string()),
+            Some(Token::Ident(s)) => Ok(s),
             t => Err(self.expected_previous("identifier", t)),
         }
     }
 
-    fn routine(&mut self) -> Result<Routine, ParseError> {
+    fn routine(&mut self) -> Result<(), ParseError> {
         self.eat(Token::Routine)?;
         let name = self.ident()?;
+        self.r.set_name(name);
         self.eat(Token::LParen)?;
-        let mut params = Vec::new();
         if self.peek() != Some(Token::RParen) {
             loop {
-                params.push(self.ident()?);
+                let p = self.ident()?;
+                let p = self.sym(p);
+                self.r.add_param(p);
                 if !self.at(Token::Comma) {
                     break;
                 }
@@ -231,32 +289,45 @@ impl<'a> Parser<'a> {
         }
         self.eat(Token::RParen)?;
         let body = self.block()?;
-        Ok(Routine { name, params, body })
+        self.r.set_body(body);
+        Ok(())
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn block(&mut self) -> Result<Span, ParseError> {
         self.eat(Token::LBrace)?;
-        let mut stmts = Vec::new();
+        let mark = self.pending.len();
         while self.peek() != Some(Token::RBrace) {
             if self.peek().is_none() {
                 return Err(self.error("unterminated block"));
             }
-            stmts.push(self.stmt()?);
+            let s = self.stmt()?;
+            self.pending.push(s);
         }
         self.pos += 1;
-        Ok(stmts)
+        let list = self.r.add_stmts(&self.pending[mark..]);
+        self.pending.truncate(mark);
+        Ok(list)
     }
 
-    fn stmt_or_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn stmt_or_block(&mut self) -> Result<Span, ParseError> {
         if self.peek() == Some(Token::LBrace) {
             self.block()
         } else {
-            Ok(vec![self.stmt()?])
+            let s = self.stmt()?;
+            Ok(self.r.add_stmts(&[s]))
         }
     }
 
+    /// `stmt_or_block` inside one more loop.
+    fn loop_body(&mut self) -> Result<Span, ParseError> {
+        self.loops += 1;
+        let body = self.stmt_or_block()?;
+        self.loops -= 1;
+        Ok(body)
+    }
+
     /// `( expr )`, as after `if`, `while` and `switch`.
-    fn condition(&mut self) -> Result<Expr, ParseError> {
+    fn condition(&mut self) -> Result<ExprId, ParseError> {
         self.eat(Token::LParen)?;
         let cond = self.expr()?;
         self.eat(Token::RParen)?;
@@ -280,19 +351,19 @@ impl<'a> Parser<'a> {
         self.pos += 1;
         let cond = self.condition()?;
         let then = self.stmt_or_block()?;
-        let otherwise = if self.at(Token::Else) { self.stmt_or_block()? } else { Vec::new() };
+        let otherwise = if self.at(Token::Else) { self.stmt_or_block()? } else { Span::EMPTY };
         Ok(Stmt::If(cond, then, otherwise))
     }
 
     fn while_stmt(&mut self) -> Result<Stmt, ParseError> {
         self.pos += 1;
         let cond = self.condition()?;
-        Ok(Stmt::While(cond, self.stmt_or_block()?))
+        Ok(Stmt::While(cond, self.loop_body()?))
     }
 
     fn do_stmt(&mut self) -> Result<Stmt, ParseError> {
         self.pos += 1;
-        let body = self.stmt_or_block()?;
+        let body = self.loop_body()?;
         self.eat(Token::While)?;
         let cond = self.condition()?;
         self.eat(Token::Semi)?;
@@ -303,14 +374,15 @@ impl<'a> Parser<'a> {
         self.pos += 1;
         let scrutinee = self.condition()?;
         self.eat(Token::LBrace)?;
-        let mut cases: Vec<(i64, Vec<Stmt>)> = Vec::new();
+        let mark = self.pending_cases.len();
         let mut default = None;
         loop {
             match self.peek() {
                 Some(Token::Case) => {
                     self.pos += 1;
-                    let value = self.case_value(&cases)?;
-                    cases.push((value, self.stmt_or_block()?));
+                    let value = self.case_value(mark)?;
+                    let body = self.stmt_or_block()?;
+                    self.pending_cases.push(Case { value, body });
                 }
                 Some(Token::Default) => {
                     if default.is_some() {
@@ -327,18 +399,21 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.error("expected `case`, `default` or `}` in switch")),
             }
         }
+        let cases = self.r.add_cases(&self.pending_cases[mark..]);
+        self.pending_cases.truncate(mark);
         Ok(Stmt::Switch(scrutinee, cases, default.unwrap_or_default()))
     }
 
-    /// `[-] INT :` after `case`, distinct from the `cases` so far.
-    fn case_value(&mut self, cases: &[(i64, Vec<Stmt>)]) -> Result<i64, ParseError> {
+    /// `[-] INT :` after `case`, distinct from the arms pending since
+    /// `mark`.
+    fn case_value(&mut self, mark: usize) -> Result<i64, ParseError> {
         let neg = self.at(Token::Minus);
         let raw = match self.bump() {
             Some(Token::Int(v)) => v,
             _ => return Err(self.error("expected integer case value")),
         };
         let value = if neg { raw.wrapping_neg() } else { raw };
-        if cases.iter().any(|&(c, _)| c == value) {
+        if self.pending_cases[mark..].iter().any(|c| c.value == value) {
             return Err(self.error(format!("duplicate case value {value}")));
         }
         self.eat(Token::Colon)?;
@@ -349,22 +424,25 @@ impl<'a> Parser<'a> {
     /// assignments and expression statements.
     fn simple_stmt(&mut self) -> Result<Stmt, ParseError> {
         let s = match self.peek() {
-            Some(Token::Break) => {
+            Some(t @ (Token::Break | Token::Continue)) => {
                 self.pos += 1;
-                Stmt::Break
-            }
-            Some(Token::Continue) => {
-                self.pos += 1;
-                Stmt::Continue
+                if self.loops == 0 {
+                    return Err(self.outside_loop(t));
+                }
+                if t == Token::Break {
+                    Stmt::Break
+                } else {
+                    Stmt::Continue
+                }
             }
             Some(Token::Return) => {
                 self.pos += 1;
                 Stmt::Return(self.expr()?)
             }
-            Some(Token::Ident(_)) if self.peek2() == Some(Token::Assign) => {
-                let name = self.ident()?;
-                self.pos += 1;
-                Stmt::Assign(name, self.expr()?)
+            Some(Token::Ident(name)) if self.peek2() == Some(Token::Assign) => {
+                self.pos += 2;
+                let var = self.sym(name);
+                Stmt::Assign(var, self.expr()?)
             }
             Some(_) => Stmt::Expr(self.expr()?),
             None => return Err(self.error("expected statement, found end of input")),
@@ -373,7 +451,7 @@ impl<'a> Parser<'a> {
         Ok(s)
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<ExprId, ParseError> {
         Ok(self.binary(0)?.0)
     }
 
@@ -390,7 +468,7 @@ impl<'a> Parser<'a> {
             let (rhs, rhs_height) = self.binary(prec + 1)?;
             self.depth -= 1;
             height = self.fits(height.max(rhs_height) + 1)?;
-            lhs = join(op, lhs, rhs);
+            lhs = self.r.add_expr(join(op, lhs, rhs));
         }
         Ok((lhs, height))
     }
@@ -401,7 +479,7 @@ impl<'a> Parser<'a> {
             // admits that magnitude only after a `-`.
             Some(Token::Minus) if self.peek2() == Some(Token::Int(i64::MIN)) => {
                 self.pos += 2;
-                return Ok((Expr::Int(i64::MIN), 1));
+                return Ok((self.r.add_expr(Expr::Int(i64::MIN)), 1));
             }
             Some(t @ (Token::Minus | Token::Tilde | Token::Bang)) => t,
             _ => return self.primary(),
@@ -410,13 +488,13 @@ impl<'a> Parser<'a> {
         self.nest()?;
         let (a, height) = self.unary()?;
         self.depth -= 1;
-        let a = Box::new(a);
         let e = match op {
             Token::Minus => Expr::Unary(UnOp::Neg, a),
             Token::Tilde => Expr::Unary(UnOp::Not, a),
             _ => Expr::LogicalNot(a),
         };
-        Ok((e, self.fits(height + 1)?))
+        let height = self.fits(height + 1)?;
+        Ok((self.r.add_expr(e), height))
     }
 
     fn primary(&mut self) -> Result<Tall, ParseError> {
@@ -432,11 +510,11 @@ impl<'a> Parser<'a> {
             Some(Token::Int(v)) => Expr::Int(v),
             Some(Token::True) => Expr::Int(1),
             Some(Token::False) => Expr::Int(0),
-            Some(Token::Ident(s)) => Expr::Var(s.to_string()),
+            Some(Token::Ident(s)) => Expr::Var(self.sym(s)),
             Some(Token::Opaque) => Expr::Opaque(self.opaque_token()?),
             t => return Err(self.expected_previous("expression", t)),
         };
-        Ok((e, 1))
+        Ok((self.r.add_expr(e), 1))
     }
 
     /// The `( [INT] )` after `opaque`; no argument takes the next
@@ -464,14 +542,13 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Builds the node for `lhs op rhs`.
-fn join(op: Infix, lhs: Expr, rhs: Expr) -> Expr {
-    let (a, b) = (Box::new(lhs), Box::new(rhs));
+/// The node for `lhs op rhs`.
+fn join(op: Infix, lhs: ExprId, rhs: ExprId) -> Expr {
     match op {
-        Infix::Or => Expr::LogicalOr(a, b),
-        Infix::And => Expr::LogicalAnd(a, b),
-        Infix::Bin(op) => Expr::Binary(op, a, b),
-        Infix::Cmp(op) => Expr::Cmp(op, a, b),
+        Infix::Or => Expr::LogicalOr(lhs, rhs),
+        Infix::And => Expr::LogicalAnd(lhs, rhs),
+        Infix::Bin(op) => Expr::Binary(op, lhs, rhs),
+        Infix::Cmp(op) => Expr::Cmp(op, lhs, rhs),
     }
 }
 
@@ -484,55 +561,80 @@ fn join(op: Infix, lhs: Expr, rhs: Expr) -> Expr {
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first lexical or syntactic
-/// problem.
+/// problem, `break` or `continue` outside a loop included.
 ///
 /// # Examples
 ///
 /// ```
 /// let r = pgvn_lang::parse("routine id(x) { return x; }")?;
-/// assert_eq!(r.name, "id");
-/// assert_eq!(r.params, vec!["x".to_string()]);
+/// assert_eq!(r.name(), "id");
+/// assert_eq!(r.sym_name(r.params()[0]), "x");
 /// # Ok::<(), pgvn_lang::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<Routine, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, next_opaque: 1_000_000, depth: 0 };
-    let r = p.routine()?;
+    let mut p = Parser::new(src, toks);
+    p.routine()?;
     if p.pos != p.toks.len() {
         return Err(p.error("trailing input after routine"));
     }
-    Ok(r)
+    Ok(p.r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn parses_minimal_routine() {
-        let r = parse("routine f() { return 0; }").unwrap();
-        assert_eq!(r.name, "f");
-        assert!(r.params.is_empty());
-        assert_eq!(r.body, vec![Stmt::Return(Expr::Int(0))]);
+    /// The top-level statements of `r`.
+    fn body(r: &Routine) -> &[Stmt] {
+        r.stmts(r.body())
     }
 
-    #[test]
-    fn parses_params_and_assignment() {
-        let r = parse("routine f(a, b) { c = a + b; return c; }").unwrap();
-        assert_eq!(r.params, vec!["a", "b"]);
-        match &r.body[0] {
-            Stmt::Assign(name, Expr::Binary(BinOp::Add, _, _)) => assert_eq!(name, "c"),
+    /// The node of the expression statement `s` holds.
+    fn value(r: &Routine, s: Stmt) -> Expr {
+        match s {
+            Stmt::Assign(_, e) | Stmt::Return(e) | Stmt::Expr(e) => r.expr(e),
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
+    fn parses_minimal_routine() {
+        let r = parse("routine f() { return 0; }").unwrap();
+        assert_eq!(r.name(), "f");
+        assert!(r.params().is_empty());
+        assert_eq!(body(&r).len(), 1);
+        assert!(matches!(body(&r)[0], Stmt::Return(_)));
+        assert_eq!(value(&r, body(&r)[0]), Expr::Int(0));
+    }
+
+    #[test]
+    fn parses_params_and_assignment() {
+        let r = parse("routine f(a, b) { c = a + b; return c; }").unwrap();
+        let params: Vec<&str> = r.params().iter().map(|&p| r.sym_name(p)).collect();
+        assert_eq!(params, ["a", "b"]);
+        match body(&r)[0] {
+            Stmt::Assign(name, _) => assert_eq!(r.sym_name(name), "c"),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(value(&r, body(&r)[0]), Expr::Binary(BinOp::Add, _, _)));
+    }
+
+    #[test]
+    fn symbols_are_shared_by_name_and_numbered_by_first_appearance() {
+        let r = parse("routine f(a, b) { c = b + a; a = c; return c; }").unwrap();
+        let names: Vec<&str> = (0..r.num_syms()).map(|s| r.sym_name(Sym(s as u32))).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        assert!(matches!(body(&r)[1], Stmt::Assign(Sym(0), _)));
+    }
+
+    #[test]
     fn precedence_mul_over_add() {
         let r = parse("routine f(a) { return 1 + a * 2; }").unwrap();
-        match &r.body[0] {
-            Stmt::Return(Expr::Binary(BinOp::Add, l, rr)) => {
-                assert_eq!(**l, Expr::Int(1));
-                assert!(matches!(**rr, Expr::Binary(BinOp::Mul, _, _)));
+        match value(&r, body(&r)[0]) {
+            Expr::Binary(BinOp::Add, l, rr) => {
+                assert_eq!(r.expr(l), Expr::Int(1));
+                assert!(matches!(r.expr(rr), Expr::Binary(BinOp::Mul, _, _)));
             }
             other => panic!("{other:?}"),
         }
@@ -541,10 +643,10 @@ mod tests {
     #[test]
     fn precedence_cmp_over_logical() {
         let r = parse("routine f(a, b) { return a < 1 && b > 2; }").unwrap();
-        match &r.body[0] {
-            Stmt::Return(Expr::LogicalAnd(l, rr)) => {
-                assert!(matches!(**l, Expr::Cmp(CmpOp::Lt, _, _)));
-                assert!(matches!(**rr, Expr::Cmp(CmpOp::Gt, _, _)));
+        match value(&r, body(&r)[0]) {
+            Expr::LogicalAnd(l, rr) => {
+                assert!(matches!(r.expr(l), Expr::Cmp(CmpOp::Lt, _, _)));
+                assert!(matches!(r.expr(rr), Expr::Cmp(CmpOp::Gt, _, _)));
             }
             other => panic!("{other:?}"),
         }
@@ -561,20 +663,20 @@ mod tests {
             return i;
         }";
         let r = parse(src).unwrap();
-        assert_eq!(r.body.len(), 4);
-        assert!(matches!(r.body[1], Stmt::While(_, _)));
-        assert!(matches!(r.body[2], Stmt::DoWhile(_, _)));
+        assert_eq!(body(&r).len(), 4);
+        assert!(matches!(body(&r)[1], Stmt::While(_, _)));
+        assert!(matches!(body(&r)[2], Stmt::DoWhile(_, _)));
     }
 
     #[test]
     fn dangling_else_binds_to_nearest_if() {
         let r =
             parse("routine f(a,b) { if (a) if (b) return 1; else return 2; return 3; }").unwrap();
-        match &r.body[0] {
+        match body(&r)[0] {
             Stmt::If(_, then, outer_else) => {
                 assert!(outer_else.is_empty());
-                match &then[0] {
-                    Stmt::If(_, _, inner_else) => assert_eq!(inner_else.len(), 1),
+                match r.stmts(then)[0] {
+                    Stmt::If(_, _, inner_else) => assert_eq!(inner_else.len, 1),
                     other => panic!("{other:?}"),
                 }
             }
@@ -585,10 +687,8 @@ mod tests {
     #[test]
     fn opaque_with_and_without_token() {
         let r = parse("routine f() { a = opaque(7); b = opaque(); return a + b; }").unwrap();
-        match (&r.body[0], &r.body[1]) {
-            (Stmt::Assign(_, Expr::Opaque(7)), Stmt::Assign(_, Expr::Opaque(t))) => {
-                assert!(*t >= 1_000_000);
-            }
+        match (value(&r, body(&r)[0]), value(&r, body(&r)[1])) {
+            (Expr::Opaque(7), Expr::Opaque(t)) => assert!(t >= 1_000_000),
             other => panic!("{other:?}"),
         }
     }
@@ -596,14 +696,17 @@ mod tests {
     #[test]
     fn unary_operators() {
         let r = parse("routine f(a) { return -a + ~a + !a; }").unwrap();
-        assert!(matches!(r.body[0], Stmt::Return(_)));
+        assert!(matches!(body(&r)[0], Stmt::Return(_)));
     }
 
     #[test]
     fn true_false_literals() {
         let r = parse("routine f() { while (true) { break; } return false; }").unwrap();
-        assert!(matches!(&r.body[0], Stmt::While(Expr::Int(1), _)));
-        assert!(matches!(&r.body[1], Stmt::Return(Expr::Int(0))));
+        match body(&r)[0] {
+            Stmt::While(c, _) => assert_eq!(r.expr(c), Expr::Int(1)),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(value(&r, body(&r)[1]), Expr::Int(0));
     }
 
     #[test]
@@ -618,7 +721,30 @@ mod tests {
     #[test]
     fn expression_statement() {
         let r = parse("routine f() { opaque(3); return 0; }").unwrap();
-        assert!(matches!(&r.body[0], Stmt::Expr(Expr::Opaque(3))));
+        assert!(matches!(body(&r)[0], Stmt::Expr(_)));
+        assert_eq!(value(&r, body(&r)[0]), Expr::Opaque(3));
+    }
+
+    #[test]
+    fn nested_lists_are_contiguous_spans() {
+        let src = "routine f(x) {
+            a = 1;
+            if (x) { b = 2; while (x) { c = 3; d = 4; } } else e = 5;
+            switch (x) { case 1: { f = 6; g = 7; } default: h = 8; }
+            return a;
+        }";
+        let r = parse(src).unwrap();
+        let top = body(&r);
+        assert_eq!(top.len(), 4);
+        let Stmt::If(_, then, otherwise) = top[1] else { panic!("{:?}", top[1]) };
+        assert_eq!((then.len, otherwise.len), (2, 1));
+        let Stmt::While(_, inner) = r.stmts(then)[1] else { panic!("{r:?}") };
+        assert_eq!(inner.len, 2);
+        let Stmt::Switch(_, cases, default) = top[2] else { panic!("{:?}", top[2]) };
+        let cases = r.cases(cases);
+        assert_eq!((cases.len(), cases[0].value, cases[0].body.len, default.len), (1, 1, 2, 1));
+        // Every statement sits in exactly one list.
+        assert_eq!(r.stmt_pool().len(), 4 + 2 + 1 + 2 + 2 + 1);
     }
 }
 
@@ -650,6 +776,34 @@ mod error_tests {
         assert!(err("routine f() { do { } }").contains("expected `while`"));
         assert!(err("routine f() {").contains("unterminated block"));
         assert!(err("routine f() { opaque(x); return 0; }").contains("non-negative integer token"));
+    }
+
+    #[test]
+    fn break_and_continue_outside_a_loop_are_errors() {
+        for (src, line, message) in [
+            ("routine f(a) { break; return a; }", 1, "`break` outside a loop"),
+            ("routine f(a) {\n if (a) { continue; }\n return a; }", 2, "`continue` outside a loop"),
+            (
+                "routine f(a) { switch (a) { case 1: break; } return a; }",
+                1,
+                "`break` outside a loop",
+            ),
+            (
+                "routine f(a) { while (a) { a = 0; } if (a) break; return a; }",
+                1,
+                "`break` outside a loop",
+            ),
+        ] {
+            let e = parse(src).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (line, message), "{src}");
+        }
+        for src in [
+            "routine f(a) { while (a) { if (a) { break; } continue; } return a; }",
+            "routine f(a) { do switch (a) { case 1: break; default: continue; } while (a); }",
+            "routine f(a) { while (a) while (a) break; return a; }",
+        ] {
+            parse(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        }
     }
 
     #[test]

@@ -3,123 +3,216 @@
 //!
 //! Used by the CLI's `--emit source`, by the workload generator to dump
 //! generated programs, and by the round-trip property test
-//! (`parse(print(r)) == r`).
+//! (`parse(print(r)) == r`). The output is sized once from the routine's
+//! pool sizes, so printing a generated routine makes one allocation.
 
-use crate::ast::{Expr, Routine, Stmt};
+use crate::ast::{Expr, ExprId, Routine, Span, Stmt};
 use pgvn_ir::{BinOp, UnOp};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Renders a routine as parseable source text.
 pub fn print_routine(r: &Routine) -> String {
-    let mut out = String::new();
-    write!(out, "routine {}(", r.name).unwrap();
-    for (i, p) in r.params.iter().enumerate() {
+    // The generators' printed text takes at most about 34 bytes per
+    // statement (indentation included, at nesting depth 5) and 4 per
+    // expression node, besides the names; deeper nesting regrows.
+    let guess = 48 * r.stmt_pool().len() + 6 * r.expr_pool().len() + r.sym_text_len();
+    let mut p = Printer { r, out: String::with_capacity(64 + guess) };
+    p.write(format_args!("routine {}(", r.name()));
+    for (i, &param) in r.params().iter().enumerate() {
         if i > 0 {
-            out.push_str(", ");
+            p.out.push_str(", ");
         }
-        out.push_str(p);
+        p.out.push_str(r.sym_name(param));
     }
-    out.push_str(") {\n");
-    print_stmts(&mut out, &r.body, 1);
-    out.push_str("}\n");
-    out
+    p.out.push_str(") {\n");
+    p.stmts(r.body(), 1);
+    p.out.push_str("}\n");
+    p.out
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("    ");
+struct Printer<'r> {
+    r: &'r Routine,
+    out: String,
+}
+
+impl Printer<'_> {
+    /// Appends formatted text.
+    fn write(&mut self, text: fmt::Arguments<'_>) {
+        self.out.write_fmt(text).expect("writing to a String cannot fail");
     }
-}
 
-fn print_stmts(out: &mut String, stmts: &[Stmt], depth: usize) {
-    for s in stmts {
-        print_stmt(out, s, depth);
+    fn indent(&mut self, depth: usize) {
+        for _ in 0..depth {
+            self.out.push_str("    ");
+        }
     }
-}
 
-fn print_block(out: &mut String, stmts: &[Stmt], depth: usize) {
-    out.push_str("{\n");
-    print_stmts(out, stmts, depth + 1);
-    indent(out, depth);
-    out.push('}');
-}
+    fn stmts(&mut self, list: Span, depth: usize) {
+        for &s in self.r.stmts(list) {
+            self.stmt(s, depth);
+        }
+    }
 
-fn print_stmt(out: &mut String, s: &Stmt, depth: usize) {
-    indent(out, depth);
-    match s {
-        Stmt::Assign(name, e) => {
-            write!(out, "{name} = ").unwrap();
-            print_expr(out, e, 0);
-            out.push_str(";\n");
-        }
-        Stmt::Expr(e) => {
-            print_expr(out, e, 0);
-            out.push_str(";\n");
-        }
-        Stmt::Return(e) => {
-            out.push_str("return ");
-            print_expr(out, e, 0);
-            out.push_str(";\n");
-        }
-        Stmt::Break => out.push_str("break;\n"),
-        Stmt::Continue => out.push_str("continue;\n"),
-        Stmt::If(c, then, otherwise) => {
-            out.push_str("if (");
-            print_expr(out, c, 0);
-            out.push_str(") ");
-            print_block(out, then, depth);
-            if !otherwise.is_empty() {
-                out.push_str(" else ");
-                print_block(out, otherwise, depth);
+    fn block(&mut self, list: Span, depth: usize) {
+        self.out.push_str("{\n");
+        self.stmts(list, depth + 1);
+        self.indent(depth);
+        self.out.push('}');
+    }
+
+    fn stmt(&mut self, s: Stmt, depth: usize) {
+        self.indent(depth);
+        match s {
+            Stmt::Assign(name, e) => {
+                self.out.push_str(self.r.sym_name(name));
+                self.out.push_str(" = ");
+                self.expr(e, 0);
+                self.out.push_str(";\n");
             }
-            out.push('\n');
-        }
-        Stmt::While(c, body) => {
-            out.push_str("while (");
-            print_expr(out, c, 0);
-            out.push_str(") ");
-            print_block(out, body, depth);
-            out.push('\n');
-        }
-        Stmt::DoWhile(body, c) => {
-            out.push_str("do ");
-            print_block(out, body, depth);
-            out.push_str(" while (");
-            print_expr(out, c, 0);
-            out.push_str(");\n");
-        }
-        Stmt::Switch(scrutinee, cases, default) => {
-            out.push_str("switch (");
-            print_expr(out, scrutinee, 0);
-            out.push_str(") {\n");
-            for (value, body) in cases {
-                indent(out, depth + 1);
-                write!(out, "case {value}: ").unwrap();
-                print_block(out, body, depth + 1);
-                out.push('\n');
+            Stmt::Expr(e) => {
+                self.expr(e, 0);
+                self.out.push_str(";\n");
             }
-            if !default.is_empty() {
-                indent(out, depth + 1);
-                out.push_str("default: ");
-                print_block(out, default, depth + 1);
-                out.push('\n');
+            Stmt::Return(e) => {
+                self.out.push_str("return ");
+                self.expr(e, 0);
+                self.out.push_str(";\n");
             }
-            indent(out, depth);
-            out.push_str("}\n");
+            Stmt::Break => self.out.push_str("break;\n"),
+            Stmt::Continue => self.out.push_str("continue;\n"),
+            Stmt::If(c, then, otherwise) => {
+                self.out.push_str("if (");
+                self.expr(c, 0);
+                self.out.push_str(") ");
+                self.block(then, depth);
+                if !otherwise.is_empty() {
+                    self.out.push_str(" else ");
+                    self.block(otherwise, depth);
+                }
+                self.out.push('\n');
+            }
+            Stmt::While(c, body) => {
+                self.out.push_str("while (");
+                self.expr(c, 0);
+                self.out.push_str(") ");
+                self.block(body, depth);
+                self.out.push('\n');
+            }
+            Stmt::DoWhile(body, c) => {
+                self.out.push_str("do ");
+                self.block(body, depth);
+                self.out.push_str(" while (");
+                self.expr(c, 0);
+                self.out.push_str(");\n");
+            }
+            Stmt::Switch(scrutinee, cases, default) => {
+                self.out.push_str("switch (");
+                self.expr(scrutinee, 0);
+                self.out.push_str(") {\n");
+                for &case in self.r.cases(cases) {
+                    self.indent(depth + 1);
+                    self.write(format_args!("case {}: ", case.value));
+                    self.block(case.body, depth + 1);
+                    self.out.push('\n');
+                }
+                if !default.is_empty() {
+                    self.indent(depth + 1);
+                    self.out.push_str("default: ");
+                    self.block(default, depth + 1);
+                    self.out.push('\n');
+                }
+                self.indent(depth);
+                self.out.push_str("}\n");
+            }
+        }
+    }
+
+    fn expr(&mut self, id: ExprId, min_prec: u8) {
+        let e = self.r.expr(id);
+        let prec = precedence(e);
+        let needs_parens = prec < min_prec;
+        if needs_parens {
+            self.out.push('(');
+        }
+        match e {
+            Expr::Int(v) => {
+                if v == i64::MIN {
+                    self.write(format_args!("{v}"));
+                } else if v < 0 {
+                    // `-n` would reparse as a unary expression; `0 - n`
+                    // reparses to an equivalent tree and reaches a printing
+                    // fixpoint after one round.
+                    self.write(format_args!("0 - {}", -v));
+                } else {
+                    self.write(format_args!("{v}"));
+                }
+            }
+            Expr::Var(name) => self.out.push_str(self.r.sym_name(name)),
+            Expr::Opaque(t) => {
+                self.write(format_args!("opaque({t})"));
+            }
+            Expr::Unary(op, a) => {
+                self.out.push_str(match op {
+                    UnOp::Neg => "-",
+                    UnOp::Not => "~",
+                });
+                self.expr(a, 10);
+            }
+            Expr::LogicalNot(a) => {
+                self.out.push('!');
+                self.expr(a, 10);
+            }
+            Expr::Binary(op, a, b) => {
+                self.expr(a, prec);
+                let sym = match op {
+                    BinOp::Add => " + ",
+                    BinOp::Sub => " - ",
+                    BinOp::Mul => " * ",
+                    BinOp::Div => " / ",
+                    BinOp::Rem => " % ",
+                    BinOp::And => " & ",
+                    BinOp::Or => " | ",
+                    BinOp::Xor => " ^ ",
+                    BinOp::Shl => " << ",
+                    BinOp::Shr => " >> ",
+                };
+                self.out.push_str(sym);
+                // Left-associative: the right operand needs strictly higher
+                // binding to avoid regrouping.
+                self.expr(b, prec + 1);
+            }
+            Expr::Cmp(op, a, b) => {
+                self.expr(a, prec);
+                self.write(format_args!(" {} ", op.symbol()));
+                self.expr(b, prec + 1);
+            }
+            Expr::LogicalAnd(a, b) => {
+                self.expr(a, 1);
+                self.out.push_str(" && ");
+                self.expr(b, 2);
+            }
+            Expr::LogicalOr(a, b) => {
+                self.expr(a, 0);
+                self.out.push_str(" || ");
+                self.expr(b, 1);
+            }
+        }
+        if needs_parens {
+            self.out.push(')');
         }
     }
 }
 
 /// Binding strength of each expression form, mirroring the parser's
 /// precedence levels (higher binds tighter).
-fn precedence(e: &Expr) -> u8 {
+fn precedence(e: Expr) -> u8 {
     match e {
         // `i64::MIN` prints as the literal `-9223372036854775808`, which
         // parses back to itself.
         Expr::Int(i64::MIN) => 10,
         // Other negative literals print as `0 - n`, so they bind like
         // subtraction and pick up parentheses from the standard rule.
-        Expr::Int(v) if *v < 0 => 8,
+        Expr::Int(v) if v < 0 => 8,
         Expr::Int(_) | Expr::Var(_) | Expr::Opaque(_) => 11,
         Expr::Unary(..) | Expr::LogicalNot(_) => 10,
         Expr::Binary(op, ..) => match op {
@@ -139,82 +232,6 @@ fn precedence(e: &Expr) -> u8 {
         }
         Expr::LogicalAnd(..) => 1,
         Expr::LogicalOr(..) => 0,
-    }
-}
-
-fn print_expr(out: &mut String, e: &Expr, min_prec: u8) {
-    let prec = precedence(e);
-    let needs_parens = prec < min_prec;
-    if needs_parens {
-        out.push('(');
-    }
-    match e {
-        Expr::Int(v) => {
-            if *v == i64::MIN {
-                write!(out, "{v}").unwrap();
-            } else if *v < 0 {
-                // `-n` would reparse as a unary expression; `0 - n`
-                // reparses to an equivalent tree and reaches a printing
-                // fixpoint after one round.
-                write!(out, "0 - {}", -v).unwrap();
-            } else {
-                write!(out, "{v}").unwrap();
-            }
-        }
-        Expr::Var(name) => out.push_str(name),
-        Expr::Opaque(t) => {
-            write!(out, "opaque({t})").unwrap();
-        }
-        Expr::Unary(op, a) => {
-            out.push_str(match op {
-                UnOp::Neg => "-",
-                UnOp::Not => "~",
-            });
-            print_expr(out, a, 10);
-        }
-        Expr::LogicalNot(a) => {
-            out.push('!');
-            print_expr(out, a, 10);
-        }
-        Expr::Binary(op, a, b) => {
-            let p = precedence(e);
-            print_expr(out, a, p);
-            let sym = match op {
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Div => "/",
-                BinOp::Rem => "%",
-                BinOp::And => "&",
-                BinOp::Or => "|",
-                BinOp::Xor => "^",
-                BinOp::Shl => "<<",
-                BinOp::Shr => ">>",
-            };
-            write!(out, " {sym} ").unwrap();
-            // Left-associative: the right operand needs strictly higher
-            // binding to avoid regrouping.
-            print_expr(out, b, p + 1);
-        }
-        Expr::Cmp(op, a, b) => {
-            let p = precedence(e);
-            print_expr(out, a, p);
-            write!(out, " {} ", op.symbol()).unwrap();
-            print_expr(out, b, p + 1);
-        }
-        Expr::LogicalAnd(a, b) => {
-            print_expr(out, a, 1);
-            out.push_str(" && ");
-            print_expr(out, b, 2);
-        }
-        Expr::LogicalOr(a, b) => {
-            print_expr(out, a, 0);
-            out.push_str(" || ");
-            print_expr(out, b, 1);
-        }
-    }
-    if needs_parens {
-        out.push(')');
     }
 }
 
@@ -327,22 +344,18 @@ mod tests {
         roundtrip(src);
         // An AST built directly (as the generator and shrinker do) prints
         // and reparses too.
-        let built = Routine {
-            name: "g".into(),
-            params: vec!["a".into()],
-            body: vec![
-                Stmt::Switch(
-                    Expr::Var("a".into()),
-                    vec![(i64::MIN, vec![Stmt::Return(Expr::Int(1))])],
-                    vec![],
-                ),
-                Stmt::Return(Expr::Binary(
-                    BinOp::Sub,
-                    Box::new(Expr::Var("a".into())),
-                    Box::new(Expr::Int(i64::MIN)),
-                )),
-            ],
-        };
+        let mut built = Routine::new("g");
+        let a = built.add_sym("a");
+        built.add_param(a);
+        let one = built.add_expr(Expr::Int(1));
+        let arm = built.add_stmts(&[Stmt::Return(one)]);
+        let cases = built.add_cases(&[crate::ast::Case { value: i64::MIN, body: arm }]);
+        let scrutinee = built.add_expr(Expr::Var(a));
+        let (lhs, min) = (built.add_expr(Expr::Var(a)), built.add_expr(Expr::Int(i64::MIN)));
+        let diff = built.add_expr(Expr::Binary(BinOp::Sub, lhs, min));
+        let body =
+            built.add_stmts(&[Stmt::Switch(scrutinee, cases, Span::EMPTY), Stmt::Return(diff)]);
+        built.set_body(body);
         let printed = print_routine(&built);
         assert_eq!(parse(&printed).unwrap(), built, "{printed}");
         let f1 = crate::compile(src, pgvn_ssa::SsaStyle::Minimal).unwrap();

@@ -1,11 +1,11 @@
 //! Lexer for the pgvn source language.
 //!
 //! Tokens carry no heap data: a [`Token`] is `Copy`, and an identifier
-//! borrows its text from the source. [`lex`] makes one allocation per
-//! routine, its output sized from an upper bound on the token count.
-//! Before, it made one `String` per identifier plus the output's
-//! regrowth: 225 allocations per routine on average on the
-//! batch-pre-check corpus (76 on batch-small).
+//! borrows its text from the source. [`lex`] makes one pass over the
+//! bytes and one allocation per routine, its output sized from the
+//! source length, which bounds the token count. A keyword is found by
+//! its length and first byte and confirmed with one comparison, and an
+//! integer literal is accumulated as it is scanned.
 
 use std::error::Error;
 use std::fmt;
@@ -171,41 +171,84 @@ impl fmt::Display for LexError {
 
 impl Error for LexError {}
 
-/// An upper bound on the number of tokens `src` lexes to: every byte
-/// that can start one. An identifier or literal counts once, every other
-/// non-blank byte once (so `<=` and comments over-count, which is safe).
-fn max_tokens(src: &[u8]) -> usize {
-    // 0: between tokens, 1: inside an identifier, 2: inside a literal.
-    let (mut n, mut word) = (0, 0u8);
-    for &b in src {
-        word = match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                n += usize::from(word != 1);
-                1
-            }
-            b'0'..=b'9' if word == 0 => {
-                n += 1;
-                2
-            }
-            b'0'..=b'9' => word,
-            b' ' | b'\t' | b'\r' | b'\n' => 0,
-            _ => {
-                n += 1;
-                0
-            }
-        };
-    }
-    n
-}
-
 /// The magnitude of `i64::MIN`, which has no positive `i64` spelling.
 const MIN_MAGNITUDE: &str = "9223372036854775808";
 
+/// The keyword spelled `word`, if any: one comparison, picked by the
+/// word's length and first byte.
+fn keyword(word: &[u8]) -> Option<Token<'static>> {
+    let (tok, text): (Token<'static>, &[u8]) = match (word.len(), word[0]) {
+        (2, b'i') => (Token::If, b"if"),
+        (2, b'd') => (Token::Do, b"do"),
+        (4, b'e') => (Token::Else, b"else"),
+        (4, b't') => (Token::True, b"true"),
+        (4, b'c') => (Token::Case, b"case"),
+        (5, b'w') => (Token::While, b"while"),
+        (5, b'b') => (Token::Break, b"break"),
+        (5, b'f') => (Token::False, b"false"),
+        (6, b'r') => (Token::Return, b"return"),
+        (6, b'o') => (Token::Opaque, b"opaque"),
+        (6, b's') => (Token::Switch, b"switch"),
+        (7, b'r') => (Token::Routine, b"routine"),
+        (7, b'd') => (Token::Default, b"default"),
+        (8, b'c') => (Token::Continue, b"continue"),
+        _ => return None,
+    };
+    (word == text).then_some(tok)
+}
+
+/// The token of a one-byte operator or punctuation mark `c`.
+fn punct(c: u8) -> Option<Token<'static>> {
+    Some(match c {
+        b'(' => Token::LParen,
+        b')' => Token::RParen,
+        b'{' => Token::LBrace,
+        b'}' => Token::RBrace,
+        b',' => Token::Comma,
+        b':' => Token::Colon,
+        b';' => Token::Semi,
+        b'=' => Token::Assign,
+        b'+' => Token::Plus,
+        b'-' => Token::Minus,
+        b'*' => Token::Star,
+        b'/' => Token::Slash,
+        b'%' => Token::Percent,
+        b'&' => Token::Amp,
+        b'|' => Token::Pipe,
+        b'^' => Token::Caret,
+        b'~' => Token::Tilde,
+        b'!' => Token::Bang,
+        b'<' => Token::Lt,
+        b'>' => Token::Gt,
+        _ => return None,
+    })
+}
+
+/// The token of a two-byte operator `c next`.
+fn punct2(c: u8, next: u8) -> Option<Token<'static>> {
+    Some(match (c, next) {
+        (b'<', b'<') => Token::Shl,
+        (b'>', b'>') => Token::Shr,
+        (b'=', b'=') => Token::EqEq,
+        (b'!', b'=') => Token::NotEq,
+        (b'<', b'=') => Token::Le,
+        (b'>', b'=') => Token::Ge,
+        (b'&', b'&') => Token::AndAnd,
+        (b'|', b'|') => Token::OrOr,
+        _ => return None,
+    })
+}
+
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
 /// Tokenizes `src`. `//` comments run to end of line.
 ///
-/// Tokens borrow identifiers from `src`, and the output is sized once from
-/// an upper bound on the token count, so lexing makes one allocation
-/// whatever the length.
+/// Lexing is one pass over the bytes. Tokens borrow identifiers from
+/// `src`, and the output is sized once from the source length, which
+/// bounds the token count (every token takes at least one byte), so
+/// lexing makes one allocation whatever the length.
 ///
 /// The literal `9223372036854775808` lexes only right after a `-`, as
 /// `i64::MIN`: that is how `i64::MIN` is spelled (the parser folds the
@@ -213,123 +256,84 @@ const MIN_MAGNITUDE: &str = "9223372036854775808";
 ///
 /// # Errors
 ///
-/// Returns a [`LexError`] on unknown characters or malformed literals.
+/// Returns a [`LexError`] on unknown characters or malformed literals, or
+/// when the output cannot be reserved.
 pub fn lex(src: &str) -> Result<Vec<(Token<'_>, u32)>, LexError> {
     let bytes = src.as_bytes();
-    let mut out: Vec<(Token<'_>, u32)> = Vec::with_capacity(max_tokens(bytes));
+    let mut out: Vec<(Token<'_>, u32)> = Vec::new();
+    // The reservation is untouched beyond the real tokens, but it scales
+    // with input from outside the program: one too large to reserve is
+    // an error, not an abort.
+    if out.try_reserve_exact(bytes.len()).is_err() {
+        return Err(LexError {
+            line: 1,
+            message: format!("{} bytes are too many to lex", bytes.len()),
+        });
+    }
     let mut i = 0;
     let mut line = 1u32;
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
+    while let Some(&c) = bytes.get(i) {
+        let tok = match c {
             b'\n' => {
                 line += 1;
                 i += 1;
+                continue;
             }
-            b' ' | b'\t' | b'\r' => i += 1,
+            b' ' | b'\t' | b'\r' => {
+                i += 1;
+                continue;
+            }
             b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
+                i += bytes[i..].iter().position(|&b| b == b'\n').unwrap_or(bytes.len() - i);
+                continue;
             }
             b'0'..=b'9' => {
                 let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                let mut v: Option<i64> = Some(0);
+                while let Some(&d @ b'0'..=b'9') = bytes.get(i) {
+                    v = v.and_then(|v| v.checked_mul(10)?.checked_add(i64::from(d - b'0')));
                     i += 1;
                 }
-                let text = &src[start..i];
-                let after_minus = matches!(out.last(), Some((Token::Minus, _)));
-                let v = match text.parse::<i64>() {
-                    Ok(v) => v,
-                    Err(_) if after_minus && text == MIN_MAGNITUDE => i64::MIN,
-                    Err(_) => {
-                        return Err(LexError {
-                            line,
-                            message: format!("integer literal `{text}` out of range"),
-                        })
+                match v {
+                    Some(v) => Token::Int(v),
+                    None => {
+                        let text = &src[start..i];
+                        let after_minus = matches!(out.last(), Some((Token::Minus, _)));
+                        if !(after_minus && text == MIN_MAGNITUDE) {
+                            return Err(LexError {
+                                line,
+                                message: format!("integer literal `{text}` out of range"),
+                            });
+                        }
+                        Token::Int(i64::MIN)
                     }
-                };
-                out.push((Token::Int(v), line));
+                }
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                i += 1;
+                while bytes.get(i).is_some_and(|&b| is_word_byte(b)) {
                     i += 1;
                 }
                 let word = &src[start..i];
-                let tok = match word {
-                    "routine" => Token::Routine,
-                    "if" => Token::If,
-                    "else" => Token::Else,
-                    "while" => Token::While,
-                    "do" => Token::Do,
-                    "break" => Token::Break,
-                    "continue" => Token::Continue,
-                    "return" => Token::Return,
-                    "true" => Token::True,
-                    "false" => Token::False,
-                    "opaque" => Token::Opaque,
-                    "switch" => Token::Switch,
-                    "case" => Token::Case,
-                    "default" => Token::Default,
-                    _ => Token::Ident(word),
-                };
-                out.push((tok, line));
+                keyword(word.as_bytes()).unwrap_or(Token::Ident(word))
             }
             _ => {
-                let next = bytes.get(i + 1).copied();
-                let two = match (c, next) {
-                    (b'<', Some(b'<')) => Some(Token::Shl),
-                    (b'>', Some(b'>')) => Some(Token::Shr),
-                    (b'=', Some(b'=')) => Some(Token::EqEq),
-                    (b'!', Some(b'=')) => Some(Token::NotEq),
-                    (b'<', Some(b'=')) => Some(Token::Le),
-                    (b'>', Some(b'=')) => Some(Token::Ge),
-                    (b'&', Some(b'&')) => Some(Token::AndAnd),
-                    (b'|', Some(b'|')) => Some(Token::OrOr),
-                    _ => None,
-                };
-                let (tok, len) = match two {
-                    Some(t) => (t, 2),
-                    None => {
-                        let t = match c {
-                            b'(' => Token::LParen,
-                            b')' => Token::RParen,
-                            b'{' => Token::LBrace,
-                            b'}' => Token::RBrace,
-                            b',' => Token::Comma,
-                            b':' => Token::Colon,
-                            b';' => Token::Semi,
-                            b'=' => Token::Assign,
-                            b'+' => Token::Plus,
-                            b'-' => Token::Minus,
-                            b'*' => Token::Star,
-                            b'/' => Token::Slash,
-                            b'%' => Token::Percent,
-                            b'&' => Token::Amp,
-                            b'|' => Token::Pipe,
-                            b'^' => Token::Caret,
-                            b'~' => Token::Tilde,
-                            b'!' => Token::Bang,
-                            b'<' => Token::Lt,
-                            b'>' => Token::Gt,
-                            _ => {
-                                // `i` is always a char boundary: every
-                                // other arm consumes whole ASCII runs.
-                                let ch = src[i..].chars().next().expect("i < len");
-                                return Err(LexError {
-                                    line,
-                                    message: format!("unexpected character `{ch}`"),
-                                });
-                            }
-                        };
-                        (t, 1)
-                    }
-                };
-                out.push((tok, line));
-                i += len;
+                if let Some(t) = bytes.get(i + 1).and_then(|&next| punct2(c, next)) {
+                    i += 2;
+                    t
+                } else if let Some(t) = punct(c) {
+                    i += 1;
+                    t
+                } else {
+                    // `i` is always a char boundary: every other arm
+                    // consumes whole ASCII runs.
+                    let ch = src[i..].chars().next().expect("i < len");
+                    return Err(LexError { line, message: format!("unexpected character `{ch}`") });
+                }
             }
-        }
+        };
+        out.push((tok, line));
     }
     Ok(out)
 }
@@ -448,7 +452,7 @@ mod tests {
             crate::fixtures::FIGURE1,
         ] {
             let n = lex(src).unwrap().len();
-            assert!(n <= max_tokens(src.as_bytes()), "{src:?}: {n} tokens");
+            assert!(n <= src.len(), "{src:?}: {n} tokens");
         }
     }
 }

@@ -5,14 +5,19 @@
 //! chunks, unwrapping control structure into one of its arms, and
 //! replacing expression nodes by constants or their own operands — and
 //! keeps any candidate that still fails. Candidates that would not
-//! re-lower (a `break` orphaned outside any loop) are filtered out before
-//! the predicate ever sees them.
+//! re-lower or re-parse (a `break` orphaned outside any loop) are
+//! filtered out before the predicate ever sees them.
+//!
+//! A candidate is a clone of the routine's pools with one edit: a new
+//! list or expression path appended and the owning statement pointed at
+//! it. Statements are addressed by their list and index, which are the
+//! same in every clone.
 //!
 //! The result is a local minimum: no single deletion/unwrap/replacement
 //! keeps the failure. In practice this turns 40-statement generated
 //! routines into fixtures of a handful of instructions.
 
-use pgvn_lang::{Expr, Routine, Stmt};
+use pgvn_lang::{Expr, ExprId, Routine, Span, Stmt};
 
 /// Tuning for one shrink run.
 #[derive(Clone, Copy, Debug)]
@@ -27,110 +32,127 @@ impl Default for ShrinkOptions {
     }
 }
 
-/// Address of a statement: descend through `steps` — each `(stmt, body)`
-/// pair selects a compound statement and one of its child bodies — then
-/// take statement `last` of the body reached.
-#[derive(Clone, Debug)]
+/// Where a statement list hangs: the routine body, or child list `k` of
+/// the statement at a pool index (for a switch, its arms in order, then
+/// the default).
+#[derive(Clone, Copy, Debug)]
+enum Owner {
+    Body,
+    Child(usize, usize),
+}
+
+/// Address of a statement: entry `index` of the list `owner` holds.
+/// Candidates are clones of the routine the paths were collected from,
+/// so a path addresses the same statement in each.
+#[derive(Clone, Copy, Debug)]
 struct Path {
-    steps: Vec<(usize, usize)>,
-    last: usize,
+    owner: Owner,
+    index: usize,
 }
 
-fn child_bodies(s: &Stmt) -> Vec<&Vec<Stmt>> {
+fn child_lists(r: &Routine, s: Stmt) -> Vec<Span> {
     match s {
         Stmt::If(_, t, e) => vec![t, e],
         Stmt::While(_, b) | Stmt::DoWhile(b, _) => vec![b],
         Stmt::Switch(_, cases, default) => {
-            let mut v: Vec<&Vec<Stmt>> = cases.iter().map(|(_, b)| b).collect();
-            v.push(default);
-            v
+            r.cases(cases).iter().map(|c| c.body).chain([default]).collect()
         }
         _ => Vec::new(),
     }
 }
 
-fn child_bodies_mut(s: &mut Stmt) -> Vec<&mut Vec<Stmt>> {
-    match s {
-        Stmt::If(_, t, e) => vec![t, e],
-        Stmt::While(_, b) | Stmt::DoWhile(b, _) => vec![b],
-        Stmt::Switch(_, cases, default) => {
-            let mut v: Vec<&mut Vec<Stmt>> = cases.iter_mut().map(|(_, b)| b).collect();
-            v.push(default);
-            v
-        }
-        _ => Vec::new(),
+fn list_of(r: &Routine, owner: Owner) -> Span {
+    match owner {
+        Owner::Body => r.body(),
+        Owner::Child(i, k) => child_lists(r, r.stmt_pool()[i])[k],
     }
+}
+
+/// Points `owner` at `list`, editing the owning statement in place.
+fn set_list(r: &mut Routine, owner: Owner, list: Span) {
+    let Owner::Child(i, k) = owner else { return r.set_body(list) };
+    let at = Span { start: i as u32, len: 1 };
+    let s = r.stmts(at)[0];
+    let edited = match s {
+        Stmt::If(c, _, e) if k == 0 => Stmt::If(c, list, e),
+        Stmt::If(c, t, _) => Stmt::If(c, t, list),
+        Stmt::While(c, _) => Stmt::While(c, list),
+        Stmt::DoWhile(_, c) => Stmt::DoWhile(list, c),
+        Stmt::Switch(c, cases, _) if k == cases.len as usize => Stmt::Switch(c, cases, list),
+        Stmt::Switch(_, cases, _) => {
+            r.cases_mut(cases)[k].body = list;
+            s
+        }
+        _ => unreachable!("only compound statements own lists"),
+    };
+    r.stmts_mut(at)[0] = edited;
+}
+
+/// The pool index of the statement at `path`.
+fn stmt_index(r: &Routine, path: Path) -> usize {
+    list_of(r, path.owner).start as usize + path.index
 }
 
 /// Collects the paths of every statement, outermost first.
-fn collect_paths(body: &[Stmt], steps: &[(usize, usize)], out: &mut Vec<Path>) {
-    for (i, s) in body.iter().enumerate() {
-        out.push(Path { steps: steps.to_vec(), last: i });
-        for (bi, child) in child_bodies(s).into_iter().enumerate() {
-            let mut st = steps.to_vec();
-            st.push((i, bi));
-            collect_paths(child, &st, out);
+fn collect_paths(r: &Routine, owner: Owner, out: &mut Vec<Path>) {
+    let list = list_of(r, owner);
+    for index in 0..list.len as usize {
+        out.push(Path { owner, index });
+        let i = list.start as usize + index;
+        for k in 0..child_lists(r, r.stmt_pool()[i]).len() {
+            collect_paths(r, Owner::Child(i, k), out);
         }
     }
 }
 
-/// Resolves `path` to (containing body, index), or `None` if a prior
-/// mutation made the path dangle.
-fn navigate<'a>(r: &'a mut Routine, path: &Path) -> Option<(&'a mut Vec<Stmt>, usize)> {
-    let mut body: &'a mut Vec<Stmt> = &mut r.body;
-    for &(si, bi) in &path.steps {
-        let stmt = body.get_mut(si)?;
-        let mut children = child_bodies_mut(stmt);
-        if bi >= children.len() {
-            return None;
-        }
-        body = children.swap_remove(bi);
-    }
-    if path.last >= body.len() {
-        return None;
-    }
-    Some((body, path.last))
-}
-
-fn exprs_of_mut(s: &mut Stmt) -> Vec<&mut Expr> {
+fn exprs_of(s: Stmt) -> Option<ExprId> {
     match s {
-        Stmt::Assign(_, e) | Stmt::Return(e) | Stmt::Expr(e) => vec![e],
-        Stmt::If(c, ..) | Stmt::While(c, _) | Stmt::DoWhile(_, c) | Stmt::Switch(c, ..) => vec![c],
-        Stmt::Break | Stmt::Continue => Vec::new(),
+        Stmt::Assign(_, e) | Stmt::Return(e) | Stmt::Expr(e) => Some(e),
+        Stmt::If(c, ..) | Stmt::While(c, _) | Stmt::DoWhile(_, c) | Stmt::Switch(c, ..) => Some(c),
+        Stmt::Break | Stmt::Continue => None,
     }
 }
 
-fn subexprs(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Int(_) | Expr::Var(_) | Expr::Opaque(_) => Vec::new(),
-        Expr::Unary(_, a) | Expr::LogicalNot(a) => vec![a],
-        Expr::Binary(_, a, b)
-        | Expr::Cmp(_, a, b)
-        | Expr::LogicalAnd(a, b)
-        | Expr::LogicalOr(a, b) => vec![a, b],
+/// The statement with its expression replaced by `e`.
+fn with_expr(s: Stmt, e: ExprId) -> Stmt {
+    match s {
+        Stmt::Assign(v, _) => Stmt::Assign(v, e),
+        Stmt::Return(_) => Stmt::Return(e),
+        Stmt::Expr(_) => Stmt::Expr(e),
+        Stmt::If(_, t, o) => Stmt::If(e, t, o),
+        Stmt::While(_, b) => Stmt::While(e, b),
+        Stmt::DoWhile(b, _) => Stmt::DoWhile(b, e),
+        Stmt::Switch(_, cases, d) => Stmt::Switch(e, cases, d),
+        Stmt::Break | Stmt::Continue => s,
     }
 }
 
-/// Drops `break`/`continue` statements that would bind to an *unwrapped*
-/// loop (i.e. those not enclosed by a loop inside `body` itself).
-fn scrub_orphaned_jumps(body: &mut Vec<Stmt>) {
-    body.retain_mut(|s| match s {
-        Stmt::Break | Stmt::Continue => false,
-        Stmt::If(_, t, e) => {
-            scrub_orphaned_jumps(t);
-            scrub_orphaned_jumps(e);
-            true
-        }
-        Stmt::Switch(_, cases, default) => {
-            for (_, b) in cases.iter_mut() {
-                scrub_orphaned_jumps(b);
+/// A copy of `list` with its `break`/`continue` statements dropped where
+/// they would bind to an *unwrapped* loop (those not enclosed by a loop
+/// inside `list` itself).
+fn scrub_orphaned_jumps(r: &mut Routine, list: Span) -> Span {
+    let mut kept = Vec::with_capacity(list.len as usize);
+    for i in list.range() {
+        let s = r.stmt_pool()[i];
+        kept.push(match s {
+            Stmt::Break | Stmt::Continue => continue,
+            Stmt::If(c, t, e) => {
+                let t = scrub_orphaned_jumps(r, t);
+                Stmt::If(c, t, scrub_orphaned_jumps(r, e))
             }
-            scrub_orphaned_jumps(default);
-            true
-        }
-        // An inner loop recaptures its own break/continue.
-        _ => true,
-    });
+            Stmt::Switch(c, cases, default) => {
+                let mut arms = r.cases(cases).to_vec();
+                for arm in &mut arms {
+                    arm.body = scrub_orphaned_jumps(r, arm.body);
+                }
+                let default = scrub_orphaned_jumps(r, default);
+                Stmt::Switch(c, r.add_cases(&arms), default)
+            }
+            // An inner loop recaptures its own break/continue.
+            _ => s,
+        });
+    }
+    r.add_stmts(&kept)
 }
 
 /// The shrink measure of a routine: the pair [`shrink_routine`]
@@ -146,164 +168,209 @@ pub fn shrink_measure(r: &Routine) -> (usize, usize) {
 /// greedy loop terminate — sideways rewrites such as `0 + k → 1 + k`
 /// would otherwise cycle forever.
 fn measure(r: &Routine) -> (usize, usize) {
-    fn expr(e: &Expr, m: &mut (usize, usize)) {
+    fn expr(r: &Routine, e: ExprId, m: &mut (usize, usize)) {
         m.0 += 1;
-        if let Expr::Int(v) = e {
+        if let Expr::Int(v) = r.expr(e) {
             m.1 += match v {
                 0 => 0,
                 1 => 1,
                 _ => 2,
             };
         }
-        for c in subexprs(e) {
-            expr(c, m);
+        for c in r.expr(e).operands() {
+            expr(r, c, m);
         }
     }
-    fn stmts(body: &[Stmt], m: &mut (usize, usize)) {
-        for s in body {
+    fn stmts(r: &Routine, list: Span, m: &mut (usize, usize)) {
+        for &s in r.stmts(list) {
             m.0 += 1;
-            let mut s2 = s.clone();
-            for e in exprs_of_mut(&mut s2) {
-                expr(e, m);
+            if let Some(e) = exprs_of(s) {
+                expr(r, e, m);
             }
-            for b in child_bodies(s) {
-                stmts(b, m);
+            for b in child_lists(r, s) {
+                stmts(r, b, m);
             }
         }
     }
     let mut m = (0, 0);
-    stmts(&r.body, &mut m);
+    stmts(r, r.body(), &mut m);
     m
 }
 
-/// `break`/`continue` must sit inside a loop, or lowering panics.
-fn structurally_valid(body: &[Stmt], in_loop: bool) -> bool {
-    body.iter().all(|s| match s {
+/// `break`/`continue` must sit inside a loop: the parser rejects them
+/// elsewhere, and lowering panics on them.
+fn structurally_valid(r: &Routine, list: Span, in_loop: bool) -> bool {
+    r.stmts(list).iter().all(|&s| match s {
         Stmt::Break | Stmt::Continue => in_loop,
-        Stmt::While(_, b) | Stmt::DoWhile(b, _) => structurally_valid(b, true),
-        Stmt::If(_, t, e) => structurally_valid(t, in_loop) && structurally_valid(e, in_loop),
+        Stmt::While(_, b) | Stmt::DoWhile(b, _) => structurally_valid(r, b, true),
+        Stmt::If(_, t, e) => structurally_valid(r, t, in_loop) && structurally_valid(r, e, in_loop),
         Stmt::Switch(_, cases, default) => {
-            cases.iter().all(|(_, b)| structurally_valid(b, in_loop))
-                && structurally_valid(default, in_loop)
+            r.cases(cases).iter().all(|c| structurally_valid(r, c.body, in_loop))
+                && structurally_valid(r, default, in_loop)
         }
         _ => true,
     })
 }
 
-/// All single-node simplifications of `e`: replace any one node by 0, by
-/// 1, or by one of its own operands.
-fn simplified_exprs(e: &Expr) -> Vec<Expr> {
-    let mut out = Vec::new();
-    if *e != Expr::Int(0) {
-        out.push(Expr::Int(0));
+/// What replaces a node in a single-node simplification.
+#[derive(Clone, Copy)]
+enum Replacement {
+    Int(i64),
+    Operand(ExprId),
+}
+
+/// All single-node simplifications of the tree under `e`, outermost
+/// first: replace any one node by 0, by 1, or by one of its own operands.
+fn simplifications(r: &Routine, e: ExprId, out: &mut Vec<(ExprId, Replacement)>) {
+    let node = r.expr(e);
+    if node != Expr::Int(0) {
+        out.push((e, Replacement::Int(0)));
     }
-    if *e != Expr::Int(1) {
-        out.push(Expr::Int(1));
+    if node != Expr::Int(1) {
+        out.push((e, Replacement::Int(1)));
     }
-    for child in subexprs(e) {
-        out.push(child.clone());
+    out.extend(node.operands().map(|c| (e, Replacement::Operand(c))));
+    for c in node.operands() {
+        simplifications(r, c, out);
     }
-    let with = |k: &dyn Fn(Box<Expr>) -> Expr, a: &Expr, out: &mut Vec<Expr>| {
-        for s in simplified_exprs(a) {
-            out.push(k(Box::new(s)));
-        }
-    };
-    match e {
-        Expr::Int(_) | Expr::Var(_) | Expr::Opaque(_) => {}
-        Expr::Unary(op, a) => with(&|s| Expr::Unary(*op, s), a, &mut out),
-        Expr::LogicalNot(a) => with(&Expr::LogicalNot, a, &mut out),
-        Expr::Binary(op, a, b) => {
-            with(&|s| Expr::Binary(*op, s, b.clone()), a, &mut out);
-            with(&|s| Expr::Binary(*op, a.clone(), s), b, &mut out);
-        }
-        Expr::Cmp(op, a, b) => {
-            with(&|s| Expr::Cmp(*op, s, b.clone()), a, &mut out);
-            with(&|s| Expr::Cmp(*op, a.clone(), s), b, &mut out);
-        }
-        Expr::LogicalAnd(a, b) => {
-            with(&|s| Expr::LogicalAnd(s, b.clone()), a, &mut out);
-            with(&|s| Expr::LogicalAnd(a.clone(), s), b, &mut out);
-        }
-        Expr::LogicalOr(a, b) => {
-            with(&|s| Expr::LogicalOr(s, b.clone()), a, &mut out);
-            with(&|s| Expr::LogicalOr(a.clone(), s), b, &mut out);
-        }
+}
+
+/// The tree under `root` with node `target` replaced, sharing every
+/// subtree off the path to `target`; `None` if `target` is not under
+/// `root`.
+fn replace(r: &mut Routine, root: ExprId, target: ExprId, with: Replacement) -> Option<ExprId> {
+    if root == target {
+        return Some(match with {
+            Replacement::Int(v) => r.add_expr(Expr::Int(v)),
+            Replacement::Operand(c) => c,
+        });
     }
-    out
+    let mut found = false;
+    let rebuilt = r.expr(root).map_operands(|c| {
+        if found {
+            return c;
+        }
+        let edited = replace(r, c, target, with);
+        found = edited.is_some();
+        edited.unwrap_or(c)
+    });
+    found.then(|| r.add_expr(rebuilt))
+}
+
+/// `r` with the list at `owner` replaced by `keep(its statements)`.
+fn with_list(
+    r: &Routine,
+    owner: Owner,
+    keep: impl FnOnce(&mut Routine, &[Stmt]) -> Vec<Stmt>,
+) -> Routine {
+    let mut c = r.clone();
+    let old = r.stmts(list_of(r, owner));
+    let stmts = keep(&mut c, old);
+    let list = c.add_stmts(&stmts);
+    set_list(&mut c, owner, list);
+    c
 }
 
 /// One round of candidates, most-aggressive first.
 fn candidates(r: &Routine) -> Vec<Routine> {
     let mut out = Vec::new();
     let mut paths = Vec::new();
-    collect_paths(&r.body, &[], &mut paths);
+    collect_paths(r, Owner::Body, &mut paths);
 
     // 1. Chunk deletions at the top level (halves, then quarters).
-    let n = r.body.len();
+    let n = r.body().len as usize;
     for denom in [2usize, 4] {
         if n >= denom * 2 {
             let chunk = n / denom;
             for start in (0..n).step_by(chunk) {
-                let mut c = r.clone();
-                c.body.drain(start..(start + chunk).min(n));
-                out.push(c);
+                let end = (start + chunk).min(n);
+                out.push(with_list(r, Owner::Body, |_, old| [&old[..start], &old[end..]].concat()));
             }
         }
     }
 
     // 2. Single-statement deletions.
-    for path in &paths {
-        let mut c = r.clone();
-        if let Some((body, i)) = navigate(&mut c, path) {
-            body.remove(i);
-            out.push(c);
-        }
+    for &path in &paths {
+        let i = path.index;
+        out.push(with_list(r, path.owner, |_, old| [&old[..i], &old[i + 1..]].concat()));
     }
 
-    // 3. Unwrap compound statements into one of their child bodies. When
-    // the compound is a loop, its child body may contain break/continue
+    // 3. Unwrap compound statements into one of their child lists. When
+    // the compound is a loop, its child list may contain break/continue
     // that would be orphaned by the unwrap — offer a scrubbed variant.
-    for path in &paths {
-        let mut probe = r.clone();
-        let Some((body, i)) = navigate(&mut probe, path) else { continue };
-        let num_bodies = child_bodies(&body[i]).len();
-        let is_loop = matches!(body[i], Stmt::While(..) | Stmt::DoWhile(..));
-        for bi in 0..num_bodies {
-            let mut c = r.clone();
-            if let Some((body, i)) = navigate(&mut c, path) {
-                let mut children = child_bodies_mut(&mut body[i]);
-                let mut replacement = std::mem::take(children.swap_remove(bi));
-                drop(children);
-                if is_loop {
-                    scrub_orphaned_jumps(&mut replacement);
-                }
-                body.splice(i..=i, replacement);
-                out.push(c);
-            }
+    for &path in &paths {
+        let s = r.stmt_pool()[stmt_index(r, path)];
+        let is_loop = matches!(s, Stmt::While(..) | Stmt::DoWhile(..));
+        for child in child_lists(r, s) {
+            let i = path.index;
+            out.push(with_list(r, path.owner, |c, old| {
+                let child = if is_loop { scrub_orphaned_jumps(c, child) } else { child };
+                [&old[..i], c.stmts(child), &old[i + 1..]].concat()
+            }));
         }
     }
 
     // 4. Expression simplifications.
-    for path in &paths {
-        let mut probe = r.clone();
-        let Some((body, i)) = navigate(&mut probe, path) else { continue };
-        let variant_lists: Vec<Vec<Expr>> =
-            exprs_of_mut(&mut body[i]).into_iter().map(|e| simplified_exprs(e)).collect();
-        for (ei, variants) in variant_lists.into_iter().enumerate() {
-            for v in variants {
-                let mut c = r.clone();
-                if let Some((body, i)) = navigate(&mut c, path) {
-                    if let Some(slot) = exprs_of_mut(&mut body[i]).into_iter().nth(ei) {
-                        *slot = v;
-                        out.push(c);
-                    }
-                }
-            }
+    let mut edits = Vec::new();
+    for &path in &paths {
+        let at = stmt_index(r, path);
+        let s = r.stmt_pool()[at];
+        let Some(root) = exprs_of(s) else { continue };
+        edits.clear();
+        simplifications(r, root, &mut edits);
+        for &(target, with) in &edits {
+            let mut c = r.clone();
+            let root = replace(&mut c, root, target, with).expect("the target is under the root");
+            c.stmts_mut(Span { start: at as u32, len: 1 })[0] = with_expr(s, root);
+            out.push(c);
         }
     }
 
-    out.retain(|c| structurally_valid(&c.body, false));
+    out.retain(|c| structurally_valid(c, c.body(), false));
     out
+}
+
+/// A copy of `r` holding only what its body reaches: edits append and
+/// never free, so an accepted candidate is packed before the next round.
+fn compacted(r: &Routine) -> Routine {
+    fn list(from: &Routine, to: &mut Routine, l: Span) -> Span {
+        let stmts: Vec<Stmt> = from.stmts(l).iter().map(|&s| stmt(from, to, s)).collect();
+        to.add_stmts(&stmts)
+    }
+    fn stmt(from: &Routine, to: &mut Routine, s: Stmt) -> Stmt {
+        let s = match exprs_of(s) {
+            Some(e) => with_expr(s, expr(from, to, e)),
+            None => s,
+        };
+        match s {
+            Stmt::If(c, t, o) => Stmt::If(c, list(from, to, t), list(from, to, o)),
+            Stmt::While(c, b) => Stmt::While(c, list(from, to, b)),
+            Stmt::DoWhile(b, c) => Stmt::DoWhile(list(from, to, b), c),
+            Stmt::Switch(c, cases, d) => {
+                let mut arms = from.cases(cases).to_vec();
+                for arm in &mut arms {
+                    arm.body = list(from, to, arm.body);
+                }
+                Stmt::Switch(c, to.add_cases(&arms), list(from, to, d))
+            }
+            _ => s,
+        }
+    }
+    fn expr(from: &Routine, to: &mut Routine, e: ExprId) -> ExprId {
+        let node = from.expr(e).map_operands(|c| expr(from, to, c));
+        to.add_expr(node)
+    }
+    let mut to = Routine::new(r.name());
+    // Same symbol numbering, so statements and leaves copy unchanged.
+    for s in 0..r.num_syms() {
+        to.add_sym(r.sym_name(pgvn_lang::Sym(s as u32)));
+    }
+    for &p in r.params() {
+        to.add_param(p);
+    }
+    let body = list(r, &mut to, r.body());
+    to.set_body(body);
+    to
 }
 
 /// Greedily minimizes `routine` while `still_fails` holds.
@@ -331,7 +398,7 @@ pub fn shrink_routine(
             }
             attempts += 1;
             if still_fails(&cand) {
-                current = cand;
+                current = compacted(&cand);
                 size = cand_size;
                 improved = true;
                 break;
@@ -349,15 +416,15 @@ mod tests {
     use pgvn_ir::BinOp;
 
     fn contains_div(r: &Routine) -> bool {
-        fn expr_has(e: &Expr) -> bool {
-            matches!(e, Expr::Binary(BinOp::Div, ..)) || subexprs(e).iter().any(|c| expr_has(c))
+        fn expr_has(r: &Routine, e: ExprId) -> bool {
+            matches!(r.expr(e), Expr::Binary(BinOp::Div, ..))
+                || r.expr(e).operands().any(|c| expr_has(r, c))
         }
-        fn stmt_has(s: &Stmt) -> bool {
-            let mut s2 = s.clone();
-            exprs_of_mut(&mut s2).iter().any(|e| expr_has(e))
-                || child_bodies(s).iter().any(|b| b.iter().any(stmt_has))
+        fn stmt_has(r: &Routine, s: Stmt) -> bool {
+            exprs_of(s).is_some_and(|e| expr_has(r, e))
+                || child_lists(r, s).into_iter().any(|b| r.stmts(b).iter().any(|&s| stmt_has(r, s)))
         }
-        r.body.iter().any(stmt_has)
+        r.stmts(r.body()).iter().any(|&s| stmt_has(r, s))
     }
 
     #[test]
@@ -377,7 +444,8 @@ mod tests {
         let r = pgvn_lang::parse(src).unwrap();
         assert!(contains_div(&r));
         let shrunk = shrink_routine(&r, &ShrinkOptions::default(), &mut |c| contains_div(c));
-        assert!(shrunk.body.len() <= 2, "shrunk to {} statements: {shrunk:?}", shrunk.body.len());
+        let len = shrunk.body().len;
+        assert!(len <= 2, "shrunk to {len} statements: {shrunk:?}");
         assert!(contains_div(&shrunk));
         // The survivor still lowers.
         let _ = pgvn_lang::lower(&shrunk);
@@ -395,7 +463,7 @@ mod tests {
         let r = pgvn_lang::parse(src).unwrap();
         let shrunk = shrink_routine(&r, &ShrinkOptions::default(), &mut |c| {
             let _ = pgvn_lang::lower(c); // panics if a break escaped its loop
-            !c.body.is_empty()
+            !c.body().is_empty()
         });
         let _ = pgvn_lang::lower(&shrunk);
     }

@@ -43,7 +43,7 @@
 //! the value numbering that everything downstream prints.
 
 use crate::liveness::Liveness;
-use crate::varfunc::{Var, VarExpr, VarFunction, VarStmt, VarTerm};
+use crate::varfunc::{Var, VarExpr, VarFunction, VarNode, VarStmt, VarTerm};
 use pgvn_analysis::{Csr, GenericDomTree};
 use pgvn_ir::{Block, Function, InstKind, Value};
 
@@ -89,11 +89,13 @@ impl std::error::Error for BuildError {}
 /// ```
 /// use pgvn_ssa::{VarFunction, VarTerm, SsaStyle, build_ssa};
 /// use pgvn_ssa::expr::*;
+/// use pgvn_ir::BinOp;
 ///
 /// let mut vf = VarFunction::new("inc", &["x"]);
 /// let x = vf.param_vars()[0];
 /// let t = vf.add_var("t");
-/// vf.assign(0, t, add(v(x), c(1)));
+/// let sum = vf.binary(BinOp::Add, v(x), c(1));
+/// vf.assign(0, t, sum);
 /// vf.terminate(0, VarTerm::Return(v(t)));
 /// let f = build_ssa(&vf, SsaStyle::Minimal)?;
 /// assert_eq!(f.name(), "inc");
@@ -109,7 +111,7 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
     let preds = succs.transpose();
     let dt = GenericDomTree::compute(0, &succs, &preds);
     let reachable = |b: usize| dt.is_reachable(b);
-    if let Some(b) = (0..nb).find(|&b| reachable(b) && vf.block(b).term.is_none()) {
+    if let Some(b) = (0..nb).find(|&b| reachable(b) && vf.term(b).is_none()) {
         return Err(BuildError::UnterminatedBlock(b));
     }
     let df = dt.frontiers(&preds);
@@ -129,7 +131,7 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
             emit(v, 0);
         }
         for b in (0..nb).filter(|&b| reachable(b)) {
-            for stmt in &vf.block(b).stmts {
+            for stmt in vf.stmts(b) {
                 if let VarStmt::Assign(v, _) = stmt {
                     let v = v.0 as usize;
                     if last[v] != b as u32 {
@@ -203,16 +205,15 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
     let (mut insts, mut edges, mut defs, mut num_args) = (vf.param_vars().len(), 0, 0, 0);
     let mut num_cases = 0;
     for b in (0..nb).filter(|&b| reachable(b)) {
-        let block = vf.block(b);
-        let term = match block.term.as_ref().expect("reachable blocks are terminated") {
+        let term = match *vf.term(b).expect("reachable blocks are terminated") {
             VarTerm::Jump(_) => 0,
-            VarTerm::Branch(e, ..) | VarTerm::Return(e) => inst_count(e),
+            VarTerm::Branch(e, ..) | VarTerm::Return(e) => inst_count(vf, e),
             VarTerm::Switch(e, cases, _) => {
-                num_cases += cases.len();
-                inst_count(e)
+                num_cases += vf.cases(cases).len();
+                inst_count(vf, e)
             }
         };
-        let stmts: usize = block.stmts.iter().map(stmt_inst_count).sum();
+        let stmts: usize = vf.stmts(b).iter().map(|s| stmt_inst_count(vf, s)).sum();
         // φs, statements, the terminator and, at the entry, the implicit
         // zero.
         let n = needs_phi.row(b).len() + stmts + term + 1 + usize::from(b == 0);
@@ -220,7 +221,7 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
         in_edges[b] = preds.row(b).iter().filter(|&&p| reachable(p as usize)).count() as u32;
         insts += n;
         edges += succs.row(b).len();
-        defs += needs_phi.row(b).len() + block.stmts.len();
+        defs += needs_phi.row(b).len() + vf.stmts(b).len();
         for _ in needs_phi.row(b) {
             slot.push(num_args as u32);
             num_args += in_edges[b] as usize;
@@ -303,14 +304,14 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
         }
 
         // Statements.
-        for stmt in &vf.block(b).stmts {
+        for &stmt in vf.stmts(b) {
             match stmt {
                 VarStmt::Assign(var, e) => {
-                    let val = flatten(&mut func, fb, e, &cur);
-                    define(*var, val, &mut cur);
+                    let val = flatten(&mut func, fb, vf, e, &cur);
+                    define(var, val, &mut cur);
                 }
                 VarStmt::Eval(e) => {
-                    let _ = flatten(&mut func, fb, e, &cur);
+                    let _ = flatten(&mut func, fb, vf, e, &cur);
                 }
             }
         }
@@ -323,31 +324,32 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
             }
         };
         let target = |t: usize| block_of[t].expect("target reachable");
-        match vf.block(b).term.as_ref().expect("reachable blocks are terminated") {
+        match *vf.term(b).expect("reachable blocks are terminated") {
             VarTerm::Jump(t) => {
-                func.set_jump(fb, target(*t));
-                record(*t, &cur);
+                func.set_jump(fb, target(t));
+                record(t, &cur);
             }
             VarTerm::Branch(c, t, e) => {
-                let cv = flatten(&mut func, fb, c, &cur);
-                func.set_branch(fb, cv, target(*t), target(*e));
-                record(*t, &cur);
-                record(*e, &cur);
+                let cv = flatten(&mut func, fb, vf, c, &cur);
+                func.set_branch(fb, cv, target(t), target(e));
+                record(t, &cur);
+                record(e, &cur);
             }
             VarTerm::Switch(e, cases, d) => {
-                let sv = flatten(&mut func, fb, e, &cur);
+                let sv = flatten(&mut func, fb, vf, e, &cur);
+                let cases = vf.cases(cases);
                 case_vals.clear();
                 case_vals.extend(cases.iter().map(|&(c, _)| c));
                 targets.clear();
                 targets.extend(cases.iter().map(|&(_, t)| target(t)));
-                func.set_switch(fb, sv, &case_vals, &targets, target(*d));
+                func.set_switch(fb, sv, &case_vals, &targets, target(d));
                 for &(_, t) in cases {
                     record(t, &cur);
                 }
-                record(*d, &cur);
+                record(d, &cur);
             }
             VarTerm::Return(e) => {
-                let rv = flatten(&mut func, fb, e, &cur);
+                let rv = flatten(&mut func, fb, vf, e, &cur);
                 func.set_return(fb, rv);
             }
         }
@@ -374,44 +376,51 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
     Ok(func)
 }
 
-/// The instructions [`flatten`] emits for `e`: one per node except
-/// variable reads.
-fn inst_count(e: &VarExpr) -> usize {
+/// The instructions [`flatten`] emits for `e`: one per leaf and node
+/// except variable reads.
+fn inst_count(vf: &VarFunction, e: VarExpr) -> usize {
     match e {
         VarExpr::Var(_) => 0,
         VarExpr::Const(_) | VarExpr::Opaque(_) => 1,
-        VarExpr::Unary(_, a) => 1 + inst_count(a),
-        VarExpr::Binary(_, a, b) | VarExpr::Cmp(_, a, b) => 1 + inst_count(a) + inst_count(b),
+        VarExpr::Node(n) => match vf.node(n) {
+            VarNode::Unary(_, a) => 1 + inst_count(vf, a),
+            VarNode::Binary(_, a, b) | VarNode::Cmp(_, a, b) => {
+                1 + inst_count(vf, a) + inst_count(vf, b)
+            }
+        },
     }
 }
 
-fn stmt_inst_count(stmt: &VarStmt) -> usize {
-    match stmt {
-        VarStmt::Assign(_, e) | VarStmt::Eval(e) => inst_count(e),
+fn stmt_inst_count(vf: &VarFunction, stmt: &VarStmt) -> usize {
+    match *stmt {
+        VarStmt::Assign(_, e) | VarStmt::Eval(e) => inst_count(vf, e),
     }
 }
 
-/// Flattens an expression tree into instructions at the end of `fb`,
-/// resolving variable reads through the current definitions `cur`.
-fn flatten(func: &mut Function, fb: Block, e: &VarExpr, cur: &[Value]) -> Value {
+/// Flattens an expression of `vf` into instructions at the end of `fb`,
+/// operands first, resolving variable reads through the current
+/// definitions `cur`.
+fn flatten(func: &mut Function, fb: Block, vf: &VarFunction, e: VarExpr, cur: &[Value]) -> Value {
     match e {
-        VarExpr::Const(c) => func.iconst(fb, *c),
+        VarExpr::Const(c) => func.iconst(fb, c),
         VarExpr::Var(v) => cur[v.0 as usize],
-        VarExpr::Opaque(t) => func.append(fb, InstKind::Opaque(*t)),
-        VarExpr::Unary(op, a) => {
-            let av = flatten(func, fb, a, cur);
-            func.unary(fb, *op, av)
-        }
-        VarExpr::Binary(op, a, b) => {
-            let av = flatten(func, fb, a, cur);
-            let bv = flatten(func, fb, b, cur);
-            func.binary(fb, *op, av, bv)
-        }
-        VarExpr::Cmp(op, a, b) => {
-            let av = flatten(func, fb, a, cur);
-            let bv = flatten(func, fb, b, cur);
-            func.cmp(fb, *op, av, bv)
-        }
+        VarExpr::Opaque(t) => func.append(fb, InstKind::Opaque(t)),
+        VarExpr::Node(n) => match vf.node(n) {
+            VarNode::Unary(op, a) => {
+                let av = flatten(func, fb, vf, a, cur);
+                func.unary(fb, op, av)
+            }
+            VarNode::Binary(op, a, b) => {
+                let av = flatten(func, fb, vf, a, cur);
+                let bv = flatten(func, fb, vf, b, cur);
+                func.binary(fb, op, av, bv)
+            }
+            VarNode::Cmp(op, a, b) => {
+                let av = flatten(func, fb, vf, a, cur);
+                let bv = flatten(func, fb, vf, b, cur);
+                func.cmp(fb, op, av, bv)
+            }
+        },
     }
 }
 
@@ -419,7 +428,7 @@ fn flatten(func: &mut Function, fb: Block, e: &VarExpr, cur: &[Value]) -> Value 
 mod tests {
     use super::*;
     use crate::varfunc::expr::*;
-    use pgvn_ir::{CmpOp, HashedOpaques, InstKind, Interpreter};
+    use pgvn_ir::{BinOp, CmpOp, HashedOpaques, InstKind, Interpreter};
 
     fn count_phis(f: &Function) -> usize {
         f.values().filter(|&v| f.kind(f.def(v)).is_phi()).count()
@@ -435,9 +444,12 @@ mod tests {
         vf.assign(0, i, c(0));
         vf.assign(0, s, c(0));
         vf.terminate(0, VarTerm::Jump(head));
-        vf.terminate(head, VarTerm::Branch(cmp(CmpOp::Lt, v(i), v(n)), body, exit));
-        vf.assign(body, s, add(v(s), v(i)));
-        vf.assign(body, i, add(v(i), c(1)));
+        let cond = vf.cmp(CmpOp::Lt, v(i), v(n));
+        vf.terminate(head, VarTerm::Branch(cond, body, exit));
+        let sum = vf.binary(BinOp::Add, v(s), v(i));
+        vf.assign(body, s, sum);
+        let sum = vf.binary(BinOp::Add, v(i), c(1));
+        vf.assign(body, i, sum);
         vf.terminate(body, VarTerm::Jump(head));
         vf.terminate(exit, VarTerm::Return(v(s)));
         vf
@@ -492,7 +504,8 @@ mod tests {
         // return u + 1 where u was never assigned.
         let mut vf = VarFunction::new("uz", &[]);
         let u = vf.add_var("u");
-        vf.terminate(0, VarTerm::Return(add(v(u), c(1))));
+        let sum = vf.binary(BinOp::Add, v(u), c(1));
+        vf.terminate(0, VarTerm::Return(sum));
         let f = build_ssa(&vf, SsaStyle::Minimal).unwrap();
         let r = Interpreter::new(&f).run(&[], &mut HashedOpaques::new(0)).unwrap();
         assert_eq!(r, 1);
@@ -506,10 +519,12 @@ mod tests {
         let t = vf.add_var("t");
         let (bt, j) = (vf.add_block(), vf.add_block());
         vf.assign(0, t, c(9));
-        vf.terminate(0, VarTerm::Branch(cmp(CmpOp::Lt, v(a), v(b)), bt, j));
+        let cond = vf.cmp(CmpOp::Lt, v(a), v(b));
+        vf.terminate(0, VarTerm::Branch(cond, bt, j));
         vf.assign(bt, t, v(a));
         vf.terminate(bt, VarTerm::Jump(j));
-        vf.terminate(j, VarTerm::Return(add(v(t), v(t))));
+        let sum = vf.binary(BinOp::Add, v(t), v(t));
+        vf.terminate(j, VarTerm::Return(sum));
         let f = build_ssa(&vf, SsaStyle::Pruned).unwrap();
         pgvn_analysis::assert_ssa(&f);
         assert_eq!(count_phis(&f), 1);
@@ -553,7 +568,8 @@ mod tests {
         let mut vf = VarFunction::new("o", &[]);
         let t = vf.add_var("t");
         vf.assign(0, t, VarExpr::Opaque(3));
-        vf.terminate(0, VarTerm::Return(sub(v(t), v(t))));
+        let diff = vf.binary(BinOp::Sub, v(t), v(t));
+        vf.terminate(0, VarTerm::Return(diff));
         let f = build_ssa(&vf, SsaStyle::Minimal).unwrap();
         assert!(f.values().any(|v| matches!(f.kind(f.def(v)), InstKind::Opaque(3))));
         let r = Interpreter::new(&f).run(&[], &mut HashedOpaques::new(7)).unwrap();
@@ -575,14 +591,19 @@ mod tests {
         vf.assign(0, s, c(0));
         vf.assign(0, i, c(0));
         vf.terminate(0, VarTerm::Jump(h1));
-        vf.terminate(h1, VarTerm::Branch(cmp(CmpOp::Lt, v(i), v(a)), b1, exit));
+        let cond = vf.cmp(CmpOp::Lt, v(i), v(a));
+        vf.terminate(h1, VarTerm::Branch(cond, b1, exit));
         vf.assign(b1, j, c(0));
         vf.terminate(b1, VarTerm::Jump(h2));
-        vf.terminate(h2, VarTerm::Branch(cmp(CmpOp::Lt, v(j), v(b)), b2, l1));
-        vf.assign(b2, s, add(v(s), c(1)));
-        vf.assign(b2, j, add(v(j), c(1)));
+        let cond = vf.cmp(CmpOp::Lt, v(j), v(b));
+        vf.terminate(h2, VarTerm::Branch(cond, b2, l1));
+        let sum = vf.binary(BinOp::Add, v(s), c(1));
+        vf.assign(b2, s, sum);
+        let sum = vf.binary(BinOp::Add, v(j), c(1));
+        vf.assign(b2, j, sum);
         vf.terminate(b2, VarTerm::Jump(h2));
-        vf.assign(l1, i, add(v(i), c(1)));
+        let sum = vf.binary(BinOp::Add, v(i), c(1));
+        vf.assign(l1, i, sum);
         vf.terminate(l1, VarTerm::Jump(h1));
         vf.terminate(exit, VarTerm::Return(v(s)));
         for style in [SsaStyle::Minimal, SsaStyle::SemiPruned, SsaStyle::Pruned] {
@@ -598,7 +619,7 @@ mod tests {
 mod style_tests {
     use super::*;
     use crate::varfunc::expr::*;
-    use pgvn_ir::CmpOp;
+    use pgvn_ir::{BinOp, CmpOp};
 
     fn count_phis(f: &Function) -> usize {
         f.values().filter(|&v| f.kind(f.def(v)).is_phi()).count()
@@ -614,12 +635,15 @@ mod style_tests {
         let local = vf.add_var("local");
         let out = vf.add_var("out");
         let (t, e, j) = (vf.add_block(), vf.add_block(), vf.add_block());
-        vf.terminate(0, VarTerm::Branch(cmp(CmpOp::Gt, v(p), c(0)), t, e));
+        let cond = vf.cmp(CmpOp::Gt, v(p), c(0));
+        vf.terminate(0, VarTerm::Branch(cond, t, e));
         vf.assign(t, local, c(1));
-        vf.assign(t, out, add(v(local), c(1)));
+        let sum = vf.binary(BinOp::Add, v(local), c(1));
+        vf.assign(t, out, sum);
         vf.terminate(t, VarTerm::Jump(j));
         vf.assign(e, local, c(2));
-        vf.assign(e, out, add(v(local), c(2)));
+        let sum = vf.binary(BinOp::Add, v(local), c(2));
+        vf.assign(e, out, sum);
         vf.terminate(e, VarTerm::Jump(j));
         vf.terminate(j, VarTerm::Return(v(out)));
         let minimal = count_phis(&build_ssa(&vf, SsaStyle::Minimal).unwrap());
@@ -638,10 +662,13 @@ mod style_tests {
         let t = vf.add_var("t");
         let (bt, be, j) = (vf.add_block(), vf.add_block(), vf.add_block());
         vf.assign(0, t, c(0));
-        vf.terminate(0, VarTerm::Branch(cmp(CmpOp::Le, v(a), v(b)), bt, be));
-        vf.assign(bt, t, sub(v(b), v(a)));
+        let cond = vf.cmp(CmpOp::Le, v(a), v(b));
+        vf.terminate(0, VarTerm::Branch(cond, bt, be));
+        let diff = vf.binary(BinOp::Sub, v(b), v(a));
+        vf.assign(bt, t, diff);
         vf.terminate(bt, VarTerm::Jump(j));
-        vf.assign(be, t, sub(v(a), v(b)));
+        let diff = vf.binary(BinOp::Sub, v(a), v(b));
+        vf.assign(be, t, diff);
         vf.terminate(be, VarTerm::Jump(j));
         vf.terminate(j, VarTerm::Return(v(t)));
         let args_sets: [[i64; 2]; 3] = [[3, 10], [10, 3], [4, 4]];

@@ -20,7 +20,8 @@
 //! let (a, b) = (vf.param_vars()[0], vf.param_vars()[1]);
 //! let r = vf.add_var("r");
 //! let (bt, be, j) = (vf.add_block(), vf.add_block(), vf.add_block());
-//! vf.terminate(0, VarTerm::Branch(cmp(CmpOp::Gt, v(a), v(b)), bt, be));
+//! let a_gt_b = vf.cmp(CmpOp::Gt, v(a), v(b));
+//! vf.terminate(0, VarTerm::Branch(a_gt_b, bt, be));
 //! vf.assign(bt, r, v(a));
 //! vf.terminate(bt, VarTerm::Jump(j));
 //! vf.assign(be, r, v(b));
@@ -41,4 +42,6 @@ pub mod varfunc;
 
 pub use build::{build_ssa, BuildError, SsaStyle};
 pub use liveness::Liveness;
-pub use varfunc::{expr, Var, VarBlock, VarExpr, VarFunction, VarStmt, VarTerm};
+pub use varfunc::{
+    expr, CaseList, NodeId, Var, VarCapacity, VarExpr, VarFunction, VarNode, VarStmt, VarTerm,
+};

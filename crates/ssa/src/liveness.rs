@@ -35,8 +35,8 @@ fn bit(set: &[u64], i: usize) -> bool {
 }
 
 /// Marks the variables `e` reads that `defs` has not killed yet as used.
-fn record_reads(e: &VarExpr, defs: &[u64], uses: &mut [u64]) {
-    e.visit_vars(&mut |v| {
+fn record_reads(func: &VarFunction, e: VarExpr, defs: &[u64], uses: &mut [u64]) {
+    func.visit_vars(e, &mut |v| {
         let i = v.0 as usize;
         if !bit(defs, i) {
             uses[i / 64] |= 1 << (i % 64);
@@ -46,20 +46,20 @@ fn record_reads(e: &VarExpr, defs: &[u64], uses: &mut [u64]) {
 
 /// Fills block `b`'s upward-exposed uses and definitions (one row each).
 fn block_use_def(func: &VarFunction, b: usize, uses: &mut [u64], defs: &mut [u64]) {
-    for stmt in &func.block(b).stmts {
+    for &stmt in func.stmts(b) {
         match stmt {
             VarStmt::Assign(dst, e) => {
-                record_reads(e, defs, uses);
+                record_reads(func, e, defs, uses);
                 let i = dst.0 as usize;
                 defs[i / 64] |= 1 << (i % 64);
             }
-            VarStmt::Eval(e) => record_reads(e, defs, uses),
+            VarStmt::Eval(e) => record_reads(func, e, defs, uses),
         }
     }
-    match func.block(b).term.as_ref() {
-        Some(VarTerm::Branch(e, _, _))
-        | Some(VarTerm::Return(e))
-        | Some(VarTerm::Switch(e, _, _)) => record_reads(e, defs, uses),
+    match func.term(b) {
+        Some(&VarTerm::Branch(e, _, _))
+        | Some(&VarTerm::Return(e))
+        | Some(&VarTerm::Switch(e, _, _)) => record_reads(func, e, defs, uses),
         _ => {}
     }
 }
@@ -134,7 +134,7 @@ impl Liveness {
 mod tests {
     use super::*;
     use crate::varfunc::expr::*;
-    use pgvn_ir::CmpOp;
+    use pgvn_ir::{BinOp, CmpOp};
     use proptest::prelude::*;
 
     fn live(func: &VarFunction) -> Liveness {
@@ -151,10 +151,10 @@ mod tests {
         let mut def_set = vec![vec![false; nv]; nb];
         for b in 0..nb {
             let (used, defined) = (&mut use_set[b], &mut def_set[b]);
-            let mut read = |e: &VarExpr, defined: &[bool]| {
-                e.visit_vars(&mut |v| used[v.0 as usize] |= !defined[v.0 as usize])
+            let mut read = |e: VarExpr, defined: &[bool]| {
+                func.visit_vars(e, &mut |v| used[v.0 as usize] |= !defined[v.0 as usize])
             };
-            for stmt in &func.block(b).stmts {
+            for &stmt in func.stmts(b) {
                 match stmt {
                     VarStmt::Assign(dst, e) => {
                         read(e, defined);
@@ -163,10 +163,10 @@ mod tests {
                     VarStmt::Eval(e) => read(e, defined),
                 }
             }
-            match func.block(b).term.as_ref() {
-                Some(VarTerm::Branch(e, _, _))
-                | Some(VarTerm::Return(e))
-                | Some(VarTerm::Switch(e, _, _)) => read(e, defined),
+            match func.term(b) {
+                Some(&VarTerm::Branch(e, _, _))
+                | Some(&VarTerm::Return(e))
+                | Some(&VarTerm::Switch(e, _, _)) => read(e, defined),
                 _ => {}
             }
         }
@@ -212,18 +212,25 @@ mod tests {
     /// Rebuilds a routine lowered by `pgvn-lang`, which links the library
     /// build of this crate, as this test build's [`VarFunction`].
     fn import(lib: &pgvn_ssa::VarFunction) -> VarFunction {
-        fn expr(e: &pgvn_ssa::VarExpr) -> VarExpr {
+        fn expr(lib: &pgvn_ssa::VarFunction, f: &mut VarFunction, e: pgvn_ssa::VarExpr) -> VarExpr {
             match e {
-                pgvn_ssa::VarExpr::Const(k) => VarExpr::Const(*k),
+                pgvn_ssa::VarExpr::Const(k) => VarExpr::Const(k),
                 pgvn_ssa::VarExpr::Var(v) => VarExpr::Var(Var(v.0)),
-                pgvn_ssa::VarExpr::Opaque(t) => VarExpr::Opaque(*t),
-                pgvn_ssa::VarExpr::Unary(op, a) => VarExpr::Unary(*op, Box::new(expr(a))),
-                pgvn_ssa::VarExpr::Binary(op, a, b) => {
-                    VarExpr::Binary(*op, Box::new(expr(a)), Box::new(expr(b)))
-                }
-                pgvn_ssa::VarExpr::Cmp(op, a, b) => {
-                    VarExpr::Cmp(*op, Box::new(expr(a)), Box::new(expr(b)))
-                }
+                pgvn_ssa::VarExpr::Opaque(t) => VarExpr::Opaque(t),
+                pgvn_ssa::VarExpr::Node(n) => match lib.node(n) {
+                    pgvn_ssa::VarNode::Unary(op, a) => {
+                        let a = expr(lib, f, a);
+                        f.unary(op, a)
+                    }
+                    pgvn_ssa::VarNode::Binary(op, a, b) => {
+                        let (a, b) = (expr(lib, f, a), expr(lib, f, b));
+                        f.binary(op, a, b)
+                    }
+                    pgvn_ssa::VarNode::Cmp(op, a, b) => {
+                        let (a, b) = (expr(lib, f, a), expr(lib, f, b));
+                        f.cmp(op, a, b)
+                    }
+                },
             }
         }
         let params: Vec<&str> = lib.param_vars().iter().map(|&p| lib.var_name(p)).collect();
@@ -235,21 +242,27 @@ mod tests {
             f.add_block();
         }
         for b in 0..lib.num_blocks() {
-            for stmt in &lib.block(b).stmts {
+            for &stmt in lib.stmts(b) {
                 let stmt = match stmt {
-                    pgvn_ssa::VarStmt::Assign(v, e) => VarStmt::Assign(Var(v.0), expr(e)),
-                    pgvn_ssa::VarStmt::Eval(e) => VarStmt::Eval(expr(e)),
+                    pgvn_ssa::VarStmt::Assign(v, e) => {
+                        VarStmt::Assign(Var(v.0), expr(lib, &mut f, e))
+                    }
+                    pgvn_ssa::VarStmt::Eval(e) => VarStmt::Eval(expr(lib, &mut f, e)),
                 };
                 f.push(b, stmt);
             }
-            let term = match &lib.block(b).term {
+            let term = match lib.term(b) {
                 None => continue,
-                Some(pgvn_ssa::VarTerm::Jump(t)) => VarTerm::Jump(*t),
-                Some(pgvn_ssa::VarTerm::Branch(c, t, e)) => VarTerm::Branch(expr(c), *t, *e),
-                Some(pgvn_ssa::VarTerm::Switch(e, cases, d)) => {
-                    VarTerm::Switch(expr(e), cases.clone(), *d)
+                Some(&pgvn_ssa::VarTerm::Jump(t)) => VarTerm::Jump(t),
+                Some(&pgvn_ssa::VarTerm::Branch(c, t, e)) => {
+                    VarTerm::Branch(expr(lib, &mut f, c), t, e)
                 }
-                Some(pgvn_ssa::VarTerm::Return(e)) => VarTerm::Return(expr(e)),
+                Some(&pgvn_ssa::VarTerm::Switch(e, cases, d)) => {
+                    let e = expr(lib, &mut f, e);
+                    let cases = f.add_cases(lib.cases(cases).iter().copied());
+                    VarTerm::Switch(e, cases, d)
+                }
+                Some(&pgvn_ssa::VarTerm::Return(e)) => VarTerm::Return(expr(lib, &mut f, e)),
             };
             f.terminate(b, term);
         }
@@ -307,7 +320,8 @@ mod tests {
         f.terminate(0, VarTerm::Return(v(a)));
         f.assign(b1, t, v(b));
         f.terminate(b1, VarTerm::Jump(b2));
-        f.terminate(b2, VarTerm::Return(add(v(t), v(a))));
+        let sum = f.binary(BinOp::Add, v(t), v(a));
+        f.terminate(b2, VarTerm::Return(sum));
         let l = live(&f);
         assert!(l.live_in(b1, a) && l.live_in(b1, b) && !l.live_in(b1, t));
         assert!(l.live_in(b2, t) && l.is_non_local(t));
@@ -320,7 +334,8 @@ mod tests {
         let mut f = VarFunction::new("f", &["a"]);
         let a = f.param_vars()[0];
         let t = f.add_var("t");
-        f.assign(0, t, add(v(a), c(1)));
+        let sum = f.binary(BinOp::Add, v(a), c(1));
+        f.assign(0, t, sum);
         f.terminate(0, VarTerm::Return(v(t)));
         let l = live(&f);
         assert!(l.live_in(0, a));
@@ -341,8 +356,10 @@ mod tests {
         let (b1, b2, b3) = (f.add_block(), f.add_block(), f.add_block());
         f.assign(0, i, c(0));
         f.terminate(0, VarTerm::Jump(b1));
-        f.terminate(b1, VarTerm::Branch(cmp(CmpOp::Lt, v(i), v(n)), b2, b3));
-        f.assign(b2, i, add(v(i), c(1)));
+        let cond = f.cmp(CmpOp::Lt, v(i), v(n));
+        f.terminate(b1, VarTerm::Branch(cond, b2, b3));
+        let sum = f.binary(BinOp::Add, v(i), c(1));
+        f.assign(b2, i, sum);
         f.terminate(b2, VarTerm::Jump(b1));
         f.terminate(b3, VarTerm::Return(v(i)));
         let l = live(&f);

@@ -1,6 +1,6 @@
 //! Seeded random generation of structured routines.
 //!
-//! The generator produces ASTs in the `pgvn-lang` source language with
+//! The generator builds [`Routine`]s in the `pgvn-lang` source language with
 //! *bounded* loops (every generated loop has a dedicated counter and a
 //! small constant trip count), so generated routines always terminate —
 //! a requirement for the interpreter-based soundness property tests.
@@ -20,7 +20,7 @@
 //!   value numbering of cyclic values).
 
 use pgvn_ir::{BinOp, CmpOp, UnOp};
-use pgvn_lang::{Expr, Routine, Stmt};
+use pgvn_lang::{Capacity, Case, Expr, ExprId, Routine, Span, Stmt, Sym};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,32 +77,36 @@ impl Default for GenConfig {
 struct Gen {
     rng: StdRng,
     cfg: GenConfig,
-    vars: Vec<String>,
+    /// The routine being built.
+    r: Routine,
+    /// Statements of the lists still open, innermost last.
+    pending: Vec<Stmt>,
+    vars: Vec<Sym>,
     next_var: usize,
     next_opaque: u32,
     stmts_budget: isize,
 }
 
 impl Gen {
-    fn fresh_var(&mut self) -> String {
-        let name = format!("t{}", self.next_var);
+    fn fresh_var(&mut self) -> Sym {
+        let name = self.r.add_sym_fmt(format_args!("t{}", self.next_var));
         self.next_var += 1;
-        self.vars.push(name.clone());
+        self.vars.push(name);
         name
     }
 
     /// A variable kept out of the reuse pool, so the generated body can
     /// never reassign it. Used for loop counters: termination of every
     /// generated loop depends on the counter being updated exactly once.
-    fn fresh_hidden_var(&mut self) -> String {
-        let name = format!("h{}", self.next_var);
+    fn fresh_hidden_var(&mut self) -> Sym {
+        let name = self.r.add_sym_fmt(format_args!("h{}", self.next_var));
         self.next_var += 1;
         name
     }
 
-    fn pick_var(&mut self) -> String {
+    fn pick_var(&mut self) -> Sym {
         let i = self.rng.gen_range(0..self.vars.len());
-        self.vars[i].clone()
+        self.vars[i]
     }
 
     fn small_const(&mut self) -> i64 {
@@ -111,9 +115,54 @@ impl Gen {
             .expect("index in range")
     }
 
-    fn leaf(&mut self) -> Expr {
+    fn node(&mut self, e: Expr) -> ExprId {
+        self.r.add_expr(e)
+    }
+
+    fn var(&mut self, s: Sym) -> ExprId {
+        self.r.add_expr(Expr::Var(s))
+    }
+
+    fn int(&mut self, v: i64) -> ExprId {
+        self.r.add_expr(Expr::Int(v))
+    }
+
+    /// `a op b` over two fresh leaves.
+    fn bin(&mut self, op: BinOp, a: Expr, b: Expr) -> ExprId {
+        let (a, b) = (self.node(a), self.node(b));
+        self.node(Expr::Binary(op, a, b))
+    }
+
+    /// `x op c`.
+    fn cond(&mut self, op: CmpOp, x: Sym, c: i64) -> ExprId {
+        let (x, c) = (self.var(x), self.int(c));
+        self.node(Expr::Cmp(op, x, c))
+    }
+
+    /// Opens a statement list; [`Gen::close`] with the returned mark
+    /// adds it to the routine.
+    fn open(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn close(&mut self, mark: usize) -> Span {
+        let list = self.r.add_stmts(&self.pending[mark..]);
+        self.pending.truncate(mark);
+        list
+    }
+
+    /// A one-statement list.
+    fn list(&mut self, s: Stmt) -> Span {
+        self.r.add_stmts(&[s])
+    }
+
+    fn push(&mut self, s: Stmt) {
+        self.pending.push(s);
+    }
+
+    fn leaf(&mut self) -> ExprId {
         let r: f64 = self.rng.gen();
-        if r < self.cfg.opaque_prob {
+        let e = if r < self.cfg.opaque_prob {
             let t = self.next_opaque;
             self.next_opaque += 1;
             Expr::Opaque(t)
@@ -121,10 +170,11 @@ impl Gen {
             Expr::Int(self.small_const())
         } else {
             Expr::Var(self.pick_var())
-        }
+        };
+        self.node(e)
     }
 
-    fn expr(&mut self, depth: usize) -> Expr {
+    fn expr(&mut self, depth: usize) -> ExprId {
         if depth == 0 || self.rng.gen_bool(0.35) {
             return self.leaf();
         }
@@ -143,28 +193,30 @@ impl Gen {
             BinOp::Shl,
             BinOp::Shr,
         ];
-        match self.rng.gen_range(0..10) {
-            0 => Expr::Unary(
-                if self.rng.gen_bool(0.6) { UnOp::Neg } else { UnOp::Not },
-                Box::new(self.expr(depth - 1)),
-            ),
-            1 => Expr::Cmp(
-                self.cmp_op(),
-                Box::new(self.expr(depth - 1)),
-                Box::new(self.expr(depth - 1)),
-            ),
+        let e = match self.rng.gen_range(0..10) {
+            0 => {
+                let op = if self.rng.gen_bool(0.6) { UnOp::Neg } else { UnOp::Not };
+                Expr::Unary(op, self.expr(depth - 1))
+            }
+            1 => {
+                let op = self.cmp_op();
+                let a = self.expr(depth - 1);
+                Expr::Cmp(op, a, self.expr(depth - 1))
+            }
             _ => {
                 let op = ops[self.rng.gen_range(0..ops.len())];
-                Expr::Binary(op, Box::new(self.expr(depth - 1)), Box::new(self.expr(depth - 1)))
+                let a = self.expr(depth - 1);
+                Expr::Binary(op, a, self.expr(depth - 1))
             }
-        }
+        };
+        self.node(e)
     }
 
     fn cmp_op(&mut self) -> CmpOp {
         CmpOp::ALL[self.rng.gen_range(0..6)]
     }
 
-    fn predicate(&mut self) -> Expr {
+    fn predicate(&mut self) -> ExprId {
         // Comparisons between a variable and a constant or another
         // variable — the shapes inference understands.
         let lhs = Expr::Var(self.pick_var());
@@ -173,7 +225,9 @@ impl Gen {
         } else {
             Expr::Var(self.pick_var())
         };
-        Expr::Cmp(self.cmp_op(), Box::new(lhs), Box::new(rhs))
+        let (lhs, rhs) = (self.node(lhs), self.node(rhs));
+        let op = self.cmp_op();
+        self.node(Expr::Cmp(op, lhs, rhs))
     }
 
     fn assign_random(&mut self) -> Stmt {
@@ -187,132 +241,116 @@ impl Gen {
     }
 
     /// `a = E; b = E; use = a - b` — a textual redundancy pair.
-    fn plant_redundancy(&mut self, out: &mut Vec<Stmt>) {
+    fn plant_redundancy(&mut self) {
         let e = self.expr(2);
         let a = self.fresh_var();
         let b = self.fresh_var();
         let u = self.fresh_var();
-        out.push(Stmt::Assign(a.clone(), e.clone()));
-        out.push(Stmt::Assign(b.clone(), e));
-        out.push(Stmt::Assign(
-            u,
-            Expr::Binary(BinOp::Sub, Box::new(Expr::Var(a)), Box::new(Expr::Var(b))),
-        ));
+        let twin = self.r.copy_expr(e);
+        self.push(Stmt::Assign(a, e));
+        self.push(Stmt::Assign(b, twin));
+        let diff = self.bin(BinOp::Sub, Expr::Var(a), Expr::Var(b));
+        self.push(Stmt::Assign(u, diff));
     }
 
     /// A commuted/reassociated twin: `a = x + y + c; b = c + y + x`.
-    fn plant_reassociation(&mut self, out: &mut Vec<Stmt>) {
+    fn plant_reassociation(&mut self) {
         let x = self.pick_var();
         let y = self.pick_var();
         let c = self.small_const();
         let a = self.fresh_var();
         let b = self.fresh_var();
-        let lhs = Expr::Binary(
-            BinOp::Add,
-            Box::new(Expr::Binary(
-                BinOp::Add,
-                Box::new(Expr::Var(x.clone())),
-                Box::new(Expr::Var(y.clone())),
-            )),
-            Box::new(Expr::Int(c)),
-        );
-        let rhs = Expr::Binary(
-            BinOp::Add,
-            Box::new(Expr::Binary(BinOp::Add, Box::new(Expr::Int(c)), Box::new(Expr::Var(y)))),
-            Box::new(Expr::Var(x)),
-        );
-        out.push(Stmt::Assign(a.clone(), lhs));
-        out.push(Stmt::Assign(b.clone(), rhs));
+        let xy = self.bin(BinOp::Add, Expr::Var(x), Expr::Var(y));
+        let c1 = self.int(c);
+        let lhs = self.node(Expr::Binary(BinOp::Add, xy, c1));
+        let cy = self.bin(BinOp::Add, Expr::Int(c), Expr::Var(y));
+        let x1 = self.var(x);
+        let rhs = self.node(Expr::Binary(BinOp::Add, cy, x1));
+        self.push(Stmt::Assign(a, lhs));
+        self.push(Stmt::Assign(b, rhs));
         let u = self.fresh_var();
-        out.push(Stmt::Assign(
-            u,
-            Expr::Binary(BinOp::Sub, Box::new(Expr::Var(a)), Box::new(Expr::Var(b))),
-        ));
+        let diff = self.bin(BinOp::Sub, Expr::Var(a), Expr::Var(b));
+        self.push(Stmt::Assign(u, diff));
     }
 
     /// A dead branch guarded by a constant condition; with probability
     /// one half the constant is derived (needs constant propagation).
-    fn plant_unreachable(&mut self, depth: usize, out: &mut Vec<Stmt>) {
-        let body = vec![self.assign_random(), self.assign_random()];
+    fn plant_unreachable(&mut self, depth: usize) {
+        let body = [self.assign_random(), self.assign_random()];
+        let body = self.r.add_stmts(&body);
         if self.rng.gen_bool(0.5) {
             // Direct: if (3 > 5) …
-            out.push(Stmt::If(
-                Expr::Cmp(CmpOp::Gt, Box::new(Expr::Int(3)), Box::new(Expr::Int(5))),
-                body,
-                Vec::new(),
-            ));
+            let (three, five) = (self.int(3), self.int(5));
+            let guard = self.node(Expr::Cmp(CmpOp::Gt, three, five));
+            self.push(Stmt::If(guard, body, Span::EMPTY));
         } else {
             // Derived: k = 2; if (k > 5) …
             let k = self.fresh_var();
-            out.push(Stmt::Assign(k.clone(), Expr::Int(2)));
-            out.push(Stmt::If(
-                Expr::Cmp(CmpOp::Gt, Box::new(Expr::Var(k)), Box::new(Expr::Int(5))),
-                body,
-                if depth > 0 && self.rng.gen_bool(0.3) {
-                    vec![self.assign_random()]
-                } else {
-                    Vec::new()
-                },
-            ));
+            let two = self.int(2);
+            self.push(Stmt::Assign(k, two));
+            let guard = self.cond(CmpOp::Gt, k, 5);
+            let otherwise = if depth > 0 && self.rng.gen_bool(0.3) {
+                let s = self.assign_random();
+                self.list(s)
+            } else {
+                Span::EMPTY
+            };
+            self.push(Stmt::If(guard, body, otherwise));
         }
     }
 
     /// A switch over a variable: exercises multi-way edges, case-edge
     /// equality predicates (value inference) and switch φ-predication.
-    fn plant_switch(&mut self, depth: usize, out: &mut Vec<Stmt>) {
+    fn plant_switch(&mut self, depth: usize) {
         let x = self.pick_var();
         let r = self.fresh_var();
         let n_cases = self.rng.gen_range(2..5usize);
-        let mut cases = Vec::new();
-        let mut used = Vec::new();
-        for _ in 0..n_cases {
+        let mut cases = [Case { value: 0, body: Span::EMPTY }; 4];
+        for i in 0..n_cases {
             let mut c = self.small_const();
-            while used.contains(&c) {
+            while cases[..i].iter().any(|case| case.value == c) {
                 c = c.wrapping_add(1);
             }
-            used.push(c);
             let body = if depth > 0 && self.rng.gen_bool(0.3) {
                 self.stmts(depth - 1, 2)
             } else {
-                vec![Stmt::Assign(r.clone(), self.expr(2))]
+                let e = self.expr(2);
+                self.list(Stmt::Assign(r, e))
             };
-            cases.push((c, body));
+            cases[i] = Case { value: c, body };
         }
         let default = if self.rng.gen_bool(0.7) {
-            vec![Stmt::Assign(r.clone(), self.expr(2))]
+            let e = self.expr(2);
+            self.list(Stmt::Assign(r, e))
         } else {
-            Vec::new()
+            Span::EMPTY
         };
-        out.push(Stmt::Switch(Expr::Var(x), cases, default));
+        let cases = self.r.add_cases(&cases[..n_cases]);
+        let scrutinee = self.var(x);
+        self.push(Stmt::Switch(scrutinee, cases, default));
     }
 
     /// `if (x == C) { y = x op D }` — value inference makes y constant; or
     /// `if (x < C) { y = (x >= C) }` — predicate inference folds y.
-    fn plant_inference(&mut self, out: &mut Vec<Stmt>) {
+    fn plant_inference(&mut self) {
         let x = self.pick_var();
         let y = self.fresh_var();
-        if self.rng.gen_bool(0.5) {
+        let (guard, value) = if self.rng.gen_bool(0.5) {
             let c = self.small_const();
             let d = self.small_const();
-            out.push(Stmt::If(
-                Expr::Cmp(CmpOp::Eq, Box::new(Expr::Var(x.clone())), Box::new(Expr::Int(c))),
-                vec![Stmt::Assign(
-                    y,
-                    Expr::Binary(BinOp::Add, Box::new(Expr::Var(x)), Box::new(Expr::Int(d))),
-                )],
-                Vec::new(),
-            ));
+            (self.cond(CmpOp::Eq, x, c), self.bin(BinOp::Add, Expr::Var(x), Expr::Int(d)))
         } else {
             let c = self.small_const();
-            out.push(Stmt::If(
-                Expr::Cmp(CmpOp::Lt, Box::new(Expr::Var(x.clone())), Box::new(Expr::Int(c))),
-                vec![Stmt::Assign(
-                    y,
-                    Expr::Cmp(CmpOp::Ge, Box::new(Expr::Var(x)), Box::new(Expr::Int(c))),
-                )],
-                Vec::new(),
-            ));
-        }
+            (self.cond(CmpOp::Lt, x, c), self.cond(CmpOp::Ge, x, c))
+        };
+        let then = self.list(Stmt::Assign(y, value));
+        self.push(Stmt::If(guard, then, Span::EMPTY));
+    }
+
+    /// `if (guard) { var = value }`.
+    fn guarded(&mut self, guard: ExprId, var: Sym, value: ExprId) {
+        let then = self.list(Stmt::Assign(var, value));
+        self.push(Stmt::If(guard, then, Span::EMPTY));
     }
 
     /// Correlated branch conditions over one compare `x ⋈ c`:
@@ -324,199 +362,183 @@ impl Gen {
     ///   inner else-arm is unreachable to predicate inference only;
     /// - *complementary guards*: `if (x ⋈ c) … ; if (x !⋈ c) { y = (x ⋈ c) }`
     ///   — the negated guard dominates a compare known false.
-    fn plant_correlated(&mut self, out: &mut Vec<Stmt>) {
+    fn plant_correlated(&mut self) {
         let x = self.pick_var();
         let op = self.cmp_op();
         let c = self.small_const();
-        let cond = |op: CmpOp, x: &str, c: i64| {
-            Expr::Cmp(op, Box::new(Expr::Var(x.to_string())), Box::new(Expr::Int(c)))
-        };
         match self.rng.gen_range(0..3) {
             0 => {
                 let a = self.fresh_var();
                 let b = self.fresh_var();
-                out.push(Stmt::If(
-                    cond(op, &x, c),
-                    vec![Stmt::Assign(a, self.expr(2))],
-                    Vec::new(),
-                ));
-                out.push(self.assign_random());
-                out.push(Stmt::If(
-                    cond(op, &x, c),
-                    vec![Stmt::Assign(b, cond(op, &x, c))],
-                    Vec::new(),
-                ));
+                let (guard, value) = (self.cond(op, x, c), self.expr(2));
+                self.guarded(guard, a, value);
+                let s = self.assign_random();
+                self.push(s);
+                let (guard, value) = (self.cond(op, x, c), self.cond(op, x, c));
+                self.guarded(guard, b, value);
             }
             1 => {
                 let a = self.fresh_var();
                 let b = self.fresh_var();
-                out.push(Stmt::If(
-                    cond(op, &x, c),
-                    vec![Stmt::If(
-                        cond(op, &x, c),
-                        vec![Stmt::Assign(a, self.expr(2))],
-                        vec![Stmt::Assign(b, self.expr(2))],
-                    )],
-                    Vec::new(),
-                ));
+                let (outer, inner) = (self.cond(op, x, c), self.cond(op, x, c));
+                let e = self.expr(2);
+                let then = self.list(Stmt::Assign(a, e));
+                let e = self.expr(2);
+                let otherwise = self.list(Stmt::Assign(b, e));
+                let nested = self.list(Stmt::If(inner, then, otherwise));
+                self.push(Stmt::If(outer, nested, Span::EMPTY));
             }
             _ => {
                 let neg = op.negated();
                 let a = self.fresh_var();
                 let y = self.fresh_var();
-                out.push(Stmt::If(
-                    cond(op, &x, c),
-                    vec![Stmt::Assign(a, self.expr(2))],
-                    Vec::new(),
-                ));
-                out.push(Stmt::If(
-                    cond(neg, &x, c),
-                    vec![Stmt::Assign(y, cond(op, &x, c))],
-                    Vec::new(),
-                ));
+                let (guard, value) = (self.cond(op, x, c), self.expr(2));
+                self.guarded(guard, a, value);
+                let (guard, value) = (self.cond(neg, x, c), self.cond(op, x, c));
+                self.guarded(guard, y, value);
             }
         }
     }
 
     /// Two diamonds over the same predicate selecting the same values —
     /// only φ-predication proves the two merged results congruent.
-    fn plant_diamonds(&mut self, out: &mut Vec<Stmt>) {
+    fn plant_diamonds(&mut self) {
         let p = self.pick_var();
         let c = self.small_const();
         let x = self.pick_var();
         let y = self.pick_var();
         let a = self.fresh_var();
         let b = self.fresh_var();
-        let cond = || Expr::Cmp(CmpOp::Lt, Box::new(Expr::Var(p.clone())), Box::new(Expr::Int(c)));
-        out.push(Stmt::If(
-            cond(),
-            vec![Stmt::Assign(a.clone(), Expr::Var(x.clone()))],
-            vec![Stmt::Assign(a.clone(), Expr::Var(y.clone()))],
-        ));
-        out.push(self.assign_random());
-        out.push(Stmt::If(
-            cond(),
-            vec![Stmt::Assign(b.clone(), Expr::Var(x))],
-            vec![Stmt::Assign(b.clone(), Expr::Var(y))],
-        ));
+        self.diamond(p, c, a, x, y);
+        let s = self.assign_random();
+        self.push(s);
+        self.diamond(p, c, b, x, y);
         let u = self.fresh_var();
-        out.push(Stmt::Assign(
-            u,
-            Expr::Binary(BinOp::Sub, Box::new(Expr::Var(a)), Box::new(Expr::Var(b))),
-        ));
+        let diff = self.bin(BinOp::Sub, Expr::Var(a), Expr::Var(b));
+        self.push(Stmt::Assign(u, diff));
     }
 
-    /// A bounded loop; its body may carry planted cyclic patterns.
-    fn bounded_loop(&mut self, depth: usize) -> Vec<Stmt> {
+    /// `if (p < c) { dst = x; } else { dst = y; }`.
+    fn diamond(&mut self, p: Sym, c: i64, dst: Sym, x: Sym, y: Sym) {
+        let guard = self.cond(CmpOp::Lt, p, c);
+        let (xe, ye) = (self.var(x), self.var(y));
+        let then = self.list(Stmt::Assign(dst, xe));
+        let otherwise = self.list(Stmt::Assign(dst, ye));
+        self.push(Stmt::If(guard, then, otherwise));
+    }
+
+    /// A bounded loop after its prologue; its body may carry planted
+    /// cyclic patterns.
+    fn bounded_loop(&mut self, depth: usize) {
         let counter = self.fresh_hidden_var();
         let trip = self.rng.gen_range(1..8i64);
-        let mut body = Vec::new();
-        let mut prologue: Vec<Stmt> = vec![Stmt::Assign(counter.clone(), Expr::Int(0))];
+        let zero = self.int(0);
+        self.push(Stmt::Assign(counter, zero));
+        // The body's first statements after the counter update: at most
+        // three, made before the body's list opens.
+        let mut head = [Stmt::Break; 3];
+        let mut heads = 0;
         if self.rng.gen_bool(self.cfg.cyclic_prob) {
             if self.rng.gen_bool(0.5) {
                 // Loop-invariant cyclic value: inv = inv + 0 each trip.
                 let inv = self.fresh_var();
-                prologue.push(Stmt::Assign(inv.clone(), Expr::Int(self.small_const())));
-                body.push(Stmt::Assign(
-                    inv.clone(),
-                    Expr::Binary(BinOp::Add, Box::new(Expr::Var(inv)), Box::new(Expr::Int(0))),
-                ));
+                let init = self.small_const();
+                let init = self.int(init);
+                self.push(Stmt::Assign(inv, init));
+                head[0] = Stmt::Assign(inv, self.bin(BinOp::Add, Expr::Var(inv), Expr::Int(0)));
+                heads = 1;
             } else {
                 // Twin cyclic counters: congruent under optimism only.
                 let c1 = self.fresh_var();
                 let c2 = self.fresh_var();
-                prologue.push(Stmt::Assign(c1.clone(), Expr::Int(0)));
-                prologue.push(Stmt::Assign(c2.clone(), Expr::Int(0)));
+                for c in [c1, c2] {
+                    let zero = self.int(0);
+                    self.push(Stmt::Assign(c, zero));
+                }
                 let step = self.rng.gen_range(1..4i64);
-                for c in [&c1, &c2] {
-                    body.push(Stmt::Assign(
-                        c.clone(),
-                        Expr::Binary(
-                            BinOp::Add,
-                            Box::new(Expr::Var(c.clone())),
-                            Box::new(Expr::Int(step)),
-                        ),
-                    ));
+                for (i, c) in [c1, c2].into_iter().enumerate() {
+                    head[i] = Stmt::Assign(c, self.bin(BinOp::Add, Expr::Var(c), Expr::Int(step)));
                 }
                 let u = self.fresh_var();
-                body.push(Stmt::Assign(
-                    u,
-                    Expr::Binary(BinOp::Sub, Box::new(Expr::Var(c1)), Box::new(Expr::Var(c2))),
-                ));
+                head[2] = Stmt::Assign(u, self.bin(BinOp::Sub, Expr::Var(c1), Expr::Var(c2)));
+                heads = 3;
             }
         }
-        body.extend(self.stmts(depth.saturating_sub(1), 3));
+        // The counter update comes first, so `continue` cannot skip it;
+        // the loop tests `counter < trip`.
+        let mark = self.open();
+        let step = self.bin(BinOp::Add, Expr::Var(counter), Expr::Int(1));
+        self.push(Stmt::Assign(counter, step));
+        self.pending.extend_from_slice(&head[..heads]);
+        self.stmts_into(depth.saturating_sub(1), 3);
         // Occasional break/continue guarded by a data condition.
         if self.rng.gen_bool(0.25) {
             let guard = self.predicate();
             let exit = if self.rng.gen_bool(0.5) { Stmt::Break } else { Stmt::Continue };
-            body.push(Stmt::If(guard, vec![exit], Vec::new()));
+            let exit = self.list(exit);
+            self.push(Stmt::If(guard, exit, Span::EMPTY));
         }
-        // The counter update comes last so `continue` still terminates…
-        // no: `continue` would skip it. Put the update first instead, and
-        // test `counter <= trip` so the body runs `trip` times.
-        let mut full_body = vec![Stmt::Assign(
-            counter.clone(),
-            Expr::Binary(BinOp::Add, Box::new(Expr::Var(counter.clone())), Box::new(Expr::Int(1))),
-        )];
-        full_body.extend(body);
-        let cond =
-            Expr::Cmp(CmpOp::Lt, Box::new(Expr::Var(counter.clone())), Box::new(Expr::Int(trip)));
-        let mut out = prologue;
+        let body = self.close(mark);
+        let cond = self.cond(CmpOp::Lt, counter, trip);
         if self.rng.gen_bool(0.2) {
-            out.push(Stmt::DoWhile(full_body, cond));
+            self.push(Stmt::DoWhile(body, cond));
         } else {
-            out.push(Stmt::While(cond, full_body));
+            self.push(Stmt::While(cond, body));
         }
-        out
     }
 
-    fn stmts(&mut self, depth: usize, count: usize) -> Vec<Stmt> {
-        let mut out = Vec::new();
+    /// Up to `count` generated statements as one list.
+    fn stmts(&mut self, depth: usize, count: usize) -> Span {
+        let mark = self.open();
+        self.stmts_into(depth, count);
+        self.close(mark)
+    }
+
+    /// Up to `count` generated statements, into the open list.
+    fn stmts_into(&mut self, depth: usize, count: usize) {
         for _ in 0..count {
             if self.stmts_budget <= 0 {
                 break;
             }
-            self.gen_stmt(depth, &mut out);
+            self.gen_stmt(depth);
         }
-        out
     }
 
-    fn gen_stmt(&mut self, depth: usize, out: &mut Vec<Stmt>) {
-        let before = out.len();
+    fn gen_stmt(&mut self, depth: usize) {
+        let before = self.pending.len();
         let r: f64 = self.rng.gen();
         let mut acc = self.cfg.redundancy_prob;
         if r < acc {
             if self.rng.gen_bool(0.5) {
-                self.plant_redundancy(out);
+                self.plant_redundancy();
             } else {
-                self.plant_reassociation(out);
+                self.plant_reassociation();
             }
         } else if r < {
             acc += self.cfg.unreachable_prob;
             acc
         } {
-            self.plant_unreachable(depth, out);
+            self.plant_unreachable(depth);
         } else if r < {
             acc += self.cfg.inference_prob;
             acc
         } {
-            self.plant_inference(out);
+            self.plant_inference();
         } else if r < {
             acc += self.cfg.diamond_prob;
             acc
         } {
-            self.plant_diamonds(out);
+            self.plant_diamonds();
         } else if r < {
             acc += self.cfg.correlated_prob;
             acc
         } {
-            self.plant_correlated(out);
+            self.plant_correlated();
         } else if depth > 0 && r < acc + 0.25 {
             if self.rng.gen_bool(self.cfg.loop_prob) {
-                out.extend(self.bounded_loop(depth));
+                self.bounded_loop(depth);
             } else if self.rng.gen_bool(0.18) {
-                self.plant_switch(depth, out);
+                self.plant_switch(depth);
             } else {
                 let cond = self.predicate();
                 let n_then = self.rng.gen_range(1..4);
@@ -525,14 +547,15 @@ impl Gen {
                     let n_else = self.rng.gen_range(1..3);
                     self.stmts(depth - 1, n_else)
                 } else {
-                    Vec::new()
+                    Span::EMPTY
                 };
-                out.push(Stmt::If(cond, then, otherwise));
+                self.push(Stmt::If(cond, then, otherwise));
             }
         } else {
-            out.push(self.assign_random());
+            let s = self.assign_random();
+            self.push(s);
         }
-        self.stmts_budget -= (out.len() - before) as isize;
+        self.stmts_budget -= (self.pending.len() - before) as isize;
     }
 }
 
@@ -548,36 +571,50 @@ impl Gen {
 /// assert_eq!(r1, r2, "same seed, same routine");
 /// ```
 pub fn generate_routine(name: &str, cfg: &GenConfig) -> Routine {
+    // Generated routines average about 1.3 statements, 5 expression
+    // nodes and 0.6 new variables per budgeted statement.
+    let n = cfg.target_stmts + 8;
+    let cap = Capacity {
+        syms: n + cfg.num_params,
+        text: 4 * (n + cfg.num_params),
+        params: cfg.num_params,
+        exprs: 6 * n,
+        stmts: 2 * n,
+        cases: n / 4,
+    };
+    let mut r = Routine::with_capacity(name, &cap);
+    let params: Vec<Sym> =
+        (0..cfg.num_params).map(|i| r.add_sym_fmt(format_args!("p{i}"))).collect();
+    for &p in &params {
+        r.add_param(p);
+    }
     let mut g = Gen {
         rng: StdRng::seed_from_u64(cfg.seed),
         cfg: cfg.clone(),
-        vars: (0..cfg.num_params).map(|i| format!("p{i}")).collect(),
+        r,
+        pending: Vec::with_capacity(n),
+        vars: params,
         next_var: 0,
         next_opaque: 0,
         stmts_budget: cfg.target_stmts as isize,
     };
-    let mut body = Vec::new();
     while g.stmts_budget > 0 {
-        g.gen_stmt(g.cfg.max_depth, &mut body);
+        g.gen_stmt(g.cfg.max_depth);
     }
     // Return a hash of the visible state so nothing is trivially dead.
-    let mut ret = Expr::Int(0);
-    let vars = g.vars.clone();
-    for (i, v) in vars.iter().enumerate() {
-        if i % 3 == 0 || i + 4 >= vars.len() {
-            ret = Expr::Binary(
-                if i % 2 == 0 { BinOp::Add } else { BinOp::Xor },
-                Box::new(ret),
-                Box::new(Expr::Var(v.clone())),
-            );
+    let mut ret = g.int(0);
+    let count = g.vars.len();
+    for i in 0..count {
+        if i % 3 == 0 || i + 4 >= count {
+            let v = g.var(g.vars[i]);
+            let op = if i % 2 == 0 { BinOp::Add } else { BinOp::Xor };
+            ret = g.node(Expr::Binary(op, ret, v));
         }
     }
-    body.push(Stmt::Return(ret));
-    Routine {
-        name: name.to_string(),
-        params: (0..cfg.num_params).map(|i| format!("p{i}")).collect(),
-        body,
-    }
+    g.push(Stmt::Return(ret));
+    let body = g.close(0);
+    g.r.set_body(body);
+    g.r
 }
 
 /// Generates and compiles a routine to SSA.

@@ -1018,6 +1018,49 @@ fn batch_survives_over_deep_routines_as_input_errors() {
     }
 }
 
+/// A `break` outside any loop. It used to panic in lowering: the batch
+/// aborted and lost every record, and the other surfaces exited 101.
+const ORPHAN_BREAK: &str = "routine f(a) { break; return a; }";
+
+#[test]
+fn batch_reports_break_outside_a_loop_as_an_input_error() {
+    let files = [
+        ("a_orphan_break", ORPHAN_BREAK.to_string()),
+        ("b_orphan_continue", "routine g(a) { if (a) { continue; } return a; }".to_string()),
+        ("c_normal", "routine h(a) { while (a) { break; } return a; }".to_string()),
+    ];
+    let (code, records) = batch_over("orphan-break", &files, &[]);
+    assert_eq!(code, Some(1), "an input error fails the batch, it does not abort it");
+    assert_eq!(records.len(), 3, "{records:?}");
+    assert_eq!(records[0][0], "input_error", "{records:?}");
+    assert!(records[0][2].contains("`break` outside a loop"), "{records:?}");
+    assert_eq!(records[1][0], "input_error", "{records:?}");
+    assert!(records[1][2].contains("`continue` outside a loop"), "{records:?}");
+    assert_eq!(records[2][..2], ["classified", "optimized"], "{records:?}");
+}
+
+#[test]
+fn single_file_mode_rejects_break_outside_a_loop_with_exit_two() {
+    let path = write_temp("orphan-break.pg", ORPHAN_BREAK);
+    let out = pgvn().arg(&path).output().expect("spawns");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("parse error at line 1: `break` outside a loop"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+}
+
+#[test]
+fn check_flags_break_outside_a_loop_as_a_parse_error() {
+    let path = write_temp("check-orphan-break.pgvn", ORPHAN_BREAK);
+    let out = pgvn().args(["check", path.to_str().unwrap(), "--json"]).output().expect("spawns");
+    assert_eq!(out.status.code(), Some(1), "error diagnostics exit 1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"code\":\"parse_error\""), "{stdout}");
+    assert!(stdout.contains("`break` outside a loop"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+}
+
 #[test]
 fn routines_at_the_nesting_bound_run_end_to_end_on_a_worker_stack() {
     use pgvn::lang::fixtures::{deep, Deep};

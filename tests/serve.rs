@@ -284,6 +284,32 @@ fn over_deep_routines_get_input_errors_and_a_later_ping_is_answered() {
 }
 
 #[test]
+fn break_outside_a_loop_gets_an_input_error_and_a_later_request_is_served() {
+    // It used to panic in lowering: the reply was `"error":"internal"`
+    // and the server exited 1.
+    let (responses, summary) = roundtrip(
+        &ServeOptions { workers: 1, ..ServeOptions::default() },
+        vec![
+            br#"{"id":1,"routine":"routine f(a) { break; return a; }"}"#.to_vec(),
+            gen_request(2, 11),
+            br#"{"id":3,"op":"ping"}"#.to_vec(),
+        ],
+    );
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    let by_id = |id: u64| {
+        responses.iter().find(|r| r.contains(&format!("\"id\":{id},"))).expect("answered")
+    };
+    let r = by_id(1);
+    assert_eq!(reply_of(r), "record", "{r}");
+    assert!(r.contains("\"status\":\"input_error\""), "{r}");
+    assert!(r.contains("`break` outside a loop"), "{r}");
+    assert_eq!(reply_of(by_id(2)), "record");
+    assert_eq!(reply_of(by_id(3)), "pong");
+    assert_eq!((summary.input_errors, summary.records), (1, 2));
+    assert!(summary.is_clean());
+}
+
+#[test]
 fn malformed_payloads_get_protocol_errors_without_killing_the_loop() {
     let (responses, summary) = roundtrip(
         &ServeOptions::default(),

@@ -11,7 +11,9 @@
 //! The constants were computed before the bitset-liveness / stamp-array
 //! rewrite of `pgvn-ssa` and must not change with a pure speedup. The
 //! text-path constant was computed before the allocation-lean rewrite of
-//! the lexer, parser, lowering and SSA builder.
+//! the lexer, parser, lowering and SSA builder. A third test pins the
+//! printed text of the generated corpora themselves; its constants were
+//! computed before the AST moved into per-routine pools.
 
 use pgvn_ir::Function;
 use pgvn_ssa::SsaStyle;
@@ -120,5 +122,37 @@ fn text_path_output_is_byte_identical() {
         got.0,
         got.1,
         got.2
+    );
+}
+
+/// FNV-1a digests of the generator's printed text: the corpus
+/// `pgvn batch --gen 500 --seed 2002` runs, and the scale-0.05 SPEC
+/// stand-in suite as `dump_benchmark` writes it. The digests above pin
+/// only what the text compiles to; these pin the text itself, which is
+/// what the benchmark corpora are made of, so a printer or generator
+/// change cannot alter them unseen.
+fn printed_text_digests() -> (u64, u64) {
+    let mut batch = String::new();
+    for input in pgvn::batch::generated_corpus("batch_", 2002, 500) {
+        batch.push_str(input.source.as_deref().expect("generated routines have text"));
+    }
+    let mut suite = String::new();
+    for bench in spec_suite(SuiteConfig { scale: 0.05, ..Default::default() }) {
+        for i in 0..bench.len() {
+            suite.push_str(&bench.source(i));
+        }
+    }
+    (fnv1a(batch.as_bytes()), fnv1a(suite.as_bytes()))
+}
+
+#[test]
+fn generated_text_is_byte_identical() {
+    let got = printed_text_digests();
+    assert_eq!(
+        got,
+        (0xc761_f6b0_2cbf_b585, 0x1d81_f093_63ef_0297),
+        "printed text changed (got digests {:#018x}, {:#018x})",
+        got.0,
+        got.1
     );
 }
