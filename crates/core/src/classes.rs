@@ -234,6 +234,18 @@ impl Classes {
         self.classes.iter().skip(1).filter(|c| c.size > 0).count()
     }
 
+    /// Grows the class arena, `TABLE` and the per-value arrays to at
+    /// least `slots`, `table` and `values` entries, keeping the
+    /// partition as it is.
+    pub(crate) fn reserve(&mut self, slots: usize, table: usize, values: usize) {
+        self.classes.reserve_exact(slots.saturating_sub(self.classes.len()));
+        self.table.reserve_exact(table.saturating_sub(self.table.len()));
+        for v in [&mut self.next, &mut self.prev] {
+            v.reserve_exact(values.saturating_sub(v.len()));
+        }
+        self.class_of.reserve_exact(values.saturating_sub(self.class_of.len()));
+    }
+
     /// Capacity of the class arena (allocation-amortization metric).
     pub fn slot_capacity(&self) -> usize {
         self.classes.capacity()

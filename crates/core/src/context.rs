@@ -155,7 +155,9 @@ pub(crate) struct Memo {
 /// throwaway context per call.
 ///
 /// A context is deliberately `Send` but not shared: parallel batch
-/// engines give each worker thread its own private context.
+/// engines give each worker thread its own private context, pre-sized
+/// with [`GvnContext::reserve`] so its first routines run without
+/// growing the dominant tables.
 #[derive(Debug, Default)]
 pub struct GvnContext {
     /// The hash-consed expression arena, restarted (ids from 0) per run.
@@ -202,8 +204,9 @@ pub struct GvnContext {
 }
 
 impl GvnContext {
-    /// Creates an empty context. Allocations grow on first use and are
-    /// retained across runs.
+    /// Creates an empty context. Allocations grow on first use (or
+    /// ahead of it, with [`GvnContext::reserve`]) and are retained
+    /// across runs.
     pub fn new() -> Self {
         Self::default()
     }
@@ -273,6 +276,15 @@ impl GvnContext {
         self.scratch.pred.prepare(func.block_capacity());
     }
 
+    /// Grows the dominant allocations (see [`ContextCapacities`]) to at
+    /// least `caps`, keeping their contents, so runs over routines that
+    /// fit start without growing them. Runs nothing: [`GvnContext::runs`]
+    /// and the memo of the last converged run are unchanged.
+    pub fn reserve(&mut self, caps: ContextCapacities) {
+        self.interner.reserve(caps.interner_exprs, caps.interner_table);
+        self.classes.reserve(caps.class_slots, caps.class_table, caps.value_slots);
+    }
+
     /// Snapshot of the dominant allocation capacities (see
     /// [`ContextCapacities`]).
     pub fn capacities(&self) -> ContextCapacities {
@@ -322,5 +334,22 @@ mod tests {
         ctx.clear();
         assert_eq!(ctx.capacities(), caps, "clear() must not free");
         assert_eq!(ctx.runs(), 1);
+    }
+
+    #[test]
+    fn reserve_grows_capacity_without_running() {
+        let mut ctx = GvnContext::new();
+        let caps = ContextCapacities {
+            interner_exprs: 64,
+            interner_table: 128,
+            class_slots: 32,
+            class_table: 64,
+            value_slots: 100,
+        };
+        ctx.reserve(caps);
+        assert_eq!(ctx.capacities(), caps);
+        assert_eq!(ctx.runs(), 0, "reserving runs nothing");
+        ctx.reserve(ContextCapacities { interner_table: 100, ..caps });
+        assert_eq!(ctx.capacities(), caps, "a smaller reserve shrinks nothing");
     }
 }

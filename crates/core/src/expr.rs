@@ -307,12 +307,17 @@ impl Interner {
         self.table[slot] = id.0;
     }
 
-    /// Doubles the table and re-places every id from its stored hash.
+    /// Doubles the table.
     fn grow(&mut self) {
-        let cap = (self.table.len() * 2).max(MIN_TABLE);
+        self.rehash((self.table.len() * 2).max(MIN_TABLE));
+        self.growths += 1;
+    }
+
+    /// Resizes the table to `cap` slots and re-places every id from its
+    /// stored hash.
+    fn rehash(&mut self, cap: usize) {
         self.table.clear();
         self.table.resize(cap, EMPTY);
-        self.growths += 1;
         for i in 0..self.nodes.len() {
             self.place(ExprId(i as u32));
         }
@@ -332,6 +337,17 @@ impl Interner {
         self.hits = 0;
         self.misses = 0;
         self.growths = 0;
+    }
+
+    /// Grows the expression arena to at least `exprs` slots and the
+    /// hash-cons table to at least `table` slots (rounded up to a power
+    /// of two), keeping every interned id.
+    pub(crate) fn reserve(&mut self, exprs: usize, table: usize) {
+        self.nodes.reserve_exact(exprs.saturating_sub(self.nodes.len()));
+        self.hashes.reserve_exact(exprs.saturating_sub(self.hashes.len()));
+        if table > self.table.len() {
+            self.rehash(table.next_power_of_two());
+        }
     }
 
     /// Capacity of the expression arena (amortization metric).
@@ -663,6 +679,23 @@ mod tests {
             i.constant(k);
         }
         assert_eq!(i.growths(), 0, "warm table must not regrow");
+    }
+
+    #[test]
+    fn reserve_keeps_ids_and_spares_growth() {
+        let mut i = Interner::new();
+        let ids: Vec<ExprId> = (0..20).map(|k| i.constant(k)).collect();
+        i.reserve(256, 500);
+        assert_eq!((i.expr_capacity(), i.table_capacity()), (256, 512));
+        for (k, &id) in ids.iter().enumerate() {
+            assert_eq!(i.constant(k as i64), id, "a reserve re-places interned ids");
+        }
+        i.clear();
+        for k in 0..256 {
+            i.constant(k);
+        }
+        assert_eq!(i.growths(), 0, "a reserved table does not grow");
+        assert_eq!((i.expr_capacity(), i.table_capacity()), (256, 512));
     }
 
     #[test]

@@ -33,12 +33,14 @@
 //! [`Function`]: pgvn_ir::Function
 
 use crate::prelude::*;
-use pgvn_core::{run_sharded, GvnContext};
+use pgvn_core::{run_sharded, ContextCapacities, GvnContext};
 use pgvn_ir::DiagnosticEngine;
 use pgvn_telemetry::json::JsonWriter;
 use pgvn_telemetry::{Metric, MetricsRegistry, MetricsSnapshot, Telemetry};
 use pgvn_transform::{check_function_with, AnalysisManager, CheckOptions};
 use std::borrow::Cow;
+use std::fmt;
+use std::io::{self, Write};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -86,11 +88,6 @@ pub struct BatchOptions {
     /// Worker threads. Clamped to at least one; values above the input
     /// count just leave the extra workers idle.
     pub jobs: usize,
-    /// Run a pilot routine through each worker's context before it
-    /// claims real work, so table growth happens off the measured path.
-    /// Records are context-history-independent, so this never changes
-    /// report bytes — only the shard wall time.
-    pub warm_start: bool,
     /// Run the full lint suite (`pgvn check`) over each routine's
     /// optimized output as a post-pass gate, its GVN-backed lints under
     /// `cfg`'s budget (but not its fault plan). Adds a `check` field to
@@ -101,29 +98,33 @@ pub struct BatchOptions {
 
 impl Default for BatchOptions {
     fn default() -> Self {
-        BatchOptions {
-            cfg: GvnConfig::full(),
-            rounds: 2,
-            passes: None,
-            jobs: 1,
-            warm_start: true,
-            check: false,
-        }
+        BatchOptions { cfg: GvnConfig::full(), rounds: 2, passes: None, jobs: 1, check: false }
     }
 }
 
-/// Grows a fresh context's tables to working size by pushing one
-/// deterministic pilot routine (larger than the generator's default)
-/// through the full resilient pipeline. Shared by the batch and serve
-/// worker pools; the pilot's report is discarded.
+/// The capacity profile [`warm_context`] reserves: exactly what
+/// analyzing one 96-statement generated routine leaves behind. Routines
+/// of the generator's default size fit it almost always (all but one of
+/// the 200 of `pgvn batch --gen 200 --seed 2002`); a larger one grows
+/// the tables as it would on a fresh context. Without a common floor, a
+/// serve worker that missed the largest routines of its first traffic
+/// wave grows when it meets them later, so the pool's capacity profile
+/// would not settle after one wave.
+const WARM_CAPACITIES: ContextCapacities = ContextCapacities {
+    interner_exprs: 256,
+    interner_table: 512,
+    class_slots: 128,
+    class_table: 256,
+    value_slots: 488,
+};
+
+/// Readies a fresh context for a routine stream by reserving its
+/// interner, partition and per-value tables at a working size, so
+/// typical routines run without growing them. Runs no analysis
+/// (`ctx.runs()` is unchanged) and emits nothing. Every batch and serve
+/// worker calls it on its context before it claims work.
 pub fn warm_context(ctx: &mut GvnContext) {
-    let gcfg =
-        crate::workload::GenConfig { seed: 0xC0FFEE, target_stmts: 96, ..Default::default() };
-    let routine = crate::workload::generate_routine("warm_pilot", &gcfg);
-    let src = crate::lang::print_routine(&routine);
-    let mut func = compile(&src, SsaStyle::Pruned).expect("pilot routine always compiles");
-    let pipeline = Pipeline::new(GvnConfig::full()).rounds(2);
-    let _ = pipeline.optimize_resilient_traced_with(ctx, &mut func, &mut Telemetry::off());
+    ctx.reserve(WARM_CAPACITIES);
 }
 
 /// How one routine ended.
@@ -174,11 +175,32 @@ impl RoutineRecord {
     /// the line is exactly [`RoutineRecord::json`], borrowed, byte-stable
     /// across worker counts.
     pub fn json_line(&self, timings: bool) -> Cow<'_, str> {
-        if !timings {
-            return Cow::Borrowed(&self.json);
+        if timings {
+            Cow::Owned(TimedLine(self).to_string())
+        } else {
+            Cow::Borrowed(&self.json)
         }
-        let body = self.json.strip_suffix('}').unwrap_or(&self.json);
-        Cow::Owned(format!("{body},\"wall_nanos\":{}}}", self.wall_nanos))
+    }
+
+    /// Writes [`RoutineRecord::json_line`] and a newline to `out`
+    /// without building the spliced line.
+    fn write_line<W: Write + ?Sized>(&self, out: &mut W, timings: bool) -> io::Result<()> {
+        if timings {
+            writeln!(out, "{}", TimedLine(self))
+        } else {
+            writeln!(out, "{}", self.json)
+        }
+    }
+}
+
+/// A record's JSON with its `wall_nanos` spliced in as the last field.
+struct TimedLine<'a>(&'a RoutineRecord);
+
+impl fmt::Display for TimedLine<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let json = &self.0.json;
+        let body = json.strip_suffix('}').unwrap_or(json);
+        write!(f, "{body},\"wall_nanos\":{}}}", self.0.wall_nanos)
     }
 }
 
@@ -224,6 +246,25 @@ impl BatchReport {
             && self.input_errors == 0
             && self.escaped_panics == 0
             && self.check_errors == 0
+    }
+
+    /// Writes the JSONL report: every record in input order, with
+    /// `timings` each record's `wall_nanos` and then the
+    /// [`BatchReport::timing_json`] line, and last the
+    /// [`BatchReport::summary_json`] line.
+    pub fn write_jsonl<W: Write + ?Sized>(
+        &self,
+        out: &mut W,
+        timings: bool,
+        seed: u64,
+    ) -> io::Result<()> {
+        for rec in &self.records {
+            rec.write_line(out, timings)?;
+        }
+        if timings {
+            writeln!(out, "{}", self.timing_json())?;
+        }
+        writeln!(out, "{}", self.summary_json(seed))
     }
 
     /// The `batch_summary` JSONL record (no trailing newline).
@@ -331,12 +372,10 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    /// A fresh worker; `warm_start` runs [`warm_context`] on its context.
-    pub(crate) fn new(warm_start: bool) -> Worker {
+    /// A fresh worker, its context readied by [`warm_context`].
+    pub(crate) fn new() -> Worker {
         let mut ctx = GvnContext::new();
-        if warm_start {
-            warm_context(&mut ctx);
-        }
+        warm_context(&mut ctx);
         Worker {
             ctx,
             reg: MetricsRegistry::new(),
@@ -500,12 +539,9 @@ pub(crate) fn process_one(
 pub fn run_batch(inputs: &[BatchInput], opts: &BatchOptions) -> BatchReport {
     // Per-run analysis metrics live in per-worker registries so
     // per-record metrics cannot see another worker's increments.
-    let run = run_sharded(
-        inputs.len(),
-        opts.jobs,
-        || Worker::new(opts.warm_start),
-        |worker, i| ControlFlow::Continue(process_one(worker, &inputs[i], opts)),
-    );
+    let run = run_sharded(inputs.len(), opts.jobs, Worker::new, |worker, i| {
+        ControlFlow::Continue(process_one(worker, &inputs[i], opts))
+    });
     let mut metrics = MetricsSnapshot::default();
     for worker in run.states {
         metrics.merge(&worker.into_metrics());
@@ -687,6 +723,109 @@ mod tests {
         // budget; the gate must not report findings from an unbudgeted run.
         let default = BatchOptions { check: true, ..Default::default() };
         assert_eq!(gvn_codes(&starve(default)), [0, 0]);
+    }
+
+    /// The pilot routine that warmed every worker context by analyzing
+    /// it, before [`warm_context`] reserved its profile instead.
+    fn old_pilot() -> Function {
+        let gcfg =
+            crate::workload::GenConfig { seed: 0xC0FFEE, target_stmts: 96, ..Default::default() };
+        let src =
+            crate::lang::print_routine(&crate::workload::generate_routine("warm_pilot", &gcfg));
+        compile(&src, SsaStyle::Pruned).expect("the pilot compiles")
+    }
+
+    /// Optimizes `func` in `ctx` with the default two-round pipeline.
+    fn optimize(ctx: &mut GvnContext, mut func: Function) {
+        let pipeline = Pipeline::new(GvnConfig::full()).rounds(2);
+        let _ = pipeline.optimize_resilient_traced_with(ctx, &mut func, &mut Telemetry::off());
+    }
+
+    #[test]
+    fn warm_context_reserves_the_pilot_profile_without_running() {
+        use pgvn_telemetry::{MemorySink, TraceEvent};
+        let mut ctx = GvnContext::new();
+        warm_context(&mut ctx);
+        assert_eq!(ctx.runs(), 0, "warming runs no analysis");
+        assert_eq!(
+            ctx.capacities(),
+            ContextCapacities {
+                interner_exprs: 256,
+                interner_table: 512,
+                class_slots: 128,
+                class_table: 256,
+                value_slots: 488,
+            }
+        );
+        // The profile is exactly what analyzing the old pilot left.
+        let mut piloted = GvnContext::new();
+        optimize(&mut piloted, old_pilot());
+        assert_eq!(piloted.capacities(), ctx.capacities());
+        // The first traced run is the context's first, and it finds
+        // every table already large enough.
+        let func =
+            compile(generated_corpus("w_", 1, 1)[0].source.as_ref().unwrap(), SsaStyle::Pruned)
+                .unwrap();
+        let mut sink = MemorySink::new();
+        pgvn_core::try_run_traced_in_context(
+            &mut ctx,
+            &func,
+            &GvnConfig::full(),
+            &mut Telemetry::with_sink(&mut sink),
+        )
+        .expect("converges");
+        let prepare = sink.events().iter().find_map(|e| match e {
+            TraceEvent::ContextPrepare { runs, reused_capacity, .. } => {
+                Some((*runs, *reused_capacity))
+            }
+            _ => None,
+        });
+        assert_eq!(prepare, Some((1, true)));
+    }
+
+    #[test]
+    fn a_warmed_context_grows_like_a_piloted_one() {
+        let mut warmed = GvnContext::new();
+        warm_context(&mut warmed);
+        let warm = warmed.capacities();
+        optimize(&mut warmed, old_pilot());
+        assert_eq!(warmed.capacities(), warm, "the pilot fits the reserved profile");
+        let mut piloted = GvnContext::new();
+        optimize(&mut piloted, old_pilot());
+        for input in &generated_corpus("batch_", 2002, 200) {
+            let func = compile(input.source.as_ref().unwrap(), SsaStyle::Pruned).unwrap();
+            optimize(&mut warmed, func.clone());
+            optimize(&mut piloted, func);
+            assert_eq!(warmed.capacities(), piloted.capacities(), "after {}", input.name);
+        }
+        assert_eq!(warmed.runs(), piloted.runs());
+    }
+
+    #[test]
+    fn a_fresh_worker_renders_the_200th_record_byte_for_byte() {
+        let inputs = gen_inputs(200, 2002);
+        let last = &inputs[199];
+        let pipelines = [
+            BatchOptions::default(),
+            BatchOptions {
+                passes: Some("gvn,pre,gvn".parse().unwrap()),
+                check: true,
+                ..Default::default()
+            },
+        ];
+        for opts in pipelines {
+            let fresh = process_one(&mut Worker::new(), last, &opts);
+            for jobs in [1, 4] {
+                let report = run_batch(&inputs, &BatchOptions { jobs, ..opts.clone() });
+                let batched = &report.records[199];
+                let what = format!("jobs {jobs}, passes {:?}", opts.passes);
+                assert_eq!(batched.name, last.name);
+                assert_eq!(batched.json, fresh.json, "{what}");
+                assert_eq!(batched.status, fresh.status, "{what}");
+                assert_eq!(batched.gvn_stats, fresh.gvn_stats, "{what}");
+                assert_eq!(batched.check_errors, fresh.check_errors, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@
 //!   --report <path>                                per-routine JSONL report
 //!   --jobs N                                       worker threads (default: 1)
 //!   --stats-json <path>                            merged GvnStats as JSONL
-//!   --no-warm                                      skip the worker warm-start pilot
+//!   --timings                                      wall_nanos + batch_timing (non-deterministic)
 //!   --check                                        lint each optimized output (post-pass gate)
 //!
 //! pgvn serve [options]             # long-lived optimization service
@@ -79,7 +79,6 @@
 //!   --max-budget-passes/-ms/-touches N             per-request budget ceilings
 //!   --max-rounds N                                 pipeline rounds ceiling
 //!   --config/--mode/--variant/--rounds/--passes    base configuration
-//!   --no-warm                                      skip the worker warm-start pilot
 //!   --timings                                      wall_nanos in records (non-deterministic)
 //!   --check                                        lint each optimized output (post-pass gate)
 //!
@@ -112,7 +111,7 @@ use pgvn::telemetry::{
     JsonlSink, Metric, MetricKind, MetricsRegistry, TeeSink, Telemetry, TextSink, METRICS,
 };
 use std::fmt::Display;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -324,15 +323,25 @@ fn read_input(path: &Path) -> BatchInput {
 
 /// Writes a report to `path`, or to stdout when there is none.
 fn write_report(sub: &str, path: Option<&str>, text: &str) -> Result<(), String> {
-    match path {
-        Some(path) => {
-            std::fs::write(path, text).map_err(|e| format!("{sub}: cannot write {path}: {e}"))
-        }
-        None => {
-            print!("{text}");
-            Ok(())
-        }
-    }
+    stream_report(sub, path, |out| out.write_all(text.as_bytes()))
+}
+
+/// Streams a report through one buffered writer, to `path` (created or
+/// truncated) or to stdout. Any I/O error, a closed stdout pipe
+/// included, is a one-line `cannot write` error.
+fn stream_report(
+    sub: &str,
+    path: Option<&str>,
+    body: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let failed =
+        |e: std::io::Error| format!("{sub}: cannot write {}: {e}", path.unwrap_or("stdout"));
+    let inner: Box<dyn Write> = match path {
+        Some(path) => Box::new(std::fs::File::create(path).map_err(failed)?),
+        None => Box::new(std::io::stdout().lock()),
+    };
+    let mut out = std::io::BufWriter::with_capacity(1 << 16, inner);
+    body(&mut out).and_then(|()| out.flush()).map_err(failed)
 }
 
 fn exit_code(success: bool) -> ExitCode {
@@ -525,7 +534,7 @@ const BATCH_USAGE: &str = "usage: pgvn batch (--dir <dir> | --gen N) [--seed N] 
     \x20                [--budget-passes N] [--budget-ms N] [--budget-touches N]\n\
     \x20                [--inject kind@site] [--inject-seed N] [--inject-sticky]\n\
     \x20                [--report <path>] [--jobs N] [--stats-json <path>] [--timings]\n\
-    \x20                [--no-warm] [--passes gvn,pre,gvn] [--check]";
+    \x20                [--passes gvn,pre,gvn] [--check]";
 
 /// `pgvn batch`: resilient optimization over a suite of routines, one
 /// `catch_unwind`-isolated `optimize_resilient` call per routine, with a
@@ -543,7 +552,6 @@ fn batch_main(mut args: Args) -> CliResult {
     let mut rounds: usize = 2;
     let mut jobs: usize = 1;
     let mut timings = false;
-    let mut warm_start = true;
     let mut report_path: Option<String> = None;
     let mut stats_path: Option<String> = None;
     while let Some(a) = args.next() {
@@ -560,7 +568,6 @@ fn batch_main(mut args: Args) -> CliResult {
             "--report" => report_path = Some(args.value(&a)),
             "--stats-json" => stats_path = Some(args.value(&a)),
             "--timings" => timings = true,
-            "--no-warm" => warm_start = false,
             _ => args.usage(),
         }
     }
@@ -582,26 +589,17 @@ fn batch_main(mut args: Args) -> CliResult {
     // with the fuzz campaigns and `pgvn serve`, so nesting composes).
     let batch = {
         let _hook = pgvn::oracle::silence_panic_hook();
-        run_batch(&inputs, &BatchOptions { cfg, rounds, passes, jobs, warm_start, check })
+        run_batch(&inputs, &BatchOptions { cfg, rounds, passes, jobs, check })
     };
 
     // Records come back in input order whatever the worker count, so
     // both the report and the diagnostics stream are deterministic.
-    let mut lines = String::new();
-    for rec in &batch.records {
-        if let Some(d) = &rec.diagnostic {
-            eprintln!("{d}");
-        }
-        lines.push_str(&rec.json_line(timings));
-        lines.push('\n');
+    for d in batch.records.iter().filter_map(|rec| rec.diagnostic.as_ref()) {
+        eprintln!("{d}");
     }
-    if timings {
-        lines.push_str(&batch.timing_json());
-        lines.push('\n');
-    }
-    lines.push_str(&batch.summary_json(corpus.seed));
-    lines.push('\n');
-    write_report("batch", report_path.as_deref(), &lines)?;
+    stream_report("batch", report_path.as_deref(), |out| {
+        batch.write_jsonl(out, timings, corpus.seed)
+    })?;
     if let Some(path) = &stats_path {
         write_report("batch", Some(path), &format!("{}\n", batch.stats_json(corpus.seed)))?;
     }
@@ -627,7 +625,7 @@ const SERVE_USAGE: &str = "usage: pgvn serve [--socket <path>] [--workers N] [--
     \x20                [--config full|extended|click|sccp|awz|basic]\n\
     \x20                [--mode optimistic|balanced|pessimistic]\n\
     \x20                [--variant practical|complete] [--rounds N]\n\
-    \x20                [--passes gvn,pre,gvn] [--no-warm] [--timings] [--check]";
+    \x20                [--passes gvn,pre,gvn] [--timings] [--check]";
 
 /// `pgvn serve`: the long-lived optimization service. Speaks the
 /// length-prefixed JSON protocol of `docs/SERVE.md` over stdin/stdout,
@@ -654,7 +652,6 @@ fn serve_main(mut args: Args) -> CliResult {
             "--max-budget-touches" => opts.limits.max_touches = args.parse(&a),
             "--max-rounds" => opts.limits.max_rounds = args.parse(&a),
             "--rounds" => opts.rounds = args.parse(&a),
-            "--no-warm" => opts.warm_start = false,
             "--timings" => opts.timings = true,
             _ => args.usage(),
         }
@@ -697,7 +694,7 @@ fn serve_main(mut args: Args) -> CliResult {
 const SERVE_LOAD_USAGE: &str =
     "usage: pgvn serve-load [--clients N] [--routines N] [--workers-curve 1,4]\n\
     \x20                     [--queue N] [--seed N] [--fault clean|every:N|matrix]\n\
-    \x20                     [--check-batch] [--report <path>] [--no-warm]\n\
+    \x20                     [--check-batch] [--report <path>]\n\
     \x20                     [--passes gvn,pre,gvn]";
 
 /// `pgvn serve-load`: spins up an in-process socket server per worker
@@ -731,7 +728,6 @@ fn serve_load_main(mut args: Args) -> CliResult {
                 });
             }
             "--check-batch" => opts.check_batch = true,
-            "--no-warm" => opts.serve.warm_start = false,
             "--passes" => opts.serve.passes = Some(args.parse(&a)),
             "--report" => report_path = Some(args.value(&a)),
             _ => args.usage(),

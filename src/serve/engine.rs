@@ -182,10 +182,8 @@ impl Engine {
     pub(crate) fn worker_loop(&self, index: usize) {
         // Private per-worker state: record metrics must never see
         // another worker's increments (the determinism contract).
-        let mut worker = Worker::new(self.opts.warm_start);
-        if self.opts.warm_start {
-            self.record_worker(index, &worker.ctx);
-        }
+        let mut worker = Worker::new();
+        self.record_worker(index, &worker.ctx);
         while let Some(job) = self.next_job() {
             let waited = job.enqueued.elapsed();
             self.reg.observe(

@@ -127,9 +127,6 @@ pub struct ServeOptions {
     /// Splice scheduling-dependent `wall_nanos` into records
     /// (forfeits serve≡batch byte identity, exactly as in batch).
     pub timings: bool,
-    /// Run the warm-start pilot through each worker context before it
-    /// serves, so table growth happens before the first request.
-    pub warm_start: bool,
     /// Run the full lint suite over each request's optimized output as
     /// a post-pass gate, embedding a `check` object in the record —
     /// exactly the batch `--check` gate, applied per request.
@@ -146,7 +143,6 @@ impl Default for ServeOptions {
             rounds: 2,
             passes: None,
             timings: false,
-            warm_start: true,
             check: false,
         }
     }
@@ -247,7 +243,7 @@ pub fn resolve_request_options(req: &Request, opts: &ServeOptions) -> Result<Bat
         None => opts.passes.clone(),
         Some(spec) => Some(PassSpec::parse(spec).map_err(|e| format!("passes: {e}"))?),
     };
-    Ok(BatchOptions { cfg, rounds, passes, jobs: 1, warm_start: false, check: opts.check })
+    Ok(BatchOptions { cfg, rounds, passes, jobs: 1, check: opts.check })
 }
 
 /// Materializes the request's routine: shipped source text, or a

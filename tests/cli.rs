@@ -865,7 +865,7 @@ fn flag_matrix_pins_each_subcommand_surface() {
                  --variant practical --rounds 1 --budget-passes 50 --budget-ms 1000 \
                  --budget-touches 100000 --inject budget@edges --inject-seed 3 --inject-sticky \
                  --report {tmp}/matrix-report.jsonl --jobs 2 \
-                 --stats-json {tmp}/matrix-stats.jsonl --timings --no-warm --passes gvn --check \
+                 --stats-json {tmp}/matrix-stats.jsonl --timings --passes gvn --check \
                  --dir {missing}"
             ),
             "cannot read",
@@ -876,7 +876,7 @@ fn flag_matrix_pins_each_subcommand_surface() {
                 "--workers 1 --queue 4 --max-frame-bytes 4096 --max-budget-passes 50 \
                  --max-budget-ms 1000 --max-budget-touches 100000 --max-rounds 3 --config sccp \
                  --mode optimistic --variant complete --rounds 2 --passes gvn,cleanup \
-                 --no-warm --timings --check --socket {missing}/s.sock"
+                 --timings --check --socket {missing}/s.sock"
             ),
             "cannot bind",
         ),
@@ -884,7 +884,7 @@ fn flag_matrix_pins_each_subcommand_surface() {
             &["serve-load"],
             format!(
                 "--clients 1 --routines 1 --workers-curve 1 --queue 4 --seed 3 \
-                 --fault every:2 --check-batch --no-warm --passes gvn --report {missing}"
+                 --fault every:2 --check-batch --passes gvn --report {missing}"
             ),
             "cannot write",
         ),

@@ -458,6 +458,19 @@ fn worker_capacities(stats: &str) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// Workers start warm without analyzing anything: an idle server's
+/// contexts ran nothing and hold exactly what `warm_context` reserves.
+#[test]
+fn idle_workers_are_warm_and_have_run_nothing() {
+    let opts = ServeOptions { workers: 3, ..Default::default() };
+    let (responses, summary) = roundtrip(&opts, Vec::new());
+    assert!(responses.is_empty());
+    assert_eq!(summary.worker_runs, [0, 0, 0]);
+    let mut warm = pgvn::core::GvnContext::new();
+    pgvn::batch::warm_context(&mut warm);
+    assert_eq!(summary.worker_capacities, [warm.capacities(); 3]);
+}
+
 #[test]
 fn soak_1000_mixed_requests_with_stable_pool_capacities() {
     let opts = ServeOptions { workers: 2, ..Default::default() };
