@@ -623,6 +623,13 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             self.tel.count(Metric::ViCacheHits, stats.vi_cache_hits);
             self.tel.count(Metric::ViCacheMisses, stats.vi_cache_misses);
             self.tel.count(Metric::ViCacheEvictions, stats.vi_cache_evictions);
+            self.tel.count(Metric::ValueInferenceVisits, stats.value_inference_visits);
+            self.tel.count(Metric::PredicateInferenceVisits, stats.predicate_inference_visits);
+            self.tel.count(Metric::PhiPredicationVisits, stats.phi_predication_visits);
+            self.tel.count(Metric::ViGateSkips, stats.vi_gate_skips);
+            self.tel.count(Metric::PiGateSkips, stats.pi_gate_skips);
+            self.tel.count(Metric::ReassocCapHits, stats.reassoc_cap_hits);
+            self.tel.count(Metric::PiCacheHits, stats.pi_cache_hits);
         }
         self.tel.emit(|| TraceEvent::RunEnd { passes: stats.passes, converged });
         self.tel.flush();

@@ -2,7 +2,7 @@
 
 use crate::classes::{ClassId, Leader};
 use pgvn_ir::{Block, Edge, EntityRef, EntitySet, Value};
-use pgvn_telemetry::json::{self, JsonWriter};
+use pgvn_telemetry::json::JsonWriter;
 
 /// How an analysis run ended, recorded in [`GvnStats::outcome`].
 ///
@@ -39,35 +39,6 @@ impl RunOutcome {
             RunOutcome::BudgetPasses => "budget_passes",
             RunOutcome::BudgetTime => "budget_time",
             RunOutcome::BudgetWork => "budget_work",
-        }
-    }
-
-    /// Parses a [`RunOutcome::name`] string.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "not_run" => Some(RunOutcome::NotRun),
-            "converged" => Some(RunOutcome::Converged),
-            "non_converged" => Some(RunOutcome::NonConverged),
-            "budget_passes" => Some(RunOutcome::BudgetPasses),
-            "budget_time" => Some(RunOutcome::BudgetTime),
-            "budget_work" => Some(RunOutcome::BudgetWork),
-            _ => None,
-        }
-    }
-
-    /// Severity rank used by [`GvnStats::merge`]: `NotRun` (identity)
-    /// below `Converged`, budget outcomes in escalation order, and
-    /// `NonConverged` (the convergence bug) on top. The mapping is
-    /// injective, so equal severity means equal outcome and taking the
-    /// maximum is a commutative, associative merge.
-    pub fn severity(self) -> u8 {
-        match self {
-            RunOutcome::NotRun => 0,
-            RunOutcome::Converged => 1,
-            RunOutcome::BudgetPasses => 2,
-            RunOutcome::BudgetTime => 3,
-            RunOutcome::BudgetWork => 4,
-            RunOutcome::NonConverged => 5,
         }
     }
 }
@@ -130,13 +101,6 @@ pub struct GvnStats {
     /// How the run ended (converged, non-converged, or which budget
     /// ceiling tripped). Refines `converged`.
     pub outcome: RunOutcome,
-    /// The degradation-ladder rung that produced these results (0 = full
-    /// predicated GVN; see `Pipeline::optimize_resilient` in
-    /// `pgvn-transform`). Zero for a bare analysis run.
-    pub ladder_rung: u32,
-    /// Ladder rungs that failed and were rolled back before this one
-    /// succeeded. Zero for a bare analysis run.
-    pub ladder_failures: u32,
 }
 
 impl GvnStats {
@@ -158,13 +122,6 @@ impl GvnStats {
     /// Renders every counter as one JSON object.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::object();
-        self.write_fields(&mut w);
-        w.finish()
-    }
-
-    /// Writes the [`GvnStats::to_json`] fields into the object `w` has
-    /// open.
-    pub fn write_fields(&self, w: &mut JsonWriter) {
         w.field_u64("passes", u64::from(self.passes))
             .field_u64("insts_processed", self.insts_processed)
             .field_u64("touches", self.touches)
@@ -184,99 +141,8 @@ impl GvnStats {
             .field_u64("vi_cache_evictions", self.vi_cache_evictions)
             .field_u64("pi_cache_hits", self.pi_cache_hits)
             .field_bool("converged", self.converged)
-            .field_str("outcome", self.outcome.name())
-            .field_u64("ladder_rung", u64::from(self.ladder_rung))
-            .field_u64("ladder_failures", u64::from(self.ladder_failures));
-    }
-
-    /// Folds another run's counters into this one, for merged batch
-    /// reports: numeric counters saturating-add; `converged` is the
-    /// conjunction (with `NotRun` as the identity); `outcome` keeps the
-    /// most severe outcome by [`RunOutcome::severity`] (so a merged
-    /// report surfaces the worst failure); `ladder_rung` keeps the
-    /// deepest rung reached and `ladder_failures` accumulates. Merging
-    /// is associative *and* commutative (guarded by a proptest), so
-    /// merged parallel batch output is identical to sequential however
-    /// the per-worker partial sums are folded.
-    pub fn merge(&mut self, other: &GvnStats) {
-        self.passes = self.passes.saturating_add(other.passes);
-        self.insts_processed = self.insts_processed.saturating_add(other.insts_processed);
-        self.touches = self.touches.saturating_add(other.touches);
-        self.value_inference_visits =
-            self.value_inference_visits.saturating_add(other.value_inference_visits);
-        self.predicate_inference_visits =
-            self.predicate_inference_visits.saturating_add(other.predicate_inference_visits);
-        self.phi_predication_visits =
-            self.phi_predication_visits.saturating_add(other.phi_predication_visits);
-        self.num_insts = self.num_insts.saturating_add(other.num_insts);
-        self.hash_cons_hits = self.hash_cons_hits.saturating_add(other.hash_cons_hits);
-        self.hash_cons_misses = self.hash_cons_misses.saturating_add(other.hash_cons_misses);
-        self.interned_exprs = self.interned_exprs.saturating_add(other.interned_exprs);
-        self.class_merges = self.class_merges.saturating_add(other.class_merges);
-        self.reassoc_cap_hits = self.reassoc_cap_hits.saturating_add(other.reassoc_cap_hits);
-        self.vi_gate_skips = self.vi_gate_skips.saturating_add(other.vi_gate_skips);
-        self.pi_gate_skips = self.pi_gate_skips.saturating_add(other.pi_gate_skips);
-        self.vi_cache_hits = self.vi_cache_hits.saturating_add(other.vi_cache_hits);
-        self.vi_cache_misses = self.vi_cache_misses.saturating_add(other.vi_cache_misses);
-        self.vi_cache_evictions = self.vi_cache_evictions.saturating_add(other.vi_cache_evictions);
-        self.pi_cache_hits = self.pi_cache_hits.saturating_add(other.pi_cache_hits);
-        // `NotRun` (an untouched accumulator) is the identity on both
-        // sides; otherwise `converged` is the conjunction. Symmetric, so
-        // the merge stays commutative.
-        self.converged = match (self.outcome, other.outcome) {
-            (RunOutcome::NotRun, _) => other.converged,
-            (_, RunOutcome::NotRun) => self.converged,
-            _ => self.converged && other.converged,
-        };
-        if other.outcome.severity() > self.outcome.severity() {
-            self.outcome = other.outcome;
-        }
-        self.ladder_rung = self.ladder_rung.max(other.ladder_rung);
-        self.ladder_failures = self.ladder_failures.saturating_add(other.ladder_failures);
-    }
-
-    /// Parses the output of [`GvnStats::to_json`]. Every field must be
-    /// present with the right type.
-    pub fn from_json(text: &str) -> Result<GvnStats, String> {
-        let v = json::parse(text)?;
-        let u = |name: &str| -> Result<u64, String> {
-            v.get(name)
-                .and_then(|f| f.as_u64())
-                .ok_or_else(|| format!("missing or non-integer field `{name}`"))
-        };
-        Ok(GvnStats {
-            passes: u32::try_from(u("passes")?).map_err(|_| "passes out of range".to_string())?,
-            insts_processed: u("insts_processed")?,
-            touches: u("touches")?,
-            value_inference_visits: u("value_inference_visits")?,
-            predicate_inference_visits: u("predicate_inference_visits")?,
-            phi_predication_visits: u("phi_predication_visits")?,
-            num_insts: u("num_insts")?,
-            hash_cons_hits: u("hash_cons_hits")?,
-            hash_cons_misses: u("hash_cons_misses")?,
-            interned_exprs: u("interned_exprs")?,
-            class_merges: u("class_merges")?,
-            reassoc_cap_hits: u("reassoc_cap_hits")?,
-            vi_gate_skips: u("vi_gate_skips")?,
-            pi_gate_skips: u("pi_gate_skips")?,
-            vi_cache_hits: u("vi_cache_hits")?,
-            vi_cache_misses: u("vi_cache_misses")?,
-            vi_cache_evictions: u("vi_cache_evictions")?,
-            pi_cache_hits: u("pi_cache_hits")?,
-            converged: v
-                .get("converged")
-                .and_then(|f| f.as_bool())
-                .ok_or_else(|| "missing or non-boolean field `converged`".to_string())?,
-            outcome: v
-                .get("outcome")
-                .and_then(|f| f.as_str())
-                .and_then(RunOutcome::from_name)
-                .ok_or_else(|| "missing or unknown field `outcome`".to_string())?,
-            ladder_rung: u32::try_from(u("ladder_rung")?)
-                .map_err(|_| "ladder_rung out of range".to_string())?,
-            ladder_failures: u32::try_from(u("ladder_failures")?)
-                .map_err(|_| "ladder_failures out of range".to_string())?,
-        })
+            .field_str("outcome", self.outcome.name());
+        w.finish()
     }
 }
 

@@ -98,6 +98,25 @@ pub enum Metric {
     ViCacheMisses,
     /// Epoch bumps invalidating the whole value-inference memo.
     ViCacheEvictions,
+    /// Blocks visited by value inference (`Infer value at block` /
+    /// `Infer value at edge`; §5: 0.91 per instruction).
+    ValueInferenceVisits,
+    /// Blocks visited by predicate inference (§5: 0.38 per instruction).
+    PredicateInferenceVisits,
+    /// Blocks visited computing φ-predication's partial block
+    /// predicates (§5: 0.16 per instruction).
+    PhiPredicationVisits,
+    /// Value-inference queries skipped by the inferenceable-classes gate
+    /// before any dominator walk.
+    ViGateSkips,
+    /// Predicate-inference queries skipped by the shared-operand gate
+    /// before any dominator walk.
+    PiGateSkips,
+    /// Reassociations abandoned because the combined linear form would
+    /// exceed the operand cap.
+    ReassocCapHits,
+    /// Predicate-inference queries answered from the per-block memo.
+    PiCacheHits,
     /// Pass-manager pass executions. Depends on pipeline length and
     /// ladder retry history — timing domain.
     PassRuns,
@@ -212,7 +231,7 @@ pub enum Metric {
 }
 
 /// All metrics, in catalog (and snapshot) order.
-pub const METRICS: [Metric; 59] = [
+pub const METRICS: [Metric; 66] = [
     Metric::DriverRuns,
     Metric::DriverReuses,
     Metric::DriverPasses,
@@ -227,6 +246,13 @@ pub const METRICS: [Metric; 59] = [
     Metric::ViCacheHits,
     Metric::ViCacheMisses,
     Metric::ViCacheEvictions,
+    Metric::ValueInferenceVisits,
+    Metric::PredicateInferenceVisits,
+    Metric::PhiPredicationVisits,
+    Metric::ViGateSkips,
+    Metric::PiGateSkips,
+    Metric::ReassocCapHits,
+    Metric::PiCacheHits,
     Metric::PassRuns,
     Metric::AnalysisCacheHits,
     Metric::AnalysisCacheMisses,
@@ -292,6 +318,13 @@ impl Metric {
             Metric::ViCacheHits => "vi_cache_hits",
             Metric::ViCacheMisses => "vi_cache_misses",
             Metric::ViCacheEvictions => "vi_cache_evictions",
+            Metric::ValueInferenceVisits => "value_inference_visits",
+            Metric::PredicateInferenceVisits => "predicate_inference_visits",
+            Metric::PhiPredicationVisits => "phi_predication_visits",
+            Metric::ViGateSkips => "vi_gate_skips",
+            Metric::PiGateSkips => "pi_gate_skips",
+            Metric::ReassocCapHits => "reassoc_cap_hits",
+            Metric::PiCacheHits => "pi_cache_hits",
             Metric::PassRuns => "pass_runs",
             Metric::AnalysisCacheHits => "analysis_cache_hits",
             Metric::AnalysisCacheMisses => "analysis_cache_misses",
@@ -353,6 +386,13 @@ impl Metric {
             | Metric::ViCacheHits
             | Metric::ViCacheMisses
             | Metric::ViCacheEvictions
+            | Metric::ValueInferenceVisits
+            | Metric::PredicateInferenceVisits
+            | Metric::PhiPredicationVisits
+            | Metric::ViGateSkips
+            | Metric::PiGateSkips
+            | Metric::ReassocCapHits
+            | Metric::PiCacheHits
             | Metric::PassRuns
             | Metric::AnalysisCacheHits
             | Metric::AnalysisCacheMisses
@@ -415,8 +455,16 @@ impl Metric {
             Metric::InternerHits | Metric::InternerMisses => "lookups",
             Metric::InternerExprs => "exprs",
             Metric::InternerTableGrowths => "rehashes",
-            Metric::ViCacheHits | Metric::ViCacheMisses => "queries",
+            Metric::ViCacheHits
+            | Metric::ViCacheMisses
+            | Metric::ViGateSkips
+            | Metric::PiGateSkips
+            | Metric::PiCacheHits => "queries",
             Metric::ViCacheEvictions => "epochs",
+            Metric::ValueInferenceVisits
+            | Metric::PredicateInferenceVisits
+            | Metric::PhiPredicationVisits => "blocks",
+            Metric::ReassocCapHits => "reassociations",
             Metric::PassRuns => "passes",
             Metric::AnalysisCacheHits | Metric::AnalysisCacheMisses => "requests",
             Metric::PreInserted | Metric::PreEliminated | Metric::CleanupRemoved => "insts",
@@ -828,7 +876,7 @@ mod tests {
         let s = MetricsRegistry::new().snapshot();
         let slots = s.scalars.len() + s.sums.len() + s.buckets.len();
         assert_eq!(slots, 2 * METRICS.len() + histograms * NUM_BUCKETS);
-        assert_eq!(slots, 790);
+        assert_eq!(slots, 804);
         for m in METRICS {
             assert_eq!(m.buckets().is_some(), m.kind() == MetricKind::Histogram, "{m:?}");
         }

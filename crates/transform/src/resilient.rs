@@ -48,7 +48,7 @@ impl RungId {
     }
 
     /// The rung's position on the ladder (0 = strongest), as recorded in
-    /// `GvnStats::ladder_rung`.
+    /// the `ladder_rung` metric.
     pub fn index(self) -> u32 {
         match self {
             RungId::Full => 0,
@@ -116,8 +116,7 @@ pub struct ResilienceReport {
     pub outcome: ResilientOutcome,
     /// The rungs that failed and were rolled back, in ladder order.
     pub failures: Vec<RungFailure>,
-    /// The committed rung's pipeline report. Its `gvn_stats` carry the
-    /// ladder counters (`ladder_rung`, `ladder_failures`).
+    /// The committed rung's pipeline report.
     pub report: OptimizeReport,
 }
 
@@ -128,8 +127,8 @@ impl ResilienceReport {
         !matches!(self.outcome, ResilientOutcome::Rejected(_))
     }
 
-    /// Renders the outcome, ladder counters, and per-rung failures as
-    /// one JSON object (the per-routine record of `pgvn batch`).
+    /// Renders the outcome, committed rung, and per-rung failures as one
+    /// JSON object (the per-routine record of `pgvn batch`).
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::object();
         self.write_fields(&mut w);
@@ -159,9 +158,7 @@ impl ResilienceReport {
                 .field_str("detail", &f.error.to_string())
                 .end_object();
         }
-        w.end_array().begin_object("stats");
-        self.report.gvn_stats.write_fields(w);
-        w.end_object();
+        w.end_array();
     }
 }
 
@@ -275,9 +272,7 @@ impl Pipeline {
                 self.run_rung(&mut *ctx, &rung_cfg, rung, &mut candidate, tel)
             }));
             let error = match attempt {
-                Ok(Ok(mut report)) => {
-                    report.gvn_stats.ladder_rung = rung.index();
-                    report.gvn_stats.ladder_failures = failures.len() as u32;
+                Ok(Ok(report)) => {
                     *func = candidate;
                     tel.emit(|| TraceEvent::Rung {
                         rung: rung.index(),
@@ -317,9 +312,6 @@ impl Pipeline {
             failures.push(RungFailure { rung, error });
         }
         // The identity rung: `func` still holds the verified input.
-        let mut report = OptimizeReport::default();
-        report.gvn_stats.ladder_rung = RungId::Identity.index();
-        report.gvn_stats.ladder_failures = failures.len() as u32;
         tel.emit(|| TraceEvent::Rung {
             rung: RungId::Identity.index(),
             name: RungId::Identity.name().to_string(),
@@ -328,7 +320,11 @@ impl Pipeline {
         });
         tel.observe(Metric::LadderRung, u64::from(RungId::Identity.index()));
         tel.flush();
-        ResilienceReport { outcome: ResilientOutcome::Identity, failures, report }
+        ResilienceReport {
+            outcome: ResilientOutcome::Identity,
+            failures,
+            report: OptimizeReport::default(),
+        }
     }
 
     /// One ladder rung: the ordinary pass pipeline, plus rewrite-site
@@ -390,8 +386,6 @@ mod tests {
         let rep = Pipeline::new(GvnConfig::full()).rounds(2).optimize_resilient(&mut f);
         assert_eq!(rep.outcome, ResilientOutcome::Optimized(RungId::Full));
         assert!(rep.failures.is_empty());
-        assert_eq!(rep.report.gvn_stats.ladder_rung, 0);
-        assert_eq!(rep.report.gvn_stats.ladder_failures, 0);
         verify(&f).expect("committed output verifies");
     }
 
@@ -413,8 +407,7 @@ mod tests {
         assert_eq!(rep.failures.len(), 1);
         assert_eq!(rep.failures[0].rung, RungId::Full);
         assert_eq!(rep.failures[0].error.kind(), "internal_invariant");
-        assert_eq!(rep.report.gvn_stats.ladder_rung, 1);
-        assert_eq!(rep.report.gvn_stats.ladder_failures, 1);
+        assert_eq!(rep.outcome.rung(), Some(RungId::Practical));
         verify(&f).expect("committed output verifies");
     }
 
@@ -428,7 +421,7 @@ mod tests {
         assert_eq!(rep.outcome, ResilientOutcome::Identity);
         assert_eq!(rep.failures.len(), 3, "every analysis rung failed");
         assert!(rep.failures.iter().all(|f| f.error.kind() == "panicked"));
-        assert_eq!(rep.report.gvn_stats.ladder_rung, RungId::Identity.index());
+        assert_eq!(rep.outcome.rung(), Some(RungId::Identity));
         assert_eq!(format!("{original}"), format!("{f}"), "identity returns the input unchanged");
     }
 

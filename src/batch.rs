@@ -15,10 +15,8 @@
 //! context wiped by `prepare()` at every analysis run) and its record
 //! depends only on its input, so the records themselves are identical
 //! no matter which thread produced them. Records come back in original
-//! input order, and the aggregate [`GvnStats::merge`] is associative and
-//! applied in that same order, so `--jobs 1` and `--jobs N` agree byte
-//! for byte. Nothing in a record derives from wall-clock time or
-//! scheduling.
+//! input order, so `--jobs 1` and `--jobs N` agree byte for byte.
+//! Nothing in a record derives from wall-clock time or scheduling.
 //!
 //! Metrics keep that invariant by living in two domains. Each worker
 //! owns a private [`MetricsRegistry`] whose per-routine deltas (filtered
@@ -155,8 +153,9 @@ pub struct RoutineRecord {
     pub json: String,
     /// A one-line stderr diagnostic for error outcomes.
     pub diagnostic: Option<String>,
-    /// The routine's GVN statistics, when the ladder produced them.
-    pub gvn_stats: Option<GvnStats>,
+    /// Ladder rungs that failed and were rolled back while producing
+    /// this record.
+    pub rollbacks: u32,
     /// Panics the degradation ladder absorbed (rung failures classified
     /// as `panicked`) while producing this record.
     pub absorbed_panics: u32,
@@ -205,7 +204,7 @@ impl fmt::Display for TimedLine<'_> {
 }
 
 /// The merged outcome of a batch: per-routine records in input order,
-/// the classification counts, and the [`GvnStats::merge`] aggregate.
+/// the classification counts, and the merged metrics.
 #[derive(Clone, Debug)]
 pub struct BatchReport {
     /// Per-routine records, in original input order.
@@ -223,8 +222,6 @@ pub struct BatchReport {
     /// Error-severity diagnostics found by the `--check` gate, summed
     /// across routines (always zero when the gate is off).
     pub check_errors: u64,
-    /// All per-routine [`GvnStats`] merged in input order.
-    pub merged_stats: GvnStats,
     /// Per-worker analysis metrics, merged and filtered to the stable
     /// (scheduling-independent) subset — identical at any `--jobs`.
     pub metrics: MetricsSnapshot,
@@ -283,8 +280,8 @@ impl BatchReport {
     }
 
     /// The merged-statistics JSONL record (no trailing newline): the
-    /// batch-wide [`GvnStats::merge`] aggregate plus the classification
-    /// counts, independent of worker count.
+    /// classification counts and the batch-wide stable metrics,
+    /// independent of worker count.
     pub fn stats_json(&self, seed: u64) -> String {
         let mut w = JsonWriter::object();
         w.field_str("event", "batch_stats")
@@ -296,7 +293,6 @@ impl BatchReport {
             .field_u64("input_errors", self.input_errors)
             .field_u64("escaped_panics", self.escaped_panics)
             .field_u64("check_errors", self.check_errors)
-            .field_raw("gvn_stats", &self.merged_stats.to_json())
             .field_raw("metrics", &self.metrics.to_json());
         w.finish()
     }
@@ -436,7 +432,7 @@ pub(crate) fn process_one(
         status: RoutineStatus::InputError,
         json: String::new(),
         diagnostic: None,
-        gvn_stats: None,
+        rollbacks: 0,
         absorbed_panics: 0,
         check_errors: 0,
         wall_nanos: 0,
@@ -472,6 +468,7 @@ pub(crate) fn process_one(
                         "identity" => RoutineStatus::Identity,
                         _ => RoutineStatus::Rejected,
                     };
+                    record.rollbacks = rep.failures.len() as u32;
                     record.absorbed_panics =
                         rep.failures.iter().filter(|f| f.error.kind() == "panicked").count() as u32;
                     // The post-pass gate lints the committed output under
@@ -506,7 +503,6 @@ pub(crate) fn process_one(
                             input.name, record.check_errors
                         ));
                     }
-                    record.gvn_stats = Some(rep.report.gvn_stats);
                 }
                 Err(_) => {
                     // Whatever the unwound run recorded still counts
@@ -560,7 +556,6 @@ pub fn run_batch(inputs: &[BatchInput], opts: &BatchOptions) -> BatchReport {
         input_errors: 0,
         escaped_panics: 0,
         check_errors: 0,
-        merged_stats: GvnStats::default(),
         metrics: metrics.stable_only(),
         timing: MetricsSnapshot::default(),
         worker_routines: run.worker_items,
@@ -576,9 +571,6 @@ pub fn run_batch(inputs: &[BatchInput], opts: &BatchOptions) -> BatchReport {
             RoutineStatus::EscapedPanic => report.escaped_panics += 1,
         }
         report.check_errors += u64::from(rec.check_errors);
-        if let Some(stats) = &rec.gvn_stats {
-            report.merged_stats.merge(stats);
-        }
     }
     report.timing = timing_reg.snapshot();
     report
@@ -603,7 +595,6 @@ mod tests {
         assert_eq!(lines(&seq), lines(&par));
         assert_eq!(seq.summary_json(2002), par.summary_json(2002));
         assert_eq!(seq.stats_json(2002), par.stats_json(2002));
-        assert_eq!(seq.merged_stats, par.merged_stats);
         assert_eq!(seq.metrics, par.metrics, "stable metrics are worker-count independent");
         assert!(seq.metrics.value(Metric::DriverRuns) > 0, "metrics actually recorded");
     }
@@ -649,19 +640,6 @@ mod tests {
         assert_eq!(report.records[1].status, RoutineStatus::InputError);
         assert!(report.records[4].json.contains("permission denied"));
         assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn merged_stats_accumulate_across_routines() {
-        let inputs = gen_inputs(4, 11);
-        let whole = run_batch(&inputs, &BatchOptions::default());
-        let mut expected = GvnStats::default();
-        for rec in &whole.records {
-            expected.merge(rec.gvn_stats.as_ref().expect("generated routines classify"));
-        }
-        assert_eq!(whole.merged_stats, expected);
-        assert!(whole.merged_stats.passes > 0);
-        assert!(whole.is_clean());
     }
 
     #[test]
@@ -822,7 +800,7 @@ mod tests {
                 assert_eq!(batched.name, last.name);
                 assert_eq!(batched.json, fresh.json, "{what}");
                 assert_eq!(batched.status, fresh.status, "{what}");
-                assert_eq!(batched.gvn_stats, fresh.gvn_stats, "{what}");
+                assert_eq!(batched.rollbacks, fresh.rollbacks, "{what}");
                 assert_eq!(batched.check_errors, fresh.check_errors, "{what}");
             }
         }
@@ -833,6 +811,5 @@ mod tests {
         let report = run_batch(&[], &BatchOptions { jobs: 0, ..Default::default() });
         assert!(report.records.is_empty());
         assert!(report.is_clean());
-        assert_eq!(report.merged_stats, GvnStats::default());
     }
 }

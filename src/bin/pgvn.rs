@@ -65,7 +65,7 @@
 //!   --inject kind@site [--inject-seed N] [--inject-sticky]
 //!   --report <path>                                per-routine JSONL report
 //!   --jobs N                                       worker threads (default: 1)
-//!   --stats-json <path>                            merged GvnStats as JSONL
+//!   --stats-json <path>                            batch_stats (counts + metrics) as JSONL
 //!   --timings                                      wall_nanos + batch_timing (non-deterministic)
 //!   --check                                        lint each optimized output (post-pass gate)
 //!
@@ -400,22 +400,27 @@ fn check_main(mut args: Args) -> CliResult {
     corpus.gather("check", "check_", &mut inputs)?;
 
     let report = run_check_inputs(&inputs, &copts);
-    if json {
-        for rec in &report.records {
-            println!("{}", rec.json_line());
-        }
-        if timings {
-            let mut w = pgvn::telemetry::json::JsonWriter::object();
-            w.field_str("event", "check_timing").field_raw("metrics", &report.timing.to_json());
-            println!("{}", w.finish());
-        }
-        println!("{}", report.summary_json());
-    } else {
-        for rec in &report.records {
-            for line in rec.text_lines() {
-                println!("{line}");
+    stream_report("check", None, |out| {
+        if json {
+            for rec in &report.records {
+                writeln!(out, "{}", rec.json_line())?;
             }
+            if timings {
+                let mut w = pgvn::telemetry::json::JsonWriter::object();
+                w.field_str("event", "check_timing").field_raw("metrics", &report.timing.to_json());
+                writeln!(out, "{}", w.finish())?;
+            }
+            writeln!(out, "{}", report.summary_json())
+        } else {
+            for rec in &report.records {
+                for line in rec.text_lines() {
+                    writeln!(out, "{line}")?;
+                }
+            }
+            Ok(())
         }
+    })?;
+    if !json {
         eprintln!("{}", report.summary_text());
     }
     Ok(exit_code(!report.has_errors()))
@@ -920,8 +925,9 @@ fn routine_main(mut args: Args) -> CliResult {
         println!("constants propagated:  {}", report.constants_propagated);
         println!("redundancies removed:  {}", report.redundancies_eliminated);
         println!("dead insts removed:    {}", report.dead_removed);
-        println!("ladder rung:           {}", report.gvn_stats.ladder_rung);
-        println!("ladder failures:       {}", report.gvn_stats.ladder_failures);
+        let rung = resilience.outcome.rung().map_or(0, |r| r.index());
+        println!("ladder rung:           {rung}");
+        println!("ladder failures:       {}", resilience.failures.len());
     }
     if profile {
         print!("== profile ==\n{}", profile_table(&timings));
@@ -929,7 +935,7 @@ fn routine_main(mut args: Args) -> CliResult {
     if stats_json {
         // One machine-readable object: the analysis run's expanded
         // counters, the strength triple (Figures 10–12 measures), and
-        // the degradation-ladder record (rung, failures, stats).
+        // the degradation-ladder record (outcome, rung, failures).
         let mut w = pgvn::telemetry::json::JsonWriter::object();
         w.field_str("routine", func.name());
         if let Some(results) = &results {

@@ -215,8 +215,7 @@ impl Engine {
                         }
                         _ => {}
                     }
-                    let degraded = rec.status == RoutineStatus::Rejected
-                        || rec.gvn_stats.as_ref().is_some_and(|s| s.ladder_failures > 0);
+                    let degraded = rec.status == RoutineStatus::Rejected || rec.rollbacks > 0;
                     if degraded {
                         self.reg.add(Metric::ServeDegraded, 1);
                     }

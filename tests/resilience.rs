@@ -82,8 +82,6 @@ fn every_fault_class_is_contained_classified_and_validated() {
             FaultKind::VerifierReject => "verifier_rejected",
         };
         assert_eq!(rep.failures[0].error.kind(), expected_kind, "{plan}");
-        assert_eq!(rep.report.gvn_stats.ladder_rung, RungId::Practical.index(), "{plan}");
-        assert_eq!(rep.report.gvn_stats.ladder_failures, 1, "{plan}");
         // Verified output.
         verify(&optimized).unwrap_or_else(|e| panic!("{plan}: committed output invalid: {e}"));
         // Translation validation agrees with the original.

@@ -1,8 +1,8 @@
 //! Integration tests for the telemetry layer: event sequences from real
-//! runs, worklist monotonicity, stats JSON round-trips, phase timings,
+//! runs, worklist monotonicity, phase timings,
 //! and the NullSink ≡ untraced equivalence.
 
-use pgvn::core::{run, try_run_traced_in_context, GvnConfig, GvnResults, GvnStats};
+use pgvn::core::{run, try_run_traced_in_context, GvnConfig, GvnResults};
 use pgvn::prelude::*;
 use pgvn::telemetry::{MemorySink, Metric, MetricsRegistry, NullSink, Telemetry, TraceEvent};
 
@@ -122,45 +122,6 @@ fn touched_counts_shrink_after_the_first_pass_on_acyclic_flow() {
         panic!("no pass_end events");
     };
     assert_eq!(touched_insts + touched_blocks, 0);
-}
-
-#[test]
-fn gvn_stats_json_round_trips_every_field() {
-    // Distinct value per field so a swapped pair cannot cancel out.
-    let stats = GvnStats {
-        passes: 3,
-        insts_processed: 101,
-        touches: 102,
-        value_inference_visits: 103,
-        predicate_inference_visits: 104,
-        phi_predication_visits: 105,
-        num_insts: 106,
-        hash_cons_hits: 107,
-        hash_cons_misses: 108,
-        interned_exprs: 109,
-        class_merges: 110,
-        reassoc_cap_hits: 111,
-        vi_gate_skips: 112,
-        pi_gate_skips: 113,
-        vi_cache_hits: 114,
-        vi_cache_misses: 116,
-        vi_cache_evictions: 117,
-        pi_cache_hits: 115,
-        converged: true,
-        outcome: pgvn::core::RunOutcome::Converged,
-        ladder_rung: 1,
-        ladder_failures: 2,
-    };
-    let round = GvnStats::from_json(&stats.to_json()).unwrap();
-    assert_eq!(round, stats);
-
-    // And from a real run, including default/zero fields.
-    let func = compile(LOOP_SRC, SsaStyle::Pruned).unwrap();
-    let live = run(&func, &GvnConfig::full()).stats;
-    assert_eq!(GvnStats::from_json(&live.to_json()).unwrap(), live);
-
-    assert!(GvnStats::from_json("{}").is_err());
-    assert!(GvnStats::from_json("not json").is_err());
 }
 
 #[test]
