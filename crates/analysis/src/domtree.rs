@@ -15,7 +15,7 @@ use crate::order::Rpo;
 use pgvn_ir::{Block, EntityRef, Function, InstKind};
 
 /// The immediate-dominator tree of the blocks reachable from the entry.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DomTree {
     idom: Vec<Option<Block>>,
     /// DFS interval numbering of the dominator tree for O(1) dominance
@@ -210,7 +210,7 @@ impl DomTree {
 }
 
 /// The postdominator tree, rooted at a virtual exit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PostDomTree {
     ipdom: Vec<Option<Block>>,
     pre: Vec<u32>,

@@ -14,6 +14,8 @@
 //!   the reachable subgraph used by the paper's *complete* algorithm;
 //! - [`LoopInfo`] — natural loops and the loop-connectedness statistic
 //!   from the complexity analysis (§4);
+//! - [`AnalysisManager`] — RPO and both dominator trees ([`CfgAnalyses`]),
+//!   built once per CFG revision and shared by every consumer;
 //! - [`verify_ssa`] — the dominance-aware SSA well-formedness check.
 //!
 //! ```
@@ -40,6 +42,7 @@
 pub mod domtree;
 pub mod graph;
 pub mod loops;
+pub mod manager;
 pub mod order;
 pub mod reachable_dom;
 pub mod ssa_verify;
@@ -47,6 +50,7 @@ pub mod ssa_verify;
 pub use domtree::{naive_dominators, DomTree, PostDomTree};
 pub use graph::{generic_rpo, Csr, GenericDomTree};
 pub use loops::LoopInfo;
+pub use manager::{AnalysisManager, CfgAnalyses};
 pub use order::{Ranks, Rpo, UNREACHABLE_RPO};
 pub use reachable_dom::{full_domtree, ReachableDomTree};
 pub use ssa_verify::{assert_ssa, verify_ssa};

@@ -9,7 +9,7 @@ use pgvn_ir::{Block, Edge, EntityRef, EntitySet, Function, Inst, SecondaryMap, V
 
 /// Reverse postorder of the blocks reachable from the entry, with the
 /// derived orderings the paper's algorithm consumes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rpo {
     order: Vec<Block>,
     number: SecondaryMap<Block, u32>,

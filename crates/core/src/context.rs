@@ -15,9 +15,10 @@
 //! # Allocations per run
 //!
 //! Once a context is warm, a run allocates only for its fixed per-run
-//! setup — RPO, ranks, def-use chains, the dominator and postdominator
-//! trees — and for the [`crate::GvnResults`] it returns: 42 allocations
-//! for every routine of the scale-0.05 SPEC stand-in suite, whatever its
+//! setup — ranks and def-use chains, plus RPO and the dominator and
+//! postdominator trees when the CFG analysis cache (below) misses — and
+//! for the [`crate::GvnResults`] it returns: 42 allocations for every
+//! routine of the scale-0.05 SPEC stand-in suite on a miss, whatever its
 //! size or touch count. Before the interner kept its operands in arenas
 //! and the driver its buffers here, the same suite averaged 2692
 //! allocations per warm run (14897 for the largest routine), about three
@@ -39,6 +40,18 @@
 //! content. The next run's `prepare` and [`GvnContext::clear`] drop the
 //! memo; a run that fails, is truncated by a budget or panics never sets
 //! it.
+//!
+//! # The CFG analysis cache
+//!
+//! The context owns the one [`AnalysisManager`] of its worker: every
+//! run borrows RPO and the dominator and postdominator trees from it,
+//! and so do the passes and the `--check` gate in `pgvn-transform`. It
+//! is keyed on [`Function::cfg_stamp`], so the analyses are built once
+//! per CFG revision of each instance, whoever asks, and a rolled-back
+//! candidate (a clone, hence another instance) can never be served a
+//! stale tree. Ranks, def-use chains and the complete variant's
+//! reachable dominator tree depend on instructions, so each run builds
+//! its own.
 //!
 //! # Cross-run isolation
 //!
@@ -64,6 +77,7 @@ use crate::driver::Scratch;
 use crate::expr::{ExprId, FxBuildHasher, Interner};
 use crate::predicate::Pred;
 use crate::results::GvnStats;
+use pgvn_analysis::AnalysisManager;
 use pgvn_ir::{Block, CmpOp, Edge, EntityRef, EntitySet, Function, FunctionStamp, Inst, Value};
 use std::collections::HashMap;
 
@@ -199,6 +213,8 @@ pub struct GvnContext {
     pub(crate) scratch: Scratch,
     /// The last converged run, if the scratch still holds its answer.
     pub(crate) memo: Option<Memo>,
+    /// The CFG analyses of the last CFG revision asked about.
+    pub(crate) analyses: AnalysisManager,
     /// Analyses run in this context (memo hits are not runs).
     runs: u64,
 }
@@ -215,6 +231,12 @@ impl GvnContext {
     /// the memo of the last converged run is not counted.
     pub fn runs(&self) -> u64 {
         self.runs
+    }
+
+    /// The CFG analysis cache every run, pass and lint of this context
+    /// shares (see the module docs).
+    pub fn analyses(&mut self) -> &mut AnalysisManager {
+        &mut self.analyses
     }
 
     /// Resets all scratch state without freeing, exactly as the next

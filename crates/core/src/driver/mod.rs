@@ -23,7 +23,7 @@ use crate::expr::{ExprId, ExprKind, FxBuildHasher, Interner, PhiKey};
 use crate::linear::{LinearExpr, LinearView};
 use crate::predicate::{implies, Pred};
 use crate::results::{GvnResults, GvnStats, RunOutcome};
-use pgvn_analysis::{DomTree, PostDomTree, Ranks, ReachableDomTree, Rpo};
+use pgvn_analysis::{CfgAnalyses, DomTree, PostDomTree, Ranks, ReachableDomTree, Rpo};
 use pgvn_ir::{
     BinOp, Block, CmpOp, DefUse, Edge, EntityRef, EntitySet, Function, Inst, InstKind, UnOp, Value,
 };
@@ -103,6 +103,9 @@ pub fn run(func: &Function, cfg: &GvnConfig) -> GvnResults {
 /// `Pipeline::optimize_resilient` in `pgvn-transform`). A failed run
 /// leaves the context reusable: the next run re-prepares all scratch
 /// state, so no partial results can leak out of an error.
+///
+/// `perfbench/src/trace.rs` calls this too, so its signature stays until
+/// that replay is deleted (ROADMAP item 3).
 pub fn try_run_traced_in_context(
     ctx: &mut GvnContext,
     func: &Function,
@@ -206,18 +209,20 @@ fn classify(cfg: &GvnConfig, results: GvnResults) -> Result<GvnResults, GvnError
     }
 }
 
-/// One analysis run: per-function analyses (`rpo`, ranks, dominator
-/// trees, def-use) are owned and computed fresh per run, while all
-/// *scratch* state is `&mut`-borrowed from a [`GvnContext`] so capacity
-/// survives across runs. The `'c` lifetime is that borrow split.
+/// One analysis run: the CFG analyses (`rpo` and both dominator trees)
+/// are borrowed from the [`GvnContext`]'s cache, the analyses that
+/// depend on instructions (ranks, def-use, the reachable dominator tree)
+/// are owned and computed fresh per run, and all *scratch* state is
+/// `&mut`-borrowed from the context so capacity survives across runs.
+/// The `'c` lifetime is that borrow split.
 struct Run<'f, 'c, 't, 's> {
     tel: &'t mut Telemetry<'s>,
     func: &'f Function,
     cfg: GvnConfig,
-    rpo: Rpo,
+    rpo: &'c Rpo,
     ranks: Ranks,
-    domtree: DomTree,
-    postdom: PostDomTree,
+    domtree: &'c DomTree,
+    postdom: &'c PostDomTree,
     defuse: DefUse,
     rdt: Option<ReachableDomTree>,
     interner: &'c mut Interner,
@@ -286,16 +291,6 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
         cfg: GvnConfig,
         tel: &'t mut Telemetry<'s>,
     ) -> Self {
-        let t0 = tel.clock();
-        let rpo = Rpo::compute(func);
-        let ranks = Ranks::assign(func, &rpo);
-        let defuse = DefUse::compute(func);
-        tel.record_phase(Metric::Cfg, t0);
-        let t0 = tel.clock();
-        let domtree = DomTree::compute(func, &rpo);
-        let postdom = PostDomTree::compute(func, &rpo);
-        let rdt = (cfg.variant == Variant::Complete).then(|| ReachableDomTree::new(func));
-        tel.record_phase(Metric::DomTree, t0);
         let deadline = cfg.budget.time_limit.map(|limit| Instant::now() + limit);
         let fault_countdown =
             cfg.fault_plan.filter(|p| p.site != FaultSite::Rewrite).map(|p| p.countdown());
@@ -336,8 +331,17 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             vi_cache,
             pi_cache,
             scratch,
+            analyses,
             ..
         } = ctx;
+        let t0 = tel.clock();
+        let CfgAnalyses { rpo, domtree, postdom } = analyses.cfg(func);
+        let rdt = (cfg.variant == Variant::Complete).then(|| ReachableDomTree::new(func));
+        tel.record_phase(Metric::DomTree, t0);
+        let t0 = tel.clock();
+        let ranks = Ranks::assign(func, rpo);
+        let defuse = DefUse::compute(func);
+        tel.record_phase(Metric::Cfg, t0);
         Run {
             tel,
             func,

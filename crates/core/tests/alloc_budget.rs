@@ -2,17 +2,20 @@
 //!
 //! A [`GvnContext`] owns every per-touch and per-run scratch structure of
 //! the driver, so once it is warm a run allocates only for its fixed
-//! per-run setup (RPO, ranks, def-use, the two dominator trees) and for
-//! the [`pgvn_core::GvnResults`] it returns — a constant number of
-//! allocations, whatever the routine's size or touch count. A request
-//! the context answers from the memo of its last converged run
-//! allocates only the results it returns. A [`Function`] keeps its
+//! per-run setup (ranks, def-use, and RPO and the two dominator trees
+//! when its CFG analysis cache misses) and for the
+//! [`pgvn_core::GvnResults`] it returns — a constant number of
+//! allocations, whatever the routine's size or touch count. A run whose
+//! CFG analyses come from the cache skips theirs. A request the context
+//! answers from the memo of its last converged run allocates only the
+//! results it returns. A [`Function`] keeps its
 //! lists in a few flat pools, so cloning one — the degradation ladder
 //! does, once per rung — also allocates a constant number of times.
 //! This test counts all three with a counting global allocator; it
 //! lives in its own integration-test crate so the libraries keep
 //! `forbid(unsafe_code)`.
 
+use pgvn_analysis::CfgAnalyses;
 use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
 use pgvn_ir::{Function, InstKind};
 use pgvn_telemetry::Telemetry;
@@ -123,6 +126,43 @@ fn a_warm_run_allocates_a_constant_number_of_times() {
             *worst <= MAX_ALLOCS_PER_RUN,
             "{name}: routine {} made {worst} allocations in one warm run (budget {MAX_ALLOCS_PER_RUN})",
             at.name()
+        );
+    }
+}
+
+/// A run after an instruction-only edit is a real run (the memo
+/// misses) whose CFG analyses come from the cache: it allocates what a
+/// run with a cold cache does, less the analyses. In debug builds every
+/// cache hit is also checked against a fresh compute, which makes those
+/// allocations again; that is allowed for.
+#[test]
+fn a_cfg_cache_hit_skips_the_analyses_allocations() {
+    let funcs = suite();
+    let cfg = GvnConfig::full();
+    let mut ctx = GvnContext::new();
+    measure(&mut ctx, &funcs, &cfg);
+    for f in funcs.iter().step_by(7) {
+        let mut g = f.clone();
+        let entry = g.entry();
+        g.insert_before_terminator(entry, InstKind::Const(0));
+        let cold = g.clone();
+        let (miss, _) =
+            counted(|| try_run_traced_in_context(&mut ctx, &cold, &cfg, &mut Telemetry::off()));
+        try_run_traced_in_context(&mut ctx, &g, &cfg, &mut Telemetry::off()).unwrap();
+        g.insert_before_terminator(entry, InstKind::Const(1));
+        let (runs, misses) = (ctx.runs(), ctx.analyses().misses());
+        let (hit, results) =
+            counted(|| try_run_traced_in_context(&mut ctx, &g, &cfg, &mut Telemetry::off()));
+        assert!(results.expect("suite routine converges").stats.converged);
+        assert_eq!(ctx.runs(), runs + 1, "{}: an instruction edit is a new run", f.name());
+        assert_eq!(ctx.analyses().misses(), misses, "{}: ... on cached analyses", f.name());
+        let (analyses, _) = counted(|| CfgAnalyses::compute(&g));
+        let check = if cfg!(debug_assertions) { analyses } else { 0 };
+        assert!(
+            hit + analyses <= miss + check,
+            "{}: a cache hit made {hit} allocations, a cold run {miss}; the analyses take \
+             {analyses} (+{check} for the debug check)",
+            f.name()
         );
     }
 }

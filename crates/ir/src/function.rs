@@ -66,6 +66,10 @@ pub struct ValueData {
 /// or cloned, and every `&mut self` method bumps its revision. Two equal
 /// stamps therefore always denote the same content, which lets an
 /// analysis remember its last answer without comparing functions.
+///
+/// [`Function::cfg_stamp`] is the same kind of stamp over a second
+/// revision that only the methods editing blocks, edges or terminator
+/// kinds bump: two equal CFG stamps denote the same control flow graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FunctionStamp {
     instance: u64,
@@ -119,6 +123,9 @@ pub struct Function {
     instance: InstanceId,
     /// Bumped by every `&mut self` method (see [`FunctionStamp`]).
     revision: u64,
+    /// Bumped by every method that edits blocks, edges or terminator
+    /// kinds (see [`Function::cfg_stamp`]).
+    cfg_revision: u64,
 }
 
 impl Clone for Function {
@@ -161,6 +168,7 @@ impl Clone for Function {
             case_pool,
             instance: InstanceId::fresh(),
             revision: self.revision,
+            cfg_revision: self.cfg_revision,
         }
     }
 }
@@ -200,6 +208,7 @@ impl Function {
             case_pool: Pool::with_capacity(switch_cases),
             instance: InstanceId::fresh(),
             revision: 0,
+            cfg_revision: 0,
         };
         f.entry = f.add_block();
         f.reserve_block(f.entry, num_params as usize, 0, 0);
@@ -215,9 +224,24 @@ impl Function {
         FunctionStamp { instance: self.instance.0, revision: self.revision }
     }
 
+    /// The CFG stamp: equal CFG stamps mean equal blocks, edges and
+    /// terminator kinds, so an analysis of the graph alone (RPO,
+    /// dominator and postdominator trees) computed at one is valid at
+    /// the other. Instruction edits that leave those alone keep it.
+    pub fn cfg_stamp(&self) -> FunctionStamp {
+        FunctionStamp { instance: self.instance.0, revision: self.cfg_revision }
+    }
+
     /// Records a mutation. Every `&mut self` method calls this first.
     fn bump(&mut self) {
         self.revision += 1;
+    }
+
+    /// Records a mutation of the CFG: blocks, edges or a terminator's
+    /// kind. Every method that makes one calls this first.
+    fn bump_cfg(&mut self) {
+        self.revision += 1;
+        self.cfg_revision += 1;
     }
 
     /// Returns the function name.
@@ -277,7 +301,7 @@ impl Function {
 
     /// Appends a fresh empty block.
     pub fn add_block(&mut self) -> Block {
-        self.bump();
+        self.bump_cfg();
         self.blocks.push(BlockData::default())
     }
 
@@ -608,7 +632,7 @@ impl Function {
     ///
     /// Panics if `b` is already terminated.
     pub fn set_jump(&mut self, b: Block, target: Block) -> Edge {
-        self.bump();
+        self.bump_cfg();
         self.set_terminator(b, InstKind::Jump);
         self.add_edge(b, target)
     }
@@ -627,7 +651,7 @@ impl Function {
         then_target: Block,
         else_target: Block,
     ) -> (Edge, Edge) {
-        self.bump();
+        self.bump_cfg();
         self.set_terminator(b, InstKind::Branch(cond));
         let t = self.add_edge(b, then_target);
         let e = self.add_edge(b, else_target);
@@ -640,7 +664,7 @@ impl Function {
     ///
     /// Panics if `b` is already terminated.
     pub fn set_return(&mut self, b: Block, value: Value) {
-        self.bump();
+        self.bump_cfg();
         self.set_terminator(b, InstKind::Return(value));
     }
 
@@ -661,7 +685,7 @@ impl Function {
         targets: &[Block],
         default: Block,
     ) {
-        self.bump();
+        self.bump_cfg();
         assert_eq!(cases.len(), targets.len(), "one target per case value");
         let unique = cases.iter().enumerate().all(|(i, c)| !cases[..i].contains(c));
         assert!(unique, "switch case values must be unique");
@@ -692,8 +716,12 @@ impl Function {
     /// Panics if the old and new kinds disagree about being a terminator,
     /// or if `kind` carries another instruction's list.
     pub fn replace_kind(&mut self, inst: Inst, kind: InstKind) {
-        self.bump();
         let old = self.insts[inst].kind;
+        if old.is_terminator() && std::mem::discriminant(&old) != std::mem::discriminant(&kind) {
+            self.bump_cfg();
+        } else {
+            self.bump();
+        }
         assert_eq!(
             old.is_terminator(),
             kind.is_terminator(),
@@ -757,7 +785,7 @@ impl Function {
     /// The originating block's terminator is *not* changed; callers that
     /// fold a branch should use [`Function::fold_branch_to`].
     pub fn remove_edge(&mut self, e: Edge) {
-        self.bump();
+        self.bump_cfg();
         if self.edges[e].removed {
             return;
         }
@@ -785,7 +813,7 @@ impl Function {
     ///
     /// Panics if `b` does not end in a branch or `keep` is not 0 or 1.
     pub fn fold_branch_to(&mut self, b: Block, keep: usize) {
-        self.bump();
+        self.bump_cfg();
         assert!(keep < 2, "branch edge index must be 0 or 1");
         let term = self.terminator(b).expect("terminated block");
         assert!(
@@ -804,7 +832,7 @@ impl Function {
     ///
     /// Panics if `b` does not end in a switch or `keep` is out of range.
     pub fn fold_switch_to(&mut self, b: Block, keep: usize) {
-        self.bump();
+        self.bump_cfg();
         let term = self.terminator(b).expect("terminated block");
         let kind = self.insts[term].kind;
         assert!(matches!(kind, InstKind::Switch(..)), "{b} does not end in a switch");
@@ -825,7 +853,7 @@ impl Function {
     ///
     /// Panics if `b` is the entry block.
     pub fn remove_block(&mut self, b: Block) {
-        self.bump();
+        self.bump_cfg();
         assert!(b != self.entry, "cannot remove the entry block");
         if self.blocks[b].removed {
             return;
@@ -849,7 +877,9 @@ impl Function {
 
     /// Keeps the instructions of `b` whose data satisfies `keep`, in
     /// order, in one pass; the others are removed as by
-    /// [`Function::remove_inst`].
+    /// [`Function::remove_inst`]. `keep` must keep the terminator:
+    /// dropping it would edit the CFG without moving
+    /// [`Function::cfg_stamp`].
     pub fn retain_insts(&mut self, b: Block, mut keep: impl FnMut(&InstData) -> bool) {
         self.bump();
         let insts = &self.insts;
@@ -1221,88 +1251,116 @@ mod tests {
         f.replace_kind(f.def(x), stolen);
     }
 
+    /// The diamond plus a φ `p` in the join, a block `w` ending in a
+    /// switch on `x`, and an unterminated block `s`.
+    struct Fixture {
+        entry: Block,
+        t: Block,
+        e: Block,
+        j: Block,
+        w: Block,
+        s: Block,
+        x: Value,
+        y: Value,
+        p: Value,
+    }
+
+    fn fixture() -> (Function, Fixture) {
+        let (mut f, entry, t, e, j, x, y) = diamond();
+        let p = f.append_phi(j);
+        f.set_phi_args(p, &[x, y]);
+        let (w, s) = (f.add_block(), f.add_block());
+        f.set_switch(w, x, &[1], &[t], e);
+        (f, Fixture { entry, t, e, j, w, s, x, y, p })
+    }
+
+    type Mutation = fn(&mut Function, &Fixture);
+
+    /// Every public `&mut self` method, each with whether it edits the
+    /// CFG (blocks, edges or a terminator's kind).
+    fn mutations() -> [(&'static str, bool, Mutation); 27] {
+        [
+            ("add_block", true, |f, _| {
+                f.add_block();
+            }),
+            ("reserve_block", false, |f, k| f.reserve_block(k.t, 0, 0, 0)),
+            ("append", false, |f, k| {
+                f.append(k.s, InstKind::Const(1));
+            }),
+            ("append_phi", false, |f, k| {
+                f.append_phi(k.s);
+            }),
+            ("insert_before_terminator", false, |f, k| {
+                f.insert_before_terminator(k.t, InstKind::Const(1));
+            }),
+            ("insert_phi", false, |f, k| {
+                f.insert_phi(k.t);
+            }),
+            ("set_phi_args", false, |f, k| f.set_phi_args(k.p, &[k.x, k.y])),
+            ("set_switch_cases", false, |f, k| {
+                f.set_switch_cases(f.terminator(k.w).unwrap(), &[2]);
+            }),
+            ("map_args", false, |f, k| f.map_args(f.def(k.p), |v| v)),
+            ("retain_insts", false, |f, k| f.retain_insts(k.t, |_| true)),
+            ("set_jump", true, |f, k| {
+                f.set_jump(k.s, k.j);
+            }),
+            ("set_branch", true, |f, k| {
+                f.set_branch(k.s, k.x, k.t, k.e);
+            }),
+            ("set_return", true, |f, k| f.set_return(k.s, k.x)),
+            ("set_switch", true, |f, k| f.set_switch(k.s, k.x, &[1], &[k.t], k.e)),
+            ("replace_kind", false, |f, k| f.replace_kind(f.def(k.x), InstKind::Const(10))),
+            ("replace_kind of a branch's operand", false, |f, k| {
+                f.replace_kind(f.terminator(k.entry).unwrap(), InstKind::Branch(k.y));
+            }),
+            ("replace_kind of a terminator's variant", true, |f, k| {
+                f.replace_kind(f.terminator(k.t).unwrap(), InstKind::Return(k.x));
+            }),
+            ("remove_edge", true, |f, k| f.remove_edge(f.succs(k.t)[0])),
+            ("fold_branch_to", true, |f, k| f.fold_branch_to(k.entry, 0)),
+            ("fold_switch_to", true, |f, k| f.fold_switch_to(k.w, 1)),
+            ("remove_block", true, |f, k| f.remove_block(k.t)),
+            ("remove_inst", false, |f, k| f.remove_inst(f.def(k.y))),
+            ("replace_phi_with_copy", false, |f, k| f.replace_phi_with_copy(k.p, k.x)),
+            ("iconst", false, |f, k| {
+                f.iconst(k.s, 3);
+            }),
+            ("binary", false, |f, k| {
+                f.binary(k.s, BinOp::Add, k.x, k.y);
+            }),
+            ("cmp", false, |f, k| {
+                f.cmp(k.s, CmpOp::Eq, k.x, k.y);
+            }),
+            ("unary", false, |f, k| {
+                f.unary(k.s, UnOp::Neg, k.x);
+            }),
+        ]
+    }
+
     /// Every public `&mut self` method is a mutation: it must move the
     /// stamp, even when it leaves the content as it was.
     #[test]
     fn every_mutator_changes_the_stamp() {
-        /// The diamond plus a φ `p` in the join, a block `w` ending in a
-        /// switch on `x`, and an unterminated block `s`.
-        struct Fixture {
-            entry: Block,
-            t: Block,
-            e: Block,
-            j: Block,
-            w: Block,
-            s: Block,
-            x: Value,
-            y: Value,
-            p: Value,
-        }
-        let fixture = || {
-            let (mut f, entry, t, e, j, x, y) = diamond();
-            let p = f.append_phi(j);
-            f.set_phi_args(p, &[x, y]);
-            let (w, s) = (f.add_block(), f.add_block());
-            f.set_switch(w, x, &[1], &[t], e);
-            (f, Fixture { entry, t, e, j, w, s, x, y, p })
-        };
-        type Mutation = fn(&mut Function, &Fixture);
-        let mutations: [(&str, Mutation); 25] = [
-            ("add_block", |f, _| {
-                f.add_block();
-            }),
-            ("reserve_block", |f, k| f.reserve_block(k.t, 0, 0, 0)),
-            ("append", |f, k| {
-                f.append(k.s, InstKind::Const(1));
-            }),
-            ("append_phi", |f, k| {
-                f.append_phi(k.s);
-            }),
-            ("insert_before_terminator", |f, k| {
-                f.insert_before_terminator(k.t, InstKind::Const(1));
-            }),
-            ("insert_phi", |f, k| {
-                f.insert_phi(k.t);
-            }),
-            ("set_phi_args", |f, k| f.set_phi_args(k.p, &[k.x, k.y])),
-            ("set_switch_cases", |f, k| {
-                f.set_switch_cases(f.terminator(k.w).unwrap(), &[2]);
-            }),
-            ("map_args", |f, k| f.map_args(f.def(k.p), |v| v)),
-            ("retain_insts", |f, k| f.retain_insts(k.t, |_| true)),
-            ("set_jump", |f, k| {
-                f.set_jump(k.s, k.j);
-            }),
-            ("set_branch", |f, k| {
-                f.set_branch(k.s, k.x, k.t, k.e);
-            }),
-            ("set_return", |f, k| f.set_return(k.s, k.x)),
-            ("set_switch", |f, k| f.set_switch(k.s, k.x, &[1], &[k.t], k.e)),
-            ("replace_kind", |f, k| f.replace_kind(f.def(k.x), InstKind::Const(10))),
-            ("remove_edge", |f, k| f.remove_edge(f.succs(k.t)[0])),
-            ("fold_branch_to", |f, k| f.fold_branch_to(k.entry, 0)),
-            ("fold_switch_to", |f, k| f.fold_switch_to(k.w, 1)),
-            ("remove_block", |f, k| f.remove_block(k.t)),
-            ("remove_inst", |f, k| f.remove_inst(f.def(k.y))),
-            ("replace_phi_with_copy", |f, k| f.replace_phi_with_copy(k.p, k.x)),
-            ("iconst", |f, k| {
-                f.iconst(k.s, 3);
-            }),
-            ("binary", |f, k| {
-                f.binary(k.s, BinOp::Add, k.x, k.y);
-            }),
-            ("cmp", |f, k| {
-                f.cmp(k.s, CmpOp::Eq, k.x, k.y);
-            }),
-            ("unary", |f, k| {
-                f.unary(k.s, UnOp::Neg, k.x);
-            }),
-        ];
-        for (name, mutate) in mutations {
+        for (name, _, mutate) in mutations() {
             let (mut f, k) = fixture();
             let before = f.stamp();
             mutate(&mut f, &k);
             assert_ne!(f.stamp(), before, "{name} must change the stamp");
         }
+    }
+
+    /// The CFG stamp moves exactly with the methods that edit blocks,
+    /// edges or a terminator's kind, and a clone gets a fresh one.
+    #[test]
+    fn only_cfg_mutators_change_the_cfg_stamp() {
+        for (name, edits_cfg, mutate) in mutations() {
+            let (mut f, k) = fixture();
+            let before = f.cfg_stamp();
+            mutate(&mut f, &k);
+            assert_eq!(f.cfg_stamp() != before, edits_cfg, "{name}: edits the CFG = {edits_cfg}");
+        }
+        let (f, _) = fixture();
+        assert_ne!(f.clone().cfg_stamp(), f.cfg_stamp(), "a clone is a new instance");
     }
 }

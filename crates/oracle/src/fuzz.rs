@@ -30,7 +30,7 @@ use pgvn_lang::Routine;
 use pgvn_ssa::SsaStyle;
 use pgvn_telemetry::json::JsonWriter;
 use pgvn_telemetry::Telemetry;
-use pgvn_transform::{check_function_with, AnalysisManager, CheckOptions, Pipeline};
+use pgvn_transform::{check_function_in_context, CheckOptions, Pipeline};
 use pgvn_workload::GenConfig;
 
 /// Which oracles to run per generated routine.
@@ -305,8 +305,7 @@ fn check_diagnostic_stability(
     rounds: usize,
 ) -> Result<(), String> {
     let opts = CheckOptions::without_gvn();
-    let mut analyses = AnalysisManager::new();
-    let before = check_function_with(ctx, &mut analyses, func, &opts);
+    let before = check_function_in_context(ctx, func, &opts);
     let input_codes: Vec<&str> = before
         .diagnostics()
         .iter()
@@ -318,8 +317,7 @@ fn check_diagnostic_stability(
         .rounds(rounds)
         .optimize_traced_with(ctx, &mut optimized, &mut Telemetry::off())
         .map_err(|e| format!("[diagnostics] optimization failed: {e}"))?;
-    let mut analyses = AnalysisManager::new();
-    let after = check_function_with(ctx, &mut analyses, &optimized, &opts);
+    let after = check_function_in_context(ctx, &optimized, &opts);
     for d in after.diagnostics() {
         if d.severity() == Severity::Error && !input_codes.contains(&d.code()) {
             return Err(format!(

@@ -120,10 +120,12 @@ pub enum Metric {
     /// Pass-manager pass executions. Depends on pipeline length and
     /// ladder retry history — timing domain.
     PassRuns,
-    /// CFG-analysis requests answered from the pass-manager cache.
-    /// Depends on which passes ran before — timing domain.
+    /// CFG-analysis requests (the driver's, the passes' and the
+    /// `--check` gate's) answered from the GVN context's cache. Depends
+    /// on which passes ran before — timing domain.
     AnalysisCacheHits,
-    /// CFG-analysis requests that recomputed (cold or invalidated).
+    /// CFG-analysis requests that built the analyses (a new instance or
+    /// CFG revision).
     AnalysisCacheMisses,
     /// Expressions inserted into predecessors by the `pre` pass.
     PreInserted,
@@ -207,9 +209,11 @@ pub enum Metric {
     // triggers), so the sums are inclusive and do not add up to wall
     // clock. `Passes` through `EdgeProcessing` stay contiguous: the
     // driver indexes its per-run sums by catalog position.
-    /// CFG construction: RPO, ranks and def-use, per analysis run.
+    /// Per-run CFG-derived tables: ranks and def-use, per analysis run.
     Cfg,
-    /// Dominator and post-dominator tree construction, per run.
+    /// The CFG analysis cache request (RPO, dominator and
+    /// post-dominator trees, built only on a miss) and the complete
+    /// variant's reachable dominator tree, per run.
     DomTree,
     /// SSA construction from the source (recorded by the CLI).
     SsaBuild,

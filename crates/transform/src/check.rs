@@ -3,10 +3,11 @@
 //! A [`Lint`] is one named check over a function; the [`LintRegistry`]
 //! owns the suite and [`check_function`] drives it, reporting every
 //! finding into the shared [`DiagnosticEngine`] from `pgvn-ir`. Lints
-//! run on the **cached analyses** of the pipeline's [`AnalysisManager`]
-//! — one RPO + dominator tree computation feeds the whole suite — and
-//! the two GVN-backed lints reuse the paper's π/predication machinery
-//! through an ordinary [`GvnResults`].
+//! run on the **cached analyses** of the GVN context's
+//! [`AnalysisManager`] — the RPO and dominator tree the pipeline's last
+//! request built, when the CFG has not changed since, feed the whole
+//! suite — and the two GVN-backed lints reuse the paper's
+//! π/predication machinery through an ordinary [`GvnResults`].
 //!
 //! The suite runs in three phases:
 //!
@@ -60,7 +61,7 @@ pub mod codes {
 pub struct LintContext<'a, 'e> {
     /// The function under check.
     pub func: &'a Function,
-    /// The cached RPO + dominator tree from the [`AnalysisManager`].
+    /// The cached CFG analyses from the context's [`AnalysisManager`].
     pub cfg: &'a CfgAnalyses,
     /// GVN results, present only for the GVN-backed phase.
     pub gvn: Option<&'a GvnResults>,
@@ -163,17 +164,31 @@ impl CheckOptions {
 }
 
 /// Runs the full suite against fresh scratch state. Convenience wrapper
-/// over [`check_function_with`] for tests and one-shot callers.
+/// over [`check_function_in_context`] for tests and one-shot callers.
 pub fn check_function(func: &Function, opts: &CheckOptions) -> DiagnosticEngine {
-    check_function_with(&mut GvnContext::new(), &mut AnalysisManager::new(), func, opts)
+    check_function_in_context(&mut GvnContext::new(), func, opts)
 }
 
-/// Runs the lint suite against the caller's reusable [`GvnContext`] and
-/// [`AnalysisManager`] (the batch/serve hot path reuses both), returning
-/// the engine with every finding sorted into presentation order.
+/// [`check_function_in_context`] with an analysis manager it does not
+/// use: every analysis comes from `ctx`'s cache. This signature stays
+/// only for `perfbench/src/trace.rs`, until its replay is deleted
+/// (ROADMAP item 3).
 pub fn check_function_with(
     ctx: &mut GvnContext,
-    analyses: &mut AnalysisManager,
+    _analyses: &mut AnalysisManager,
+    func: &Function,
+    opts: &CheckOptions,
+) -> DiagnosticEngine {
+    check_function_in_context(ctx, func, opts)
+}
+
+/// Runs the lint suite against the caller's reusable [`GvnContext`]
+/// (the batch/serve hot path reuses it, and with it the CFG analyses
+/// the pipeline left in its cache), returning the engine with every
+/// finding sorted into presentation order. The cache's hit and miss
+/// counters keep this check's requests until the caller drains them.
+pub fn check_function_in_context(
+    ctx: &mut GvnContext,
     func: &Function,
     opts: &CheckOptions,
 ) -> DiagnosticEngine {
@@ -187,10 +202,7 @@ pub fn check_function_with(
         return engine;
     }
     // Phase 2: analysis lints on the cached RPO + dominator tree.
-    {
-        let cfg = analyses.cfg(func);
-        reg.run_phase(func, cfg, None, &mut engine);
-    }
+    reg.run_phase(func, ctx.analyses().cfg(func), None, &mut engine);
     // Phase 3: GVN-backed lints — only on IR with no error diagnostics,
     // since the driver assumes valid SSA, and only from a converged
     // partition: a run that fails or is truncated proves nothing.
@@ -198,8 +210,7 @@ pub fn check_function_with(
         if !engine.has_errors() {
             let tel = &mut Telemetry::off();
             if let Ok(results) = try_run_traced_in_context(ctx, func, gvn_cfg, tel) {
-                let cfg = analyses.cfg(func);
-                reg.run_phase(func, cfg, Some(&results), &mut engine);
+                reg.run_phase(func, ctx.analyses().cfg(func), Some(&results), &mut engine);
             }
         }
     }

@@ -36,11 +36,12 @@ pub mod resilient;
 pub mod rewrite;
 
 pub use check::{
-    check_function, check_function_with, CheckOptions, Lint, LintContext, LintRegistry,
+    check_function, check_function_in_context, check_function_with, CheckOptions, Lint,
+    LintContext, LintRegistry,
 };
 pub use dce::eliminate_dead_code;
 pub use pass::pre::{eliminate_partial_redundancies, PreStats};
-pub use pass::{AnalysisManager, CfgAnalyses, Pass, PassContext, PassId, PassManager, PassSpec};
+pub use pass::{AnalysisManager, CfgAnalyses, PassContext, PassId, PassSpec};
 pub use pipeline::{OptimizeReport, Pipeline};
 pub use resilient::{ResilienceReport, ResilientOutcome, RungFailure, RungId};
 pub use rewrite::{

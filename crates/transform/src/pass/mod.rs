@@ -1,16 +1,20 @@
-//! The pass-manager layer: named passes over a shared [`PassContext`].
+//! The pass layer: named passes over a shared [`PassContext`].
 //!
 //! The paper positions PGVN as one pass inside a production optimizer
-//! (HP's HLO); this module supplies the surrounding machinery. A
-//! [`Pass`] is a named transform run against a [`PassContext`] — the
-//! reusable GVN context, the configuration, a lazily cached
-//! [`AnalysisManager`], telemetry, and the accumulating
-//! [`OptimizeReport`]. A [`PassManager`] executes a [`PassSpec`]
-//! (parsed from a string like `"gvn,pre,gvn"`) and keeps the analysis
-//! cache honest: a pass that does not declare
-//! [`Pass::preserves_analyses`] invalidates the cache after it runs.
+//! (HP's HLO); this module supplies the surrounding machinery. A pass is
+//! a [`PassId`] run against a [`PassContext`] — the reusable GVN
+//! context, the configuration, telemetry, and the accumulating
+//! [`OptimizeReport`]. [`PassSpec::run`] executes a spec (parsed from a
+//! string like `"gvn,pre,gvn"`) pass by pass.
 //!
-//! Three passes are registered by default:
+//! Passes declare nothing about the analyses they keep valid. Every CFG
+//! analysis comes from the GVN context's [`AnalysisManager`], keyed on
+//! the function's CFG stamp, which every edit of blocks, edges or
+//! terminator kinds moves: a pass that folds a branch gets a fresh tree
+//! on its next request, and one that only rewrites instructions reuses
+//! the last.
+//!
+//! Three passes exist:
 //!
 //! * `gvn` — one full GVN + rewrite round, byte-identical to one round
 //!   of the pre-pass-manager [`crate::Pipeline`] (the default pipeline
@@ -21,13 +25,11 @@
 //!   stripping the copies and dead computations the other passes leave
 //!   behind.
 //!
-//! See `docs/PASSES.md` for the spec grammar and the pass/analysis
-//! contracts.
+//! See `docs/PASSES.md` for the spec grammar and the pass contracts.
 
-pub mod analyses;
 pub mod pre;
 
-pub use analyses::{AnalysisManager, CfgAnalyses};
+pub use pgvn_analysis::{AnalysisManager, CfgAnalyses};
 
 use crate::dce::eliminate_dead_code;
 use crate::pipeline::OptimizeReport;
@@ -43,8 +45,7 @@ use pgvn_telemetry::{Metric, Telemetry};
 use std::fmt;
 use std::time::Instant;
 
-/// A pass registered with the [`PassManager`], identified by its spec
-/// name.
+/// A pass, identified by its spec name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PassId {
     /// One GVN analysis + rewrite round (`gvn`).
@@ -56,7 +57,7 @@ pub enum PassId {
 }
 
 impl PassId {
-    /// Every pass in registration order.
+    /// Every pass, in the order `docs/PASSES.md` lists them.
     pub const ALL: [PassId; 3] = [PassId::Gvn, PassId::Pre, PassId::Cleanup];
 
     /// The stable name used in pipeline specs.
@@ -163,16 +164,15 @@ pub(crate) struct RewriteFault {
     countdown: u64,
 }
 
-/// Everything a [`Pass`] runs against: the reusable analysis context,
-/// the GVN configuration, the lazily cached CFG analyses, telemetry,
-/// and the report the pipeline accumulates.
+/// Everything a pass runs against: the reusable analysis context (whose
+/// [`AnalysisManager`] serves every CFG analysis), the GVN
+/// configuration, telemetry, and the report the pipeline accumulates.
 pub struct PassContext<'a, 'tel> {
-    /// The reusable GVN context (arena reuse across runs).
+    /// The reusable GVN context: arena reuse across runs, and the CFG
+    /// analysis cache.
     pub gvn: &'a mut GvnContext,
     /// The GVN configuration analysis runs use.
     pub cfg: &'a GvnConfig,
-    /// Lazily computed, epoch-invalidated CFG analyses.
-    pub analyses: &'a mut AnalysisManager,
     /// Trace and metrics sink.
     pub tel: &'a mut Telemetry<'tel>,
     /// The report accumulated across the whole pipeline.
@@ -187,11 +187,10 @@ impl<'a, 'tel> PassContext<'a, 'tel> {
     pub fn new(
         gvn: &'a mut GvnContext,
         cfg: &'a GvnConfig,
-        analyses: &'a mut AnalysisManager,
         tel: &'a mut Telemetry<'tel>,
         report: &'a mut OptimizeReport,
     ) -> Self {
-        PassContext { gvn, cfg, analyses, tel, report, fault: None }
+        PassContext { gvn, cfg, tel, report, fault: None }
     }
 
     /// A context for one degradation-ladder rung: a rewrite-site fault
@@ -199,13 +198,12 @@ impl<'a, 'tel> PassContext<'a, 'tel> {
     pub(crate) fn for_rung(
         gvn: &'a mut GvnContext,
         cfg: &'a GvnConfig,
-        analyses: &'a mut AnalysisManager,
         tel: &'a mut Telemetry<'tel>,
         report: &'a mut OptimizeReport,
         rewrite_fault: Option<FaultPlan>,
     ) -> Self {
         let fault = rewrite_fault.map(|plan| RewriteFault { plan, countdown: plan.countdown() });
-        PassContext { gvn, cfg, analyses, tel, report, fault }
+        PassContext { gvn, cfg, tel, report, fault }
     }
 
     /// Runs the GVN analysis on `func`, accumulating `gvn_nanos` and
@@ -246,199 +244,86 @@ impl<'a, 'tel> PassContext<'a, 'tel> {
     }
 }
 
-/// A named transform over one function.
-pub trait Pass {
-    /// The stable name, as written in pipeline specs.
-    fn name(&self) -> &'static str;
-
-    /// Whether the pass keeps the cached CFG analyses valid — either by
-    /// leaving the CFG (blocks and edges) untouched, or by calling
-    /// [`AnalysisManager::invalidate`] exactly when it does change it.
-    /// A pass answering `false` forces recomputation after every run
-    /// (the safe default for new passes).
-    fn preserves_analyses(&self) -> bool {
-        false
-    }
-
-    /// Runs the pass on `func`. `Err` aborts the pipeline (inside the
+impl PassId {
+    /// Runs this pass on `func`. `Err` aborts the pipeline (inside the
     /// resilient ladder that means the rung rolls back).
-    fn run(&self, pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError>;
-}
-
-/// One GVN analysis + rewrite round: UCE, constant propagation,
-/// redundancy elimination (against the cached dominator tree), copy
-/// forwarding, DCE. The default pipeline is this pass repeated.
-pub struct GvnPass;
-
-impl Pass for GvnPass {
-    fn name(&self) -> &'static str {
-        "gvn"
-    }
-
-    /// The CFG only changes when UCE folds a branch or removes a block,
-    /// and the pass invalidates precisely then.
-    fn preserves_analyses(&self) -> bool {
-        true
-    }
-
-    fn run(&self, pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError> {
-        let results = pcx.run_gvn(func)?;
-        pcx.inject_rewrite_fault()?;
-        let uce = eliminate_unreachable(func, &results);
-        pcx.report.uce.branches_folded += uce.branches_folded;
-        pcx.report.uce.blocks_removed += uce.blocks_removed;
-        pcx.report.uce.phis_simplified += uce.phis_simplified;
-        if uce.branches_folded > 0 || uce.blocks_removed > 0 {
-            pcx.analyses.invalidate();
-        }
-        pcx.report.constants_propagated += propagate_constants(func, &results);
-        let eliminated = {
-            let an = pcx.analyses.cfg(func);
-            eliminate_redundancies_with(func, &results, &an.domtree)
-        };
-        pcx.report.redundancies_eliminated += eliminated;
-        pcx.report.copies_forwarded += forward_copies(func);
-        pcx.report.dead_removed += eliminate_dead_code(func);
-        Ok(())
-    }
-}
-
-/// Partial redundancy elimination over GVN value numbers: runs a fresh
-/// analysis, then φ-merges expressions that are available on some (or
-/// all) predecessors of a merge block, inserting clones into the
-/// lacking predecessors when that is non-speculative. See [`pre`].
-pub struct PrePass;
-
-impl Pass for PrePass {
-    fn name(&self) -> &'static str {
-        "pre"
-    }
-
-    /// PRE inserts and rewrites instructions but never touches blocks
-    /// or edges.
-    fn preserves_analyses(&self) -> bool {
-        true
-    }
-
-    fn run(&self, pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError> {
-        let results = pcx.run_gvn(func)?;
-        let stats = {
-            let an = pcx.analyses.cfg(func);
-            pre::eliminate_partial_redundancies(func, &results, &an.rpo, &an.domtree)
-        };
-        pcx.report.pre_inserted += stats.inserted;
-        pcx.report.pre_eliminated += stats.eliminated;
-        pcx.tel.count(Metric::PreInserted, stats.inserted as u64);
-        pcx.tel.count(Metric::PreEliminated, stats.eliminated as u64);
-        Ok(())
-    }
-}
-
-/// Copy forwarding plus dead-code elimination: strips the copies and
-/// dead computations `gvn` and `pre` leave behind. Like every pass it
-/// runs under the ladder's verifier gate.
-pub struct CleanupPass;
-
-impl Pass for CleanupPass {
-    fn name(&self) -> &'static str {
-        "cleanup"
-    }
-
-    /// Removing instructions never changes the CFG.
-    fn preserves_analyses(&self) -> bool {
-        true
-    }
-
-    fn run(&self, pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError> {
-        let forwarded = forward_copies(func);
-        let removed = eliminate_dead_code(func);
-        pcx.report.copies_forwarded += forwarded;
-        pcx.report.cleanup_removed += removed;
-        pcx.tel.count(Metric::CleanupRemoved, removed as u64);
-        Ok(())
-    }
-}
-
-/// The pass registry and sequencer: resolves each [`PassId`] of a
-/// [`PassSpec`] to its registered [`Pass`] and runs them in order,
-/// invalidating the analysis cache after any pass that does not declare
-/// preservation.
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl Default for PassManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PassManager {
-    /// A manager with the three default passes (`gvn`, `pre`,
-    /// `cleanup`) registered.
-    pub fn new() -> Self {
-        let mut pm = PassManager { passes: Vec::new() };
-        pm.register(Box::new(GvnPass));
-        pm.register(Box::new(PrePass));
-        pm.register(Box::new(CleanupPass));
-        pm
-    }
-
-    /// Registers a pass. A pass with the same name replaces the earlier
-    /// registration.
-    pub fn register(&mut self, pass: Box<dyn Pass>) {
-        if let Some(existing) = self.passes.iter_mut().find(|p| p.name() == pass.name()) {
-            *existing = pass;
-        } else {
-            self.passes.push(pass);
-        }
-    }
-
-    /// The registered pass for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was unregistered (never the case for the default
-    /// manager, which registers every [`PassId`]).
-    pub fn get(&self, id: PassId) -> &dyn Pass {
-        self.passes
-            .iter()
-            .find(|p| p.name() == id.name())
-            .map(|p| p.as_ref())
-            .unwrap_or_else(|| panic!("pass `{id}` is not registered"))
-    }
-
-    /// Runs `spec`'s passes in order against `pcx`, then reports the
-    /// analysis-cache hit/miss totals into the metrics sink.
-    pub fn run(
-        &self,
-        spec: &PassSpec,
-        pcx: &mut PassContext<'_, '_>,
-        func: &mut Function,
-    ) -> Result<(), GvnError> {
-        let outcome = self.run_inner(spec, pcx, func);
-        let (hits, misses) = pcx.analyses.take_cache_counts();
-        pcx.tel.count(Metric::AnalysisCacheHits, hits);
-        pcx.tel.count(Metric::AnalysisCacheMisses, misses);
-        outcome
-    }
-
-    fn run_inner(
-        &self,
-        spec: &PassSpec,
-        pcx: &mut PassContext<'_, '_>,
-        func: &mut Function,
-    ) -> Result<(), GvnError> {
-        for &id in spec.passes() {
-            let pass = self.get(id);
-            pcx.tel.count(Metric::PassRuns, 1);
-            pass.run(pcx, func)?;
-            if !pass.preserves_analyses() {
-                pcx.analyses.invalidate();
+    pub fn run(self, pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError> {
+        pcx.tel.count(Metric::PassRuns, 1);
+        match self {
+            PassId::Gvn => gvn_pass(pcx, func),
+            PassId::Pre => pre_pass(pcx, func),
+            PassId::Cleanup => {
+                cleanup_pass(pcx, func);
+                Ok(())
             }
         }
-        Ok(())
     }
+}
+
+impl PassSpec {
+    /// Runs the passes in order against `pcx`, stopping at the first
+    /// `Err`, then reports the CFG analysis cache's hits and misses
+    /// since the last report (the driver's requests included) into the
+    /// metrics sink.
+    pub fn run(&self, pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError> {
+        let outcome = self.passes.iter().try_for_each(|id| id.run(pcx, func));
+        report_cache_counts(pcx.gvn, pcx.tel);
+        outcome
+    }
+}
+
+/// Drains `gvn`'s CFG analysis cache counters into `tel`'s metrics. The
+/// resilient ladder also calls it after a rung panics, so a panic never
+/// carries a routine's requests into the next routine's report.
+pub(crate) fn report_cache_counts(gvn: &mut GvnContext, tel: &mut Telemetry<'_>) {
+    let (hits, misses) = gvn.analyses().take_cache_counts();
+    tel.count(Metric::AnalysisCacheHits, hits);
+    tel.count(Metric::AnalysisCacheMisses, misses);
+}
+
+/// `gvn`: one GVN analysis + rewrite round: UCE, constant propagation,
+/// redundancy elimination (against the cached dominator tree of the CFG
+/// UCE left), copy forwarding, DCE. The default pipeline is this pass
+/// repeated.
+fn gvn_pass(pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError> {
+    let results = pcx.run_gvn(func)?;
+    pcx.inject_rewrite_fault()?;
+    let uce = eliminate_unreachable(func, &results);
+    pcx.report.uce.branches_folded += uce.branches_folded;
+    pcx.report.uce.blocks_removed += uce.blocks_removed;
+    pcx.report.uce.phis_simplified += uce.phis_simplified;
+    pcx.report.constants_propagated += propagate_constants(func, &results);
+    let domtree = &pcx.gvn.analyses().cfg(func).domtree;
+    pcx.report.redundancies_eliminated += eliminate_redundancies_with(func, &results, domtree);
+    pcx.report.copies_forwarded += forward_copies(func);
+    pcx.report.dead_removed += eliminate_dead_code(func);
+    Ok(())
+}
+
+/// `pre`: partial redundancy elimination over GVN value numbers: runs a
+/// fresh analysis, then φ-merges expressions that are available on some
+/// (or all) predecessors of a merge block, inserting clones into the
+/// lacking predecessors when that is non-speculative. See [`pre`].
+fn pre_pass(pcx: &mut PassContext<'_, '_>, func: &mut Function) -> Result<(), GvnError> {
+    let results = pcx.run_gvn(func)?;
+    let an = pcx.gvn.analyses().cfg(func);
+    let stats = pre::eliminate_partial_redundancies(func, &results, &an.rpo, &an.domtree);
+    pcx.report.pre_inserted += stats.inserted;
+    pcx.report.pre_eliminated += stats.eliminated;
+    pcx.tel.count(Metric::PreInserted, stats.inserted as u64);
+    pcx.tel.count(Metric::PreEliminated, stats.eliminated as u64);
+    Ok(())
+}
+
+/// `cleanup`: copy forwarding plus dead-code elimination: strips the
+/// copies and dead computations `gvn` and `pre` leave behind. Like every
+/// pass it runs under the ladder's verifier gate.
+fn cleanup_pass(pcx: &mut PassContext<'_, '_>, func: &mut Function) {
+    let forwarded = forward_copies(func);
+    let removed = eliminate_dead_code(func);
+    pcx.report.copies_forwarded += forwarded;
+    pcx.report.cleanup_removed += removed;
+    pcx.tel.count(Metric::CleanupRemoved, removed as u64);
 }
 
 #[cfg(test)]
@@ -471,16 +356,5 @@ mod tests {
     fn gvn_rounds_clamps_to_one() {
         assert_eq!(PassSpec::gvn_rounds(0).passes(), &[PassId::Gvn]);
         assert_eq!(PassSpec::gvn_rounds(3).passes().len(), 3);
-    }
-
-    #[test]
-    fn manager_registers_default_passes() {
-        let pm = PassManager::new();
-        for id in PassId::ALL {
-            assert_eq!(pm.get(id).name(), id.name());
-        }
-        assert!(pm.get(PassId::Gvn).preserves_analyses());
-        assert!(pm.get(PassId::Pre).preserves_analyses());
-        assert!(pm.get(PassId::Cleanup).preserves_analyses());
     }
 }

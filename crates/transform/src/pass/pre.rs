@@ -58,6 +58,9 @@ struct PureDef {
 /// Eliminates partial redundancies at merge blocks (see the module
 /// docs). `rpo` and `domtree` must be current for `func`'s CFG;
 /// `results` must come from a GVN run over exactly this function.
+///
+/// `perfbench/src/trace.rs` calls this too, so its signature stays until
+/// that replay is deleted (ROADMAP item 3).
 pub fn eliminate_partial_redundancies(
     func: &mut Function,
     results: &GvnResults,

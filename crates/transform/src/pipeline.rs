@@ -10,7 +10,7 @@
 //! time share deviates from the paper's <4% because our host pipeline is
 //! far thinner than HLO.
 
-use crate::pass::{AnalysisManager, PassContext, PassManager, PassSpec};
+use crate::pass::{PassContext, PassSpec};
 use crate::rewrite::UceReport;
 use pgvn_core::{GvnConfig, GvnContext, GvnError, GvnStats};
 use pgvn_ir::Function;
@@ -124,10 +124,8 @@ impl Pipeline {
     ) -> Result<OptimizeReport, GvnError> {
         let t0 = std::time::Instant::now();
         let mut report = OptimizeReport::default();
-        let spec = self.spec();
-        let mut analyses = AnalysisManager::new();
-        let mut pcx = PassContext::new(ctx, &self.cfg, &mut analyses, tel, &mut report);
-        PassManager::new().run(&spec, &mut pcx, func)?;
+        let mut pcx = PassContext::new(ctx, &self.cfg, tel, &mut report);
+        self.spec().run(&mut pcx, func)?;
         report.total_nanos = t0.elapsed().as_nanos();
         Ok(report)
     }

@@ -13,7 +13,7 @@
 //! down. One poisoned routine therefore can never sink a batch — the
 //! worst case is the routine ships unoptimized. See `docs/ROBUSTNESS.md`.
 
-use crate::pass::{AnalysisManager, PassContext, PassManager};
+use crate::pass::{report_cache_counts, PassContext};
 use crate::pipeline::{OptimizeReport, Pipeline};
 use pgvn_core::{FaultKind, FaultSite, GvnConfig, GvnContext, GvnError, Mode, Variant};
 use pgvn_ir::{verify, Function};
@@ -230,6 +230,9 @@ impl Pipeline {
     /// or errors leaves only scratch state behind, which the next rung's
     /// run re-prepares wholesale. Each rung's analysis traces into `tel`,
     /// and every rung commit/failure emits a [`TraceEvent::Rung`].
+    ///
+    /// `perfbench/src/trace.rs` calls this too, so its signature stays
+    /// until that replay is deleted (ROADMAP item 3).
     pub fn optimize_resilient_traced_with(
         &self,
         ctx: &mut GvnContext,
@@ -289,7 +292,10 @@ impl Pipeline {
                     };
                 }
                 Ok(Err(err)) => err,
-                Err(payload) => GvnError::Panicked { payload: panic_payload(payload.as_ref()) },
+                Err(payload) => {
+                    report_cache_counts(ctx, tel);
+                    GvnError::Panicked { payload: panic_payload(payload.as_ref()) }
+                }
             };
             tel.emit(|| TraceEvent::Rung {
                 rung: rung.index(),
@@ -341,11 +347,8 @@ impl Pipeline {
         let t0 = std::time::Instant::now();
         let mut report = OptimizeReport::default();
         let rewrite_fault = cfg.fault_plan.filter(|p| p.site == FaultSite::Rewrite);
-        let spec = self.spec();
-        let mut analyses = AnalysisManager::new();
-        let mut pcx =
-            PassContext::for_rung(ctx, cfg, &mut analyses, tel, &mut report, rewrite_fault);
-        PassManager::new().run(&spec, &mut pcx, func)?;
+        let mut pcx = PassContext::for_rung(ctx, cfg, tel, &mut report, rewrite_fault);
+        self.spec().run(&mut pcx, func)?;
         // An injected verifier-rejection: make the rewritten function
         // ill-formed in a way `pgvn_ir::verify` is guaranteed to catch
         // (a live block with no terminator), proving the gate below
@@ -423,6 +426,27 @@ mod tests {
         assert!(rep.failures.iter().all(|f| f.error.kind() == "panicked"));
         assert_eq!(rep.outcome.rung(), Some(RungId::Identity));
         assert_eq!(format!("{original}"), format!("{f}"), "identity returns the input unchanged");
+    }
+
+    /// A rung that panics never reaches the pipeline's report of the
+    /// CFG analysis cache, so the ladder reports it: nothing is left in
+    /// the context for the next routine's report.
+    #[test]
+    fn a_panicked_rung_still_reports_its_cache_requests() {
+        use pgvn_telemetry::MetricsRegistry;
+
+        let plan = FaultPlan::new(pgvn_core::FaultKind::Panic, FaultSite::Eval).sticky();
+        let mut f = sample();
+        let mut ctx = GvnContext::new();
+        let reg = MetricsRegistry::new();
+        let mut tel = Telemetry::off();
+        tel.attach_metrics(&reg);
+        let rep = Pipeline::new(GvnConfig::full().fault_plan(Some(plan)))
+            .optimize_resilient_traced_with(&mut ctx, &mut f, &mut tel);
+        assert_eq!(rep.outcome, ResilientOutcome::Identity);
+        assert_eq!((ctx.analyses().hits(), ctx.analyses().misses()), (0, 0));
+        let snap = reg.snapshot();
+        assert_eq!(snap.value(Metric::AnalysisCacheMisses), 3, "one per rung's fresh clone");
     }
 
     #[test]

@@ -132,10 +132,12 @@ pub fn eliminate_redundancies(func: &mut Function, results: &GvnResults) -> usiz
 }
 
 /// [`eliminate_redundancies`] against a caller-supplied dominator tree
-/// (the pass manager's [`crate::pass::AnalysisManager`] cache). The tree
-/// must be current for `func`'s CFG; instruction-level edits since it
-/// was computed are fine because this rewrite consults block dominance
-/// only.
+/// (the `gvn` pass hands it the GVN context's
+/// [`crate::pass::AnalysisManager`] entry). The tree must be current for
+/// `func`'s CFG; instruction-level edits since it was computed are fine
+/// because this rewrite consults block dominance only. The signature is
+/// also called by `perfbench/src/trace.rs`, so it stays until that
+/// replay is deleted (ROADMAP item 3).
 pub fn eliminate_redundancies_with(
     func: &mut Function,
     results: &GvnResults,

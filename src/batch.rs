@@ -35,7 +35,7 @@ use pgvn_core::{run_sharded, ContextCapacities, GvnContext};
 use pgvn_ir::DiagnosticEngine;
 use pgvn_telemetry::json::JsonWriter;
 use pgvn_telemetry::{Metric, MetricsRegistry, MetricsSnapshot, Telemetry};
-use pgvn_transform::{check_function_with, AnalysisManager, CheckOptions};
+use pgvn_transform::{check_function_in_context, CheckOptions};
 use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Write};
@@ -327,16 +327,19 @@ fn write_check(w: &mut JsonWriter, engine: &DiagnosticEngine) {
 }
 
 /// Runs the full lint suite over one function, recording the
-/// per-severity diagnostic counters (stable domain) into `reg`. Shared
-/// by the batch/serve `--check` gate and `pgvn check` itself.
+/// per-severity diagnostic counters (stable domain) and the check's CFG
+/// analysis cache requests into `reg`. Shared by the batch/serve
+/// `--check` gate and `pgvn check` itself.
 pub(crate) fn run_check(
     ctx: &mut GvnContext,
     reg: &MetricsRegistry,
     func: &Function,
     opts: &CheckOptions,
 ) -> DiagnosticEngine {
-    let mut analyses = AnalysisManager::new();
-    let engine = check_function_with(ctx, &mut analyses, func, opts);
+    let engine = check_function_in_context(ctx, func, opts);
+    let (hits, misses) = ctx.analyses().take_cache_counts();
+    reg.add(Metric::AnalysisCacheHits, hits);
+    reg.add(Metric::AnalysisCacheMisses, misses);
     reg.add(Metric::CheckDiagnosticsError, engine.error_count() as u64);
     reg.add(Metric::CheckDiagnosticsWarn, engine.warn_count() as u64);
     reg.add(Metric::CheckDiagnosticsAdvisory, engine.advisory_count() as u64);

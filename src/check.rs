@@ -121,7 +121,7 @@ impl CheckRunReport {
 ///
 /// Unreadable or unparseable sources classify as a single
 /// [`PARSE_ERROR`] diagnostic; everything else runs the full suite from
-/// [`pgvn_transform::check_function_with`]. The report is deterministic:
+/// [`pgvn_transform::check_function_in_context`]. The report is deterministic:
 /// it depends only on `(inputs, opts)`.
 pub fn run_check_inputs(inputs: &[BatchInput], opts: &CheckOptions) -> CheckRunReport {
     let mut ctx = GvnContext::new();

@@ -92,7 +92,7 @@ fn a_rewrite_stage_allocates_a_constant_number_of_times() {
         let mut f = original.clone();
         let (uce, _) = counted(|| eliminate_unreachable(&mut f, &results));
         // The pipeline takes the dominator tree of the CFG after UCE
-        // from its analysis cache, so it is outside the stage.
+        // from the context's analysis cache, so it is outside the stage.
         let domtree = DomTree::compute(&f, &Rpo::compute(&f));
         let (rest, edited) = counted(|| {
             propagate_constants(&mut f, &results)

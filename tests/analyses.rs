@@ -1,8 +1,9 @@
 //! Differential property tests of the CFG analyses on generated programs:
 //! the fast dominator algorithm against the naive set-based one, RPO
-//! invariants, and postdominator sanity.
+//! invariants, postdominator sanity, and the CFG stamp the analysis
+//! cache is keyed on.
 
-use pgvn::analysis::{naive_dominators, DomTree, PostDomTree, Rpo};
+use pgvn::analysis::{naive_dominators, AnalysisManager, CfgAnalyses, DomTree, PostDomTree, Rpo};
 use pgvn::ir::{Function, InstKind};
 use pgvn::workload::{generate_function, GenConfig};
 use proptest::prelude::*;
@@ -12,8 +13,103 @@ fn gen(seed: u64) -> Function {
     generate_function("a", &cfg, pgvn::ssa::SsaStyle::Minimal)
 }
 
+/// Applies one edit, chosen by `op` and placed by `a` and `b`, that
+/// keeps `f` analyzable (not necessarily verifiable): instruction edits
+/// and CFG edits mixed, so the CFG stamp sometimes holds and sometimes
+/// moves.
+fn mutate(f: &mut Function, op: u8, a: usize, b: usize) {
+    let blocks: Vec<_> = f.blocks().collect();
+    let block = blocks[a % blocks.len()];
+    let insts = f.block_insts(block).to_vec();
+    let value = f.values().nth(b % f.values().count().max(1));
+    let non_term = insts.iter().copied().filter(|&i| !f.kind(i).is_terminator()).nth(b % 8);
+    let term = f.terminator(block);
+    match op {
+        0 => {
+            f.insert_before_terminator(block, InstKind::Const(b as i64));
+        }
+        1 => {
+            f.insert_phi(block);
+        }
+        2 => {
+            if let Some(i) = non_term {
+                f.remove_inst(i);
+            }
+        }
+        3 => {
+            if let Some(i) = non_term {
+                f.replace_kind(i, InstKind::Const(7));
+            }
+        }
+        4 => {
+            if let Some(i) = insts.get(b % insts.len().max(1)) {
+                f.map_args(*i, |v| v);
+            }
+        }
+        5 => {
+            let edges: Vec<_> = f.edges().collect();
+            if !edges.is_empty() {
+                f.remove_edge(edges[b % edges.len()]);
+            }
+        }
+        6 => {
+            let two_way = term.is_some_and(|t| matches!(f.kind(t), InstKind::Branch(_)));
+            if two_way && f.succs(block).len() == 2 {
+                f.fold_branch_to(block, b % 2);
+            }
+        }
+        7 => {
+            if block != f.entry() {
+                f.remove_block(block);
+            }
+        }
+        8 => {
+            let nb = f.add_block();
+            let c = f.append(nb, InstKind::Const(1));
+            f.set_return(nb, c);
+            if term.is_none() {
+                f.set_jump(block, nb);
+            }
+        }
+        _ => {
+            if let (Some(t), Some(v)) = (term, value) {
+                if matches!(f.kind(t), InstKind::Jump) {
+                    f.replace_kind(t, InstKind::Return(v));
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+
+    /// Whenever an edit leaves the CFG stamp where it was, the cached
+    /// analyses equal a fresh RPO, dominator tree and postdominator
+    /// tree: the cache is only ever as stale as the stamp says.
+    #[test]
+    fn cached_analyses_equal_a_fresh_compute_while_the_cfg_stamp_holds(
+        seed in 0u64..3_000,
+        edits in proptest::collection::vec((0u8..10, 0usize..4096, 0usize..4096), 1..24),
+    ) {
+        let mut f = gen(seed);
+        let mut am = AnalysisManager::new();
+        am.cfg(&f);
+        for (op, a, b) in edits {
+            let stamp = f.cfg_stamp();
+            let hits = am.hits();
+            mutate(&mut f, op, a, b);
+            let held = f.cfg_stamp() == stamp;
+            let cached = am.cfg(&f).clone();
+            prop_assert_eq!(am.hits() == hits + 1, held, "op {} (seed {})", op, seed);
+            if held {
+                let fresh = CfgAnalyses::compute(&f);
+                prop_assert!(cached.rpo == Rpo::compute(&f), "rpo: op {op} (seed {seed})");
+                prop_assert!(cached.domtree == fresh.domtree, "domtree: op {op} (seed {seed})");
+                prop_assert!(cached.postdom == fresh.postdom, "postdom: op {op} (seed {seed})");
+            }
+        }
+    }
 
     #[test]
     fn chk_matches_naive_dominators(seed in 0u64..3_000) {

@@ -11,7 +11,7 @@ use pgvn::oracle::mix64;
 use pgvn::prelude::*;
 use pgvn::telemetry::metrics::{bucket_bound, bucket_index};
 use pgvn::telemetry::{Metric, MetricKind, MetricsRegistry, Telemetry, METRICS, NUM_BUCKETS};
-use pgvn::transform::{AnalysisManager, OptimizeReport, PassContext, PassManager};
+use pgvn::transform::{OptimizeReport, PassContext};
 
 fn gen_inputs(n: u64, seed: u64) -> Vec<BatchInput> {
     generated_corpus("m_", seed, n)
@@ -138,16 +138,14 @@ fn catalog_counters_equal_summed_per_run_stats() {
     let mut ctx = GvnContext::new();
     let cfg = GvnConfig::full();
     let spec: PassSpec = "gvn,pre,gvn".parse().unwrap();
-    let passes = PassManager::new();
     let mut runs: Vec<GvnStats> = Vec::new();
     for input in generated_corpus("batch_", 2002, 200) {
         let mut func = compile(input.source.as_ref().unwrap(), SsaStyle::Pruned).unwrap();
-        let mut analyses = AnalysisManager::new();
         let mut report = OptimizeReport::default();
-        let mut pcx = PassContext::new(&mut ctx, &cfg, &mut analyses, &mut tel, &mut report);
+        let mut pcx = PassContext::new(&mut ctx, &cfg, &mut tel, &mut report);
         for &id in spec.passes() {
             let before = pcx.gvn.runs();
-            passes.get(id).run(&mut pcx, &mut func).expect("converges");
+            id.run(&mut pcx, &mut func).expect("converges");
             if pcx.gvn.runs() > before {
                 runs.push(pcx.report.gvn_stats);
             }

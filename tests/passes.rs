@@ -192,6 +192,85 @@ fn multi_pass_pipelines_reuse_cached_analyses() {
     assert!(snap.value(Metric::AnalysisCacheMisses) >= 1, "first computation is a miss");
 }
 
+/// Over a `gvn,pre,gvn` corpus and its `--check` gate on one context,
+/// the CFG analyses are built once per CFG revision: each routine's
+/// cache misses equal the number of distinct CFG stamps an analysis was
+/// requested at. A pass requests at its start when its GVN run is not a
+/// memo hit, and `gvn` and `pre` request again after their CFG edits
+/// (UCE's, for `gvn`), i.e. at the stamp they leave; the gate requests
+/// at the stamp the pipeline left.
+#[test]
+fn the_cfg_analyses_are_built_once_per_cfg_revision() {
+    use pgvn::transform::{check_function_in_context, CheckOptions, OptimizeReport, PassContext};
+    use std::collections::HashSet;
+
+    let mut ctx = GvnContext::new();
+    let cfg = GvnConfig::full();
+    let spec: PassSpec = "gvn,pre,gvn".parse().unwrap();
+    let (mut builds, mut revisions) = (0, 0);
+    for input in generated_corpus("batch_", 2002, 200) {
+        let mut func = compile(input.source.as_ref().unwrap(), SsaStyle::Pruned).unwrap();
+        let mut stamps = HashSet::new();
+        let mut tel = Telemetry::off();
+        let mut report = OptimizeReport::default();
+        let mut pcx = PassContext::new(&mut ctx, &cfg, &mut tel, &mut report);
+        for &id in spec.passes() {
+            let (start, runs) = (func.cfg_stamp(), pcx.gvn.runs());
+            id.run(&mut pcx, &mut func).expect("converges");
+            if pcx.gvn.runs() > runs {
+                stamps.insert(start);
+            }
+            stamps.insert(func.cfg_stamp());
+        }
+        check_function_in_context(&mut ctx, &func, &CheckOptions::default());
+        stamps.insert(func.cfg_stamp());
+        let (_, misses) = ctx.analyses().take_cache_counts();
+        assert_eq!(misses, stamps.len() as u64, "{}", input.name);
+        builds += misses;
+        revisions += stamps.len() as u64;
+    }
+    assert!(builds < 3 * 200, "fewer builds than the three per routine the passes alone make");
+    assert_eq!(builds, revisions);
+}
+
+/// A direct edge edit declares nothing, and the next pass still gets
+/// the tree of the CFG as it is: folding a branch (and removing the arm
+/// it orphans, as UCE would) moves the CFG stamp, so `pre` builds a
+/// fresh tree instead of reusing `gvn`'s.
+#[test]
+fn a_direct_edge_edit_gets_a_fresh_tree() {
+    use pgvn::analysis::CfgAnalyses;
+    use pgvn::ir::InstKind;
+    use pgvn::transform::{OptimizeReport, PassContext, PassId};
+
+    let src = "routine f(a, b) {
+        if (a > b) { x = a + b; } else { x = a - b; }
+        y = a + b;
+        return x + y;
+    }";
+    let mut func = compile(src, SsaStyle::Pruned).unwrap();
+    let mut ctx = GvnContext::new();
+    let cfg = GvnConfig::full();
+    let mut tel = Telemetry::off();
+    let mut report = OptimizeReport::default();
+    let mut pcx = PassContext::new(&mut ctx, &cfg, &mut tel, &mut report);
+    PassId::Gvn.run(&mut pcx, &mut func).unwrap();
+    let before = pcx.gvn.analyses().cfg(&func).clone();
+    let branch = func
+        .blocks()
+        .find(|&b| func.terminator(b).is_some_and(|t| matches!(func.kind(t), InstKind::Branch(_))))
+        .expect("gvn cannot decide a > b");
+    let orphan = func.edge_to(func.succs(branch)[1]);
+    func.fold_branch_to(branch, 0);
+    func.remove_block(orphan);
+    let misses = pcx.gvn.analyses().misses();
+    PassId::Pre.run(&mut pcx, &mut func).unwrap();
+    assert_eq!(pcx.gvn.analyses().misses(), misses + 1, "pre's request rebuilt the tree");
+    let used = pcx.gvn.analyses().cfg(&func);
+    assert_eq!(*used, CfgAnalyses::compute(&func), "pre used the tree of the folded CFG");
+    assert_ne!(*used, before, "the fold changed the tree");
+}
+
 // ---------------------------------------------------------------------
 // Differential validation of PRE-containing pipelines
 // ---------------------------------------------------------------------

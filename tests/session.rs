@@ -337,7 +337,7 @@ fn failed_truncated_and_panicked_runs_are_never_reused() {
 /// reuses that run instead of analyzing again.
 #[test]
 fn the_check_gate_reuses_a_no_op_final_gvn() {
-    use pgvn::transform::{check_function_with, AnalysisManager, CheckOptions};
+    use pgvn::transform::{check_function, check_function_in_context, CheckOptions};
 
     let funcs = corpus(40, 7);
     let mut ctx = GvnContext::new();
@@ -352,10 +352,9 @@ fn the_check_gate_reuses_a_no_op_final_gvn() {
         gvn.optimize_traced_with(&mut ctx, &mut f, &mut Telemetry::off()).unwrap();
         let no_op = f.to_string() == before;
         let runs = ctx.runs();
-        let engine = check_function_with(&mut ctx, &mut AnalysisManager::new(), &f, &opts);
+        let engine = check_function_in_context(&mut ctx, &f, &opts);
         assert_eq!(ctx.runs() == runs, no_op, "routine {i}: the gate reuses iff gvn was a no-op");
-        let fresh =
-            check_function_with(&mut GvnContext::new(), &mut AnalysisManager::new(), &f, &opts);
+        let fresh = check_function(&f, &opts);
         assert_eq!(engine.to_json_array(), fresh.to_json_array(), "routine {i}: diagnostics");
         no_ops += usize::from(no_op);
     }
