@@ -3,7 +3,7 @@
 //! Every GVN run needs a pile of scratch state: the expression interner
 //! and its operand arenas, the congruence-class partition, the
 //! `TOUCHED`/`REACHABLE` bitsets, edge/block predicate tables, the §3
-//! inference gates and memo caches, and the driver's per-touch buffers
+//! inference gates, and the driver's per-touch buffers
 //! (reassociation output, φ argument lists, the φ-predication
 //! traversal). Building any of that per routine or per touch undercuts
 //! the paper's sparseness argument — on batch workloads the allocator,
@@ -59,7 +59,7 @@
 //! meaningful within one run, so every semantic structure is wiped at
 //! run start: the interner restarts at id 0, the partition relinks all
 //! values into `INITIAL`, predicate tables are cleared to `None`, and
-//! both inference caches are invalidated. Nothing observable can leak
+//! the §3 inference gates are emptied. Nothing observable can leak
 //! from one routine into the next — `tests/session.rs` asserts that a
 //! shared context and a fresh context produce identical results over
 //! generated corpora. The memo does not weaken this: a hit returns what
@@ -74,61 +74,13 @@
 use crate::classes::Classes;
 use crate::config::GvnConfig;
 use crate::driver::Scratch;
-use crate::expr::{ExprId, FxBuildHasher, Interner};
+use crate::expr::{ExprId, Interner};
 use crate::predicate::Pred;
 use crate::results::GvnStats;
 use pgvn_analysis::AnalysisManager;
-use pgvn_ir::{Block, CmpOp, Edge, EntityRef, EntitySet, Function, FunctionStamp, Inst, Value};
-use std::collections::HashMap;
+use pgvn_ir::{Block, Edge, EntitySet, Function, FunctionStamp, Inst, Value};
 
 use crate::classes::ClassId;
-
-/// An epoch-stamped dense memo for value inference (§3: "the result of
-/// the first value inference can be cached").
-///
-/// Keys are `(starting block, value)`; the value index is dense, so the
-/// memo is one slot per value with the block stored alongside. The
-/// driver invalidates it at every block boundary and on every class
-/// movement — with a `HashMap` each invalidation rehashed and freed;
-/// here [`ViCache::clear`] is a single epoch bump and `get`/`insert`
-/// are array accesses. The memo is lossy (one slot per value): a
-/// colliding starting block misses and deterministically recomputes the
-/// same answer, so only the hit *counter* can differ from an exact map,
-/// never a result.
-#[derive(Debug, Default)]
-pub struct ViCache {
-    /// Per-value `(epoch, starting block, inferred expression)`.
-    entries: Vec<(u64, Block, ExprId)>,
-    epoch: u64,
-}
-
-impl ViCache {
-    /// Resets the memo for a routine with `num_values` value slots,
-    /// keeping the allocation.
-    fn prepare(&mut self, num_values: usize) {
-        self.entries.clear();
-        self.entries.resize(num_values, (0, Block::new(0), ExprId::from_raw(0)));
-        self.epoch = 1;
-    }
-
-    /// Invalidates every entry in O(1) by advancing the epoch.
-    pub fn clear(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// The memoized inference for `v` starting at `b`, if current.
-    pub fn get(&self, b: Block, v: Value) -> Option<ExprId> {
-        let &(epoch, block, expr) = self.entries.get(v.index())?;
-        (epoch == self.epoch && block == b).then_some(expr)
-    }
-
-    /// Memoizes the inference for `v` starting at `b`.
-    pub fn insert(&mut self, b: Block, v: Value, expr: ExprId) {
-        if let Some(slot) = self.entries.get_mut(v.index()) {
-            *slot = (self.epoch, b, expr);
-        }
-    }
-}
 
 /// Capacity snapshot of a context's dominant allocations, for asserting
 /// allocation amortization: after a warm-up pass over a routine corpus,
@@ -202,13 +154,6 @@ pub struct GvnContext {
     pub(crate) pred_operands: EntitySet<ExprId>,
     /// §3: blocks permanently nullified after an aborted φ-predication.
     pub(crate) nullified_blocks: EntitySet<Block>,
-    /// §3 memo for value inference (dense, epoch-invalidated).
-    pub(crate) vi_cache: ViCache,
-    /// §3 memo for predicate inference. The key `(block, op, lhs, rhs)`
-    /// is genuinely sparse — most blocks never query most predicates —
-    /// so this stays a hash map (under the interner's Fx hasher); the
-    /// context reuses its allocation.
-    pub(crate) pi_cache: HashMap<(Block, CmpOp, ExprId, ExprId), ExprId, FxBuildHasher>,
     /// The driver's per-touch working buffers.
     pub(crate) scratch: Scratch,
     /// The last converged run, if the scratch still holds its answer.
@@ -260,8 +205,6 @@ impl GvnContext {
         self.inferenceable_classes.clear();
         self.pred_operands.clear();
         self.nullified_blocks.clear();
-        self.vi_cache.prepare(0);
-        self.pi_cache.clear();
         self.scratch.pred.prepare(0);
     }
 
@@ -293,8 +236,6 @@ impl GvnContext {
         self.inferenceable_classes.clear();
         self.pred_operands.clear();
         self.nullified_blocks.clear();
-        self.vi_cache.prepare(func.value_capacity());
-        self.pi_cache.clear();
         self.scratch.pred.prepare(func.block_capacity());
     }
 
@@ -323,22 +264,6 @@ impl GvnContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vi_cache_epoch_invalidation() {
-        let mut c = ViCache::default();
-        c.prepare(4);
-        let b = Block::new(1);
-        let e = ExprId::from_raw(7);
-        assert_eq!(c.get(b, Value::new(2)), None);
-        c.insert(b, Value::new(2), e);
-        assert_eq!(c.get(b, Value::new(2)), Some(e));
-        assert_eq!(c.get(Block::new(0), Value::new(2)), None, "block mismatch misses");
-        c.clear();
-        assert_eq!(c.get(b, Value::new(2)), None, "epoch bump invalidates");
-        c.insert(b, Value::new(2), e);
-        assert_eq!(c.get(b, Value::new(2)), Some(e));
-    }
 
     #[test]
     fn context_clear_keeps_capacity() {

@@ -17,9 +17,9 @@ mod phipred;
 
 use crate::classes::{ClassId, Classes, Leader};
 use crate::config::{GvnConfig, Mode, Variant};
-use crate::context::{GvnContext, Memo, ViCache};
+use crate::context::{GvnContext, Memo};
 use crate::error::{BudgetKind, FaultKind, FaultSite, GvnError};
-use crate::expr::{ExprId, ExprKind, FxBuildHasher, Interner, PhiKey};
+use crate::expr::{ExprId, ExprKind, Interner, PhiKey};
 use crate::linear::{LinearExpr, LinearView};
 use crate::predicate::{implies, Pred};
 use crate::results::{GvnResults, GvnStats, RunOutcome};
@@ -28,7 +28,6 @@ use pgvn_ir::{
     BinOp, Block, CmpOp, DefUse, Edge, EntityRef, EntitySet, Function, Inst, InstKind, UnOp, Value,
 };
 use pgvn_telemetry::{nanos_since, Metric, Telemetry, TraceEvent, METRICS};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Hard cap on RPO passes; hit only on non-convergence bugs (the stats
@@ -81,7 +80,7 @@ pub fn run(func: &Function, cfg: &GvnConfig) -> GvnResults {
 /// [`GvnError`] instead of a panic or a silently partial fixed point.
 ///
 /// All scratch state (interner, partition, worklists, predicate tables,
-/// inference caches) lives in `ctx` and is reset-without-free at run
+/// inference gates) lives in `ctx` and is reset-without-free at run
 /// start, so a stream of routines sharing one context is
 /// allocation-amortized; results never depend on what the context ran
 /// before (see the `context` module docs). Per-pass [`TraceEvent`]s go
@@ -246,13 +245,6 @@ struct Run<'f, 'c, 't, 's> {
     /// §3: blocks whose φ-predication aborted; permanently nullified when
     /// the corresponding config flag is set.
     nullified_blocks: &'c mut EntitySet<Block>,
-    /// §3: memo for value inference ("the result of the first value
-    /// inference can be cached"), keyed by the walk's *starting block*
-    /// and the value; invalidated on class movement.
-    vi_cache: &'c mut ViCache,
-    /// §3: memo for predicate inference, keyed by starting block and
-    /// canonical predicate.
-    pi_cache: &'c mut HashMap<(Block, CmpOp, ExprId, ExprId), ExprId, FxBuildHasher>,
     /// Per-touch working buffers (see [`Scratch`]).
     scratch: &'c mut Scratch,
     stats: GvnStats,
@@ -328,8 +320,6 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             inferenceable_classes,
             pred_operands,
             nullified_blocks,
-            vi_cache,
-            pi_cache,
             scratch,
             analyses,
             ..
@@ -365,8 +355,6 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             inferenceable_classes,
             pred_operands,
             nullified_blocks,
-            vi_cache,
-            pi_cache,
             scratch,
             stats: GvnStats::default(),
             any_change: false,
@@ -421,7 +409,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
     }
 
     fn touch_inst(&mut self, i: Inst) {
-        touch(self.touched_insts, &mut self.stats, i);
+        touch(self.touched_insts, &mut self.stats, self.func, self.rpo, i);
     }
 
     fn touch_block_insts(&mut self, b: Block) {
@@ -510,24 +498,6 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                         return Ok(RunOutcome::BudgetTime);
                     }
                 }
-                // Inference-cache invalidation audit (see also the clears
-                // on class movement in `congruence_finding`): both memos
-                // are keyed by the walk's *starting block*, and a cached
-                // answer depends on (a) the current edge-predicate tables
-                // and (b) the current partition along the dominator walk.
-                // Clearing at every block boundary and on every class
-                // movement over-approximates both dependencies within a
-                // pass. Across passes nothing needs special handling:
-                // reachability only *grows* (monotone, §2.4), it never
-                // refines away an edge mid-run, and every pass re-enters
-                // this loop which clears before the first query of each
-                // block. A cached inference can therefore never outlive
-                // the facts it was derived from; cross-*run* staleness is
-                // impossible because `GvnContext::prepare` wipes both
-                // caches at run start (asserted by tests/session.rs).
-                self.vi_cache.clear();
-                self.pi_cache.clear();
-                self.stats.vi_cache_evictions += 1;
                 self.span_end = None;
                 if self.touched_blocks.remove(b)
                     && self.reach_blocks.contains(b)
@@ -624,16 +594,12 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             self.tel.count(Metric::InternerMisses, stats.hash_cons_misses);
             self.tel.count(Metric::InternerTableGrowths, self.interner.growths());
             self.tel.observe(Metric::InternerExprs, stats.interned_exprs);
-            self.tel.count(Metric::ViCacheHits, stats.vi_cache_hits);
-            self.tel.count(Metric::ViCacheMisses, stats.vi_cache_misses);
-            self.tel.count(Metric::ViCacheEvictions, stats.vi_cache_evictions);
             self.tel.count(Metric::ValueInferenceVisits, stats.value_inference_visits);
             self.tel.count(Metric::PredicateInferenceVisits, stats.predicate_inference_visits);
             self.tel.count(Metric::PhiPredicationVisits, stats.phi_predication_visits);
             self.tel.count(Metric::ViGateSkips, stats.vi_gate_skips);
             self.tel.count(Metric::PiGateSkips, stats.pi_gate_skips);
             self.tel.count(Metric::ReassocCapHits, stats.reassoc_cap_hits);
-            self.tel.count(Metric::PiCacheHits, stats.pi_cache_hits);
         }
         self.tel.emit(|| TraceEvent::RunEnd { passes: stats.passes, converged });
         self.tel.flush();
@@ -667,7 +633,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                 if moved {
                     self.any_change = true;
                     for &u in self.defuse.uses(v) {
-                        touch(self.touched_insts, &mut self.stats, u);
+                        touch(self.touched_insts, &mut self.stats, self.func, self.rpo, u);
                     }
                 }
                 self.span_end = self.lap(Metric::CongruenceMerge, t0);
@@ -776,10 +742,14 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
 }
 
 /// Adds `i` to `TOUCHED`, counting a touch when it was not there yet.
-/// A free function over the two fields so callers can touch while they
-/// borrow other parts of the run (def-use lists, class members).
-fn touch(touched: &mut EntitySet<Inst>, stats: &mut GvnStats, i: Inst) {
-    if touched.insert(i) {
+/// The pass loop visits only blocks in RPO, so an instruction of a block
+/// the entry cannot reach (an orphan the IR still keeps, used through
+/// def-use chains) is never touched: it would stay in `TOUCHED` forever
+/// and the run would never converge. A free function over the fields it
+/// needs, so callers can touch while they borrow other parts of the run
+/// (def-use lists, class members).
+fn touch(touched: &mut EntitySet<Inst>, stats: &mut GvnStats, func: &Function, rpo: &Rpo, i: Inst) {
+    if rpo.is_reachable(func.inst_block(i)) && touched.insert(i) {
         stats.touches += 1;
     }
 }

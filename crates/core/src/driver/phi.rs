@@ -100,10 +100,6 @@ impl Run<'_, '_, '_, '_> {
         }
         self.classes.move_value(v, target);
         self.stats.class_merges += 1;
-        // Class movement can invalidate memoized inference results.
-        self.vi_cache.clear();
-        self.pi_cache.clear();
-        self.stats.vi_cache_evictions += 1;
         if c0 != ClassId::INITIAL
             && self.classes.size(c0) > 0
             && self.classes.leader(c0) == Leader::Value(v)
@@ -120,9 +116,9 @@ impl Run<'_, '_, '_, '_> {
             self.classes.set_leader(c0, Leader::Value(new_leader));
             for m in self.classes.members(c0) {
                 self.changed.insert(m);
-                touch(self.touched_insts, &mut self.stats, self.func.def(m));
+                touch(self.touched_insts, &mut self.stats, self.func, self.rpo, self.func.def(m));
                 for &u in self.defuse.uses(m) {
-                    touch(self.touched_insts, &mut self.stats, u);
+                    touch(self.touched_insts, &mut self.stats, self.func, self.rpo, u);
                 }
             }
         }

@@ -20,7 +20,7 @@
 
 use crate::linear::{append_terms, LinearView, Term};
 use pgvn_ir::{BinOp, Block, CmpOp, UnOp, Value};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// An interned expression reference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -111,10 +111,6 @@ impl Hasher for FxHasher {
         self.hash
     }
 }
-
-/// `BuildHasher` for std maps keyed like the interner (e.g. the
-/// predicate-inference memo).
-pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// The distinguishing context of a φ expression (§2.2, §2.8): a φ's
 /// expression carries either its block or — when φ-predication computed

@@ -50,7 +50,7 @@ pub mod shard;
 pub use annotate::{annotated, class_report};
 pub use classes::{ClassId, Classes, Leader};
 pub use config::{GvnConfig, Mode, Variant};
-pub use context::{ContextCapacities, GvnContext, ViCache};
+pub use context::{ContextCapacities, GvnContext};
 pub use driver::{run, try_run_traced_in_context};
 pub use error::{BudgetKind, FaultKind, FaultPlan, FaultSite, GvnBudget, GvnError};
 pub use expr::{ExprId, ExprKind, Interner, PhiKey};

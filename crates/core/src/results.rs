@@ -85,16 +85,6 @@ pub struct GvnStats {
     /// Predicate-inference queries skipped by the shared-operand gate
     /// before any dominator walk.
     pub pi_gate_skips: u64,
-    /// Value-inference queries answered from the per-block memo.
-    pub vi_cache_hits: u64,
-    /// Value-inference queries that missed the memo and walked the
-    /// dominator tree.
-    pub vi_cache_misses: u64,
-    /// Epoch bumps that invalidated the whole value-inference memo
-    /// (block-boundary and φ-predication clears).
-    pub vi_cache_evictions: u64,
-    /// Predicate-inference queries answered from the per-block memo.
-    pub pi_cache_hits: u64,
     /// `false` if the pass cap was hit before the fixed point (should
     /// never happen; monitored by tests).
     pub converged: bool,
@@ -136,10 +126,6 @@ impl GvnStats {
             .field_u64("reassoc_cap_hits", self.reassoc_cap_hits)
             .field_u64("vi_gate_skips", self.vi_gate_skips)
             .field_u64("pi_gate_skips", self.pi_gate_skips)
-            .field_u64("vi_cache_hits", self.vi_cache_hits)
-            .field_u64("vi_cache_misses", self.vi_cache_misses)
-            .field_u64("vi_cache_evictions", self.vi_cache_evictions)
-            .field_u64("pi_cache_hits", self.pi_cache_hits)
             .field_bool("converged", self.converged)
             .field_str("outcome", self.outcome.name());
         w.finish()

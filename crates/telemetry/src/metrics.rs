@@ -3,7 +3,7 @@
 //!
 //! Where [`crate::TraceEvent`]s narrate *what happened*, a
 //! [`MetricsRegistry`] aggregates *how much work* the hot layers did —
-//! worklist dynamics, hash-cons hit rates, inference-cache behavior,
+//! worklist dynamics, hash-cons hit rates, inference walks and gates,
 //! degradation-ladder rung occupancy, batch-engine shard balance — and
 //! *how long it took*: the timing-domain phase histograms
 //! ([`Metric::Cfg`] through [`Metric::EdgeProcessing`]) that
@@ -92,12 +92,14 @@ pub enum Metric {
     /// Hash-cons table capacity growths (rehashes). Zero once a session
     /// context is warm — scheduling-dependent in a batch.
     InternerTableGrowths,
-    /// Value-inference queries answered from the per-block memo.
+    /// Never recorded: the value-inference memo it counted hits of is
+    /// gone, and a zero counter is never rendered. It stays only because
+    /// `perfbench/src/trace.rs` reads it, until that replay is deleted
+    /// (ROADMAP item 3).
     ViCacheHits,
-    /// Value-inference queries that missed the memo and walked.
+    /// Never recorded, and kept for `perfbench/src/trace.rs` only, as
+    /// [`Metric::ViCacheHits`] is.
     ViCacheMisses,
-    /// Epoch bumps invalidating the whole value-inference memo.
-    ViCacheEvictions,
     /// Blocks visited by value inference (`Infer value at block` /
     /// `Infer value at edge`; §5: 0.91 per instruction).
     ValueInferenceVisits,
@@ -115,8 +117,6 @@ pub enum Metric {
     /// Reassociations abandoned because the combined linear form would
     /// exceed the operand cap.
     ReassocCapHits,
-    /// Predicate-inference queries answered from the per-block memo.
-    PiCacheHits,
     /// Pass-manager pass executions. Depends on pipeline length and
     /// ladder retry history — timing domain.
     PassRuns,
@@ -235,7 +235,7 @@ pub enum Metric {
 }
 
 /// All metrics, in catalog (and snapshot) order.
-pub const METRICS: [Metric; 66] = [
+pub const METRICS: [Metric; 64] = [
     Metric::DriverRuns,
     Metric::DriverReuses,
     Metric::DriverPasses,
@@ -249,14 +249,12 @@ pub const METRICS: [Metric; 66] = [
     Metric::InternerTableGrowths,
     Metric::ViCacheHits,
     Metric::ViCacheMisses,
-    Metric::ViCacheEvictions,
     Metric::ValueInferenceVisits,
     Metric::PredicateInferenceVisits,
     Metric::PhiPredicationVisits,
     Metric::ViGateSkips,
     Metric::PiGateSkips,
     Metric::ReassocCapHits,
-    Metric::PiCacheHits,
     Metric::PassRuns,
     Metric::AnalysisCacheHits,
     Metric::AnalysisCacheMisses,
@@ -321,14 +319,12 @@ impl Metric {
             Metric::InternerTableGrowths => "interner_table_growths",
             Metric::ViCacheHits => "vi_cache_hits",
             Metric::ViCacheMisses => "vi_cache_misses",
-            Metric::ViCacheEvictions => "vi_cache_evictions",
             Metric::ValueInferenceVisits => "value_inference_visits",
             Metric::PredicateInferenceVisits => "predicate_inference_visits",
             Metric::PhiPredicationVisits => "phi_predication_visits",
             Metric::ViGateSkips => "vi_gate_skips",
             Metric::PiGateSkips => "pi_gate_skips",
             Metric::ReassocCapHits => "reassoc_cap_hits",
-            Metric::PiCacheHits => "pi_cache_hits",
             Metric::PassRuns => "pass_runs",
             Metric::AnalysisCacheHits => "analysis_cache_hits",
             Metric::AnalysisCacheMisses => "analysis_cache_misses",
@@ -389,14 +385,12 @@ impl Metric {
             | Metric::InternerTableGrowths
             | Metric::ViCacheHits
             | Metric::ViCacheMisses
-            | Metric::ViCacheEvictions
             | Metric::ValueInferenceVisits
             | Metric::PredicateInferenceVisits
             | Metric::PhiPredicationVisits
             | Metric::ViGateSkips
             | Metric::PiGateSkips
             | Metric::ReassocCapHits
-            | Metric::PiCacheHits
             | Metric::PassRuns
             | Metric::AnalysisCacheHits
             | Metric::AnalysisCacheMisses
@@ -462,9 +456,7 @@ impl Metric {
             Metric::ViCacheHits
             | Metric::ViCacheMisses
             | Metric::ViGateSkips
-            | Metric::PiGateSkips
-            | Metric::PiCacheHits => "queries",
-            Metric::ViCacheEvictions => "epochs",
+            | Metric::PiGateSkips => "queries",
             Metric::ValueInferenceVisits
             | Metric::PredicateInferenceVisits
             | Metric::PhiPredicationVisits => "blocks",
@@ -880,7 +872,7 @@ mod tests {
         let s = MetricsRegistry::new().snapshot();
         let slots = s.scalars.len() + s.sums.len() + s.buckets.len();
         assert_eq!(slots, 2 * METRICS.len() + histograms * NUM_BUCKETS);
-        assert_eq!(slots, 804);
+        assert_eq!(slots, 800);
         for m in METRICS {
             assert_eq!(m.buckets().is_some(), m.kind() == MetricKind::Histogram, "{m:?}");
         }

@@ -1,7 +1,7 @@
 //! The static-analysis lint suite behind `pgvn check`.
 //!
-//! A [`Lint`] is one named check over a function; the [`LintRegistry`]
-//! owns the suite and [`check_function`] drives it, reporting every
+//! A [`LintId`] names one check over a function; [`LintId::ALL`] is the
+//! suite, and [`check_function`] runs all of it, reporting every
 //! finding into the shared [`DiagnosticEngine`] from `pgvn-ir`. Lints
 //! run on the **cached analyses** of the GVN context's
 //! [`AnalysisManager`] — the RPO and dominator tree the pipeline's last
@@ -56,85 +56,99 @@ pub mod codes {
     pub const MISSED_REDUNDANCY: &str = "missed_redundancy";
 }
 
-/// Everything a lint may consult: the function, the cached CFG
-/// analyses, the optional GVN results, and the engine to report into.
-pub struct LintContext<'a, 'e> {
-    /// The function under check.
-    pub func: &'a Function,
-    /// The cached CFG analyses from the context's [`AnalysisManager`].
-    pub cfg: &'a CfgAnalyses,
-    /// GVN results, present only for the GVN-backed phase.
-    pub gvn: Option<&'a GvnResults>,
-    /// Where findings go.
-    pub engine: &'e mut DiagnosticEngine,
+/// One check in the suite. Each reports zero or more [`Diagnostic`]s
+/// per run; every code it emits is stable and listed by
+/// [`LintId::codes`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum LintId {
+    /// SSA dominance of uses (`ssa_dominance`).
+    SsaDominance,
+    /// φ webs with no concrete source (`phi_cycle`).
+    PhiCycle,
+    /// Blocks the entry cannot reach (`unreachable_blocks`).
+    UnreachableBlocks,
+    /// Switch case and shift amount consistency (`type_width`).
+    TypeWidth,
+    /// Branches predication decides (`constant_branch`, GVN-backed).
+    ConstantBranch,
+    /// Computations congruent to a dominating one (`missed_redundancy`,
+    /// GVN-backed).
+    MissedRedundancy,
 }
 
-/// One check in the suite. Implementations report zero or more
-/// [`Diagnostic`]s per run; every code they emit must be stable and
-/// listed by [`Lint::codes`].
-pub trait Lint {
+impl LintId {
+    /// The full suite, in its canonical run order.
+    pub const ALL: [LintId; 6] = [
+        LintId::SsaDominance,
+        LintId::PhiCycle,
+        LintId::UnreachableBlocks,
+        LintId::TypeWidth,
+        LintId::ConstantBranch,
+        LintId::MissedRedundancy,
+    ];
+
     /// The lint's stable snake_case name.
-    fn name(&self) -> &'static str;
-    /// Every diagnostic code this lint can emit.
-    fn codes(&self) -> &'static [&'static str];
-    /// `true` when the lint consumes [`LintContext::gvn`]; such lints
-    /// are skipped when no GVN results are supplied.
-    fn needs_gvn(&self) -> bool {
-        false
-    }
-    /// Runs the check.
-    fn run(&self, cx: &mut LintContext<'_, '_>);
-}
-
-/// The ordered lint suite.
-#[derive(Default)]
-pub struct LintRegistry {
-    lints: Vec<Box<dyn Lint + Send + Sync>>,
-}
-
-impl LintRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    pub fn name(self) -> &'static str {
+        match self {
+            LintId::SsaDominance => "ssa_dominance",
+            LintId::PhiCycle => "phi_cycle",
+            LintId::UnreachableBlocks => "unreachable_blocks",
+            LintId::TypeWidth => "type_width",
+            LintId::ConstantBranch => "constant_branch",
+            LintId::MissedRedundancy => "missed_redundancy",
+        }
     }
 
-    /// The full built-in suite, in its canonical run order.
-    pub fn full() -> Self {
-        let mut reg = Self::new();
-        reg.register(Box::new(DominanceLint));
-        reg.register(Box::new(PhiCycleLint));
-        reg.register(Box::new(UnreachableBlockLint));
-        reg.register(Box::new(TypeWidthLint));
-        reg.register(Box::new(ConstantBranchLint));
-        reg.register(Box::new(MissedRedundancyLint));
-        reg
+    /// Every diagnostic code the lint can emit.
+    pub fn codes(self) -> &'static [&'static str] {
+        match self {
+            LintId::SsaDominance => &[codes::SSA_USE_NOT_DOMINATED],
+            LintId::PhiCycle => &[codes::PHI_CYCLE_NO_INIT],
+            LintId::UnreachableBlocks => &[codes::UNREACHABLE_BLOCK],
+            LintId::TypeWidth => &[codes::SWITCH_DUPLICATE_CASE, codes::SHIFT_AMOUNT_OOB],
+            LintId::ConstantBranch => &[codes::CONSTANT_BRANCH],
+            LintId::MissedRedundancy => &[codes::MISSED_REDUNDANCY],
+        }
     }
 
-    /// Appends a lint to the suite.
-    pub fn register(&mut self, lint: Box<dyn Lint + Send + Sync>) {
-        self.lints.push(lint);
+    /// `true` when the lint reads GVN results; such lints run only in the
+    /// GVN-backed phase.
+    pub fn needs_gvn(self) -> bool {
+        matches!(self, LintId::ConstantBranch | LintId::MissedRedundancy)
     }
 
-    /// The registered lints, in run order.
-    pub fn lints(&self) -> impl Iterator<Item = &(dyn Lint + Send + Sync)> {
-        self.lints.iter().map(Box::as_ref)
-    }
-
-    /// Runs one phase of the suite: lints whose [`Lint::needs_gvn`]
-    /// equals `gvn.is_some()`, against the supplied cached analyses.
-    pub fn run_phase(
-        &self,
+    /// Runs the check, reporting into `engine`. A GVN-backed lint given
+    /// no results reports nothing.
+    fn run(
+        self,
         func: &Function,
         cfg: &CfgAnalyses,
         gvn: Option<&GvnResults>,
         engine: &mut DiagnosticEngine,
     ) {
-        for lint in &self.lints {
-            if lint.needs_gvn() != gvn.is_some() {
-                continue;
-            }
-            let mut cx = LintContext { func, cfg, gvn, engine };
-            lint.run(&mut cx);
+        match (self, gvn) {
+            (LintId::SsaDominance, _) => ssa_dominance(func, cfg, engine),
+            (LintId::PhiCycle, _) => phi_cycle(func, engine),
+            (LintId::UnreachableBlocks, _) => unreachable_blocks(func, cfg, engine),
+            (LintId::TypeWidth, _) => type_width(func, engine),
+            (LintId::ConstantBranch, Some(gvn)) => constant_branch(func, gvn, engine),
+            (LintId::MissedRedundancy, Some(gvn)) => missed_redundancy(func, cfg, gvn, engine),
+            (LintId::ConstantBranch | LintId::MissedRedundancy, None) => {}
+        }
+    }
+}
+
+/// Runs one phase of the suite: the lints whose [`LintId::needs_gvn`]
+/// equals `gvn.is_some()`, in suite order.
+fn run_phase(
+    func: &Function,
+    cfg: &CfgAnalyses,
+    gvn: Option<&GvnResults>,
+    engine: &mut DiagnosticEngine,
+) {
+    for lint in LintId::ALL {
+        if lint.needs_gvn() == gvn.is_some() {
+            lint.run(func, cfg, gvn, engine);
         }
     }
 }
@@ -193,7 +207,6 @@ pub fn check_function_in_context(
     opts: &CheckOptions,
 ) -> DiagnosticEngine {
     let mut engine = DiagnosticEngine::new();
-    let reg = LintRegistry::full();
     // Phase 1: structural. Anything found here means the IR is not safe
     // to analyze further.
     verify_into(func, &mut engine);
@@ -202,7 +215,7 @@ pub fn check_function_in_context(
         return engine;
     }
     // Phase 2: analysis lints on the cached RPO + dominator tree.
-    reg.run_phase(func, ctx.analyses().cfg(func), None, &mut engine);
+    run_phase(func, ctx.analyses().cfg(func), None, &mut engine);
     // Phase 3: GVN-backed lints — only on IR with no error diagnostics,
     // since the driver assumes valid SSA, and only from a converged
     // partition: a run that fails or is truncated proves nothing.
@@ -210,7 +223,7 @@ pub fn check_function_in_context(
         if !engine.has_errors() {
             let tel = &mut Telemetry::off();
             if let Ok(results) = try_run_traced_in_context(ctx, func, gvn_cfg, tel) {
-                reg.run_phase(func, ctx.analyses().cfg(func), Some(&results), &mut engine);
+                run_phase(func, ctx.analyses().cfg(func), Some(&results), &mut engine);
             }
         }
     }
@@ -248,65 +261,52 @@ fn defined_before(
 /// SSA dominance-of-uses: every operand use dominated by its definition,
 /// with φ arguments used at the edge that carries them. Reports **all**
 /// violations, unlike the first-failure `pgvn_analysis::verify_ssa`.
-struct DominanceLint;
-
-impl Lint for DominanceLint {
-    fn name(&self) -> &'static str {
-        "ssa_dominance"
-    }
-
-    fn codes(&self) -> &'static [&'static str] {
-        &[codes::SSA_USE_NOT_DOMINATED]
-    }
-
-    fn run(&self, cx: &mut LintContext<'_, '_>) {
-        let (func, cfg) = (cx.func, cx.cfg);
-        for &b in cfg.rpo.order() {
-            for &inst in func.block_insts(b) {
-                match func.kind(inst) {
-                    InstKind::Phi(_) => {
-                        for (i, &arg) in func.phi_args(inst).iter().enumerate() {
-                            let edge = func.preds(b)[i];
-                            let pred = func.edge_from(edge);
-                            if !cfg.rpo.is_reachable(pred) {
-                                continue;
-                            }
-                            let def_block = func.def_block(arg);
-                            let ok = def_block == pred
-                                || cfg.domtree.strictly_dominates(def_block, pred)
-                                || (def_block == b && cfg.domtree.dominates(b, pred));
-                            if !ok {
-                                cx.engine.report(
-                                    Diagnostic::error(
-                                        codes::SSA_USE_NOT_DOMINATED,
-                                        format!(
-                                            "φ {inst} in {b}: argument {arg} (defined in \
-                                             {def_block}) does not dominate predecessor {pred}"
-                                        ),
-                                    )
-                                    .in_block(b)
-                                    .at_inst(inst),
-                                );
-                            }
+fn ssa_dominance(func: &Function, cfg: &CfgAnalyses, engine: &mut DiagnosticEngine) {
+    for &b in cfg.rpo.order() {
+        for &inst in func.block_insts(b) {
+            match func.kind(inst) {
+                InstKind::Phi(_) => {
+                    for (i, &arg) in func.phi_args(inst).iter().enumerate() {
+                        let edge = func.preds(b)[i];
+                        let pred = func.edge_from(edge);
+                        if !cfg.rpo.is_reachable(pred) {
+                            continue;
+                        }
+                        let def_block = func.def_block(arg);
+                        let ok = def_block == pred
+                            || cfg.domtree.strictly_dominates(def_block, pred)
+                            || (def_block == b && cfg.domtree.dominates(b, pred));
+                        if !ok {
+                            engine.report(
+                                Diagnostic::error(
+                                    codes::SSA_USE_NOT_DOMINATED,
+                                    format!(
+                                        "φ {inst} in {b}: argument {arg} (defined in \
+                                         {def_block}) does not dominate predecessor {pred}"
+                                    ),
+                                )
+                                .in_block(b)
+                                .at_inst(inst),
+                            );
                         }
                     }
-                    _ => {
-                        func.visit_args(inst, |v| {
-                            if !defined_before(func, cfg, func.def(v), inst, b) {
-                                cx.engine.report(
-                                    Diagnostic::error(
-                                        codes::SSA_USE_NOT_DOMINATED,
-                                        format!(
-                                            "{inst} in {b} uses {v} before its definition \
-                                             dominates it"
-                                        ),
-                                    )
-                                    .in_block(b)
-                                    .at_inst(inst),
-                                );
-                            }
-                        });
-                    }
+                }
+                _ => {
+                    func.visit_args(inst, |v| {
+                        if !defined_before(func, cfg, func.def(v), inst, b) {
+                            engine.report(
+                                Diagnostic::error(
+                                    codes::SSA_USE_NOT_DOMINATED,
+                                    format!(
+                                        "{inst} in {b} uses {v} before its definition \
+                                         dominates it"
+                                    ),
+                                )
+                                .in_block(b)
+                                .at_inst(inst),
+                            );
+                        }
+                    });
                 }
             }
         }
@@ -317,92 +317,67 @@ impl Lint for DominanceLint {
 /// arguments, never reaches a non-φ definition has no concrete source —
 /// the degenerate webs dominance checking alone cannot see (they hide in
 /// self-sustaining loops the reachable-dominance rules skip).
-struct PhiCycleLint;
-
-impl Lint for PhiCycleLint {
-    fn name(&self) -> &'static str {
-        "phi_cycle"
-    }
-
-    fn codes(&self) -> &'static [&'static str] {
-        &[codes::PHI_CYCLE_NO_INIT]
-    }
-
-    fn run(&self, cx: &mut LintContext<'_, '_>) {
-        let func = cx.func;
-        // grounded[i] = instruction i is a φ known to (transitively)
-        // draw from at least one non-φ definition.
-        let mut grounded = vec![false; func.inst_capacity()];
-        let mut phis: Vec<Inst> = Vec::new();
-        for b in func.blocks() {
-            for &inst in func.block_insts(b) {
-                if func.kind(inst).is_phi() {
-                    phis.push(inst);
-                }
+fn phi_cycle(func: &Function, engine: &mut DiagnosticEngine) {
+    // grounded[i] = instruction i is a φ known to (transitively)
+    // draw from at least one non-φ definition.
+    let mut grounded = vec![false; func.inst_capacity()];
+    let mut phis: Vec<Inst> = Vec::new();
+    for b in func.blocks() {
+        for &inst in func.block_insts(b) {
+            if func.kind(inst).is_phi() {
+                phis.push(inst);
             }
         }
-        // Fixpoint: ground a φ as soon as any argument is a non-φ or a
-        // grounded φ. Terminates in ≤ |phis| rounds.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &phi in &phis {
-                if grounded[phi.index()] {
-                    continue;
-                }
-                let has_source = func.phi_args(phi).iter().any(|&a| {
-                    let def = func.def(a);
-                    !func.kind(def).is_phi() || grounded[def.index()]
-                });
-                if has_source {
-                    grounded[phi.index()] = true;
-                    changed = true;
-                }
-            }
-        }
+    }
+    // Fixpoint: ground a φ as soon as any argument is a non-φ or a
+    // grounded φ. Terminates in ≤ |phis| rounds.
+    let mut changed = true;
+    while changed {
+        changed = false;
         for &phi in &phis {
-            if !grounded[phi.index()] {
-                let b = func.inst_block(phi);
-                cx.engine.report(
-                    Diagnostic::error(
-                        codes::PHI_CYCLE_NO_INIT,
-                        format!(
-                            "φ {phi} in {b} draws only from φs and never reaches a concrete \
-                             definition (use-before-def through a φ cycle)"
-                        ),
-                    )
-                    .in_block(b)
-                    .at_inst(phi),
-                );
+            if grounded[phi.index()] {
+                continue;
             }
+            let has_source = func.phi_args(phi).iter().any(|&a| {
+                let def = func.def(a);
+                !func.kind(def).is_phi() || grounded[def.index()]
+            });
+            if has_source {
+                grounded[phi.index()] = true;
+                changed = true;
+            }
+        }
+    }
+    for &phi in &phis {
+        if !grounded[phi.index()] {
+            let b = func.inst_block(phi);
+            engine.report(
+                Diagnostic::error(
+                    codes::PHI_CYCLE_NO_INIT,
+                    format!(
+                        "φ {phi} in {b} draws only from φs and never reaches a concrete \
+                         definition (use-before-def through a φ cycle)"
+                    ),
+                )
+                .in_block(b)
+                .at_inst(phi),
+            );
         }
     }
 }
 
 /// CFG hygiene: live blocks with no path from the entry. Legal IR — the
 /// optimizer removes them — but usually a sign of a broken producer.
-struct UnreachableBlockLint;
-
-impl Lint for UnreachableBlockLint {
-    fn name(&self) -> &'static str {
-        "unreachable_blocks"
-    }
-
-    fn codes(&self) -> &'static [&'static str] {
-        &[codes::UNREACHABLE_BLOCK]
-    }
-
-    fn run(&self, cx: &mut LintContext<'_, '_>) {
-        for b in cx.func.blocks() {
-            if !cx.cfg.rpo.is_reachable(b) {
-                cx.engine.report(
-                    Diagnostic::warn(
-                        codes::UNREACHABLE_BLOCK,
-                        format!("block {b} is unreachable from the entry"),
-                    )
-                    .in_block(b),
-                );
-            }
+fn unreachable_blocks(func: &Function, cfg: &CfgAnalyses, engine: &mut DiagnosticEngine) {
+    for b in func.blocks() {
+        if !cfg.rpo.is_reachable(b) {
+            engine.report(
+                Diagnostic::warn(
+                    codes::UNREACHABLE_BLOCK,
+                    format!("block {b} is unreachable from the entry"),
+                )
+                .in_block(b),
+            );
         }
     }
 }
@@ -411,63 +386,50 @@ impl Lint for UnreachableBlockLint {
 /// must be unique (the documented `InstKind::Switch` invariant), and a
 /// constant shift amount outside `0..=63` is almost certainly not what
 /// the producer meant, even though execution masks it.
-struct TypeWidthLint;
-
-impl Lint for TypeWidthLint {
-    fn name(&self) -> &'static str {
-        "type_width"
-    }
-
-    fn codes(&self) -> &'static [&'static str] {
-        &[codes::SWITCH_DUPLICATE_CASE, codes::SHIFT_AMOUNT_OOB]
-    }
-
-    fn run(&self, cx: &mut LintContext<'_, '_>) {
-        let func = cx.func;
-        for b in func.blocks() {
-            for &inst in func.block_insts(b) {
-                match func.kind(inst) {
-                    InstKind::Switch(..) => {
-                        let mut seen: Vec<i64> = Vec::new();
-                        let mut reported: Vec<i64> = Vec::new();
-                        for &k in func.switch_cases(inst) {
-                            if seen.contains(&k) && !reported.contains(&k) {
-                                reported.push(k);
-                                cx.engine.report(
-                                    Diagnostic::error(
-                                        codes::SWITCH_DUPLICATE_CASE,
-                                        format!(
-                                            "switch {inst} in {b} lists case value {k} more \
-                                             than once"
-                                        ),
-                                    )
-                                    .in_block(b)
-                                    .at_inst(inst),
-                                );
-                            }
-                            seen.push(k);
+fn type_width(func: &Function, engine: &mut DiagnosticEngine) {
+    for b in func.blocks() {
+        for &inst in func.block_insts(b) {
+            match func.kind(inst) {
+                InstKind::Switch(..) => {
+                    let mut seen: Vec<i64> = Vec::new();
+                    let mut reported: Vec<i64> = Vec::new();
+                    for &k in func.switch_cases(inst) {
+                        if seen.contains(&k) && !reported.contains(&k) {
+                            reported.push(k);
+                            engine.report(
+                                Diagnostic::error(
+                                    codes::SWITCH_DUPLICATE_CASE,
+                                    format!(
+                                        "switch {inst} in {b} lists case value {k} more \
+                                         than once"
+                                    ),
+                                )
+                                .in_block(b)
+                                .at_inst(inst),
+                            );
                         }
+                        seen.push(k);
                     }
-                    InstKind::Binary(op @ (BinOp::Shl | BinOp::Shr), _, amt) => {
-                        if let Some(k) = func.value_as_const(*amt) {
-                            if !(0..=63).contains(&k) {
-                                let masked = k as u32 & 63;
-                                cx.engine.report(
-                                    Diagnostic::advisory(
-                                        codes::SHIFT_AMOUNT_OOB,
-                                        format!(
-                                            "{op} {inst} in {b} has constant shift amount {k} \
-                                             outside 0..=63; execution masks it to {masked}"
-                                        ),
-                                    )
-                                    .in_block(b)
-                                    .at_inst(inst),
-                                );
-                            }
-                        }
-                    }
-                    _ => {}
                 }
+                InstKind::Binary(op @ (BinOp::Shl | BinOp::Shr), _, amt) => {
+                    if let Some(k) = func.value_as_const(*amt) {
+                        if !(0..=63).contains(&k) {
+                            let masked = k as u32 & 63;
+                            engine.report(
+                                Diagnostic::advisory(
+                                    codes::SHIFT_AMOUNT_OOB,
+                                    format!(
+                                        "{op} {inst} in {b} has constant shift amount {k} \
+                                         outside 0..=63; execution masks it to {masked}"
+                                    ),
+                                )
+                                .in_block(b)
+                                .at_inst(inst),
+                            );
+                        }
+                    }
+                }
+                _ => {}
             }
         }
     }
@@ -476,62 +438,44 @@ impl Lint for TypeWidthLint {
 /// Predicate-derived constant branches: the paper's π/predication
 /// machinery (carried in [`GvnResults`] edge reachability and constant
 /// values) proves a branch or switch always goes one way.
-struct ConstantBranchLint;
-
-impl Lint for ConstantBranchLint {
-    fn name(&self) -> &'static str {
-        "constant_branch"
-    }
-
-    fn codes(&self) -> &'static [&'static str] {
-        &[codes::CONSTANT_BRANCH]
-    }
-
-    fn needs_gvn(&self) -> bool {
-        true
-    }
-
-    fn run(&self, cx: &mut LintContext<'_, '_>) {
-        let func = cx.func;
-        let gvn = cx.gvn.expect("constant_branch runs in the GVN phase");
-        for b in func.blocks() {
-            if !gvn.is_block_reachable(b) {
-                continue;
-            }
-            let Some(term) = func.terminator(b) else { continue };
-            let scrutinee = match func.kind(term) {
-                InstKind::Branch(v) | InstKind::Switch(v, _) => *v,
-                _ => continue,
-            };
-            if let Some(k) = gvn.constant_value(scrutinee) {
-                cx.engine.report(
-                    Diagnostic::warn(
-                        codes::CONSTANT_BRANCH,
-                        format!(
-                            "{term} in {b} branches on {scrutinee}, provably the constant {k}: \
-                             only one successor is ever taken"
-                        ),
-                    )
-                    .in_block(b)
-                    .at_inst(term),
-                );
-                continue;
-            }
-            let total = func.succs(b).len();
-            let dead = func.succs(b).iter().filter(|&&e| !gvn.is_edge_reachable(e)).count();
-            if dead > 0 {
-                cx.engine.report(
-                    Diagnostic::warn(
-                        codes::CONSTANT_BRANCH,
-                        format!(
-                            "{term} in {b}: predication proves {dead} of {total} outgoing \
-                             edges never taken"
-                        ),
-                    )
-                    .in_block(b)
-                    .at_inst(term),
-                );
-            }
+fn constant_branch(func: &Function, gvn: &GvnResults, engine: &mut DiagnosticEngine) {
+    for b in func.blocks() {
+        if !gvn.is_block_reachable(b) {
+            continue;
+        }
+        let Some(term) = func.terminator(b) else { continue };
+        let scrutinee = match func.kind(term) {
+            InstKind::Branch(v) | InstKind::Switch(v, _) => *v,
+            _ => continue,
+        };
+        if let Some(k) = gvn.constant_value(scrutinee) {
+            engine.report(
+                Diagnostic::warn(
+                    codes::CONSTANT_BRANCH,
+                    format!(
+                        "{term} in {b} branches on {scrutinee}, provably the constant {k}: \
+                         only one successor is ever taken"
+                    ),
+                )
+                .in_block(b)
+                .at_inst(term),
+            );
+            continue;
+        }
+        let total = func.succs(b).len();
+        let dead = func.succs(b).iter().filter(|&&e| !gvn.is_edge_reachable(e)).count();
+        if dead > 0 {
+            engine.report(
+                Diagnostic::warn(
+                    codes::CONSTANT_BRANCH,
+                    format!(
+                        "{term} in {b}: predication proves {dead} of {total} outgoing \
+                         edges never taken"
+                    ),
+                )
+                .in_block(b)
+                .at_inst(term),
+            );
         }
     }
 }
@@ -539,76 +483,60 @@ impl Lint for ConstantBranchLint {
 /// Missed-redundancy advisory over the final GVN partition: a reachable
 /// computation congruent to one that dominates it is a redundancy the
 /// GVN-driven rewrite would have eliminated.
-struct MissedRedundancyLint;
-
-impl MissedRedundancyLint {
-    /// Real computations only: constants, params, copies, φs and opaques
-    /// are either canonical or free.
-    fn is_computation(kind: &InstKind) -> bool {
-        matches!(kind, InstKind::Unary(..) | InstKind::Binary(..) | InstKind::Cmp(..))
-    }
-}
-
-impl Lint for MissedRedundancyLint {
-    fn name(&self) -> &'static str {
-        "missed_redundancy"
-    }
-
-    fn codes(&self) -> &'static [&'static str] {
-        &[codes::MISSED_REDUNDANCY]
-    }
-
-    fn needs_gvn(&self) -> bool {
-        true
-    }
-
-    fn run(&self, cx: &mut LintContext<'_, '_>) {
-        let func = cx.func;
-        let gvn = cx.gvn.expect("missed_redundancy runs in the GVN phase");
-        // Walk values in RPO so dominators are seen before what they
-        // dominate; keep every prior member of a class as a candidate.
-        let mut members: BTreeMap<ClassId, Vec<Inst>> = BTreeMap::new();
-        for &b in cx.cfg.rpo.order() {
-            if !gvn.is_block_reachable(b) {
+fn missed_redundancy(
+    func: &Function,
+    cfg: &CfgAnalyses,
+    gvn: &GvnResults,
+    engine: &mut DiagnosticEngine,
+) {
+    // Walk values in RPO so dominators are seen before what they
+    // dominate; keep every prior member of a class as a candidate.
+    let mut members: BTreeMap<ClassId, Vec<Inst>> = BTreeMap::new();
+    for &b in cfg.rpo.order() {
+        if !gvn.is_block_reachable(b) {
+            continue;
+        }
+        for &inst in func.block_insts(b) {
+            // Real computations only: constants, params, copies, φs and
+            // opaques are either canonical or free.
+            if !matches!(
+                func.kind(inst),
+                InstKind::Unary(..) | InstKind::Binary(..) | InstKind::Cmp(..)
+            ) {
                 continue;
             }
-            for &inst in func.block_insts(b) {
-                if !Self::is_computation(func.kind(inst)) {
-                    continue;
-                }
-                let Some(v) = func.inst_result(inst) else { continue };
-                if gvn.is_value_unreachable(v) || gvn.constant_value(v).is_some() {
-                    continue;
-                }
-                let class = gvn.class_of(v);
-                let prior = members.entry(class).or_default();
-                let redundant_with = prior.iter().copied().find(|&earlier| {
-                    let eb = func.inst_block(earlier);
-                    if eb == b {
-                        matches!(
-                            (inst_pos(func, b, earlier), inst_pos(func, b, inst)),
-                            (Some(d), Some(u)) if d < u
-                        )
-                    } else {
-                        cx.cfg.domtree.strictly_dominates(eb, b)
-                    }
-                });
-                if let Some(earlier) = redundant_with {
-                    cx.engine.report(
-                        Diagnostic::advisory(
-                            codes::MISSED_REDUNDANCY,
-                            format!(
-                                "{inst} in {b} recomputes the value of {earlier} in {} \
-                                 (same congruence class): redundancy elimination would reuse it",
-                                func.inst_block(earlier)
-                            ),
-                        )
-                        .in_block(b)
-                        .at_inst(inst),
-                    );
-                }
-                prior.push(inst);
+            let Some(v) = func.inst_result(inst) else { continue };
+            if gvn.is_value_unreachable(v) || gvn.constant_value(v).is_some() {
+                continue;
             }
+            let class = gvn.class_of(v);
+            let prior = members.entry(class).or_default();
+            let redundant_with = prior.iter().copied().find(|&earlier| {
+                let eb = func.inst_block(earlier);
+                if eb == b {
+                    matches!(
+                        (inst_pos(func, b, earlier), inst_pos(func, b, inst)),
+                        (Some(d), Some(u)) if d < u
+                    )
+                } else {
+                    cfg.domtree.strictly_dominates(eb, b)
+                }
+            });
+            if let Some(earlier) = redundant_with {
+                engine.report(
+                    Diagnostic::advisory(
+                        codes::MISSED_REDUNDANCY,
+                        format!(
+                            "{inst} in {b} recomputes the value of {earlier} in {} \
+                             (same congruence class): redundancy elimination would reuse it",
+                            func.inst_block(earlier)
+                        ),
+                    )
+                    .in_block(b)
+                    .at_inst(inst),
+                );
+            }
+            prior.push(inst);
         }
     }
 }
@@ -636,8 +564,7 @@ mod tests {
 
     #[test]
     fn registry_lists_the_full_suite() {
-        let reg = LintRegistry::full();
-        let names: Vec<&str> = reg.lints().map(|l| l.name()).collect();
+        let names: Vec<&str> = LintId::ALL.iter().map(|l| l.name()).collect();
         assert_eq!(
             names,
             [
@@ -649,7 +576,7 @@ mod tests {
                 "missed_redundancy"
             ]
         );
-        for lint in reg.lints() {
+        for lint in LintId::ALL {
             assert!(!lint.codes().is_empty(), "{} lists its codes", lint.name());
         }
     }

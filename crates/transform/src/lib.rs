@@ -36,8 +36,7 @@ pub mod resilient;
 pub mod rewrite;
 
 pub use check::{
-    check_function, check_function_in_context, check_function_with, CheckOptions, Lint,
-    LintContext, LintRegistry,
+    check_function, check_function_in_context, check_function_with, CheckOptions, LintId,
 };
 pub use dce::eliminate_dead_code;
 pub use pass::pre::{eliminate_partial_redundancies, PreStats};

@@ -143,8 +143,6 @@ fn stats_json_emits_one_well_formed_object() {
         "reassoc_cap_hits",
         "vi_gate_skips",
         "pi_gate_skips",
-        "vi_cache_hits",
-        "pi_cache_hits",
     ] {
         assert!(
             stats.get(field).and_then(JsonValue::as_u64).is_some(),

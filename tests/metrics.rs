@@ -155,14 +155,13 @@ fn catalog_counters_equal_summed_per_run_stats() {
     assert_eq!(snap.value(Metric::DriverRuns), runs.len() as u64);
     type Field = fn(&GvnStats) -> u64;
     let sum = |field: Field| runs.iter().map(field).sum::<u64>();
-    let counters: [(Metric, Field); 7] = [
+    let counters: [(Metric, Field); 6] = [
         (Metric::ValueInferenceVisits, |s| s.value_inference_visits),
         (Metric::PredicateInferenceVisits, |s| s.predicate_inference_visits),
         (Metric::PhiPredicationVisits, |s| s.phi_predication_visits),
         (Metric::ViGateSkips, |s| s.vi_gate_skips),
         (Metric::PiGateSkips, |s| s.pi_gate_skips),
         (Metric::ReassocCapHits, |s| s.reassoc_cap_hits),
-        (Metric::PiCacheHits, |s| s.pi_cache_hits),
     ];
     for (m, field) in counters {
         assert_eq!(snap.value(m), sum(field), "{}", m.name());

@@ -9,7 +9,7 @@ use pgvn::core::{
     try_run_traced_in_context, BudgetKind, FaultKind, FaultPlan, FaultSite, GvnBudget, GvnError,
     RunOutcome,
 };
-use pgvn::ir::verify;
+use pgvn::ir::{verify, BinOp, Block, InstKind, Value};
 use pgvn::oracle::{validate_optimized, ValidatorOptions};
 use pgvn::prelude::*;
 use pgvn::telemetry::Telemetry;
@@ -200,4 +200,46 @@ fn malformed_input_is_rejected_not_optimized() {
     }
     assert!(!rep.is_usable());
     assert_eq!(format!("{f}"), before, "a rejected input is left untouched");
+}
+
+/// A verified function that keeps an orphan block: after one `gvn` pass
+/// the entry branch is folded onto its first arm without removing the
+/// second, which still jumps into the join. Returns the function, the
+/// join's φ and the kept arm's `a + b`.
+fn orphan_arm() -> (Function, Value, Value) {
+    let src = "routine f(a, b) { if (a > b) { x = a + b; } else { x = a - b; } \
+               y = a + b; return x + y; }";
+    let mut f = compile(src, SsaStyle::Pruned).unwrap();
+    Pipeline::new(GvnConfig::full()).optimize(&mut f);
+    let entry = f.entry();
+    let kept = f.edge_to(f.succs(entry)[0]);
+    let orphan = f.edge_to(f.succs(entry)[1]);
+    f.fold_branch_to(entry, 0);
+    verify(&f).expect("an orphan block still verifies");
+    assert!(f.preds(orphan).is_empty(), "\n{f}");
+    let join = f.edge_to(f.succs(orphan)[0]);
+    let result = |b: Block, pick: fn(&InstKind) -> bool| {
+        let inst = f.block_insts(b).iter().copied().find(|&i| pick(f.kind(i)));
+        f.inst_result(inst.unwrap_or_else(|| panic!("no such instruction in {b}:\n{f}"))).unwrap()
+    };
+    let phi = result(join, |k| k.is_phi());
+    let sum = result(kept, |k| matches!(k, InstKind::Binary(BinOp::Add, ..)));
+    (f, phi, sum)
+}
+
+#[test]
+fn an_orphan_block_does_not_stop_convergence() {
+    let (f, phi, sum) = orphan_arm();
+    let presets = ["full", "extended", "click", "sccp", "awz", "basic"];
+    for name in presets {
+        let cfg = GvnConfig::full().with_names(Some(name), None, None).unwrap();
+        let results = classified_run(&f, &cfg).unwrap_or_else(|e| panic!("{name}: {e}\n{f}"));
+        assert!(results.stats.converged, "{name}");
+    }
+    let results = classified_run(&f, &GvnConfig::full()).unwrap();
+    assert!(results.congruent(phi, sum), "the φ takes only the kept arm's value:\n{f}");
+    let mut g = f.clone();
+    let rep = Pipeline::new(GvnConfig::full()).rounds(2).optimize_resilient(&mut g);
+    assert!(rep.failures.is_empty(), "{:?}", rep.failures);
+    assert_eq!(rep.outcome.rung(), Some(RungId::Full));
 }

@@ -94,11 +94,11 @@ fn pipeline_with_shared_context_rewrites_identically() {
     }
 }
 
-/// Targeted cross-run isolation: routine `a` populates the inference
-/// caches with "x is 5 under this guard" facts; routine `b` has the
-/// *same shape* — identical block and value indices — but guards on 7.
-/// A stale cache entry surviving `prepare()` would alias by index and
-/// fold `b`'s guarded region to 5.
+/// Targeted cross-run isolation: routine `a` leaves "x is 5 under this
+/// guard" facts in the context (edge predicates, the inference gates,
+/// the interner); routine `b` has the *same shape* — identical block
+/// and value indices — but guards on 7. Any such state surviving
+/// `prepare()` would alias by index and fold `b`'s guarded region to 5.
 #[test]
 fn cached_inference_from_one_run_cannot_leak_into_the_next() {
     let a = compile_src("routine a(x) { if (x == 5) { y = x + 0; return y; } return 0; }");
@@ -114,8 +114,8 @@ fn cached_inference_from_one_run_cannot_leak_into_the_next() {
         for v in b.values() {
             assert_ne!(rb.constant_value(v), Some(5), "stale 5 leaked into {v} under {cfg:?}");
         }
-        // Sanity for the full configuration: the caches really were
-        // populated — `a`'s guarded return folds to 5, `b`'s to 7.
+        // Sanity for the full configuration: the facts really were
+        // drawn — `a`'s guarded return folds to 5, `b`'s to 7.
         if cfg == GvnConfig::full() {
             assert!(b.values().any(|v| rb.constant_value(v) == Some(7)), "b folds under full");
             assert!(a.values().any(|v| ra.constant_value(v) == Some(5)), "a folds under full");
@@ -123,7 +123,7 @@ fn cached_inference_from_one_run_cannot_leak_into_the_next() {
     }
 }
 
-/// The satellite audit's test: an inference cached while exploring a
+/// The satellite audit's test: an inference drawn while exploring a
 /// region the final fixed point proves unreachable must not surface in
 /// the final partition. The inner guard would fold `y` to `x` with a
 /// "x is 5" fact live; outside the dead region `y = x + 0` must stay
