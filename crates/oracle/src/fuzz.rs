@@ -30,7 +30,7 @@ use pgvn_lang::Routine;
 use pgvn_ssa::SsaStyle;
 use pgvn_telemetry::json::JsonWriter;
 use pgvn_telemetry::Telemetry;
-use pgvn_transform::{check_function_in_context, CheckOptions, Pipeline};
+use pgvn_transform::{check_function_in_context, CheckOptions, PassSpec, Pipeline};
 use pgvn_workload::GenConfig;
 
 /// Which oracles to run per generated routine.
@@ -282,7 +282,7 @@ fn check_resilient(
     };
     let cfg = GvnConfig::full().fault_plan(plan);
     let mut optimized = func.clone();
-    let pipeline = Pipeline::new(cfg).rounds(validator.rounds);
+    let pipeline = Pipeline::new(cfg).passes(validator.passes.clone());
     let rep = pipeline.optimize_resilient_traced_with(ctx, &mut optimized, &mut Telemetry::off());
     if !rep.is_usable() {
         return Err(format!(
@@ -302,7 +302,7 @@ fn check_resilient(
 fn check_diagnostic_stability(
     ctx: &mut GvnContext,
     func: &Function,
-    rounds: usize,
+    passes: &PassSpec,
 ) -> Result<(), String> {
     let opts = CheckOptions::without_gvn();
     let before = check_function_in_context(ctx, func, &opts);
@@ -314,7 +314,7 @@ fn check_diagnostic_stability(
         .collect();
     let mut optimized = func.clone();
     Pipeline::new(GvnConfig::full())
-        .rounds(rounds)
+        .passes(passes.clone())
         .optimize_traced_with(ctx, &mut optimized, &mut Telemetry::off())
         .map_err(|e| format!("[diagnostics] optimization failed: {e}"))?;
     let after = check_function_in_context(ctx, &optimized, &opts);
@@ -363,8 +363,8 @@ pub enum FailureCheck {
     /// Re-run the diagnostic-stability oracle: does optimizing this
     /// routine still introduce an error-severity lint diagnostic?
     Diagnostics {
-        /// Pipeline rounds in effect when the failure was found.
-        rounds: usize,
+        /// The pass sequence in effect when the failure was found.
+        passes: PassSpec,
     },
 }
 
@@ -382,8 +382,8 @@ impl FailureCheck {
             FailureCheck::Resilient { validator, iteration, gen_seed } => {
                 check_resilient(ctx, &f, *iteration, *gen_seed, validator).is_err()
             }
-            FailureCheck::Diagnostics { rounds } => {
-                check_diagnostic_stability(ctx, &f, *rounds).is_err()
+            FailureCheck::Diagnostics { passes } => {
+                check_diagnostic_stability(ctx, &f, passes).is_err()
             }
         }
     }
@@ -481,12 +481,9 @@ pub fn run_iteration(ctx: &mut GvnContext, opts: &FuzzOptions, i: u64) -> Iterat
     }
 
     if found.is_none() && opts.check_diagnostics {
-        if let Err(detail) = check_diagnostic_stability(ctx, &func, validator.rounds) {
-            found = Some((
-                "diagnostics",
-                detail,
-                FailureCheck::Diagnostics { rounds: validator.rounds },
-            ));
+        if let Err(detail) = check_diagnostic_stability(ctx, &func, &validator.passes) {
+            let check = FailureCheck::Diagnostics { passes: validator.passes.clone() };
+            found = Some(("diagnostics", detail, check));
         }
     }
 
@@ -634,7 +631,7 @@ mod tests {
                 .expect("parses");
         let f = compile_routine(&r).expect("compiles");
         let mut ctx = GvnContext::new();
-        assert_eq!(check_diagnostic_stability(&mut ctx, &f, 2), Ok(()));
+        assert_eq!(check_diagnostic_stability(&mut ctx, &f, &PassSpec::default()), Ok(()));
     }
 
     #[test]

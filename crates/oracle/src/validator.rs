@@ -18,7 +18,7 @@ use crate::outcome::{mix64, run_outcome, Outcome};
 use pgvn_core::GvnConfig;
 use pgvn_ir::Function;
 use pgvn_telemetry::Telemetry;
-use pgvn_transform::Pipeline;
+use pgvn_transform::{PassSpec, Pipeline};
 use std::fmt;
 
 /// How a routine failed validation.
@@ -89,8 +89,8 @@ pub struct ValidatorOptions {
     pub fuel: u64,
     /// Number of argument/opaque vectors per configuration.
     pub vectors: usize,
-    /// Pipeline rounds (GVN + rewrites per round).
-    pub rounds: usize,
+    /// The pass sequence each configuration's pipeline runs.
+    pub passes: PassSpec,
     /// Seed for deriving argument vectors and opaque values.
     pub input_seed: u64,
     /// The configurations whose pipelines are validated.
@@ -102,7 +102,7 @@ impl Default for ValidatorOptions {
         ValidatorOptions {
             fuel: 1 << 18,
             vectors: 4,
-            rounds: 2,
+            passes: PassSpec::default(),
             input_seed: 0,
             configs: default_validation_configs(),
         }
@@ -188,7 +188,7 @@ pub fn validate_function_with(
     for (name, cfg) in &opts.configs {
         let mut optimized = func.clone();
         Pipeline::new(cfg.clone())
-            .rounds(opts.rounds)
+            .passes(opts.passes.clone())
             .optimize_traced_with(ctx, &mut optimized, &mut Telemetry::off())
             .map_err(|_| Failure::NotConverged { config: name.clone() })?;
         if let Err(e) = pgvn_ir::verify(&optimized) {

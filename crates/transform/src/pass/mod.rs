@@ -17,8 +17,8 @@
 //! Three passes exist:
 //!
 //! * `gvn` — one full GVN + rewrite round, byte-identical to one round
-//!   of the pre-pass-manager [`crate::Pipeline`] (the default pipeline
-//!   is `gvn` repeated `rounds` times);
+//!   of the pre-pass-manager [`crate::Pipeline`] ([`PassSpec::default`],
+//!   the pipeline batch, serve and the CLI run, is `gvn` twice);
 //! * `pre` — partial redundancy elimination over GVN value numbers
 //!   (see [`pre`]);
 //! * `cleanup` — copy forwarding plus dead-code elimination, for
@@ -89,7 +89,16 @@ impl fmt::Display for PassId {
 /// diagnostics and serve `error` responses.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PassSpec {
-    passes: Vec<PassId>,
+    pub(crate) passes: Vec<PassId>,
+}
+
+impl Default for PassSpec {
+    /// The default pipeline of every surface (batch, serve, the CLI and
+    /// the fuzz oracles): two `gvn` rounds, the second cleaning up what
+    /// the first one's rewrites exposed.
+    fn default() -> Self {
+        PassSpec { passes: vec![PassId::Gvn; 2] }
+    }
 }
 
 impl PassSpec {
@@ -117,21 +126,9 @@ impl PassSpec {
         Ok(PassSpec { passes })
     }
 
-    /// The classic pipeline: the `gvn` pass repeated `rounds` times
-    /// (clamped to at least one). This is what a [`crate::Pipeline`]
-    /// without an explicit spec runs.
-    pub fn gvn_rounds(rounds: usize) -> PassSpec {
-        PassSpec { passes: vec![PassId::Gvn; rounds.max(1)] }
-    }
-
     /// The passes in execution order.
     pub fn passes(&self) -> &[PassId] {
         &self.passes
-    }
-
-    /// `true` when the spec contains `pass`.
-    pub fn contains(&self, pass: PassId) -> bool {
-        self.passes.contains(&pass)
     }
 }
 
@@ -156,7 +153,7 @@ impl std::str::FromStr for PassSpec {
 }
 
 /// Rewrite-site fault-injection state, shared by every pass of one
-/// ladder rung (the countdown spans rounds, exactly as the
+/// ladder rung (the countdown spans passes, exactly as the
 /// pre-pass-manager ladder behaved).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RewriteFault {
@@ -336,8 +333,6 @@ mod tests {
         assert_eq!(spec.passes(), &[PassId::Gvn, PassId::Pre, PassId::Gvn]);
         assert_eq!(spec.to_string(), "gvn,pre,gvn");
         assert_eq!("gvn , cleanup".parse::<PassSpec>().unwrap().to_string(), "gvn,cleanup");
-        assert!(spec.contains(PassId::Pre));
-        assert!(!spec.contains(PassId::Cleanup));
     }
 
     #[test]
@@ -353,8 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn gvn_rounds_clamps_to_one() {
-        assert_eq!(PassSpec::gvn_rounds(0).passes(), &[PassId::Gvn]);
-        assert_eq!(PassSpec::gvn_rounds(3).passes().len(), 3);
+    fn the_default_spec_is_two_gvn_rounds() {
+        assert_eq!(PassSpec::default().to_string(), "gvn,gvn");
     }
 }

@@ -10,7 +10,7 @@
 //! time share deviates from the paper's <4% because our host pipeline is
 //! far thinner than HLO.
 
-use crate::pass::{PassContext, PassSpec};
+use crate::pass::{PassContext, PassId, PassSpec};
 use crate::rewrite::UceReport;
 use pgvn_core::{GvnConfig, GvnContext, GvnError, GvnStats};
 use pgvn_ir::Function;
@@ -43,45 +43,39 @@ pub struct OptimizeReport {
     pub total_nanos: u128,
 }
 
-/// A GVN-driven optimization pipeline.
+/// A GVN-driven optimization pipeline: a GVN configuration and the
+/// [`PassSpec`] run under it.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     pub(crate) cfg: GvnConfig,
-    pub(crate) rounds: usize,
-    pub(crate) spec: Option<PassSpec>,
+    pub(crate) spec: PassSpec,
 }
 
 impl Pipeline {
-    /// Creates a single-round pipeline with the given GVN configuration.
+    /// Creates a one-`gvn` pipeline with the given GVN configuration.
     pub fn new(cfg: GvnConfig) -> Self {
-        Pipeline { cfg, rounds: 1, spec: None }
+        Pipeline { cfg, spec: PassSpec { passes: vec![PassId::Gvn] } }
     }
 
-    /// Sets how many GVN+rewrite rounds to run (each round can expose
-    /// further opportunities for the next). Ignored when an explicit
-    /// pass spec is set via [`Pipeline::passes`].
+    /// Sets the spec to `gvn` repeated `rounds` times (at least once).
+    /// Kept only for the benchmark helper (`perfbench/src/trace.rs`),
+    /// which calls it; everything else sets a spec with
+    /// [`Pipeline::passes`].
     pub fn rounds(mut self, rounds: usize) -> Self {
-        self.rounds = rounds.max(1);
+        self.spec = PassSpec { passes: vec![PassId::Gvn; rounds.max(1)] };
         self
     }
 
-    /// Sets an explicit pass sequence (e.g. parsed from
-    /// `--passes gvn,pre,gvn`), overriding the default
-    /// rounds-of-`gvn` pipeline.
+    /// Sets the pass sequence (e.g. parsed from `--passes gvn,pre,gvn`,
+    /// or [`PassSpec::default`]).
     pub fn passes(mut self, spec: PassSpec) -> Self {
-        self.spec = Some(spec);
+        self.spec = spec;
         self
     }
 
-    /// The GVN configuration in use.
-    pub fn config(&self) -> &GvnConfig {
-        &self.cfg
-    }
-
-    /// The effective pass sequence: the explicit spec when one was set,
-    /// otherwise `gvn` repeated [`Pipeline::rounds`] times.
-    pub fn spec(&self) -> PassSpec {
-        self.spec.clone().unwrap_or_else(|| PassSpec::gvn_rounds(self.rounds))
+    /// The pass sequence in use.
+    pub fn spec(&self) -> &PassSpec {
+        &self.spec
     }
 
     /// Zero-setup [`Pipeline::optimize_traced_with`]: optimizes `func`
@@ -125,7 +119,7 @@ impl Pipeline {
         let t0 = std::time::Instant::now();
         let mut report = OptimizeReport::default();
         let mut pcx = PassContext::new(ctx, &self.cfg, tel, &mut report);
-        self.spec().run(&mut pcx, func)?;
+        self.spec.run(&mut pcx, func)?;
         report.total_nanos = t0.elapsed().as_nanos();
         Ok(report)
     }
@@ -141,7 +135,7 @@ mod tests {
     fn optimize_and_check(src: &str, args_sets: &[Vec<i64>]) -> (Function, OptimizeReport) {
         let original = compile(src, SsaStyle::Minimal).unwrap();
         let mut f = original.clone();
-        let report = Pipeline::new(GvnConfig::full()).rounds(2).optimize(&mut f);
+        let report = Pipeline::new(GvnConfig::full()).passes(PassSpec::default()).optimize(&mut f);
         assert_verifies(&f);
         for args in args_sets {
             let mut o1 = HashedOpaques::new(3);
@@ -247,16 +241,17 @@ mod round_tests {
         let mut f1 = compile(src, SsaStyle::Minimal).unwrap();
         let one = Pipeline::new(GvnConfig::full()).optimize(&mut f1);
         let mut f2 = compile(src, SsaStyle::Minimal).unwrap();
-        let two = Pipeline::new(GvnConfig::full()).rounds(2).optimize(&mut f2);
+        let two = Pipeline::new(GvnConfig::full()).passes(PassSpec::default()).optimize(&mut f2);
         assert!(two.dead_removed >= one.dead_removed);
         assert!(two.constants_propagated >= one.constants_propagated);
         assert!(two.total_nanos >= two.gvn_nanos);
     }
 
     #[test]
-    fn rounds_zero_is_clamped_to_one() {
-        let mut f = compile("routine f(a) { return a + 0; }", SsaStyle::Minimal).unwrap();
-        let report = Pipeline::new(GvnConfig::full()).rounds(0).optimize(&mut f);
-        assert!(report.gvn_stats.passes >= 1, "at least one round ran");
+    fn rounds_sets_a_gvn_spec_of_at_least_one_pass() {
+        let gvn = |n| Pipeline::new(GvnConfig::full()).rounds(n).spec().to_string();
+        assert_eq!(gvn(0), "gvn");
+        assert_eq!(gvn(2), PassSpec::default().to_string());
+        assert_eq!(gvn(3), "gvn,gvn,gvn");
     }
 }

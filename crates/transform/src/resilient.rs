@@ -348,7 +348,7 @@ impl Pipeline {
         let mut report = OptimizeReport::default();
         let rewrite_fault = cfg.fault_plan.filter(|p| p.site == FaultSite::Rewrite);
         let mut pcx = PassContext::for_rung(ctx, cfg, tel, &mut report, rewrite_fault);
-        self.spec().run(&mut pcx, func)?;
+        self.spec.run(&mut pcx, func)?;
         // An injected verifier-rejection: make the rewritten function
         // ill-formed in a way `pgvn_ir::verify` is guaranteed to catch
         // (a live block with no terminator), proving the gate below
@@ -371,6 +371,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::PassSpec;
     use pgvn_core::FaultPlan;
     use pgvn_lang::compile;
     use pgvn_ssa::SsaStyle;
@@ -386,7 +387,8 @@ mod tests {
     #[test]
     fn healthy_routine_commits_on_the_full_rung() {
         let mut f = sample();
-        let rep = Pipeline::new(GvnConfig::full()).rounds(2).optimize_resilient(&mut f);
+        let rep =
+            Pipeline::new(GvnConfig::full()).passes(PassSpec::default()).optimize_resilient(&mut f);
         assert_eq!(rep.outcome, ResilientOutcome::Optimized(RungId::Full));
         assert!(rep.failures.is_empty());
         verify(&f).expect("committed output verifies");

@@ -77,12 +77,8 @@ pub fn generated_corpus(prefix: &str, seed: u64, n: u64) -> Vec<BatchInput> {
 pub struct BatchOptions {
     /// The GVN configuration (budgets and fault plan applied).
     pub cfg: GvnConfig,
-    /// Pipeline rounds per routine.
-    pub rounds: usize,
-    /// Explicit pass sequence (`--passes gvn,pre,gvn`). `None` runs the
-    /// default pipeline: `gvn` repeated `rounds` times, byte-identical
-    /// to the pre-pass-manager engine.
-    pub passes: Option<PassSpec>,
+    /// The pass sequence each routine runs (`--passes gvn,pre,gvn`).
+    pub passes: PassSpec,
     /// Worker threads. Clamped to at least one; values above the input
     /// count just leave the extra workers idle.
     pub jobs: usize,
@@ -96,7 +92,7 @@ pub struct BatchOptions {
 
 impl Default for BatchOptions {
     fn default() -> Self {
-        BatchOptions { cfg: GvnConfig::full(), rounds: 2, passes: None, jobs: 1, check: false }
+        BatchOptions { cfg: GvnConfig::full(), passes: PassSpec::default(), jobs: 1, check: false }
     }
 }
 
@@ -456,10 +452,7 @@ pub(crate) fn process_one(
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 let mut tel = Telemetry::off();
                 tel.attach_metrics(&worker.reg);
-                let mut pipeline = Pipeline::new(opts.cfg.clone()).rounds(opts.rounds);
-                if let Some(spec) = &opts.passes {
-                    pipeline = pipeline.passes(spec.clone());
-                }
+                let pipeline = Pipeline::new(opts.cfg.clone()).passes(opts.passes.clone());
                 let rep =
                     pipeline.optimize_resilient_traced_with(&mut worker.ctx, &mut f, &mut tel);
                 (rep, f.num_insts())
@@ -693,11 +686,8 @@ mod tests {
         // the gate's own analysis sees the budget: unbudgeted it decides
         // figure1's three branches and two redundancies (§2.10), under
         // five touches it converges on nothing.
-        let cleanup = BatchOptions {
-            check: true,
-            passes: Some("cleanup".parse().unwrap()),
-            ..Default::default()
-        };
+        let cleanup =
+            BatchOptions { check: true, passes: "cleanup".parse().unwrap(), ..Default::default() };
         assert_eq!(gvn_codes(&cleanup), [3, 2]);
         assert_eq!(gvn_codes(&starve(cleanup)), [0, 0]);
         // The default pipeline falls back to identity under the same
@@ -716,9 +706,9 @@ mod tests {
         compile(&src, SsaStyle::Pruned).expect("the pilot compiles")
     }
 
-    /// Optimizes `func` in `ctx` with the default two-round pipeline.
+    /// Optimizes `func` in `ctx` with the default pipeline.
     fn optimize(ctx: &mut GvnContext, mut func: Function) {
-        let pipeline = Pipeline::new(GvnConfig::full()).rounds(2);
+        let pipeline = Pipeline::new(GvnConfig::full()).passes(PassSpec::default());
         let _ = pipeline.optimize_resilient_traced_with(ctx, &mut func, &mut Telemetry::off());
     }
 
@@ -789,7 +779,7 @@ mod tests {
         let pipelines = [
             BatchOptions::default(),
             BatchOptions {
-                passes: Some("gvn,pre,gvn".parse().unwrap()),
+                passes: "gvn,pre,gvn".parse().unwrap(),
                 check: true,
                 ..Default::default()
             },
@@ -799,7 +789,7 @@ mod tests {
             for jobs in [1, 4] {
                 let report = run_batch(&inputs, &BatchOptions { jobs, ..opts.clone() });
                 let batched = &report.records[199];
-                let what = format!("jobs {jobs}, passes {:?}", opts.passes);
+                let what = format!("jobs {jobs}, passes {}", opts.passes);
                 assert_eq!(batched.name, last.name);
                 assert_eq!(batched.json, fresh.json, "{what}");
                 assert_eq!(batched.status, fresh.status, "{what}");

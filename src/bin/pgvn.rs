@@ -59,7 +59,6 @@
 //!   --seed N                                       generator seed (default: 2002)
 //!   --limit N                                      stop after N routines
 //!   --config/--mode/--variant                      as for single-routine mode
-//!   --rounds N                                     pipeline rounds (default: 2)
 //!   --passes gvn,pre,gvn                           explicit pass pipeline
 //!   --budget-passes/--budget-ms/--budget-touches   per-routine budgets
 //!   --inject kind@site [--inject-seed N] [--inject-sticky]
@@ -77,8 +76,8 @@
 //!   --queue N                                      admission queue bound (default: 64)
 //!   --max-frame-bytes N                            frame payload ceiling
 //!   --max-budget-passes/-ms/-touches N             per-request budget ceilings
-//!   --max-rounds N                                 pipeline rounds ceiling
-//!   --config/--mode/--variant/--rounds/--passes    base configuration
+//!   --max-pipeline-passes N                        longest pass sequence per request (default: 4)
+//!   --config/--mode/--variant/--passes             base configuration
 //!   --timings                                      wall_nanos in records (non-deterministic)
 //!   --check                                        lint each optimized output (post-pass gate)
 //!
@@ -184,7 +183,7 @@ struct ConfigFlags {
     preset: Option<String>,
     mode: Option<String>,
     variant: Option<String>,
-    passes: Option<PassSpec>,
+    passes: PassSpec,
     check: bool,
 }
 
@@ -195,7 +194,7 @@ impl ConfigFlags {
             "--config" => self.preset = Some(args.value(flag)),
             "--mode" => self.mode = Some(args.value(flag)),
             "--variant" => self.variant = Some(args.value(flag)),
-            "--passes" => self.passes = Some(args.parse(flag)),
+            "--passes" => self.passes = args.parse(flag),
             "--check" => self.check = true,
             _ => return false,
         }
@@ -523,19 +522,20 @@ fn fuzz_main(mut args: Args) -> CliResult {
             campaign.worker_iterations.len()
         );
     }
-    println!(
-        "fuzz: {} iterations, {} instructions, {} failure(s)",
+    let summary = format!(
+        "fuzz: {} iterations, {} instructions, {} failure(s)\n",
         result.iterations_run,
         result.total_insts,
         result.failures.len()
     );
+    write_report("fuzz", None, &summary)?;
     Ok(exit_code(result.is_clean()))
 }
 
 const BATCH_USAGE: &str = "usage: pgvn batch (--dir <dir> | --gen N) [--seed N] [--limit N]\n\
     \x20                [--config full|extended|click|sccp|awz|basic]\n\
     \x20                [--mode optimistic|balanced|pessimistic]\n\
-    \x20                [--variant practical|complete] [--rounds N]\n\
+    \x20                [--variant practical|complete]\n\
     \x20                [--budget-passes N] [--budget-ms N] [--budget-touches N]\n\
     \x20                [--inject kind@site] [--inject-seed N] [--inject-sticky]\n\
     \x20                [--report <path>] [--jobs N] [--stats-json <path>] [--timings]\n\
@@ -554,7 +554,6 @@ fn batch_main(mut args: Args) -> CliResult {
     let mut group = ConfigFlags::default();
     let mut res = ResilienceFlags::default();
     let mut limit: Option<usize> = None;
-    let mut rounds: usize = 2;
     let mut jobs: usize = 1;
     let mut timings = false;
     let mut report_path: Option<String> = None;
@@ -568,7 +567,6 @@ fn batch_main(mut args: Args) -> CliResult {
         }
         match a.as_str() {
             "--limit" => limit = Some(args.parse(&a)),
-            "--rounds" => rounds = args.parse(&a),
             "--jobs" => jobs = args.parse(&a),
             "--report" => report_path = Some(args.value(&a)),
             "--stats-json" => stats_path = Some(args.value(&a)),
@@ -594,7 +592,7 @@ fn batch_main(mut args: Args) -> CliResult {
     // with the fuzz campaigns and `pgvn serve`, so nesting composes).
     let batch = {
         let _hook = pgvn::oracle::silence_panic_hook();
-        run_batch(&inputs, &BatchOptions { cfg, rounds, passes, jobs, check })
+        run_batch(&inputs, &BatchOptions { cfg, passes, jobs, check })
     };
 
     // Records come back in input order whatever the worker count, so
@@ -626,10 +624,11 @@ fn batch_main(mut args: Args) -> CliResult {
 
 const SERVE_USAGE: &str = "usage: pgvn serve [--socket <path>] [--workers N] [--queue N]\n\
     \x20                [--max-frame-bytes N] [--max-budget-passes N]\n\
-    \x20                [--max-budget-ms N] [--max-budget-touches N] [--max-rounds N]\n\
+    \x20                [--max-budget-ms N] [--max-budget-touches N]\n\
+    \x20                [--max-pipeline-passes N]\n\
     \x20                [--config full|extended|click|sccp|awz|basic]\n\
     \x20                [--mode optimistic|balanced|pessimistic]\n\
-    \x20                [--variant practical|complete] [--rounds N]\n\
+    \x20                [--variant practical|complete]\n\
     \x20                [--passes gvn,pre,gvn] [--timings] [--check]";
 
 /// `pgvn serve`: the long-lived optimization service. Speaks the
@@ -655,8 +654,7 @@ fn serve_main(mut args: Args) -> CliResult {
             "--max-budget-passes" => opts.limits.max_passes = args.parse(&a),
             "--max-budget-ms" => opts.limits.max_millis = args.parse(&a),
             "--max-budget-touches" => opts.limits.max_touches = args.parse(&a),
-            "--max-rounds" => opts.limits.max_rounds = args.parse(&a),
-            "--rounds" => opts.rounds = args.parse(&a),
+            "--max-pipeline-passes" => opts.limits.max_pipeline_passes = args.parse(&a),
             "--timings" => opts.timings = true,
             _ => args.usage(),
         }
@@ -664,6 +662,9 @@ fn serve_main(mut args: Args) -> CliResult {
     opts.cfg = group.config(&args);
     opts.passes = group.passes;
     opts.check = group.check;
+    // A default spec over the cap would refuse every request that does
+    // not name its own.
+    opts.limits.admit_passes(&opts.passes).map_err(|e| format!("serve: --{e}"))?;
 
     let summary = match &socket {
         Some(path) => {
@@ -733,7 +734,7 @@ fn serve_load_main(mut args: Args) -> CliResult {
                 });
             }
             "--check-batch" => opts.check_batch = true,
-            "--passes" => opts.serve.passes = Some(args.parse(&a)),
+            "--passes" => opts.serve.passes = args.parse(&a),
             "--report" => report_path = Some(args.value(&a)),
             _ => args.usage(),
         }
@@ -832,9 +833,12 @@ fn routine_main(mut args: Args) -> CliResult {
     };
 
     let wants = |w: &str| emit.iter().any(|e| e == w || e == "all");
+    // Each stdout section goes out through one writer, so a closed
+    // stdout is a one-line I/O error, never a print panic.
+    let section = |text: &str| write_report(&path, None, text);
     if wants("source") {
         let r = pgvn::lang::parse(&source).map_err(|e| e.to_string())?;
-        println!("== source (pretty-printed) ==\n{}", pgvn::lang::print_routine(&r));
+        section(&format!("== source (pretty-printed) ==\n{}\n", pgvn::lang::print_routine(&r)))?;
     }
 
     // Telemetry: tee the optional text and JSONL sinks, and turn timing
@@ -867,7 +871,7 @@ fn routine_main(mut args: Args) -> CliResult {
     tel.record_phase(Metric::SsaBuild, t0);
 
     if wants("ir") {
-        println!("== ssa ==\n{func}");
+        section(&format!("== ssa ==\n{func}\n"))?;
     }
 
     // The display analysis run carries the budget but not the fault
@@ -884,28 +888,25 @@ fn routine_main(mut args: Args) -> CliResult {
     if wants("analysis") {
         if let Some(results) = &results {
             let s = results.strength();
-            println!("== analysis ==");
-            println!("passes:              {}", results.stats.passes);
-            println!("unreachable values:  {}", s.unreachable_values);
-            println!("constant values:     {}", s.constant_values);
-            println!("congruence classes:  {}", s.congruence_classes);
-            for b in func.blocks() {
-                if !results.is_block_reachable(b) {
-                    println!("unreachable block:   {b}");
+            stream_report(&path, None, |out| {
+                writeln!(out, "== analysis ==")?;
+                writeln!(out, "passes:              {}", results.stats.passes)?;
+                writeln!(out, "unreachable values:  {}", s.unreachable_values)?;
+                writeln!(out, "constant values:     {}", s.constant_values)?;
+                writeln!(out, "congruence classes:  {}", s.congruence_classes)?;
+                for b in func.blocks().filter(|&b| !results.is_block_reachable(b)) {
+                    writeln!(out, "unreachable block:   {b}")?;
                 }
-            }
-            println!("\n{}", pgvn::core::annotated(&func, results));
-            println!("{}", pgvn::core::class_report(&func, results));
+                writeln!(out, "\n{}", pgvn::core::annotated(&func, results))?;
+                writeln!(out, "{}", pgvn::core::class_report(&func, results))
+            })?;
         }
     }
 
     // Every optimization goes through the degradation ladder: budgets,
     // panic isolation, verifier gating, identity fallback.
     let mut optimized = func.clone();
-    let mut pipeline = Pipeline::new(res.apply(config)).rounds(2);
-    if let Some(spec) = group.passes {
-        pipeline = pipeline.passes(spec);
-    }
+    let pipeline = Pipeline::new(res.apply(config)).passes(group.passes);
     let resilience =
         pipeline.optimize_resilient_traced_with(&mut GvnContext::new(), &mut optimized, &mut tel);
     tel.flush();
@@ -915,22 +916,24 @@ fn routine_main(mut args: Args) -> CliResult {
         return Ok(ExitCode::FAILURE);
     }
     if wants("optimized") {
-        println!("== optimized ==\n{optimized}");
+        section(&format!("== optimized ==\n{optimized}\n"))?;
     }
     if stats {
-        println!("== stats ==");
-        println!("gvn passes:            {}", report.gvn_stats.passes);
-        println!("branches folded:       {}", report.uce.branches_folded);
-        println!("blocks removed:        {}", report.uce.blocks_removed);
-        println!("constants propagated:  {}", report.constants_propagated);
-        println!("redundancies removed:  {}", report.redundancies_eliminated);
-        println!("dead insts removed:    {}", report.dead_removed);
         let rung = resilience.outcome.rung().map_or(0, |r| r.index());
-        println!("ladder rung:           {rung}");
-        println!("ladder failures:       {}", resilience.failures.len());
+        stream_report(&path, None, |out| {
+            writeln!(out, "== stats ==")?;
+            writeln!(out, "gvn passes:            {}", report.gvn_stats.passes)?;
+            writeln!(out, "branches folded:       {}", report.uce.branches_folded)?;
+            writeln!(out, "blocks removed:        {}", report.uce.blocks_removed)?;
+            writeln!(out, "constants propagated:  {}", report.constants_propagated)?;
+            writeln!(out, "redundancies removed:  {}", report.redundancies_eliminated)?;
+            writeln!(out, "dead insts removed:    {}", report.dead_removed)?;
+            writeln!(out, "ladder rung:           {rung}")?;
+            writeln!(out, "ladder failures:       {}", resilience.failures.len())
+        })?;
     }
     if profile {
-        print!("== profile ==\n{}", profile_table(&timings));
+        section(&format!("== profile ==\n{}", profile_table(&timings)))?;
     }
     if stats_json {
         // One machine-readable object: the analysis run's expanded
@@ -943,7 +946,7 @@ fn routine_main(mut args: Args) -> CliResult {
                 .field_raw("strength", &results.strength().to_json());
         }
         w.field_raw("resilience", &resilience.to_json());
-        println!("{}", w.finish());
+        section(&format!("{}\n", w.finish()))?;
     }
 
     if group.check {
@@ -970,7 +973,7 @@ fn routine_main(mut args: Args) -> CliResult {
         let original = Interpreter::new(&func).run(&argv, &mut o1);
         let opt = Interpreter::new(&optimized).run(&argv, &mut o2);
         match (original, opt) {
-            (Ok(a), Ok(b)) if a == b => println!("result: {a}"),
+            (Ok(a), Ok(b)) if a == b => section(&format!("result: {a}\n"))?,
             (Ok(a), Ok(b)) => {
                 eprintln!("pgvn: INTERNAL ERROR: optimization changed result ({a} vs {b})");
                 return Ok(ExitCode::FAILURE);

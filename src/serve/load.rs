@@ -196,9 +196,12 @@ struct ClientResult {
 /// Runs one load campaign: starts a socket server, hammers it with
 /// `clients × routines` requests, drains it via the `shutdown` op, and
 /// folds everything into a [`LoadReport`]. I/O errors reaching the
-/// harness itself (bind/connect failures) abort the campaign; request
-/// failures are what the campaign *measures*, never aborts.
+/// harness itself (bind/connect failures) abort the campaign, as does
+/// a server pass sequence over its cap; request failures are what the
+/// campaign *measures*, never aborts.
 pub fn run_load(opts: &LoadOptions) -> io::Result<LoadReport> {
+    // Over the cap, the server would refuse every request.
+    opts.serve.limits.admit_passes(&opts.serve.passes).map_err(io::Error::other)?;
     let path = opts.socket_path.clone().unwrap_or_else(|| {
         std::env::temp_dir()
             .join(format!("pgvn-serve-load-{}-{}.sock", std::process::id(), opts.seed))

@@ -56,8 +56,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Server-enforced ceilings. Client requests may ask for *less* on any
-/// axis; asking for more (or for nothing) gets the ceiling. Every
-/// request therefore runs under a finite budget.
+/// budget axis; asking for more (or for nothing) gets the ceiling. Every
+/// request therefore runs under a finite budget. A pass sequence over
+/// its cap is refused, not clamped: a shortened spec would run a
+/// different pipeline than the client asked for.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeLimits {
     /// Maximum accepted frame payload, bytes. Larger frames are
@@ -70,8 +72,9 @@ pub struct ServeLimits {
     pub max_millis: u64,
     /// Touched-work quota cap per request.
     pub max_touches: u64,
-    /// Pipeline rounds cap per request.
-    pub max_rounds: usize,
+    /// Longest pass sequence a request may resolve to, whether it
+    /// names its own `passes` or takes the server default.
+    pub max_pipeline_passes: usize,
 }
 
 impl Default for ServeLimits {
@@ -81,7 +84,7 @@ impl Default for ServeLimits {
             max_passes: 512,
             max_millis: 2000,
             max_touches: 50_000_000,
-            max_rounds: 4,
+            max_pipeline_passes: 4,
         }
     }
 }
@@ -104,6 +107,16 @@ impl ServeLimits {
             ),
         }
     }
+
+    /// Checks a pass sequence against [`ServeLimits::max_pipeline_passes`]:
+    /// a longer one is a one-line `passes:` diagnostic.
+    pub fn admit_passes(&self, spec: &PassSpec) -> Result<(), String> {
+        let (len, cap) = (spec.passes().len(), self.max_pipeline_passes);
+        if len > cap {
+            return Err(format!("passes: {len} passes, over the server's cap of {cap}"));
+        }
+        Ok(())
+    }
 }
 
 /// Configuration for one server instance.
@@ -118,12 +131,8 @@ pub struct ServeOptions {
     pub limits: ServeLimits,
     /// Base configuration for requests that don't override it.
     pub cfg: GvnConfig,
-    /// Default pipeline rounds (requests may lower it; the ceiling in
-    /// [`ServeLimits::max_rounds`] caps both).
-    pub rounds: usize,
-    /// Default pass sequence for requests that don't override it.
-    /// `None` runs the classic rounds-of-`gvn` pipeline.
-    pub passes: Option<PassSpec>,
+    /// Pass sequence for requests that don't name one.
+    pub passes: PassSpec,
     /// Splice scheduling-dependent `wall_nanos` into records
     /// (forfeits serve≡batch byte identity, exactly as in batch).
     pub timings: bool,
@@ -140,8 +149,7 @@ impl Default for ServeOptions {
             queue_capacity: 64,
             limits: ServeLimits::default(),
             cfg: GvnConfig::full(),
-            rounds: 2,
-            passes: None,
+            passes: PassSpec::default(),
             timings: false,
             check: false,
         }
@@ -223,9 +231,9 @@ impl ServeSummary {
 
 /// Resolves one optimize request into the exact [`BatchOptions`] a
 /// worker will run — preset/mode/variant applied, budgets clamped,
-/// rounds capped, fault plan attached. Public so the determinism tests
-/// and the load harness can reproduce a server's effective options
-/// when cross-checking against `run_batch`.
+/// pass sequence checked against its cap, fault plan attached. Public
+/// so the determinism tests and the load harness can reproduce a
+/// server's effective options when cross-checking against `run_batch`.
 pub fn resolve_request_options(req: &Request, opts: &ServeOptions) -> Result<BatchOptions, String> {
     let cfg = opts.cfg.clone().with_names(
         req.config.as_deref(),
@@ -238,12 +246,12 @@ pub fn resolve_request_options(req: &Request, opts: &ServeOptions) -> Result<Bat
         max_touches: req.budget_touches,
     };
     let cfg = cfg.budget(opts.limits.clamp(&requested)).fault_plan(req.inject);
-    let rounds = req.rounds.unwrap_or(opts.rounds).clamp(1, opts.limits.max_rounds.max(1));
     let passes = match req.passes.as_deref() {
         None => opts.passes.clone(),
-        Some(spec) => Some(PassSpec::parse(spec).map_err(|e| format!("passes: {e}"))?),
+        Some(spec) => PassSpec::parse(spec).map_err(|e| format!("passes: {e}"))?,
     };
-    Ok(BatchOptions { cfg, rounds, passes, jobs: 1, check: opts.check })
+    opts.limits.admit_passes(&passes)?;
+    Ok(BatchOptions { cfg, passes, jobs: 1, check: opts.check })
 }
 
 /// Materializes the request's routine: shipped source text, or a

@@ -165,9 +165,9 @@ pub enum RequestOp {
     Shutdown,
 }
 
-/// One parsed request. Budgets and rounds are client *suggestions*;
-/// the server clamps them against its [`ServeLimits`] ceilings before
-/// any work runs.
+/// One parsed request. Budgets are client *suggestions*; the server
+/// clamps them against its [`ServeLimits`] ceilings, and checks the
+/// pass sequence against its cap, before any work runs.
 ///
 /// [`ServeLimits`]: crate::serve::ServeLimits
 #[derive(Clone, Debug)]
@@ -190,10 +190,9 @@ pub struct Request {
     pub mode: Option<String>,
     /// Variant override (`practical|complete`).
     pub variant: Option<String>,
-    /// Pipeline rounds override (clamped to the server ceiling).
-    pub rounds: Option<usize>,
     /// Pass-sequence override (e.g. `"gvn,pre,gvn"`). Validated at
-    /// request resolution; a malformed spec is a `protocol` error.
+    /// request resolution; a malformed spec, or one over the server's
+    /// cap, is a `protocol` error.
     pub passes: Option<String>,
     /// Pass-ceiling override (clamped).
     pub budget_passes: Option<u32>,
@@ -239,6 +238,9 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
     let obj = parse(text).map_err(|e| format!("payload is not valid JSON: {e}"))?;
     if !matches!(obj, JsonValue::Obj(_)) {
         return Err("payload must be a JSON object".to_string());
+    }
+    if obj.get("rounds").is_some() {
+        return Err("field \"rounds\" was replaced by \"passes\", e.g. \"gvn,pre,gvn\"".into());
     }
     let id = opt_num(&obj, "id")?.unwrap_or(0);
     let op = match opt_str(&obj, "op")?.as_deref() {
@@ -288,7 +290,6 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
         config: opt_str(&obj, "config")?,
         mode: opt_str(&obj, "mode")?,
         variant: opt_str(&obj, "variant")?,
-        rounds: opt_num(&obj, "rounds")?,
         passes: opt_str(&obj, "passes")?,
         budget_passes: opt_num(&obj, "budget_passes")?,
         budget_ms: opt_num(&obj, "budget_ms")?,

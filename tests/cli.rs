@@ -511,27 +511,32 @@ fn batch_parallel_report_and_stats_match_sequential() {
 /// turns that into a one-line `cannot write stdout` error and exit 2,
 /// never std's "failed printing to stdout" panic (exit 101). `batch` and
 /// `check` write far more than a pipe buffer holds, so reading their
-/// first bytes still leaves writes to fail; `serve-load` writes its one
-/// short report line after the whole run, so its pipe is closed unread.
+/// first bytes still leaves writes to fail. `serve-load`, single-routine
+/// mode and `fuzz` write a short report after their work, so their pipe
+/// is closed before they start: a reader closed after the spawn would
+/// race the child's one write on a loaded host.
 #[test]
 fn a_closed_stdout_pipe_is_a_one_line_io_error() {
     let cases = [
         ("batch --gen 300", 10),
         ("check --gen 300 --json", 10),
         ("serve-load --routines 200 --workers-curve 1", 0),
+        (concat!(env!("CARGO_MANIFEST_DIR"), "/examples/corpus/figure1.pgvn"), 0),
+        ("fuzz --iters 20", 0),
     ];
     for (line, read) in cases {
-        let mut child = pgvn()
-            .args(line.split_whitespace())
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawns");
-        let mut stdout = child.stdout.take().expect("stdout");
-        let mut head = vec![0; read];
-        stdout.read_exact(&mut head).expect("reads the first bytes");
-        drop(stdout);
+        let mut cmd = pgvn();
+        cmd.args(line.split_whitespace()).stdin(Stdio::null()).stderr(Stdio::piped());
+        let child = if read == 0 {
+            let (reader, writer) = std::io::pipe().expect("pipe");
+            drop(reader);
+            cmd.stdout(writer).spawn().expect("spawns")
+        } else {
+            let mut child = cmd.stdout(Stdio::piped()).spawn().expect("spawns");
+            let mut stdout = child.stdout.take().expect("stdout");
+            stdout.read_exact(&mut vec![0; read]).expect("reads the first bytes");
+            child
+        };
         let out = child.wait_with_output().expect("exits");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
@@ -900,7 +905,7 @@ fn flag_matrix_pins_each_subcommand_surface() {
             &["batch"],
             format!(
                 "--gen 1 --seed 3 --limit 1 --config awz --mode pessimistic \
-                 --variant practical --rounds 1 --budget-passes 50 --budget-ms 1000 \
+                 --variant practical --budget-passes 50 --budget-ms 1000 \
                  --budget-touches 100000 --inject budget@edges --inject-seed 3 --inject-sticky \
                  --report {tmp}/matrix-report.jsonl --jobs 2 \
                  --stats-json {tmp}/matrix-stats.jsonl --timings --passes gvn --check \
@@ -912,8 +917,8 @@ fn flag_matrix_pins_each_subcommand_surface() {
             &["serve"],
             format!(
                 "--workers 1 --queue 4 --max-frame-bytes 4096 --max-budget-passes 50 \
-                 --max-budget-ms 1000 --max-budget-touches 100000 --max-rounds 3 --config sccp \
-                 --mode optimistic --variant complete --rounds 2 --passes gvn,cleanup \
+                 --max-budget-ms 1000 --max-budget-touches 100000 --max-pipeline-passes 3 \
+                 --config sccp --mode optimistic --variant complete --passes gvn,cleanup \
                  --timings --check --socket {missing}/s.sock"
             ),
             "cannot bind",
@@ -941,8 +946,11 @@ fn flag_matrix_pins_each_subcommand_surface() {
 
     // Foreign flags: each belongs to another subcommand (or to none)
     // and is a usage error here.
-    let foreign: [(&[&str], &str, &str); 13] = [
+    let foreign: [(&[&str], &str, &str); 15] = [
         (&[file], "--rounds 2", "usage: pgvn"),
+        // `--passes` is the one pipeline knob; `--rounds` is gone.
+        (&["batch", "--gen", "1"], "--rounds 2", "usage: pgvn batch"),
+        (&["serve"], "--rounds 2", "usage: pgvn serve"),
         (&[file], "--jobs 2", "usage: pgvn"),
         (&["batch", "--gen", "1"], "--ssa pruned", "usage: pgvn batch"),
         (&["batch", "--gen", "1"], "--dense", "usage: pgvn batch"),

@@ -58,9 +58,9 @@ fn optimized_digest(funcs: &[Function], pipeline: &Pipeline) -> u64 {
 #[test]
 fn optimized_output_is_byte_identical() {
     let funcs = corpus();
-    let default = Pipeline::new(GvnConfig::full()).rounds(2);
+    let default = Pipeline::new(GvnConfig::full()).passes(PassSpec::default());
     let pre = Pipeline::new(GvnConfig::full()).passes("gvn,pre,gvn".parse().expect("known passes"));
-    let extended = Pipeline::new(extended_complete()).rounds(2);
+    let extended = Pipeline::new(extended_complete()).passes(PassSpec::default());
     let got = [
         optimized_digest(&funcs, &default),
         optimized_digest(&funcs, &pre),

@@ -5,7 +5,7 @@
 use pgvn::core::run as gvn;
 use pgvn::ir::{Function, HashedOpaques, InstKind, Interpreter};
 use pgvn::lang::fixtures;
-use pgvn::prelude::{compile, GvnConfig, Mode, Pipeline, SsaStyle};
+use pgvn::prelude::{compile, GvnConfig, Mode, PassSpec, Pipeline, SsaStyle};
 
 fn build(src: &str) -> Function {
     compile(src, SsaStyle::Minimal).expect("compiles")
@@ -35,7 +35,7 @@ fn returned_constant(f: &Function, cfg: &GvnConfig) -> Option<i64> {
 fn figure1_pipeline_produces_return_one() {
     let mut f = build(fixtures::FIGURE1);
     let original = f.clone();
-    Pipeline::new(GvnConfig::full()).rounds(2).optimize(&mut f);
+    Pipeline::new(GvnConfig::full()).passes(PassSpec::default()).optimize(&mut f);
     pgvn::ir::assert_verifies(&f);
     // The reachable return is a constant 1 after optimization.
     let ret = f

@@ -129,13 +129,14 @@ fn serve_malformed_passes_is_a_protocol_error_and_the_connection_survives() {
 
 #[test]
 fn explicit_gvn_gvn_spec_is_byte_identical_to_the_default_pipeline() {
-    // The default pipeline is `rounds` gvn passes; spelling it out as
-    // an explicit spec must not change a single output byte.
+    // The default pipeline is `PassSpec::default()`, two gvn passes;
+    // spelling it out as an explicit spec must not change a single
+    // output byte.
     let inputs = gen_inputs(24);
     let default = run_batch(&inputs, &BatchOptions::default());
     let explicit = run_batch(
         &inputs,
-        &BatchOptions { passes: Some("gvn,gvn".parse().unwrap()), ..Default::default() },
+        &BatchOptions { passes: "gvn,gvn".parse().unwrap(), ..Default::default() },
     );
     assert_eq!(default.records.len(), explicit.records.len());
     for (d, e) in default.records.iter().zip(explicit.records.iter()) {
@@ -147,12 +148,9 @@ fn explicit_gvn_gvn_spec_is_byte_identical_to_the_default_pipeline() {
 fn pre_pipeline_batch_is_deterministic_across_worker_counts() {
     let inputs = gen_inputs(24);
     let spec: PassSpec = "gvn,pre,gvn".parse().unwrap();
-    let j1 = run_batch(
-        &inputs,
-        &BatchOptions { passes: Some(spec.clone()), jobs: 1, ..Default::default() },
-    );
-    let j4 =
-        run_batch(&inputs, &BatchOptions { passes: Some(spec), jobs: 4, ..Default::default() });
+    let j1 =
+        run_batch(&inputs, &BatchOptions { passes: spec.clone(), jobs: 1, ..Default::default() });
+    let j4 = run_batch(&inputs, &BatchOptions { passes: spec, jobs: 4, ..Default::default() });
     assert_eq!(j1.records.len(), j4.records.len());
     for (a, b) in j1.records.iter().zip(j4.records.iter()) {
         assert_eq!(a.json, b.json, "PRE pipeline must stay jobs-count deterministic");

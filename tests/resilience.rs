@@ -61,7 +61,8 @@ fn every_fault_class_is_contained_classified_and_validated() {
         let plan = FaultPlan::new(kind, matrix_site(kind)).seeded(MATRIX_SEED);
         let original = sample();
         let mut optimized = original.clone();
-        let pipeline = Pipeline::new(GvnConfig::full().fault_plan(Some(plan))).rounds(2);
+        let pipeline =
+            Pipeline::new(GvnConfig::full().fault_plan(Some(plan))).passes(PassSpec::default());
         // No panic crosses the API boundary: the call itself must return.
         let rep = catch_unwind(AssertUnwindSafe(|| pipeline.optimize_resilient(&mut optimized)))
             .unwrap_or_else(|_| panic!("panic escaped optimize_resilient for {plan}"));
@@ -97,7 +98,7 @@ fn sticky_fault_degrades_to_verified_identity() {
     let original = sample();
     let mut optimized = original.clone();
     let rep = Pipeline::new(GvnConfig::full().fault_plan(Some(plan)))
-        .rounds(2)
+        .passes(PassSpec::default())
         .optimize_resilient(&mut optimized);
     assert_eq!(rep.outcome, ResilientOutcome::Identity);
     assert_eq!(rep.failures.len(), 3, "every analysis rung failed: {:?}", rep.failures);
@@ -147,7 +148,7 @@ fn truncated_analysis_is_never_rewritten() {
     // must hand that back as an `Err` instead of rewriting with the
     // partial partition, and leave the function verified either way.
     let cfg = GvnConfig::full().budget(GvnBudget::unlimited().touches(20));
-    let pipeline = Pipeline::new(cfg).rounds(2);
+    let pipeline = Pipeline::new(cfg).passes(PassSpec::default());
     let mut ctx = GvnContext::new();
     let mut funcs = vec![looping()];
     funcs.extend(
@@ -175,7 +176,7 @@ fn exhausted_budget_on_every_rung_falls_back_to_identity() {
     let original = looping();
     let mut optimized = original.clone();
     let cfg = GvnConfig::full().budget(GvnBudget::unlimited().touches(1));
-    let rep = Pipeline::new(cfg).rounds(2).optimize_resilient(&mut optimized);
+    let rep = Pipeline::new(cfg).passes(PassSpec::default()).optimize_resilient(&mut optimized);
     assert_eq!(rep.outcome, ResilientOutcome::Identity);
     assert!(!rep.failures.is_empty());
     assert!(rep.failures.iter().all(|f| f.error.kind() == "budget_exceeded"), "{:?}", rep.failures);
@@ -239,7 +240,8 @@ fn an_orphan_block_does_not_stop_convergence() {
     let results = classified_run(&f, &GvnConfig::full()).unwrap();
     assert!(results.congruent(phi, sum), "the φ takes only the kept arm's value:\n{f}");
     let mut g = f.clone();
-    let rep = Pipeline::new(GvnConfig::full()).rounds(2).optimize_resilient(&mut g);
+    let rep =
+        Pipeline::new(GvnConfig::full()).passes(PassSpec::default()).optimize_resilient(&mut g);
     assert!(rep.failures.is_empty(), "{:?}", rep.failures);
     assert_eq!(rep.outcome.rung(), Some(RungId::Full));
 }

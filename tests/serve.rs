@@ -572,3 +572,65 @@ fn request_op_names_round_trip_through_parse() {
         assert_eq!(req.op, op);
     }
 }
+
+/// The detail of a `protocol` error response; panics on any other reply.
+fn protocol_detail(response: &str) -> String {
+    let v = parse(response).expect("valid JSON");
+    assert_eq!(v.get("reply").and_then(JsonValue::as_str), Some("error"), "{response}");
+    assert_eq!(v.get("error").and_then(JsonValue::as_str), Some("protocol"), "{response}");
+    v.get("detail").and_then(JsonValue::as_str).expect("detail").to_string()
+}
+
+#[test]
+fn pass_specs_over_the_cap_are_refused_and_the_connection_survives() {
+    let spec_request = |id: u64, passes: &str| {
+        format!(r#"{{"id":{id},"name":"a","gen_seed":7,"passes":"{passes}"}}"#).into_bytes()
+    };
+    // 200,000 passes is an 800 KB frame, under the 1 MiB frame limit:
+    // only the spec-length cap stands between it and a worker.
+    let huge = vec!["gvn"; 200_000].join(",");
+    let (responses, summary) = roundtrip(
+        &ServeOptions::default(),
+        vec![
+            spec_request(1, "gvn,pre,gvn,pre,gvn"),
+            gen_request(2, 7),
+            spec_request(3, &huge),
+            gen_request(4, 7),
+            br#"{"id":5,"name":"a","gen_seed":7,"rounds":2}"#.to_vec(),
+            gen_request(6, 7),
+            spec_request(7, "gvn,pre,gvn,cleanup"),
+        ],
+    );
+    assert_eq!(responses.len(), 7, "{responses:?}");
+    let by_id = |id: u64| {
+        responses.iter().find(|r| r.contains(&format!("\"id\":{id},"))).expect("answered")
+    };
+    for id in [1, 3] {
+        let detail = protocol_detail(by_id(id));
+        assert!(detail.starts_with("passes:"), "{detail}");
+        assert!(detail.contains("cap of 4"), "{detail}");
+    }
+    // A parse error carries no id; `rounds` is refused there, naming
+    // its replacement.
+    let detail = protocol_detail(by_id(0));
+    assert!(detail.contains("\"rounds\"") && detail.contains("\"passes\""), "{detail}");
+    for id in [2, 4, 6, 7] {
+        assert_eq!(reply_of(by_id(id)), "record", "{}", by_id(id));
+    }
+    assert_eq!((summary.protocol_errors, summary.records), (3, 4));
+    assert!(summary.is_clean());
+}
+
+#[test]
+fn serve_exits_two_when_its_default_spec_is_over_the_cap() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgvn"))
+        .args(["serve", "--passes", "gvn,pre,gvn,pre,gvn", "--max-pipeline-passes", "4"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.trim().lines().count(), 1, "one line, before serving: {stderr}");
+    assert!(stderr.contains("--passes") && stderr.contains("cap of 4"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing served");
+}

@@ -79,7 +79,7 @@ fn shared_context_matches_fresh_context_over_a_corpus() {
 fn pipeline_with_shared_context_rewrites_identically() {
     let funcs = corpus(8, 7);
     let mut ctx = GvnContext::new();
-    let pipeline = Pipeline::new(GvnConfig::full()).rounds(2);
+    let pipeline = Pipeline::new(GvnConfig::full()).passes(PassSpec::default());
     for (i, f) in funcs.iter().enumerate() {
         let mut shared = f.clone();
         let mut fresh = f.clone();
@@ -161,7 +161,7 @@ fn inference_from_an_unreachable_region_cannot_reach_the_final_partition() {
         );
         // End to end: the optimized routine must still echo its input.
         let mut opt = f.clone();
-        let pipeline = Pipeline::new(cfg.clone()).rounds(2);
+        let pipeline = Pipeline::new(cfg.clone()).passes(PassSpec::default());
         pipeline.optimize_traced_with(&mut ctx, &mut opt, &mut Telemetry::off()).unwrap();
         let mut o = pgvn::ir::HashedOpaques::new(0);
         assert_eq!(pgvn::ir::Interpreter::new(&opt).run(&[9], &mut o), Ok(9), "under {cfg:?}");

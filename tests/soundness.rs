@@ -12,7 +12,7 @@
 
 use pgvn_core::{run, GvnConfig, Mode, Variant};
 use pgvn_ir::{EntityRef, Function, HashedOpaques, Interpreter};
-use pgvn_transform::Pipeline;
+use pgvn_transform::{PassSpec, Pipeline};
 use pgvn_workload::{generate_function, GenConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -86,7 +86,7 @@ fn check_soundness(f: &Function, cfg: &GvnConfig, args: &[i64], opaque_seed: u64
 
 fn check_pipeline_equivalence(f: &Function, cfg: GvnConfig, args: &[i64], opaque_seed: u64) {
     let mut optimized = f.clone();
-    Pipeline::new(cfg.clone()).rounds(2).optimize(&mut optimized);
+    Pipeline::new(cfg.clone()).passes(PassSpec::default()).optimize(&mut optimized);
     pgvn_ir::verify(&optimized).unwrap_or_else(|e| panic!("{}: {e} ({cfg:?})", f.name()));
     let r1 = Interpreter::new(f)
         .fuel(5_000_000)

@@ -22,7 +22,7 @@ fn pipeline_folds_constant_switch() {
     }";
     let original = build(src);
     let mut f = original.clone();
-    let report = Pipeline::new(GvnConfig::full()).rounds(2).optimize(&mut f);
+    let report = Pipeline::new(GvnConfig::full()).passes(PassSpec::default()).optimize(&mut f);
     assert_verifies(&f);
     assert!(report.uce.branches_folded >= 1, "{report:?}");
     for args in [[0], [7], [-3]] {
