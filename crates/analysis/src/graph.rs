@@ -3,19 +3,22 @@
 //! The analyses in the rest of this crate are specialized to
 //! [`pgvn_ir::Function`]. SSA *construction*, however, runs on the pre-SSA
 //! variable CFG (`pgvn-ssa`'s `VarFunction`), which is not a `Function`
-//! yet. This module provides the same algorithms over an abstract graph
-//! given in compressed sparse rows ([`Csr`]): nodes are `0..n`, node
-//! `root` is the entry.
+//! yet. [`GenericDomTree`] runs the crate's one dominator engine on an
+//! abstract graph given in compressed sparse rows ([`Csr`]): nodes are
+//! `0..n`, node `root` is the entry.
 //!
 //! # Cost
 //!
 //! Every per-node list — successors, predecessors, dominator-tree
 //! children, dominance frontiers — is one [`Csr`]: an offset array plus
 //! one flat target array. Computing a dominator tree makes 6 allocations
-//! and its frontiers 3, whatever the graph's size. Before, the successor
-//! buffers, RPO-numbered predecessors, children and frontiers were one
-//! `Vec` per node each: ≈4 allocations per node, and ≈40–46 µs for the
-//! dominators and frontiers of a 74-node CFG.
+//! (the walk's order, numbering and stack, the idoms, the children rows)
+//! and its frontiers 3, whatever the graph's size. Before [`Csr`], the
+//! successor buffers, RPO-numbered predecessors, children and frontiers
+//! were one `Vec` per node each: ≈4 allocations per node, and ≈40–46 µs
+//! for the dominators and frontiers of a 74-node CFG.
+
+use crate::engine::{self, CsrPair, NONE};
 
 /// A directed graph's adjacency in compressed sparse rows: node `u`'s
 /// neighbours are `targets[offsets[u]..offsets[u + 1]]`.
@@ -102,48 +105,10 @@ impl Csr {
     }
 }
 
-const UNREACHED: u32 = u32::MAX;
-
-/// Reverse postorder of the nodes reachable from `root`, plus each node's
-/// position in it (`u32::MAX` for unreachable nodes).
-fn rpo_numbered(root: usize, succs: &Csr) -> (Vec<u32>, Vec<u32>) {
-    let n = succs.len();
-    // `UNREACHED` until the DFS discovers a node, then its RPO position.
-    let mut number = vec![UNREACHED; n];
-    let mut order = Vec::with_capacity(n);
-    // (node, next successor slot)
-    let mut stack: Vec<(u32, u32)> = Vec::with_capacity(n);
-    number[root] = 0;
-    stack.push((root as u32, 0));
-    while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-        let row = succs.row(u as usize);
-        if let Some(&v) = row.get(*next as usize) {
-            *next += 1;
-            if number[v as usize] == UNREACHED {
-                number[v as usize] = 0;
-                stack.push((v, 0));
-            }
-        } else {
-            order.push(u);
-            stack.pop();
-        }
-    }
-    order.reverse();
-    for (i, &u) in order.iter().enumerate() {
-        number[u as usize] = i as u32;
-    }
-    (order, number)
-}
-
-/// Reverse postorder of the nodes reachable from `root`.
-pub fn generic_rpo(root: usize, succs: &Csr) -> Vec<u32> {
-    rpo_numbered(root, succs).0
-}
-
 /// A dominator tree over an abstract graph.
 #[derive(Clone, Debug)]
 pub struct GenericDomTree {
-    /// Immediate dominator per node (`u32::MAX` for unreachable; the root
+    /// Immediate dominator per node ([`NONE`] for unreachable; the root
     /// maps to itself).
     idom: Vec<u32>,
     /// Reachable nodes in reverse postorder.
@@ -156,32 +121,11 @@ impl GenericDomTree {
     /// Computes the dominators of the graph rooted at `root`, given its
     /// successor and predecessor rows.
     pub fn compute(root: usize, succs: &Csr, preds: &Csr) -> Self {
-        let n = succs.len();
-        let (order, mut number) = rpo_numbered(root, succs);
-        // Predecessors are mapped to RPO positions on the fly: the solver
-        // sweeps a few times, and a mapped copy would cost two arrays.
-        let pred_pos = |i: usize, visit: &mut dyn FnMut(usize)| {
-            for &p in preds.row(order[i] as usize) {
-                if number[p as usize] != UNREACHED {
-                    visit(number[p as usize] as usize);
-                }
-            }
-        };
-        let idom_pos = crate::domtree::chk_solve_public(order.len(), &pred_pos);
-        // Each node's RPO position becomes its immediate dominator.
-        for slot in &mut number {
-            if let Some(&p) = idom_pos.get(*slot as usize).filter(|&&p| p != usize::MAX) {
-                *slot = order[p];
-            } else {
-                *slot = UNREACHED;
-            }
-        }
-        let idom = number;
-        let children = Csr::group(n, |emit| {
-            for &u in order.iter().skip(1) {
-                emit(idom[u as usize] as usize, u);
-            }
-        });
+        let view = CsrPair { succs, preds };
+        let (mut order, mut number, mut idom) = (Vec::new(), Vec::new(), Vec::new());
+        engine::rpo(&view, root, &mut order, &mut number, &mut Vec::new());
+        engine::chk(&view, &order, &number, &mut idom);
+        let children = engine::children(&order, &idom);
         GenericDomTree { idom, order, children }
     }
 
@@ -190,34 +134,9 @@ impl GenericDomTree {
         &self.order
     }
 
-    /// The immediate dominator of `u`, or `None` for unreachable nodes.
-    /// The root's idom is itself.
-    pub fn idom(&self, u: usize) -> Option<usize> {
-        (self.idom[u] != UNREACHED).then_some(self.idom[u] as usize)
-    }
-
     /// Returns `true` if `u` is reachable from the root.
     pub fn is_reachable(&self, u: usize) -> bool {
-        self.idom[u] != UNREACHED
-    }
-
-    /// Returns `true` if `a` dominates `b` (reflexive). Walks `b`'s idom
-    /// chain, so it costs O(tree depth).
-    pub fn dominates(&self, a: usize, b: usize) -> bool {
-        if !self.is_reachable(a) || !self.is_reachable(b) {
-            return false;
-        }
-        let mut u = b;
-        loop {
-            if u == a {
-                return true;
-            }
-            let p = self.idom[u] as usize;
-            if p == u {
-                return false;
-            }
-            u = p;
-        }
+        self.idom[u] != NONE
     }
 
     /// Children of `u` in the dominator tree, in RPO order.
@@ -232,9 +151,9 @@ impl GenericDomTree {
         // `seen[r] == b` once `b` is in `r`'s frontier. The runners of two
         // predecessors of `b` meet on the idom chain; past the meeting
         // point the second walk would only repeat the first, so it stops.
-        let mut seen = vec![UNREACHED; self.idom.len()];
+        let mut seen = vec![NONE; self.idom.len()];
         Csr::group(self.idom.len(), |emit| {
-            seen.fill(UNREACHED);
+            seen.fill(NONE);
             for &b in &self.order {
                 let row = preds.row(b as usize);
                 if row.iter().filter(|&&p| self.is_reachable(p as usize)).nth(1).is_none() {
@@ -282,10 +201,23 @@ mod tests {
         (s, p)
     }
 
+    /// Each node's parent in `dt`'s children rows (`None` for the root
+    /// and unreachable nodes).
+    fn parents(dt: &GenericDomTree, n: usize) -> Vec<Option<u32>> {
+        let mut parent = vec![None; n];
+        for u in 0..n {
+            for &c in dt.children(u) {
+                parent[c as usize] = Some(u as u32);
+            }
+        }
+        parent
+    }
+
     #[test]
-    fn rpo_starts_at_root() {
-        let (s, _) = graph();
-        let order = generic_rpo(0, &s);
+    fn order_starts_at_root_and_lists_reachable_nodes() {
+        let (s, p) = graph();
+        let dt = GenericDomTree::compute(0, &s, &p);
+        let order = dt.order();
         assert_eq!(order[0], 0);
         assert_eq!(order.len(), 6);
         let pos = |u: u32| order.iter().position(|&x| x == u).unwrap();
@@ -297,14 +229,8 @@ mod tests {
     fn dominators_of_loop_diamond() {
         let (s, p) = graph();
         let dt = GenericDomTree::compute(0, &s, &p);
-        assert_eq!(dt.idom(0), Some(0));
-        assert_eq!(dt.idom(1), Some(0));
-        assert_eq!(dt.idom(2), Some(1));
-        assert_eq!(dt.idom(3), Some(1));
-        assert_eq!(dt.idom(4), Some(1));
-        assert_eq!(dt.idom(5), Some(1));
-        assert!(dt.dominates(1, 4));
-        assert!(!dt.dominates(2, 4));
+        let parent = parents(&dt, 6);
+        assert_eq!(parent, [None, Some(0), Some(1), Some(1), Some(1), Some(1)]);
         let mut kids = dt.children(1).to_vec();
         kids.sort_unstable();
         assert_eq!(kids, vec![2, 3, 4, 5]);
@@ -326,10 +252,9 @@ mod tests {
         let (s, p) = csr(&[&[1], &[], &[1]]); // node 2 unreachable
         let dt = GenericDomTree::compute(0, &s, &p);
         assert!(!dt.is_reachable(2));
-        assert_eq!(dt.idom(2), None);
-        assert!(!dt.dominates(2, 1));
         // Node 1's idom ignores the unreachable predecessor 2.
-        assert_eq!(dt.idom(1), Some(0));
+        assert_eq!(parents(&dt, 3), [None, Some(0), None]);
+        assert!(dt.children(2).is_empty());
     }
 
     #[test]

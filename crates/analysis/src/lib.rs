@@ -10,13 +10,21 @@
 //!   (Cooper–Harvey–Kennedy);
 //! - [`GenericDomTree`] — dominators and dominance frontiers over any
 //!   CSR graph (SSA construction places φs with its frontiers);
-//! - [`ReachableDomTree`] — the incrementally maintained dominator tree of
-//!   the reachable subgraph used by the paper's *complete* algorithm;
+//! - [`ReachableDomTree`] — the immediate dominators of the reachable
+//!   subgraph used by the paper's *complete* algorithm, rebuilt as it
+//!   grows;
 //! - [`LoopInfo`] — natural loops and the loop-connectedness statistic
 //!   from the complexity analysis (§4);
 //! - [`AnalysisManager`] — RPO and both dominator trees ([`CfgAnalyses`]),
 //!   built once per CFG revision and shared by every consumer;
 //! - [`verify_ssa`] — the dominance-aware SSA well-formedness check.
+//!
+//! Every RPO walk and dominator tree above comes from one private
+//! engine: one explicit-stack DFS, one Cooper–Harvey–Kennedy solve and
+//! one idom-to-tree step (children rows, preorder intervals), reading
+//! the CFG, the reversed CFG with a virtual exit, the reachable-edge
+//! subgraph or a CSR graph through a small view. [`naive_dominators`] is the independent set-based
+//! reference the tests check every tree against.
 //!
 //! ```
 //! use pgvn_ir::{Function, CmpOp};
@@ -40,6 +48,7 @@
 #![forbid(unsafe_code)]
 
 pub mod domtree;
+mod engine;
 pub mod graph;
 pub mod loops;
 pub mod manager;
@@ -48,9 +57,9 @@ pub mod reachable_dom;
 pub mod ssa_verify;
 
 pub use domtree::{naive_dominators, DomTree, PostDomTree};
-pub use graph::{generic_rpo, Csr, GenericDomTree};
+pub use graph::{Csr, GenericDomTree};
 pub use loops::LoopInfo;
 pub use manager::{AnalysisManager, CfgAnalyses};
 pub use order::{Ranks, Rpo, UNREACHABLE_RPO};
-pub use reachable_dom::{full_domtree, ReachableDomTree};
+pub use reachable_dom::ReachableDomTree;
 pub use ssa_verify::{assert_ssa, verify_ssa};

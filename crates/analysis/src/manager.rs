@@ -141,7 +141,7 @@ mod tests {
         let mut am = AnalysisManager::new();
         assert_eq!((am.hits(), am.misses()), (0, 0));
         let entry = f.entry();
-        assert!(am.cfg(&f).domtree.is_reachable(entry));
+        assert!(am.cfg(&f).rpo.is_reachable(entry));
         assert_eq!((am.hits(), am.misses()), (0, 1));
         am.cfg(&f);
         am.cfg(&f);

@@ -5,6 +5,7 @@
 //! whose destination does not follow its origin in RPO (§2.5). Ranks
 //! (§2.2) are also assigned in RPO.
 
+use crate::engine::{self, Forward};
 use pgvn_ir::{Block, Edge, EntityRef, EntitySet, Function, Inst, SecondaryMap, Value};
 
 /// Reverse postorder of the blocks reachable from the entry, with the
@@ -12,61 +13,29 @@ use pgvn_ir::{Block, Edge, EntityRef, EntitySet, Function, Inst, SecondaryMap, V
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rpo {
     order: Vec<Block>,
-    number: SecondaryMap<Block, u32>,
+    /// Each block's position in `order`, [`UNREACHABLE_RPO`] if none.
+    number: Vec<u32>,
     backward: EntitySet<Edge>,
-    reachable: EntitySet<Block>,
 }
 
 /// Blocks unreachable from the entry get this sentinel RPO number; it
 /// sorts after every real number.
-pub const UNREACHABLE_RPO: u32 = u32::MAX;
+pub const UNREACHABLE_RPO: u32 = engine::NONE;
 
 impl Rpo {
     /// Computes the RPO of `func` over blocks statically reachable from the
     /// entry.
     pub fn compute(func: &Function) -> Self {
-        let cap = func.block_capacity();
-        let mut state = vec![0u8; cap]; // 0 = unvisited, 1 = on stack, 2 = done
-                                        // Sized for every block up front: no regrowth during the walk.
-        let mut postorder: Vec<Block> = Vec::with_capacity(cap);
-        // Iterative DFS with an explicit stack of (block, next successor index).
-        let mut stack: Vec<(Block, usize)> = Vec::with_capacity(cap);
-        stack.push((func.entry(), 0));
-        state[func.entry().index()] = 1;
-        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let succs = func.succs(b);
-            if *next < succs.len() {
-                let s = func.edge_to(succs[*next]);
-                *next += 1;
-                if state[s.index()] == 0 {
-                    state[s.index()] = 1;
-                    stack.push((s, 0));
-                }
-            } else {
-                state[b.index()] = 2;
-                postorder.push(b);
-                stack.pop();
-            }
-        }
-        postorder.reverse();
-        let order = postorder;
-
-        let mut number = SecondaryMap::with_capacity(UNREACHABLE_RPO, cap);
-        let mut reachable = EntitySet::with_capacity(cap);
-        for (i, &b) in order.iter().enumerate() {
-            number[b] = i as u32;
-            reachable.insert(b);
-        }
-
+        let (mut order, mut number) = (Vec::new(), Vec::new());
+        engine::rpo(&Forward(func), func.entry().index(), &mut order, &mut number, &mut Vec::new());
         let mut backward = EntitySet::with_capacity(func.edge_capacity());
         for e in func.edges() {
-            let from = func.edge_from(e);
-            let to = func.edge_to(e);
-            if reachable.contains(from) && reachable.contains(to) && number[to] <= number[from] {
+            let from = number[func.edge_from(e).index()];
+            if from != UNREACHABLE_RPO && number[func.edge_to(e).index()] <= from {
                 backward.insert(e);
             }
         }
-        Rpo { order, number, backward, reachable }
+        Rpo { order, number, backward }
     }
 
     /// Blocks in reverse postorder.
@@ -77,23 +46,23 @@ impl Rpo {
     /// The RPO number of `b`, or [`UNREACHABLE_RPO`] if `b` is statically
     /// unreachable.
     pub fn number(&self, b: Block) -> u32 {
-        self.number[b]
+        self.number.get(b.index()).copied().unwrap_or(UNREACHABLE_RPO)
+    }
+
+    /// Every block's RPO number, indexed by block.
+    pub(crate) fn numbers(&self) -> &[u32] {
+        &self.number
     }
 
     /// Returns `true` if `b` is statically reachable from the entry.
     pub fn is_reachable(&self, b: Block) -> bool {
-        self.reachable.contains(b)
+        self.number(b) != UNREACHABLE_RPO
     }
 
     /// Returns `true` if `e` is an RPO back edge (its destination's RPO
     /// number does not exceed its origin's).
     pub fn is_back_edge(&self, e: Edge) -> bool {
         self.backward.contains(e)
-    }
-
-    /// The set of RPO back edges (the paper's `BACKWARD` set).
-    pub fn back_edges(&self) -> &EntitySet<Edge> {
-        &self.backward
     }
 }
 
@@ -175,7 +144,6 @@ mod tests {
         let rpo = Rpo::compute(&f);
         let back = f.edges().find(|&e| f.edge_from(e) == body && f.edge_to(e) == head).unwrap();
         assert!(rpo.is_back_edge(back));
-        assert_eq!(rpo.back_edges().len(), 1);
         for e in f.edges() {
             if e != back {
                 assert!(!rpo.is_back_edge(e), "{e} misclassified");

@@ -7,44 +7,46 @@
 //! (§4).
 //!
 //! **Substitution** (documented in `DESIGN.md`): instead of the SGL
-//! edge-insertion algorithm we recompute the CHK dominator tree over the
-//! currently reachable subgraph whenever the reachable edge set has grown
-//! since the last query. Each recomputation is near-linear and at most
-//! O(E) recomputations happen per GVN run, matching the paper's O(E²)
-//! budget while keeping the exact same query interface and results (the
-//! dominator tree of a graph does not depend on how it was built).
+//! edge-insertion algorithm we rerun the crate's one dominator engine
+//! over the currently reachable subgraph whenever the reachable edge set
+//! has grown since the last query. Each rebuild is near-linear, writes
+//! into buffers the tree keeps, and at most O(E) rebuilds happen per GVN
+//! run, matching the paper's O(E²) budget while giving the exact same
+//! answers (the dominator tree of a graph does not depend on how it was
+//! built). The driver asks only for immediate dominators, so that is the
+//! one query: no interval numbering is kept.
 
-use crate::domtree::DomTree;
-use crate::order::Rpo;
+use crate::engine::{self, Filtered, NONE};
 use pgvn_ir::{Block, Edge, EntityRef, EntitySet, Function};
 
 /// Maintains the dominator tree of the subgraph induced by a growing set
-/// of reachable edges.
+/// of reachable edges, and answers immediate-dominator queries on it.
+///
+/// A rebuild runs the crate's one dominator engine into buffers the tree
+/// owns, so once they have grown to the function's size it allocates
+/// nothing.
 #[derive(Debug)]
 pub struct ReachableDomTree {
     /// Edges currently considered reachable.
     reachable_edges: EntitySet<Edge>,
     dirty: bool,
-    idom: Vec<Option<Block>>,
-    pre: Vec<u32>,
-    post: Vec<u32>,
-    in_tree: Vec<bool>,
+    order: Vec<u32>,
+    number: Vec<u32>,
+    stack: Vec<(u32, u32)>,
+    idom: Vec<u32>,
 }
 
 impl ReachableDomTree {
     /// Creates the tree with only the entry block reachable.
     pub fn new(func: &Function) -> Self {
-        let cap = func.block_capacity();
-        let mut t = ReachableDomTree {
+        ReachableDomTree {
             reachable_edges: EntitySet::with_capacity(func.edge_capacity()),
             dirty: true,
-            idom: vec![None; cap],
-            pre: vec![0; cap],
-            post: vec![0; cap],
-            in_tree: vec![false; cap],
-        };
-        t.recompute(func);
-        t
+            order: Vec::new(),
+            number: Vec::new(),
+            stack: Vec::new(),
+            idom: Vec::new(),
+        }
     }
 
     /// Marks `e` reachable; the tree refreshes lazily on the next query.
@@ -54,101 +56,19 @@ impl ReachableDomTree {
         }
     }
 
-    fn refresh(&mut self, func: &Function) {
-        if self.dirty {
-            self.recompute(func);
-        }
-    }
-
-    fn recompute(&mut self, func: &Function) {
-        // RPO over the subgraph following only reachable edges.
-        let cap = func.block_capacity();
-        let mut state = vec![0u8; cap];
-        let mut postorder = Vec::new();
-        let mut stack: Vec<(Block, usize)> = vec![(func.entry(), 0)];
-        state[func.entry().index()] = 1;
-        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let succs = func.succs(b);
-            if *next < succs.len() {
-                let e = succs[*next];
-                *next += 1;
-                if !self.reachable_edges.contains(e) {
-                    continue;
-                }
-                let s = func.edge_to(e);
-                if state[s.index()] == 0 {
-                    state[s.index()] = 1;
-                    stack.push((s, 0));
-                }
-            } else {
-                state[b.index()] = 2;
-                postorder.push(b);
-                stack.pop();
-            }
-        }
-        postorder.reverse();
-        let order = postorder;
-        let number = {
-            let mut m = vec![usize::MAX; cap];
-            for (i, &b) in order.iter().enumerate() {
-                m[b.index()] = i;
-            }
-            m
-        };
-        let preds = |i: usize, visit: &mut dyn FnMut(usize)| {
-            for &e in func.preds(order[i]) {
-                if !self.reachable_edges.contains(e) {
-                    continue;
-                }
-                let p = func.edge_from(e);
-                if number[p.index()] != usize::MAX {
-                    visit(number[p.index()]);
-                }
-            }
-        };
-        let idom_pos = crate::domtree::chk_solve_public(order.len(), &preds);
-        self.idom.iter_mut().for_each(|x| *x = None);
-        self.in_tree.iter_mut().for_each(|x| *x = false);
-        for (i, &b) in order.iter().enumerate() {
-            self.in_tree[b.index()] = true;
-            if idom_pos[i] != usize::MAX {
-                self.idom[b.index()] = Some(order[idom_pos[i]]);
-            }
-        }
-        let (pre, post, _) = crate::domtree::tree_intervals_public(cap, &order, &self.idom);
-        self.pre = pre;
-        self.post = post;
-        self.dirty = false;
-    }
-
     /// The immediate dominator of `b` in the reachable subgraph. The entry
     /// returns itself; blocks not currently reachable return `None`.
     pub fn idom(&mut self, func: &Function, b: Block) -> Option<Block> {
-        self.refresh(func);
-        self.idom[b.index()]
-    }
-
-    /// Returns `true` if `a` dominates `b` within the reachable subgraph.
-    pub fn dominates(&mut self, func: &Function, a: Block, b: Block) -> bool {
-        self.refresh(func);
-        if !self.in_tree[a.index()] || !self.in_tree[b.index()] {
-            return false;
+        if self.dirty {
+            let view = Filtered { func, edges: &self.reachable_edges };
+            let entry = func.entry().index();
+            engine::rpo(&view, entry, &mut self.order, &mut self.number, &mut self.stack);
+            engine::chk(&view, &self.order, &self.number, &mut self.idom);
+            self.dirty = false;
         }
-        self.pre[a.index()] <= self.pre[b.index()] && self.post[b.index()] <= self.post[a.index()]
+        let d = self.idom[b.index()];
+        (d != NONE).then(|| Block::new(d as usize))
     }
-
-    /// Returns `true` if `b` is in the currently reachable subgraph.
-    pub fn is_reachable(&mut self, func: &Function, b: Block) -> bool {
-        self.refresh(func);
-        self.in_tree[b.index()]
-    }
-}
-
-/// Convenience: the full-graph dominator tree as a `(Rpo, DomTree)` pair.
-pub fn full_domtree(func: &Function) -> (Rpo, DomTree) {
-    let rpo = Rpo::compute(func);
-    let dt = DomTree::compute(func, &rpo);
-    (rpo, dt)
 }
 
 #[cfg(test)]
@@ -165,8 +85,6 @@ mod tests {
         let z = f.iconst(b, 0);
         f.set_return(b, z);
         let mut rdt = ReachableDomTree::new(&f);
-        assert!(rdt.is_reachable(&f, entry));
-        assert!(!rdt.is_reachable(&f, b));
         assert_eq!(rdt.idom(&f, entry), Some(entry));
         assert_eq!(rdt.idom(&f, b), None);
     }
@@ -189,15 +107,14 @@ mod tests {
         let mut rdt = ReachableDomTree::new(&f);
         rdt.add_edge(te);
         rdt.add_edge(tj);
-        assert!(rdt.is_reachable(&f, j));
         assert_eq!(rdt.idom(&f, j), Some(t));
-        assert!(rdt.dominates(&f, t, j));
+        assert_eq!(rdt.idom(&f, e), None);
 
         rdt.add_edge(ee);
+        assert_eq!(rdt.idom(&f, e), Some(entry));
+        assert_eq!(rdt.idom(&f, j), Some(t), "e does not reach j yet");
         rdt.add_edge(ej);
         assert_eq!(rdt.idom(&f, j), Some(entry));
-        assert!(!rdt.dominates(&f, t, j));
-        assert!(rdt.dominates(&f, entry, j));
     }
 
     #[test]
@@ -215,12 +132,9 @@ mod tests {
         for e in f.edges() {
             rdt.add_edge(e);
         }
-        let (_, dt) = full_domtree(&f);
+        let dt = crate::DomTree::compute(&f, &crate::Rpo::compute(&f));
         for x in f.blocks() {
             assert_eq!(rdt.idom(&f, x), dt.idom(x), "idom({x})");
-            for y in f.blocks() {
-                assert_eq!(rdt.dominates(&f, x, y), dt.dominates(x, y), "dom({x},{y})");
-            }
         }
     }
 }

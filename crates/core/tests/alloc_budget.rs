@@ -15,7 +15,7 @@
 //! lives in its own integration-test crate so the libraries keep
 //! `forbid(unsafe_code)`.
 
-use pgvn_analysis::CfgAnalyses;
+use pgvn_analysis::{CfgAnalyses, ReachableDomTree};
 use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
 use pgvn_ir::{Function, InstKind};
 use pgvn_telemetry::Telemetry;
@@ -228,4 +228,20 @@ fn a_clone_allocates_a_constant_number_of_times() {
         }
     }
     eprintln!("{} routines cloned, worst {} allocations ({})", funcs.len(), worst.0, worst.1);
+}
+
+/// The complete variant's reachable dominator tree rebuilds into
+/// buffers it keeps: once the first rebuild has grown them, every later
+/// one allocates nothing.
+#[test]
+fn reachable_tree_rebuilds_allocate_nothing_once_grown() {
+    for f in suite().iter().step_by(7) {
+        let mut rdt = ReachableDomTree::new(f);
+        assert_eq!(rdt.idom(f, f.entry()), Some(f.entry()));
+        for e in f.edges() {
+            rdt.add_edge(e);
+            let (n, _) = counted(|| rdt.idom(f, f.edge_to(e)));
+            assert_eq!(n, 0, "{}: a rebuild made {n} allocations", f.name());
+        }
+    }
 }

@@ -308,9 +308,9 @@ fn connection_loop(engine: &Engine, reader: &mut impl Read, out: &Arc<ConnOut>) 
             Ok(FrameEvent::Frame(payload)) => {
                 let req = match parse_request(&payload) {
                     Ok(req) => req,
-                    Err(msg) => {
+                    Err((id, msg)) => {
                         engine.reg.add(Metric::ServeProtocolErrors, 1);
-                        out.send(engine, &error_response(0, "protocol", &msg));
+                        out.send(engine, &error_response(id, "protocol", &msg));
                         continue;
                     }
                 };

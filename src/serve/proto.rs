@@ -230,20 +230,29 @@ fn opt_str(obj: &JsonValue, key: &str) -> Result<Option<String>, String> {
     }
 }
 
-/// Parses one frame payload into a [`Request`]. Every failure is a
-/// one-line diagnostic destined for a `protocol` error response; the
-/// connection always survives a parse failure.
-pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
-    let obj = parse(text).map_err(|e| format!("payload is not valid JSON: {e}"))?;
+/// Parses one frame payload into a [`Request`]. Every failure is the
+/// id to answer with and a one-line diagnostic, destined for a
+/// `protocol` error response; the connection always survives a parse
+/// failure. The id is read first, so every refusal of a JSON object
+/// echoes it; a payload that is not one (or whose `id` is malformed)
+/// is answered with id 0.
+pub fn parse_request(payload: &[u8]) -> Result<Request, (u64, String)> {
+    let text =
+        std::str::from_utf8(payload).map_err(|e| (0, format!("payload is not UTF-8: {e}")))?;
+    let obj = parse(text).map_err(|e| (0, format!("payload is not valid JSON: {e}")))?;
     if !matches!(obj, JsonValue::Obj(_)) {
-        return Err("payload must be a JSON object".to_string());
+        return Err((0, "payload must be a JSON object".to_string()));
     }
+    let id = opt_num(&obj, "id").map_err(|e| (0, e))?.unwrap_or(0);
+    request_fields(&obj, id).map_err(|e| (id, e))
+}
+
+/// The fields of a request object after its `id`.
+fn request_fields(obj: &JsonValue, id: u64) -> Result<Request, String> {
     if obj.get("rounds").is_some() {
         return Err("field \"rounds\" was replaced by \"passes\", e.g. \"gvn,pre,gvn\"".into());
     }
-    let id = opt_num(&obj, "id")?.unwrap_or(0);
-    let op = match opt_str(&obj, "op")?.as_deref() {
+    let op = match opt_str(obj, "op")?.as_deref() {
         None | Some("optimize") => RequestOp::Optimize,
         Some("ping") => RequestOp::Ping,
         Some("stats") => RequestOp::Stats,
@@ -252,8 +261,8 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
             return Err(format!("unknown op {other:?} (expected optimize|ping|stats|shutdown)"))
         }
     };
-    let source = opt_str(&obj, "routine")?;
-    let gen_seed = opt_num(&obj, "gen_seed")?;
+    let source = opt_str(obj, "routine")?;
+    let gen_seed = opt_num(obj, "gen_seed")?;
     if op == RequestOp::Optimize {
         match (&source, gen_seed) {
             (Some(_), Some(_)) => {
@@ -265,8 +274,8 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
             _ => {}
         }
     }
-    let name = opt_str(&obj, "name")?.unwrap_or_else(|| format!("req_{id}"));
-    let inject = match opt_str(&obj, "inject")? {
+    let name = opt_str(obj, "name")?.unwrap_or_else(|| format!("req_{id}"));
+    let inject = match opt_str(obj, "inject")? {
         None => None,
         Some(spec) => {
             let plan = FaultPlan::parse(&spec).ok_or_else(|| {
@@ -276,7 +285,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
                      eval|edges|phipred|rewrite"
                 )
             })?;
-            let plan = plan.seeded(opt_num(&obj, "inject_seed")?.unwrap_or(0));
+            let plan = plan.seeded(opt_num(obj, "inject_seed")?.unwrap_or(0));
             let sticky = matches!(obj.get("inject_sticky"), Some(v) if v.as_bool() == Some(true));
             Some(if sticky { plan.sticky() } else { plan })
         }
@@ -287,13 +296,13 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
         name,
         source,
         gen_seed,
-        config: opt_str(&obj, "config")?,
-        mode: opt_str(&obj, "mode")?,
-        variant: opt_str(&obj, "variant")?,
-        passes: opt_str(&obj, "passes")?,
-        budget_passes: opt_num(&obj, "budget_passes")?,
-        budget_ms: opt_num(&obj, "budget_ms")?,
-        budget_touches: opt_num(&obj, "budget_touches")?,
+        config: opt_str(obj, "config")?,
+        mode: opt_str(obj, "mode")?,
+        variant: opt_str(obj, "variant")?,
+        passes: opt_str(obj, "passes")?,
+        budget_passes: opt_num(obj, "budget_passes")?,
+        budget_ms: opt_num(obj, "budget_ms")?,
+        budget_touches: opt_num(obj, "budget_touches")?,
         inject,
     })
 }
@@ -421,10 +430,15 @@ mod tests {
         assert_eq!(ok.id, 7);
         assert_eq!(ok.op, RequestOp::Optimize);
         assert_eq!(ok.name, "req_7");
-        assert!(parse_request(&[0xff, 0xfe]).unwrap_err().contains("UTF-8"));
-        assert!(parse_request(b"{nope").unwrap_err().contains("JSON"));
-        assert!(parse_request(br#"{"id":1}"#).unwrap_err().contains("gen_seed"));
-        assert!(parse_request(br#"{"op":"evaporate"}"#).unwrap_err().contains("unknown op"));
+        let err = |payload: &[u8]| parse_request(payload).unwrap_err();
+        assert!(err(&[0xff, 0xfe]).1.contains("UTF-8"));
+        assert!(err(b"{nope").1.contains("JSON"));
+        let (id, msg) = err(br#"{"id":1}"#);
+        assert!(id == 1 && msg.contains("gen_seed"), "{id} {msg}");
+        let (id, msg) = err(br#"{"id":4,"op":"evaporate"}"#);
+        assert!(id == 4 && msg.contains("unknown op"), "{id} {msg}");
+        assert_eq!(err(br#"{"id":"4","op":"evaporate"}"#).0, 0, "a malformed id is not echoed");
+        assert_eq!(err(br#"[4]"#).0, 0);
         assert!(parse_request(br#"{"gen_seed":3,"inject":"panic@nowhere"}"#).is_err());
         let plan = parse_request(br#"{"gen_seed":3,"inject":"panic@eval","inject_sticky":true}"#)
             .unwrap()
@@ -461,7 +475,7 @@ mod tests {
             req("budget_passes", u64::from(u32::MAX)).unwrap().budget_passes,
             Some(u32::MAX)
         );
-        let err = req("budget_passes", 1 << 32).unwrap_err();
+        let (_, err) = req("budget_passes", 1 << 32).unwrap_err();
         assert!(err.contains("\"budget_passes\" must be a number"), "{err}");
         assert_eq!(req("budget_ms", u64::MAX).unwrap().budget_ms, Some(u64::MAX));
         assert!(parse_request(br#"{"gen_seed":3,"budget_passes":"5"}"#).is_err());

@@ -1,16 +1,43 @@
 //! Differential property tests of the CFG analyses on generated programs:
-//! the fast dominator algorithm against the naive set-based one, RPO
-//! invariants, postdominator sanity, and the CFG stamp the analysis
-//! cache is keyed on.
+//! every dominator tree (forward, postdominator, reachable-subgraph and
+//! the generic one SSA construction uses) against the naive set-based
+//! reference on edge lists the tests build themselves, RPO invariants,
+//! and the CFG stamp the analysis cache is keyed on.
 
-use pgvn::analysis::{naive_dominators, AnalysisManager, CfgAnalyses, DomTree, PostDomTree, Rpo};
-use pgvn::ir::{Function, InstKind};
+use pgvn::analysis::{
+    naive_dominators, AnalysisManager, CfgAnalyses, DomTree, GenericDomTree, PostDomTree,
+    ReachableDomTree, Rpo,
+};
+use pgvn::ir::{Block, EntityRef, Function, InstKind};
 use pgvn::workload::{generate_function, GenConfig};
 use proptest::prelude::*;
 
 fn gen(seed: u64) -> Function {
     let cfg = GenConfig { seed, target_stmts: 30, ..Default::default() };
     generate_function("a", &cfg, pgvn::ssa::SsaStyle::Minimal)
+}
+
+/// `f`'s CFG as `(from, to)` block indices, one pair per edge.
+fn edge_list(f: &Function) -> Vec<(u32, u32)> {
+    f.edges().map(|e| (f.edge_from(e).index() as u32, f.edge_to(e).index() as u32)).collect()
+}
+
+/// The immediate dominators a reference result implies: the root maps to
+/// itself, an unreached node to `None`, and any other node to the strict
+/// dominator with the most dominators of its own (the nearest one).
+fn naive_idoms(dom: &[Vec<bool>], root: usize) -> Vec<Option<usize>> {
+    let depth = |a: usize| dom[a].iter().filter(|&&d| d).count();
+    (0..dom.len())
+        .map(|b| match b == root || !dom[b][b] {
+            true => dom[b][b].then_some(b),
+            false => (0..dom.len()).filter(|&a| a != b && dom[b][a]).max_by_key(|&a| depth(a)),
+        })
+        .collect()
+}
+
+/// A block handle, or `None`, from a reference index.
+fn block(i: Option<usize>) -> Option<Block> {
+    i.map(Block::new)
 }
 
 /// Applies one edit, chosen by `op` and placed by `a` and `b`, that
@@ -81,6 +108,14 @@ fn mutate(f: &mut Function, op: u8, a: usize, b: usize) {
     }
 }
 
+/// A well-mixed hash, to shuffle edges by.
+fn splitmix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
@@ -116,15 +151,122 @@ proptest! {
         let f = gen(seed);
         let rpo = Rpo::compute(&f);
         let dt = DomTree::compute(&f, &rpo);
-        let naive = naive_dominators(&f, &rpo);
-        for (i, &b) in rpo.order().iter().enumerate() {
-            for &a in rpo.order() {
+        let naive = naive_dominators(f.block_capacity(), f.entry().index(), &edge_list(&f));
+        let idoms = naive_idoms(&naive, f.entry().index());
+        for b in f.blocks() {
+            prop_assert_eq!(dt.idom(b), block(idoms[b.index()]), "idom({}) (seed {})", b, seed);
+            for a in f.blocks() {
                 prop_assert_eq!(
                     dt.dominates(a, b),
-                    naive[i].contains(&a),
+                    naive[b.index()][a.index()],
                     "dominates({}, {}) disagrees (seed {})", a, b, seed
                 );
             }
+        }
+    }
+
+    /// The postdominator tree is the dominator tree of the reversed CFG
+    /// over the statically reachable blocks, rooted at a virtual exit that
+    /// precedes every `return` block.
+    #[test]
+    fn postdominators_match_naive_on_the_reversed_cfg(seed in 0u64..3_000) {
+        let f = gen(seed);
+        let rpo = Rpo::compute(&f);
+        let pdt = PostDomTree::compute(&f, &rpo);
+        let (n, entry) = (f.block_capacity(), f.entry().index());
+        let forward = naive_dominators(n, entry, &edge_list(&f));
+        let reached = |b: usize| forward[b][entry];
+        let mut reversed: Vec<(u32, u32)> =
+            edge_list(&f).into_iter().filter(|&(a, b)| reached(a as usize) && reached(b as usize))
+                .map(|(a, b)| (b, a)).collect();
+        for b in f.blocks().filter(|b| reached(b.index())) {
+            if f.terminator(b).is_some_and(|t| matches!(f.kind(t), InstKind::Return(_))) {
+                reversed.push((n as u32, b.index() as u32));
+            }
+        }
+        let naive = naive_dominators(n + 1, n, &reversed);
+        let ipdoms = naive_idoms(&naive, n);
+        for b in f.blocks() {
+            let expect = ipdoms[b.index()].filter(|&p| p != n);
+            prop_assert_eq!(pdt.ipdom(b), block(expect), "ipdom({}) (seed {})", b, seed);
+            for a in f.blocks() {
+                prop_assert_eq!(
+                    pdt.postdominates(a, b),
+                    naive[b.index()][a.index()],
+                    "postdominates({}, {}) disagrees (seed {})", a, b, seed
+                );
+            }
+        }
+    }
+
+    /// Edges become reachable in a random order; after each one, every
+    /// block's idom is the reference's on the edges inserted so far.
+    #[test]
+    fn reachable_tree_matches_naive_after_every_insertion(seed in 0u64..3_000, shuffle in 0u64..1 << 32) {
+        let f = gen(seed);
+        let mut edges: Vec<_> = f.edges().collect();
+        edges.sort_by_key(|e| splitmix(shuffle ^ e.index() as u64));
+        let mut rdt = ReachableDomTree::new(&f);
+        let mut inserted = Vec::with_capacity(edges.len());
+        for e in edges {
+            rdt.add_edge(e);
+            inserted.push((f.edge_from(e).index() as u32, f.edge_to(e).index() as u32));
+            let naive = naive_dominators(f.block_capacity(), f.entry().index(), &inserted);
+            let idoms = naive_idoms(&naive, f.entry().index());
+            for b in f.blocks() {
+                prop_assert_eq!(
+                    rdt.idom(&f, b),
+                    block(idoms[b.index()]),
+                    "idom({}) after {} edges (seed {})", b, inserted.len(), seed
+                );
+            }
+        }
+    }
+
+    /// SSA construction's tree on the lowered variable CFG: children rows
+    /// give the reference's idoms in RPO order, and each frontier is
+    /// exactly Cytron et al.'s definition — `y` is in `DF(x)` iff `x`
+    /// dominates a predecessor of `y` but does not strictly dominate `y` —
+    /// listed once, in RPO order.
+    #[test]
+    fn generic_tree_and_frontiers_match_the_definition(seed in 0u64..3_000) {
+        let cfg = GenConfig { seed, target_stmts: 30, ..Default::default() };
+        let vf = pgvn::lang::lower(&pgvn::workload::generate_routine("g", &cfg));
+        let succs = vf.succ_rows();
+        let preds = succs.transpose();
+        let dt = GenericDomTree::compute(0, &succs, &preds);
+        let n = succs.len();
+        let edges: Vec<(u32, u32)> =
+            (0..n).flat_map(|u| succs.row(u).iter().map(move |&v| (u as u32, v))).collect();
+        let dom = naive_dominators(n, 0, &edges);
+        let idoms = naive_idoms(&dom, 0);
+        let pos = |u: u32| dt.order().iter().position(|&x| x == u);
+        let mut parent = vec![None; n];
+        for u in 0..n {
+            let row = dt.children(u);
+            prop_assert!(row.windows(2).all(|w| pos(w[0]) < pos(w[1])), "children of {} not in RPO", u);
+            for &c in row {
+                parent[c as usize] = Some(u);
+            }
+        }
+        for u in 0..n {
+            prop_assert_eq!(dt.is_reachable(u), dom[u][u], "reachability of {} (seed {})", u, seed);
+            let expect = idoms[u].filter(|&d| d != u);
+            prop_assert_eq!(parent[u], expect, "idom of {} (seed {})", u, seed);
+        }
+        let frontier = |x: usize| {
+            let mut ys: Vec<u32> = (0..n as u32)
+                .filter(|&y| {
+                    let sdom = x != y as usize && dom[y as usize][x];
+                    !sdom && preds.row(y as usize).iter().any(|&p| dom[p as usize][x])
+                })
+                .collect();
+            ys.sort_by_key(|&y| pos(y));
+            ys
+        };
+        let df = dt.frontiers(&preds);
+        for x in 0..n {
+            prop_assert_eq!(df.row(x), &frontier(x)[..], "DF({}) (seed {})", x, seed);
         }
     }
 
@@ -224,7 +366,7 @@ proptest! {
             prop_assert!(li.depth(h) >= 1, "header {h} has depth 0");
         }
         // Back edge count bounds the number of headers.
-        prop_assert!(li.headers().len() <= rpo.back_edges().len());
+        prop_assert!(li.headers().len() <= f.edges().filter(|&e| rpo.is_back_edge(e)).count());
     }
 
     #[test]

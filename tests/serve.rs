@@ -610,14 +610,40 @@ fn pass_specs_over_the_cap_are_refused_and_the_connection_survives() {
         assert!(detail.starts_with("passes:"), "{detail}");
         assert!(detail.contains("cap of 4"), "{detail}");
     }
-    // A parse error carries no id; `rounds` is refused there, naming
-    // its replacement.
-    let detail = protocol_detail(by_id(0));
+    // `rounds` is refused with the client's id, naming its replacement.
+    let detail = protocol_detail(by_id(5));
     assert!(detail.contains("\"rounds\"") && detail.contains("\"passes\""), "{detail}");
     for id in [2, 4, 6, 7] {
         assert_eq!(reply_of(by_id(id)), "record", "{}", by_id(id));
     }
     assert_eq!((summary.protocol_errors, summary.records), (3, 4));
+    assert!(summary.is_clean());
+}
+
+#[test]
+fn refused_requests_echo_the_client_id_and_the_connection_survives() {
+    let (responses, summary) = roundtrip(
+        &ServeOptions::default(),
+        vec![
+            br#"{"id":3,"rounds":2}"#.to_vec(),
+            br#"{"id":5,"op":"bogus"}"#.to_vec(),
+            br#"{"id":6,"gen_seed":"7"}"#.to_vec(),
+            b"[3]".to_vec(),
+            br#"{"id":9,"op":"ping"}"#.to_vec(),
+        ],
+    );
+    let ids: Vec<u64> = responses
+        .iter()
+        .map(|r| parse(r).expect("valid JSON").get("id").and_then(JsonValue::as_u64).expect("id"))
+        .collect();
+    assert_eq!(ids, [3, 5, 6, 0, 9], "{responses:?}");
+    for r in &responses[..4] {
+        protocol_detail(r);
+    }
+    assert!(protocol_detail(&responses[0]).contains("\"rounds\""));
+    assert!(protocol_detail(&responses[1]).contains("unknown op"));
+    assert_eq!(reply_of(&responses[4]), "pong");
+    assert_eq!(summary.protocol_errors, 4);
     assert!(summary.is_clean());
 }
 
