@@ -24,12 +24,14 @@ use pgvn_ir::{Block, Edge, EntityRef, EntitySet, Function};
 ///
 /// A rebuild runs the crate's one dominator engine into buffers the tree
 /// owns, so once they have grown to the function's size it allocates
-/// nothing.
-#[derive(Debug)]
+/// nothing. [`ReachableDomTree::reset`] starts the tree over for another
+/// run, keeping them.
+#[derive(Debug, Default)]
 pub struct ReachableDomTree {
     /// Edges currently considered reachable.
     reachable_edges: EntitySet<Edge>,
-    dirty: bool,
+    /// The buffers hold the tree of the current edge set.
+    built: bool,
     order: Vec<u32>,
     number: Vec<u32>,
     stack: Vec<(u32, u32)>,
@@ -41,30 +43,34 @@ impl ReachableDomTree {
     pub fn new(func: &Function) -> Self {
         ReachableDomTree {
             reachable_edges: EntitySet::with_capacity(func.edge_capacity()),
-            dirty: true,
-            order: Vec::new(),
-            number: Vec::new(),
-            stack: Vec::new(),
-            idom: Vec::new(),
+            ..Self::default()
         }
+    }
+
+    /// Forgets every reachable edge, keeping the buffers: the tree is
+    /// again that of the entry block alone, for this function or any
+    /// other.
+    pub fn reset(&mut self) {
+        self.reachable_edges.clear();
+        self.built = false;
     }
 
     /// Marks `e` reachable; the tree refreshes lazily on the next query.
     pub fn add_edge(&mut self, e: Edge) {
         if self.reachable_edges.insert(e) {
-            self.dirty = true;
+            self.built = false;
         }
     }
 
     /// The immediate dominator of `b` in the reachable subgraph. The entry
     /// returns itself; blocks not currently reachable return `None`.
     pub fn idom(&mut self, func: &Function, b: Block) -> Option<Block> {
-        if self.dirty {
+        if !self.built {
             let view = Filtered { func, edges: &self.reachable_edges };
             let entry = func.entry().index();
             engine::rpo(&view, entry, &mut self.order, &mut self.number, &mut self.stack);
             engine::chk(&view, &self.order, &self.number, &mut self.idom);
-            self.dirty = false;
+            self.built = true;
         }
         let d = self.idom[b.index()];
         (d != NONE).then(|| Block::new(d as usize))

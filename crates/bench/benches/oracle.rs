@@ -6,8 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pgvn_oracle::{
-    check_lattice, default_relations, fuzz, run_outcome, validate_function, FuzzMode, FuzzOptions,
-    ValidatorOptions,
+    check_lattice, default_relations, run_campaign, run_outcome, validate_function,
+    CampaignOptions, FuzzMode, FuzzOptions, ValidatorOptions,
 };
 use pgvn_ssa::SsaStyle;
 use pgvn_workload::{generate_function, GenConfig};
@@ -31,11 +31,11 @@ fn bench_campaign_modes(c: &mut Criterion) {
             &mode,
             |b, &mode| {
                 b.iter(|| {
-                    let opts =
+                    let fuzz =
                         FuzzOptions { seed: 7, iterations: ITERS, mode, ..Default::default() };
-                    let report = fuzz(&opts);
+                    let report = run_campaign(&CampaignOptions { fuzz, jobs: 1 });
                     assert!(report.is_clean());
-                    report.total_insts
+                    report.total_insts()
                 });
             },
         );

@@ -77,7 +77,7 @@ use crate::driver::Scratch;
 use crate::expr::{ExprId, Interner};
 use crate::predicate::Pred;
 use crate::results::GvnStats;
-use pgvn_analysis::AnalysisManager;
+use pgvn_analysis::{AnalysisManager, ReachableDomTree};
 use pgvn_ir::{Block, Edge, EntitySet, Function, FunctionStamp, Inst, Value};
 
 use crate::classes::ClassId;
@@ -160,6 +160,9 @@ pub struct GvnContext {
     pub(crate) memo: Option<Memo>,
     /// The CFG analyses of the last CFG revision asked about.
     pub(crate) analyses: AnalysisManager,
+    /// The complete variant's reachable dominator tree (§2.7), reset
+    /// per run; its buffers are kept.
+    pub(crate) reach_dom: ReachableDomTree,
     /// Analyses run in this context (memo hits are not runs).
     runs: u64,
 }
@@ -205,6 +208,7 @@ impl GvnContext {
         self.inferenceable_classes.clear();
         self.pred_operands.clear();
         self.nullified_blocks.clear();
+        self.reach_dom.reset();
         self.scratch.pred.prepare(0);
     }
 
@@ -236,6 +240,7 @@ impl GvnContext {
         self.inferenceable_classes.clear();
         self.pred_operands.clear();
         self.nullified_blocks.clear();
+        self.reach_dom.reset();
         self.scratch.pred.prepare(func.block_capacity());
     }
 

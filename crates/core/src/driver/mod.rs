@@ -210,9 +210,10 @@ fn classify(cfg: &GvnConfig, results: GvnResults) -> Result<GvnResults, GvnError
 
 /// One analysis run: the CFG analyses (`rpo` and both dominator trees)
 /// are borrowed from the [`GvnContext`]'s cache, the analyses that
-/// depend on instructions (ranks, def-use, the reachable dominator tree)
-/// are owned and computed fresh per run, and all *scratch* state is
-/// `&mut`-borrowed from the context so capacity survives across runs.
+/// depend on instructions (ranks, def-use) are owned and computed fresh
+/// per run, and all *scratch* state — the complete variant's reachable
+/// dominator tree included — is `&mut`-borrowed from the context so
+/// capacity survives across runs.
 /// The `'c` lifetime is that borrow split.
 struct Run<'f, 'c, 't, 's> {
     tel: &'t mut Telemetry<'s>,
@@ -223,7 +224,9 @@ struct Run<'f, 'c, 't, 's> {
     domtree: &'c DomTree,
     postdom: &'c PostDomTree,
     defuse: DefUse,
-    rdt: Option<ReachableDomTree>,
+    /// The complete variant's reachable dominator tree (§2.7), reset
+    /// by `prepare`; `None` in the practical variant.
+    rdt: Option<&'c mut ReachableDomTree>,
     interner: &'c mut Interner,
     classes: &'c mut Classes,
     reach_blocks: &'c mut EntitySet<Block>,
@@ -322,11 +325,12 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             nullified_blocks,
             scratch,
             analyses,
+            reach_dom,
             ..
         } = ctx;
         let t0 = tel.clock();
         let CfgAnalyses { rpo, domtree, postdom } = analyses.cfg(func);
-        let rdt = (cfg.variant == Variant::Complete).then(|| ReachableDomTree::new(func));
+        let rdt = (cfg.variant == Variant::Complete).then_some(reach_dom);
         tel.record_phase(Metric::DomTree, t0);
         let t0 = tel.clock();
         let ranks = Ranks::assign(func, rpo);

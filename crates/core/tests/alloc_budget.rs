@@ -16,7 +16,7 @@
 //! `forbid(unsafe_code)`.
 
 use pgvn_analysis::{CfgAnalyses, ReachableDomTree};
-use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext};
+use pgvn_core::{run, try_run_traced_in_context, GvnConfig, GvnContext, Variant};
 use pgvn_ir::{Function, InstKind};
 use pgvn_telemetry::Telemetry;
 use pgvn_workload::{spec_suite, SuiteConfig};
@@ -243,5 +243,30 @@ fn reachable_tree_rebuilds_allocate_nothing_once_grown() {
             let (n, _) = counted(|| rdt.idom(f, f.edge_to(e)));
             assert_eq!(n, 0, "{}: a rebuild made {n} allocations", f.name());
         }
+    }
+}
+
+/// The complete variant's reachable dominator tree is context scratch:
+/// a second complete-variant run on one context reuses the tree's edge
+/// set and buffers, so, once warm, it allocates no more than the
+/// practical variant's run of the same routine, which has no tree.
+#[test]
+fn a_warm_complete_run_allocates_nothing_for_its_reachable_tree() {
+    let funcs = suite();
+    let clones = funcs.clone();
+    let warm_counts = |variant| {
+        let cfg = GvnConfig::extended().variant(variant);
+        let mut ctx = GvnContext::new();
+        measure(&mut ctx, &clones, &cfg);
+        measure(&mut ctx, &funcs, &cfg)
+    };
+    let practical = warm_counts(Variant::Practical);
+    let complete = warm_counts(Variant::Complete);
+    for ((f, p), c) in funcs.iter().zip(&practical).zip(&complete) {
+        assert!(
+            c <= p,
+            "{}: a warm complete run made {c} allocations, the practical run {p}",
+            f.name()
+        );
     }
 }

@@ -18,9 +18,9 @@
 //!    shard assignment cannot change what any iteration generates, and
 //!    the oracle verdict is a pure function of `(options, i)`.
 //! 2. **Input-order replay.** Worker outputs come back in ascending
-//!    iteration order, and the sequential campaign loop is replayed over
-//!    them — including the `max_failures` cutoff — so the final report
-//!    is the one a sequential run would have produced.
+//!    iteration order and are folded in that order — including the
+//!    `max_failures` cutoff — so the final report is the one a
+//!    sequential run would have produced.
 //! 3. **Shrink after the parallel phase.** Failures are minimized only
 //!    after the replay, in ascending iteration order, each against a
 //!    fresh context ([`shrink_pending`]), so fixture bytes cannot
@@ -45,15 +45,14 @@
 //!
 //! Like the batch engine, measurements live in two domains. Stable
 //! metrics (iterations, instructions, failures, shrink attempts) are
-//! recorded after the replay from the deterministic report, so they are
-//! byte-identical at any `--jobs`; scheduling-dependent measurements
-//! (per-worker shard profile, campaign wall time, overrun) go to a
-//! separate timing snapshot surfaced only by
-//! [`CampaignReport::timing_json`] (the CLI's `--timings` flag).
+//! recorded after the replay, in iteration order, and are the report's
+//! only copy of those counts, so they are byte-identical at any
+//! `--jobs`; scheduling-dependent measurements (per-worker shard
+//! profile, campaign wall time, overrun) go to a separate timing
+//! snapshot surfaced only by [`CampaignReport::timing_json`] (the CLI's
+//! `--timings` flag).
 
-use crate::fuzz::{
-    run_iteration, shrink_pending, silence_panic_hook, FuzzFailure, FuzzReport, PendingFailure,
-};
+use crate::fuzz::{run_iteration, shrink_pending, silence_panic_hook, FuzzFailure, PendingFailure};
 use crate::FuzzOptions;
 use pgvn_core::{run_sharded, GvnContext};
 use pgvn_telemetry::json::JsonWriter;
@@ -81,10 +80,12 @@ impl Default for CampaignOptions {
 /// The merged outcome of a sharded campaign.
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
-    /// The deterministic fuzz report — identical at any job count.
-    pub report: FuzzReport,
-    /// Stable campaign metrics, recorded from the merged report —
-    /// identical at any job count.
+    /// Every failure observed, in iteration order — identical at any
+    /// job count.
+    pub failures: Vec<FuzzFailure>,
+    /// Stable campaign metrics, recorded from the merged replay —
+    /// identical at any job count. The campaign's counts (iterations
+    /// run, instructions, failures, shrink attempts) live here.
     pub metrics: MetricsSnapshot,
     /// Scheduling/timing measurements: shard profile, wall time,
     /// early-stop overrun. Varies run to run; never part of the
@@ -96,18 +97,46 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// `true` when no failure was observed.
+    pub fn is_clean(&self) -> bool {
+        self.failures.is_empty()
+    }
+
+    /// Iterations actually executed: one past the last compiled
+    /// iteration (≤ requested when stopping early).
+    pub fn iterations_run(&self) -> u64 {
+        self.metrics.value(Metric::FuzzIterations)
+    }
+
+    /// Total instructions across all generated routines (throughput).
+    pub fn total_insts(&self) -> u64 {
+        self.metrics.value(Metric::FuzzInsts)
+    }
+
     /// The `fuzz_stats` JSONL record (no trailing newline): the
-    /// deterministic campaign aggregate plus its stable metrics —
+    /// deterministic campaign counts plus the stable metrics —
     /// byte-identical at any `--jobs`.
     pub fn stats_json(&self, seed: u64) -> String {
-        let mut w = JsonWriter::object();
-        w.field_str("event", "fuzz_stats")
-            .field_u64("seed", seed)
-            .field_u64("iterations_run", self.report.iterations_run)
-            .field_u64("total_insts", self.report.total_insts)
-            .field_u64("failures", self.report.failures.len() as u64)
-            .field_raw("metrics", &self.metrics.to_json());
+        let mut w = self.counts("fuzz_stats", seed);
+        w.field_raw("metrics", &self.metrics.to_json());
         w.finish()
+    }
+
+    /// The `fuzz_summary` JSONL record (no trailing newline) that ends
+    /// the report: the [`CampaignReport::stats_json`] counts alone.
+    pub fn summary_json(&self, seed: u64) -> String {
+        self.counts("fuzz_summary", seed).finish()
+    }
+
+    /// Opens a record `event` with the seed and the campaign counts.
+    fn counts(&self, event: &str, seed: u64) -> JsonWriter {
+        let mut w = JsonWriter::object();
+        w.field_str("event", event)
+            .field_u64("seed", seed)
+            .field_u64("iterations_run", self.iterations_run())
+            .field_u64("total_insts", self.total_insts())
+            .field_u64("failures", self.failures.len() as u64);
+        w
     }
 
     /// The timing-domain JSONL record: shard balance, wall time, and
@@ -171,20 +200,18 @@ pub fn run_campaign_with(
         },
     );
 
-    // Replay the sequential campaign loop over the in-order records:
-    // fold each one into the report and stop at the `max_failures`
-    // cutoff, exactly as `fuzz_with` does. Whatever the workers
-    // over-processed past the cutoff is discarded here (counted in the
-    // timing domain only).
-    let mut report = FuzzReport::default();
+    // Fold the in-order records, stopping at the `max_failures`
+    // cutoff. Whatever the workers over-processed past the cutoff is
+    // discarded here (counted in the timing domain only).
+    let (mut iterations_run, mut total_insts) = (0u64, 0u64);
     let mut pendings: Vec<PendingFailure> = Vec::new();
     let mut it = run.results.into_iter();
     for out in it.by_ref() {
         if !out.compiled {
             continue;
         }
-        report.iterations_run = out.iteration + 1;
-        report.total_insts += out.insts;
+        iterations_run = out.iteration + 1;
+        total_insts += out.insts;
         if let Some(p) = out.failure {
             pendings.push(p);
             if fuzz.max_failures != 0 && pendings.len() >= fuzz.max_failures {
@@ -197,18 +224,19 @@ pub fn run_campaign_with(
     // Shrink after the parallel phase: ascending iteration index, one
     // fresh context per failure — identical at any job count.
     let mut shrink_attempts = 0u64;
+    let mut failures = Vec::with_capacity(pendings.len());
     for p in pendings {
         let (fail, attempts) = shrink_pending(p, &fuzz.shrink);
         shrink_attempts += attempts;
-        report.failures.push(fail);
+        failures.push(fail);
     }
 
-    // Stable metrics come from the deterministic report, on this
-    // thread, after the replay — never from the workers.
+    // Stable metrics come from the deterministic replay, on this
+    // thread — never from the workers.
     let reg = MetricsRegistry::new();
-    reg.add(Metric::FuzzIterations, report.iterations_run);
-    reg.add(Metric::FuzzInsts, report.total_insts);
-    reg.add(Metric::FuzzFailures, report.failures.len() as u64);
+    reg.add(Metric::FuzzIterations, iterations_run);
+    reg.add(Metric::FuzzInsts, total_insts);
+    reg.add(Metric::FuzzFailures, failures.len() as u64);
     reg.add(Metric::FuzzShrinkAttempts, shrink_attempts);
     let timing_reg = MetricsRegistry::new();
     for &n in &run.worker_items {
@@ -219,7 +247,7 @@ pub fn run_campaign_with(
         .add(Metric::FuzzCampaignNanos, u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
 
     CampaignReport {
-        report,
+        failures,
         metrics: reg.snapshot().stable_only(),
         timing: timing_reg.snapshot(),
         worker_iterations: run.worker_items,
@@ -248,8 +276,8 @@ mod tests {
         let fuzz = quick(24, FuzzMode::Both);
         let seq = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1 });
         let par = run_campaign(&CampaignOptions { fuzz, jobs: 4 });
-        assert_eq!(seq.report, par.report);
-        assert!(seq.report.is_clean(), "failures: {:#?}", seq.report.failures);
+        assert_eq!(seq.failures, par.failures);
+        assert!(seq.is_clean(), "failures: {:#?}", seq.failures);
         assert_eq!(seq.metrics, par.metrics, "stable metrics must not depend on jobs");
         assert_eq!(seq.stats_json(0), par.stats_json(0));
         assert_eq!(par.worker_iterations.iter().sum::<u64>(), 24);
@@ -266,9 +294,9 @@ mod tests {
         };
         let seq = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1 });
         let par = run_campaign(&CampaignOptions { fuzz, jobs: 3 });
-        assert_eq!(seq.report, par.report);
-        assert_eq!(seq.report.failures.len(), 2);
-        assert!(seq.report.iterations_run < 40);
+        assert_eq!(seq.failures, par.failures);
+        assert_eq!(seq.failures.len(), 2);
+        assert!(seq.iterations_run() < 40);
         assert_eq!(seq.stats_json(0), par.stats_json(0));
         // Overrun lives in the timing domain only.
         assert!(seq.metrics.is_zero(Metric::FuzzOverrunIterations));
@@ -276,24 +304,12 @@ mod tests {
     }
 
     #[test]
-    fn sequential_campaign_agrees_with_fuzz_with() {
-        let fuzz = FuzzOptions {
-            inject_miscompile: true,
-            max_failures: 1,
-            ..quick(20, FuzzMode::Validate)
-        };
-        let legacy = crate::fuzz::fuzz(&fuzz);
-        let campaign = run_campaign(&CampaignOptions { fuzz, jobs: 1 });
-        assert_eq!(legacy, campaign.report);
-    }
-
-    #[test]
     fn zero_iterations_and_zero_jobs_are_harmless() {
         let opts =
             CampaignOptions { fuzz: FuzzOptions { iterations: 0, ..Default::default() }, jobs: 0 };
         let rep = run_campaign(&opts);
-        assert!(rep.report.is_clean());
-        assert_eq!(rep.report.iterations_run, 0);
+        assert!(rep.is_clean());
+        assert_eq!(rep.iterations_run(), 0);
         assert_eq!(rep.worker_iterations, vec![0]);
     }
 }

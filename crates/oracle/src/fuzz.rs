@@ -5,9 +5,9 @@
 //! (default, inference-heavy, loop-heavy, opaque-heavy) so no single
 //! routine shape dominates, builds the routine, and runs the requested
 //! oracles. Failures are minimized with the [`crate::shrink`] module and
-//! collected into a [`FuzzReport`] whose entries serialize to JSONL (for
-//! telemetry sinks) and to self-contained `.pgvn` fixtures (for the
-//! regression suite).
+//! collected into a [`CampaignReport`](crate::CampaignReport) whose
+//! entries serialize to JSONL (for telemetry sinks) and to
+//! self-contained `.pgvn` fixtures (for the regression suite).
 //!
 //! The per-iteration work is factored into [`run_iteration`], a pure
 //! function of `(context, options, iteration index)`: nothing it
@@ -155,24 +155,6 @@ impl FuzzFailure {
     }
 }
 
-/// Outcome of a fuzz campaign.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FuzzReport {
-    /// Iterations actually executed (≤ requested when stopping early).
-    pub iterations_run: u64,
-    /// Total instructions across all generated routines (throughput).
-    pub total_insts: u64,
-    /// Every failure observed, in discovery order.
-    pub failures: Vec<FuzzFailure>,
-}
-
-impl FuzzReport {
-    /// `true` when no failure was observed.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
 /// The generator profiles cycled across iterations. Varying the planted
 /// pattern probabilities keeps any single routine shape from dominating
 /// the campaign.
@@ -205,10 +187,10 @@ fn compile_routine(r: &Routine) -> Option<Function> {
 
 /// The fault plans cycled through the resilient-ladder check: a clean
 /// run, then one per fault class — including `Panic`, whose unwind is
-/// caught inside the ladder. The campaign entry points ([`fuzz_with`]
-/// when resilient checking is on, and `campaign::run_campaign` always)
-/// install a process-wide silenced panic hook for the duration, so the
-/// injected panics cannot spray hook noise across parallel shards.
+/// caught inside the ladder. The campaign entry point
+/// ([`run_campaign_with`](crate::run_campaign_with)) installs a
+/// process-wide silenced panic hook for the duration, so the injected
+/// panics cannot spray hook noise across parallel shards.
 fn resilient_fault(iteration: u64, gen_seed: u64) -> Option<FaultPlan> {
     let plan = match iteration % 5 {
         0 => return None,
@@ -329,11 +311,6 @@ fn check_diagnostic_stability(
         }
     }
     Ok(())
-}
-
-/// Runs a campaign with the default (silent) progress callback.
-pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
-    fuzz_with(opts, &mut |_, _| {})
 }
 
 /// A rebuildable "does this routine still exhibit the original
@@ -532,48 +509,14 @@ pub fn shrink_pending(
     (failure, attempts)
 }
 
-/// Runs a fuzz campaign. `progress` is invoked after every iteration with
-/// the iteration index and the failure it produced, if any — the CLI uses
-/// it for live reporting.
-pub fn fuzz_with(
-    opts: &FuzzOptions,
-    progress: &mut dyn FnMut(u64, Option<&FuzzFailure>),
-) -> FuzzReport {
-    // The resilient fault cycle includes the panic class; every panic is
-    // caught inside the ladder, so the only observable effect would be
-    // hook noise — silence it for the duration.
-    let _hook = opts.check_resilient.then(silence_panic_hook);
-    let mut report = FuzzReport::default();
-    // One analysis context for the whole campaign: every oracle run of
-    // every iteration reuses the same arenas (cross-run isolation is the
-    // driver's job, asserted by tests/session.rs). Shrinking owns fresh
-    // contexts instead — see [`shrink_pending`].
-    let mut ctx = GvnContext::new();
-    for i in 0..opts.iterations {
-        let out = run_iteration(&mut ctx, opts, i);
-        if !out.compiled {
-            continue;
-        }
-        report.iterations_run = i + 1;
-        report.total_insts += out.insts;
-        match out.failure {
-            None => progress(i, None),
-            Some(pending) => {
-                let (fail, _attempts) = shrink_pending(pending, &opts.shrink);
-                report.failures.push(fail);
-                progress(i, report.failures.last());
-                if opts.max_failures != 0 && report.failures.len() >= opts.max_failures {
-                    break;
-                }
-            }
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_campaign, CampaignOptions, CampaignReport};
+
+    fn fuzz(opts: &FuzzOptions) -> CampaignReport {
+        run_campaign(&CampaignOptions { fuzz: opts.clone(), jobs: 1 })
+    }
 
     fn quick(iterations: u64, mode: FuzzMode) -> FuzzOptions {
         FuzzOptions {
@@ -589,15 +532,15 @@ mod tests {
     fn short_campaign_is_clean() {
         let report = fuzz(&quick(40, FuzzMode::Both));
         assert!(report.is_clean(), "failures: {:#?}", report.failures);
-        assert!(report.iterations_run >= 39);
-        assert!(report.total_insts > 0);
+        assert!(report.iterations_run() >= 39);
+        assert!(report.total_insts() > 0);
     }
 
     #[test]
     fn campaigns_are_reproducible() {
         let a = fuzz(&quick(10, FuzzMode::Validate));
         let b = fuzz(&quick(10, FuzzMode::Validate));
-        assert_eq!(a.total_insts, b.total_insts);
+        assert_eq!(a.total_insts(), b.total_insts());
         assert_eq!(a.failures.len(), b.failures.len());
     }
 
@@ -644,6 +587,6 @@ mod tests {
         };
         let report = fuzz(&opts);
         assert_eq!(report.failures.len(), 2);
-        assert!(report.iterations_run < 50);
+        assert!(report.iterations_run() < 50);
     }
 }

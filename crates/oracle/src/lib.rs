@@ -20,25 +20,22 @@
 //!   statements, unwrap control structure, simplify expressions,
 //!   re-lower — and emitted as a self-contained `.pgvn` regression
 //!   fixture.
-//! - **Fuzzing** ([`fuzz`](mod@fuzz)): a seeded driver loop over the
-//!   `pgvn-workload` generator ties the three together; the `pgvn fuzz`
-//!   CLI subcommand and CI both drive this engine.
-//! - **Sharded campaigns** ([`campaign`]): the iteration space sharded
-//!   over worker threads with a deterministic merge — `--jobs 1` and
-//!   `--jobs N` produce identical reports, fixtures, and exit codes,
-//!   so nightly CI can push the same campaign toward millions of
-//!   iterations at hardware speed.
+//! - **Fuzzing** ([`fuzz`](mod@fuzz)): one seeded iteration over the
+//!   `pgvn-workload` generator ties the three together.
+//! - **Campaigns** ([`campaign`]): the one campaign loop, the iteration
+//!   space sharded over worker threads with a deterministic merge —
+//!   `--jobs 1` and `--jobs N` produce identical reports, fixtures, and
+//!   exit codes, so nightly CI can push the same campaign toward
+//!   millions of iterations at hardware speed. The `pgvn fuzz` CLI
+//!   subcommand and CI both drive it.
 //!
 //! See `docs/ORACLE.md` for the design discussion and usage examples.
 //!
 //! ```
-//! use pgvn_oracle::{fuzz, FuzzMode, FuzzOptions};
+//! use pgvn_oracle::{run_campaign, CampaignOptions, FuzzMode, FuzzOptions};
 //!
-//! let report = fuzz(&FuzzOptions {
-//!     iterations: 25,
-//!     mode: FuzzMode::Both,
-//!     ..FuzzOptions::default()
-//! });
+//! let fuzz = FuzzOptions { iterations: 25, mode: FuzzMode::Both, ..FuzzOptions::default() };
+//! let report = run_campaign(&CampaignOptions { fuzz, jobs: 1 });
 //! assert!(report.is_clean(), "{:?}", report.failures);
 //! ```
 
@@ -54,8 +51,8 @@ pub mod validator;
 
 pub use campaign::{run_campaign, run_campaign_with, CampaignOptions, CampaignReport};
 pub use fuzz::{
-    fuzz, fuzz_with, run_iteration, shrink_pending, silence_panic_hook, FailureCheck, FuzzFailure,
-    FuzzMode, FuzzOptions, FuzzReport, IterationOutcome, PanicHookGuard, PendingFailure,
+    run_iteration, shrink_pending, silence_panic_hook, FailureCheck, FuzzFailure, FuzzMode,
+    FuzzOptions, IterationOutcome, PanicHookGuard, PendingFailure,
 };
 pub use lattice::{
     check_lattice, check_lattice_with, default_relations, LatticeViolation, Relation,

@@ -61,148 +61,220 @@ pub enum MetricKind {
     Histogram,
 }
 
-/// The metric catalog. Every metric the system can record, with a
-/// stable name, kind, and unit — see `docs/OBSERVABILITY.md` for the
-/// full table of where each is emitted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Metric {
+/// Declares the metric catalog from one row per metric — its docs,
+/// then `Variant => "name", Kind, "unit", domain;` where the domain is
+/// `stable` or `timing` — and generates [`Metric`], [`METRICS`] and the
+/// per-metric queries from those rows, so the row is the only place a
+/// metric is named.
+macro_rules! catalog {
+    ($($(#[doc = $doc:literal])* $variant:ident => $name:literal, $kind:ident, $unit:literal, $domain:ident;)*) => {
+        /// The metric catalog. Every metric the system can record, with a
+        /// stable name, kind, and unit — see `docs/OBSERVABILITY.md` for the
+        /// full table of where each is emitted.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Metric {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        /// All metrics, in catalog (and snapshot) order.
+        pub const METRICS: [Metric; [$(Metric::$variant),*].len()] = [$(Metric::$variant),*];
+
+        impl Metric {
+            /// Stable snake_case name used in snapshots and reports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Metric::$variant => $name,)*
+                }
+            }
+
+            /// The metric's shape.
+            pub const fn kind(self) -> MetricKind {
+                match self {
+                    $(Metric::$variant => MetricKind::$kind,)*
+                }
+            }
+
+            /// The unit of the recorded quantity.
+            pub fn unit(self) -> &'static str {
+                match self {
+                    $(Metric::$variant => $unit,)*
+                }
+            }
+
+            /// `true` when the metric's value is fully determined by the inputs
+            /// processed, independent of scheduling, context history, and wall
+            /// clock. Only stable metrics may appear in byte-identical batch
+            /// reports; the rest belong to the timing domain (`--timings`,
+            /// `--profile`).
+            pub fn stable(self) -> bool {
+                match self {
+                    $(Metric::$variant => catalog!(@stable $domain),)*
+                }
+            }
+        }
+    };
+    (@stable stable) => {
+        true
+    };
+    (@stable timing) => {
+        false
+    };
+}
+
+catalog! {
     /// Analysis runs completed (driver `finish`). Memo hits are not
     /// runs; they count as [`Metric::DriverReuses`].
-    DriverRuns,
+    DriverRuns => "driver_runs", Counter, "runs", stable;
     /// Analysis requests answered from the context's memo of its last
     /// converged run (same function instance and revision, equal
     /// config), without running.
-    DriverReuses,
+    DriverReuses => "driver_reuses", Counter, "runs", stable;
     /// RPO passes to convergence, per run (driver `finish`).
-    DriverPasses,
+    DriverPasses => "driver_passes", Histogram, "passes", stable;
     /// Touch operations performed (driver `finish`).
-    DriverTouches,
+    DriverTouches => "driver_touches", Counter, "touches", stable;
     /// Touched instructions actually processed (driver `finish`).
-    DriverInstsProcessed,
+    DriverInstsProcessed => "driver_insts_processed", Counter, "insts", stable;
     /// TOUCHED-instruction worklist size at each pass start.
-    DriverTouchedInstsPass,
+    DriverTouchedInstsPass => "driver_touched_insts_pass", Histogram, "insts", stable;
     /// Congruence-class merges per pass.
-    DriverMergesPass,
+    DriverMergesPass => "driver_merges_pass", Histogram, "merges", stable;
     /// Expression lookups answered by the hash-cons table.
-    InternerHits,
+    InternerHits => "interner_hits", Counter, "lookups", stable;
     /// Expression lookups that interned a fresh expression.
-    InternerMisses,
+    InternerMisses => "interner_misses", Counter, "lookups", stable;
     /// Distinct expressions interned, per run.
-    InternerExprs,
+    InternerExprs => "interner_exprs", Histogram, "exprs", stable;
     /// Hash-cons table capacity growths (rehashes). Zero once a session
     /// context is warm — scheduling-dependent in a batch.
-    InternerTableGrowths,
+    InternerTableGrowths => "interner_table_growths", Counter, "rehashes", timing;
     /// Never recorded: the value-inference memo it counted hits of is
     /// gone, and a zero counter is never rendered. It stays only because
     /// `perfbench/src/trace.rs` reads it, until that replay is deleted
     /// (ROADMAP item 3).
-    ViCacheHits,
+    ViCacheHits => "vi_cache_hits", Counter, "queries", stable;
     /// Never recorded, and kept for `perfbench/src/trace.rs` only, as
     /// [`Metric::ViCacheHits`] is.
-    ViCacheMisses,
+    ViCacheMisses => "vi_cache_misses", Counter, "queries", stable;
     /// Blocks visited by value inference (`Infer value at block` /
     /// `Infer value at edge`; §5: 0.91 per instruction).
-    ValueInferenceVisits,
+    ValueInferenceVisits => "value_inference_visits", Counter, "blocks", stable;
     /// Blocks visited by predicate inference (§5: 0.38 per instruction).
-    PredicateInferenceVisits,
+    PredicateInferenceVisits => "predicate_inference_visits", Counter, "blocks", stable;
     /// Blocks visited computing φ-predication's partial block
     /// predicates (§5: 0.16 per instruction).
-    PhiPredicationVisits,
+    PhiPredicationVisits => "phi_predication_visits", Counter, "blocks", stable;
     /// Value-inference queries skipped by the inferenceable-classes gate
     /// before any dominator walk.
-    ViGateSkips,
+    ViGateSkips => "vi_gate_skips", Counter, "queries", stable;
     /// Predicate-inference queries skipped by the shared-operand gate
     /// before any dominator walk.
-    PiGateSkips,
+    PiGateSkips => "pi_gate_skips", Counter, "queries", stable;
     /// Reassociations abandoned because the combined linear form would
     /// exceed the operand cap.
-    ReassocCapHits,
+    ReassocCapHits => "reassoc_cap_hits", Counter, "reassociations", stable;
     /// Pass-manager pass executions. Depends on pipeline length and
     /// ladder retry history — timing domain.
-    PassRuns,
+    PassRuns => "pass_runs", Counter, "passes", timing;
     /// CFG-analysis requests (the driver's, the passes' and the
     /// `--check` gate's) answered from the GVN context's cache. Depends
     /// on which passes ran before — timing domain.
-    AnalysisCacheHits,
+    AnalysisCacheHits => "analysis_cache_hits", Counter, "requests", timing;
     /// CFG-analysis requests that built the analyses (a new instance or
     /// CFG revision).
-    AnalysisCacheMisses,
+    AnalysisCacheMisses => "analysis_cache_misses", Counter, "requests", timing;
     /// Expressions inserted into predecessors by the `pre` pass.
-    PreInserted,
+    PreInserted => "pre_inserted", Counter, "insts", stable;
     /// Partially redundant expressions replaced by φ-merges (`pre`).
-    PreEliminated,
+    PreEliminated => "pre_eliminated", Counter, "insts", stable;
     /// Dead instructions removed by the `cleanup` pass.
-    CleanupRemoved,
+    CleanupRemoved => "cleanup_removed", Counter, "insts", stable;
     /// Committed degradation-ladder rung index, per routine (occupancy).
-    LadderRung,
+    LadderRung => "ladder_rung", Histogram, "rung", stable;
     /// Ladder rungs that failed and were rolled back.
-    LadderRollbacks,
+    LadderRollbacks => "ladder_rollbacks", Counter, "rollbacks", stable;
     /// `GvnContext::prepare` calls (one per analysis run).
-    ContextPrepares,
+    ContextPrepares => "context_prepares", Counter, "prepares", stable;
     /// Prepares that reused every capacity (no allocation growth).
     /// Depends on what the context ran before — scheduling-dependent.
-    ContextPrepareReuses,
+    ContextPrepareReuses => "context_prepare_reuses", Counter, "prepares", timing;
     /// High-water value-slot capacity of a prepared context.
-    ContextValueSlots,
+    ContextValueSlots => "context_value_slots", Gauge, "slots", timing;
     /// Routines processed by the batch engine.
-    BatchRoutines,
+    BatchRoutines => "batch_routines", Counter, "routines", timing;
     /// Routines processed per worker (shard balance distribution).
-    BatchWorkerRoutines,
+    BatchWorkerRoutines => "batch_worker_routines", Histogram, "routines", timing;
     /// Nanoseconds from spawning the batch workers to joining the last
     /// (the wall time of the parallel phase).
-    BatchMergeWaitNanos,
+    BatchMergeWaitNanos => "batch_merge_wait_nanos", Counter, "nanos", timing;
     /// Per-routine wall-clock nanoseconds in the batch engine.
-    BatchRoutineNanos,
+    BatchRoutineNanos => "batch_routine_nanos", Histogram, "nanos", timing;
     /// Fuzz-campaign iterations in the deterministic report
     /// (`iterations_run` — independent of worker count).
-    FuzzIterations,
+    FuzzIterations => "fuzz_iterations", Counter, "iterations", stable;
     /// Instructions across all generated routines in a fuzz campaign.
-    FuzzInsts,
+    FuzzInsts => "fuzz_insts", Counter, "insts", stable;
     /// Failures in the deterministic fuzz report.
-    FuzzFailures,
+    FuzzFailures => "fuzz_failures", Counter, "failures", stable;
     /// Shrink predicate evaluations across a campaign's failures
     /// (shrinking runs post-merge, so the count is deterministic).
-    FuzzShrinkAttempts,
+    FuzzShrinkAttempts => "fuzz_shrink_attempts", Counter, "attempts", stable;
     /// Iterations processed per campaign worker (shard balance).
-    FuzzWorkerIterations,
+    FuzzWorkerIterations => "fuzz_worker_iterations", Histogram, "iterations", timing;
     /// Wall-clock nanoseconds for a whole fuzz campaign.
-    FuzzCampaignNanos,
+    FuzzCampaignNanos => "fuzz_campaign_nanos", Counter, "nanos", timing;
     /// Iterations processed past the early-stop cutoff and discarded by
     /// the rank-ordering merge (parallel overshoot).
-    FuzzOverrunIterations,
+    FuzzOverrunIterations => "fuzz_overrun_iterations", Counter, "iterations", timing;
     /// Well-formed optimization requests accepted by `pgvn serve`
     /// (before admission control — sheds are counted separately).
-    ServeRequests,
+    ServeRequests => "serve_requests", Counter, "requests", stable;
     /// Malformed serve traffic: unparseable frames, invalid UTF-8, bad
     /// request JSON, oversized frames.
-    ServeProtocolErrors,
+    ServeProtocolErrors => "serve_protocol_errors", Counter, "requests", stable;
     /// Serve requests whose ladder rolled back at least one rung before
     /// committing (the committed record is weaker than asked).
-    ServeDegraded,
+    ServeDegraded => "serve_degraded", Counter, "requests", stable;
     /// Panics absorbed by the degradation ladder while processing serve
     /// requests.
-    ServeAbsorbedPanics,
+    ServeAbsorbedPanics => "serve_absorbed_panics", Counter, "panics", stable;
     /// Requests refused with a shed response because the admission
     /// queue was full. Load-dependent — timing domain.
-    ServeShed,
+    ServeShed => "serve_shed", Counter, "requests", timing;
     /// Requests whose explicit deadline expired while queued (answered
     /// with an expired response, never run). Load-dependent.
-    ServeExpired,
+    ServeExpired => "serve_expired", Counter, "requests", timing;
+    /// Serve requests that produced a routine record.
+    ServeRecords => "serve_records", Counter, "records", stable;
+    /// Panics that escaped past the degradation ladder in a serve
+    /// worker (a contract violation: always zero unless the optimizer
+    /// itself is broken).
+    ServeEscapedPanics => "serve_escaped_panics", Counter, "panics", stable;
+    /// Serve requests whose routine failed to parse or compile.
+    ServeInputErrors => "serve_input_errors", Counter, "requests", stable;
+    /// `ping`, `stats` and `shutdown` requests answered inline.
+    ServeControl => "serve_control", Counter, "requests", stable;
+    /// Responses dropped because the client had disconnected.
+    /// Depends on when the client leaves — timing domain.
+    ServeHangups => "serve_hangups", Counter, "responses", timing;
+    /// Response frames delivered. Depends on when the client
+    /// leaves — timing domain.
+    ServeResponses => "serve_responses", Counter, "responses", timing;
     /// High-water admission-queue depth. Load-dependent.
-    ServeQueueDepth,
+    ServeQueueDepth => "serve_queue_depth", Gauge, "requests", timing;
     /// Per-request wall-clock nanoseconds (dequeue to response).
-    ServeRequestNanos,
+    ServeRequestNanos => "serve_request_nanos", Histogram, "nanos", timing;
     /// Per-request nanoseconds spent waiting in the admission queue.
-    ServeQueueWaitNanos,
+    ServeQueueWaitNanos => "serve_queue_wait_nanos", Histogram, "nanos", timing;
     /// Error-severity diagnostics reported by the lint suite
     /// (`pgvn check` and the `--check` gates).
-    CheckDiagnosticsError,
+    CheckDiagnosticsError => "check_diagnostics_error", Counter, "diagnostics", stable;
     /// Warn-severity diagnostics reported by the lint suite.
-    CheckDiagnosticsWarn,
+    CheckDiagnosticsWarn => "check_diagnostics_warn", Counter, "diagnostics", stable;
     /// Advisory-severity diagnostics reported by the lint suite.
-    CheckDiagnosticsAdvisory,
+    CheckDiagnosticsAdvisory => "check_diagnostics_advisory", Counter, "diagnostics", stable;
     /// Per-function wall-clock nanoseconds spent in the lint suite.
-    CheckNanos,
+    CheckNanos => "check_nanos", Histogram, "nanos", timing;
     // The phase timings below are recorded only while timing is on
     // (`Telemetry::enable_timing`), one observation per run and phase.
     // Phases nest (symbolic evaluation includes the inference walks it
@@ -210,341 +282,30 @@ pub enum Metric {
     // clock. `Passes` through `EdgeProcessing` stay contiguous: the
     // driver indexes its per-run sums by catalog position.
     /// Per-run CFG-derived tables: ranks and def-use, per analysis run.
-    Cfg,
+    Cfg => "cfg", Histogram, "nanos", timing;
     /// The CFG analysis cache request (RPO, dominator and
-    /// post-dominator trees, built only on a miss) and the complete
-    /// variant's reachable dominator tree, per run.
-    DomTree,
+    /// post-dominator trees, built only on a miss), per run.
+    DomTree => "domtree", Histogram, "nanos", timing;
     /// SSA construction from the source (recorded by the CLI).
-    SsaBuild,
+    SsaBuild => "ssa_build", Histogram, "nanos", timing;
     /// All RPO fixed-point passes of a run together.
-    Passes,
+    Passes => "passes", Histogram, "nanos", timing;
     /// Symbolic evaluation of touched instructions (includes nested
     /// inference time).
-    SymbolicEval,
+    SymbolicEval => "symbolic_eval", Histogram, "nanos", timing;
     /// Congruence finding and class moves.
-    CongruenceMerge,
+    CongruenceMerge => "congruence_merge", Histogram, "nanos", timing;
     /// Predicate-inference walks up the dominator tree (§2.7).
-    PredicateInference,
+    PredicateInference => "predicate_inference", Histogram, "nanos", timing;
     /// Value-inference walks up the dominator tree (§2.7).
-    ValueInference,
+    ValueInference => "value_inference", Histogram, "nanos", timing;
     /// Block-predicate computation for φ-predication (§2.8).
-    PhiPredication,
+    PhiPredication => "phi_predication", Histogram, "nanos", timing;
     /// Outgoing-edge reachability processing (Figure 5).
-    EdgeProcessing,
+    EdgeProcessing => "edge_processing", Histogram, "nanos", timing;
 }
 
-/// All metrics, in catalog (and snapshot) order.
-pub const METRICS: [Metric; 64] = [
-    Metric::DriverRuns,
-    Metric::DriverReuses,
-    Metric::DriverPasses,
-    Metric::DriverTouches,
-    Metric::DriverInstsProcessed,
-    Metric::DriverTouchedInstsPass,
-    Metric::DriverMergesPass,
-    Metric::InternerHits,
-    Metric::InternerMisses,
-    Metric::InternerExprs,
-    Metric::InternerTableGrowths,
-    Metric::ViCacheHits,
-    Metric::ViCacheMisses,
-    Metric::ValueInferenceVisits,
-    Metric::PredicateInferenceVisits,
-    Metric::PhiPredicationVisits,
-    Metric::ViGateSkips,
-    Metric::PiGateSkips,
-    Metric::ReassocCapHits,
-    Metric::PassRuns,
-    Metric::AnalysisCacheHits,
-    Metric::AnalysisCacheMisses,
-    Metric::PreInserted,
-    Metric::PreEliminated,
-    Metric::CleanupRemoved,
-    Metric::LadderRung,
-    Metric::LadderRollbacks,
-    Metric::ContextPrepares,
-    Metric::ContextPrepareReuses,
-    Metric::ContextValueSlots,
-    Metric::BatchRoutines,
-    Metric::BatchWorkerRoutines,
-    Metric::BatchMergeWaitNanos,
-    Metric::BatchRoutineNanos,
-    Metric::FuzzIterations,
-    Metric::FuzzInsts,
-    Metric::FuzzFailures,
-    Metric::FuzzShrinkAttempts,
-    Metric::FuzzWorkerIterations,
-    Metric::FuzzCampaignNanos,
-    Metric::FuzzOverrunIterations,
-    Metric::ServeRequests,
-    Metric::ServeProtocolErrors,
-    Metric::ServeDegraded,
-    Metric::ServeAbsorbedPanics,
-    Metric::ServeShed,
-    Metric::ServeExpired,
-    Metric::ServeQueueDepth,
-    Metric::ServeRequestNanos,
-    Metric::ServeQueueWaitNanos,
-    Metric::CheckDiagnosticsError,
-    Metric::CheckDiagnosticsWarn,
-    Metric::CheckDiagnosticsAdvisory,
-    Metric::CheckNanos,
-    Metric::Cfg,
-    Metric::DomTree,
-    Metric::SsaBuild,
-    Metric::Passes,
-    Metric::SymbolicEval,
-    Metric::CongruenceMerge,
-    Metric::PredicateInference,
-    Metric::ValueInference,
-    Metric::PhiPredication,
-    Metric::EdgeProcessing,
-];
-
 impl Metric {
-    /// Stable snake_case name used in snapshots and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::DriverRuns => "driver_runs",
-            Metric::DriverReuses => "driver_reuses",
-            Metric::DriverPasses => "driver_passes",
-            Metric::DriverTouches => "driver_touches",
-            Metric::DriverInstsProcessed => "driver_insts_processed",
-            Metric::DriverTouchedInstsPass => "driver_touched_insts_pass",
-            Metric::DriverMergesPass => "driver_merges_pass",
-            Metric::InternerHits => "interner_hits",
-            Metric::InternerMisses => "interner_misses",
-            Metric::InternerExprs => "interner_exprs",
-            Metric::InternerTableGrowths => "interner_table_growths",
-            Metric::ViCacheHits => "vi_cache_hits",
-            Metric::ViCacheMisses => "vi_cache_misses",
-            Metric::ValueInferenceVisits => "value_inference_visits",
-            Metric::PredicateInferenceVisits => "predicate_inference_visits",
-            Metric::PhiPredicationVisits => "phi_predication_visits",
-            Metric::ViGateSkips => "vi_gate_skips",
-            Metric::PiGateSkips => "pi_gate_skips",
-            Metric::ReassocCapHits => "reassoc_cap_hits",
-            Metric::PassRuns => "pass_runs",
-            Metric::AnalysisCacheHits => "analysis_cache_hits",
-            Metric::AnalysisCacheMisses => "analysis_cache_misses",
-            Metric::PreInserted => "pre_inserted",
-            Metric::PreEliminated => "pre_eliminated",
-            Metric::CleanupRemoved => "cleanup_removed",
-            Metric::LadderRung => "ladder_rung",
-            Metric::LadderRollbacks => "ladder_rollbacks",
-            Metric::ContextPrepares => "context_prepares",
-            Metric::ContextPrepareReuses => "context_prepare_reuses",
-            Metric::ContextValueSlots => "context_value_slots",
-            Metric::BatchRoutines => "batch_routines",
-            Metric::BatchWorkerRoutines => "batch_worker_routines",
-            Metric::BatchMergeWaitNanos => "batch_merge_wait_nanos",
-            Metric::BatchRoutineNanos => "batch_routine_nanos",
-            Metric::FuzzIterations => "fuzz_iterations",
-            Metric::FuzzInsts => "fuzz_insts",
-            Metric::FuzzFailures => "fuzz_failures",
-            Metric::FuzzShrinkAttempts => "fuzz_shrink_attempts",
-            Metric::FuzzWorkerIterations => "fuzz_worker_iterations",
-            Metric::FuzzCampaignNanos => "fuzz_campaign_nanos",
-            Metric::FuzzOverrunIterations => "fuzz_overrun_iterations",
-            Metric::ServeRequests => "serve_requests",
-            Metric::ServeProtocolErrors => "serve_protocol_errors",
-            Metric::ServeDegraded => "serve_degraded",
-            Metric::ServeAbsorbedPanics => "serve_absorbed_panics",
-            Metric::ServeShed => "serve_shed",
-            Metric::ServeExpired => "serve_expired",
-            Metric::ServeQueueDepth => "serve_queue_depth",
-            Metric::ServeRequestNanos => "serve_request_nanos",
-            Metric::ServeQueueWaitNanos => "serve_queue_wait_nanos",
-            Metric::CheckDiagnosticsError => "check_diagnostics_error",
-            Metric::CheckDiagnosticsWarn => "check_diagnostics_warn",
-            Metric::CheckDiagnosticsAdvisory => "check_diagnostics_advisory",
-            Metric::CheckNanos => "check_nanos",
-            Metric::Cfg => "cfg",
-            Metric::DomTree => "domtree",
-            Metric::SsaBuild => "ssa_build",
-            Metric::Passes => "passes",
-            Metric::SymbolicEval => "symbolic_eval",
-            Metric::CongruenceMerge => "congruence_merge",
-            Metric::PredicateInference => "predicate_inference",
-            Metric::ValueInference => "value_inference",
-            Metric::PhiPredication => "phi_predication",
-            Metric::EdgeProcessing => "edge_processing",
-        }
-    }
-
-    /// The metric's shape.
-    pub const fn kind(self) -> MetricKind {
-        match self {
-            Metric::DriverRuns
-            | Metric::DriverReuses
-            | Metric::DriverTouches
-            | Metric::DriverInstsProcessed
-            | Metric::InternerHits
-            | Metric::InternerMisses
-            | Metric::InternerTableGrowths
-            | Metric::ViCacheHits
-            | Metric::ViCacheMisses
-            | Metric::ValueInferenceVisits
-            | Metric::PredicateInferenceVisits
-            | Metric::PhiPredicationVisits
-            | Metric::ViGateSkips
-            | Metric::PiGateSkips
-            | Metric::ReassocCapHits
-            | Metric::PassRuns
-            | Metric::AnalysisCacheHits
-            | Metric::AnalysisCacheMisses
-            | Metric::PreInserted
-            | Metric::PreEliminated
-            | Metric::CleanupRemoved
-            | Metric::LadderRollbacks
-            | Metric::ContextPrepares
-            | Metric::ContextPrepareReuses
-            | Metric::BatchRoutines
-            | Metric::BatchMergeWaitNanos
-            | Metric::FuzzIterations
-            | Metric::FuzzInsts
-            | Metric::FuzzFailures
-            | Metric::FuzzShrinkAttempts
-            | Metric::FuzzCampaignNanos
-            | Metric::FuzzOverrunIterations
-            | Metric::ServeRequests
-            | Metric::ServeProtocolErrors
-            | Metric::ServeDegraded
-            | Metric::ServeAbsorbedPanics
-            | Metric::ServeShed
-            | Metric::ServeExpired
-            | Metric::CheckDiagnosticsError
-            | Metric::CheckDiagnosticsWarn
-            | Metric::CheckDiagnosticsAdvisory => MetricKind::Counter,
-            Metric::ContextValueSlots | Metric::ServeQueueDepth => MetricKind::Gauge,
-            Metric::DriverPasses
-            | Metric::DriverTouchedInstsPass
-            | Metric::DriverMergesPass
-            | Metric::InternerExprs
-            | Metric::LadderRung
-            | Metric::BatchWorkerRoutines
-            | Metric::BatchRoutineNanos
-            | Metric::FuzzWorkerIterations
-            | Metric::ServeRequestNanos
-            | Metric::ServeQueueWaitNanos
-            | Metric::CheckNanos
-            | Metric::Cfg
-            | Metric::DomTree
-            | Metric::SsaBuild
-            | Metric::Passes
-            | Metric::SymbolicEval
-            | Metric::CongruenceMerge
-            | Metric::PredicateInference
-            | Metric::ValueInference
-            | Metric::PhiPredication
-            | Metric::EdgeProcessing => MetricKind::Histogram,
-        }
-    }
-
-    /// The unit of the recorded quantity.
-    pub fn unit(self) -> &'static str {
-        match self {
-            Metric::DriverRuns | Metric::DriverReuses => "runs",
-            Metric::DriverPasses => "passes",
-            Metric::DriverTouches => "touches",
-            Metric::DriverInstsProcessed | Metric::DriverTouchedInstsPass => "insts",
-            Metric::DriverMergesPass => "merges",
-            Metric::InternerHits | Metric::InternerMisses => "lookups",
-            Metric::InternerExprs => "exprs",
-            Metric::InternerTableGrowths => "rehashes",
-            Metric::ViCacheHits
-            | Metric::ViCacheMisses
-            | Metric::ViGateSkips
-            | Metric::PiGateSkips => "queries",
-            Metric::ValueInferenceVisits
-            | Metric::PredicateInferenceVisits
-            | Metric::PhiPredicationVisits => "blocks",
-            Metric::ReassocCapHits => "reassociations",
-            Metric::PassRuns => "passes",
-            Metric::AnalysisCacheHits | Metric::AnalysisCacheMisses => "requests",
-            Metric::PreInserted | Metric::PreEliminated | Metric::CleanupRemoved => "insts",
-            Metric::LadderRung => "rung",
-            Metric::LadderRollbacks => "rollbacks",
-            Metric::ContextPrepares | Metric::ContextPrepareReuses => "prepares",
-            Metric::ContextValueSlots => "slots",
-            Metric::BatchRoutines | Metric::BatchWorkerRoutines => "routines",
-            Metric::BatchMergeWaitNanos | Metric::BatchRoutineNanos | Metric::FuzzCampaignNanos => {
-                "nanos"
-            }
-            Metric::FuzzIterations
-            | Metric::FuzzWorkerIterations
-            | Metric::FuzzOverrunIterations => "iterations",
-            Metric::FuzzInsts => "insts",
-            Metric::FuzzFailures => "failures",
-            Metric::FuzzShrinkAttempts => "attempts",
-            Metric::ServeRequests
-            | Metric::ServeProtocolErrors
-            | Metric::ServeDegraded
-            | Metric::ServeShed
-            | Metric::ServeExpired => "requests",
-            Metric::ServeAbsorbedPanics => "panics",
-            Metric::ServeQueueDepth => "requests",
-            Metric::ServeRequestNanos
-            | Metric::ServeQueueWaitNanos
-            | Metric::CheckNanos
-            | Metric::Cfg
-            | Metric::DomTree
-            | Metric::SsaBuild
-            | Metric::Passes
-            | Metric::SymbolicEval
-            | Metric::CongruenceMerge
-            | Metric::PredicateInference
-            | Metric::ValueInference
-            | Metric::PhiPredication
-            | Metric::EdgeProcessing => "nanos",
-            Metric::CheckDiagnosticsError
-            | Metric::CheckDiagnosticsWarn
-            | Metric::CheckDiagnosticsAdvisory => "diagnostics",
-        }
-    }
-
-    /// `true` when the metric's value is fully determined by the inputs
-    /// processed, independent of scheduling, context history, and wall
-    /// clock. Only stable metrics may appear in byte-identical batch
-    /// reports; the rest belong to the timing domain (`--timings`,
-    /// `--profile`).
-    pub fn stable(self) -> bool {
-        !matches!(
-            self,
-            Metric::PassRuns
-                | Metric::AnalysisCacheHits
-                | Metric::AnalysisCacheMisses
-                | Metric::InternerTableGrowths
-                | Metric::ContextPrepareReuses
-                | Metric::ContextValueSlots
-                | Metric::BatchRoutines
-                | Metric::BatchWorkerRoutines
-                | Metric::BatchMergeWaitNanos
-                | Metric::BatchRoutineNanos
-                | Metric::FuzzWorkerIterations
-                | Metric::FuzzCampaignNanos
-                | Metric::FuzzOverrunIterations
-                | Metric::ServeShed
-                | Metric::ServeExpired
-                | Metric::ServeQueueDepth
-                | Metric::ServeRequestNanos
-                | Metric::ServeQueueWaitNanos
-                | Metric::CheckNanos
-                | Metric::Cfg
-                | Metric::DomTree
-                | Metric::SsaBuild
-                | Metric::Passes
-                | Metric::SymbolicEval
-                | Metric::CongruenceMerge
-                | Metric::PredicateInference
-                | Metric::ValueInference
-                | Metric::PhiPredication
-                | Metric::EdgeProcessing
-        )
-    }
-
-    /// The catalog position: [`METRICS`] lists the variants in
     /// declaration order.
     fn index(self) -> usize {
         self as usize
@@ -872,7 +633,7 @@ mod tests {
         let s = MetricsRegistry::new().snapshot();
         let slots = s.scalars.len() + s.sums.len() + s.buckets.len();
         assert_eq!(slots, 2 * METRICS.len() + histograms * NUM_BUCKETS);
-        assert_eq!(slots, 800);
+        assert_eq!(slots, 812);
         for m in METRICS {
             assert_eq!(m.buckets().is_some(), m.kind() == MetricKind::Histogram, "{m:?}");
         }

@@ -262,8 +262,23 @@ impl BatchReport {
 
     /// The `batch_summary` JSONL record (no trailing newline).
     pub fn summary_json(&self, seed: u64) -> String {
+        self.counts("batch_summary", seed).finish()
+    }
+
+    /// The merged-statistics JSONL record (no trailing newline): the
+    /// [`BatchReport::summary_json`] counts plus the batch-wide stable
+    /// metrics, independent of worker count.
+    pub fn stats_json(&self, seed: u64) -> String {
+        let mut w = self.counts("batch_stats", seed);
+        w.field_raw("metrics", &self.metrics.to_json());
+        w.finish()
+    }
+
+    /// Opens a record `event` with the seed and the classification
+    /// counts.
+    fn counts(&self, event: &str, seed: u64) -> JsonWriter {
         let mut w = JsonWriter::object();
-        w.field_str("event", "batch_summary")
+        w.field_str("event", event)
             .field_u64("seed", seed)
             .field_u64("routines", self.records.len() as u64)
             .field_u64("optimized", self.optimized)
@@ -272,25 +287,7 @@ impl BatchReport {
             .field_u64("input_errors", self.input_errors)
             .field_u64("escaped_panics", self.escaped_panics)
             .field_u64("check_errors", self.check_errors);
-        w.finish()
-    }
-
-    /// The merged-statistics JSONL record (no trailing newline): the
-    /// classification counts and the batch-wide stable metrics,
-    /// independent of worker count.
-    pub fn stats_json(&self, seed: u64) -> String {
-        let mut w = JsonWriter::object();
-        w.field_str("event", "batch_stats")
-            .field_u64("seed", seed)
-            .field_u64("routines", self.records.len() as u64)
-            .field_u64("optimized", self.optimized)
-            .field_u64("identity", self.identity)
-            .field_u64("rejected", self.rejected)
-            .field_u64("input_errors", self.input_errors)
-            .field_u64("escaped_panics", self.escaped_panics)
-            .field_u64("check_errors", self.check_errors)
-            .field_raw("metrics", &self.metrics.to_json());
-        w.finish()
+        w
     }
 
     /// The timing-domain JSON record: shard balance, per-routine wall

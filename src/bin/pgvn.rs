@@ -471,8 +471,8 @@ fn fuzz_main(mut args: Args) -> CliResult {
     let iters = copts.fuzz.iterations;
     let every = (iters / 20).max(1);
     let t0 = std::time::Instant::now();
-    // At --jobs 1 this ticker reproduces the sequential progress
-    // stream; at higher job counts the ordering follows the schedule.
+    // At --jobs 1 this ticker runs in iteration order; at higher job
+    // counts the ordering follows the schedule.
     let campaign = run_campaign_with(&copts, &move |i, failure| {
         if let Some(f) = failure {
             eprintln!("pgvn fuzz: FAILURE at iteration {i} ({}): {}", f.kind, f.detail);
@@ -480,56 +480,49 @@ fn fuzz_main(mut args: Args) -> CliResult {
             eprintln!("pgvn fuzz: {}/{iters} iterations clean", i + 1);
         }
     });
-    let result = &campaign.report;
     let elapsed = t0.elapsed();
+    let seed = copts.fuzz.seed;
 
     if let Some(path) = &report_path {
         let mut lines = String::new();
-        for f in &result.failures {
+        for f in &campaign.failures {
             lines.push_str(&f.to_json());
             lines.push('\n');
         }
-        lines.push_str(&campaign.stats_json(copts.fuzz.seed));
+        lines.push_str(&campaign.stats_json(seed));
         lines.push('\n');
         if timings {
             lines.push_str(&campaign.timing_json());
             lines.push('\n');
         }
-        let mut w = pgvn::telemetry::json::JsonWriter::object();
-        w.field_str("event", "fuzz_summary")
-            .field_u64("seed", copts.fuzz.seed)
-            .field_u64("iterations_run", result.iterations_run)
-            .field_u64("total_insts", result.total_insts)
-            .field_u64("failures", result.failures.len() as u64);
-        lines.push_str(&w.finish());
+        lines.push_str(&campaign.summary_json(seed));
         lines.push('\n');
         write_report("fuzz", Some(path), &lines)?;
     }
     if let Some(dir) = &fixture_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("fuzz: cannot create {dir}: {e}"))?;
-        for f in &result.failures {
+        for f in &campaign.failures {
             let path = format!("{dir}/fuzz-{}-{}.pgvn", f.kind, f.iteration);
             write_report("fuzz", Some(&path), &f.fixture())?;
             eprintln!("pgvn fuzz: wrote {path}");
         }
     }
+    let iterations_run = campaign.iterations_run();
     let secs = elapsed.as_secs_f64();
     if secs > 0.0 {
         eprintln!(
-            "pgvn fuzz: {} iteration(s) in {secs:.1}s ({:.0} iters/sec, {} job(s))",
-            result.iterations_run,
-            result.iterations_run as f64 / secs,
+            "pgvn fuzz: {iterations_run} iteration(s) in {secs:.1}s ({:.0} iters/sec, {} job(s))",
+            iterations_run as f64 / secs,
             campaign.worker_iterations.len()
         );
     }
     let summary = format!(
-        "fuzz: {} iterations, {} instructions, {} failure(s)\n",
-        result.iterations_run,
-        result.total_insts,
-        result.failures.len()
+        "fuzz: {iterations_run} iterations, {} instructions, {} failure(s)\n",
+        campaign.total_insts(),
+        campaign.failures.len()
     );
     write_report("fuzz", None, &summary)?;
-    Ok(exit_code(result.is_clean()))
+    Ok(exit_code(campaign.is_clean()))
 }
 
 const BATCH_USAGE: &str = "usage: pgvn batch (--dir <dir> | --gen N) [--seed N] [--limit N]\n\
@@ -681,17 +674,18 @@ fn serve_main(mut args: Args) -> CliResult {
             serve_duplex(stdin.lock(), std::io::stdout(), &opts)
         }
     };
+    let count = |m| summary.serve_metrics.value(m);
     eprintln!(
         "pgvn serve: {} request(s): {} record(s), {} degraded, {} shed, {} expired, \
          {} protocol error(s), {} absorbed panic(s), {} escaped panic(s)",
-        summary.requests,
-        summary.records,
-        summary.degraded,
-        summary.shed,
-        summary.expired,
-        summary.protocol_errors,
-        summary.absorbed_panics,
-        summary.escaped_panics
+        count(Metric::ServeRequests),
+        count(Metric::ServeRecords),
+        count(Metric::ServeDegraded),
+        count(Metric::ServeShed),
+        count(Metric::ServeExpired),
+        count(Metric::ServeProtocolErrors),
+        count(Metric::ServeAbsorbedPanics),
+        count(Metric::ServeEscapedPanics)
     );
     eprintln!("{}", summary.summary_json());
     Ok(exit_code(summary.is_clean()))

@@ -71,25 +71,35 @@ impl CheckRecord {
 pub struct CheckRunReport {
     /// Per-input records, in input order.
     pub records: Vec<CheckRecord>,
-    /// Total error-severity diagnostics.
-    pub errors: u64,
-    /// Total warn-severity diagnostics.
-    pub warns: u64,
-    /// Total advisory-severity diagnostics.
-    pub advisories: u64,
     /// Inputs with at least one diagnostic of any severity.
     pub flagged: u64,
     /// Stable per-severity diagnostic counters
-    /// (`check_diagnostics_{error,warn,advisory}`).
+    /// (`check_diagnostics_{error,warn,advisory}`): the report's only
+    /// copy of its severity totals.
     pub metrics: MetricsSnapshot,
     /// Timing-domain measurements (`check_nanos` per input).
     pub timing: MetricsSnapshot,
 }
 
 impl CheckRunReport {
+    /// Total error-severity diagnostics.
+    pub fn errors(&self) -> u64 {
+        self.metrics.value(Metric::CheckDiagnosticsError)
+    }
+
+    /// Total warn-severity diagnostics.
+    pub fn warns(&self) -> u64 {
+        self.metrics.value(Metric::CheckDiagnosticsWarn)
+    }
+
+    /// Total advisory-severity diagnostics.
+    pub fn advisories(&self) -> u64 {
+        self.metrics.value(Metric::CheckDiagnosticsAdvisory)
+    }
+
     /// Whether any input carries an error-severity diagnostic.
     pub fn has_errors(&self) -> bool {
-        self.errors > 0
+        self.errors() > 0
     }
 
     /// The `check_summary` JSONL record (no trailing newline).
@@ -98,9 +108,9 @@ impl CheckRunReport {
         w.field_str("event", "check_summary")
             .field_u64("files", self.records.len() as u64)
             .field_u64("flagged", self.flagged)
-            .field_u64("errors", self.errors)
-            .field_u64("warns", self.warns)
-            .field_u64("advisories", self.advisories);
+            .field_u64("errors", self.errors())
+            .field_u64("warns", self.warns())
+            .field_u64("advisories", self.advisories());
         w.finish()
     }
 
@@ -110,9 +120,9 @@ impl CheckRunReport {
             "pgvn check: {} file(s), {} flagged: {} error(s), {} warning(s), {} advisory(ies)",
             self.records.len(),
             self.flagged,
-            self.errors,
-            self.warns,
-            self.advisories
+            self.errors(),
+            self.warns(),
+            self.advisories()
         )
     }
 }
@@ -151,22 +161,12 @@ pub fn run_check_inputs(inputs: &[BatchInput], opts: &CheckOptions) -> CheckRunR
         records
             .push(CheckRecord { name: input.name.clone(), diagnostics: engine.into_diagnostics() });
     }
-    let mut report = CheckRunReport {
+    CheckRunReport {
+        flagged: records.iter().filter(|rec| !rec.diagnostics.is_empty()).count() as u64,
         records,
-        errors: 0,
-        warns: 0,
-        advisories: 0,
-        flagged: 0,
         metrics: reg.snapshot().stable_only(),
         timing: timing_reg.snapshot(),
-    };
-    for rec in &report.records {
-        report.errors += rec.count(Severity::Error) as u64;
-        report.warns += rec.count(Severity::Warn) as u64;
-        report.advisories += rec.count(Severity::Advisory) as u64;
-        report.flagged += u64::from(!rec.diagnostics.is_empty());
     }
-    report
 }
 
 #[cfg(test)]
@@ -200,7 +200,7 @@ mod tests {
         ];
         let report = run_check_inputs(&inputs, &CheckOptions::without_gvn());
         assert!(report.has_errors());
-        assert_eq!(report.errors, 2);
+        assert_eq!(report.errors(), 2);
         assert_eq!(report.flagged, 2);
         assert!(report.records[0].has_errors());
         assert_eq!(report.records[0].diagnostics[0].code(), PARSE_ERROR);
@@ -214,7 +214,7 @@ mod tests {
         let inputs = [input("dup", "routine dup(a, b) { x = a + b; y = a + b; return x * y; }")];
         let report = run_check_inputs(&inputs, &CheckOptions::default());
         assert!(!report.has_errors(), "advisories never fail the run");
-        assert!(report.advisories > 0);
+        assert!(report.advisories() > 0);
         let line = report.records[0].json_line();
         assert!(line.contains("\"code\":\"missed_redundancy\""), "{line}");
         pgvn_telemetry::json::parse(&line).expect("record is valid JSON");

@@ -12,14 +12,14 @@
 
 use crate::batch::{process_one, BatchInput, BatchOptions, RoutineStatus, Worker};
 use crate::serve::proto::{error_response, expired_response, record_response, write_frame};
-use crate::serve::ServeOptions;
+use crate::serve::{write_counts, ServeOptions, STATS_COUNTS};
 use pgvn_core::{ContextCapacities, GvnContext};
 use pgvn_telemetry::json::JsonWriter;
 use pgvn_telemetry::{Metric, MetricsRegistry, MetricsSnapshot};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -38,11 +38,8 @@ impl ConnOut {
     /// Sends one response frame, counting delivery or hangup.
     pub(crate) fn send(&self, engine: &Engine, payload: &str) {
         let mut w = self.writer.lock().expect("serve writer lock poisoned");
-        if write_frame(&mut *w, payload.as_bytes()).is_ok() {
-            engine.responses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            engine.hangups.fetch_add(1, Ordering::Relaxed);
-        }
+        let delivered = write_frame(&mut *w, payload.as_bytes()).is_ok();
+        engine.reg.add(if delivered { Metric::ServeResponses } else { Metric::ServeHangups }, 1);
     }
 }
 
@@ -80,20 +77,13 @@ pub(crate) struct Engine {
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     draining: AtomicBool,
-    /// Serve-domain metrics: request/shed/degraded counters plus the
-    /// latency and queue-wait histograms.
+    /// Serve-domain metrics: every serve counter, the queue-depth gauge,
+    /// and the latency and queue-wait histograms.
     pub reg: MetricsRegistry,
     /// Worker analysis metrics, merged as each worker retires.
     pub analysis: Mutex<MetricsSnapshot>,
     /// Live worker state, indexed by worker.
     pub workers: Mutex<Vec<WorkerState>>,
-    // Counters without a Metric counterpart.
-    pub records: AtomicU64,
-    pub escaped_panics: AtomicU64,
-    pub input_errors: AtomicU64,
-    pub control: AtomicU64,
-    pub hangups: AtomicU64,
-    pub responses: AtomicU64,
 }
 
 impl Engine {
@@ -113,12 +103,6 @@ impl Engine {
                 };
                 workers
             ]),
-            records: AtomicU64::new(0),
-            escaped_panics: AtomicU64::new(0),
-            input_errors: AtomicU64::new(0),
-            control: AtomicU64::new(0),
-            hangups: AtomicU64::new(0),
-            responses: AtomicU64::new(0),
         }
     }
 
@@ -205,14 +189,10 @@ impl Engine {
                 catch_unwind(AssertUnwindSafe(|| process_one(&mut worker, &job.input, &job.opts)));
             let response = match attempt {
                 Ok(rec) => {
-                    self.records.fetch_add(1, Ordering::Relaxed);
+                    self.reg.add(Metric::ServeRecords, 1);
                     match rec.status {
-                        RoutineStatus::InputError => {
-                            self.input_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        RoutineStatus::EscapedPanic => {
-                            self.escaped_panics.fetch_add(1, Ordering::Relaxed);
-                        }
+                        RoutineStatus::InputError => self.reg.add(Metric::ServeInputErrors, 1),
+                        RoutineStatus::EscapedPanic => self.reg.add(Metric::ServeEscapedPanics, 1),
                         _ => {}
                     }
                     let degraded = rec.status == RoutineStatus::Rejected || rec.rollbacks > 0;
@@ -227,7 +207,7 @@ impl Engine {
                     // clear (free + rebuild) rather than trusting
                     // prepare() after a contract violation.
                     worker.ctx.clear();
-                    self.escaped_panics.fetch_add(1, Ordering::Relaxed);
+                    self.reg.add(Metric::ServeEscapedPanics, 1);
                     error_response(job.id, "internal", "panic escaped the optimizer boundary")
                 }
             };
@@ -247,24 +227,15 @@ impl Engine {
         workers[index] = WorkerState { runs: ctx.runs(), capacities: ctx.capacities() };
     }
 
-    /// The `stats` response: queue depth, every counter, and the live
-    /// per-worker context profile.
+    /// The `stats` response: queue depth, the first [`STATS_COUNTS`]
+    /// summary counts, and the live per-worker context profile.
     pub(crate) fn stats_response(&self, id: u64) -> String {
-        let snap = self.reg.snapshot();
         let mut w = JsonWriter::object();
         w.field_str("event", "serve_response")
             .field_str("reply", "stats")
             .field_u64("id", id)
-            .field_u64("queue_depth", self.queue_depth() as u64)
-            .field_u64("requests", snap.value(Metric::ServeRequests))
-            .field_u64("records", self.records.load(Ordering::Relaxed))
-            .field_u64("shed", snap.value(Metric::ServeShed))
-            .field_u64("expired", snap.value(Metric::ServeExpired))
-            .field_u64("protocol_errors", snap.value(Metric::ServeProtocolErrors))
-            .field_u64("degraded", snap.value(Metric::ServeDegraded))
-            .field_u64("absorbed_panics", snap.value(Metric::ServeAbsorbedPanics))
-            .field_u64("escaped_panics", self.escaped_panics.load(Ordering::Relaxed))
-            .field_u64("input_errors", self.input_errors.load(Ordering::Relaxed));
+            .field_u64("queue_depth", self.queue_depth() as u64);
+        write_counts(&mut w, &self.reg.snapshot(), STATS_COUNTS);
         let workers = self.workers.lock().expect("serve workers lock poisoned");
         let mut arr = String::from("[");
         for (i, ws) in workers.iter().enumerate() {

@@ -9,6 +9,7 @@ use crate::serve::proto::{extract_record, parse_request, read_frame, write_frame
 use crate::serve::{resolve_request_options, serve_socket, ServeOptions, ServeSummary};
 use pgvn_core::{FaultKind, FaultPlan, FaultSite};
 use pgvn_telemetry::json::JsonWriter;
+use pgvn_telemetry::Metric;
 use std::io;
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
@@ -144,7 +145,10 @@ impl LoadReport {
             .field_f64("routines_per_sec", self.routines_per_sec)
             .field_u64("wall_nanos", self.wall_nanos)
             .field_u64("mismatches", self.mismatches)
-            .field_u64("escaped_panics", self.summary.escaped_panics);
+            .field_u64(
+                "escaped_panics",
+                self.summary.serve_metrics.value(Metric::ServeEscapedPanics),
+            );
         w.finish()
     }
 

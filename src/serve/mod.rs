@@ -51,7 +51,6 @@ use proto::{
 };
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -156,38 +155,39 @@ impl Default for ServeOptions {
     }
 }
 
+/// The top-level counts of the `serve_summary` record, in key order,
+/// each read from its serve counter. The `stats` response carries the
+/// first [`STATS_COUNTS`] of them.
+const SUMMARY_COUNTS: [(&str, Metric); 12] = [
+    ("requests", Metric::ServeRequests),
+    ("records", Metric::ServeRecords),
+    ("shed", Metric::ServeShed),
+    ("expired", Metric::ServeExpired),
+    ("protocol_errors", Metric::ServeProtocolErrors),
+    ("degraded", Metric::ServeDegraded),
+    ("absorbed_panics", Metric::ServeAbsorbedPanics),
+    ("escaped_panics", Metric::ServeEscapedPanics),
+    ("input_errors", Metric::ServeInputErrors),
+    ("control", Metric::ServeControl),
+    ("hangups", Metric::ServeHangups),
+    ("responses", Metric::ServeResponses),
+];
+
+/// How many of [`SUMMARY_COUNTS`] the `stats` response carries.
+pub(crate) const STATS_COUNTS: usize = 9;
+
+/// Writes the first `n` of [`SUMMARY_COUNTS`] into the object `w` has
+/// open, reading each from `snap`.
+pub(crate) fn write_counts(w: &mut JsonWriter, snap: &MetricsSnapshot, n: usize) {
+    for &(key, m) in &SUMMARY_COUNTS[..n] {
+        w.field_u64(key, snap.value(m));
+    }
+}
+
 /// Everything one server run did, returned when the drain completes.
+/// Its counts live in [`ServeSummary::serve_metrics`].
 #[derive(Clone, Debug)]
 pub struct ServeSummary {
-    /// Optimize requests admitted to parsing (including ones later
-    /// shed or expired).
-    pub requests: u64,
-    /// Requests that produced a routine record.
-    pub records: u64,
-    /// Requests refused because the admission queue was full.
-    pub shed: u64,
-    /// Requests whose own deadline elapsed while queued.
-    pub expired: u64,
-    /// Frames rejected before reaching a worker: bad UTF-8, bad JSON,
-    /// oversized, or invalid request shape.
-    pub protocol_errors: u64,
-    /// Records produced below the top ladder rung (at least one rung
-    /// failure, or the identity fallback).
-    pub degraded: u64,
-    /// Panics the degradation ladder absorbed across all requests.
-    pub absorbed_panics: u64,
-    /// Contract violations: panics that escaped past `process_one`.
-    /// Always zero unless the optimizer itself is broken; makes the
-    /// server exit nonzero.
-    pub escaped_panics: u64,
-    /// Requests whose routine failed to parse or compile.
-    pub input_errors: u64,
-    /// `ping`/`stats`/`shutdown` requests handled inline.
-    pub control: u64,
-    /// Responses dropped because the client had disconnected.
-    pub hangups: u64,
-    /// Response frames delivered.
-    pub responses: u64,
     /// Analysis runs per worker context at drain.
     pub worker_runs: Vec<u64>,
     /// Context capacity profile per worker at drain — the pool-health
@@ -195,8 +195,10 @@ pub struct ServeSummary {
     pub worker_capacities: Vec<ContextCapacities>,
     /// Merged per-worker analysis metrics, stable subset.
     pub metrics: MetricsSnapshot,
-    /// Serve-domain metrics: counters plus request-latency and
-    /// queue-wait histograms.
+    /// Serve-domain metrics: every serve counter (requests, records,
+    /// shed, protocol errors, escaped panics, responses, ...) plus the
+    /// queue-depth gauge and the request-latency and queue-wait
+    /// histograms.
     pub serve_metrics: MetricsSnapshot,
 }
 
@@ -204,26 +206,15 @@ impl ServeSummary {
     /// Whether the run upheld the isolation contract (no escaped
     /// panics). Degraded, shed and error responses are normal service.
     pub fn is_clean(&self) -> bool {
-        self.escaped_panics == 0
+        self.serve_metrics.value(Metric::ServeEscapedPanics) == 0
     }
 
     /// The `serve_summary` JSON record (no trailing newline).
     pub fn summary_json(&self) -> String {
         let mut w = JsonWriter::object();
-        w.field_str("event", "serve_summary")
-            .field_u64("requests", self.requests)
-            .field_u64("records", self.records)
-            .field_u64("shed", self.shed)
-            .field_u64("expired", self.expired)
-            .field_u64("protocol_errors", self.protocol_errors)
-            .field_u64("degraded", self.degraded)
-            .field_u64("absorbed_panics", self.absorbed_panics)
-            .field_u64("escaped_panics", self.escaped_panics)
-            .field_u64("input_errors", self.input_errors)
-            .field_u64("control", self.control)
-            .field_u64("hangups", self.hangups)
-            .field_u64("responses", self.responses)
-            .field_raw("metrics", &self.metrics.to_json())
+        w.field_str("event", "serve_summary");
+        write_counts(&mut w, &self.serve_metrics, SUMMARY_COUNTS.len());
+        w.field_raw("metrics", &self.metrics.to_json())
             .field_raw("serve_metrics", &self.serve_metrics.to_json());
         w.finish()
     }
@@ -316,15 +307,15 @@ fn connection_loop(engine: &Engine, reader: &mut impl Read, out: &Arc<ConnOut>) 
                 };
                 match req.op {
                     RequestOp::Ping => {
-                        engine.control.fetch_add(1, Ordering::Relaxed);
+                        engine.reg.add(Metric::ServeControl, 1);
                         out.send(engine, &pong_response(req.id));
                     }
                     RequestOp::Stats => {
-                        engine.control.fetch_add(1, Ordering::Relaxed);
+                        engine.reg.add(Metric::ServeControl, 1);
                         out.send(engine, &engine.stats_response(req.id));
                     }
                     RequestOp::Shutdown => {
-                        engine.control.fetch_add(1, Ordering::Relaxed);
+                        engine.reg.add(Metric::ServeControl, 1);
                         out.send(engine, &shutting_down_response(req.id));
                         return ConnExit::Shutdown;
                     }
@@ -367,25 +358,12 @@ fn handle_optimize(engine: &Engine, req: Request, out: &Arc<ConnOut>) {
 
 /// Collects the summary once all workers have retired.
 fn summarize(engine: &Engine) -> ServeSummary {
-    let snap = engine.reg.snapshot();
     let workers = engine.workers.lock().expect("serve workers lock poisoned");
     ServeSummary {
-        requests: snap.value(Metric::ServeRequests),
-        records: engine.records.load(Ordering::Relaxed),
-        shed: snap.value(Metric::ServeShed),
-        expired: snap.value(Metric::ServeExpired),
-        protocol_errors: snap.value(Metric::ServeProtocolErrors),
-        degraded: snap.value(Metric::ServeDegraded),
-        absorbed_panics: snap.value(Metric::ServeAbsorbedPanics),
-        escaped_panics: engine.escaped_panics.load(Ordering::Relaxed),
-        input_errors: engine.input_errors.load(Ordering::Relaxed),
-        control: engine.control.load(Ordering::Relaxed),
-        hangups: engine.hangups.load(Ordering::Relaxed),
-        responses: engine.responses.load(Ordering::Relaxed),
         worker_runs: workers.iter().map(|w| w.runs).collect(),
         worker_capacities: workers.iter().map(|w| w.capacities).collect(),
         metrics: engine.analysis.lock().expect("serve analysis lock poisoned").stable_only(),
-        serve_metrics: snap,
+        serve_metrics: engine.reg.snapshot(),
     }
 }
 

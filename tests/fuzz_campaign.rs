@@ -34,7 +34,7 @@ fn quick(iterations: u64, mode: FuzzMode) -> FuzzOptions {
 /// form of "identical report + identical shrunk fixtures".
 fn observable(campaign: &pgvn::oracle::CampaignReport, seed: u64) -> String {
     let mut out = String::new();
-    for f in &campaign.report.failures {
+    for f in &campaign.failures {
         out.push_str(&f.to_json());
         out.push('\n');
         out.push_str(&f.fixture());
@@ -50,8 +50,8 @@ fn jobs_1_and_jobs_4_agree_on_an_injected_bug_campaign() {
     let fuzz = FuzzOptions { inject_miscompile: true, ..quick(500, FuzzMode::Validate) };
     let seq = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1 });
     let par = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 4 });
-    assert!(!seq.report.is_clean(), "inject_miscompile must produce failures");
-    assert_eq!(seq.report, par.report);
+    assert!(!seq.is_clean(), "inject_miscompile must produce failures");
+    assert_eq!((&seq.failures, &seq.metrics), (&par.failures, &par.metrics));
     assert_eq!(observable(&seq, fuzz.seed), observable(&par, fuzz.seed));
 }
 
@@ -61,8 +61,8 @@ fn jobs_1_and_jobs_4_agree_under_max_failures_early_stop() {
         FuzzOptions { inject_miscompile: true, max_failures: 1, ..quick(500, FuzzMode::Validate) };
     let seq = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1 });
     let par = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 4 });
-    assert_eq!(seq.report.failures.len(), 1);
-    assert_eq!(seq.report, par.report);
+    assert_eq!(seq.failures.len(), 1);
+    assert_eq!((&seq.failures, &seq.metrics), (&par.failures, &par.metrics));
     assert_eq!(observable(&seq, fuzz.seed), observable(&par, fuzz.seed));
 }
 
@@ -71,8 +71,8 @@ fn jobs_1_and_jobs_4_agree_on_a_clean_campaign() {
     let fuzz = quick(60, FuzzMode::Both);
     let seq = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 1 });
     let par = run_campaign(&CampaignOptions { fuzz: fuzz.clone(), jobs: 4 });
-    assert!(seq.report.is_clean(), "failures: {:#?}", seq.report.failures);
-    assert_eq!(seq.report, par.report);
+    assert!(seq.is_clean(), "failures: {:#?}", seq.failures);
+    assert_eq!((&seq.failures, &seq.metrics), (&par.failures, &par.metrics));
     assert_eq!(observable(&seq, fuzz.seed), observable(&par, fuzz.seed));
 }
 

@@ -1,9 +1,10 @@
 //! Integration tests of the metrics layer: registry snapshot
 //! determinism under parallel batches, histogram bucket boundaries,
 //! snapshot JSON round-trips, the metrics-attached ≡ untraced results
-//! equivalence behind the "<2% disabled overhead" guard, and the
+//! equivalence behind the "<2% disabled overhead" guard, the
 //! equality of the catalog's driver counters with the per-run
-//! [`GvnStats`] they mirror.
+//! [`GvnStats`] they mirror, and the docs catalog table's agreement
+//! with the catalog.
 
 use pgvn::batch::{generated_corpus, run_batch, BatchInput, BatchOptions};
 use pgvn::core::{run, try_run_traced_in_context, GvnConfig, GvnResults, GvnStats};
@@ -169,4 +170,40 @@ fn catalog_counters_equal_summed_per_run_stats() {
     assert!(snap.value(Metric::ValueInferenceVisits) > 0, "the corpus exercises inference");
     assert_eq!(snap.sum(Metric::DriverMergesPass), sum(|s| s.class_merges));
     assert_eq!(snap.sum(Metric::InternerExprs), sum(|s| s.interned_exprs));
+}
+
+/// `docs/OBSERVABILITY.md` documents every catalog metric with the
+/// catalog's own kind, unit and stability, and no metric the catalog
+/// lacks: a new metric is one catalog row plus one docs row.
+#[test]
+fn the_docs_catalog_table_matches_the_catalog() {
+    const DOCS: &str = include_str!("../docs/OBSERVABILITY.md");
+    let table = DOCS.split("\n### Catalog\n").nth(1).expect("the docs have a catalog section");
+    let mut rows = std::collections::BTreeMap::new();
+    for line in table.lines().take_while(|l| !l.starts_with('#')) {
+        // `| name | kind | unit | stable | where emitted |`; one row may
+        // name several metrics.
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        if cells.len() < 6 || !cells[1].starts_with('`') {
+            continue;
+        }
+        for name in cells[1].split(", ") {
+            rows.insert(name.trim_matches('`'), (cells[2], cells[3], cells[4]));
+        }
+    }
+    for m in METRICS {
+        let kind = match m.kind() {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        };
+        let stable = if m.stable() { "yes" } else { "**no**" };
+        assert_eq!(
+            rows.remove(m.name()),
+            Some((kind, m.unit(), stable)),
+            "the docs row of `{}` (kind, unit, stable)",
+            m.name()
+        );
+    }
+    assert!(rows.is_empty(), "docs rows of metrics the catalog lacks: {rows:?}");
 }

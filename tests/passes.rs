@@ -118,8 +118,8 @@ fn serve_malformed_passes_is_a_protocol_error_and_the_connection_survives() {
         }
     }
     assert_eq!((errors, records), (2, 1));
-    assert_eq!(summary.protocol_errors, 2);
-    assert_eq!(summary.records, 1);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeProtocolErrors), 2);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeRecords), 1);
     assert!(summary.is_clean(), "malformed specs never kill the loop");
 }
 

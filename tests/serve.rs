@@ -12,6 +12,7 @@ use pgvn::serve::{
     resolve_request_options, serve_duplex, serve_socket, ServeOptions, ServeSummary,
 };
 use pgvn::telemetry::json::{parse, JsonValue};
+use pgvn::telemetry::Metric;
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::{Duration, Instant};
@@ -120,10 +121,10 @@ fn ping_gen_and_source_requests_are_answered() {
     let mut replies: Vec<String> = responses.iter().map(|r| reply_of(r)).collect();
     replies.sort();
     assert_eq!(replies, ["pong", "record", "record", "stats"]);
-    assert_eq!(summary.requests, 2);
-    assert_eq!(summary.records, 2);
-    assert_eq!(summary.control, 2);
-    assert_eq!(summary.responses, 4);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeRequests), 2);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeRecords), 2);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeControl), 2);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeResponses), 4);
     assert!(summary.is_clean());
 }
 
@@ -169,7 +170,7 @@ fn socket_server_answers_fresh_connections_at_once_and_drains_promptly() {
         "median connect-to-pong {median:?}: accepts are waiting on a poll interval"
     );
     assert!(drained < Duration::from_secs(2), "drain took {drained:?}");
-    assert_eq!(summary.control, 22, "21 pings and the shutdown");
+    assert_eq!(summary.serve_metrics.value(Metric::ServeControl), 22, "21 pings and the shutdown");
 }
 
 #[test]
@@ -182,7 +183,7 @@ fn truncated_frame_gets_an_error_then_a_clean_close() {
     assert_eq!(reply_of(&responses[0]), "error");
     assert!(responses[0].contains("\"error\":\"protocol\""), "{}", responses[0]);
     assert!(responses[0].contains("truncated"), "{}", responses[0]);
-    assert_eq!(summary.protocol_errors, 1);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeProtocolErrors), 1);
     assert!(summary.is_clean());
 }
 
@@ -198,8 +199,8 @@ fn oversized_frame_is_rejected_and_the_connection_survives() {
     assert_eq!(reply_of(over), "error");
     let record = responses.iter().find(|r| reply_of(r) == "record").expect("record response");
     assert!(record.contains("\"id\":9"));
-    assert_eq!(summary.protocol_errors, 1);
-    assert_eq!(summary.records, 1);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeProtocolErrors), 1);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeRecords), 1);
     assert!(summary.is_clean());
 }
 
@@ -225,7 +226,7 @@ fn ping_after_a_one_mib_frame_is_answered_promptly() {
     assert!(responses[0].contains("both"), "{}", responses[0]);
     assert_eq!(reply_of(&responses[1]), "pong");
     assert!(responses[1].contains("\"id\":2"), "{}", responses[1]);
-    assert_eq!(summary.protocol_errors, 1);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeProtocolErrors), 1);
     assert!(summary.is_clean());
     // About 30 ms unoptimized with a linear parse; a parse quadratic in
     // the string length takes minutes.
@@ -244,7 +245,7 @@ fn deeply_nested_json_is_a_protocol_error_and_a_later_ping_is_answered() {
     assert!(responses[0].contains("\"error\":\"protocol\""), "{}", responses[0]);
     assert!(responses[0].contains("nesting deeper than"), "{}", responses[0]);
     assert_eq!(reply_of(&responses[1]), "pong");
-    assert_eq!(summary.protocol_errors, 1);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeProtocolErrors), 1);
     assert!(summary.is_clean());
 }
 
@@ -279,7 +280,7 @@ fn over_deep_routines_get_input_errors_and_a_later_ping_is_answered() {
         assert!(r.contains("\"status\":\"input_error\"") && r.contains(message), "{r}");
     }
     assert_eq!(reply_of(by_id(3)), "pong");
-    assert_eq!(summary.input_errors, 2);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeInputErrors), 2);
     assert!(summary.is_clean());
 }
 
@@ -305,7 +306,13 @@ fn break_outside_a_loop_gets_an_input_error_and_a_later_request_is_served() {
     assert!(r.contains("`break` outside a loop"), "{r}");
     assert_eq!(reply_of(by_id(2)), "record");
     assert_eq!(reply_of(by_id(3)), "pong");
-    assert_eq!((summary.input_errors, summary.records), (1, 2));
+    assert_eq!(
+        (
+            summary.serve_metrics.value(Metric::ServeInputErrors),
+            summary.serve_metrics.value(Metric::ServeRecords)
+        ),
+        (1, 2)
+    );
     assert!(summary.is_clean());
 }
 
@@ -325,8 +332,8 @@ fn malformed_payloads_get_protocol_errors_without_killing_the_loop() {
     assert_eq!(responses.len(), 6, "{responses:?}");
     assert_eq!(responses.iter().filter(|r| reply_of(r) == "error").count(), 5);
     assert_eq!(responses.iter().filter(|r| reply_of(r) == "record").count(), 1);
-    assert_eq!(summary.protocol_errors, 5);
-    assert_eq!(summary.records, 1);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeProtocolErrors), 5);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeRecords), 1);
     assert!(summary.is_clean());
 }
 
@@ -339,8 +346,8 @@ fn garbage_routine_text_is_a_classified_input_error() {
     assert_eq!(responses.len(), 1);
     assert_eq!(reply_of(&responses[0]), "record");
     assert!(responses[0].contains("\"status\":\"input_error\""), "{}", responses[0]);
-    assert_eq!(summary.input_errors, 1);
-    assert_eq!(summary.records, 1);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeInputErrors), 1);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeRecords), 1);
     assert!(summary.is_clean());
 }
 
@@ -352,9 +359,17 @@ fn mid_request_disconnect_is_survived_and_counted() {
         // Drop the whole socket without reading the response.
         drop(w);
     });
-    assert_eq!(summary.requests, 1);
-    assert_eq!(summary.records, 1, "the request was still processed");
-    assert_eq!(summary.hangups, 1, "the undeliverable response is counted");
+    assert_eq!(summary.serve_metrics.value(Metric::ServeRequests), 1);
+    assert_eq!(
+        summary.serve_metrics.value(Metric::ServeRecords),
+        1,
+        "the request was still processed"
+    );
+    assert_eq!(
+        summary.serve_metrics.value(Metric::ServeHangups),
+        1,
+        "the undeliverable response is counted"
+    );
     assert!(summary.is_clean());
 }
 
@@ -365,8 +380,8 @@ fn zero_capacity_queue_sheds_everything() {
         roundtrip(&opts, vec![gen_request(1, 1), gen_request(2, 2), gen_request(3, 3)]);
     assert_eq!(responses.len(), 3);
     assert!(responses.iter().all(|r| reply_of(r) == "shed"), "{responses:?}");
-    assert_eq!(summary.shed, 3);
-    assert_eq!(summary.records, 0);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeShed), 3);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeRecords), 0);
     assert!(summary.is_clean());
 }
 
@@ -378,7 +393,7 @@ fn serve_output_is_byte_identical_to_sequential_batch() {
         .map(|i| gen_request(i + 1, pgvn::oracle::mix64(2002 ^ pgvn::oracle::mix64(i))))
         .collect();
     let (responses, summary) = roundtrip(&opts, frames.clone());
-    assert_eq!(summary.records, n);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeRecords), n);
     assert!(summary.is_clean());
 
     // Collect the served records in request order.
@@ -437,10 +452,20 @@ fn every_fault_class_is_absorbed_sticky_and_transient() {
     let (responses, summary) = roundtrip(&ServeOptions::default(), frames);
     assert_eq!(responses.len(), 8);
     assert!(responses.iter().all(|r| reply_of(r) == "record"), "{responses:?}");
-    assert_eq!(summary.records, 8);
-    assert_eq!(summary.escaped_panics, 0, "every injected fault is absorbed");
-    assert!(summary.degraded > 0, "injected faults degrade at least one record");
-    assert!(summary.absorbed_panics > 0, "panic faults are absorbed by the ladder");
+    assert_eq!(summary.serve_metrics.value(Metric::ServeRecords), 8);
+    assert_eq!(
+        summary.serve_metrics.value(Metric::ServeEscapedPanics),
+        0,
+        "every injected fault is absorbed"
+    );
+    assert!(
+        summary.serve_metrics.value(Metric::ServeDegraded) > 0,
+        "injected faults degrade at least one record"
+    );
+    assert!(
+        summary.serve_metrics.value(Metric::ServeAbsorbedPanics) > 0,
+        "panic faults are absorbed by the ladder"
+    );
 }
 
 /// The capacity fields of every worker in a `stats` response.
@@ -529,14 +554,29 @@ fn soak_1000_mixed_requests_with_stable_pool_capacities() {
         (answered, warm, fin)
     });
     assert_eq!(answered, distinct * repeats, "every request answered");
-    assert!(summary.records + summary.protocol_errors >= distinct * repeats);
-    assert_eq!(summary.escaped_panics, 0, "no fault class escaped in {answered} requests");
+    assert!(
+        summary.serve_metrics.value(Metric::ServeRecords)
+            + summary.serve_metrics.value(Metric::ServeProtocolErrors)
+            >= distinct * repeats
+    );
+    assert_eq!(
+        summary.serve_metrics.value(Metric::ServeEscapedPanics),
+        0,
+        "no fault class escaped in {answered} requests"
+    );
     assert_eq!(
         warm_caps, final_caps,
         "context pool capacities stable after the warm-up wave (allocation amortization)"
     );
-    assert!(summary.absorbed_panics > 0 && summary.degraded > 0, "faults were really mixed in");
-    assert!(summary.input_errors > 0, "garbage routines were really mixed in");
+    assert!(
+        summary.serve_metrics.value(Metric::ServeAbsorbedPanics) > 0
+            && summary.serve_metrics.value(Metric::ServeDegraded) > 0,
+        "faults were really mixed in"
+    );
+    assert!(
+        summary.serve_metrics.value(Metric::ServeInputErrors) > 0,
+        "garbage routines were really mixed in"
+    );
 }
 
 #[test]
@@ -616,7 +656,13 @@ fn pass_specs_over_the_cap_are_refused_and_the_connection_survives() {
     for id in [2, 4, 6, 7] {
         assert_eq!(reply_of(by_id(id)), "record", "{}", by_id(id));
     }
-    assert_eq!((summary.protocol_errors, summary.records), (3, 4));
+    assert_eq!(
+        (
+            summary.serve_metrics.value(Metric::ServeProtocolErrors),
+            summary.serve_metrics.value(Metric::ServeRecords)
+        ),
+        (3, 4)
+    );
     assert!(summary.is_clean());
 }
 
@@ -643,7 +689,7 @@ fn refused_requests_echo_the_client_id_and_the_connection_survives() {
     assert!(protocol_detail(&responses[0]).contains("\"rounds\""));
     assert!(protocol_detail(&responses[1]).contains("unknown op"));
     assert_eq!(reply_of(&responses[4]), "pong");
-    assert_eq!(summary.protocol_errors, 4);
+    assert_eq!(summary.serve_metrics.value(Metric::ServeProtocolErrors), 4);
     assert!(summary.is_clean());
 }
 

@@ -10,6 +10,7 @@
 
 use pgvn::serve::proto::{read_frame, write_frame, FrameEvent};
 use pgvn::serve::{serve_duplex, ServeOptions};
+use pgvn::telemetry::Metric;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -53,8 +54,11 @@ fn nested_serve_and_fuzz_guards_silence_once_and_restore_once() {
             w.shutdown(std::net::Shutdown::Write).expect("half-close");
             srv.join().expect("server thread")
         });
-        assert!(summary.absorbed_panics > 0, "injected panics were absorbed");
-        assert_eq!(summary.escaped_panics, 0);
+        assert!(
+            summary.serve_metrics.value(Metric::ServeAbsorbedPanics) > 0,
+            "injected panics were absorbed"
+        );
+        assert_eq!(summary.serve_metrics.value(Metric::ServeEscapedPanics), 0);
         assert_eq!(
             SENTINEL_CALLS.load(Ordering::SeqCst),
             0,
